@@ -6,12 +6,14 @@
 // TraceRecorder attached and saves the timeline (per-op compute/comm spans
 // from the device programs plus link/wire spans) as chrome-trace JSON.
 #include <algorithm>
+#include <cstdint>
 
 #include "baselines/flux_baselines.h"
 #include "baselines/mlp_baselines.h"
 #include "bench/bench_common.h"
 #include "bench/bench_shapes.h"
 #include "compute/memops.h"
+#include "sim/network.h"
 #include "sim/trace.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/kernels/ag_gemm.h"
@@ -26,30 +28,43 @@ int RsBlock(int64_t m_per_rank, int bm) {
   return static_cast<int>(std::max<int64_t>(bm, chunk));
 }
 
+// Flow-network counters summed over the figure simulations.
+uint64_t g_completion_events = 0;
+uint64_t g_transfers = 0;
+
+// Runs `kernel` on every rank of `world`; returns the makespan in ms.
+template <class Kernel>
+double RunMs(rt::World& world, Kernel& kernel) {
+  const double ms = ToMsD(world.RunSpmd(
+      [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); }));
+  for (sim::Network* net : {&world.intra_fabric(), &world.inter_fabric()}) {
+    g_completion_events += net->completion_events();
+    g_transfers += net->total_flows();
+  }
+  return ms;
+}
+
 // ---- AG + GEMM (m = tokens, k = hidden, n = intermediate / R) -----------
 
 double AgGemmNonOverlap(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::NonOverlapAgGemm bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double AgGemmDecompose(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::DecomposeAgGemm bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double AgGemmFlux(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::FluxConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::FluxAgGemm bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double AgGemmTileLink(int64_t m, int64_t k, int64_t n) {
@@ -63,8 +78,7 @@ double AgGemmTileLink(int64_t m, int64_t k, int64_t n) {
   cfg.channels_per_rank = 4;
   cfg.comm = tl::CommResource::kDma;  // the mapping the paper's kernel uses
   tl::AgGemm bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 // ---- GEMM + RS (m = tokens, k = intermediate / R, n = hidden) -----------
@@ -73,24 +87,21 @@ double GemmRsNonOverlap(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::NonOverlapGemmRs bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double GemmRsDecompose(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::DecomposeGemmRs bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double GemmRsFlux(int64_t m, int64_t k, int64_t n) {
   rt::World world = MakeH800x8();
   baselines::FluxConfig cfg{m, k, n, CoarseTiling(k)};
   baselines::FluxGemmRs bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 double GemmRsTileLink(int64_t m, int64_t k, int64_t n) {
@@ -103,8 +114,7 @@ double GemmRsTileLink(int64_t m, int64_t k, int64_t n) {
   cfg.rs_block_m = RsBlock(m / world.size(), cfg.gemm.bm);
   cfg.dma_push = true;  // hybrid: reduce on SMs, scatter on copy engines
   tl::GemmRs bench(world, cfg);
-  return ToMsD(world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); }));
+  return RunMs(world, bench);
 }
 
 void PrintTuneStats(const char* label, double default_ms,
@@ -289,6 +299,17 @@ int main(int argc, char** argv) {
   ag.Export(&report, "fig8.ag", "cuBLAS+NCCL");
   rs.Export(&report, "fig8.rs", "cuBLAS+NCCL");
   full.Export(&report, "fig8.mlp", "cuBLAS+NCCL");
+
+  // The flow network's hot-path cost of the figure simulations above.
+  const double per_transfer =
+      static_cast<double>(g_completion_events) /
+      static_cast<double>(std::max<uint64_t>(1, g_transfers));
+  std::printf("\nflow network: %llu completion events for %llu transfers "
+              "(%.2f per transfer)\n",
+              static_cast<unsigned long long>(g_completion_events),
+              static_cast<unsigned long long>(g_transfers), per_transfer);
+  report.Record("net.completion_events_per_transfer", per_transfer);
+  report.Record("net.transfers", static_cast<double>(g_transfers));
 
   bool tuned_ok = false;
   {

@@ -11,6 +11,7 @@
 #include "bench/bench_common.h"
 #include "comm/collectives.h"
 #include "sim/flag.h"
+#include "sim/network.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "tilelink/kernels/ag_gemm.h"
@@ -103,6 +104,9 @@ sim::Coro OneFlow(sim::Network* net, int src, int dst) {
   co_await net->Transfer(src, dst, 1 << 20);
 }
 
+// All flows start together, flow i from port i % 8 to (i + 1) % 8.
+// events_per_flow counts every simulator event (spawn, latency, wake-ups,
+// retirement), completion_events_per_flow the network's completion entries.
 void BM_NetworkFlows(benchmark::State& state) {
   const int flows = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -112,10 +116,15 @@ void BM_NetworkFlows(benchmark::State& state) {
       s.Spawn(OneFlow(&net, i % 8, (i + 1) % 8));
     }
     s.Run();
+    benchmark::DoNotOptimize(s.Now());
+    state.counters["events_per_flow"] =
+        static_cast<double>(s.processed_events()) / flows;
+    state.counters["completion_events_per_flow"] =
+        static_cast<double>(net.completion_events()) / flows;
   }
   state.SetItemsProcessed(state.iterations() * flows);
 }
-BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512);
+BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512)->Arg(4096);
 
 void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   for (auto _ : state) {

@@ -11,8 +11,10 @@
 #      any tuned config loses to its hand-picked default, fig8 also if the
 #      halving/bound machinery stops skipping candidates, and fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
-#      the simulator microbenchmarks. fig11 also gates the parallel-tuning
-#      identity: the cold sweep at --tune-threads 8 must reproduce the
+#      the simulator microbenchmarks; the stage checks fig8 reported the
+#      flow network's net.completion_events_per_transfer key. fig11 also
+#      gates the parallel-tuning identity: the cold sweep at
+#      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
 #      build-ci/BENCH_*.json; fig11 warm-starts its tuned-config cache from
 #      build-ci/BENCH_fig11_cache.json when a previous run left one.
@@ -78,6 +80,10 @@ if [[ "$FAST" == "0" ]]; then
   ./build-ci/bench_fig11_e2e --tune-threads 8 \
       --json build-ci/BENCH_fig11.json \
       --cache build-ci/BENCH_fig11_cache.json
+  # The flow network's completion-event count is the perf-trajectory key
+  # for the simulator hot path; make sure fig8 reported it.
+  grep -q '"net.completion_events_per_transfer"' build-ci/BENCH_fig8.json \
+      || { echo "missing net.completion_events_per_transfer in BENCH_fig8.json"; exit 1; }
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The generated/hand-built identity suite (test_overlap_gen) already ran

@@ -11,6 +11,13 @@ namespace {
 
 std::string RailLane(int rail) { return "rail" + std::to_string(rail); }
 
+// When `remaining` bytes at `rate` finish, counted from `now`: at least one
+// nanosecond out, so a completion never lands on the change that set it.
+TimeNs CompletionTime(TimeNs now, double remaining, double rate) {
+  return now + std::max<TimeNs>(
+                   1, static_cast<TimeNs>(std::ceil(remaining / rate)));
+}
+
 }  // namespace
 
 void Network::NoteRetry() {
@@ -23,9 +30,14 @@ void Network::NoteRetry() {
 }
 
 double Network::InflightBytes(int rail) const {
+  // Anchors of flows whose rate held are stale: project each to Now(). Every
+  // flow of the rail sits in exactly one egress list.
+  const TimeNs now = sim_->Now();
   double sum = 0;
-  for (const auto& [id, fp] : flows_) {
-    if (fp->rail == rail && fp->done.value() == 0) sum += fp->remaining_bytes;
+  for (int p = 0; p < num_ports_; ++p) {
+    for (const Flow* f : egress_[Index(p, rail)].flows) {
+      if (f->done.value() == 0) sum += std::max(f->RemainingAt(now), 0.0);
+    }
   }
   return sum;
 }
@@ -39,39 +51,29 @@ void Network::TraceRailCounter(int rail) {
 
 Network::Network(Simulator* sim, int num_ports, double port_bw_gbps,
                  TimeNs latency_ns, std::string name)
-    : sim_(sim), port_bw_(port_bw_gbps), latency_ns_(latency_ns),
-      name_(std::move(name)) {
+    : sim_(sim), num_ports_(num_ports), port_bw_(port_bw_gbps),
+      latency_ns_(latency_ns), name_(std::move(name)) {
   TL_CHECK_GT(num_ports, 0);
   TL_CHECK_GT(port_bw_gbps, 0.0);
-  egress_.resize(num_ports, Port{port_bw_gbps, 0, {0}, {1.0}});
-  ingress_.resize(num_ports, Port{port_bw_gbps, 0, {0}, {1.0}});
+  egress_.resize(num_ports);
+  ingress_.resize(num_ports);
 }
 
 void Network::ConfigureRails(int rails) {
   TL_CHECK_GT(rails, 0);
   TL_CHECK_EQ(active_flow_count(), 0);
   rails_ = rails;
-  for (auto* side : {&egress_, &ingress_}) {
-    for (Port& p : *side) {
-      p.rail_flows.assign(rails, 0);
-      p.rail_scale.assign(rails, 1.0);
-    }
-  }
+  const std::size_t port_rails = static_cast<std::size_t>(num_ports_) * rails;
+  egress_.assign(port_rails, PortRail{});
+  ingress_.assign(port_rails, PortRail{});
 }
 
 void Network::SetRailScale(int port, int rail, double fraction) {
   TL_CHECK_GE(rail, 0);
   TL_CHECK_LT(rail, rails_);
   TL_CHECK_GE(fraction, 0.0);
-  const int lo = port < 0 ? 0 : port;
-  const int hi = port < 0 ? num_ports() : port + 1;
-  TL_CHECK_LT(lo, num_ports());
-  TL_CHECK_LE(hi, num_ports());
-  for (int p = lo; p < hi; ++p) {
-    egress_[p].rail_scale[rail] = fraction;
-    ingress_[p].rail_scale[rail] = fraction;
-  }
-  rail_generation_++;
+  TL_CHECK_LT(port, num_ports());
+  Rescale(port, rail, fraction);
   if (TraceRecorder* t = Tracer()) {
     t->AddCounter(trace_pid_, name_ + ".rail_health", RailLane(rail),
                   sim_->Now(), fraction);
@@ -82,7 +84,6 @@ void Network::SetRailScale(int port, int rail, double fraction) {
                    TraceArg::Num("port", port),
                    TraceArg::Num("fraction", fraction)});
   }
-  Rebalance();
 }
 
 double Network::RailScale(int port, int rail) const {
@@ -90,7 +91,7 @@ double Network::RailScale(int port, int rail) const {
   TL_CHECK_LT(port, num_ports());
   TL_CHECK_GE(rail, 0);
   TL_CHECK_LT(rail, rails_);
-  return egress_[port].rail_scale[rail];
+  return egress_[Index(port, rail)].scale;
 }
 
 void Network::SetFaultPlan(const FaultPlan* plan) {
@@ -107,13 +108,7 @@ void Network::SetFaultPlan(const FaultPlan* plan) {
 }
 
 void Network::ApplyDegrade(const RailDegrade& d) {
-  const int lo = d.port < 0 ? 0 : d.port;
-  const int hi = d.port < 0 ? num_ports() : d.port + 1;
-  for (int p = lo; p < hi; ++p) {
-    egress_[p].rail_scale[d.rail] = d.fraction;
-    ingress_[p].rail_scale[d.rail] = d.fraction;
-  }
-  rail_generation_++;
+  Rescale(d.port, d.rail, d.fraction);
   if (TraceRecorder* t = Tracer()) {
     t->AddCounter(trace_pid_, name_ + ".rail_health", RailLane(d.rail),
                   sim_->Now(), d.fraction);
@@ -125,7 +120,25 @@ void Network::ApplyDegrade(const RailDegrade& d) {
          TraceArg::Num("port", d.port),
          TraceArg::Num("fraction", d.fraction)});
   }
-  Rebalance();
+}
+
+void Network::Rescale(int port, int rail, double fraction) {
+  const int lo = port < 0 ? 0 : port;
+  const int hi = port < 0 ? num_ports_ : port + 1;
+  for (int p = lo; p < hi; ++p) {
+    egress_[Index(p, rail)].scale = fraction;
+    ingress_[Index(p, rail)].scale = fraction;
+  }
+  rail_generation_++;
+  BeginChange();
+  for (int p = lo; p < hi; ++p) {
+    for (Flow* f : egress_[Index(p, rail)].flows) Rerate(*f);
+    // Rescaling every port, the egress lists already cover the rail; one
+    // port's ingress list never overlaps its egress list (no self-flows).
+    if (port < 0) continue;
+    for (Flow* f : ingress_[Index(p, rail)].flows) Rerate(*f);
+  }
+  ArmWake();
 }
 
 TimeNs Network::ExpectedFlowTime(uint64_t bytes) const {
@@ -137,13 +150,12 @@ TimeNs Network::ExpectedFlowTime(uint64_t bytes) const {
 
 int Network::PickRail(int src, int dst) const {
   int best = -1;
-  int best_load = 0;
+  std::size_t best_load = 0;
   for (int r = 0; r < rails_; ++r) {
-    if (egress_[src].rail_scale[r] <= 0.0 ||
-        ingress_[dst].rail_scale[r] <= 0.0) {
-      continue;
-    }
-    const int load = egress_[src].rail_flows[r] + ingress_[dst].rail_flows[r];
+    const PortRail& eg = egress_[Index(src, r)];
+    const PortRail& in = ingress_[Index(dst, r)];
+    if (eg.scale <= 0.0 || in.scale <= 0.0) continue;
+    const std::size_t load = eg.flows.size() + in.flows.size();
     if (best < 0 || load < best_load) {
       best = r;
       best_load = load;
@@ -207,39 +219,33 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
   }
   const TimeNs start = sim_->Now();
   co_await Delay{latency_ns_};
-  const uint64_t id = next_flow_id_++;
-  auto [it, inserted] = flows_.emplace(
-      id, std::make_unique<Flow>(sim_, src, dst, static_cast<double>(bytes)));
-  TL_CHECK(inserted);
-  Flow& flow = *it->second;
-  flow.last_update = sim_->Now();
+  Flow& flow = NewFlow(src, dst, bytes);
   flow.rail = opts.rail >= 0 ? opts.rail : PickRail(src, dst);
   TL_CHECK_LT(flow.rail, rails_);
   out->rail = flow.rail;
   if (opts.ack_timeout > 0) {
-    // Flow ids are never reused, so a timer outliving its flow is inert.
-    sim_->At(sim_->Now() + opts.ack_timeout, [this, id] {
-      auto fit = flows_.find(id);
-      if (fit == flows_.end()) return;
-      Flow& f = *fit->second;
-      if (f.done.value() > 0) return;  // completed, awaiting pickup
-      f.timed_out = true;
+    // The slot may hold a later flow by then: the timer checks its flow id.
+    sim_->At(sim_->Now() + opts.ack_timeout, [this, f = &flow, id = flow.id] {
+      if (!f->live || f->id != id) return;
+      if (f->done.value() > 0) return;  // completed, awaiting pickup
+      f->timed_out = true;
       stats_.timeouts++;
       if (TraceRecorder* t = Tracer()) {
-        t->AddInstant(trace_pid_, t->Track(trace_pid_, RailLane(f.rail)),
+        t->AddInstant(trace_pid_, t->Track(trace_pid_, RailLane(f->rail)),
                       "fault.timeout", sim_->Now(),
-                      {TraceArg::Num("src", f.src), TraceArg::Num("dst", f.dst),
-                       TraceArg::Num("rail", f.rail)});
+                      {TraceArg::Num("src", f->src),
+                       TraceArg::Num("dst", f->dst),
+                       TraceArg::Num("rail", f->rail)});
       }
-      f.done.Set(1);
+      f->done.Set(1);
     });
   }
-  AddFlow(id);
+  AddFlow(flow);
   const TimeNs wire_start = sim_->Now();
   co_await flow.done.WaitGe(1);
   const bool timed_out = flow.timed_out;
   const int rail_used = flow.rail;
-  RemoveFlow(id);
+  RemoveFlow(flow);
   if (TraceRecorder* t = Tracer()) {
     t->AddSpan(trace_pid_, t->Track(trace_pid_, RailLane(rail_used)),
                name_ + ".xfer", wire_start, sim_->Now(), kCatWire,
@@ -279,84 +285,181 @@ Coro Network::TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
   }
 }
 
-void Network::AddFlow(uint64_t id) {
-  Flow& f = *flows_.at(id);
-  egress_[f.src].active_flows++;
-  ingress_[f.dst].active_flows++;
-  egress_[f.src].rail_flows[f.rail]++;
-  ingress_[f.dst].rail_flows[f.rail]++;
-  Rebalance();
+Network::Flow& Network::NewFlow(int src, int dst, uint64_t bytes) {
+  if (free_.empty()) {
+    pool_.push_back(std::make_unique<Flow>(sim_));
+    free_.push_back(pool_.back().get());
+  }
+  Flow& f = *free_.back();
+  free_.pop_back();
+  f.id = next_flow_id_++;
+  f.src = src;
+  f.dst = dst;
+  f.rail = 0;
+  f.remaining_bytes = static_cast<double>(bytes);
+  f.rate = 0.0;
+  f.last_update = sim_->Now();
+  f.eta = kNever;
+  f.armed = kNever;
+  f.live = true;
+  f.timed_out = false;
+  f.done.Reset();
+  total_flows_++;
+  return f;
+}
+
+void Network::AddFlow(Flow& f) {
+  PortRail& eg = egress_[Index(f.src, f.rail)];
+  PortRail& in = ingress_[Index(f.dst, f.rail)];
+  f.egress_pos = static_cast<uint32_t>(eg.flows.size());
+  eg.flows.push_back(&f);
+  f.ingress_pos = static_cast<uint32_t>(in.flows.size());
+  in.flows.push_back(&f);
+  RerateShared(eg, in, f.src);
   TraceRailCounter(f.rail);
 }
 
-void Network::RemoveFlow(uint64_t id) {
-  Flow& f = *flows_.at(id);
-  egress_[f.src].active_flows--;
-  ingress_[f.dst].active_flows--;
-  egress_[f.src].rail_flows[f.rail]--;
-  ingress_[f.dst].rail_flows[f.rail]--;
-  TL_CHECK_GE(egress_[f.src].active_flows, 0);
-  TL_CHECK_GE(ingress_[f.dst].active_flows, 0);
-  TL_CHECK_GE(egress_[f.src].rail_flows[f.rail], 0);
-  TL_CHECK_GE(ingress_[f.dst].rail_flows[f.rail], 0);
-  const int rail = f.rail;
-  flows_.erase(id);
-  Rebalance();
-  TraceRailCounter(rail);
+void Network::RemoveFlow(Flow& f) {
+  // Swap-and-pop keeps both lists dense; the moved flow learns its slot.
+  auto unlink = [&f](std::vector<Flow*>& flows, uint32_t Flow::*pos) {
+    Flow* last = flows.back();
+    flows[f.*pos] = last;
+    last->*pos = f.*pos;
+    flows.pop_back();
+  };
+  PortRail& eg = egress_[Index(f.src, f.rail)];
+  PortRail& in = ingress_[Index(f.dst, f.rail)];
+  unlink(eg.flows, &Flow::egress_pos);
+  unlink(in.flows, &Flow::ingress_pos);
+  f.live = false;
+  free_.push_back(&f);
+  RerateShared(eg, in, f.src);
+  TraceRailCounter(f.rail);
 }
 
-void Network::Rebalance() {
-  const TimeNs now = sim_->Now();
-  for (auto& [id, fp] : flows_) {
-    Flow& f = *fp;
-    if (f.done.value() > 0) continue;  // completed, awaiting pickup
-    // Progress under the old rate.
-    f.remaining_bytes -= f.rate * static_cast<double>(now - f.last_update);
-    f.remaining_bytes = std::max(f.remaining_bytes, 0.0);
-    f.last_update = now;
+void Network::RerateShared(const PortRail& egress, const PortRail& ingress,
+                           int src) {
+  BeginChange();
+  for (Flow* f : egress.flows) Rerate(*f);
+  // Flows from `src` on this rail sit on both lists; the egress pass had them.
+  for (Flow* f : ingress.flows) {
+    if (f->src != src) Rerate(*f);
   }
-  for (auto& [id, fp] : flows_) {
-    Flow& f = *fp;
-    if (f.done.value() > 0) continue;
-    // With one healthy rail this is bitwise the flat bw/flows share.
-    const Port& ep = egress_[f.src];
-    const Port& ip = ingress_[f.dst];
-    const double eg = (ep.bw_bytes_per_ns / rails_) * ep.rail_scale[f.rail] /
-                      std::max(1, ep.rail_flows[f.rail]);
-    const double in = (ip.bw_bytes_per_ns / rails_) * ip.rail_scale[f.rail] /
-                      std::max(1, ip.rail_flows[f.rail]);
-    f.rate = std::min(eg, in);
-    ScheduleCompletion(id, f);
+  ArmWake();
+}
+
+void Network::BeginChange() {
+  change_seq_ = sim_->ReserveSeq();
+  const TimeNs now = sim_->Now();
+  while (Flow* f = NextDue(now)) {
+    due_.pop();
+    f->armed = kNever;
+    Rerate(*f, /*due=*/true);
   }
 }
 
-void Network::ScheduleCompletion(uint64_t id, Flow& f) {
-  f.generation++;
-  if (f.rate <= 0.0) return;  // dead rail: park until rescale or ack timeout
-  const uint64_t gen = f.generation;
-  const TimeNs eta =
-      sim_->Now() + std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(
-                        f.remaining_bytes / f.rate)));
-  sim_->At(eta, [this, id, gen] { OnCompletionEvent(id, gen); });
-}
-
-void Network::OnCompletionEvent(uint64_t id, uint64_t generation) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;  // flow already retired
-  Flow& f = *it->second;
-  if (f.generation != generation || f.done.value() > 0) return;  // stale
+void Network::Rerate(Flow& f, bool due) {
+  if (f.done.value() > 0) return;  // completed or timed out, awaiting pickup
+  rerated_flows_++;
+  const double rate = RateOf(f);
+  if (rate == f.rate && !due) return;
   const TimeNs now = sim_->Now();
-  f.remaining_bytes -= f.rate * static_cast<double>(now - f.last_update);
+  f.remaining_bytes = std::max(f.RemainingAt(now), 0.0);
   f.last_update = now;
-  if (f.remaining_bytes <= 0.5) {
-    f.remaining_bytes = 0.0;
-    // The waiting coroutine wakes at this same timestamp and calls
-    // RemoveFlow, which frees the ports and rebalances; the port is "busy"
-    // for zero simulated time after completion.
-    f.done.Set(1);
-  } else {
-    ScheduleCompletion(id, f);  // rate changed since scheduling; try again
+  f.rate = rate;
+  // A dead rail parks the flow until a rescale or its ack timeout.
+  f.eta = rate > 0.0 ? CompletionTime(now, f.remaining_bytes, rate) : kNever;
+  Arm(f);
+}
+
+double Network::RateOf(const Flow& f) const {
+  // With one healthy rail this is bitwise the flat bw/flows share.
+  const PortRail& eg = egress_[Index(f.src, f.rail)];
+  const PortRail& in = ingress_[Index(f.dst, f.rail)];
+  const double share = port_bw_ / rails_;
+  const double eg_rate =
+      share * eg.scale /
+      static_cast<double>(std::max<std::size_t>(1, eg.flows.size()));
+  const double in_rate =
+      share * in.scale /
+      static_cast<double>(std::max<std::size_t>(1, in.flows.size()));
+  return std::min(eg_rate, in_rate);
+}
+
+void Network::Arm(Flow& f) {
+  if (f.eta >= f.armed) return;  // the pending entry re-arms when it fires
+  f.armed = f.eta;
+  due_.push(Due{f.eta, f.id, &f});
+  completion_events_++;
+}
+
+bool Network::Stale(const Due& d) const {
+  const Flow& f = *d.flow;
+  return !f.live || f.id != d.id || f.done.value() > 0 || f.armed != d.at;
+}
+
+Network::Flow* Network::NextDue(TimeNs now) {
+  while (!due_.empty() && due_.top().at <= now) {
+    const Due d = due_.top();
+    if (Stale(d)) {
+      due_.pop();
+      stale_completions_++;
+      continue;
+    }
+    Flow* f = d.flow;
+    if (f->eta == d.at) return f;
+    // Armed before a rate drop: move on to the exact completion time.
+    due_.pop();
+    f->armed = kNever;
+    Arm(*f);
   }
+  return nullptr;
+}
+
+void Network::ArmWake() {
+  while (!due_.empty() && Stale(due_.top())) {
+    due_.pop();
+    stale_completions_++;
+  }
+  if (due_.empty() || wake_at_ <= due_.top().at) return;
+  QueueWake(due_.top().at);
+}
+
+void Network::QueueWake(TimeNs at) {
+  wake_at_ = at;
+  const uint64_t token = ++wake_token_;
+  const uint64_t seq = change_seq_;
+  sim_->AtSeq(at, seq, [this, token, seq] { OnWake(token, seq); });
+}
+
+void Network::OnWake(uint64_t token, uint64_t seq) {
+  if (token != wake_token_) return;  // an earlier wake-up superseded it
+  wake_at_ = kNever;
+  const TimeNs now = sim_->Now();
+  if (NextDue(now) != nullptr && seq != change_seq_ &&
+      sim_->HasEventBefore(now, change_seq_)) {
+    // A flow change since this wake-up was queued moved the completions
+    // behind the events queued in between: let those run first.
+    QueueWake(now);
+    return;
+  }
+  while (Flow* f = NextDue(now)) {
+    due_.pop();
+    f->armed = kNever;
+    f->remaining_bytes = f->RemainingAt(now);
+    f->last_update = now;
+    if (f->remaining_bytes <= 0.5) {
+      f->remaining_bytes = 0.0;
+      // The waiting coroutine wakes at this same timestamp and calls
+      // RemoveFlow, which frees the ports and re-rates; the port is "busy"
+      // for zero simulated time after completion.
+      f->done.Set(1);
+    } else {
+      f->eta = CompletionTime(now, f->remaining_bytes, f->rate);
+      Arm(*f);
+    }
+  }
+  ArmWake();
 }
 
 }  // namespace tilelink::sim

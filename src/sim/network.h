@@ -18,16 +18,36 @@
 // reports delivery instead of throwing so callers own the retry policy,
 // while the legacy `Transfer` wraps it in the plan's bounded-retry loop.
 //
-// Rates are recomputed whenever the flow set changes; completions are
-// event-driven with generation counters so stale completion events are
-// ignored. Flows are keyed by id (not iterator) so events outliving a flow
-// are harmless.
+// Rates and completions touch only what a change can affect:
+//  * Port-rail index. A flow's rate depends only on the flow counts and
+//    health of its two port-rails, (src egress, rail) and (dst ingress,
+//    rail), so live flows are indexed per port-rail. Adding or removing a
+//    flow re-rates only the flows sharing one of its port-rails; a rail
+//    rescale re-rates only that rail's flows at the rescaled ports.
+//  * Progress anchoring. A flow's progress is kept as (remaining bytes, the
+//    time they were valid) and integrated, rem -= rate * dt, only when its
+//    rate changes. A flow whose recomputed rate is bitwise equal keeps its
+//    anchor and its exact completion time now + max(1, ceil(rem / rate)).
+//  * One pending completion per flow, on the fabric's own due queue ordered
+//    by (time, flow id). A rate drop leaves the entry where it is; when it
+//    comes due early it re-arms at the stored exact time. Only a change
+//    that moves the completion earlier pushes a new entry.
+//  * Exact same-time order. The simulator queue carries one wake-up per due
+//    time, tie-broken at the sequence number reserved by the latest flow
+//    change: completions run among same-time events exactly where requeuing
+//    every live flow's completion at every change would put them. A change
+//    landing at the nanosecond a flow is due, before its completion ran,
+//    re-anchors that flow with nothing left to move, which by the
+//    max(1, ...) above finishes it one nanosecond later.
+// Flow slots are recycled; timers and due entries carry the flow id they
+// were armed for, so ones outliving their flow are inert.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -37,16 +57,6 @@
 #include "sim/simulator.h"
 
 namespace tilelink::sim {
-
-// One directional port with fixed bandwidth (bytes per nanosecond, which is
-// numerically GB/s), split across rails; each rail's share is divided
-// equally among its active flows.
-struct Port {
-  double bw_bytes_per_ns = 0.0;
-  int active_flows = 0;                  // across all rails (diagnostics)
-  std::vector<int> rail_flows = {0};     // active flows per rail
-  std::vector<double> rail_scale = {1.0};  // health in [0, 1] per rail
-};
 
 // Per-attempt knobs for TryTransfer.
 struct TransferOpts {
@@ -64,13 +74,14 @@ struct TransferOutcome {
 
 class Network {
  public:
-  // latency_ns is the per-message wire latency added before bytes flow.
+  // port_bw_gbps is bytes per nanosecond (numerically GB/s); latency_ns is
+  // the per-message wire latency added before bytes flow.
   Network(Simulator* sim, int num_ports, double port_bw_gbps,
           TimeNs latency_ns, std::string name);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  int num_ports() const { return static_cast<int>(egress_.size()); }
+  int num_ports() const { return num_ports_; }
   TimeNs latency() const { return latency_ns_; }
   double port_bandwidth_gbps() const { return port_bw_; }
   const std::string& name() const { return name_; }
@@ -127,53 +138,131 @@ class Network {
 
   // Total bytes ever moved (for tests/diagnostics).
   uint64_t total_bytes() const { return total_bytes_; }
-  int active_flow_count() const { return static_cast<int>(flows_.size()); }
+  // Wire flows ever started: attempts that reached the ports.
+  uint64_t total_flows() const { return total_flows_; }
+  int active_flow_count() const {
+    return static_cast<int>(pool_.size() - free_.size());
+  }
+
+  // --- hot-path counters (deterministic) ---
+
+  // Completion entries pushed on the due queue: one when a flow starts, one
+  // whenever a change moves its completion before its pending entry, and
+  // one per entry that came due early and re-armed.
+  uint64_t completion_events() const { return completion_events_; }
+  // Entries that came due for a flow already retired, completed or timed
+  // out, or superseded by an earlier entry.
+  uint64_t stale_completions() const { return stale_completions_; }
+  // Rate recomputations: flows visited by flow changes and rail rescales.
+  uint64_t rerated_flows() const { return rerated_flows_; }
 
  private:
+  static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
+
   struct Flow {
-    int src;
-    int dst;
-    double remaining_bytes;
-    double rate = 0.0;       // bytes/ns
-    TimeNs last_update = 0;  // when remaining_bytes was valid
-    uint64_t generation = 0; // bumps on every reschedule; stale events ignored
+    uint64_t id = 0;
+    int src = 0;
+    int dst = 0;
     int rail = 0;
+    uint32_t egress_pos = 0;   // slot in its egress port-rail's flow list
+    uint32_t ingress_pos = 0;  // slot in its ingress port-rail's flow list
+    double remaining_bytes = 0.0;  // as of last_update
+    double rate = 0.0;             // bytes/ns
+    TimeNs last_update = 0;
+    TimeNs eta = kNever;    // exact completion time under `rate`
+    TimeNs armed = kNever;  // time of its pending due-queue entry
+    bool live = false;      // the slot holds an active flow
     bool timed_out = false;
     Flag done;
-    Flow(Simulator* sim, int s, int d, double bytes)
-        : src(s), dst(d), remaining_bytes(bytes), done(sim, "flow.done") {}
+    explicit Flow(Simulator* sim) : done(sim, "flow.done") {}
+    double RemainingAt(TimeNs now) const {
+      return remaining_bytes - rate * static_cast<double>(now - last_update);
+    }
   };
 
-  void AddFlow(uint64_t id);
-  void RemoveFlow(uint64_t id);
+  // One (port, rail) on one side of the fabric: its health and the live
+  // flows crossing it. Completed flows stay listed, holding their share,
+  // until the waiting coroutine retires them.
+  struct PortRail {
+    double scale = 1.0;
+    std::vector<Flow*> flows;
+  };
+
+  // A pending completion of `flow` at `at`; stale once the slot moved on to
+  // another id, the flow finished, or a newer entry re-armed it.
+  struct Due {
+    TimeNs at;
+    uint64_t id;
+    Flow* flow;
+  };
+  struct DueLater {
+    bool operator()(const Due& a, const Due& b) const {
+      return a.at != b.at ? a.at > b.at : a.id > b.id;
+    }
+  };
+
+  std::size_t Index(int port, int rail) const {
+    return static_cast<std::size_t>(port) * rails_ + rail;
+  }
+  Flow& NewFlow(int src, int dst, uint64_t bytes);
+  void AddFlow(Flow& f);
+  void RemoveFlow(Flow& f);
   // The simulator's recorder when this fabric is trace-enabled, else null.
   TraceRecorder* Tracer() const {
     return trace_pid_ >= 0 ? sim_->trace() : nullptr;
   }
-  // Sum of remaining bytes across active flows on one rail (trace only).
+  // Remaining bytes of the active flows on one rail at Now() (trace only).
   double InflightBytes(int rail) const;
   void TraceRailCounter(int rail);
-  // Advances progress of all flows to Now(), recomputes rates, reschedules
-  // completion events.
-  void Rebalance();
-  void ScheduleCompletion(uint64_t id, Flow& f);
-  void OnCompletionEvent(uint64_t id, uint64_t generation);
+
+  // Sets rail `rail`'s health at `port` (-1: every port) on both sides and
+  // re-rates the flows crossing it.
+  void Rescale(int port, int rail, double fraction);
+  // Re-rates the flows of two port-rails a flow from `src` joined or left.
+  void RerateShared(const PortRail& egress, const PortRail& ingress, int src);
+  // Opens a flow change: reserves its tie-break sequence and re-anchors the
+  // flows due this very nanosecond whose completion has not run yet.
+  void BeginChange();
+  // Recomputes f's rate. Re-anchors and re-arms only when the rate changed
+  // or f is `due` now.
+  void Rerate(Flow& f, bool due = false);
+  double RateOf(const Flow& f) const;
+  // Pushes an entry at f.eta unless an earlier one is pending.
+  void Arm(Flow& f);
+  bool Stale(const Due& d) const;
+  // Drops stale entries due by `now` and re-arms early ones; returns the
+  // flow of the first entry completing at `now` (left queued), or null.
+  Flow* NextDue(TimeNs now);
+  // Queues a wake-up for the earliest entry unless one fires no later.
+  void ArmWake();
+  void QueueWake(TimeNs at);
+  void OnWake(uint64_t token, uint64_t seq);
   // Least-loaded rail alive on both endpoints (tie: lowest index); rail 0
   // when every rail is dead (the flow parks; an ack-timeout recovers it).
   int PickRail(int src, int dst) const;
   void ApplyDegrade(const RailDegrade& d);
 
   Simulator* sim_;
-  std::vector<Port> egress_;
-  std::vector<Port> ingress_;
+  int num_ports_;
   double port_bw_;
   double local_copy_bw_ = 3000.0;  // ~HBM-class local copy
   TimeNs latency_ns_;
   std::string name_;
-  std::map<uint64_t, std::unique_ptr<Flow>> flows_;  // ordered: determinism
+  int rails_ = 1;
+  std::vector<PortRail> egress_;   // by Index(port, rail)
+  std::vector<PortRail> ingress_;  // by Index(port, rail)
+  std::vector<std::unique_ptr<Flow>> pool_;  // every slot ever used
+  std::vector<Flow*> free_;                  // recycled slots, LIFO
+  std::priority_queue<Due, std::vector<Due>, DueLater> due_;
+  uint64_t change_seq_ = 0;  // tie-break reserved by the latest flow change
+  uint64_t wake_token_ = 0;  // identifies the live wake-up; older are inert
+  TimeNs wake_at_ = kNever;  // when the live wake-up fires (kNever: none)
   uint64_t next_flow_id_ = 0;
   uint64_t total_bytes_ = 0;
-  int rails_ = 1;
+  uint64_t total_flows_ = 0;
+  uint64_t completion_events_ = 0;
+  uint64_t stale_completions_ = 0;
+  uint64_t rerated_flows_ = 0;
   uint64_t rail_generation_ = 0;
   const FaultPlan* plan_ = nullptr;  // non-owning, read-only
   FaultStats stats_;

@@ -156,6 +156,7 @@ void Simulator::Run() {
     queue_.pop();
     TL_CHECK_GE(ev.t, now_);
     now_ = ev.t;
+    current_seq_ = ev.seq;
     ++processed_events_;
     if (!ev.callback) {
       std::coroutine_handle<>::from_address(ev.payload).resume();

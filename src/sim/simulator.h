@@ -99,6 +99,27 @@ class Simulator {
     At(now_ + delta, std::forward<F>(fn));
   }
 
+  // Tie-break reservation. ReserveSeq() takes the next sequence number
+  // without queuing anything; AtSeq(t, seq, fn) later queues `fn` at time t,
+  // ordered among same-time events as if it had been queued when `seq` was
+  // reserved. (t, seq) must order after the event being processed. Lets a
+  // component that coalesces many would-be events into one wake-up keep
+  // that wake-up at their exact place in the queue.
+  uint64_t ReserveSeq() { return next_seq_++; }
+  template <typename F>
+  void AtSeq(TimeNs t, uint64_t seq, F&& fn) {
+    TL_CHECK(t > now_ || (t == now_ && seq > current_seq_));
+    TL_CHECK_LT(seq, next_seq_);
+    queue_.push(Event{t, seq, MakeCallback(std::forward<F>(fn)),
+                      /*callback=*/true});
+  }
+  // True if some queued event orders before (t, seq).
+  bool HasEventBefore(TimeNs t, uint64_t seq) const {
+    if (queue_.empty()) return false;
+    const Event& top = queue_.top();
+    return top.t < t || (top.t == t && top.seq < seq);
+  }
+
   // Schedules a coroutine resumption at absolute time t.
   void ScheduleResume(TimeNs t, std::coroutine_handle<> h);
 
@@ -191,6 +212,7 @@ class Simulator {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
+  uint64_t current_seq_ = 0;  // sequence of the event being processed
   uint64_t processed_events_ = 0;
   int live_roots_ = 0;
   std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;

@@ -5,8 +5,13 @@
 // rail death and failover).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <memory>
 #include <vector>
 
+#include "common/rng.h"
 #include "runtime/world.h"
 #include "sim/fault.h"
 #include "sim/machine_spec.h"
@@ -391,6 +396,372 @@ TEST(Faults, IdenticalSeedsReplayIdenticalTimelines) {
   EXPECT_GT(sa.drops + sa.spikes, 0u);  // the mix actually injected faults
   EXPECT_GT(sc.drops + sc.spikes, 0u);
   EXPECT_NE(a, c);
+}
+
+// ---------------------------------------------------------------------------
+// Hot path: event-count gates on deterministic counters
+// ---------------------------------------------------------------------------
+
+Coro StormFlow(Network* net, int src, int dst) {
+  co_await net->Transfer(src, dst, 1 << 20);
+}
+
+TEST(HotPath, StormArmsAtMostFourCompletionsPerFlow) {
+  // Flow i from port i % 8 to (i + 1) % 8, all starting together: each
+  // join slows every flow on its port pair, which must not re-arm them.
+  constexpr int kFlows = 512;
+  Simulator sim;
+  Network net(&sim, 8, 150.0, 2200, "nvl");
+  for (int i = 0; i < kFlows; ++i) {
+    sim.Spawn(StormFlow(&net, i % 8, (i + 1) % 8));
+  }
+  sim.Run();
+  EXPECT_LE(net.completion_events(), 4u * kFlows);
+  EXPECT_EQ(net.total_flows(), static_cast<uint64_t>(kFlows));
+  EXPECT_EQ(net.total_bytes(), static_cast<uint64_t>(kFlows) << 20);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
+TEST(HotPath, RateRiseSupersedesThePendingCompletion) {
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/0, "nvl");
+  TimeNs da = 0, db = 0;
+  // B joins first (armed alone for 100, re-armed for 200 once A halves its
+  // share); A arms for 2000 at 50 B/ns. B's exit at 200 lifts A to
+  // 100 B/ns with 90000 bytes left: A re-arms for 1100, and its 2000 entry
+  // goes stale.
+  sim.Spawn(OneTransfer(&net, 0, 2, 10000, &db, &sim));
+  sim.Spawn(OneTransfer(&net, 0, 1, 100000, &da, &sim));
+  sim.Run();
+  EXPECT_EQ(db, 200);
+  EXPECT_EQ(da, 1100);
+  EXPECT_EQ(net.completion_events(), 4u);
+  EXPECT_EQ(net.stale_completions(), 1u);
+}
+
+struct CounterSample {
+  uint64_t completion_events = 0;
+  uint64_t rerated = 0;
+};
+
+void SampleAt(Simulator* sim, Network* net, TimeNs t, CounterSample* out) {
+  sim->At(t, [net, out] {
+    *out = CounterSample{net->completion_events(), net->rerated_flows()};
+  });
+}
+
+TEST(HotPath, DisjointJoinLeavesExistingFlowsAlone) {
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/0, "nvl");
+  TimeNs da = 0, db = 0;
+  sim.Spawn(OneTransfer(&net, 0, 1, 100000, &da, &sim));
+  sim.Spawn(LateTransfer(&net, 500, 2, 3, 20000, &db, &sim));
+  CounterSample before, after;
+  SampleAt(&sim, &net, 499, &before);
+  SampleAt(&sim, &net, 501, &after);
+  sim.Run();
+  // B's join at t=500 re-rates and arms B alone.
+  EXPECT_EQ(after.completion_events - before.completion_events, 1u);
+  EXPECT_EQ(after.rerated - before.rerated, 1u);
+  EXPECT_EQ(da, 1000);
+  EXPECT_EQ(db, 700);
+}
+
+TEST(HotPath, RailRescaleReratesOnlyThatRailsFlows) {
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/0, "nic");
+  net.ConfigureRails(2);
+  // Rail 0 carries 0->1, 1->2, 2->3; rail 1 carries 0->2, 3->1. Every flow
+  // runs at its rail's 50 B/ns share for 2000 ns, past both rescales.
+  const int src[] = {0, 1, 2, 0, 3};
+  const int dst[] = {1, 2, 3, 2, 1};
+  const int rail[] = {0, 0, 0, 1, 1};
+  std::vector<TransferOutcome> outs(5);
+  std::vector<TimeNs> done(5);
+  for (int i = 0; i < 5; ++i) {
+    TransferOpts opts;
+    opts.rail = rail[i];
+    sim.Spawn(OneTry(&net, src[i], dst[i], 100000, opts, &outs[i], &done[i],
+                     &sim));
+  }
+  CounterSample s0, s1, s2, s3;
+  SampleAt(&sim, &net, 99, &s0);
+  sim.At(100, [&net] { net.SetRailScale(/*port=*/-1, /*rail=*/1, 0.5); });
+  SampleAt(&sim, &net, 101, &s1);
+  SampleAt(&sim, &net, 199, &s2);
+  sim.At(200, [&net] { net.SetRailScale(/*port=*/2, /*rail=*/0, 0.5); });
+  SampleAt(&sim, &net, 201, &s3);
+  sim.Run();
+  EXPECT_EQ(s1.rerated - s0.rerated, 2u);  // rail 1's two flows
+  EXPECT_EQ(s3.rerated - s2.rerated, 2u);  // 1->2 and 2->3 touch port 2
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Property: the indexed network against an eager integrator
+// ---------------------------------------------------------------------------
+
+// The reference: every flow change advances every live flow to Now(),
+// re-rates all of them and queues a fresh completion for each, generation
+// counters retiring the superseded ones. Same rate formula, event pattern
+// and completion rule as Network::TryTransfer without a fault plan.
+class EagerFabric {
+ public:
+  EagerFabric(Simulator* sim, int ports, int rails, double bw, TimeNs latency)
+      : sim_(sim), ports_(ports), rails_(rails), bw_(bw), latency_(latency),
+        egress_(ports * rails, 0), ingress_(ports * rails, 0),
+        scale_(ports * rails, 1.0) {}
+
+  void SetRailScale(int port, int rail, double fraction) {
+    const int lo = port < 0 ? 0 : port;
+    const int hi = port < 0 ? ports_ : port + 1;
+    for (int p = lo; p < hi; ++p) scale_[p * rails_ + rail] = fraction;
+    Rebalance();
+  }
+
+  Coro Transfer(int src, int dst, uint64_t bytes, int rail,
+                TimeNs ack_timeout, bool* timed_out) {
+    total_bytes_ += bytes;
+    co_await Delay{latency_};
+    const uint64_t id = next_id_++;
+    Flow& f = *flows_
+                   .emplace(id, std::make_unique<Flow>(
+                                    sim_, src * rails_ + rail,
+                                    dst * rails_ + rail, bytes))
+                   .first->second;
+    f.last = sim_->Now();
+    if (ack_timeout > 0) {
+      sim_->At(sim_->Now() + ack_timeout, [this, id] {
+        auto it = flows_.find(id);
+        if (it == flows_.end() || it->second->done.value() > 0) return;
+        it->second->timed_out = true;
+        it->second->done.Set(1);
+      });
+    }
+    ++egress_[f.eg];
+    ++ingress_[f.in];
+    Rebalance();
+    co_await f.done.WaitGe(1);
+    *timed_out = f.timed_out;
+    --egress_[f.eg];
+    --ingress_[f.in];
+    flows_.erase(id);
+    Rebalance();
+  }
+
+  uint64_t total_bytes() const { return total_bytes_; }
+  int active() const { return static_cast<int>(flows_.size()); }
+
+ private:
+  struct Flow {
+    Flow(Simulator* sim, int e, int i, uint64_t bytes)
+        : eg(e), in(i), rem(static_cast<double>(bytes)),
+          done(sim, "eager.done") {}
+    int eg;  // egress port-rail
+    int in;  // ingress port-rail
+    double rem;
+    double rate = 0.0;
+    TimeNs last = 0;
+    uint64_t gen = 0;
+    bool timed_out = false;
+    Flag done;
+  };
+
+  void Rebalance() {
+    const TimeNs now = sim_->Now();
+    for (auto& [id, fp] : flows_) {
+      Flow& f = *fp;
+      if (f.done.value() > 0) continue;
+      f.rem = std::max(f.rem - f.rate * static_cast<double>(now - f.last), 0.0);
+      f.last = now;
+      const double share = bw_ / rails_;
+      f.rate = std::min(share * scale_[f.eg] / std::max(1, egress_[f.eg]),
+                        share * scale_[f.in] / std::max(1, ingress_[f.in]));
+      Schedule(id, f);
+    }
+  }
+
+  void Schedule(uint64_t id, Flow& f) {
+    const uint64_t gen = ++f.gen;
+    if (f.rate <= 0.0) return;
+    const TimeNs eta = sim_->Now() + std::max<TimeNs>(
+                                         1, static_cast<TimeNs>(
+                                                std::ceil(f.rem / f.rate)));
+    sim_->At(eta, [this, id, gen] { OnCompletion(id, gen); });
+  }
+
+  void OnCompletion(uint64_t id, uint64_t gen) {
+    auto it = flows_.find(id);
+    if (it == flows_.end()) return;
+    Flow& f = *it->second;
+    if (f.gen != gen || f.done.value() > 0) return;
+    const TimeNs now = sim_->Now();
+    f.rem -= f.rate * static_cast<double>(now - f.last);
+    f.last = now;
+    if (f.rem <= 0.5) {
+      f.done.Set(1);
+    } else {
+      Schedule(id, f);
+    }
+  }
+
+  Simulator* sim_;
+  int ports_;
+  int rails_;
+  double bw_;
+  TimeNs latency_;
+  std::vector<int> egress_;  // flows per port-rail
+  std::vector<int> ingress_;
+  std::vector<double> scale_;  // health per port-rail, both sides
+  std::map<uint64_t, std::unique_ptr<Flow>> flows_;
+  uint64_t next_id_ = 0;
+  uint64_t total_bytes_ = 0;
+};
+
+struct Xfer {
+  int src = 0;
+  int dst = 0;
+  int rail = 0;
+  uint64_t bytes = 0;
+  TimeNs start = 0;
+  TimeNs ack_timeout = 0;
+};
+
+// One seeded case: random ports, rails, sizes and staggered starts, one
+// ack timeout and one mid-flight rail rescale. A kill heals later, or the
+// flows it parks would never finish.
+struct PropertyCase {
+  int ports = 2;
+  int rails = 1;
+  TimeNs latency = 0;
+  std::vector<Xfer> xfers;
+  TimeNs scale_at = 0;
+  int scale_port = -1;
+  int scale_rail = 0;
+  double fraction = 1.0;
+  TimeNs heal_at = -1;
+};
+
+PropertyCase DrawCase(uint64_t seed, bool exact) {
+  Rng rng(seed);
+  auto pick = [&rng](int lo, int hi) {
+    return static_cast<int>(rng.UniformInt(lo, hi));
+  };
+  PropertyCase c;
+  c.ports = pick(2, 6);
+  c.rails = exact ? 1 << pick(0, 2) : pick(1, 4);
+  c.latency = 10 * pick(0, 5);
+  const int n = exact ? pick(2, 8) : pick(2, 14);
+  for (int i = 0; i < n; ++i) {
+    Xfer x;
+    x.src = pick(0, c.ports - 1);
+    x.dst = (x.src + pick(1, c.ports - 1)) % c.ports;
+    x.rail = pick(0, c.rails - 1);
+    // Round sizes and a 100 ns start grid make same-time ties common.
+    x.bytes = pick(0, 1) == 0 ? 1000 * static_cast<uint64_t>(pick(1, 200))
+                              : static_cast<uint64_t>(pick(1, 200000));
+    x.start = 100 * pick(0, 20);
+    c.xfers.push_back(x);
+  }
+  c.xfers[static_cast<std::size_t>(pick(0, n - 1))].ack_timeout =
+      100 * pick(1, 40);
+  c.scale_at = 100 * pick(0, 30);
+  c.scale_port = pick(-1, c.ports - 1);
+  c.scale_rail = pick(0, c.rails - 1);
+  constexpr double kFractions[] = {0.0, 0.25, 0.5, 1.0 / 3.0, 0.8};
+  c.fraction = kFractions[pick(0, exact ? 2 : 4)];
+  if (c.fraction == 0.0) c.heal_at = c.scale_at + 100 * pick(1, 40);
+  return c;
+}
+
+struct FlowResult {
+  TimeNs done = -1;
+  bool timed_out = false;
+};
+
+Coro IndexedXfer(Network* net, Xfer x, FlowResult* r, Simulator* sim) {
+  co_await Delay{x.start};
+  TransferOpts opts;
+  opts.rail = x.rail;
+  opts.ack_timeout = x.ack_timeout;
+  TransferOutcome out;
+  co_await net->TryTransfer(x.src, x.dst, x.bytes, opts, &out);
+  r->done = sim->Now();
+  r->timed_out = out.timed_out;
+}
+
+Coro EagerXfer(EagerFabric* net, Xfer x, FlowResult* r, Simulator* sim) {
+  co_await Delay{x.start};
+  co_await net->Transfer(x.src, x.dst, x.bytes, x.rail, x.ack_timeout,
+                         &r->timed_out);
+  r->done = sim->Now();
+}
+
+TEST(HotPath, FinishTimesMatchEagerIntegrator) {
+  // Two families of seeded cases:
+  //  * Exact shares: 840 B/ns over 1, 2 or 4 rails at health 0, 1/4, 1/2
+  //    or 1, at most 8 flows. Every share is 840/k times a power of two, so
+  //    each rate * dt and each progress subtraction is exact, and finish
+  //    times must match bitwise, same-time ties included.
+  //  * General shares: 100 B/ns over 1-4 rails, health 1/3 or 0.8 too, up
+  //    to 14 flows. Rates like 100/3 are inexact, and the eager integrator
+  //    re-anchors every flow at every change, so its remaining bytes round
+  //    differently in the last bits than the index's one anchor per rate.
+  //    A ceil(rem / rate) that lands within that rounding of an integer
+  //    moves by one nanosecond, so finish times may differ by 1 ns.
+  for (const bool exact : {true, false}) {
+    const double bw = exact ? 840.0 : kBw;
+    for (uint64_t seed = 1; seed <= 400; ++seed) {
+      const PropertyCase c = DrawCase(seed, exact);
+      uint64_t bytes = 0;
+      for (const Xfer& x : c.xfers) bytes += x.bytes;
+
+      Simulator s1;
+      Network net(&s1, c.ports, bw, c.latency, "nic");
+      net.ConfigureRails(c.rails);
+      std::vector<FlowResult> got(c.xfers.size());
+      for (std::size_t i = 0; i < c.xfers.size(); ++i) {
+        s1.Spawn(IndexedXfer(&net, c.xfers[i], &got[i], &s1));
+      }
+      s1.At(c.scale_at, [&] {
+        net.SetRailScale(c.scale_port, c.scale_rail, c.fraction);
+      });
+      if (c.heal_at >= 0) {
+        s1.At(c.heal_at,
+              [&] { net.SetRailScale(c.scale_port, c.scale_rail, 1.0); });
+      }
+      s1.Run();
+
+      Simulator s2;
+      EagerFabric ref(&s2, c.ports, c.rails, bw, c.latency);
+      std::vector<FlowResult> want(c.xfers.size());
+      for (std::size_t i = 0; i < c.xfers.size(); ++i) {
+        s2.Spawn(EagerXfer(&ref, c.xfers[i], &want[i], &s2));
+      }
+      s2.At(c.scale_at, [&] {
+        ref.SetRailScale(c.scale_port, c.scale_rail, c.fraction);
+      });
+      if (c.heal_at >= 0) {
+        s2.At(c.heal_at,
+              [&] { ref.SetRailScale(c.scale_port, c.scale_rail, 1.0); });
+      }
+      s2.Run();
+
+      const TimeNs tolerance = exact ? 0 : 1;
+      for (std::size_t i = 0; i < c.xfers.size(); ++i) {
+        EXPECT_LE(std::abs(got[i].done - want[i].done), tolerance)
+            << (exact ? "exact" : "general") << " seed " << seed << " flow "
+            << i << ": " << got[i].done << " vs " << want[i].done;
+        EXPECT_EQ(got[i].timed_out, want[i].timed_out)
+            << (exact ? "exact" : "general") << " seed " << seed << " flow "
+            << i;
+      }
+      EXPECT_EQ(net.total_bytes(), bytes) << "seed " << seed;
+      EXPECT_EQ(ref.total_bytes(), bytes) << "seed " << seed;
+      EXPECT_EQ(net.active_flow_count(), 0) << "seed " << seed;
+      EXPECT_EQ(ref.active(), 0) << "seed " << seed;
+    }
+  }
 }
 
 }  // namespace

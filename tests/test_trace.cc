@@ -18,7 +18,9 @@
 #include "sim/cost_model.h"
 #include "sim/fault.h"
 #include "sim/machine_spec.h"
+#include "sim/network.h"
 #include "sim/profile.h"
+#include "sim/simulator.h"
 #include "sim/trace.h"
 #include "tilelink/multinode/payload_validation.h"
 
@@ -196,6 +198,36 @@ TEST(TraceCounters, WindowOccupancyStaysWithinDepthAndDrainsToZero) {
     EXPECT_EQ(v, 0.0) << key.second << " on pid " << key.first
                       << " never drained";
   }
+}
+
+TEST(TraceCounters, InflightBytesProjectsUntouchedFlowsAndDrains) {
+  // Flow A (0->1) keeps its rate when B joins on the disjoint pair 2->3, so
+  // its progress anchor is never refreshed; every in-flight sample must
+  // still count A's remaining bytes as of the sample time.
+  sim::Simulator s;
+  TraceRecorder rec;
+  s.set_trace(&rec);
+  sim::Network net(&s, 4, /*port_bw_gbps=*/100.0, /*latency_ns=*/0, "nvl");
+  net.set_trace_pid(0);
+  s.Spawn([](sim::Network* n) -> sim::Coro {
+    co_await n->Transfer(0, 1, 100000);
+  }(&net));
+  s.Spawn([](sim::Network* n) -> sim::Coro {
+    co_await sim::Delay{400};
+    co_await n->Transfer(2, 3, 50000);
+  }(&net));
+  s.Run();
+  std::vector<std::pair<TimeNs, double>> samples;
+  for (const auto& e : rec.events()) {
+    if (e.phase == Phase::kCounter && e.name == "nvl.inflight_bytes") {
+      samples.emplace_back(e.start, e.value);
+    }
+  }
+  // A runs alone at 100 B/ns from t=0; B (also 100 B/ns) joins at 400 and
+  // leaves at 900; A leaves at 1000 and the track drains to 0.
+  const std::vector<std::pair<TimeNs, double>> want = {
+      {0, 100000.0}, {400, 60000.0 + 50000.0}, {900, 10000.0}, {1000, 0.0}};
+  EXPECT_EQ(samples, want);
 }
 
 // ---------------------------------------------------------------------------
