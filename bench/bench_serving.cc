@@ -1,12 +1,13 @@
 // Serving-scale bench: continuous batching over a mixed prefill/decode
 // request trace, one replica per model, with every TileLink config obtained
-// online from the config service (serving/config_service.h) using laddered
-// multi-fidelity cold tunes.
+// online from the config service (serving/config_service.h), whose cold
+// tunes run Autotuner::Search (successive halving, then bound-pruned full
+// fidelity).
 //
 // Three phases, all gated:
 //
 //  1. Cold replica: a fresh estimator attached to an empty service runs the
-//     whole trace — every unseen bucketed shape pays a laddered cold tune.
+//     whole trace — every unseen bucketed shape pays a cold tune.
 //     Gates: p99 request latency under budget, worst single cold-tune wall
 //     time under budget, tuned-vs-seed geomean speedup >= 1.
 //  2. Warm replica: a second fresh estimator attached to the *same* service
@@ -18,17 +19,17 @@
 //     seed must produce a bitwise-identical request/step trace and
 //     bitwise-identical cache contents (ToJson).
 //
-// Ladder efficiency gate: for every MLP shape the serving run actually
-// tuned (parsed back out of the cache keys), the laddered search is
-// re-run against an exhaustive full-fidelity sweep of the same space —
-// the ladder must spend <= 25% of the exhaustive full-fidelity
-// simulations in aggregate while matching the exhaustive argmin cost on
-// every shape.
+// Search efficiency gate: for every MLP shape the serving run actually
+// tuned (parsed back out of the cache keys), the halved search
+// (TuneAgGemm / TuneGemmRs) is re-run against an exhaustive full-fidelity
+// sweep of the same space — it must spend <= 25% of the exhaustive
+// full-fidelity simulations in aggregate while matching the exhaustive
+// argmin cost on every shape.
 //
 // Flags: --requests <n> scales the trace (CI smoke uses a small one);
 // --tune-threads <n> autotuner workers; --json/--cache as usual
 // (bench_common). JSON keys land under serving.* (p50/p99, hit rate,
-// tuned speedup, ladder efficiency).
+// tuned speedup, search efficiency).
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -52,7 +53,7 @@ constexpr int kTp = 8;
 constexpr double kMaxP99Ms = 60000.0;       // simulated request p99
 constexpr double kMaxColdTuneMs = 10000.0;  // worst single cold search
 constexpr double kMinHitRate = 0.45;        // across cold + warm replicas
-constexpr double kMaxLadderFrac = 0.25;     // ladder / exhaustive full evals
+constexpr double kMaxSearchFrac = 0.25;     // halved / exhaustive full evals
 
 serving::ServingOptions MakeOptions(int num_requests) {
   serving::ServingOptions opts;
@@ -75,7 +76,7 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Parses "kind/m x k x n/..." cache keys back into MLP shapes so the ladder
+// Parses "kind/m x k x n/..." cache keys back into MLP shapes so the search
 // efficiency gate searches exactly the shapes the serving run tuned.
 struct MlpKeyShape {
   std::string kind;
@@ -119,9 +120,9 @@ int main(int argc, char** argv) {
   const serving::ServingOptions opts = MakeOptions(num_requests);
   bool ok = true;
 
-  // Phase 1: cold replica — every unseen shape pays a laddered cold tune.
+  // Phase 1: cold replica — every unseen shape pays a cold tune.
   serving::ConfigService service(
-      serving::ConfigService::Options{0, tune_threads, /*laddered=*/true});
+      serving::ConfigService::Options{0, tune_threads});
   models::E2eEstimator cold(kTp, /*batch=*/1, /*seq=*/1, /*two_node=*/false);
   service.Attach(&cold);
   auto t0 = std::chrono::steady_clock::now();
@@ -174,7 +175,7 @@ int main(int argc, char** argv) {
 
   // Phase 3: independent same-seed run — bitwise trace + cache equality.
   serving::ConfigService service2(
-      serving::ConfigService::Options{0, tune_threads, /*laddered=*/true});
+      serving::ConfigService::Options{0, tune_threads});
   models::E2eEstimator rerun(kTp, /*batch=*/1, /*seq=*/1, /*two_node=*/false);
   service2.Attach(&rerun);
   const serving::ServingResult res2 = serving::RunServing(opts, &rerun);
@@ -185,14 +186,14 @@ int main(int argc, char** argv) {
               deterministic ? "IDENTICAL (bitwise)" : "DIVERGED");
   ok = ok && deterministic;
 
-  // Ladder efficiency: rebuild every MLP search the run paid for, laddered
+  // Search efficiency: rebuild every MLP search the run paid for, halved
   // vs exhaustive, counting full-fidelity simulator invocations directly.
   const sim::MachineSpec spec = [] {
     sim::MachineSpec s = sim::MachineSpec::H800x8();
     s.num_devices = kTp;
     return s;
   }();
-  int64_t ladder_full = 0, ladder_coarse = 0, exhaustive_full = 0;
+  int64_t search_full = 0, search_coarse = 0, exhaustive_full = 0;
   bool argmin_match = true;
   tl::Autotuner::Options topts;
   topts.threads = tune_threads;
@@ -210,61 +211,38 @@ int main(int argc, char** argv) {
           return is_ag ? tl::SimulateAgGemm(spec, ks.shape, c)
                        : tl::SimulateGemmRs(spec, ks.shape, c);
         });
-    const tl::TuneResult ladder = tuner.SearchLaddered(
-        space, seed,
-        [&](const tl::TuneCandidate& c, int denom) {
-          return is_ag ? tl::FidelitySimulateAgGemm(spec, ks.shape, c, denom)
-                       : tl::FidelitySimulateGemmRs(spec, ks.shape, c, denom);
-        },
-        [&](const tl::TuneCandidate& c) {
-          return is_ag ? tl::AgGemmLowerBound(spec, ks.shape, c)
-                       : tl::GemmRsLowerBound(spec, ks.shape, c);
-        });
+    const tl::TuneResult halved =
+        is_ag ? tl::TuneAgGemm(spec, ks.shape, space, seed, tuner)
+              : tl::TuneGemmRs(spec, ks.shape, space, seed, tuner);
+    if (halved.best_cost != exhaustive.best_cost) {
+      std::printf("  search argmin mismatch on %s %lldx%lldx%lld: "
+                  "%.3f ms vs exhaustive %.3f ms\n",
+                  ks.kind.c_str(), (long long)ks.shape.m,
+                  (long long)ks.shape.k, (long long)ks.shape.n,
+                  ToMsD(halved.best_cost), ToMsD(exhaustive.best_cost));
+      argmin_match = false;
+    }
     // Full-fidelity *feasible* simulations, from the deterministic serial
     // replay (infeasible candidates are rejected by a divisibility
     // pre-check before any DES run, so they cost nothing on either side).
     // These counts are bitwise thread-count-invariant, unlike raw
     // evaluator-call tallies, which would include the parallel pass's
-    // timing-dependent speculation. The ladder's final rung serves the
-    // seed's cost from the anchor's memo, so the seed's row in `evaluated`
-    // already accounts for the anchor sim; only when the bound pruned the
-    // seed row does the anchor need counting separately.
-    const int64_t ex_evals = static_cast<int64_t>(exhaustive.evaluated.size());
-    int64_t lad_full = static_cast<int64_t>(ladder.evaluated.size());
-    if (!ladder.evaluated_per_rung.empty()) {
-      bool seed_row = false;
-      for (const auto& [cand, cost] : ladder.evaluated) {
-        if (cand == seed) {
-          seed_row = true;
-          break;
-        }
-      }
-      if (!seed_row) ++lad_full;  // anchor sim with the seed row pruned
-    }
-    const int64_t lad_coarse = ladder.coarse_evals;
-    if (ladder.best_cost != exhaustive.best_cost) {
-      std::printf("  ladder argmin mismatch on %s %lldx%lldx%lld: "
-                  "%.3f ms vs exhaustive %.3f ms\n",
-                  ks.kind.c_str(), (long long)ks.shape.m,
-                  (long long)ks.shape.k, (long long)ks.shape.n,
-                  ToMsD(ladder.best_cost), ToMsD(exhaustive.best_cost));
-      argmin_match = false;
-    }
-    ladder_full += lad_full;
-    ladder_coarse += lad_coarse;
-    exhaustive_full += ex_evals;
+    // timing-dependent speculation.
+    search_full += static_cast<int64_t>(halved.evaluated.size());
+    search_coarse += halved.coarse_evals;
+    exhaustive_full += static_cast<int64_t>(exhaustive.evaluated.size());
   }
-  const double ladder_frac =
-      exhaustive_full > 0 ? static_cast<double>(ladder_full) /
+  const double search_frac =
+      exhaustive_full > 0 ? static_cast<double>(search_full) /
                                 static_cast<double>(exhaustive_full)
                           : 0.0;
   std::printf(
-      "ladder efficiency over %zu tuned MLP shapes: %lld full-fidelity sims "
+      "search efficiency over %zu tuned MLP shapes: %lld full-fidelity sims "
       "(+%lld coarse) vs %lld exhaustive -> %.1f%% (budget %.0f%%), argmin "
       "%s on every shape\n",
-      shapes.size(), (long long)ladder_full, (long long)ladder_coarse,
-      (long long)exhaustive_full, 100.0 * ladder_frac,
-      100.0 * kMaxLadderFrac, argmin_match ? "matched" : "MISSED");
+      shapes.size(), (long long)search_full, (long long)search_coarse,
+      (long long)exhaustive_full, 100.0 * search_frac,
+      100.0 * kMaxSearchFrac, argmin_match ? "matched" : "MISSED");
 
   report.Record("serving.p50_ms", ToMsD(res.p50_latency));
   report.Record("serving.p99_ms", ToMsD(res.p99_latency));
@@ -280,13 +258,13 @@ int main(int argc, char** argv) {
   report.Record("serving.cold_run_s", cold_s);
   report.Record("serving.warm_run_s", warm_s);
   report.Record("serving.deterministic", deterministic ? 1.0 : 0.0);
-  report.Record("serving.ladder_full_evals",
-                static_cast<double>(ladder_full));
-  report.Record("serving.ladder_coarse_evals",
-                static_cast<double>(ladder_coarse));
+  report.Record("serving.search_full_evals",
+                static_cast<double>(search_full));
+  report.Record("serving.search_coarse_evals",
+                static_cast<double>(search_coarse));
   report.Record("serving.exhaustive_full_evals",
                 static_cast<double>(exhaustive_full));
-  report.Record("serving.ladder_eval_frac", ladder_frac);
+  report.Record("serving.search_eval_frac", search_frac);
 
   if (!report.cache_path().empty() &&
       service.cache().SaveFile(report.cache_path())) {
@@ -319,10 +297,10 @@ int main(int argc, char** argv) {
                 cold_snap.tuned_speedup_geomean);
     ok = false;
   }
-  if (!argmin_match || ladder_frac > kMaxLadderFrac) {
-    std::printf("\nFAIL: laddered tuning missed its efficiency/argmin "
+  if (!argmin_match || search_frac > kMaxSearchFrac) {
+    std::printf("\nFAIL: the halved search missed its efficiency/argmin "
                 "contract (%.1f%% of exhaustive, argmin %s).\n",
-                100.0 * ladder_frac, argmin_match ? "matched" : "missed");
+                100.0 * search_frac, argmin_match ? "matched" : "missed");
     ok = false;
   }
   if (!ok) std::printf("\nFAIL: serving gates failed.\n");

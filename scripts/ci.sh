@@ -37,11 +37,12 @@
 #      off. The stage then checks the fabric.* keys landed in the JSON
 #      report and that the saved trace file is non-trivial.
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
-#      request trace through per-model replicas with laddered cold tuning
-#      behind the online config service — it self-gates p99/cold-tune
-#      latency bounds, the cold+warm hit rate, tuned >= seed, bitwise
-#      same-seed reproducibility (trace + cache), and the ladder's
-#      efficiency/argmin contract against the exhaustive search. The stage
+#      request trace through per-model replicas whose cold tunes run the
+#      halved Autotuner::Search behind the online config service — it
+#      self-gates p99/cold-tune latency bounds, the cold+warm hit rate,
+#      tuned >= seed, bitwise same-seed reproducibility (trace + cache), and
+#      the halved search's efficiency/argmin contract against the
+#      exhaustive search. The stage
 #      then checks the serving.* keys landed in BENCH_serving.json.
 # Usage: scripts/ci.sh [--fast]   (--fast skips the sanitizer/bench stages)
 set -euo pipefail
@@ -113,13 +114,14 @@ if [[ "$FAST" == "0" ]]; then
   # The bench exits nonzero if any of its own gates fail: fleet p99 and
   # per-unseen-shape cold-tune latency bounds, cache hit rate across a
   # cold+warm replica pair, tuned-vs-seed geomean >= 1, bitwise identical
-  # trace+cache on a same-seed rerun, and the laddered search matching the
+  # trace+cache on a same-seed rerun, and the halved search matching the
   # exhaustive argmin on every tuned MLP shape within 25% of its
   # full-fidelity evaluations.
   ./build-ci/bench_serving --requests 24 --tune-threads 8 \
       --json build-ci/BENCH_serving.json \
       --cache build-ci/BENCH_serving_cache.json
-  for key in serving.p99_ms serving.cache_hit_rate serving.tuned_speedup; do
+  for key in serving.p99_ms serving.cache_hit_rate serving.tuned_speedup \
+             serving.search_eval_frac; do
     grep -q "\"$key\"" build-ci/BENCH_serving.json \
         || { echo "missing $key in BENCH_serving.json"; exit 1; }
   done

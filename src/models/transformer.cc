@@ -140,11 +140,10 @@ tl::TuningSpace MlpTuningSpaceFor(int64_t m, int tp) {
 E2eEstimator::E2eEstimator(int tp, int64_t batch, int64_t seq, bool two_node)
     : tp_(tp), batch_(batch), seq_(seq), two_node_(two_node) {}
 
-void E2eEstimator::EnableTuning(tl::TunedConfigCache* cache, int tune_threads,
-                                bool laddered) {
+void E2eEstimator::EnableTuning(tl::TunedConfigCache* cache,
+                                int tune_threads) {
   tuned_cache_ = cache;
   tune_threads_ = std::max(1, tune_threads);
-  laddered_ = laddered;
 }
 
 tl::Autotuner E2eEstimator::Tuner() const {
@@ -226,9 +225,7 @@ sim::TimeNs E2eEstimator::TimeAgGemm(Method method, int64_t m, int64_t k,
             const tl::TuneCandidate hand = DefaultAgGemmConfig(m, k, tp_);
             const tl::TuningSpace space = MlpTuningSpaceFor(m, tp_);
             const tl::TuneResult r =
-                laddered_
-                    ? tl::TuneAgGemmLaddered(spec, shape, space, hand, Tuner())
-                    : tl::TuneAgGemm(spec, shape, space, hand, Tuner());
+                tl::TuneAgGemm(spec, shape, space, hand, Tuner());
             return EntryFromResult(r);
           });
       // Re-simulate the cached config rather than trusting its stored cost:
@@ -286,9 +283,7 @@ sim::TimeNs E2eEstimator::TimeGemmRs(Method method, int64_t m, int64_t k,
             const tl::TuneCandidate hand = DefaultGemmRsConfig(m, k, tp_);
             const tl::TuningSpace space = MlpTuningSpaceFor(m, tp_);
             const tl::TuneResult r =
-                laddered_
-                    ? tl::TuneGemmRsLaddered(spec, shape, space, hand, Tuner())
-                    : tl::TuneGemmRs(spec, shape, space, hand, Tuner());
+                tl::TuneGemmRs(spec, shape, space, hand, Tuner());
             return EntryFromResult(r);
           });
       t = tl::SimulateGemmRs(spec, shape, e.config);
@@ -317,11 +312,8 @@ sim::TimeNs E2eEstimator::TimeFlashCore(int64_t bh, int64_t sq, int64_t skv,
     const tl::TunedEntry& e = tuned_cache_->GetOrTune(
         tl::TunedConfigCache::Key("flash_core", {bh, sq, skv, d}, spec), [&] {
           const tl::TuningSpace space = tl::TuningSpace::Attention();
-          const tl::TuneResult r =
-              laddered_ ? tl::TuneFlashCoreLaddered(spec, shape, space,
-                                                    HandPickedFlash(), Tuner())
-                        : tl::TuneFlashCore(spec, shape, space,
-                                            HandPickedFlash(), Tuner());
+          const tl::TuneResult r = tl::TuneFlashCore(
+              spec, shape, space, HandPickedFlash(), Tuner());
           return EntryFromResult(r);
         });
     t = tl::SimulateFlashCore(spec, shape, e.config);
@@ -388,11 +380,8 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
                   tl::TunedConfigCache::Key("ag_moe", dims, spec),
                   [&] {
                     const tl::TuningSpace space = tl::TuningSpace::MoePart1();
-                    const tl::TuneResult r =
-                        laddered_ ? tl::TuneAgMoeLaddered(spec, shape, routing,
-                                                          space, part1, Tuner())
-                                  : tl::TuneAgMoe(spec, shape, routing, space,
-                                                  part1, Tuner());
+                    const tl::TuneResult r = tl::TuneAgMoe(
+                        spec, shape, routing, space, part1, Tuner());
                     return EntryFromResult(r);
                   })
               .config;
@@ -402,11 +391,8 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
                   tl::TunedConfigCache::Key("moe_rs", dims, spec),
                   [&] {
                     const tl::TuningSpace space = tl::TuningSpace::MoePart2();
-                    const tl::TuneResult r =
-                        laddered_ ? tl::TuneMoeRsLaddered(spec, shape, routing,
-                                                          space, part2, Tuner())
-                                  : tl::TuneMoeRs(spec, shape, routing, space,
-                                                  part2, Tuner());
+                    const tl::TuneResult r = tl::TuneMoeRs(
+                        spec, shape, routing, space, part2, Tuner());
                     return EntryFromResult(r);
                   })
               .config;

@@ -66,7 +66,7 @@ struct ServingStep {
 };
 
 // Hand-picked serving-path seed configs and spaces, exported so the serving
-// bench's ladder gates and tests search exactly what the estimator searches.
+// bench's search gates and tests search exactly what the estimator searches.
 // They reduce to the paper's figure defaults at training-scale shapes and
 // adapt the comm tiling to per-rank shards too small for them (ragged
 // decode batches), so the seed is feasible for every padded serving shape.
@@ -96,14 +96,11 @@ class E2eEstimator {
   // yields bitwise-identical tuned configs). The estimator itself is
   // thread-safe once tuning is enabled — the memo map is mutex'd and the
   // cache is internally synchronized — so independent layers/models can be
-  // timed from concurrent threads against one shared cache.
-  // `laddered` switches every cold search to the laddered multi-fidelity
-  // schedule (Tune*Laddered: 1/16 -> 1/4 -> full rungs, seed-anchored,
-  // floor-gated) — the serving path's bounded cold-tune mode. The offline
-  // benches keep the classic halved search (the default) so their cache
-  // contents stay byte-identical to previous releases.
-  void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1,
-                    bool laddered = false);
+  // timed from concurrent threads against one shared cache. Offline benches
+  // and the serving path run the same cold search (successive halving over
+  // the Coarse* evaluators, then bound-pruned full fidelity), so a shape
+  // tunes to the same config whichever caller reaches it first.
+  void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }
 
   LayerBreakdown LayerTime(const ModelConfig& model, Method method);
@@ -141,7 +138,6 @@ class E2eEstimator {
   int64_t batch_, seq_;
   bool two_node_;
   int tune_threads_ = 1;
-  bool laddered_ = false;
   tl::TunedConfigCache* tuned_cache_ = nullptr;
   std::mutex cache_mu_;  // guards cache_
   std::map<std::string, sim::TimeNs> cache_;

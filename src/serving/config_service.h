@@ -1,10 +1,11 @@
 // Online config service: the serving-facing facade over TunedConfigCache.
 // A replica attaches its estimator once; after that every cold config
-// lookup runs a laddered multi-fidelity search (bounded cold-tune latency)
-// and every warm lookup is a concurrency-safe cache hit. The service owns
-// the eviction policy (LRU capacity) and aggregates the operational stats
-// the serving bench gates: hit rate, cold-tune wall time and the geomean
-// speedup of tuned configs over their hand-picked seeds.
+// lookup runs the estimator's one cold search (Autotuner::Search:
+// successive halving over the Coarse* evaluators, then bound-pruned full
+// fidelity) and every warm lookup is a concurrency-safe cache hit. The
+// service owns the eviction policy (LRU capacity) and aggregates the
+// operational stats the serving bench gates: hit rate, cold-tune wall time
+// and the geomean speedup of tuned configs over their hand-picked seeds.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +21,7 @@ class ConfigService {
   struct Options {
     std::size_t capacity = 0;  // max cached configs (0 = unbounded), LRU
     int tune_threads = 1;      // autotuner workers per cold search
-    bool laddered = true;      // laddered multi-fidelity cold tunes
+    bool laddered = true;      // unread; perfbench/serving.cc still sets it
   };
 
   explicit ConfigService(const Options& opts) : opts_(opts) {
@@ -33,7 +34,7 @@ class ConfigService {
   // Routes every tuned-config lookup of `est` (not owned; must not outlive
   // this service) through the cache with this service's tuning policy.
   void Attach(models::E2eEstimator* est) {
-    est->EnableTuning(&cache_, opts_.tune_threads, opts_.laddered);
+    est->EnableTuning(&cache_, opts_.tune_threads);
   }
 
   struct Snapshot {
@@ -44,9 +45,10 @@ class ConfigService {
     double hit_rate = 0.0;          // hits / lookups (0 when no lookups)
     double warm_start_ms = 0.0;     // total cold-tune wall time
     double max_cold_tune_ms = 0.0;  // worst single cold-tune wall time
-    // Geomean of seed_cost / best_cost over entries whose search recorded
-    // a full-fidelity seed anchor (>= 1.0 by construction: every search is
-    // seeded, so tuned never loses to the hand-picked default).
+    // Geomean of seed_cost / best_cost over the entries whose seed reached
+    // full fidelity unpruned (entries with seed_cost 0 are skipped). >= 1.0
+    // by construction: every search is seeded, so tuned never loses to the
+    // hand-picked default.
     double tuned_speedup_geomean = 1.0;
   };
   Snapshot Stats() const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <mutex>
 #include <string>
@@ -57,16 +56,22 @@ void RunWorkers(int threads, const std::function<void()>& body) {
   if (err) std::rethrow_exception(err);
 }
 
+// Successive halving (active when Search is given a coarse evaluator and
+// the space has at least kMinCoarseSpace candidates): keep the best
+// kKeepFraction of coarse scores, at least kMinSurvivors.
+constexpr double kKeepFraction = 0.125;
+constexpr std::size_t kMinSurvivors = 4;
+constexpr std::size_t kMinCoarseSpace = 8;
+
 // Sentinels in the shared completed-cost table. Real costs are >= 0 and
 // kInfeasible is int64 max, so negatives are free.
 constexpr sim::TimeNs kPending = -1;  // not finished yet
 constexpr sim::TimeNs kSkipped = -2;  // speculatively pruned by a worker
 
-// Full-fidelity finalist pass shared by Search and SearchLaddered: parallel
-// speculative evaluation + serial replay in finalist order (see the
-// determinism note in the header). Appends to `result`'s evaluated/pruned/
-// infeasible tallies, updates best/best_cost, and records seed_cost when
-// `base` reaches full fidelity.
+// Search's full-fidelity finalist pass: parallel speculative evaluation +
+// serial replay in finalist order (see the determinism note in the header).
+// Appends to `result`'s evaluated/pruned/infeasible tallies, updates
+// best/best_cost, and records seed_cost when `base` reaches full fidelity.
 void FullFidelityPass(const Autotuner::Options& options, int threads,
                       const std::vector<TuneCandidate>& finalists,
                       const TuneCandidate& base, const Autotuner::EvalFn& eval,
@@ -187,8 +192,7 @@ TuneResult Autotuner::Search(const TuningSpace& space,
 
   // --- Successive halving: coarse-score everyone, keep the top fraction. --
   std::vector<TuneCandidate> finalists;
-  if (coarse && static_cast<int>(candidates.size()) >=
-                    options_.min_coarse_space) {
+  if (coarse && candidates.size() >= kMinCoarseSpace) {
     // The coarse round is a pure map (no pruning), so sharding it is
     // trivially deterministic: workers write cost[i] by candidate index and
     // the classification below runs serially in index order.
@@ -232,10 +236,9 @@ TuneResult Autotuner::Search(const TuningSpace& space,
     const std::size_t keep = std::min<std::size_t>(
         scored.size(),
         std::max<std::size_t>(
-            static_cast<std::size_t>(options_.min_survivors),
-            static_cast<std::size_t>(options_.keep_fraction *
-                                         static_cast<double>(scored.size()) +
-                                     0.999)));
+            kMinSurvivors,
+            static_cast<std::size_t>(
+                kKeepFraction * static_cast<double>(scored.size()) + 0.999)));
     result.halved = static_cast<int>(scored.size() - keep);
     finalists.reserve(keep + unscored.size() + 1);
     // Survivors are in ascending coarse-score order, so the lower bound
@@ -269,166 +272,6 @@ TuneResult Autotuner::Search(const TuningSpace& space,
   // --- Full-fidelity evaluation with lower-bound pruning. -----------------
   FullFidelityPass(options_, threads, finalists, base, eval, lower_bound,
                    &result);
-  TL_CHECK_MSG(result.best_cost != kInfeasible,
-               "every candidate in the tuning space was infeasible");
-  return result;
-}
-
-TuneResult Autotuner::SearchLaddered(const TuningSpace& space,
-                                     const TuneCandidate& base,
-                                     const FidelityEvalFn& eval,
-                                     const BoundFn& lower_bound) const {
-  const std::vector<int>& rungs = options_.ladder_rungs;
-  TL_CHECK_MSG(!rungs.empty() && rungs.back() == 1,
-               "ladder_rungs must end at full fidelity (1)");
-
-  std::vector<TuneCandidate> candidates = space.Enumerate(base);
-  TL_CHECK_MSG(!candidates.empty(), "empty tuning space");
-  if (std::find(candidates.begin(), candidates.end(), base) ==
-      candidates.end()) {
-    candidates.push_back(base);
-  }
-
-  // Small spaces: the coarse rungs would cost more than they save — search
-  // plain (full fidelity, bound pruning, no halving).
-  if (static_cast<int>(candidates.size()) < options_.min_ladder_space) {
-    return Search(
-        space, base, [&eval](const TuneCandidate& c) { return eval(c, 1); },
-        lower_bound, nullptr);
-  }
-
-  const int threads = std::max(1, options_.threads);
-
-  TuneResult result;
-  result.best_cost = kInfeasible;
-
-  // Seed anchor: one full-fidelity run up front. Every later stage compares
-  // against it, so no rung can promote its way past the seed; the final
-  // pass reuses this cost instead of re-simulating the seed.
-  const sim::TimeNs seed_cost = eval(base, 1);
-  if (options_.verbose && seed_cost != kInfeasible) {
-    PrintCandidate("tune/ladder", base, seed_cost, "  seed anchor");
-  }
-
-  // Floor gate: a candidate whose communication-optimal lower bound already
-  // meets the seed's measured cost can never win — drop it before paying
-  // for any rung. (The seed itself always survives.)
-  std::vector<std::size_t> alive;
-  alive.reserve(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (lower_bound && seed_cost != kInfeasible &&
-        !(candidates[i] == base) && lower_bound(candidates[i]) >= seed_cost) {
-      result.pruned++;
-      if (options_.verbose) {
-        char buf[512];
-        std::snprintf(buf, sizeof(buf),
-                      "[tune/ladder] %-53s pruned (floor >= seed)\n",
-                      candidates[i].Describe().c_str());
-        EmitLine(buf);
-      }
-      continue;
-    }
-    alive.push_back(i);
-  }
-
-  // Coarse rungs: score the survivors at 1/denom fidelity, promote the best
-  // by (rung score, lower bound, enumeration index) — the floors order
-  // near-ties, so a fidelity too blunt to separate two candidates still
-  // promotes the one with more communication headroom first.
-  for (std::size_t r = 0; r + 1 < rungs.size(); ++r) {
-    const int denom = rungs[r];
-    std::vector<sim::TimeNs> rung_cost(alive.size(), kPending);
-    {
-      std::atomic<std::size_t> next{0};
-      RunWorkers(std::min<int>(threads, static_cast<int>(alive.size())),
-                 [&] {
-                   for (;;) {
-                     const std::size_t i =
-                         next.fetch_add(1, std::memory_order_relaxed);
-                     if (i >= alive.size()) return;
-                     rung_cost[i] = eval(candidates[alive[i]], denom);
-                   }
-                 });
-    }
-    std::vector<std::tuple<sim::TimeNs, sim::TimeNs, std::size_t>> scored;
-    std::vector<std::size_t> deferred;
-    scored.reserve(alive.size());
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      const std::size_t ci = alive[i];
-      if (rung_cost[i] == kInfeasible) {
-        // Shrunken problems can have tighter divisibility: defer to the
-        // next rung instead of dropping a possibly-feasible candidate.
-        deferred.push_back(ci);
-        continue;
-      }
-      scored.emplace_back(rung_cost[i],
-                          lower_bound ? lower_bound(candidates[ci]) : 0, ci);
-    }
-    result.coarse_evals += static_cast<int>(scored.size());
-    result.evaluated_per_rung.push_back(static_cast<int>(scored.size()));
-    std::sort(scored.begin(), scored.end());
-    // Geometric promotion taper: rung i of n keeps fraction^((i+1)/n), so
-    // the cheapest (bluntest) fidelity cuts conservatively and the cut
-    // sharpens to promote_fraction by the last coarse rung. Fixed per-tile
-    // costs do not shrink with the problem, so the coarsest rung's ranking
-    // is the least trustworthy — give it the widest survivor set.
-    const double frac = std::pow(
-        options_.promote_fraction,
-        static_cast<double>(r + 1) / static_cast<double>(rungs.size() - 1));
-    const std::size_t keep = std::min<std::size_t>(
-        scored.size(),
-        std::max<std::size_t>(
-            static_cast<std::size_t>(options_.min_promote),
-            static_cast<std::size_t>(frac * static_cast<double>(scored.size()) +
-                                     0.999)));
-    result.halved += static_cast<int>(scored.size() - keep);
-    result.promoted_per_rung.push_back(static_cast<int>(keep));
-    std::vector<std::size_t> next_alive;
-    next_alive.reserve(keep + deferred.size() + 1);
-    for (std::size_t i = 0; i < keep; ++i) {
-      next_alive.push_back(std::get<2>(scored[i]));
-    }
-    for (std::size_t ci : deferred) next_alive.push_back(ci);
-    bool has_base = false;
-    for (std::size_t ci : next_alive) {
-      if (candidates[ci] == base) has_base = true;
-    }
-    if (!has_base) {
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (candidates[ci] == base) {
-          next_alive.push_back(ci);
-          break;
-        }
-      }
-    }
-    if (options_.verbose) {
-      char buf[256];
-      std::snprintf(buf, sizeof(buf),
-                    "[tune/ladder] rung 1/%-3d scored %zu, promoted %zu "
-                    "(+%zu deferred)\n",
-                    denom, scored.size(), keep, deferred.size());
-      EmitLine(buf);
-    }
-    alive = std::move(next_alive);
-  }
-
-  // Final rung: full fidelity over the promoted set, in ascending last-rung
-  // score order (likely argmin first) with lower-bound pruning. The seed's
-  // anchor run is reused via the memo instead of being paid twice.
-  std::vector<TuneCandidate> finalists;
-  finalists.reserve(alive.size());
-  for (std::size_t ci : alive) finalists.push_back(candidates[ci]);
-  const EvalFn full = [&eval, &base, seed_cost](const TuneCandidate& c) {
-    if (c == base && seed_cost != kInfeasible) return seed_cost;
-    return eval(c, 1);
-  };
-  const std::size_t full_before = result.evaluated.size();
-  FullFidelityPass(options_, threads, finalists, base, full, lower_bound,
-                   &result);
-  result.evaluated_per_rung.push_back(
-      static_cast<int>(result.evaluated.size() - full_before));
-  // The final rung promotes exactly the argmin.
-  result.promoted_per_rung.push_back(1);
   TL_CHECK_MSG(result.best_cost != kInfeasible,
                "every candidate in the tuning space was infeasible");
   return result;

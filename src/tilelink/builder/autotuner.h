@@ -13,11 +13,12 @@
 //    is simulated first and the bound prunes the rest.
 //
 //  - A coarse evaluator (same metric on a cheapened simulation — e.g. the
-//    reduction loop collapsed to one k-step) enables successive halving:
-//    every candidate is scored coarsely, only the best keep_fraction
-//    survive to full-fidelity simulation. The base candidate is always
-//    re-evaluated at full fidelity, so a halved search can never return a
-//    config worse than the seed it started from.
+//    reduction loop collapsed to one k-step) enables successive halving,
+//    the tuner's one reduced-fidelity mechanism: every candidate of a
+//    space with at least 8 entries is scored coarsely, and only the best
+//    eighth (at least 4) survive to full-fidelity simulation. The base
+//    candidate is always re-evaluated at full fidelity, so a halved search
+//    can never return a config worse than the seed it started from.
 //
 // Candidates the evaluator rejects as infeasible (by returning kInfeasible)
 // are skipped.
@@ -56,20 +57,14 @@ struct TuneResult {
   // fidelity, in evaluation order.
   std::vector<std::pair<TuneCandidate, sim::TimeNs>> evaluated;
   int pruned = 0;        // skipped via the lower bound
-  int infeasible = 0;    // rejected by the evaluator (either fidelity)
-  int halved = 0;        // eliminated by a coarse round (halving or ladder)
-  int coarse_evals = 0;  // reduced-fidelity scores paid (halving or ladder)
-  // Full-fidelity cost of the seed (base) candidate, when the search
-  // evaluated it: SearchLaddered always anchors on it; Search records it
-  // when the seed reaches full fidelity unpruned. 0 = not measured.
+  int infeasible = 0;    // rejected by the full-fidelity evaluator
+  int halved = 0;        // eliminated by the coarse (halving) round
+  int coarse_evals = 0;  // coarse-evaluator scores paid
+  // Full-fidelity cost of the seed (base) candidate. Search always makes
+  // the seed a finalist, so this is 0 (not measured) only when the seed's
+  // lower bound met the best cost found before it or the seed was
+  // infeasible.
   sim::TimeNs seed_cost = 0;
-  // SearchLaddered only, one slot per rung (coarsest first): candidates
-  // scored at that rung's fidelity, and candidates promoted out of it by
-  // rank (the final rung's promotion is the argmin, so its slot is 1;
-  // deferred coarse-infeasible candidates ride along unscored and are not
-  // counted as promoted).
-  std::vector<int> evaluated_per_rung;
-  std::vector<int> promoted_per_rung;
 };
 
 class Autotuner {
@@ -81,12 +76,6 @@ class Autotuner {
 
   using EvalFn = std::function<sim::TimeNs(const TuneCandidate&)>;
   using BoundFn = std::function<sim::TimeNs(const TuneCandidate&)>;
-  // Multi-fidelity evaluator: the same metric on a problem shrunk by
-  // ~1/denom along an axis that scales compute and communication together
-  // (see kernel_tuning.h's FidelitySimulate*). denom == 1 must be exact
-  // full fidelity.
-  using FidelityEvalFn =
-      std::function<sim::TimeNs(const TuneCandidate&, int denom)>;
 
   struct Options {
     bool verbose = false;  // print one line per candidate to stdout
@@ -94,34 +83,10 @@ class Autotuner {
     // Any value yields a bitwise-identical TuneResult; see the determinism
     // note in the file comment.
     int threads = 1;
-    // Successive halving (active when Search is given a coarse evaluator
-    // and the space has at least min_coarse_space candidates): keep the
-    // best keep_fraction of coarse scores, at least min_survivors.
-    double keep_fraction = 0.125;
-    int min_survivors = 4;
-    int min_coarse_space = 8;
-    // Laddered multi-fidelity schedule (SearchLaddered): fidelity
-    // denominators per rung, coarsest first; the last must be 1 (full
-    // fidelity). The last coarse rung promotes the best promote_fraction of
-    // its scores (at least min_promote); earlier (blunter) rungs taper
-    // geometrically toward it — rung i of n keeps fraction^((i+1)/n), so
-    // e.g. with two coarse rungs and 0.25 the 1/16 rung keeps half and the
-    // 1/4 rung a quarter. Fixed per-tile costs do not shrink with the
-    // problem, so the coarsest ranking is the least trustworthy and gets
-    // the widest survivor set. The seed candidate is promoted
-    // unconditionally, so no rung can regress past the seed.
-    // Spaces smaller than min_ladder_space skip the ladder (the coarse
-    // rungs would cost more than they save) and search plain.
-    std::vector<int> ladder_rungs = {16, 4, 1};
-    double promote_fraction = 0.25;
-    int min_promote = 4;
-    int min_ladder_space = 16;
   };
 
   Autotuner() = default;
   explicit Autotuner(Options options) : options_(options) {}
-
-  const Options& options() const { return options_; }
 
   // Returns the argmin candidate over space.Enumerate(base) plus the base
   // itself. `lower_bound` and `coarse` may be null. Requires a non-empty,
@@ -129,27 +94,6 @@ class Autotuner {
   TuneResult Search(const TuningSpace& space, const TuneCandidate& base,
                     const EvalFn& eval, const BoundFn& lower_bound = nullptr,
                     const EvalFn& coarse = nullptr) const;
-
-  // Laddered multi-fidelity search (the serving-path cold-tune schedule):
-  //   1. the seed is evaluated once at full fidelity, anchoring the search;
-  //      with a lower bound, candidates whose floor already meets or
-  //      exceeds the seed's cost are dropped before any rung runs
-  //      (comm_bounds floors deciding rung admission);
-  //   2. each coarse rung (Options::ladder_rungs, e.g. 1/16 then 1/4)
-  //      scores the survivors at that fidelity and promotes the best
-  //      promote_fraction — ranked by (rung score, lower bound, enumeration
-  //      index) — to the next rung, the seed always riding along;
-  //   3. the final rung runs full fidelity in ascending-bound order with
-  //      lower-bound pruning, exactly like Search's finalist pass.
-  // Candidates a coarse rung rejects as infeasible are deferred to the next
-  // rung unscored (a shrunken problem can have tighter divisibility), like
-  // Search's coarse round. Deterministic and bitwise thread-count-invariant
-  // for the same reasons as Search: coarse rungs are pure index-sharded
-  // maps, promotion and the final replay are serial.
-  TuneResult SearchLaddered(const TuningSpace& space,
-                            const TuneCandidate& base,
-                            const FidelityEvalFn& eval,
-                            const BoundFn& lower_bound = nullptr) const;
 
  private:
   Options options_{};

@@ -362,115 +362,6 @@ sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
                        CoarsenReduction(c, shape.inner));
 }
 
-// ---- Multi-fidelity (ladder) evaluators ---------------------------------
-
-namespace {
-
-// Shrinks an extent to ~1/denom, kept a multiple of `granule`; floors at
-// one granule, and returns the full extent when even that would not shrink
-// it (the shape is then too small for this fidelity to save anything).
-int64_t FidelityExtent(int64_t extent, int denom, int64_t granule) {
-  if (denom <= 1) return extent;
-  const int64_t granules = extent / denom / granule;
-  if (granules >= 1) return granules * granule;
-  return extent >= 2 * granule ? granule : extent;
-}
-
-// Fidelity granules: the k/n axes only need the bk/bn quantum; the flash KV
-// axis keeps at least the largest block so every candidate still runs a
-// whole step.
-constexpr int64_t kMlpFidelityGranule = 64;
-constexpr int64_t kFlashFidelityGranule = 1024;
-
-}  // namespace
-
-bool FidelityMlpCanShrink(const MlpPartShape& shape, bool shrink_k,
-                          int denom) {
-  const int64_t extent = shrink_k ? shape.k : shape.n;
-  return FidelityExtent(extent, denom, kMlpFidelityGranule) < extent;
-}
-
-bool FidelityFlashCanShrink(const FlashShape& shape, int denom) {
-  return FidelityExtent(shape.seq_kv, denom, kFlashFidelityGranule) <
-         shape.seq_kv;
-}
-
-bool FidelityAttnCanShrink(const sim::MachineSpec& spec,
-                           const AttnShape& shape, int denom) {
-  return FidelityExtent(shape.seq, denom, 2048L * spec.num_devices) <
-         shape.seq;
-}
-
-bool FidelityMoeCanShrink(const sim::MachineSpec& spec, const MoeShape& shape,
-                          int denom) {
-  return FidelityExtent(shape.m, denom,
-                        kMoeCoarseGranule * spec.num_devices) < shape.m;
-}
-
-sim::TimeNs FidelitySimulateAgGemm(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom) {
-  // GEMM flops and AG wire bytes are both linear in k, so the
-  // compute-vs-comm balance every candidate is ranked on survives the
-  // shrink.
-  MlpPartShape s = shape;
-  s.k = FidelityExtent(shape.k, denom, kMlpFidelityGranule);
-  return SimulateAgGemm(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateGemmRs(const sim::MachineSpec& spec,
-                                   const MlpPartShape& shape,
-                                   const TuneCandidate& c, int denom) {
-  // Flops and RS wire bytes are both linear in n; the m axis (which the
-  // feasibility predicates constrain) stays untouched, so feasibility is
-  // fidelity-invariant for this family.
-  MlpPartShape s = shape;
-  s.n = FidelityExtent(shape.n, denom, kMlpFidelityGranule);
-  return SimulateGemmRs(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateAgAttention(const sim::MachineSpec& spec,
-                                        const AttnShape& shape,
-                                        const TuneCandidate& c, int denom) {
-  AttnShape s = shape;
-  s.seq = FidelityExtent(shape.seq, denom, 2048L * spec.num_devices);
-  return SimulateAgAttention(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateFlashCore(const sim::MachineSpec& spec,
-                                      const FlashShape& shape,
-                                      const TuneCandidate& c, int denom) {
-  FlashShape s = shape;
-  s.seq_kv = FidelityExtent(shape.seq_kv, denom, kFlashFidelityGranule);
-  return SimulateFlashCore(spec, s, c);
-}
-
-sim::TimeNs FidelitySimulateAgMoe(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom) {
-  MoeShape s = shape;
-  s.m = FidelityExtent(shape.m, denom, kMoeCoarseGranule * spec.num_devices);
-  if (s.m == shape.m) return SimulateAgMoe(spec, shape, routing, c);
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting r =
-      compute::RandomRouting(s.m, shape.num_experts, shape.topk, rng);
-  return SimulateAgMoe(spec, s, r, c);
-}
-
-sim::TimeNs FidelitySimulateMoeRs(const sim::MachineSpec& spec,
-                                  const MoeShape& shape,
-                                  const compute::MoeRouting& routing,
-                                  const TuneCandidate& c, int denom) {
-  MoeShape s = shape;
-  s.m = FidelityExtent(shape.m, denom, kMoeCoarseGranule * spec.num_devices);
-  if (s.m == shape.m) return SimulateMoeRs(spec, shape, routing, c);
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting r =
-      compute::RandomRouting(s.m, shape.num_experts, shape.topk, rng);
-  return SimulateMoeRs(spec, s, r, c);
-}
-
 // ---- Analytic lower bounds ----------------------------------------------
 
 sim::TimeNs AgGemmOverlapBound(const sim::MachineSpec& spec,
@@ -725,127 +616,6 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
       },
       [&](const TuneCandidate& c) {
         return CoarseSimulateMoeRs(spec, shape, routing, c);
-      });
-}
-
-// ---- Laddered multi-fidelity searches -----------------------------------
-
-namespace {
-
-int CoarsestRung(const Autotuner& tuner) {
-  const std::vector<int>& rungs = tuner.options().ladder_rungs;
-  return rungs.empty() ? 1 : rungs.front();
-}
-
-}  // namespace
-
-TuneResult TuneAgGemmLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner) {
-  if (!FidelityMlpCanShrink(shape, /*shrink_k=*/true, CoarsestRung(tuner))) {
-    return TuneAgGemm(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgGemm(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgGemmLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneGemmRsLaddered(const sim::MachineSpec& spec,
-                              const MlpPartShape& shape,
-                              const TuningSpace& space,
-                              const TuneCandidate& base,
-                              const Autotuner& tuner) {
-  if (!FidelityMlpCanShrink(shape, /*shrink_k=*/false, CoarsestRung(tuner))) {
-    return TuneGemmRs(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateGemmRs(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return GemmRsLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneAgAttentionLaddered(const sim::MachineSpec& spec,
-                                   const AttnShape& shape,
-                                   const TuningSpace& space,
-                                   const TuneCandidate& base,
-                                   const Autotuner& tuner) {
-  if (!FidelityAttnCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneAgAttention(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgAttention(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgAttentionLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneFlashCoreLaddered(const sim::MachineSpec& spec,
-                                 const FlashShape& shape,
-                                 const TuningSpace& space,
-                                 const TuneCandidate& base,
-                                 const Autotuner& tuner) {
-  if (!FidelityFlashCanShrink(shape, CoarsestRung(tuner))) {
-    return TuneFlashCore(spec, shape, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateFlashCore(spec, shape, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return FlashCoreLowerBound(spec, shape, c);
-      });
-}
-
-TuneResult TuneAgMoeLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner) {
-  if (!FidelityMoeCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneAgMoe(spec, shape, routing, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateAgMoe(spec, shape, routing, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return AgMoeRoutedLowerBound(spec, shape, routing, c);
-      });
-}
-
-TuneResult TuneMoeRsLaddered(const sim::MachineSpec& spec,
-                             const MoeShape& shape,
-                             const compute::MoeRouting& routing,
-                             const TuningSpace& space,
-                             const TuneCandidate& base,
-                             const Autotuner& tuner) {
-  if (!FidelityMoeCanShrink(spec, shape, CoarsestRung(tuner))) {
-    return TuneMoeRs(spec, shape, routing, space, base, tuner);
-  }
-  return tuner.SearchLaddered(
-      space, base,
-      [&](const TuneCandidate& c, int denom) {
-        return FidelitySimulateMoeRs(spec, shape, routing, c, denom);
-      },
-      [&](const TuneCandidate& c) {
-        return MoeRsRoutedLowerBound(spec, shape, routing, c);
       });
 }
 

@@ -110,7 +110,7 @@ TEST(HalvingTest, SkipsTinySpaces) {
   const TuneResult result = Autotuner().Search(
       space, base, [](const TuneCandidate& c) { return ToyCost(c); }, nullptr,
       coarse);
-  EXPECT_EQ(coarse_calls, 0);  // below min_coarse_space: plain exhaustive
+  EXPECT_EQ(coarse_calls, 0);  // below the halving floor: plain exhaustive
   EXPECT_EQ(result.coarse_evals, 0);
   EXPECT_EQ(result.evaluated.size(), 2u);
 }
@@ -128,10 +128,7 @@ TEST(HalvingTest, AgreesWithBruteForceOnSimulatedAgGemm) {
       .CommSms({2, 4, 8})
       .Resources({CommResource::kSmPull, CommResource::kSmPush,
                   CommResource::kDma});
-  Autotuner::Options opts;
-  opts.min_survivors = 3;
-  const TuneResult halved =
-      TuneAgGemm(spec, shape, space, base, Autotuner(opts));
+  const TuneResult halved = TuneAgGemm(spec, shape, space, base);
   sim::TimeNs brute_best = Autotuner::kInfeasible;
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs t = SimulateAgGemm(spec, shape, c);
@@ -143,6 +140,77 @@ TEST(HalvingTest, AgreesWithBruteForceOnSimulatedAgGemm) {
   EXPECT_EQ(halved.best_cost, brute_best);
   EXPECT_EQ(SimulateAgGemm(spec, shape, halved.best), halved.best_cost);
   EXPECT_GT(halved.halved, 0);
+}
+
+// Every kernel family's halved search must return a config that (a)
+// simulates to exactly the reported cost and (b) never loses to the seed —
+// whether the space is big enough to halve or the shape too small to
+// coarsen (then the search runs plain).
+TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
+  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
+  {
+    const MlpPartShape shape{512, 1024, 128};
+    TuneCandidate base;
+    base.gemm = compute::GemmTiling{32, 32, 16};
+    TuningSpace space;
+    space.CommTileM({16, 32, 64, 128})
+        .CommSms({2, 4, 8})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma});
+    const TuneResult ag = TuneAgGemm(spec, shape, space, base);
+    EXPECT_EQ(SimulateAgGemm(spec, shape, ag.best), ag.best_cost);
+    EXPECT_LE(ag.best_cost, SimulateAgGemm(spec, shape, base));
+    EXPECT_GT(ag.coarse_evals, 0);  // halving actually engaged
+    EXPECT_LT(ag.evaluated.size(), space.Enumerate(base).size());
+    const MlpPartShape rs_shape{512, 64, 1024};
+    const TuneResult rs = TuneGemmRs(spec, rs_shape, space, base);
+    EXPECT_EQ(SimulateGemmRs(spec, rs_shape, rs.best), rs.best_cost);
+    EXPECT_LE(rs.best_cost, SimulateGemmRs(spec, rs_shape, base));
+  }
+  {
+    const AttnShape shape{4, 256, 32};
+    TuneCandidate base;
+    base.block_q = 16;
+    base.block_kv = 16;
+    TuningSpace space;
+    space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
+    const TuneResult attn = TuneAgAttention(spec, shape, space, base);
+    EXPECT_EQ(SimulateAgAttention(spec, shape, attn.best), attn.best_cost);
+    EXPECT_LE(attn.best_cost, SimulateAgAttention(spec, shape, base));
+    const FlashShape flash{4, 128, 256, 32};
+    const TuneResult fl = TuneFlashCore(spec, flash, space, base);
+    EXPECT_EQ(SimulateFlashCore(spec, flash, fl.best), fl.best_cost);
+    EXPECT_LE(fl.best_cost, SimulateFlashCore(spec, flash, base));
+  }
+  {
+    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
+    const MoeShape shape{128, 32, 32, 4, 2};
+    Rng rng(7);
+    const compute::MoeRouting routing =
+        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+    TuneCandidate base;
+    base.gemm = compute::GemmTiling{16, 16, 8};
+    base.comm_tile_m = 16;
+    base.comm_sms = 2;
+    base.comm = CommResource::kSmPull;
+    base.sorted_channel_rows = 32;
+    base.reduce_block_tokens = 8;
+    base.reduce_sms = 2;
+    TuningSpace space;
+    space.CommTileM({16, 32, 64})
+        .CommSms({2, 4})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma})
+        .SortedChannelRows({32, 64})
+        .ReduceBlockTokens({8, 16})
+        .ReduceSms({2, 4});
+    const TuneResult p1 = TuneAgMoe(moe_spec, shape, routing, space, base);
+    EXPECT_EQ(SimulateAgMoe(moe_spec, shape, routing, p1.best), p1.best_cost);
+    EXPECT_LE(p1.best_cost, SimulateAgMoe(moe_spec, shape, routing, base));
+    const TuneResult p2 = TuneMoeRs(moe_spec, shape, routing, space, base);
+    EXPECT_EQ(SimulateMoeRs(moe_spec, shape, routing, p2.best), p2.best_cost);
+    EXPECT_LE(p2.best_cost, SimulateMoeRs(moe_spec, shape, routing, base));
+  }
 }
 
 // ---------------------------------------------------------------------- //
@@ -487,13 +555,13 @@ TEST(KernelTuningTest, MoeLayerComposition) {
 }
 
 // ---------------------------------------------------------------------- //
-// Laddered multi-fidelity search
+// Parallel search determinism
 // ---------------------------------------------------------------------- //
 
 // The determinism guarantee is bitwise: not just the argmin, but the entire
-// TuneResult — evaluation order, pruned/halved/infeasible tallies, the
-// ladder's per-rung accounting — must be what the serial search produces,
-// for every thread count.
+// TuneResult — evaluation order, pruned/halved/infeasible tallies, coarse
+// and seed accounting — must be what the serial search produces, for every
+// thread count.
 void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_cost, b.best_cost);
@@ -507,213 +575,7 @@ void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
   EXPECT_EQ(a.halved, b.halved);
   EXPECT_EQ(a.coarse_evals, b.coarse_evals);
   EXPECT_EQ(a.seed_cost, b.seed_cost);
-  EXPECT_EQ(a.evaluated_per_rung, b.evaluated_per_rung);
-  EXPECT_EQ(a.promoted_per_rung, b.promoted_per_rung);
 }
-
-// Order-preserving toy fidelity: coarse rungs see the landscape scaled by
-// 1/denom plus a fixed offset (the per-tile costs that do not shrink).
-Autotuner::FidelityEvalFn ToyFidelity() {
-  return [](const TuneCandidate& c, int denom) {
-    if (denom == 1) return ToyCost(c);
-    return ToyCost(c) / denom + 977;
-  };
-}
-
-TEST(LadderTest, MatchesExhaustiveArgminWithFewerFullEvals) {
-  TuneCandidate base;
-  base.comm = CommResource::kSmPull;  // keep the comm_sms axis live
-  const Autotuner tuner;
-  const TuneResult exhaustive = tuner.Search(
-      ToySpace(), base, [](const TuneCandidate& c) { return ToyCost(c); });
-  const TuneResult ladder =
-      tuner.SearchLaddered(ToySpace(), base, ToyFidelity());
-
-  EXPECT_EQ(ladder.best, exhaustive.best);
-  EXPECT_EQ(ladder.best_cost, exhaustive.best_cost);
-  EXPECT_EQ(ladder.seed_cost, ToyCost(base));
-  // Rung accounting (satellite of the serving PR): one slot per rung, the
-  // final rung's promotion is the argmin, and every coarse rung must both
-  // evaluate and cut.
-  ASSERT_EQ(ladder.evaluated_per_rung.size(),
-            tuner.options().ladder_rungs.size());
-  ASSERT_EQ(ladder.promoted_per_rung.size(),
-            tuner.options().ladder_rungs.size());
-  EXPECT_EQ(ladder.promoted_per_rung.back(), 1);
-  for (std::size_t r = 0; r + 1 < ladder.evaluated_per_rung.size(); ++r) {
-    EXPECT_GT(ladder.evaluated_per_rung[r], 0) << r;
-    // The geometric taper only narrows rung over rung.
-    EXPECT_LE(ladder.promoted_per_rung[r + 1], ladder.promoted_per_rung[r])
-        << r;
-    EXPECT_LE(ladder.promoted_per_rung[r], ladder.evaluated_per_rung[r]) << r;
-  }
-  EXPECT_GT(ladder.coarse_evals, 0);
-  // The point of the ladder: far fewer full-fidelity evaluations.
-  EXPECT_LT(ladder.evaluated.size(), exhaustive.evaluated.size());
-}
-
-TEST(LadderTest, NeverWorseThanSeedUnderAdversarialFidelity) {
-  TuneCandidate base;
-  base.comm = CommResource::kSmPull;
-  base.comm_tile_m = 256;
-  base.comm_sms = 16;  // the seed IS the landscape argmin
-  // Adversarial coarse rungs invert the ranking, so promotion keeps exactly
-  // the worst candidates — but the seed anchors at full fidelity first.
-  auto fidelity = [](const TuneCandidate& c, int denom) {
-    if (denom == 1) return ToyCost(c);
-    return sim::TimeNs{10000000} - ToyCost(c);
-  };
-  const TuneResult r =
-      Autotuner().SearchLaddered(ToySpace(), base, fidelity);
-  EXPECT_EQ(r.best, base);
-  EXPECT_EQ(r.best_cost, ToyCost(base));
-  EXPECT_EQ(r.seed_cost, ToyCost(base));
-}
-
-TEST(LadderTest, SkipsTinySpaces) {
-  TuningSpace space;
-  space.CommTileM({64, 128});  // below min_ladder_space
-  TuneCandidate base;
-  base.comm_tile_m = 64;
-  int coarse_calls = 0;
-  const TuneResult r = Autotuner().SearchLaddered(
-      space, base, [&coarse_calls](const TuneCandidate& c, int denom) {
-        if (denom != 1) ++coarse_calls;
-        return ToyCost(c);
-      });
-  EXPECT_EQ(coarse_calls, 0);  // plain search: no reduced-fidelity rungs
-  EXPECT_EQ(r.coarse_evals, 0);
-  EXPECT_TRUE(r.evaluated_per_rung.empty());
-  EXPECT_EQ(r.evaluated.size(), 2u);
-}
-
-TEST(LadderTest, SeedFloorGateDropsHopelessCandidates) {
-  TuneCandidate base;
-  base.comm = CommResource::kSmPull;
-  base.comm_tile_m = 256;
-  base.comm_sms = 16;
-  // An exact bound: every non-argmin candidate's floor meets the seed's
-  // anchored cost, so the whole space is dropped before any rung runs.
-  const TuneResult r = Autotuner().SearchLaddered(
-      ToySpace(), base, ToyFidelity(),
-      [](const TuneCandidate& c) { return ToyCost(c); });
-  EXPECT_EQ(r.best, base);
-  EXPECT_GT(r.pruned, 0);
-  // Only the seed itself rides through the rungs (it is exempt from its
-  // own floor): at most one coarse score per coarse rung.
-  EXPECT_LE(r.coarse_evals,
-            static_cast<int>(Autotuner().options().ladder_rungs.size()) - 1);
-}
-
-// Every kernel family's laddered search must return a config that (a)
-// simulates to exactly the reported cost and (b) never loses to the seed —
-// whether the shape is big enough for the ladder or falls back to the
-// classic halved search.
-TEST(LadderTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
-  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
-  {
-    // k large enough for the 1/16 rung to shrink (granule 64).
-    const MlpPartShape shape{512, 1024, 128};
-    TuneCandidate base;
-    base.gemm = compute::GemmTiling{32, 32, 16};
-    TuningSpace space;
-    space.CommTileM({16, 32, 64, 128})
-        .CommSms({2, 4, 8})
-        .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                    CommResource::kDma});
-    const TuneResult ag = TuneAgGemmLaddered(spec, shape, space, base);
-    EXPECT_EQ(SimulateAgGemm(spec, shape, ag.best), ag.best_cost);
-    EXPECT_LE(ag.best_cost, SimulateAgGemm(spec, shape, base));
-    EXPECT_GT(ag.coarse_evals, 0);  // the ladder actually engaged
-    ASSERT_FALSE(ag.evaluated_per_rung.empty());
-    EXPECT_LT(ag.evaluated_per_rung.back(),
-              static_cast<int>(space.Enumerate(base).size()));
-    const MlpPartShape rs_shape{512, 64, 1024};  // GEMM+RS shrinks n
-    const TuneResult rs = TuneGemmRsLaddered(spec, rs_shape, space, base);
-    EXPECT_EQ(SimulateGemmRs(spec, rs_shape, rs.best), rs.best_cost);
-    EXPECT_LE(rs.best_cost, SimulateGemmRs(spec, rs_shape, base));
-  }
-  {
-    const AttnShape shape{4, 256, 32};
-    TuneCandidate base;
-    base.block_q = 16;
-    base.block_kv = 16;
-    TuningSpace space;
-    space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
-    const TuneResult attn = TuneAgAttentionLaddered(spec, shape, space, base);
-    EXPECT_EQ(SimulateAgAttention(spec, shape, attn.best), attn.best_cost);
-    EXPECT_LE(attn.best_cost, SimulateAgAttention(spec, shape, base));
-    const FlashShape flash{4, 128, 256, 32};
-    const TuneResult fl = TuneFlashCoreLaddered(spec, flash, space, base);
-    EXPECT_EQ(SimulateFlashCore(spec, flash, fl.best), fl.best_cost);
-    EXPECT_LE(fl.best_cost, SimulateFlashCore(spec, flash, base));
-  }
-  {
-    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
-    const MoeShape shape{128, 32, 32, 4, 2};
-    Rng rng(7);
-    const compute::MoeRouting routing =
-        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-    TuneCandidate base;
-    base.gemm = compute::GemmTiling{16, 16, 8};
-    base.comm_tile_m = 16;
-    base.comm_sms = 2;
-    base.comm = CommResource::kSmPull;
-    base.sorted_channel_rows = 32;
-    base.reduce_block_tokens = 8;
-    base.reduce_sms = 2;
-    TuningSpace space;
-    space.CommTileM({16, 32, 64})
-        .CommSms({2, 4})
-        .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                    CommResource::kDma})
-        .SortedChannelRows({32, 64})
-        .ReduceBlockTokens({8, 16})
-        .ReduceSms({2, 4});
-    const TuneResult p1 =
-        TuneAgMoeLaddered(moe_spec, shape, routing, space, base);
-    EXPECT_EQ(SimulateAgMoe(moe_spec, shape, routing, p1.best), p1.best_cost);
-    EXPECT_LE(p1.best_cost, SimulateAgMoe(moe_spec, shape, routing, base));
-    const TuneResult p2 =
-        TuneMoeRsLaddered(moe_spec, shape, routing, space, base);
-    EXPECT_EQ(SimulateMoeRs(moe_spec, shape, routing, p2.best), p2.best_cost);
-    EXPECT_LE(p2.best_cost, SimulateMoeRs(moe_spec, shape, routing, base));
-  }
-}
-
-TEST(LadderTest, ThreadCountBitwiseInvariant) {
-  // The full TuneResult — including the new per-rung accounting — must be
-  // identical at 1 and 8 threads, on the toy landscape and on a real
-  // laddered kernel search.
-  TuneCandidate base;
-  base.comm = CommResource::kSmPull;
-  const TuneResult serial =
-      Autotuner().SearchLaddered(ToySpace(), base, ToyFidelity());
-  Autotuner::Options opts;
-  for (int threads : {2, 8}) {
-    opts.threads = threads;
-    ExpectIdenticalResults(
-        serial, Autotuner(opts).SearchLaddered(ToySpace(), base,
-                                               ToyFidelity()));
-  }
-  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
-  const MlpPartShape shape{512, 1024, 128};
-  TuneCandidate seed;
-  seed.gemm = compute::GemmTiling{32, 32, 16};
-  TuningSpace space;
-  space.CommTileM({16, 32, 64, 128})
-      .CommSms({2, 4, 8})
-      .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                  CommResource::kDma});
-  opts.threads = 8;
-  ExpectIdenticalResults(
-      TuneAgGemmLaddered(spec, shape, space, seed),
-      TuneAgGemmLaddered(spec, shape, space, seed, Autotuner(opts)));
-}
-
-// ---------------------------------------------------------------------- //
-// Parallel search determinism
-// ---------------------------------------------------------------------- //
 
 Autotuner ThreadedTuner(int threads) {
   Autotuner::Options opts;
