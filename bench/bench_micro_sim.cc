@@ -1,10 +1,12 @@
 // Microbenchmarks of the simulator substrate itself: event-loop throughput,
 // host-callback scheduling, resource contention, network flows, and an
-// end-to-end overlapped kernel (wall-clock cost of simulating one AG+GEMM).
+// end-to-end overlapped kernel (wall-clock cost of simulating one AG+GEMM,
+// with World build + compile timed apart from the interpreted run).
 // Built on the vendored harness in bench/microbench.h (Google Benchmark API
 // subset) so it always compiles without external dependencies.
 #include "bench/microbench.h"
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -126,8 +128,16 @@ void BM_NetworkFlows(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512)->Arg(4096);
 
+// The program-interpreter rung: build_ms is World construction plus kernel
+// build and compile, run_ms the RunSpmd that interprets the block programs;
+// events_per_s counts simulator events over run_ms only.
 void BM_SimulateAgGemmMlp1(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  double build_s = 0.0;
+  double run_s = 0.0;
+  uint64_t events = 0;
   for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
     rt::World world(sim::MachineSpec::H800x8(), rt::ExecMode::kTimingOnly);
     tl::AgGemmConfig cfg;
     cfg.m = 8192;
@@ -137,13 +147,22 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
     cfg.channels_per_rank = 4;
     cfg.comm = tl::CommResource::kDma;
     tl::AgGemm kernel(world, cfg);
+    const Clock::time_point t1 = Clock::now();
     const sim::TimeNs t = world.RunSpmd(
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+    const Clock::time_point t2 = Clock::now();
     benchmark::DoNotOptimize(t);
+    build_s += std::chrono::duration<double>(t1 - t0).count();
+    run_s += std::chrono::duration<double>(t2 - t1).count();
+    events = world.sim().processed_events();
     state.counters["sim_ms"] = static_cast<double>(t) / 1e6;
-    state.counters["events"] =
-        static_cast<double>(world.sim().processed_events());
+    state.counters["events"] = static_cast<double>(events);
   }
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["build_ms"] = build_s * 1e3 / iters;
+  state.counters["run_ms"] = run_s * 1e3 / iters;
+  state.counters["events_per_s"] =
+      run_s > 0.0 ? static_cast<double>(events) * iters / run_s : 0.0;
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);
 

@@ -12,7 +12,9 @@
 #      halving/bound machinery stops skipping candidates, and fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
 #      the simulator microbenchmarks; the stage checks fig8 reported the
-#      flow network's net.completion_events_per_transfer key. fig11 also
+#      flow network's net.completion_events_per_transfer key and
+#      bench_micro_sim the interpreter rung's
+#      BM_SimulateAgGemmMlp1.events_per_s key. fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
@@ -85,6 +87,9 @@ if [[ "$FAST" == "0" ]]; then
   # for the simulator hot path; make sure fig8 reported it.
   grep -q '"net.completion_events_per_transfer"' build-ci/BENCH_fig8.json \
       || { echo "missing net.completion_events_per_transfer in BENCH_fig8.json"; exit 1; }
+  # Likewise the program-interpreter rung: events/s over RunSpmd only.
+  grep -q '"BM_SimulateAgGemmMlp1.events_per_s"' build-ci/BENCH_micro_sim.json \
+      || { echo "missing BM_SimulateAgGemmMlp1.events_per_s in BENCH_micro_sim.json"; exit 1; }
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The generated/hand-built identity suite (test_overlap_gen) already ran

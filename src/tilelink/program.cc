@@ -23,7 +23,9 @@ TileProgramBuilder& TileProgramBuilder::Add(Op op) {
 TileProgramBuilder& TileProgramBuilder::For(
     const std::string& var, std::function<int64_t(const Env&)> trip_count,
     const std::function<void(TileProgramBuilder&)>& build_body) {
-  TL_CHECK_MSG(depth_ < 4, "loop nesting deeper than 4 is not supported");
+  TL_CHECK_MSG(depth_ < kMaxLoopDepth, "loop nesting deeper than "
+                                           << kMaxLoopDepth
+                                           << " is not supported");
   TileProgramBuilder body_builder(depth_ + 1);
   build_body(body_builder);
   auto loop = std::make_shared<Loop>();
@@ -214,13 +216,13 @@ CompiledKernel Compiler::Compile(FusedKernelSpec spec) const {
   }
   CompiledKernel kernel;
   kernel.listing_ = EmitListing(spec, options_);
-  kernel.spec_ = std::move(spec);
+  kernel.spec_ = std::make_shared<const FusedKernelSpec>(std::move(spec));
   kernel.options_ = options_;
   return kernel;
 }
 
 // ---------------------------------------------------------------------------
-// Interpreter: executes a compiled block program as a block coroutine
+// Interpreter: executes each block of a compiled program in one coroutine
 // ---------------------------------------------------------------------------
 namespace {
 
@@ -304,142 +306,148 @@ sim::Coro AsyncPush(ExecCtx ec, DataSpec d, NotifySpec after,
   FireNotify(ec, after);
 }
 
-sim::Coro ExecOp(const ExecCtx& ec, Env& env, const Op& op) {
-  rt::World& world = *ec.world;
-  switch (op.kind) {
-    case OpKind::kNop:
-      break;
-    case OpKind::kConsumerWait:
-    case OpKind::kPeerWait: {
-      const WaitSpec spec = op.wait(env);
-      rt::SignalSet* sig = ec.bc->local(spec.space);
-      for (const ChannelWait& w : spec.waits) {
-        co_await sig->Wait(w.channel, w.threshold);
-      }
-      break;
-    }
-    case OpKind::kProducerNotify:
-    case OpKind::kPeerNotify: {
-      // Release: all prior ops of this block already completed (the
-      // coroutine is sequential); remote visibility latency is modeled
-      // inside SignalSet::AddFrom.
-      FireNotify(ec, op.notify(env));
-      break;
-    }
-    case OpKind::kLoad: {
-      if (op.data) {
-        CheckReadRuns(world, op.data(env), world.sim().Now(), op.label);
-      }
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      if (op.math && world.functional()) op.math(env);
-      break;
-    }
-    case OpKind::kStore: {
-      if (op.math && world.functional()) op.math(env);
-      if (op.data) {
-        RecordWriteRuns(world, op.data(env), world.sim().Now(),
-                        world.sim().Now(), op.label);
-      }
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      break;
-    }
-    case OpKind::kMma:
-    case OpKind::kElementwise: {
-      if (op.cost) {
-        const sim::TimeNs t0 = world.sim().Now();
-        co_await sim::Delay{op.cost(env, ec.cost)};
-        if (ec.tr != nullptr) {
-          ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
-                         sim::kCatCompute);
-        }
-      }
-      if (op.math && world.functional()) op.math(env);
-      break;
-    }
-    case OpKind::kPushData:
-    case OpKind::kPullData: {
-      TL_CHECK_MSG(static_cast<bool>(op.data),
-                   "push/pull op '" << op.label << "' lacks a DataSpec");
-      const DataSpec d = op.data(env);
-      if (op.async_dma) {
-        // Hand off to a copy engine and continue; the payload value is
-        // captured now (it enters the DMA queue), the completion notify
-        // fires with release semantics when the data lands.
-        NotifySpec after;
-        if (op.notify_after) after = op.notify_after(env);
-        if (op.math && world.functional()) op.math(env);
-        world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
-                          "async_push");
-        break;
-      }
-      const sim::TimeNs start = world.sim().Now();
-      CheckReadRuns(world, d, start, op.label);
-      const uint64_t wt =
-          d.write_buf != nullptr ? world.checker().OpenWrite(start) : 0;
-      co_await world.Transfer(d.src_rank, d.dst_rank, d.bytes);
-      if (op.math && world.functional()) op.math(env);
-      RecordWriteRuns(world, d, start, world.sim().Now(), op.label);
-      world.checker().CloseWrite(wt);
-      if (ec.tr != nullptr) {
-        ec.tr->AddSpan(
-            ec.pid, ec.tid, op.label, start, world.sim().Now(), sim::kCatComm,
-            {sim::TraceArg::Num("bytes", static_cast<double>(d.bytes)),
-             sim::TraceArg::Num("src", d.src_rank),
-             sim::TraceArg::Num("dst", d.dst_rank)});
-      }
-      if (op.notify_after) {
-        FireNotify(ec, op.notify_after(env));
-      }
-      break;
-    }
-  }
-}
-
-sim::Coro ExecStmts(const ExecCtx& ec, Env& env,
-                    const std::vector<Stmt>& stmts) {
-  for (const Stmt& s : stmts) {
-    if (s.loop) {
-      const int64_t trips = s.loop->trip_count(env);
-      for (int64_t i = 0; i < trips; ++i) {
-        env.loop[static_cast<size_t>(s.loop->depth)] = i;
-        co_await ExecStmts(ec, env, s.loop->body);
-      }
-      env.loop[static_cast<size_t>(s.loop->depth)] = 0;
-      continue;
-    }
-    co_await ExecOp(ec, env, *s.op);
-  }
-}
-
+// One block of a role: runs the whole program in this coroutine frame. An
+// explicit cursor stack walks the statement tree — level 0 is the program
+// body, level d + 1 the body of the loop at depth d — and every op runs
+// inline, so no op or loop iteration allocates a child frame.
 sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
                    std::string role_label) {
-  const sim::TimeNs t0 = ec.world->sim().Now();
+  rt::World& world = *ec.world;
+  const sim::TimeNs block_t0 = world.sim().Now();
   std::shared_ptr<void> scratch;
   if (program->scratch_factory) {
     scratch = program->scratch_factory(env);
     env.scratch = scratch.get();
   }
   co_await sim::Delay{ec.cost.BlockPrologue()};
-  co_await ExecStmts(ec, env, program->stmts);
+
+  struct Cursor {
+    const std::vector<Stmt>* stmts;
+    size_t pc;
+    size_t slot;  // Env::loop index of the enclosing loop (unused at level 0)
+    int64_t trips;
+    int64_t iter;
+  };
+  std::array<Cursor, kMaxLoopDepth + 1> stack{};
+  int top = 0;
+  stack[0] = Cursor{&program->stmts, 0, 0, 0, 0};
+  for (;;) {
+    Cursor& cur = stack[static_cast<size_t>(top)];
+    if (cur.pc == cur.stmts->size()) {
+      if (top == 0) break;
+      if (++cur.iter < cur.trips) {
+        env.loop[cur.slot] = cur.iter;
+        cur.pc = 0;
+      } else {
+        env.loop[cur.slot] = 0;
+        --top;
+      }
+      continue;
+    }
+    const Stmt& s = (*cur.stmts)[cur.pc++];
+    if (s.loop) {
+      const size_t slot = static_cast<size_t>(s.loop->depth);
+      const int64_t trips = s.loop->trip_count(env);
+      env.loop[slot] = 0;
+      if (trips <= 0) continue;
+      TL_CHECK_LT(top, kMaxLoopDepth);
+      stack[static_cast<size_t>(++top)] =
+          Cursor{&s.loop->body, 0, slot, trips, 0};
+      continue;
+    }
+
+    const Op& op = *s.op;
+    switch (op.kind) {
+      case OpKind::kNop:
+        continue;
+      case OpKind::kConsumerWait:
+      case OpKind::kPeerWait: {
+        const WaitSpec spec = op.wait(env);
+        rt::SignalSet* sig = ec.bc->local(spec.space);
+        for (const ChannelWait& w : spec.waits) {
+          co_await sig->Wait(w.channel, w.threshold);
+        }
+        continue;
+      }
+      case OpKind::kProducerNotify:
+      case OpKind::kPeerNotify:
+        // Release: all prior ops of this block already completed (the
+        // block runs sequentially); remote visibility latency is modeled
+        // inside SignalSet::AddFrom.
+        FireNotify(ec, op.notify(env));
+        continue;
+      case OpKind::kLoad:
+        if (op.data && world.checker().enabled()) {
+          CheckReadRuns(world, op.data(env), world.sim().Now(), op.label);
+        }
+        break;
+      case OpKind::kStore:
+        if (op.math && world.functional()) op.math(env);
+        if (op.data && world.checker().enabled()) {
+          RecordWriteRuns(world, op.data(env), world.sim().Now(),
+                          world.sim().Now(), op.label);
+        }
+        break;
+      case OpKind::kMma:
+      case OpKind::kElementwise:
+        break;
+      case OpKind::kPushData:
+      case OpKind::kPullData: {
+        TL_CHECK_MSG(static_cast<bool>(op.data),
+                     "push/pull op '" << op.label << "' lacks a DataSpec");
+        const DataSpec d = op.data(env);
+        if (op.async_dma) {
+          // Hand off to a copy engine and continue; the payload value is
+          // captured now (it enters the DMA queue), the completion notify
+          // fires with release semantics when the data lands.
+          NotifySpec after;
+          if (op.notify_after) after = op.notify_after(env);
+          if (op.math && world.functional()) op.math(env);
+          world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
+                            "async_push");
+          continue;
+        }
+        const sim::TimeNs start = world.sim().Now();
+        CheckReadRuns(world, d, start, op.label);
+        const uint64_t wt =
+            d.write_buf != nullptr ? world.checker().OpenWrite(start) : 0;
+        co_await world.Transfer(d.src_rank, d.dst_rank, d.bytes);
+        if (op.math && world.functional()) op.math(env);
+        RecordWriteRuns(world, d, start, world.sim().Now(), op.label);
+        world.checker().CloseWrite(wt);
+        if (ec.tr != nullptr) {
+          ec.tr->AddSpan(
+              ec.pid, ec.tid, op.label, start, world.sim().Now(),
+              sim::kCatComm,
+              {sim::TraceArg::Num("bytes", static_cast<double>(d.bytes)),
+               sim::TraceArg::Num("src", d.src_rank),
+               sim::TraceArg::Num("dst", d.dst_rank)});
+        }
+        if (op.notify_after) FireNotify(ec, op.notify_after(env));
+        continue;
+      }
+    }
+
+    // Tile ops on the SM (load, store, MMA, elementwise): the costed step,
+    // then the functional payload (a store's payload already ran).
+    if (op.cost) {
+      const sim::TimeNs t0 = world.sim().Now();
+      co_await sim::Delay{op.cost(env, ec.cost)};
+      if (ec.tr != nullptr) {
+        ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
+                       sim::kCatCompute);
+      }
+    }
+    if (op.kind != OpKind::kStore && op.math && world.functional()) {
+      op.math(env);
+    }
+  }
+
   co_await sim::Delay{ec.cost.BlockEpilogue()};
   if (ec.tr != nullptr) {
     // Structural span: SM-resident time of this role block (kCatTask so the
     // profiler's critical path walks the leaf op spans instead).
-    ec.tr->AddSpan(ec.pid, ec.tid, role_label, t0, ec.world->sim().Now(),
+    ec.tr->AddSpan(ec.pid, ec.tid, role_label, block_t0, world.sim().Now(),
                    sim::kCatTask,
                    {sim::TraceArg::Num("block", env.block_id)});
   }
@@ -449,17 +457,14 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
 
 std::shared_ptr<rt::KernelState> CompiledKernel::Launch(
     rt::RankCtx& ctx, rt::Stream& stream, const BlockChannel& bc) const {
-  const int grid = spec_.total_blocks();
-  // Copies shared by every block coroutine of this launch.
-  auto spec_copy = std::make_shared<FusedKernelSpec>(spec_);
   auto bc_copy = std::make_shared<const BlockChannel>(bc);
   rt::World* world = ctx.world;
-  auto body = [spec_copy, bc_copy, world](rt::BlockCtx bctx) -> sim::Coro {
+  auto body = [spec = spec_, bc_copy, world](rt::BlockCtx bctx) -> sim::Coro {
     ExecCtx ec{world, bc_copy, sim::CostModel(bctx.dev->spec())};
     int base = 0;
     const Role* role = nullptr;
     int role_block = 0;
-    for (const Role& r : spec_copy->roles) {
+    for (const Role& r : spec->roles) {
       if (bctx.block_id < base + r.blocks) {
         role = &r;
         role_block = bctx.block_id - base;
@@ -468,20 +473,20 @@ std::shared_ptr<rt::KernelState> CompiledKernel::Launch(
       base += r.blocks;
     }
     TL_CHECK(role != nullptr);
+    std::string role_label;
     if (sim::TraceRecorder* tr = world->trace()) {
+      role_label = spec->name + "/" + role->name;
       ec.tr = tr;
       ec.pid = world->trace_pid(bc_copy->rank);
-      ec.tid = tr->Track(ec.pid, spec_copy->name + "/" + role->name + ".b" +
-                                     std::to_string(role_block));
+      ec.tid = tr->Track(ec.pid, role_label + ".b" + std::to_string(role_block));
     }
     Env env;
     env.rank = bc_copy->rank;
     env.grid = role->blocks;
     env.block_id = role_block;
-    return RunBlock(std::move(ec), env, &role->program,
-                    spec_copy->name + "/" + role->name);
+    return RunBlock(std::move(ec), env, &role->program, std::move(role_label));
   };
-  return stream.LaunchKernel(grid, body, spec_.name);
+  return stream.LaunchKernel(spec_->total_blocks(), body, spec_->name);
 }
 
 }  // namespace tilelink::tl

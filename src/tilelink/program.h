@@ -18,7 +18,11 @@
 //      acquire-loads above waits to demonstrate the §4.2 failure mode);
 //   3. codegen: a PTX-like tile-level listing (ld.global.acquire /
 //      red.release placement is asserted by tests) plus an executable
-//      interpretation of each block as a simulator coroutine.
+//      interpretation of each block: one simulator coroutine frame per
+//      block walks the statement tree with an explicit loop-cursor stack
+//      and runs every op inline, awaiting delays, signal waits and
+//      transfers in that frame. Checker-only DataSpecs (those of loads and
+//      stores) are evaluated only while the consistency checker is on.
 #pragma once
 
 #include <array>
@@ -56,12 +60,18 @@ enum class OpKind {
   kPeerNotify,     // peer_tile_notify
 };
 
+// Deepest loop nesting a block program may use: Env::loop has one slot per
+// depth, TileProgramBuilder::For rejects a deeper level, and the
+// interpreter's cursor stack holds kMaxLoopDepth + 1 levels (the program
+// body plus one per loop).
+inline constexpr int kMaxLoopDepth = 4;
+
 // Loop-variable environment available to every op callback.
 struct Env {
   int rank = 0;
   int block_id = 0;  // id within the role
   int grid = 0;      // number of blocks in the role
-  std::array<int64_t, 4> loop = {0, 0, 0, 0};
+  std::array<int64_t, kMaxLoopDepth> loop = {};
   void* scratch = nullptr;  // per-block state from scratch_factory
 
   int64_t iv(int depth) const { return loop[static_cast<size_t>(depth)]; }
@@ -119,7 +129,12 @@ struct Op {
   std::function<WaitSpec(const Env&)> wait;      // wait ops
   std::function<NotifySpec(const Env&)> notify;  // notify ops
   std::function<NotifySpec(const Env&)> notify_after;  // push completion
-  std::function<DataSpec(const Env&)> data;      // load/store/push/pull
+  // load/store/push/pull. Must be a pure function of Env (no writes to
+  // scratch or captured state): the interpreter skips it on loads and
+  // stores while the consistency checker is off, since the checker is its
+  // only reader there. Push/pull ops always evaluate it for bytes and
+  // src_rank/dst_rank.
+  std::function<DataSpec(const Env&)> data;
   std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost;
   std::function<void(const Env&)> math;          // functional payload
 };
@@ -135,7 +150,7 @@ struct Loop {
 
 struct Stmt {
   std::optional<Op> op;
-  std::shared_ptr<Loop> loop;  // shared: programs are copied per launch
+  std::shared_ptr<Loop> loop;  // shared: copies of a program share bodies
 };
 
 // One role (communication or computation part) of a fused kernel.
@@ -227,7 +242,7 @@ class Compiler {
 class CompiledKernel {
  public:
   const std::string& listing() const { return listing_; }
-  const FusedKernelSpec& spec() const { return spec_; }
+  const FusedKernelSpec& spec() const { return *spec_; }
 
   // Launches the fused kernel on `stream`; `bc` is this rank's BlockChannel.
   std::shared_ptr<rt::KernelState> Launch(rt::RankCtx& ctx,
@@ -236,7 +251,8 @@ class CompiledKernel {
 
  private:
   friend class Compiler;
-  FusedKernelSpec spec_;
+  // Immutable once compiled; every launch's block coroutines share it.
+  std::shared_ptr<const FusedKernelSpec> spec_;
   std::string listing_;
   CompilerOptions options_;
 };

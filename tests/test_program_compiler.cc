@@ -5,6 +5,11 @@
 // the safe compilation of the same program is clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <vector>
+
 #include "common/rng.h"
 #include "runtime/world.h"
 #include "tensor/tensor_ops.h"
@@ -244,6 +249,219 @@ TEST(Builder, LoopDepthsAreLexical) {
   EXPECT_EQ(p.stmts[0].loop->depth, 0);
   ASSERT_EQ(p.stmts[0].loop->body.size(), 1u);
   EXPECT_EQ(p.stmts[0].loop->body[0].loop->depth, 1);
+}
+
+// ---------------------------------------------------------------------- //
+// Interpreter semantics: loop cursors, error surfacing, checker-only
+// DataSpecs and async-DMA release ordering.
+// ---------------------------------------------------------------------- //
+
+// Launches every role of `spec` once per rank and returns the makespan.
+sim::TimeNs RunKernel(World& world, FusedKernelSpec spec) {
+  CompiledKernel kernel = Compiler().Compile(std::move(spec));
+  auto bcs = BlockChannel::CreateSymmetric(world, "interp", 1, 1, 1);
+  return world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
+    auto state = kernel.Launch(ctx, *ctx.stream,
+                               bcs[static_cast<size_t>(ctx.rank)]);
+    co_await state->Wait();
+  });
+}
+
+using LoopVars = std::array<int64_t, kMaxLoopDepth>;
+
+// A 1 ns MMA step that records the loop variables it sees.
+Op RecordLoopVars(std::vector<LoopVars>* seen) {
+  return ops::Mma("record", [seen](const Env& e, const sim::CostModel&) {
+    seen->push_back(e.loop);
+    return sim::TimeNs{1};
+  });
+}
+
+std::function<int64_t(const Env&)> Trips(int64_t n) {
+  return [n](const Env&) { return n; };
+}
+
+TEST(Interpreter, ZeroTripLoopLeavesItsVariableZero) {
+  // Outer iteration 0 runs the inner loop 3 times, iteration 1 skips it;
+  // the op after the inner loop must see iv(1) == 0 either way.
+  std::vector<LoopVars> after;
+  TileProgramBuilder b;
+  b.For("a", Trips(2), [&](TileProgramBuilder& outer) {
+    outer.For("b",
+              [](const Env& e) { return e.iv(0) == 0 ? int64_t{3} : 0; },
+              [](TileProgramBuilder& inner) { inner.Add(PlainStore("s")); });
+    outer.Add(RecordLoopVars(&after));
+  });
+  b.For("c", Trips(0), [](TileProgramBuilder& body) {
+    body.Add(PlainStore("never"));
+  });
+  b.Add(RecordLoopVars(&after));
+  World world(sim::MachineSpec::Test(1, 4), ExecMode::kTimingOnly);
+  RunKernel(world, OneRoleSpec(b.Build()));
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[0], (LoopVars{0, 0, 0, 0}));
+  EXPECT_EQ(after[1], (LoopVars{1, 0, 0, 0}));
+  EXPECT_EQ(after[2], (LoopVars{0, 0, 0, 0}));
+}
+
+TEST(Interpreter, FourDeepNestSeesEveryLoopVariable) {
+  // One recorder per nesting level, after that level's inner loop, so every
+  // op sees the live variables of its enclosing loops and zeros below.
+  std::vector<LoopVars> seen;
+  TileProgramBuilder b;
+  b.For("a", Trips(2), [&](TileProgramBuilder& l0) {
+    l0.For("b", Trips(3), [&](TileProgramBuilder& l1) {
+      l1.For("c", Trips(2), [&](TileProgramBuilder& l2) {
+        l2.For("d", Trips(2), [&](TileProgramBuilder& l3) {
+          l3.Add(RecordLoopVars(&seen));
+        });
+        l2.Add(RecordLoopVars(&seen));
+      });
+      l1.Add(RecordLoopVars(&seen));
+    });
+    l0.Add(RecordLoopVars(&seen));
+  });
+  World world(sim::MachineSpec::Test(1, 4), ExecMode::kTimingOnly);
+  RunKernel(world, OneRoleSpec(b.Build()));
+
+  std::vector<LoopVars> expected;
+  for (int64_t a = 0; a < 2; ++a) {
+    for (int64_t bb = 0; bb < 3; ++bb) {
+      for (int64_t c = 0; c < 2; ++c) {
+        for (int64_t d = 0; d < 2; ++d) expected.push_back({a, bb, c, d});
+        expected.push_back({a, bb, c, 0});
+      }
+      expected.push_back({a, bb, 0, 0});
+    }
+    expected.push_back({a, 0, 0, 0});
+  }
+  EXPECT_EQ(seen, expected);
+
+  // The builder still rejects a fifth level.
+  auto nest = [](int levels) {
+    std::function<void(TileProgramBuilder&, int)> add =
+        [&add](TileProgramBuilder& tb, int left) {
+          if (left == 0) {
+            tb.Add(PlainStore("s"));
+            return;
+          }
+          tb.For("v", Trips(1), [&add, left](TileProgramBuilder& body) {
+            add(body, left - 1);
+          });
+        };
+    TileProgramBuilder root;
+    add(root, levels);
+  };
+  EXPECT_NO_THROW(nest(kMaxLoopDepth));
+  EXPECT_THROW(nest(kMaxLoopDepth + 1), Error);
+}
+
+TEST(Interpreter, PushPullWithoutDataSpecSurfacesFromRunSpmd) {
+  TileProgramBuilder b;
+  b.Add(ops::TilePullData("naked_pull", nullptr));
+  World world(sim::MachineSpec::Test(1, 4), ExecMode::kTimingOnly);
+  try {
+    RunKernel(world, OneRoleSpec(b.Build()));
+    FAIL() << "expected the missing DataSpec to throw";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("naked_pull"), std::string::npos) << what;
+    EXPECT_NE(what.find("lacks a DataSpec"), std::string::npos) << what;
+  }
+}
+
+TEST(Interpreter, LoadStoreDataSpecsRunOnlyUnderTheChecker) {
+  struct Counts {
+    int load = 0;
+    int store = 0;
+    sim::TimeNs makespan = 0;
+  };
+  auto run = [](bool checker) {
+    Counts c;
+    TileProgramBuilder b;
+    b.For("t", Trips(3), [&](TileProgramBuilder& body) {
+      Op load = ops::Load("counted_load", /*acquire=*/false,
+                          [&c](const Env&) {
+                            ++c.load;
+                            return DataSpec{};
+                          });
+      load.cost = [](const Env&, const sim::CostModel&) {
+        return sim::TimeNs{7};
+      };
+      Op store = ops::Store("counted_store", [&c](const Env&) {
+        ++c.store;
+        return DataSpec{};
+      });
+      store.cost = [](const Env&, const sim::CostModel&) {
+        return sim::TimeNs{5};
+      };
+      body.Add(std::move(load)).Add(std::move(store));
+    });
+    World world(sim::MachineSpec::Test(1, 4), ExecMode::kTimingOnly);
+    world.checker().set_enabled(checker);
+    c.makespan = RunKernel(world, OneRoleSpec(b.Build()));
+    return c;
+  };
+  const Counts off = run(false);
+  const Counts on = run(true);
+  EXPECT_EQ(off.load, 0);
+  EXPECT_EQ(off.store, 0);
+  EXPECT_EQ(on.load, 3);
+  EXPECT_EQ(on.store, 3);
+  EXPECT_EQ(on.makespan, off.makespan);
+}
+
+TEST(Interpreter, AsyncDmaNotifyFiresAfterTheTransferLands) {
+  // Rank r's comm block hands a 1 MiB push to a copy engine (~1 ms at
+  // 1 GB/s) and moves on; rank 1 - r's compute block waits for the
+  // completion notify.
+  sim::MachineSpec spec = sim::MachineSpec::Test(2, 4);
+  spec.nvlink_gbps = 1.0;
+  constexpr uint64_t kBytes = 1 << 20;
+  World world(spec, ExecMode::kTimingOnly);
+  std::vector<sim::TimeNs> issuer_next, consumer_woke;
+  auto now_into = [&world](std::vector<sim::TimeNs>* out) {
+    return ops::Mma("stamp", [&world, out](const Env&, const sim::CostModel&) {
+      out->push_back(world.sim().Now());
+      return sim::TimeNs{1};
+    });
+  };
+
+  TileProgramBuilder comm;
+  comm.Add(ops::TilePushData(
+      "dma_push",
+      [](const Env& e) {
+        DataSpec d;
+        d.src_rank = e.rank;
+        d.dst_rank = 1 - e.rank;
+        d.bytes = kBytes;
+        return d;
+      },
+      [](const Env& e) {
+        return NotifyOne(SignalSpace::kProducerConsumer, {1 - e.rank}, 0);
+      },
+      /*async_dma=*/true));
+  comm.Add(now_into(&issuer_next));
+  TileProgramBuilder compute;
+  compute.Add(ops::ConsumerTileWait("wait_landed", [](const Env&) {
+    WaitSpec s;
+    s.waits.push_back(ChannelWait{0, 1});
+    return s;
+  }));
+  compute.Add(now_into(&consumer_woke));
+
+  FusedKernelSpec k;
+  k.name = "async_push_probe";
+  k.roles.push_back(Role{"comm", 1, comm.Build()});
+  k.roles.push_back(Role{"compute", 1, compute.Build()});
+  RunKernel(world, std::move(k));
+
+  ASSERT_EQ(issuer_next.size(), 2u);
+  ASSERT_EQ(consumer_woke.size(), 2u);
+  const sim::TimeNs issued = std::max(issuer_next[0], issuer_next[1]);
+  const sim::TimeNs landed = std::min(consumer_woke[0], consumer_woke[1]);
+  EXPECT_GE(landed - issued, static_cast<sim::TimeNs>(kBytes))
+      << "notify_after fired before the 1 MiB transfer could land";
 }
 
 TEST(Compiler, RejectsEmptyKernel) {
