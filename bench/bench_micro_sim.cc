@@ -1,7 +1,8 @@
-// Microbenchmarks of the simulator substrate itself: event-loop throughput,
-// host-callback scheduling, resource contention, network flows, and an
-// end-to-end overlapped kernel (wall-clock cost of simulating one AG+GEMM,
-// with World build + compile timed apart from the interpreted run).
+// Microbenchmarks of the simulator substrate itself: event-loop throughput
+// (one event in flight, and many in lockstep at one time), host-callback
+// scheduling, resource contention, network flows, and an end-to-end
+// overlapped kernel (wall-clock cost of simulating one AG+GEMM, with World
+// build + compile timed apart from the interpreted run).
 // Built on the vendored harness in bench/microbench.h (Google Benchmark API
 // subset) so it always compiles without external dependencies.
 #include "bench/microbench.h"
@@ -38,6 +39,23 @@ void BM_EventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EventLoop)->Arg(1000)->Arg(100000);
+
+// N coroutines in lockstep, each looping Delay{10}: the queue holds N events
+// at one time, the shape SPMD kernel sims have (every block steps through
+// the same tile costs) and the single-event BM_EventLoop hides.
+void BM_EventLoopWide(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  constexpr int kEvents = 100000;
+  const int steps = kEvents / width;
+  for (auto _ : state) {
+    sim::Simulator s;
+    for (int i = 0; i < width; ++i) s.Spawn(Ping(10, steps));
+    s.Run();
+    benchmark::DoNotOptimize(s.processed_events());
+  }
+  state.SetItemsProcessed(state.iterations() * width * steps);
+}
+BENCHMARK(BM_EventLoopWide)->Arg(64)->Arg(1024);
 
 // Aggregate event throughput of N independent simulators on N threads —
 // the execution shape of the parallel autotuner (one private World per

@@ -14,7 +14,8 @@
 #      the simulator microbenchmarks; the stage checks fig8 reported the
 #      flow network's net.completion_events_per_transfer key and
 #      bench_micro_sim the interpreter rung's
-#      BM_SimulateAgGemmMlp1.events_per_s key. fig11 also
+#      BM_SimulateAgGemmMlp1.events_per_s and the wide event-loop rung's
+#      BM_EventLoopWide/1024.items_per_second keys. fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
@@ -90,6 +91,9 @@ if [[ "$FAST" == "0" ]]; then
   # Likewise the program-interpreter rung: events/s over RunSpmd only.
   grep -q '"BM_SimulateAgGemmMlp1.events_per_s"' build-ci/BENCH_micro_sim.json \
       || { echo "missing BM_SimulateAgGemmMlp1.events_per_s in BENCH_micro_sim.json"; exit 1; }
+  # And the wide event-loop rung: many events sharing each timestamp.
+  grep -q '"BM_EventLoopWide/1024.items_per_second"' build-ci/BENCH_micro_sim.json \
+      || { echo "missing BM_EventLoopWide/1024.items_per_second in BENCH_micro_sim.json"; exit 1; }
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The generated/hand-built identity suite (test_overlap_gen) already ran

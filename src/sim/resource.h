@@ -42,9 +42,16 @@ class Resource {
     }
     void await_suspend(std::coroutine_handle<> h) {
       res->waiters_.push_back(Waiter{n, h});
-      res->sim_->RegisterBlocked(this, "resource '" + res->name_ + "' acquire");
+      // Lazy description, as Flag::Awaiter: parking builds no string.
+      res->sim_->RegisterBlockedDynamic(this, this, &Awaiter::Describe);
     }
     void await_resume() { res->sim_->UnregisterBlocked(this); }
+
+   private:
+    static std::string Describe(const void* ctx) {
+      return "resource '" + static_cast<const Awaiter*>(ctx)->res->name_ +
+             "' acquire";
+    }
   };
 
   // Acquires n units; pair with Release(n).

@@ -93,14 +93,117 @@ Simulator::~Simulator() {
     Coro::Handle::from_address(frame).destroy();
   }
   // Callables still queued at teardown own captures: destroy without running.
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
-    if (ev.callback) {
-      auto* node = static_cast<CallbackNode*>(ev.payload);
-      node->invoke(node, /*run=*/false);
+  for (const Event& entry : heap_) {
+    if (entry.run == kNoRun) {
+      DestroyEvent(entry);
+      continue;
+    }
+    const EventRun& run = runs_[entry.run];
+    for (std::size_t i = run.head; i < run.events.size(); ++i) {
+      DestroyEvent(run.events[i]);
     }
   }
+}
+
+void Simulator::DestroyEvent(const Event& ev) {
+  if (ev.callback) {
+    auto* node = static_cast<CallbackNode*>(ev.payload);
+    node->invoke(node, /*run=*/false);
+  }
+}
+
+void Simulator::Push(const Event& ev) {
+  // Fibonacci hash: nearby tile-cost times spread over the slots.
+  OpenTime& slot = open_times_[(static_cast<uint64_t>(ev.t) *
+                                0x9E3779B97F4A7C15ull) >>
+                               (64 - kOpenTimeBits)];
+  if (slot.t != ev.t) {
+    // First push of this time (or its slot was taken): a lone heap entry.
+    slot = OpenTime{ev.t, kNoRun};
+    HeapPush(ev);
+    return;
+  }
+  if (slot.run != kNoRun && runs_[slot.run].t == ev.t) {
+    EventRun& run = runs_[slot.run];
+    if (run.events.back().seq < ev.seq) {
+      run.events.push_back(ev);
+      return;
+    }
+    // A reserved sequence ordering before the run's tail: its own entry.
+    HeapPush(ev);
+    return;
+  }
+  slot.run = OpenRun(ev);
+}
+
+uint32_t Simulator::OpenRun(const Event& ev) {
+  uint32_t id;
+  if (!free_runs_.empty()) {
+    id = free_runs_.back();
+    free_runs_.pop_back();
+  } else {
+    id = static_cast<uint32_t>(runs_.size());
+    runs_.emplace_back();
+  }
+  EventRun& run = runs_[id];
+  run.t = ev.t;
+  run.events.push_back(ev);
+  Event head = ev;
+  head.run = id;
+  HeapPush(head);
+  return id;
+}
+
+Simulator::Event Simulator::PopMin() {
+  const Event top = heap_.front();
+  if (top.run != kNoRun) {
+    EventRun& run = runs_[top.run];
+    if (++run.head < run.events.size()) {
+      // Drop the consumed prefix once it is the larger half, so a run fed
+      // by same-time pushes while it drains stays bounded.
+      if (run.head >= 64 && 2 * run.head >= run.events.size()) {
+        run.events.erase(run.events.begin(), run.events.begin() + run.head);
+        run.head = 0;
+      }
+      Event next = run.events[run.head];
+      next.run = top.run;
+      SiftDown(0, next);
+      return top;
+    }
+    run.t = kNoTime;
+    run.head = 0;
+    run.events.clear();
+    free_runs_.push_back(top.run);
+  }
+  const Event last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0, last);
+  return top;
+}
+
+void Simulator::HeapPush(const Event& ev) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(ev);
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!Before(ev, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = ev;
+}
+
+void Simulator::SiftDown(std::size_t hole, const Event& ev) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * hole + 1;
+    if (child >= n) break;
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) ++child;
+    if (!Before(heap_[child], ev)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = ev;
 }
 
 void Simulator::Spawn(Coro coro, std::string name) {
@@ -118,7 +221,7 @@ void Simulator::Spawn(Coro coro, std::string name) {
 
 void Simulator::ScheduleResume(TimeNs t, std::coroutine_handle<> h) {
   TL_CHECK_GE(t, now_);
-  queue_.push(Event{t, next_seq_++, h.address(), /*callback=*/false});
+  Push(Event{t, next_seq_++, h.address(), kNoRun, /*callback=*/false});
 }
 
 void Simulator::NotifyRootDone(Coro::Handle h) {
@@ -151,9 +254,8 @@ void Simulator::DestroyFinishedRoots() {
 void Simulator::Run() {
   const TimeNs run_start = now_;
   const uint64_t events_before = processed_events_;
-  while (!queue_.empty()) {
-    const Event ev = queue_.top();
-    queue_.pop();
+  while (!heap_.empty()) {
+    const Event ev = PopMin();
     TL_CHECK_GE(ev.t, now_);
     now_ = ev.t;
     current_seq_ = ev.seq;
@@ -172,8 +274,7 @@ void Simulator::Run() {
     os << "deadlock: event queue empty at t=" << now_ << "ns with "
        << live_roots_ << " live activities; blocked on:";
     for (const auto& [key, info] : blocked_) {
-      os << "\n  - "
-         << (info.describe != nullptr ? info.describe(info.ctx) : info.what);
+      os << "\n  - " << info.describe(info.ctx);
     }
     throw DeadlockError(os.str(), now_);
   }
@@ -187,13 +288,9 @@ void Simulator::Run() {
   }
 }
 
-void Simulator::RegisterBlocked(const void* key, std::string what) {
-  blocked_[key] = BlockedInfo{std::move(what), nullptr, nullptr};
-}
-
 void Simulator::RegisterBlockedDynamic(const void* key, const void* ctx,
                                        std::string (*describe)(const void*)) {
-  blocked_[key] = BlockedInfo{{}, describe, ctx};
+  blocked_[key] = BlockedInfo{describe, ctx};
 }
 
 void Simulator::UnregisterBlocked(const void* key) { blocked_.erase(key); }

@@ -1,18 +1,32 @@
 // Deterministic single-threaded discrete-event simulator.
 //
-// The simulator owns a priority queue of events ordered by (time, sequence).
-// Events are either coroutine resumptions or plain callbacks. Determinism:
-// ties in time break by insertion sequence, and all state mutation happens on
-// the single event loop, so a given program produces bit-identical timing and
-// numerics on every run.
+// Events are either coroutine resumptions or plain callbacks, and they run
+// in exact (time, sequence) order: ties in time break by insertion sequence
+// (or by a sequence reserved earlier, see ReserveSeq/AtSeq), and all state
+// mutation happens on the single event loop, so a given program produces
+// bit-identical timing and numerics on every run.
+//
+// Event queue: SPMD kernels step hundreds of blocks through identical tile
+// costs, so most pending events share one of a handful of timestamps. The
+// queue therefore keeps *runs*: a run holds events of one time in sequence
+// order, and a binary min-heap on (time, sequence) holds one entry per run,
+// keyed on the run's head, plus one per lone event. The first push of a
+// time is a lone heap entry and the second opens a run; a 64-slot
+// direct-mapped cache finds a time's open run, and a push whose sequence
+// orders after that run's tail appends in O(1) — nearly every push, since
+// sequences only grow. Popping a run's head promotes its next event into
+// the same heap slot. A reserved sequence that orders before a run's tail
+// gets its own heap entry and the heap merges the two, so every entry point
+// keeps the exact (time, sequence) order and the heap top is always the
+// true minimum.
 //
 // Hot path: an Event is a trivially-copyable 32-byte record whose payload is
 // either a coroutine frame address or a pointer to a pooled CallbackNode
-// (small-buffer storage for the callable), so priority-queue sifts are
-// memcpy-speed and scheduling a callback never touches the heap after the
-// node pool warms up. Coroutine frames are also pooled (see FramePoolAlloc
-// in coro.h) — the autotuner runs thousands of short simulations per search,
-// so allocation churn dominates without these.
+// (small-buffer storage for the callable), so heap sifts and run appends are
+// memcpy-speed and scheduling an event allocates nothing once the node pool
+// and the run buffers warm up. Coroutine frames are also pooled
+// (see FramePoolAlloc in coro.h) — the autotuner runs thousands of short
+// simulations per search, so allocation churn dominates without these.
 #pragma once
 
 #include <coroutine>
@@ -21,7 +35,6 @@
 #include <deque>
 #include <memory>
 #include <new>
-#include <queue>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -66,12 +79,16 @@ class Simulator {
     CallbackNode* next_free = nullptr;
   };
 
+  static constexpr uint32_t kNoRun = ~uint32_t{0};
+
   // Trivially copyable: payload is a coroutine frame address (callback ==
-  // false) or a CallbackNode* (callback == true).
+  // false) or a CallbackNode* (callback == true). In a heap entry, `run` is
+  // the run this event heads, or kNoRun for an event alone at its time.
   struct Event {
     TimeNs t;
     uint64_t seq;
     void* payload;
+    uint32_t run;
     bool callback;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
@@ -91,8 +108,8 @@ class Simulator {
   template <typename F>
   void At(TimeNs t, F&& fn) {
     TL_CHECK_GE(t, now_);
-    queue_.push(Event{t, next_seq_++, MakeCallback(std::forward<F>(fn)),
-                      /*callback=*/true});
+    Push(Event{t, next_seq_++, MakeCallback(std::forward<F>(fn)), kNoRun,
+               /*callback=*/true});
   }
   template <typename F>
   void After(TimeNs delta, F&& fn) {
@@ -110,13 +127,13 @@ class Simulator {
   void AtSeq(TimeNs t, uint64_t seq, F&& fn) {
     TL_CHECK(t > now_ || (t == now_ && seq > current_seq_));
     TL_CHECK_LT(seq, next_seq_);
-    queue_.push(Event{t, seq, MakeCallback(std::forward<F>(fn)),
-                      /*callback=*/true});
+    Push(Event{t, seq, MakeCallback(std::forward<F>(fn)), kNoRun,
+               /*callback=*/true});
   }
   // True if some queued event orders before (t, seq).
   bool HasEventBefore(TimeNs t, uint64_t seq) const {
-    if (queue_.empty()) return false;
-    const Event& top = queue_.top();
+    if (heap_.empty()) return false;
+    const Event& top = heap_.front();
     return top.t < t || (top.t == t && top.seq < seq);
   }
 
@@ -132,12 +149,11 @@ class Simulator {
   uint64_t processed_events() const { return processed_events_; }
 
   // Blocked-activity registry for deadlock diagnostics. Awaitables register
-  // a description keyed by their own address while a coroutine is parked —
-  // either an eager string, or (hot path) a describe function evaluated
-  // against `ctx` only if a deadlock is actually reported, so parking
-  // allocates nothing and the report sees the *final* state (e.g. a flag's
-  // last published value, not its value when the waiter parked).
-  void RegisterBlocked(const void* key, std::string what);
+  // a describe function keyed by their own address while a coroutine is
+  // parked; it is evaluated against `ctx` only if a deadlock is actually
+  // reported, so parking builds no string and the report sees the *final*
+  // state (e.g. a flag's last published value, not its value when the
+  // waiter parked).
   void RegisterBlockedDynamic(const void* key, const void* ctx,
                               std::string (*describe)(const void*));
   void UnregisterBlocked(const void* key);
@@ -201,13 +217,34 @@ class Simulator {
     free_callbacks_ = node;
   }
 
-  struct EventCompare {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
+  static constexpr TimeNs kNoTime = -1;  // event times are >= 0
+  static constexpr int kOpenTimeBits = 6;
+
+  // Events of one time in sequence order; events[head] is mirrored by the
+  // run's heap entry. t == kNoTime while the run is free.
+  struct EventRun {
+    TimeNs t = kNoTime;
+    uint32_t head = 0;
+    std::vector<Event> events;
+  };
+  // One slot of the direct-mapped "open run per time" cache. run == kNoRun
+  // records that `t` has seen a push but no run yet. The run it names may
+  // since have been freed or recycled, so a hit is valid only while the
+  // run is still open at `t`.
+  struct OpenTime {
+    TimeNs t = kNoTime;
+    uint32_t run = kNoRun;
   };
 
+  static bool Before(const Event& a, const Event& b) {
+    return a.t < b.t || (a.t == b.t && a.seq < b.seq);
+  }
+  void Push(const Event& ev);
+  Event PopMin();
+  void HeapPush(const Event& ev);
+  void SiftDown(std::size_t hole, const Event& ev);
+  uint32_t OpenRun(const Event& ev);
+  void DestroyEvent(const Event& ev);
   void DestroyFinishedRoots();
 
   TimeNs now_ = 0;
@@ -215,7 +252,11 @@ class Simulator {
   uint64_t current_seq_ = 0;  // sequence of the event being processed
   uint64_t processed_events_ = 0;
   int live_roots_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
+  // Min-heap on (t, seq): one entry per run head or lone event.
+  std::vector<Event> heap_;
+  std::vector<EventRun> runs_;
+  std::vector<uint32_t> free_runs_;
+  OpenTime open_times_[1 << kOpenTimeBits];
   // Node storage (std::deque: stable addresses) plus the recycling list.
   std::deque<CallbackNode> callback_arena_;
   CallbackNode* free_callbacks_ = nullptr;
@@ -224,9 +265,8 @@ class Simulator {
   // deadlocked (never-completing) program does not leak its coroutines.
   std::unordered_set<void*> live_root_frames_;
   struct BlockedInfo {
-    std::string what;  // used when describe == nullptr
-    std::string (*describe)(const void*) = nullptr;
-    const void* ctx = nullptr;
+    std::string (*describe)(const void*);
+    const void* ctx;
   };
   std::unordered_map<const void*, BlockedInfo> blocked_;
   TraceRecorder* trace_ = nullptr;

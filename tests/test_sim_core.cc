@@ -1,7 +1,14 @@
-// Unit tests for the discrete-event simulator core: event ordering,
-// coroutine composition, FIFO resources, flags, deadlock detection.
+// Unit tests for the discrete-event simulator core: event ordering (with a
+// seeded property test of the same-time batched queue), coroutine
+// composition, FIFO resources, flags, deadlock detection, teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/coro.h"
@@ -160,6 +167,50 @@ TEST(SimCore, DeadlockIsDetectedAndNamed) {
   }
 }
 
+// Waiters parked at thresholds 3, 1, 2; Add(2) must wake the second and
+// third in arrival order and keep the first parked.
+TEST(SimCore, FlagWakesSatisfiedWaitersInArrivalOrder) {
+  Simulator sim;
+  Flag flag(&sim, "f");
+  std::vector<int> woke;
+  auto waiter = [](Flag* f, uint64_t threshold, int id,
+                   std::vector<int>* out) -> Coro {
+    co_await f->WaitGe(threshold);
+    out->push_back(id);
+  };
+  sim.Spawn(waiter(&flag, 3, 0, &woke));
+  sim.Spawn(waiter(&flag, 1, 1, &woke));
+  sim.Spawn(waiter(&flag, 2, 2, &woke));
+  sim.At(10, [&] {
+    flag.Add(2);
+    EXPECT_EQ(flag.num_waiters(), 1u);
+  });
+  sim.At(20, [&] {
+    EXPECT_EQ(woke, (std::vector<int>{1, 2}));
+    flag.Add(1);
+  });
+  sim.Run();
+  EXPECT_EQ(woke, (std::vector<int>{1, 2, 0}));
+  EXPECT_EQ(flag.num_waiters(), 0u);
+}
+
+Coro HoldForever(Resource* res) { co_await res->Acquire(); }
+
+TEST(SimCore, ResourceDeadlockIsNamed) {
+  Simulator sim;
+  Resource res(&sim, 1, "copy_engine");
+  sim.Spawn(HoldForever(&res));  // acquires and never releases
+  sim.Spawn(HoldForever(&res));  // parks forever
+  try {
+    sim.Run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("resource 'copy_engine' acquire"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 Coro SmallDelay(int* count) {
   co_await Delay{1};
   ++(*count);
@@ -191,6 +242,219 @@ TEST(SimCore, DeterministicAcrossRuns) {
     return starts;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// Event-queue property test: a seeded mix of every scheduling entry point,
+// checked against a reference ordering by (time, sequence).
+
+uint64_t SplitMix64(uint64_t* state) {
+  uint64_t x = (*state += 0x9e3779b97f4a7c15ull);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+using Key = std::pair<TimeNs, uint64_t>;  // (time, sequence)
+
+// Mirrors the simulator's sequence counter: every call that takes a
+// sequence number (At, ScheduleResume, Delay, Spawn, ReserveSeq) goes
+// through the model, which records the (time, seq) it expects to run.
+struct QueueModel {
+  QueueModel(Simulator* sim, uint64_t seed, int budget)
+      : sim_(sim), rng_(seed), budget_(budget) {}
+
+  uint64_t Draw(uint64_t n) { return SplitMix64(&rng_) % n; }
+
+  // Delays mixing zero-delay pushes, a few lockstep tile costs and many
+  // distinct times (well over the queue's 64 open-run cache slots).
+  TimeNs PickDelay() {
+    switch (Draw(4)) {
+      case 0: return 0;
+      case 1: return 10 * static_cast<TimeNs>(1 + Draw(3));
+      default: return static_cast<TimeNs>(1 + Draw(3000));
+    }
+  }
+
+  Key Take(TimeNs t) {
+    const Key key{t, next_seq_++};
+    pending_.insert(key);
+    scheduled_.push_back(key);
+    --budget_;
+    return key;
+  }
+
+  void ScheduleCallback(TimeNs t) {
+    const Key key = Take(t);
+    sim_->At(t, [this, key] { OnRun(key); });
+  }
+
+  void SpawnWalker() {
+    const Key key = Take(sim_->Now());
+    sim_->Spawn(Walker(this, key, 1 + static_cast<int>(Draw(40))));
+  }
+
+  // Checks `key` is the reference minimum, probes HasEventBefore, then
+  // schedules a random batch of follow-up work.
+  void OnRun(const Key& key) {
+    executed_.push_back(key);
+    if (pending_.empty() || *pending_.begin() != key ||
+        sim_->Now() != key.first) {
+      ++order_errors_;
+    }
+    pending_.erase(key);
+    current_seq_ = key.second;
+    Probe(key);
+    Probe({key.first, next_seq_});
+    Probe({key.first + PickDelay(), Draw(next_seq_ + 1)});
+    if (!pending_.empty()) {
+      const Key min = *pending_.begin();
+      Probe(min);
+      Probe({min.first, min.second + 1});
+    }
+    if (budget_ <= 0) return;
+    const TimeNs now = sim_->Now();
+    switch (Draw(8)) {
+      case 0: {  // a burst of same-time events (one lockstep tile wave)
+        const TimeNs t = now + 10 * static_cast<TimeNs>(1 + Draw(3));
+        const int n = 100 + static_cast<int>(Draw(300));
+        for (int i = 0; i < n; ++i) ScheduleCallback(t);
+        burst_time_ = t;
+        break;
+      }
+      case 1: {  // reserve a sequence now, place it later
+        const uint64_t seq = sim_->ReserveSeq();
+        if (seq != next_seq_) ++order_errors_;
+        ++next_seq_;
+        reserved_.push_back(seq);
+        break;
+      }
+      case 2: {  // place a reserved sequence, often before a run's tail
+        if (reserved_.empty()) break;
+        const uint64_t seq = reserved_.back();
+        reserved_.pop_back();
+        TimeNs t = burst_time_ >= now ? burst_time_ : now + PickDelay();
+        if (t == now && seq <= current_seq_) t = now + 1;
+        const Key key{t, seq};
+        pending_.insert(key);
+        scheduled_.push_back(key);
+        --budget_;
+        sim_->AtSeq(t, seq, [this, key] { OnRun(key); });
+        break;
+      }
+      case 3: {  // zero-delay pushes from inside a running callback
+        // Open a run at a later time first: when this event drained its
+        // own run, that run's id is recycled for the later time while the
+        // open-run cache still maps `now` to it.
+        const TimeNs later = now + 1 + static_cast<TimeNs>(Draw(3000));
+        ScheduleCallback(later);
+        ScheduleCallback(later);
+        for (int i = 0, n = 1 + static_cast<int>(Draw(4)); i < n; ++i) {
+          ScheduleCallback(now);
+        }
+        break;
+      }
+      case 4:
+        SpawnWalker();
+        break;
+      default:
+        for (int i = 0, n = 1 + static_cast<int>(Draw(3)); i < n; ++i) {
+          ScheduleCallback(now + PickDelay());
+        }
+        break;
+    }
+  }
+
+  void Probe(const Key& at) {
+    const bool want = !pending_.empty() && *pending_.begin() < at;
+    if (sim_->HasEventBefore(at.first, at.second) != want) ++probe_errors_;
+  }
+
+  // Sleeps alternately through Delay and a direct ScheduleResume.
+  static Coro Walker(QueueModel* m, Key key, int steps) {
+    m->OnRun(key);
+    for (int i = 0; i < steps; ++i) {
+      const TimeNs delay = m->PickDelay();
+      key = m->Take(m->sim_->Now() + delay);
+      if (i % 2 == 0) {
+        co_await Delay{delay};
+      } else {
+        co_await ResumeAt{m->sim_, key.first};
+      }
+      m->OnRun(key);
+    }
+  }
+
+  struct ResumeAt {
+    Simulator* sim;
+    TimeNs t;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) { sim->ScheduleResume(t, h); }
+    void await_resume() const {}
+  };
+
+  Simulator* sim_;
+  uint64_t rng_;
+  int budget_;
+  uint64_t next_seq_ = 0;
+  uint64_t current_seq_ = 0;
+  TimeNs burst_time_ = -1;
+  std::set<Key> pending_;
+  std::vector<Key> scheduled_;
+  std::vector<Key> executed_;
+  std::vector<uint64_t> reserved_;
+  int order_errors_ = 0;
+  int probe_errors_ = 0;
+};
+
+TEST(SimCore, EventQueueMatchesReferenceOrder) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Simulator sim;
+    QueueModel model(&sim, seed, 20000);
+    for (int i = 0; i < 8; ++i) model.SpawnWalker();
+    for (int i = 0; i < 200; ++i) {
+      model.ScheduleCallback(static_cast<TimeNs>(model.Draw(5000)));
+    }
+    sim.Run();
+    EXPECT_EQ(model.order_errors_, 0);
+    EXPECT_EQ(model.probe_errors_, 0);
+    EXPECT_TRUE(model.pending_.empty());
+    std::vector<Key> reference = model.scheduled_;
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(model.executed_, reference);
+    EXPECT_EQ(sim.processed_events(), reference.size());
+    EXPECT_GT(reference.size(), 20000u);
+  }
+}
+
+// Callables queued at teardown — lone events, a run, a reserved sequence
+// inside a run, a boxed (over-sized) callable and the rest of a run that
+// was draining when Run() threw — are each destroyed exactly once.
+TEST(SimCore, TeardownReleasesEachQueuedCallableOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    const uint64_t reserved = sim.ReserveSeq();
+    sim.At(5, [token] {});
+    for (int i = 0; i < 100; ++i) sim.At(10, [token] {});
+    sim.At(10, [] { throw Error("stop"); });
+    for (int i = 0; i < 100; ++i) sim.At(10, [token] {});
+    sim.AtSeq(10, reserved, [token] {});  // orders before the run's tail
+    std::array<uint64_t, 16> big{};
+    sim.At(20, [token, big] { (void)big; });
+    for (int i = 0; i < 50; ++i) sim.At(30 + i, [token] {});
+    EXPECT_EQ(token.use_count(), 1 + 1 + 100 + 100 + 1 + 1 + 50);
+    EXPECT_THROW(sim.Run(), Error);
+    // Ran: t=5, the reserved one and 100 of the run; the throw stopped it.
+    EXPECT_EQ(token.use_count(), 1 + 100 + 1 + 50);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  {
+    Simulator sim;
+    for (int i = 0; i < 300; ++i) sim.At(i % 3, [token] {});
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace
