@@ -1,8 +1,10 @@
 // Microbenchmarks of the simulator substrate itself: event-loop throughput
 // (one event in flight, and many in lockstep at one time), host-callback
-// scheduling, resource contention, network flows, and an end-to-end
-// overlapped kernel (wall-clock cost of simulating one AG+GEMM, with World
-// build + compile timed apart from the interpreted run).
+// scheduling, resource contention, flag/resource park and wake, network
+// flows, and an end-to-end overlapped kernel (wall-clock cost of simulating
+// one AG+GEMM, with World build + compile timed apart from the interpreted
+// run). A counting global operator new reports heap allocations per event
+// on the park/wake and interpreter rungs; those counts are deterministic.
 // Built on the vendored harness in bench/microbench.h (Google Benchmark API
 // subset) so it always compiles without external dependencies.
 #include "bench/microbench.h"
@@ -13,6 +15,7 @@
 
 #include "bench/bench_common.h"
 #include "comm/collectives.h"
+#include "common/counting_new.h"
 #include "sim/flag.h"
 #include "sim/network.h"
 #include "sim/resource.h"
@@ -120,6 +123,61 @@ void BM_ResourceContention(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceContention)->Arg(128)->Arg(4096);
 
+sim::Coro PingFlags(sim::Flag* ping, sim::Flag* pong, int rounds) {
+  for (int i = 1; i <= rounds; ++i) {
+    ping->Set(static_cast<uint64_t>(i));
+    co_await pong->WaitGe(static_cast<uint64_t>(i));
+  }
+}
+
+sim::Coro PongFlags(sim::Flag* ping, sim::Flag* pong, int rounds) {
+  for (int i = 1; i <= rounds; ++i) {
+    co_await ping->WaitGe(static_cast<uint64_t>(i));
+    co_await sim::Delay{1};
+    pong->Set(static_cast<uint64_t>(i));
+  }
+}
+
+sim::Coro ContendLoop(sim::Resource* res, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await res->Acquire();
+    co_await sim::Delay{2};
+    res->Release();
+  }
+}
+
+// Park/wake rung: a flag ping-pong plus 16 coroutines contending for a
+// 4-unit resource, every round parking and waking, in one simulator that a
+// first pass warmed up. allocs_per_event counts global operator new calls
+// over the warm passes.
+void BM_ParkWake(benchmark::State& state) {
+  constexpr int kRounds = 1000;
+  sim::Simulator s;
+  sim::Flag ping(&s, "ping");
+  sim::Flag pong(&s, "pong");
+  sim::Resource res(&s, 4, "res");
+  auto pass = [&] {
+    ping.Reset();
+    pong.Reset();
+    s.Spawn(PingFlags(&ping, &pong, kRounds));
+    s.Spawn(PongFlags(&ping, &pong, kRounds));
+    for (int i = 0; i < 16; ++i) s.Spawn(ContendLoop(&res, kRounds / 16));
+    s.Run();
+    benchmark::DoNotOptimize(pong.value());
+  };
+  pass();  // warm-up
+  const uint64_t events0 = s.processed_events();
+  const uint64_t allocs0 = HeapAllocations();
+  for (auto _ : state) pass();
+  const uint64_t events = s.processed_events() - events0;
+  state.counters["allocs_per_event"] =
+      events > 0 ? static_cast<double>(HeapAllocations() - allocs0) /
+                       static_cast<double>(events)
+                 : 0.0;
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+}
+BENCHMARK(BM_ParkWake);
+
 sim::Coro OneFlow(sim::Network* net, int src, int dst) {
   co_await net->Transfer(src, dst, 1 << 20);
 }
@@ -148,12 +206,14 @@ BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512)->Arg(4096);
 
 // The program-interpreter rung: build_ms is World construction plus kernel
 // build and compile, run_ms the RunSpmd that interprets the block programs;
-// events_per_s counts simulator events over run_ms only.
+// events_per_s counts simulator events over run_ms only. allocs_per_event
+// counts global operator new calls during the last (warm) RunSpmd.
 void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   double build_s = 0.0;
   double run_s = 0.0;
   uint64_t events = 0;
+  uint64_t allocs = 0;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
     rt::World world(sim::MachineSpec::H800x8(), rt::ExecMode::kTimingOnly);
@@ -166,8 +226,10 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
     cfg.comm = tl::CommResource::kDma;
     tl::AgGemm kernel(world, cfg);
     const Clock::time_point t1 = Clock::now();
+    const uint64_t allocs0 = HeapAllocations();
     const sim::TimeNs t = world.RunSpmd(
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+    allocs = HeapAllocations() - allocs0;
     const Clock::time_point t2 = Clock::now();
     benchmark::DoNotOptimize(t);
     build_s += std::chrono::duration<double>(t1 - t0).count();
@@ -181,6 +243,9 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   state.counters["run_ms"] = run_s * 1e3 / iters;
   state.counters["events_per_s"] =
       run_s > 0.0 ? static_cast<double>(events) * iters / run_s : 0.0;
+  state.counters["allocs_per_event"] =
+      events > 0 ? static_cast<double>(allocs) / static_cast<double>(events)
+                 : 0.0;
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);
 

@@ -15,7 +15,10 @@
 #      flow network's net.completion_events_per_transfer key and
 #      bench_micro_sim the interpreter rung's
 #      BM_SimulateAgGemmMlp1.events_per_s and the wide event-loop rung's
-#      BM_EventLoopWide/1024.items_per_second keys. fig11 also
+#      BM_EventLoopWide/1024.items_per_second keys, and gates the
+#      deterministic heap-allocation counts: allocs_per_event of the
+#      interpreter rung (warm RunSpmd) and of the BM_ParkWake rung must stay
+#      at or under their committed ceilings. fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
@@ -94,6 +97,21 @@ if [[ "$FAST" == "0" ]]; then
   # And the wide event-loop rung: many events sharing each timestamp.
   grep -q '"BM_EventLoopWide/1024.items_per_second"' build-ci/BENCH_micro_sim.json \
       || { echo "missing BM_EventLoopWide/1024.items_per_second in BENCH_micro_sim.json"; exit 1; }
+  # Heap allocations per simulated event are deterministic counts, so they
+  # gate on committed ceilings: a warm interpreter run allocates only for
+  # fresh flags' waiter lists and the host DMA path's tensor copies (0.24;
+  # 0.52 before the allocation-free hot path), a warm park/wake loop not at
+  # all.
+  alloc_ceiling() {
+    local key=$1 ceiling=$2 value
+    value=$(grep -o "\"$key\": [0-9.eE+-]*" build-ci/BENCH_micro_sim.json \
+        | awk '{print $2}')
+    [[ -n "$value" ]] || { echo "missing $key in BENCH_micro_sim.json"; exit 1; }
+    awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v <= c) }' \
+        || { echo "$key = $value exceeds its ceiling $ceiling"; exit 1; }
+  }
+  alloc_ceiling BM_SimulateAgGemmMlp1.allocs_per_event 0.25
+  alloc_ceiling BM_ParkWake.allocs_per_event 0
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The generated/hand-built identity suite (test_overlap_gen) already ran

@@ -131,7 +131,7 @@ FluxAgGemm::FluxAgGemm(rt::World& world, const FluxConfig& config)
                 if (tn == 0) {
                   spec.entries.push_back(
                       NotifyEntry{SignalSpace::kProducerConsumer,
-                                  {e.rank},
+                                  e.rank,
                                   map.Channel(tm),
                                   1});
                 }

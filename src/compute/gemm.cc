@@ -7,10 +7,11 @@ namespace tilelink::compute {
 namespace {
 
 // One GEMM thread block: bills per-k-step MMA time, then performs the whole
-// tile's math once (numerically identical, far fewer host ops).
-sim::Coro GemmBlockBody(rt::BlockCtx bctx, Tensor a, Tensor b, Tensor c,
-                        GemmOptions options, int64_t tiles_m, int64_t tiles_n,
-                        int64_t num_tiles) {
+// tile's math once (numerically identical, far fewer host ops). The operands
+// live in the launch's block function, which outlives every block.
+sim::Coro GemmBlockBody(rt::BlockCtx bctx, const Tensor& a, const Tensor& b,
+                        Tensor& c, const GemmOptions& options,
+                        int64_t tiles_n, int64_t num_tiles) {
   const sim::CostModel cost(bctx.dev->spec());
   const GemmTiling& t = options.tiling;
   const int64_t k = a.dim(1);
@@ -20,7 +21,6 @@ sim::Coro GemmBlockBody(rt::BlockCtx bctx, Tensor a, Tensor b, Tensor c,
     const int64_t tid_m = tile / tiles_n;
     const int64_t tid_n = tile % tiles_n;
     co_await sim::Delay{cost.BlockPrologue()};
-    const sim::TimeNs start = bctx.dev->sim()->Now();
     for (int64_t s = 0; s < k_steps; ++s) {
       co_await sim::Delay{cost.GemmTileStep(t.bm, t.bn, t.bk)};
     }
@@ -29,8 +29,6 @@ sim::Coro GemmBlockBody(rt::BlockCtx bctx, Tensor a, Tensor b, Tensor c,
       GemmTile(a, b, c, tid_m * t.bm, t.bm, tid_n * t.bn, t.bn, 0, k,
                options.accumulate);
     }
-    (void)start;
-    (void)tiles_m;
   }
 }
 
@@ -52,10 +50,11 @@ std::shared_ptr<rt::KernelState> LaunchGemm(rt::RankCtx& /*ctx*/,
   if (options.max_blocks > 0 && grid > options.max_blocks) {
     grid = options.max_blocks;
   }
-  auto body = [=](rt::BlockCtx bctx) -> sim::Coro {
-    return GemmBlockBody(bctx, a, b, c, options, tiles_m, tiles_n, num_tiles);
+  auto body = [a, b, c, options, tiles_n, num_tiles](
+                  rt::BlockCtx bctx) mutable {
+    return GemmBlockBody(bctx, a, b, c, options, tiles_n, num_tiles);
   };
-  return stream.LaunchKernel(grid, body, options.name);
+  return stream.LaunchKernel(grid, std::move(body), options.name);
 }
 
 void GemmRef(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {

@@ -4,9 +4,9 @@ namespace tilelink::rt {
 namespace {
 
 // Root coroutine for one thread block: queue for an SM slot, run the body,
-// free the slot, tick the kernel's completion counter.
-sim::Coro BlockWrapper(BlockCtx ctx, BlockFn body,
-                       std::shared_ptr<KernelState> state) {
+// free the slot, tick the kernel's completion counter. `body` and the kernel
+// state belong to the launch, which outlives every block it spawns.
+sim::Coro BlockWrapper(BlockCtx ctx, const BlockFn& body) {
   co_await ctx.dev->sms().Acquire();
   try {
     co_await body(ctx);
@@ -15,9 +15,9 @@ sim::Coro BlockWrapper(BlockCtx ctx, BlockFn body,
     throw;
   }
   ctx.dev->sms().Release();
-  state->blocks_done.Add(1);
-  if (state->done()) {
-    state->end_time = ctx.dev->sim()->Now();
+  ctx.kernel->blocks_done.Add(1);
+  if (ctx.kernel->done()) {
+    ctx.kernel->end_time = ctx.dev->sim()->Now();
   }
 }
 
@@ -25,7 +25,9 @@ sim::Coro BlockWrapper(BlockCtx ctx, BlockFn body,
 
 void Stream::Enqueue(std::function<sim::Coro()> make_op) {
   const uint64_t index = enqueued_++;
-  dev_->sim()->Spawn(RunOp(index, std::move(make_op)), name_ + ".op");
+  sim::Simulator* sim = dev_->sim();
+  sim->Spawn(RunOp(index, std::move(make_op)),
+             sim->trace() != nullptr ? name_ + ".op" : std::string());
 }
 
 sim::Coro Stream::RunOp(uint64_t index, std::function<sim::Coro()> make_op) {
@@ -40,13 +42,17 @@ std::shared_ptr<KernelState> Stream::LaunchKernel(int grid, BlockFn body,
   auto state =
       std::make_shared<KernelState>(dev_->sim(), grid, std::move(kernel_name));
   Device* dev = dev_;
+  // The op's closure owns `body` and `state` until every block finished:
+  // the op completes only after the last block ticks blocks_done.
   Enqueue([dev, grid, body = std::move(body), state]() -> sim::Coro {
     co_await sim::Delay{dev->spec().kernel_launch_latency};
-    state->start_time = dev->sim()->Now();
+    sim::Simulator* sim = dev->sim();
+    state->start_time = sim->Now();
+    const std::string block_name =
+        sim->trace() != nullptr ? state->name + ".block" : std::string();
     for (int b = 0; b < grid; ++b) {
-      dev->sim()->Spawn(
-          BlockWrapper(BlockCtx{dev, b, grid, state.get()}, body, state),
-          state->name + ".block");
+      sim->Spawn(BlockWrapper(BlockCtx{dev, b, grid, state.get()}, body),
+                 block_name);
     }
     co_await state->Wait();
   });

@@ -78,7 +78,9 @@ class Stream {
   void Enqueue(std::function<sim::Coro()> make_op);
 
   // Launches a kernel of `grid` blocks on this stream; returns its state.
-  // The launch occupies the stream until every block has finished.
+  // The launch occupies the stream until every block has finished, and
+  // keeps `body` alive until then: each block calls it by reference, so a
+  // block coroutine may refer to the body's captures.
   std::shared_ptr<KernelState> LaunchKernel(int grid, BlockFn body,
                                             std::string kernel_name);
 

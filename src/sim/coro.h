@@ -11,12 +11,23 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <new>
 #include <utility>
 
 #include "common/check.h"
 #include "sim/time.h"
+
+// Coroutine frame pooling is a no-op under AddressSanitizer so freed frames
+// stay poisoned and use-after-free on a frame is still caught.
+#if defined(__SANITIZE_ADDRESS__)
+#define TILELINK_FRAME_POOL_DISABLED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TILELINK_FRAME_POOL_DISABLED 1
+#endif
+#endif
 
 namespace tilelink::sim {
 
@@ -25,9 +36,15 @@ class Simulator;
 // Size-bucketed pool for coroutine frames (defined in simulator.cc; no-op
 // pass-through to the global allocator under ASan). Simulated programs spawn
 // millions of short-lived activity frames of a handful of distinct sizes, so
-// recycling them removes the allocator from the event-loop hot path.
+// recycling them removes the allocator from the event-loop hot path. Each
+// thread keeps its own free lists and returns them to the global allocator
+// when it exits; a frame freed on a thread whose pool is already gone goes
+// straight back to the global allocator.
 void* FramePoolAlloc(std::size_t size);
 void FramePoolFree(void* ptr, std::size_t size) noexcept;
+// Bytes the pool has taken from the global allocator and not yet returned,
+// over all threads: frames in use plus free-listed ones.
+std::size_t FramePoolBytes();
 
 template <typename A>
 concept BindableAwaitable = requires(A a, Simulator* s) { a.Bind(s); };
@@ -42,6 +59,9 @@ class [[nodiscard]] Coro {
     std::coroutine_handle<> continuation;  // resumed when this coro finishes
     std::exception_ptr error;
     bool owned_by_sim = false;  // root coroutine: simulator destroys it
+    // Root coroutines: index in the simulator's live-root list (fits in the
+    // padding after owned_by_sim, so frames do not grow).
+    uint32_t root_slot = 0;
 
     // Route frame allocation through the size-bucketed pool.
     static void* operator new(std::size_t size) {

@@ -44,25 +44,24 @@ class Flag {
 
   void Reset() { value_ = 0; }  // only valid when no waiters are parked
 
-  struct [[nodiscard]] Awaiter {
+  struct [[nodiscard]] Awaiter : BlockedNode {
+    Awaiter(Flag* f, uint64_t t)
+        : BlockedNode(&Awaiter::Describe), flag(f), threshold(t) {}
     Flag* flag;
     uint64_t threshold;
     bool await_ready() const { return flag->value_ >= threshold; }
     void await_suspend(std::coroutine_handle<> h) {
       flag->waiters_.push_back(Waiter{threshold, h});
-      // Lazy description: evaluated only if a deadlock is reported, so
-      // parking allocates nothing and the report shows the flag's *last*
-      // published value rather than its value when the waiter parked.
-      flag->sim_->RegisterBlockedDynamic(this, this, &Awaiter::Describe);
+      flag->sim_->Park(*this);
     }
-    void await_resume() { flag->sim_->UnregisterBlocked(this); }
+    void await_resume() { Unpark(); }
 
    private:
-    static std::string Describe(const void* ctx) {
-      const Awaiter* a = static_cast<const Awaiter*>(ctx);
-      return "flag '" + a->flag->name_ + "' wait >= " +
-             std::to_string(a->threshold) + " (last published value " +
-             std::to_string(a->flag->value_) + ")";
+    static std::string Describe(const BlockedNode& node) {
+      const Awaiter& a = static_cast<const Awaiter&>(node);
+      return "flag '" + a.flag->name_ + "' wait >= " +
+             std::to_string(a.threshold) + " (last published value " +
+             std::to_string(a.flag->value_) + ")";
     }
   };
 

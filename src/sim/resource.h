@@ -6,7 +6,6 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <string>
 
 #include "common/check.h"
@@ -29,29 +28,40 @@ class Resource {
   int in_use() const { return capacity_ - available_; }
   const std::string& name() const { return name_; }
 
-  struct [[nodiscard]] Awaiter {
+  struct [[nodiscard]] Awaiter : BlockedNode {
+    Awaiter(Resource* r, int units)
+        : BlockedNode(&Awaiter::Describe), res(r), n(units) {}
     Resource* res;
     int n;
     bool await_ready() {
       // FIFO: even if capacity is free, queued waiters go first.
-      if (res->waiters_.empty() && res->available_ >= n) {
+      if (res->head_ == nullptr && res->available_ >= n) {
         res->available_ -= n;
         return true;
       }
       return false;
     }
     void await_suspend(std::coroutine_handle<> h) {
-      res->waiters_.push_back(Waiter{n, h});
-      // Lazy description, as Flag::Awaiter: parking builds no string.
-      res->sim_->RegisterBlockedDynamic(this, this, &Awaiter::Describe);
+      handle = h;
+      if (res->tail_ == nullptr) {
+        res->head_ = this;
+      } else {
+        res->tail_->next_waiter = this;
+      }
+      res->tail_ = this;
+      res->sim_->Park(*this);
     }
-    void await_resume() { res->sim_->UnregisterBlocked(this); }
+    void await_resume() { Unpark(); }
 
    private:
-    static std::string Describe(const void* ctx) {
-      return "resource '" + static_cast<const Awaiter*>(ctx)->res->name_ +
+    friend class Resource;
+    static std::string Describe(const BlockedNode& node) {
+      return "resource '" + static_cast<const Awaiter&>(node).res->name_ +
              "' acquire";
     }
+    // Admission queue link: parked awaiters form the resource's FIFO.
+    std::coroutine_handle<> handle;
+    Awaiter* next_waiter = nullptr;
   };
 
   // Acquires n units; pair with Release(n).
@@ -64,25 +74,23 @@ class Resource {
   void Release(int n = 1) {
     available_ += n;
     TL_CHECK_LE(available_, capacity_);
-    while (!waiters_.empty() && waiters_.front().n <= available_) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      available_ -= w.n;
-      sim_->ScheduleResume(sim_->Now(), w.h);
+    while (head_ != nullptr && head_->n <= available_) {
+      Awaiter* w = head_;
+      head_ = w->next_waiter;
+      if (head_ == nullptr) tail_ = nullptr;
+      available_ -= w->n;
+      sim_->ScheduleResume(sim_->Now(), w->handle);
     }
   }
 
  private:
-  struct Waiter {
-    int n;
-    std::coroutine_handle<> h;
-  };
-
   Simulator* sim_;
   int capacity_;
   int available_;
   std::string name_;
-  std::deque<Waiter> waiters_;
+  // FIFO of parked awaiters, threaded through the awaiters themselves.
+  Awaiter* head_ = nullptr;
+  Awaiter* tail_ = nullptr;
 
   friend struct Awaiter;
 };

@@ -1,21 +1,12 @@
 #include "sim/simulator.h"
 
 #include <array>
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 
 #include "common/log.h"
 #include "sim/trace.h"
-
-// Coroutine frame pooling is a no-op under AddressSanitizer so freed frames
-// stay poisoned and use-after-free on a frame is still caught.
-#if defined(__SANITIZE_ADDRESS__)
-#define TILELINK_FRAME_POOL_DISABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TILELINK_FRAME_POOL_DISABLED 1
-#endif
-#endif
 
 namespace tilelink::sim {
 
@@ -24,9 +15,8 @@ namespace {
 
 // Size-bucketed free lists for coroutine frames (64-byte granularity, frames
 // up to 2 KiB pooled; larger ones fall through to the global allocator).
-// Pooled memory is retained for the thread's lifetime — the simulator spawns
-// millions of short-lived activity frames of only a handful of distinct
-// sizes, so steady state allocates nothing.
+// The simulator spawns millions of short-lived activity frames of only a
+// handful of distinct sizes, so steady state allocates nothing.
 constexpr std::size_t kFrameGranularity = 64;
 constexpr std::size_t kFrameBuckets = 32;
 
@@ -34,7 +24,36 @@ struct FreeFrame {
   FreeFrame* next;
 };
 
-thread_local std::array<FreeFrame*, kFrameBuckets> g_frame_pool = {};
+std::atomic<std::size_t> g_pooled_bytes{0};
+
+// One thread's free lists. The destructor runs at thread exit and returns
+// every free-listed frame to the global allocator; without it, each
+// short-lived worker thread (the autotuner starts fresh ones per parallel
+// pass) would strand its frames for the life of the process.
+struct FramePool {
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool();
+
+  std::array<FreeFrame*, kFrameBuckets> free = {};
+};
+
+thread_local FramePool g_frame_pool;
+// Set once this thread's pool is destroyed: later frees on the thread (from
+// other thread-exit destructors) bypass the pool.
+thread_local bool g_frame_pool_gone = false;
+
+FramePool::~FramePool() {
+  for (std::size_t bucket = 0; bucket < kFrameBuckets; ++bucket) {
+    while (FreeFrame* frame = free[bucket]) {
+      free[bucket] = frame->next;
+      ::operator delete(frame);
+      g_pooled_bytes -= bucket * kFrameGranularity;
+    }
+  }
+  g_frame_pool_gone = true;
+}
 
 inline std::size_t BucketOf(std::size_t size) {
   return (size + kFrameGranularity - 1) / kFrameGranularity;
@@ -47,10 +66,13 @@ void* FramePoolAlloc(std::size_t size) {
 #ifndef TILELINK_FRAME_POOL_DISABLED
   const std::size_t bucket = BucketOf(size);
   if (bucket < kFrameBuckets) {
-    if (FreeFrame* frame = g_frame_pool[bucket]; frame != nullptr) {
-      g_frame_pool[bucket] = frame->next;
-      return frame;
+    if (!g_frame_pool_gone) {
+      if (FreeFrame* frame = g_frame_pool.free[bucket]; frame != nullptr) {
+        g_frame_pool.free[bucket] = frame->next;
+        return frame;
+      }
     }
+    g_pooled_bytes += bucket * kFrameGranularity;
     return ::operator new(bucket * kFrameGranularity);
   }
 #endif
@@ -61,13 +83,26 @@ void FramePoolFree(void* ptr, std::size_t size) noexcept {
 #ifndef TILELINK_FRAME_POOL_DISABLED
   const std::size_t bucket = BucketOf(size);
   if (bucket < kFrameBuckets) {
+    if (g_frame_pool_gone) {
+      ::operator delete(ptr);
+      g_pooled_bytes -= bucket * kFrameGranularity;
+      return;
+    }
     auto* frame = static_cast<FreeFrame*>(ptr);
-    frame->next = g_frame_pool[bucket];
-    g_frame_pool[bucket] = frame;
+    frame->next = g_frame_pool.free[bucket];
+    g_frame_pool.free[bucket] = frame;
     return;
   }
 #endif
   ::operator delete(ptr);
+}
+
+std::size_t FramePoolBytes() {
+#ifndef TILELINK_FRAME_POOL_DISABLED
+  return g_pooled_bytes.load();
+#else
+  return 0;
+#endif
 }
 
 std::coroutine_handle<> Coro::promise_type::FinalAwaiter::await_suspend(
@@ -82,16 +117,23 @@ std::coroutine_handle<> Coro::promise_type::FinalAwaiter::await_suspend(
   return std::noop_coroutine();
 }
 
-Simulator::Simulator() = default;
+Simulator::Simulator() { blocked_.prev_ = blocked_.next_ = &blocked_; }
 
 Simulator::~Simulator() {
   DestroyFinishedRoots();
+  // Detach every parked awaiter first: the frames holding them are
+  // destroyed below in no particular order, and an awaiter leaving the
+  // list must not touch a neighbour that is already gone.
+  for (BlockedNode* node = blocked_.next_; node != &blocked_;) {
+    BlockedNode* next = node->next_;
+    node->prev_ = node->next_ = nullptr;
+    node = next;
+  }
+  blocked_.prev_ = blocked_.next_ = &blocked_;
   // Roots still suspended at teardown (e.g. after a DeadlockError) would
   // otherwise leak their frames: destroy them explicitly. Frame destruction
   // only runs local destructors — nothing is resumed.
-  for (void* frame : live_root_frames_) {
-    Coro::Handle::from_address(frame).destroy();
-  }
+  for (Coro::Handle h : live_roots_) h.destroy();
   // Callables still queued at teardown own captures: destroy without running.
   for (const Event& entry : heap_) {
     if (entry.run == kNoRun) {
@@ -211,8 +253,8 @@ void Simulator::Spawn(Coro coro, std::string name) {
   Coro::Handle h = coro.Release();
   h.promise().sim = this;
   h.promise().owned_by_sim = true;
-  ++live_roots_;
-  live_root_frames_.insert(h.address());
+  h.promise().root_slot = static_cast<uint32_t>(live_roots_.size());
+  live_roots_.push_back(h);
   ScheduleResume(now_, h);
   if (trace_ != nullptr && !name.empty()) {
     open_root_spans_.emplace(h.address(), OpenRootSpan{std::move(name), now_});
@@ -225,8 +267,12 @@ void Simulator::ScheduleResume(TimeNs t, std::coroutine_handle<> h) {
 }
 
 void Simulator::NotifyRootDone(Coro::Handle h) {
-  --live_roots_;
-  live_root_frames_.erase(h.address());
+  // Swap-and-pop: the last root takes over the finished root's slot.
+  const uint32_t slot = h.promise().root_slot;
+  Coro::Handle last = live_roots_.back();
+  live_roots_[slot] = last;
+  last.promise().root_slot = slot;
+  live_roots_.pop_back();
   finished_roots_.push_back(h);
   if (trace_ != nullptr && !open_root_spans_.empty()) {
     auto it = open_root_spans_.find(h.address());
@@ -269,12 +315,13 @@ void Simulator::Run() {
     }
     DestroyFinishedRoots();  // rethrows root errors promptly
   }
-  if (live_roots_ > 0) {
+  if (!live_roots_.empty()) {
     std::ostringstream os;
     os << "deadlock: event queue empty at t=" << now_ << "ns with "
-       << live_roots_ << " live activities; blocked on:";
-    for (const auto& [key, info] : blocked_) {
-      os << "\n  - " << info.describe(info.ctx);
+       << live_roots_.size() << " live activities; blocked on:";
+    for (const BlockedNode* node = blocked_.next_; node != &blocked_;
+         node = node->next_) {
+      os << "\n  - " << node->describe_(*node);
     }
     throw DeadlockError(os.str(), now_);
   }
@@ -287,13 +334,6 @@ void Simulator::Run() {
          TraceArg::Str("result", "drained")});
   }
 }
-
-void Simulator::RegisterBlockedDynamic(const void* key, const void* ctx,
-                                       std::string (*describe)(const void*)) {
-  blocked_[key] = BlockedInfo{describe, ctx};
-}
-
-void Simulator::UnregisterBlocked(const void* key) { blocked_.erase(key); }
 
 void Delay::await_suspend(std::coroutine_handle<> h) {
   TL_CHECK_MSG(sim != nullptr, "Delay awaited outside a simulator coroutine");

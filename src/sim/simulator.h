@@ -26,7 +26,16 @@
 // memcpy-speed and scheduling an event allocates nothing once the node pool
 // and the run buffers warm up. Coroutine frames are also pooled
 // (see FramePoolAlloc in coro.h) — the autotuner runs thousands of short
-// simulations per search, so allocation churn dominates without these.
+// simulations per search, so allocation churn dominates without these. Each
+// thread's pool is owned by a thread-exit destructor that returns its frames
+// to the global allocator, so short-lived worker threads do not strand them.
+//
+// Parking allocates nothing either. A parked Flag or Resource awaiter is a
+// BlockedNode: it lives in the suspended coroutine's frame and links itself
+// into the simulator's intrusive blocked list, so parking and waking are a
+// few pointer writes, and a deadlock report walks the list in park order.
+// Live root coroutines sit in a dense vector; each root's promise records
+// its slot, so Spawn appends and completion swaps-and-pops.
 #pragma once
 
 #include <coroutine>
@@ -38,7 +47,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -64,6 +72,39 @@ class DeadlockError : public tilelink::Error {
 
  private:
   TimeNs stall_time_;
+};
+
+// One parked activity on the simulator's blocked list. Awaiters that can
+// park (Flag::Awaiter, Resource::Awaiter) derive from it; since the awaiter
+// lives in the suspended coroutine's frame, the list needs no storage of its
+// own. `describe` is evaluated only if a deadlock is reported, so parking
+// builds no string and the report sees the *final* state (e.g. a flag's last
+// published value, not its value when the waiter parked).
+class BlockedNode {
+ public:
+  using DescribeFn = std::string (*)(const BlockedNode&);
+
+  explicit BlockedNode(DescribeFn describe) : describe_(describe) {}
+  // A copy starts unlinked: only the parked object itself is on the list.
+  BlockedNode(const BlockedNode& other) : describe_(other.describe_) {}
+  BlockedNode& operator=(const BlockedNode&) = delete;
+  ~BlockedNode() { Unpark(); }
+
+  // Leaves the blocked list; a no-op when not parked.
+  void Unpark() {
+    if (prev_ == nullptr) return;
+    prev_->next_ = next_;
+    next_->prev_ = prev_;
+    prev_ = next_ = nullptr;
+  }
+
+ private:
+  friend class Simulator;
+  BlockedNode() = default;  // the simulator's list head
+
+  BlockedNode* prev_ = nullptr;
+  BlockedNode* next_ = nullptr;
+  DescribeFn describe_ = nullptr;
 };
 
 class Simulator {
@@ -145,18 +186,17 @@ class Simulator {
   void Run();
 
   // Number of root coroutines spawned and still running.
-  int live_roots() const { return live_roots_; }
+  int live_roots() const { return static_cast<int>(live_roots_.size()); }
   uint64_t processed_events() const { return processed_events_; }
 
-  // Blocked-activity registry for deadlock diagnostics. Awaitables register
-  // a describe function keyed by their own address while a coroutine is
-  // parked; it is evaluated against `ctx` only if a deadlock is actually
-  // reported, so parking builds no string and the report sees the *final*
-  // state (e.g. a flag's last published value, not its value when the
-  // waiter parked).
-  void RegisterBlockedDynamic(const void* key, const void* ctx,
-                              std::string (*describe)(const void*));
-  void UnregisterBlocked(const void* key);
+  // Appends `node` to the blocked list (deadlock diagnostics) until it
+  // unparks; the node must not already be parked.
+  void Park(BlockedNode& node) {
+    node.prev_ = blocked_.prev_;
+    node.next_ = &blocked_;
+    blocked_.prev_->next_ = &node;
+    blocked_.prev_ = &node;
+  }
 
   // Optional chrome-trace recorder (not owned may be null). While attached,
   // Spawn/NotifyRootDone record one structural span per named root
@@ -251,7 +291,6 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t current_seq_ = 0;  // sequence of the event being processed
   uint64_t processed_events_ = 0;
-  int live_roots_ = 0;
   // Min-heap on (t, seq): one entry per run head or lone event.
   std::vector<Event> heap_;
   std::vector<EventRun> runs_;
@@ -261,14 +300,12 @@ class Simulator {
   std::deque<CallbackNode> callback_arena_;
   CallbackNode* free_callbacks_ = nullptr;
   std::vector<Coro::Handle> finished_roots_;
-  // Frames of sim-owned roots still suspended; destroyed at teardown so a
-  // deadlocked (never-completing) program does not leak its coroutines.
-  std::unordered_set<void*> live_root_frames_;
-  struct BlockedInfo {
-    std::string (*describe)(const void*);
-    const void* ctx;
-  };
-  std::unordered_map<const void*, BlockedInfo> blocked_;
+  // Sim-owned roots still running, each at the slot its promise records;
+  // destroyed at teardown so a deadlocked (never-completing) program does
+  // not leak its coroutines.
+  std::vector<Coro::Handle> live_roots_;
+  // Head of the circular blocked list, in park order.
+  BlockedNode blocked_;
   TraceRecorder* trace_ = nullptr;
   int trace_pid_ = 0;
   // Open root spans (spawn -> completion), populated only while a recorder

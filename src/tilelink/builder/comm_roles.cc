@@ -60,7 +60,7 @@ BlockProgram BuildRowAllGatherPull(const RowAllGatherParams& params) {
           body.Add(ops::ProducerTileNotify(
               "ag.notify(p2p)", [map, tile_of](const Env& e) {
                 // Pull mode: the local consumer.
-                return NotifyOne(SignalSpace::kProducerConsumer, {e.rank},
+                return NotifyOne(SignalSpace::kProducerConsumer, e.rank,
                                  map.Channel(tile_of(e)));
               }));
         });
@@ -136,7 +136,7 @@ BlockProgram BuildRowAllGatherPush(const RowAllGatherParams& params) {
                          "ag.notify(p2p)",
                          [map, tile_of, target_of](const Env& e) {
                            return NotifyOne(SignalSpace::kProducerConsumer,
-                                            {target_of(e)},
+                                            target_of(e),
                                             map.Channel(tile_of(e)));
                          }));
                    });

@@ -474,7 +474,7 @@ BlockProgram BuildNicRailPush(const NicRailPushParams& p) {
                 const int peer =
                     peer_node * per_node + e.rank % per_node;
                 return NotifyOne(
-                    SignalSpace::kPeer, {peer},
+                    SignalSpace::kPeer, peer,
                     rail_base +
                         RailSourceIndex(my_node, peer_node) *
                             static_cast<int>(cpb) +

@@ -30,8 +30,7 @@ struct AgConsumerParams {
   int ranks = 0;
   TileOrder order = TileOrder::kOwnerFirst;
   // Producer-consumer waits covering gathered rows [lo, hi).
-  std::function<std::vector<ChannelWait>(int64_t lo, int64_t hi)>
-      waits_for_rows;
+  std::function<WaitList(int64_t lo, int64_t hi)> waits_for_rows;
 };
 
 // Total consumer tiles: ceil(m / bm) * ceil(n / bn).

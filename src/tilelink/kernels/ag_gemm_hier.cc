@@ -220,7 +220,7 @@ BlockProgram AgGemmHier::BuildHierRing(int S, int64_t cpb) {
               },
               [=](const Env& e) {
                 return NotifyOne(
-                    SignalSpace::kProducerConsumer, {e.rank},
+                    SignalSpace::kProducerConsumer, e.rank,
                     channel_of(e.rank * cpb + chunk_of(e), strip_of(e)));
               },
               /*async_dma=*/false,
@@ -290,7 +290,7 @@ BlockProgram AgGemmHier::BuildHierRing(int S, int64_t cpb) {
                                 [=](const Env& e) {
                                   return NotifyOne(
                                       SignalSpace::kProducerConsumer,
-                                      {right_of(e)},
+                                      right_of(e),
                                       channel_of(block_of(e) * cpb +
                                                      chunk_of(e),
                                                  strip_of(e)));
@@ -380,7 +380,7 @@ BlockProgram AgGemmHier::BuildHierRail(int S, int64_t cpb, int64_t cpb_rail,
                   for (int64_t j = 0; j < S; ++j) {
                     spec.entries.push_back(NotifyEntry{
                         SignalSpace::kProducerConsumer,
-                        {dst},
+                        dst,
                         static_cast<int>((e.rank * cpb + rc) * S + j),
                         1});
                   }
@@ -426,7 +426,7 @@ BlockProgram AgGemmHier::BuildConsumer(int S) {
   } else {
     const int64_t tile = cfg_.comm_tile_m;
     p.waits_for_rows = [S, tile](int64_t lo, int64_t hi) {
-      std::vector<ChannelWait> waits;
+      WaitList waits;
       for (int64_t t = lo / tile; t < CeilDiv<int64_t>(hi, tile); ++t) {
         for (int j = 0; j < S; ++j) {
           waits.push_back(

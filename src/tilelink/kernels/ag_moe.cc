@@ -1,7 +1,6 @@
 #include "tilelink/kernels/ag_moe.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/math_utils.h"
 #include "tilelink/builder/comm_roles.h"
@@ -34,27 +33,30 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   group_blocks_ = compute::MakeGroupBlocks(routing_, cfg_.n, cfg_.gemm.bm,
                                            cfg_.gemm.bn);
   dyn_.Resize(static_cast<int64_t>(group_blocks_.size()));
+  std::vector<int> channels;       // reused: one tile's channels, sorted
+  std::vector<ChannelWait> waits;  // reused: that tile's wait list
   for (size_t i = 0; i < group_blocks_.size(); ++i) {
     const compute::GroupBlock& gb = group_blocks_[i];
-    std::set<int> channels;
+    channels.clear();
     int64_t row_lo = cfg_.m, row_hi = 0;
     for (int r = 0; r < gb.rows; ++r) {
       const int token =
           routing_.token_of_sorted(gb.sorted_row_start + r);
-      const auto waits = map_.WaitsForRows(token, token + 1);
-      for (const ChannelWait& w : waits) channels.insert(w.channel);
+      channels.push_back(map_.ChannelOfRow(token));
       row_lo = std::min<int64_t>(row_lo, token);
       row_hi = std::max<int64_t>(row_hi, token + 1);
     }
-    std::vector<ChannelWait> waits;
-    waits.reserve(channels.size());
+    std::sort(channels.begin(), channels.end());
+    channels.erase(std::unique(channels.begin(), channels.end()),
+                   channels.end());
+    waits.clear();
     for (int c : channels) {
       waits.push_back(ChannelWait{c, map_.TilesInChannel(c)});
     }
     dyn_.SetTile(static_cast<int64_t>(i),
                  TileRange{std::min(row_lo, row_hi), row_hi}, gb.expert,
                  waits.empty() ? 0 : waits.front().channel);
-    dyn_.SetWaits(static_cast<int64_t>(i), std::move(waits));
+    dyn_.SetWaits(static_cast<int64_t>(i), waits);
   }
 
   const int64_t tiles = static_cast<int64_t>(group_blocks_.size());
@@ -129,10 +131,11 @@ BlockProgram AgMoe::BuildGroupGemm() {
         [&](TileProgramBuilder& body) {
           body.Add(ops::ConsumerTileWait(
               "moe.consumer_wait(table)", [dyn](const Env& e) {
+                const auto waits =
+                    dyn->Waits(e.block_id + e.iv(0) * e.grid);
                 WaitSpec spec;
                 spec.space = SignalSpace::kProducerConsumer;
-                spec.waits =
-                    dyn->Waits(e.block_id + e.iv(0) * e.grid);
+                spec.waits.assign(waits.begin(), waits.end());
                 return spec;
               }));
           body.For("kk", [k_steps](const Env&) { return k_steps; },

@@ -112,7 +112,7 @@ GemmHierRs::GemmHierRs(rt::World& world, const GemmHierRsConfig& config)
     // Release each node-reduced chunk to the rail roles on this rank. The
     // raw chunk id maps to its row chunk; the rail waits for all S strips.
     rs.final_notify = [ring_done_base, S](const Env& e, int64_t chunk) {
-      return NotifyOne(SignalSpace::kPeer, {e.rank},
+      return NotifyOne(SignalSpace::kPeer, e.rank,
                        ring_done_base + static_cast<int>(chunk / S));
     };
   }

@@ -83,7 +83,7 @@ BlockProgram BuildPartialGemmProducer(const PartialGemmParams& p) {
               "gemm.notify(p2p)", [map, tid_mn](const Env& e) {
                 const auto [tm, tn] = tid_mn(e);
                 (void)tn;
-                return NotifyOne(SignalSpace::kProducerConsumer, {e.rank},
+                return NotifyOne(SignalSpace::kProducerConsumer, e.rank,
                                  map.Channel(tm));
               }));
         });

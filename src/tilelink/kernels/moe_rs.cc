@@ -1,7 +1,6 @@
 #include "tilelink/kernels/moe_rs.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/math_utils.h"
 #include "tilelink/builder/role_plan.h"
@@ -56,23 +55,28 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
   }
   const int64_t reduce_chunks = cfg_.m / cfg_.reduce_block_tokens;
   reduce_waits_.Resize(reduce_chunks);
+  std::vector<int> channels;       // reused: one chunk's channels, sorted
+  std::vector<ChannelWait> waits;  // reused: that chunk's wait list
   for (int64_t ch = 0; ch < reduce_chunks; ++ch) {
-    std::set<int> channels;
+    channels.clear();
     const int64_t t0 = ch * cfg_.reduce_block_tokens;
     for (int64_t t = t0; t < t0 + cfg_.reduce_block_tokens; ++t) {
       for (int kk = 0; kk < cfg_.topk; ++kk) {
         const int pos = inv_sorted[static_cast<size_t>(t * cfg_.topk + kk)];
-        channels.insert(pos / cfg_.sorted_channel_rows);
+        channels.push_back(pos / cfg_.sorted_channel_rows);
       }
     }
-    std::vector<ChannelWait> waits;
+    std::sort(channels.begin(), channels.end());
+    channels.erase(std::unique(channels.begin(), channels.end()),
+                   channels.end());
+    waits.clear();
     for (int c : channels) {
       waits.push_back(
           ChannelWait{c, pc1_thresholds_[static_cast<size_t>(c)]});
     }
     reduce_waits_.SetTile(ch, TileRange{t0, t0 + cfg_.reduce_block_tokens}, 0,
                           waits.empty() ? 0 : waits.front().channel);
-    reduce_waits_.SetWaits(ch, std::move(waits));
+    reduce_waits_.SetWaits(ch, waits);
   }
 
   const int64_t peer_channels = cfg_.m / cfg_.rs_block_m;
@@ -245,7 +249,7 @@ BlockProgram MoeRs::BuildGroupGemm() {
                       (gb.sorted_row_start + gb.rows - 1) / sorted_rows);
                   for (int c = first; c <= last; ++c) {
                     spec.entries.push_back(NotifyEntry{
-                        SignalSpace::kProducerConsumer, {e.rank}, c, 1});
+                        SignalSpace::kProducerConsumer, e.rank, c, 1});
                   }
                 }
                 return spec;
@@ -275,9 +279,10 @@ BlockProgram MoeRs::BuildTopkReduce() {
         [&](TileProgramBuilder& body) {
           body.Add(ops::ConsumerTileWait(
               "reduce.consumer_wait(table)", [dyn, chunk_of](const Env& e) {
+                const auto waits = dyn->Waits(chunk_of(e));
                 WaitSpec spec;
                 spec.space = SignalSpace::kProducerConsumer;
-                spec.waits = dyn->Waits(chunk_of(e));
+                spec.waits.assign(waits.begin(), waits.end());
                 return spec;
               }));
           body.Add(ops::Load(
@@ -326,7 +331,7 @@ BlockProgram MoeRs::BuildTopkReduce() {
           body.Add(ops::ProducerTileNotify(
               "reduce.notify(pc2)", [chunk_of, bt, rs_rows, pc1](const Env& e) {
                 return NotifyOne(
-                    SignalSpace::kProducerConsumer, {e.rank},
+                    SignalSpace::kProducerConsumer, e.rank,
                     pc1 + static_cast<int>(chunk_of(e) * bt / rs_rows));
               }));
         });

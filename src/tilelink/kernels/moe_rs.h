@@ -54,6 +54,8 @@ class MoeRs : public FusedKernelBase {
   comm::SymTensor& token_partial() { return token_partial_; }  // [M, H]
   comm::SymTensor& out() { return out_; }          // [M/R, H] reduced
 
+  // Per topk-reduce chunk: the pc1 channels it waits on (dynamic mapping).
+  const DynamicMapping& reduce_wait_table() const { return reduce_waits_; }
   // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }

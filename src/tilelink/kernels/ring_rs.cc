@@ -163,7 +163,7 @@ BlockProgram BuildRingReduceScatter(const RingRsParams& p) {
                        // accumulated chunk has landed at the neighbor.
                        [=](const Env& e) {
                          return NotifyOne(
-                             SignalSpace::kPeer, {to_rank(e)},
+                             SignalSpace::kPeer, to_rank(e),
                              peer_channel(seg_at(e, stage_of(e)),
                                           chunk_of(e)));
                        },

@@ -63,12 +63,11 @@ TileRange StaticMapping::ChannelRows(int channel) const {
   return TileRange{lo, std::min<int64_t>(lo + m_per_channel_, m_)};
 }
 
-std::vector<ChannelWait> StaticMapping::WaitsForRows(int64_t lo,
-                                                     int64_t hi) const {
+WaitList StaticMapping::WaitsForRows(int64_t lo, int64_t hi) const {
   TL_CHECK_LE(0, lo);
   TL_CHECK_LE(lo, hi);
   TL_CHECK_LE(hi, m_);
-  std::vector<ChannelWait> waits;
+  WaitList waits;
   if (lo == hi) return waits;
   const int first = static_cast<int>(lo / m_per_channel_);
   const int last = static_cast<int>((hi - 1) / m_per_channel_);
@@ -86,6 +85,7 @@ void DynamicMapping::Resize(int64_t num_tiles) {
   fr_.assign(n, 0);
   fc_.assign(n, 0);
   waits_.assign(n, {});
+  wait_pool_.clear();
 }
 
 void DynamicMapping::SetTile(int64_t tile_id, TileRange range, int rank,
@@ -97,8 +97,9 @@ void DynamicMapping::SetTile(int64_t tile_id, TileRange range, int rank,
 }
 
 void DynamicMapping::SetWaits(int64_t tile_id,
-                              std::vector<ChannelWait> waits) {
-  waits_[Idx(tile_id)] = std::move(waits);
+                              const std::vector<ChannelWait>& waits) {
+  waits_[Idx(tile_id)] = WaitSlice{wait_pool_.size(), waits.size()};
+  wait_pool_.insert(wait_pool_.end(), waits.begin(), waits.end());
 }
 
 }  // namespace tilelink::tl

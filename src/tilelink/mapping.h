@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
+#include "common/inline_vector.h"
 #include "common/math_utils.h"
 
 namespace tilelink::tl {
@@ -28,6 +30,10 @@ struct ChannelWait {
   uint64_t threshold = 0;
   friend bool operator==(const ChannelWait&, const ChannelWait&) = default;
 };
+
+// The wait list of one wait op. A tile usually waits on a few channels, so
+// they stay inline; longer lists (MoE gathers) spill to the heap.
+using WaitList = InlineVector<ChannelWait, 4>;
 
 // Affine mapping for a 1-D sharded dimension of extent `m`, sharded across
 // `ranks`, with `channels_per_rank` barrier channels per rank and producer
@@ -59,6 +65,11 @@ class StaticMapping {
   TileRange ShapeRange(int64_t tile_id) const;  // fS
   int Rank(int64_t tile_id) const;              // fR
   int Channel(int64_t tile_id) const;           // fC (global channel id)
+  // The channel covering row `row` (fC over rows instead of tiles).
+  int ChannelOfRow(int64_t row) const {
+    TL_DCHECK(row >= 0 && row < m_);
+    return static_cast<int>(row / m_per_channel_);
+  }
 
   // Number of producer tiles mapped to a channel (the notify count a
   // consumer of the whole channel must wait for).
@@ -68,7 +79,7 @@ class StaticMapping {
   // threshold that guarantees all producer tiles covering that channel are
   // done. Counting barriers cannot distinguish *which* tiles in a channel
   // completed, so the dependency granularity is the channel (§3.2.1).
-  std::vector<ChannelWait> WaitsForRows(int64_t lo, int64_t hi) const;
+  WaitList WaitsForRows(int64_t lo, int64_t hi) const;
 
   // Rows covered by one channel.
   TileRange ChannelRows(int channel) const;
@@ -93,15 +104,18 @@ class DynamicMapping {
   int64_t num_tiles() const { return static_cast<int64_t>(fr_.size()); }
 
   void SetTile(int64_t tile_id, TileRange range, int rank, int channel);
-  void SetWaits(int64_t tile_id, std::vector<ChannelWait> waits);
+  // Copies `waits` into the table's shared pool; a tile set twice keeps
+  // only its last list.
+  void SetWaits(int64_t tile_id, const std::vector<ChannelWait>& waits);
 
   TileRange ShapeRange(int64_t tile_id) const {
     return TileRange{fs_low_[Idx(tile_id)], fs_high_[Idx(tile_id)]};
   }
   int Rank(int64_t tile_id) const { return fr_[Idx(tile_id)]; }
   int Channel(int64_t tile_id) const { return fc_[Idx(tile_id)]; }
-  const std::vector<ChannelWait>& Waits(int64_t tile_id) const {
-    return waits_[Idx(tile_id)];
+  std::span<const ChannelWait> Waits(int64_t tile_id) const {
+    const WaitSlice& w = waits_[Idx(tile_id)];
+    return {wait_pool_.data() + w.begin, w.count};
   }
 
  private:
@@ -113,7 +127,13 @@ class DynamicMapping {
   std::vector<int64_t> fs_high_;
   std::vector<int> fr_;
   std::vector<int> fc_;
-  std::vector<std::vector<ChannelWait>> waits_;
+  // Every tile's wait list, packed into one pool.
+  struct WaitSlice {
+    size_t begin = 0;
+    size_t count = 0;
+  };
+  std::vector<WaitSlice> waits_;
+  std::vector<ChannelWait> wait_pool_;
 };
 
 }  // namespace tilelink::tl

@@ -120,26 +120,11 @@ sim::Flag::Awaiter RankWait(const BlockChannel& bc, int channel,
   return bc.local(SignalSpace::kHost)->Wait(channel, threshold);
 }
 
-std::vector<int> AllRanks(int num_ranks) {
-  std::vector<int> out(static_cast<size_t>(num_ranks));
-  for (int i = 0; i < num_ranks; ++i) out[static_cast<size_t>(i)] = i;
-  return out;
-}
-
-NotifySpec NotifyOne(SignalSpace space, std::vector<int> targets, int channel,
+NotifySpec NotifyOne(SignalSpace space, int target, int channel,
                      uint64_t inc) {
   NotifySpec spec;
-  spec.entries.push_back(NotifyEntry{space, std::move(targets), channel, inc});
+  spec.entries.push_back(NotifyEntry{space, target, channel, inc});
   return spec;
-}
-
-std::vector<int> OtherRanks(int num_ranks, int self) {
-  std::vector<int> out;
-  out.reserve(static_cast<size_t>(num_ranks - 1));
-  for (int i = 0; i < num_ranks; ++i) {
-    if (i != self) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace tilelink::tl

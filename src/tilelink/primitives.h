@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "comm/p2p.h"
 #include "runtime/world.h"
@@ -121,13 +120,9 @@ void RankNotify(rt::RankCtx& ctx, const BlockChannel& bc, int target_rank,
 sim::Flag::Awaiter RankWait(const BlockChannel& bc, int channel,
                             uint64_t threshold);
 
-// Helpers for building notify target lists.
-std::vector<int> AllRanks(int num_ranks);
-std::vector<int> OtherRanks(int num_ranks, int self);
-
 // Single-entry NotifySpec — the common case of a producer/peer notify
-// raising one channel on a list of target ranks.
-NotifySpec NotifyOne(SignalSpace space, std::vector<int> targets, int channel,
+// raising one channel on one target rank.
+NotifySpec NotifyOne(SignalSpace space, int target, int channel,
                      uint64_t inc = 1);
 
 }  // namespace tilelink::tl

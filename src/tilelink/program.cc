@@ -226,16 +226,28 @@ CompiledKernel Compiler::Compile(FusedKernelSpec spec) const {
 // ---------------------------------------------------------------------------
 namespace {
 
+// Shared by every block of one launch on one rank, and by the async DMA
+// pushes those blocks issue: holding it keeps the spec (and so every op and
+// its label) alive until the last of them finishes.
+struct LaunchState {
+  std::shared_ptr<const FusedKernelSpec> spec;
+  BlockChannel bc;
+  sim::CostModel cost;
+};
+
 struct ExecCtx {
   rt::World* world;
-  std::shared_ptr<const BlockChannel> bc;
-  sim::CostModel cost;
+  std::shared_ptr<const LaunchState> launch;
   // Tracing (null/-1 when the world has no recorder): per-block track on
   // the rank's trace process, spans per costed op.
   sim::TraceRecorder* tr = nullptr;
   int pid = -1;
   int tid = 0;
 };
+
+std::string RoleLabel(const FusedKernelSpec& spec, const Role& role) {
+  return spec.name + "/" + role.name;
+}
 
 // Checker registration honouring DataSpec strided runs: a column strip of a
 // row-major tensor audits one run per covered row instead of the flat
@@ -270,19 +282,28 @@ void RecordWriteRuns(rt::World& world, const DataSpec& d, sim::TimeNs start,
 }
 
 void FireNotify(const ExecCtx& ec, const NotifySpec& spec) {
+  const BlockChannel& bc = ec.launch->bc;
   for (const NotifyEntry& e : spec.entries) {
-    for (int target : e.targets) {
-      ec.bc->set(e.space, target)->AddFrom(ec.bc->rank, e.channel, e.inc);
-    }
+    bc.set(e.space, e.target)->AddFrom(bc.rank, e.channel, e.inc);
   }
+}
+
+// The helpers below evaluate an op's spec callbacks outside RunBlock: a
+// coroutine keeps every local in its frame, so a spec temporary held there
+// would grow every block's frame even though it never lives across a
+// suspension.
+void Notify(const ExecCtx& ec, const std::function<NotifySpec(const Env&)>& fn,
+            const Env& env) {
+  FireNotify(ec, fn(env));
 }
 
 // Async DMA push: runs as its own root coroutine; the issuing block has
 // already moved on (its functional payload was captured at issue time, when
 // the data was handed to the DMA queue). Release semantics: notify_after
-// fires only once the transfer has landed.
+// fires only once the transfer has landed. `label` lives in the spec that
+// `ec` keeps alive.
 sim::Coro AsyncPush(ExecCtx ec, DataSpec d, NotifySpec after,
-                    std::string label) {
+                    const std::string& label) {
   rt::World& world = *ec.world;
   co_await world.device(d.src_rank).copy_engines().Acquire();
   sim::ResourceLease lease(world.device(d.src_rank).copy_engines(), 1);
@@ -306,20 +327,33 @@ sim::Coro AsyncPush(ExecCtx ec, DataSpec d, NotifySpec after,
   FireNotify(ec, after);
 }
 
+// Hands a push to a copy engine: the payload value is captured now (it
+// enters the DMA queue), and the completion notify fires with release
+// semantics when the data lands.
+void IssueAsyncPush(const ExecCtx& ec, const Op& op, const Env& env) {
+  rt::World& world = *ec.world;
+  const DataSpec d = op.data(env);
+  NotifySpec after;
+  if (op.notify_after) after = op.notify_after(env);
+  if (op.math && world.functional()) op.math(env);
+  world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
+                    "async_push");
+}
+
 // One block of a role: runs the whole program in this coroutine frame. An
 // explicit cursor stack walks the statement tree — level 0 is the program
 // body, level d + 1 the body of the loop at depth d — and every op runs
 // inline, so no op or loop iteration allocates a child frame.
-sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
-                   std::string role_label) {
+sim::Coro RunBlock(ExecCtx ec, Env env, const Role* role) {
   rt::World& world = *ec.world;
+  const BlockProgram* program = &role->program;
   const sim::TimeNs block_t0 = world.sim().Now();
   std::shared_ptr<void> scratch;
   if (program->scratch_factory) {
     scratch = program->scratch_factory(env);
     env.scratch = scratch.get();
   }
-  co_await sim::Delay{ec.cost.BlockPrologue()};
+  co_await sim::Delay{ec.launch->cost.BlockPrologue()};
 
   struct Cursor {
     const std::vector<Stmt>* stmts;
@@ -363,7 +397,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
       case OpKind::kConsumerWait:
       case OpKind::kPeerWait: {
         const WaitSpec spec = op.wait(env);
-        rt::SignalSet* sig = ec.bc->local(spec.space);
+        rt::SignalSet* sig = ec.launch->bc.local(spec.space);
         for (const ChannelWait& w : spec.waits) {
           co_await sig->Wait(w.channel, w.threshold);
         }
@@ -374,7 +408,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
         // Release: all prior ops of this block already completed (the
         // block runs sequentially); remote visibility latency is modeled
         // inside SignalSet::AddFrom.
-        FireNotify(ec, op.notify(env));
+        Notify(ec, op.notify, env);
         continue;
       case OpKind::kLoad:
         if (op.data && world.checker().enabled()) {
@@ -395,18 +429,11 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
       case OpKind::kPullData: {
         TL_CHECK_MSG(static_cast<bool>(op.data),
                      "push/pull op '" << op.label << "' lacks a DataSpec");
-        const DataSpec d = op.data(env);
         if (op.async_dma) {
-          // Hand off to a copy engine and continue; the payload value is
-          // captured now (it enters the DMA queue), the completion notify
-          // fires with release semantics when the data lands.
-          NotifySpec after;
-          if (op.notify_after) after = op.notify_after(env);
-          if (op.math && world.functional()) op.math(env);
-          world.sim().Spawn(AsyncPush(ec, d, std::move(after), op.label),
-                            "async_push");
+          IssueAsyncPush(ec, op, env);
           continue;
         }
+        const DataSpec d = op.data(env);
         const sim::TimeNs start = world.sim().Now();
         CheckReadRuns(world, d, start, op.label);
         const uint64_t wt =
@@ -423,7 +450,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
                sim::TraceArg::Num("src", d.src_rank),
                sim::TraceArg::Num("dst", d.dst_rank)});
         }
-        if (op.notify_after) FireNotify(ec, op.notify_after(env));
+        if (op.notify_after) Notify(ec, op.notify_after, env);
         continue;
       }
     }
@@ -432,7 +459,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
     // then the functional payload (a store's payload already ran).
     if (op.cost) {
       const sim::TimeNs t0 = world.sim().Now();
-      co_await sim::Delay{op.cost(env, ec.cost)};
+      co_await sim::Delay{op.cost(env, ec.launch->cost)};
       if (ec.tr != nullptr) {
         ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
                        sim::kCatCompute);
@@ -443,12 +470,12 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
     }
   }
 
-  co_await sim::Delay{ec.cost.BlockEpilogue()};
+  co_await sim::Delay{ec.launch->cost.BlockEpilogue()};
   if (ec.tr != nullptr) {
     // Structural span: SM-resident time of this role block (kCatTask so the
     // profiler's critical path walks the leaf op spans instead).
-    ec.tr->AddSpan(ec.pid, ec.tid, role_label, block_t0, world.sim().Now(),
-                   sim::kCatTask,
+    ec.tr->AddSpan(ec.pid, ec.tid, RoleLabel(*ec.launch->spec, *role),
+                   block_t0, world.sim().Now(), sim::kCatTask,
                    {sim::TraceArg::Num("block", env.block_id)});
   }
 }
@@ -457,14 +484,15 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const BlockProgram* program,
 
 std::shared_ptr<rt::KernelState> CompiledKernel::Launch(
     rt::RankCtx& ctx, rt::Stream& stream, const BlockChannel& bc) const {
-  auto bc_copy = std::make_shared<const BlockChannel>(bc);
+  auto launch = std::make_shared<const LaunchState>(
+      LaunchState{spec_, bc, sim::CostModel(stream.device()->spec())});
   rt::World* world = ctx.world;
-  auto body = [spec = spec_, bc_copy, world](rt::BlockCtx bctx) -> sim::Coro {
-    ExecCtx ec{world, bc_copy, sim::CostModel(bctx.dev->spec())};
+  auto body = [launch, world](rt::BlockCtx bctx) -> sim::Coro {
+    ExecCtx ec{world, launch};
     int base = 0;
     const Role* role = nullptr;
     int role_block = 0;
-    for (const Role& r : spec->roles) {
+    for (const Role& r : launch->spec->roles) {
       if (bctx.block_id < base + r.blocks) {
         role = &r;
         role_block = bctx.block_id - base;
@@ -473,20 +501,20 @@ std::shared_ptr<rt::KernelState> CompiledKernel::Launch(
       base += r.blocks;
     }
     TL_CHECK(role != nullptr);
-    std::string role_label;
     if (sim::TraceRecorder* tr = world->trace()) {
-      role_label = spec->name + "/" + role->name;
       ec.tr = tr;
-      ec.pid = world->trace_pid(bc_copy->rank);
-      ec.tid = tr->Track(ec.pid, role_label + ".b" + std::to_string(role_block));
+      ec.pid = world->trace_pid(launch->bc.rank);
+      ec.tid = tr->Track(ec.pid, RoleLabel(*launch->spec, *role) + ".b" +
+                                     std::to_string(role_block));
     }
     Env env;
-    env.rank = bc_copy->rank;
+    env.rank = launch->bc.rank;
     env.grid = role->blocks;
     env.block_id = role_block;
-    return RunBlock(std::move(ec), env, &role->program, std::move(role_label));
+    return RunBlock(std::move(ec), env, role);
   };
-  return stream.LaunchKernel(spec_->total_blocks(), body, spec_->name);
+  return stream.LaunchKernel(spec_->total_blocks(), std::move(body),
+                             spec_->name);
 }
 
 }  // namespace tilelink::tl

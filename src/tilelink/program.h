@@ -23,6 +23,10 @@
 //      and runs every op inline, awaiting delays, signal waits and
 //      transfers in that frame. Checker-only DataSpecs (those of loads and
 //      stores) are evaluated only while the consistency checker is on.
+//      Wait and notify specs are plain values with inline storage (a notify
+//      entry raises one barrier word on one rank), so executing a
+//      notify or a wait allocates nothing unless an op names more words
+//      than fit inline.
 #pragma once
 
 #include <array>
@@ -33,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/inline_vector.h"
 #include "runtime/stream.h"
 #include "runtime/world.h"
 #include "sim/cost_model.h"
@@ -80,19 +85,19 @@ struct Env {
 // Wait on local barrier words: every (channel, threshold) must be reached.
 struct WaitSpec {
   SignalSpace space = SignalSpace::kProducerConsumer;
-  std::vector<ChannelWait> waits;
+  WaitList waits;
 };
 
-// Notify barrier word `channel` (+inc) on every rank in `targets`. Multiple
-// channels may be notified (entries).
+// Notify barrier word `channel` (+inc) on rank `target`. A notify op may
+// raise several words (entries), each on one rank.
 struct NotifyEntry {
   SignalSpace space = SignalSpace::kProducerConsumer;
-  std::vector<int> targets;
+  int target = 0;
   int channel = 0;
   uint64_t inc = 1;
 };
 struct NotifySpec {
-  std::vector<NotifyEntry> entries;
+  InlineVector<NotifyEntry, 4> entries;
 };
 
 // Data movement / access description for loads, stores, pushes and pulls.

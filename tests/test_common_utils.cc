@@ -1,6 +1,9 @@
 // Tests for common utilities, tensor views, and the trace recorder.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/inline_vector.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/string_utils.h"
@@ -19,6 +22,82 @@ TEST(MathUtils, CeilDivAndRoundUp) {
   EXPECT_EQ(RoundUp(8, 4), 8);
   EXPECT_EQ(Pow2RoundUp(100), 128);
   EXPECT_EQ(Pow2RoundUp(128), 128);
+}
+
+struct Pair {
+  int a = 0;
+  uint64_t b = 0;
+  friend bool operator==(const Pair&, const Pair&) = default;
+};
+
+std::vector<Pair> Values(const InlineVector<Pair, 3>& v) {
+  return std::vector<Pair>(v.begin(), v.end());
+}
+
+std::vector<Pair> Expected(int n, int base) {
+  std::vector<Pair> out;
+  for (int i = 0; i < n; ++i) {
+    out.push_back(Pair{base + i, static_cast<uint64_t>(base + i) * 7});
+  }
+  return out;
+}
+
+InlineVector<Pair, 3> Filled(int n, int base) {
+  InlineVector<Pair, 3> v;
+  for (int i = 0; i < n; ++i) {
+    v.push_back(Pair{base + i, static_cast<uint64_t>(base + i) * 7});
+  }
+  return v;
+}
+
+// Past the inline capacity the elements spill to the heap: order and values
+// are kept, nothing is truncated, and copies, moves and assignments between
+// inline and spilled vectors carry every element.
+TEST(InlineVector, KeepsOrderAndValuesPastInlineCapacity) {
+  for (int n : {0, 1, 3, 4, 9, 40}) {
+    InlineVector<Pair, 3> v = Filled(n, 100);
+    ASSERT_EQ(v.size(), static_cast<size_t>(n));
+    EXPECT_EQ(v.spilled(), n > 3);
+    EXPECT_EQ(Values(v), Expected(n, 100));
+    if (n > 0) {
+      EXPECT_EQ(v.front(), (Pair{100, 700}));
+      EXPECT_EQ(v.back(), (Pair{99 + n, static_cast<uint64_t>(99 + n) * 7}));
+    }
+
+    const InlineVector<Pair, 3> copy(v);
+    EXPECT_EQ(Values(copy), Expected(n, 100));
+    InlineVector<Pair, 3> moved(std::move(v));
+    EXPECT_EQ(Values(moved), Expected(n, 100));
+
+    for (int m : {0, 2, 5, 17}) {
+      InlineVector<Pair, 3> assigned = Filled(m, 500);
+      assigned = copy;
+      EXPECT_EQ(Values(assigned), Expected(n, 100)) << n << " <- " << m;
+      InlineVector<Pair, 3> move_assigned = Filled(m, 500);
+      move_assigned = Filled(n, 100);
+      EXPECT_EQ(Values(move_assigned), Expected(n, 100)) << n << " <- " << m;
+      // The source keeps its own elements after being copied from.
+      InlineVector<Pair, 3> source = Filled(m, 500);
+      InlineVector<Pair, 3> target = Filled(n, 100);
+      target = source;
+      EXPECT_EQ(Values(source), Expected(m, 500));
+      EXPECT_EQ(Values(target), Expected(m, 500));
+    }
+  }
+  InlineVector<Pair, 3> self = Filled(6, 1);
+  const InlineVector<Pair, 3>& alias = self;
+  self = alias;
+  EXPECT_EQ(Values(self), Expected(6, 1));
+  // push_back of an element of the vector itself, across a regrow.
+  InlineVector<Pair, 3> grow = Filled(3, 1);
+  grow.push_back(grow[0]);
+  EXPECT_EQ(grow[3], (Pair{1, 7}));
+  EXPECT_EQ(grow, (InlineVector<Pair, 3>{{1, 7}, {2, 14}, {3, 21}, {1, 7}}));
+  std::vector<Pair> source = Expected(11, 3);
+  grow.assign(source.begin(), source.end());
+  EXPECT_EQ(Values(grow), source);
+  grow.clear();
+  EXPECT_TRUE(grow.empty());
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

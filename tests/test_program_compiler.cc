@@ -165,7 +165,7 @@ size_t RunRaceProbe(bool unsafe) {
   comm.Add(ops::ProducerTileNotify("notify", [](const Env& e) {
     NotifySpec s;
     s.entries.push_back(NotifyEntry{
-        SignalSpace::kProducerConsumer, {1 - e.rank}, 0, 1});
+        SignalSpace::kProducerConsumer, 1 - e.rank, 0, 1});
     return s;
   }));
 
@@ -438,7 +438,7 @@ TEST(Interpreter, AsyncDmaNotifyFiresAfterTheTransferLands) {
         return d;
       },
       [](const Env& e) {
-        return NotifyOne(SignalSpace::kProducerConsumer, {1 - e.rank}, 0);
+        return NotifyOne(SignalSpace::kProducerConsumer, 1 - e.rank, 0);
       },
       /*async_dma=*/true));
   comm.Add(now_into(&issuer_next));

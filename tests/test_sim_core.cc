@@ -7,10 +7,13 @@
 #include <array>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/counting_new.h"
 #include "sim/coro.h"
 #include "sim/coro_utils.h"
 #include "sim/flag.h"
@@ -209,6 +212,133 @@ TEST(SimCore, ResourceDeadlockIsNamed) {
               std::string::npos)
         << e.what();
   }
+}
+
+Coro ParkOnFlagAfter(TimeNs delay, Flag* flag, uint64_t threshold) {
+  co_await Delay{delay};
+  co_await flag->WaitGe(threshold);
+}
+
+Coro ParkOnResourceAfter(TimeNs delay, Resource* res) {
+  co_await Delay{delay};
+  co_await res->Acquire();
+}
+
+// The report lists every activity still parked, in the order it parked —
+// not spawn order, not address order — and drops the one woken meanwhile.
+TEST(SimCore, DeadlockListsEveryParkedWaiterInParkOrder) {
+  Simulator sim;
+  Flag a(&sim, "flag_a");
+  Flag b(&sim, "flag_b");
+  Flag woken(&sim, "flag_woken");
+  Resource res(&sim, 1, "res_r");
+  sim.Spawn(HoldForever(&res));  // holds the only unit from t=0
+  sim.Spawn(ParkOnFlagAfter(30, &a, 1));
+  sim.Spawn(ParkOnResourceAfter(10, &res));
+  sim.Spawn(ParkOnFlagAfter(3, &woken, 1));
+  sim.Spawn(ParkOnFlagAfter(20, &b, 4));
+  sim.Spawn(ParkOnFlagAfter(5, &a, 2));
+  sim.Spawn(ParkOnResourceAfter(40, &res));
+  sim.At(15, [&] { woken.Set(1); });
+  sim.At(16, [&] { b.Set(3); });
+  try {
+    sim.Run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    const std::string what = e.what();
+    const std::string header = "blocked on:";
+    const size_t at = what.find(header);
+    ASSERT_NE(at, std::string::npos) << what;
+    std::istringstream lines(what.substr(at + header.size()));
+    std::vector<std::string> listed;
+    for (std::string line; std::getline(lines, line);) {
+      if (!line.empty()) listed.push_back(line);
+    }
+    EXPECT_EQ(listed,
+              (std::vector<std::string>{
+                  "  - flag 'flag_a' wait >= 2 (last published value 0)",
+                  "  - resource 'res_r' acquire",
+                  "  - flag 'flag_b' wait >= 4 (last published value 3)",
+                  "  - flag 'flag_a' wait >= 1 (last published value 0)",
+                  "  - resource 'res_r' acquire",
+              }))
+        << what;
+    EXPECT_EQ(e.stall_time(), 40);
+  }
+}
+
+Coro PingFlags(Flag* ping, Flag* pong, int rounds) {
+  for (int i = 1; i <= rounds; ++i) {
+    ping->Set(static_cast<uint64_t>(i));
+    co_await pong->WaitGe(static_cast<uint64_t>(i));
+  }
+}
+
+Coro PongFlags(Flag* ping, Flag* pong, int rounds) {
+  for (int i = 1; i <= rounds; ++i) {
+    co_await ping->WaitGe(static_cast<uint64_t>(i));
+    co_await Delay{1};
+    pong->Set(static_cast<uint64_t>(i));
+  }
+}
+
+Coro Contend(Resource* res, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    co_await res->Acquire();
+    co_await Delay{2};
+    res->Release();
+  }
+}
+
+// One pass of a flag ping-pong plus four coroutines contending for a
+// one-unit resource; every round parks and wakes.
+void ParkWakePass(Simulator& sim, Flag& ping, Flag& pong, Resource& res) {
+  ping.Reset();
+  pong.Reset();
+  sim.Spawn(PingFlags(&ping, &pong, 200));
+  sim.Spawn(PongFlags(&ping, &pong, 200));
+  for (int i = 0; i < 4; ++i) sim.Spawn(Contend(&res, 50));
+  sim.Run();
+}
+
+// Once the frame pool, the event queue and the waiter lists are warm, a
+// park/wake loop allocates nothing: parking links the awaiter into the
+// blocked list and the resource queue in place.
+TEST(SimCore, WarmParkWakeLoopAllocatesNothing) {
+#ifdef TILELINK_FRAME_POOL_DISABLED
+  GTEST_SKIP() << "coroutine frames are not pooled in this build";
+#endif
+  Simulator sim;
+  Flag ping(&sim, "ping");
+  Flag pong(&sim, "pong");
+  Resource res(&sim, 1, "res");
+  ParkWakePass(sim, ping, pong, res);  // warm-up
+  const uint64_t events = sim.processed_events();
+  const uint64_t before = HeapAllocations();
+  ParkWakePass(sim, ping, pong, res);
+  EXPECT_EQ(HeapAllocations() - before, 0u);
+  EXPECT_EQ(sim.processed_events() - events, events);
+  EXPECT_EQ(pong.value(), 200u);
+}
+
+// A thread's frame pool returns its frames to the global allocator when
+// the thread exits, so a short-lived worker leaves the pooled bytes where
+// they were.
+TEST(SimCore, ExitedThreadReturnsItsPooledFrames) {
+  const std::size_t before = FramePoolBytes();
+  std::size_t during = 0;
+  std::thread worker([&during] {
+    Simulator sim;
+    Resource res(&sim, 2, "res");
+    for (int i = 0; i < 64; ++i) sim.Spawn(Contend(&res, 3));
+    sim.Run();
+    during = FramePoolBytes();
+  });
+  worker.join();
+#ifndef TILELINK_FRAME_POOL_DISABLED
+  EXPECT_GT(during, before);
+#endif
+  EXPECT_EQ(FramePoolBytes(), before);
 }
 
 Coro SmallDelay(int* count) {

@@ -5,6 +5,9 @@
 // numerics while the consistency checker observes no violations.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "common/rng.h"
 #include "compute/flash_attention.h"
 #include "compute/gemm.h"
@@ -278,6 +281,128 @@ TEST(AgMoeDma, DmaVariantAlsoCorrect) {
                               {cfg.m * cfg.topk, cfg.n}, DType::kBF16);
   compute::GroupGemmRef(gathered, kernel.weights()[0], want, routing);
   EXPECT_LT(MaxAbsDiff(kernel.out()[0], want), 1e-4f);
+}
+
+// The dynamic wait tables, built by sorting each tile's channels, equal a
+// reference built row by row through StaticMapping::WaitsForRows and a
+// std::set, on seeded routings whose tiles span many channels.
+TEST(DynamicWaitTables, MatchPerRowSetReference) {
+  for (const int R : {2, 4}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      World world(sim::MachineSpec::Test(R, 16), ExecMode::kTimingOnly);
+      Rng rng(seed);
+
+      AgMoeConfig ag;
+      ag.m = 128 * R;
+      ag.hidden = 32;
+      ag.n = 64;
+      ag.num_experts = 4;
+      ag.topk = 2;
+      ag.gemm = compute::GemmTiling{32, 32, 16};
+      ag.comm_tile_m = 8;
+      ag.comm = CommResource::kSmPull;
+      ag.comm_sms = 4;
+      const compute::MoeRouting ag_routing =
+          compute::RandomRouting(ag.m, ag.num_experts, ag.topk, rng);
+      const AgMoe ag_kernel(world, ag, ag_routing);
+      const StaticMapping map(ag.m, ag.comm_tile_m, R,
+                              StaticMapping::ResolveChannelsPerRank(
+                                  ag.m, ag.comm_tile_m, R, 0));
+      const std::vector<compute::GroupBlock> blocks = compute::MakeGroupBlocks(
+          ag_routing, ag.n, ag.gemm.bm, ag.gemm.bn);
+      const DynamicMapping& dyn = ag_kernel.dynamic_mapping();
+      ASSERT_EQ(dyn.num_tiles(), static_cast<int64_t>(blocks.size()));
+      size_t longest = 0;
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        const compute::GroupBlock& gb = blocks[i];
+        std::set<int> channels;
+        int64_t lo = ag.m, hi = 0;
+        for (int r = 0; r < gb.rows; ++r) {
+          const int token = ag_routing.token_of_sorted(gb.sorted_row_start + r);
+          for (const ChannelWait& w : map.WaitsForRows(token, token + 1)) {
+            channels.insert(w.channel);
+          }
+          lo = std::min<int64_t>(lo, token);
+          hi = std::max<int64_t>(hi, token + 1);
+        }
+        std::vector<ChannelWait> want;
+        for (int c : channels) {
+          want.push_back(ChannelWait{c, map.TilesInChannel(c)});
+        }
+        const auto got = dyn.Waits(static_cast<int64_t>(i));
+        EXPECT_EQ(std::vector<ChannelWait>(got.begin(), got.end()), want)
+            << "R=" << R << " seed=" << seed << " tile " << i;
+        EXPECT_EQ(dyn.ShapeRange(static_cast<int64_t>(i)).lo, std::min(lo, hi));
+        EXPECT_EQ(dyn.ShapeRange(static_cast<int64_t>(i)).hi, hi);
+        EXPECT_EQ(dyn.Rank(static_cast<int64_t>(i)), gb.expert);
+        EXPECT_EQ(dyn.Channel(static_cast<int64_t>(i)),
+                  want.empty() ? 0 : want.front().channel);
+        longest = std::max(longest, want.size());
+      }
+      EXPECT_GT(longest, WaitList::inline_capacity());
+
+      MoeRsConfig rs;
+      rs.m = 64 * R;
+      rs.k = 16;
+      rs.hidden = 24;
+      rs.num_experts = 4;
+      rs.topk = 2;
+      rs.gemm = compute::GemmTiling{16, 24, 8};
+      rs.sorted_channel_rows = 8;
+      rs.reduce_block_tokens = 16;
+      rs.reduce_sms = 4;
+      rs.rs_block_m = 32;
+      rs.comm_sms = 4;
+      const compute::MoeRouting rs_routing =
+          compute::RandomRouting(rs.m, rs.num_experts, rs.topk, rng);
+      const MoeRs rs_kernel(world, rs, rs_routing);
+      const int64_t slots = rs.m * rs.topk;
+      std::vector<uint64_t> thresholds(
+          static_cast<size_t>((slots + rs.sorted_channel_rows - 1) /
+                              rs.sorted_channel_rows),
+          0);
+      for (const compute::GroupBlock& gb : compute::MakeGroupBlocks(
+               rs_routing, rs.hidden, rs.gemm.bm, rs.gemm.bn)) {
+        if (gb.rows == 0) continue;
+        const int64_t first = gb.sorted_row_start / rs.sorted_channel_rows;
+        const int64_t last =
+            (gb.sorted_row_start + gb.rows - 1) / rs.sorted_channel_rows;
+        for (int64_t c = first; c <= last; ++c) {
+          ++thresholds[static_cast<size_t>(c)];
+        }
+      }
+      std::vector<int> inv_sorted(static_cast<size_t>(slots));
+      for (int64_t pos = 0; pos < slots; ++pos) {
+        inv_sorted[static_cast<size_t>(
+            rs_routing.sorted_slots[static_cast<size_t>(pos)])] =
+            static_cast<int>(pos);
+      }
+      const DynamicMapping& table = rs_kernel.reduce_wait_table();
+      ASSERT_EQ(table.num_tiles(), rs.m / rs.reduce_block_tokens);
+      longest = 0;
+      for (int64_t ch = 0; ch < table.num_tiles(); ++ch) {
+        std::set<int> channels;
+        const int64_t t0 = ch * rs.reduce_block_tokens;
+        for (int64_t t = t0; t < t0 + rs.reduce_block_tokens; ++t) {
+          for (int kk = 0; kk < rs.topk; ++kk) {
+            channels.insert(
+                inv_sorted[static_cast<size_t>(t * rs.topk + kk)] /
+                rs.sorted_channel_rows);
+          }
+        }
+        std::vector<ChannelWait> want;
+        for (int c : channels) {
+          want.push_back(ChannelWait{c, thresholds[static_cast<size_t>(c)]});
+        }
+        const auto got = table.Waits(ch);
+        EXPECT_EQ(std::vector<ChannelWait>(got.begin(), got.end()), want)
+            << "R=" << R << " seed=" << seed << " chunk " << ch;
+        EXPECT_EQ(table.Channel(ch), want.empty() ? 0 : want.front().channel);
+        longest = std::max(longest, want.size());
+      }
+      EXPECT_GT(longest, WaitList::inline_capacity());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------- //
