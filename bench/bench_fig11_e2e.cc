@@ -19,7 +19,8 @@
 // serially and with --tune-threads workers — and the bench exits nonzero
 // unless the two produce bitwise-identical cache contents and layer times
 // (the autotuner's determinism guarantee, gated end-to-end). Cold and warm
-// sweep wall-clocks land in the JSON report.
+// sweep wall-clocks and the cold sweep's full-fidelity simulation count
+// (fig11.tuner.full_evals) land in the JSON report.
 //
 // Flags: --cache <path> warm-starts / persists the tuned-config cache;
 // --tune-threads <n> sets the parallel sweep's worker count (default 4);
@@ -218,6 +219,16 @@ int main(int argc, char** argv) {
   report.Record("fig11.tuner.cold_speedup", cold_serial_s / cold_parallel_s);
   report.Record("fig11.tuner.warm_sweep_s", warm_s);
   report.Record("fig11.tuner.deterministic", identical ? 1.0 : 0.0);
+  // Full-fidelity simulations the cold sweep paid: deterministic, so a
+  // search bound that stops pruning moves it (CI gates it on a ceiling).
+  int64_t full_evals = 0;
+  for (const auto& [key, entry] : serial_cache.Entries()) {
+    full_evals += entry.full_evals;
+  }
+  std::printf("tuner cold sweep: %lld full-fidelity simulations over %zu "
+              "searches\n",
+              static_cast<long long>(full_evals), serial_cache.size());
+  report.Record("fig11.tuner.full_evals", static_cast<double>(full_evals));
 
   const SectionResult one = RunSection(false, &cache, tune_threads, &report);
   const SectionResult two = RunSection(true, &cache, tune_threads, &report);

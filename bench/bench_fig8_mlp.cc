@@ -131,9 +131,7 @@ void PrintTuneStats(const char* label, double default_ms,
 // successive halving (coarse simulation round, survivors re-run at full
 // fidelity) plus the overlap-aware lower bounds, and compare against the
 // hand-picked default config. Returns false (regression) when the tuned
-// config loses to the default. Also reruns each search with only the
-// overlap-aware bound (no communication-optimal floors) to report how many
-// extra candidates the floors prune.
+// config loses to the default.
 bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
               BenchReport* report) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x8();
@@ -157,61 +155,12 @@ bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
                                            tl::TuningSpace::Mlp(), rs_base);
   PrintTuneStats("GEMM+RS", rs_default_ms, rs);
 
-  // Floor ablation: the same searches WITHOUT coarse halving (so the bound
-  // prunes the whole enumerated space), composed bound vs the pre-floor
-  // overlap bound alone. The delta in pruned counts is the work the
-  // communication-optimal floors save.
-  const tl::Autotuner tuner;
-  const tl::TuneResult ag_f = tuner.Search(
-      tl::TuningSpace::Mlp(), ag_base,
-      [&](const tl::TuneCandidate& c) {
-        return tl::SimulateAgGemm(spec, ag_shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return tl::AgGemmLowerBound(spec, ag_shape, c);
-      });
-  const tl::TuneResult ag_nf = tuner.Search(
-      tl::TuningSpace::Mlp(), ag_base,
-      [&](const tl::TuneCandidate& c) {
-        return tl::SimulateAgGemm(spec, ag_shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return tl::AgGemmOverlapBound(spec, ag_shape, c);
-      });
-  const tl::TuneResult rs_f = tuner.Search(
-      tl::TuningSpace::Mlp(), rs_base,
-      [&](const tl::TuneCandidate& c) {
-        return tl::SimulateGemmRs(spec, rs_shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return tl::GemmRsLowerBound(spec, rs_shape, c);
-      });
-  const tl::TuneResult rs_nf = tuner.Search(
-      tl::TuningSpace::Mlp(), rs_base,
-      [&](const tl::TuneCandidate& c) {
-        return tl::SimulateGemmRs(spec, rs_shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return tl::GemmRsOverlapBound(spec, rs_shape, c);
-      });
-  const int ag_extra = ag_f.pruned - ag_nf.pruned;
-  const int rs_extra = rs_f.pruned - rs_nf.pruned;
-  std::printf("comm-optimal floors (no-halving ablation): AG+GEMM pruned "
-              "%d/%d (overlap bound alone %d, %+d), GEMM+RS pruned %d/%d "
-              "(overlap bound alone %d, %+d)\n",
-              ag_f.pruned, ag_f.pruned + static_cast<int>(ag_f.evaluated.size()),
-              ag_nf.pruned, ag_extra, rs_f.pruned,
-              rs_f.pruned + static_cast<int>(rs_f.evaluated.size()),
-              rs_nf.pruned, rs_extra);
-
   report->Record("fig8.tuned." + s.name + ".ag_ms",
                  static_cast<double>(ag.best_cost) / 1e6);
   report->Record("fig8.tuned." + s.name + ".rs_ms",
                  static_cast<double>(rs.best_cost) / 1e6);
   report->Record("fig8.tuned." + s.name + ".skipped",
                  ag.halved + ag.pruned + rs.halved + rs.pruned);
-  report->Record("fig8.tuned." + s.name + ".ag_floor_extra_pruned", ag_extra);
-  report->Record("fig8.tuned." + s.name + ".rs_floor_extra_pruned", rs_extra);
   const bool ok = static_cast<double>(ag.best_cost) / 1e6 <= ag_default_ms &&
                   static_cast<double>(rs.best_cost) / 1e6 <= rs_default_ms;
   std::printf("tuned <= default: %s\n", ok ? "YES" : "NO (regression!)");

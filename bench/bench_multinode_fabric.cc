@@ -85,11 +85,10 @@ bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
   // Fault canary: drop one rail chunk's in-order publication (the §4.2
   // acquire/release inversion on the NIC stage) — the checker must report
   // it, not let a silently wrong answer through.
-  HierConfig fault = cfg;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport f =
-      ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems, fault);
+  tilelink::sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
+  const PayloadReport f = ValidateHierAllGather(spec, tiles, tile_bytes,
+                                                tile_elems, cfg, &fault);
   std::printf("  fault    violations=%zu (must be >= 1)\n", f.violations);
   report->Record("multinode.payload.fault_detected",
                  f.violations >= 1 ? 1.0 : 0.0);

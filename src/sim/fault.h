@@ -126,9 +126,12 @@ class FaultPlan {
   FaultPlan& DegradeRail(std::string fabric, int port, int rail, TimeNs at,
                          double fraction);
 
-  // PR 4's ordering bug as a plan entry: sender `src_rank` publishes the
-  // ready-signal for rail chunk `chunk` before the payload lands. This is
-  // the one mechanism behind the legacy HierConfig::unsafe_rail_* knobs.
+  // §4.2 ordering fault, the collective analog of
+  // CompilerOptions::unsafe_reorder: sender `src_rank` publishes the
+  // ready-signal for rail chunk `chunk` of its first rail exchange when
+  // the send starts instead of when the payload lands. Downstream
+  // consumers then read mid-flight, and in payload mode the
+  // ConsistencyChecker must report the race.
   FaultPlan& ReorderRailChunk(int src_rank, int64_t chunk);
 
   FaultPlan& set_retry(RetryPolicy p) {

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "compute/flash_attention.h"
 #include "runtime/world.h"
-#include "tilelink/builder/comm_bounds.h"
 #include "tilelink/kernels/ag_attention.h"
 #include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/kernels/ag_moe.h"
@@ -75,17 +74,6 @@ bool MoeRsFeasible(const sim::MachineSpec& spec, const MoeShape& s,
          c.comm_tile_m % c.reduce_block_tokens == 0;
 }
 
-// Collapses the reduction loop to a single k-step: per-tile MMA cost is
-// linear in bk, so the makespan is nearly unchanged while the event count
-// drops by ~k/bk.
-TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
-  TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(
-      std::min<int64_t>(std::max<int64_t>(k, 1),
-                        std::numeric_limits<int>::max()));
-  return coarse;
-}
-
 AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
                               const TuneCandidate& c) {
   AgGemmConfig cfg;
@@ -148,6 +136,14 @@ MoeRsConfig MakeMoeRsConfig(const MoeShape& shape, const TuneCandidate& c) {
 }
 
 }  // namespace
+
+TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
+  TuneCandidate coarse = c;
+  coarse.gemm.bk = static_cast<int>(
+      std::min<int64_t>(std::max<int64_t>(k, 1),
+                        std::numeric_limits<int>::max()));
+  return coarse;
+}
 
 int RsBlockRows(int64_t m_per_rank, int bm) {
   if (bm <= 0 || m_per_rank % bm != 0) return std::max(bm, 1);
@@ -364,9 +360,9 @@ sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
 
 // ---- Analytic lower bounds ----------------------------------------------
 
-sim::TimeNs AgGemmOverlapBound(const sim::MachineSpec& spec,
-                               const MlpPartShape& shape,
-                               const TuneCandidate& c) {
+sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
+                             const MlpPartShape& shape,
+                             const TuneCandidate& c) {
   if (!AgGemmFeasible(spec, shape, c)) return 0;  // never prune; eval rejects
   const sim::CostModel cost(spec);
   // Mirror RolePlan's ClaimComm: comm blocks are capped by the role's work
@@ -394,17 +390,9 @@ sim::TimeNs AgGemmOverlapBound(const sim::MachineSpec& spec,
                                cost.NvlinkTransfer(bytes));
 }
 
-sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
+sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
                              const MlpPartShape& shape,
                              const TuneCandidate& c) {
-  const sim::TimeNs overlap = AgGemmOverlapBound(spec, shape, c);
-  if (overlap == 0) return 0;  // infeasible: never prune
-  return std::max(overlap, AgGemmCommFloor(spec, shape, c));
-}
-
-sim::TimeNs GemmRsOverlapBound(const sim::MachineSpec& spec,
-                               const MlpPartShape& shape,
-                               const TuneCandidate& c) {
   if (!GemmRsFeasible(spec, shape, c)) return 0;
   const sim::CostModel cost(spec);
   const int64_t chunks = shape.m / spec.num_devices / c.comm_tile_m;
@@ -423,14 +411,6 @@ sim::TimeNs GemmRsOverlapBound(const sim::MachineSpec& spec,
       static_cast<uint64_t>(shape.m / R * (R - 1)) * shape.n * 2;
   return std::max<sim::TimeNs>(compute + spec.kernel_launch_latency,
                                cost.NvlinkTransfer(bytes));
-}
-
-sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
-                             const MlpPartShape& shape,
-                             const TuneCandidate& c) {
-  const sim::TimeNs overlap = GemmRsOverlapBound(spec, shape, c);
-  if (overlap == 0) return 0;
-  return std::max(overlap, GemmRsCommFloor(spec, shape, c));
 }
 
 sim::TimeNs AgAttentionLowerBound(const sim::MachineSpec& spec,
@@ -595,7 +575,7 @@ TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
         return SimulateAgMoe(spec, shape, routing, c);
       },
       [&](const TuneCandidate& c) {
-        return AgMoeRoutedLowerBound(spec, shape, routing, c);
+        return AgMoeLowerBound(spec, shape, c);
       },
       [&](const TuneCandidate& c) {
         return CoarseSimulateAgMoe(spec, shape, routing, c);
@@ -612,7 +592,7 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
         return SimulateMoeRs(spec, shape, routing, c);
       },
       [&](const TuneCandidate& c) {
-        return MoeRsRoutedLowerBound(spec, shape, routing, c);
+        return MoeRsLowerBound(spec, shape, c);
       },
       [&](const TuneCandidate& c) {
         return CoarseSimulateMoeRs(spec, shape, routing, c);

@@ -7,14 +7,14 @@
 // k-step (simulated time is nearly invariant in bk, so the ranking is
 // preserved at ~an-order-of-magnitude fewer events), and attention shrinks
 // the sequence extent. *LowerBound() are analytic sim::CostModel bounds —
-// the overlap-aware max(compute-only, wire-time) plus the kernel launch
-// latency every fused kernel pays — which the Autotuner uses to prune
-// candidates without paying for a DES run. Tune*() wire evaluator, coarse
-// evaluator and bound into Autotuner::Search — the one search schedule
-// every caller (offline benches, the e2e estimator, the serving config
-// service) uses. Families whose shape is too small to coarsen (short
-// attention sequences) search plain, since a "coarse" score would then
-// cost a full run.
+// one overlap bound per family, max(compute-only + the kernel launch
+// latency every fused kernel pays, wire time) — which the Autotuner uses
+// to prune candidates without paying for a DES run. Tune*() wire
+// evaluator, coarse evaluator and bound into Autotuner::Search — the one
+// search schedule every caller (offline benches, the e2e estimator, the
+// serving config service) uses. Families whose shape is too small to
+// coarsen (short attention sequences) search plain, since a "coarse" score
+// would then cost a full run.
 #pragma once
 
 #include "compute/moe_routing.h"
@@ -92,6 +92,10 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
                              const TuneCandidate& part2);
 
 // ---- Coarse (successive-halving) evaluators -----------------------------
+// Collapses the reduction loop to a single k-step: per-tile MMA cost is
+// linear in bk, so the makespan is nearly unchanged while the event count
+// drops by ~k/bk. Shared by every GEMM-backed coarse evaluator.
+TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k);
 sim::TimeNs CoarseSimulateAgGemm(const sim::MachineSpec& spec,
                                  const MlpPartShape& shape,
                                  const TuneCandidate& c);
@@ -114,16 +118,8 @@ sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
                                 const TuneCandidate& c);
 
 // ---- Analytic lower bounds ----------------------------------------------
-// *LowerBound compose the overlap-aware bound with the candidate-dependent
-// communication-optimal floors of builder/comm_bounds.h via max. The
-// *OverlapBound parts are exported separately so benchmarks and tests can
-// measure how many extra candidates the floors prune.
-sim::TimeNs AgGemmOverlapBound(const sim::MachineSpec& spec,
-                               const MlpPartShape& shape,
-                               const TuneCandidate& c);
-sim::TimeNs GemmRsOverlapBound(const sim::MachineSpec& spec,
-                               const MlpPartShape& shape,
-                               const TuneCandidate& c);
+// One overlap bound per family: max(compute + launch, wire time). 0 (never
+// prune) for infeasible candidates; the evaluator rejects those.
 sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
                              const MlpPartShape& shape,
                              const TuneCandidate& c);

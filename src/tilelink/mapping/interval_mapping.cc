@@ -1,57 +1,8 @@
 #include "tilelink/mapping/interval_mapping.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/check.h"
-#include "common/math_utils.h"
 
 namespace tilelink::tl {
-
-TileIntervals LinearTileMapping(int64_t num_elements, int num_tiles,
-                                int64_t grain_size,
-                                int64_t min_elements_per_tile) {
-  TL_CHECK_GT(num_tiles, 0);
-  TL_CHECK_GT(grain_size, 0);
-  TL_CHECK_GE(min_elements_per_tile, 0);
-  TL_CHECK_GE(num_elements, 0);
-  TileIntervals mapping(static_cast<size_t>(num_tiles));
-  if (num_elements == 0) return mapping;
-  const int64_t num_grains = CeilDiv<int64_t>(num_elements, grain_size);
-  // Spread over at most as many tiles as keeps every occupied tile at or
-  // above the floor (but always at least one).
-  int64_t used = num_tiles;
-  if (min_elements_per_tile > 0) {
-    const int64_t grains_floor =
-        CeilDiv<int64_t>(min_elements_per_tile, grain_size);
-    used = std::clamp<int64_t>(num_grains / std::max<int64_t>(1, grains_floor),
-                               1, num_tiles);
-  }
-  used = std::min(used, num_grains);
-  const int64_t grains_per_tile = CeilDiv<int64_t>(num_grains, used);
-  for (int64_t t = 0; t < used; ++t) {
-    const int64_t lo =
-        std::min(num_elements, t * grains_per_tile * grain_size);
-    const int64_t hi =
-        std::min(num_elements, (t + 1) * grains_per_tile * grain_size);
-    if (lo >= hi) break;
-    mapping[static_cast<size_t>(t)].push_back(TileRange{lo, hi});
-  }
-  return mapping;
-}
-
-TileIntervals IntervalsFromExtents(const std::vector<int64_t>& extents) {
-  TileIntervals mapping(extents.size());
-  int64_t offset = 0;
-  for (size_t s = 0; s < extents.size(); ++s) {
-    TL_CHECK_GE(extents[s], 0);
-    if (extents[s] > 0) {
-      mapping[s].push_back(TileRange{offset, offset + extents[s]});
-    }
-    offset += extents[s];
-  }
-  return mapping;
-}
 
 std::vector<int64_t> WeightedExtents(int64_t total,
                                      const std::vector<double>& weights) {
@@ -88,58 +39,6 @@ std::vector<int64_t> WeightedExtents(int64_t total,
     remainder[best] = -1.0;
   }
   return extents;
-}
-
-int64_t TileElements(const TileIntervals& mapping, int tile) {
-  TL_CHECK(tile >= 0 && static_cast<size_t>(tile) < mapping.size());
-  int64_t total = 0;
-  for (const TileRange& r : mapping[static_cast<size_t>(tile)]) {
-    total += r.len();
-  }
-  return total;
-}
-
-int64_t TotalElements(const TileIntervals& mapping) {
-  int64_t total = 0;
-  for (int t = 0; t < static_cast<int>(mapping.size()); ++t) {
-    total += TileElements(mapping, t);
-  }
-  return total;
-}
-
-int64_t MaxTileElements(const TileIntervals& mapping) {
-  int64_t max_elems = 0;
-  for (int t = 0; t < static_cast<int>(mapping.size()); ++t) {
-    max_elems = std::max(max_elems, TileElements(mapping, t));
-  }
-  return max_elems;
-}
-
-int64_t MinTileElements(const TileIntervals& mapping) {
-  int64_t min_elems = std::numeric_limits<int64_t>::max();
-  for (int t = 0; t < static_cast<int>(mapping.size()); ++t) {
-    min_elems = std::min(min_elems, TileElements(mapping, t));
-  }
-  return mapping.empty() ? 0 : min_elems;
-}
-
-int64_t TileImbalance(const TileIntervals& mapping) {
-  if (mapping.empty()) return 0;
-  const int64_t total = TotalElements(mapping);
-  const int64_t balanced =
-      CeilDiv<int64_t>(total, static_cast<int64_t>(mapping.size()));
-  return std::max<int64_t>(0, MaxTileElements(mapping) - balanced);
-}
-
-int64_t FragmentedGrains(const TileIntervals& mapping, int64_t grain) {
-  TL_CHECK_GT(grain, 0);
-  int64_t grains = 0;
-  for (const std::vector<TileRange>& intervals : mapping) {
-    for (const TileRange& r : intervals) {
-      grains += CeilDiv<int64_t>(r.len(), grain);
-    }
-  }
-  return grains;
 }
 
 }  // namespace tilelink::tl

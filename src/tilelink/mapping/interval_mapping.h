@@ -1,40 +1,12 @@
-// Interval tile mapping: the poplibs TileMapping idiom (SNIPPETS.md
-// calcLinearTileMapping / getTileImbalance) adapted to TileLink's shard
-// planning. A mapping assigns each tile (rank, expert, worker — any owner)
-// a list of [lo, hi) intervals of a flattened element range; the helpers
-// below build the canonical grain-aligned linear split and measure how far
-// an arbitrary mapping strays from balanced.
-//
-// The autotuner's communication-optimal floors (builder/comm_bounds)
-// consume these mappings: per-rank port byte volumes fall out of the
-// interval sizes, so uneven shards and skewed MoE routings tighten the
-// bounds instead of being worst-cased away.
+// Weighted extent apportioning for shard planning: splits a whole number
+// of units across owners in proportion to their weights. Its one user is
+// RailScheduler (builder/link_roles.cc).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "tilelink/mapping.h"  // TileRange
-
 namespace tilelink::tl {
-
-// mapping[t] = the element intervals owned by tile t. Tiles may own zero
-// intervals; intervals within one tile are disjoint and ascending.
-using TileIntervals = std::vector<std::vector<TileRange>>;
-
-// Splits [0, num_elements) across num_tiles contiguous regions, each a
-// whole number of grains (the tail interval may be a partial grain). Tiles
-// receive ceil(num_grains / used_tiles) grains apiece until the elements
-// run out, where used_tiles shrinks so no occupied tile falls below
-// min_elements_per_tile; trailing tiles are left empty.
-TileIntervals LinearTileMapping(int64_t num_elements, int num_tiles,
-                                int64_t grain_size = 1,
-                                int64_t min_elements_per_tile = 1);
-
-// Mapping from explicit per-shard extents laid out back to back: shard s
-// owns [extents[0] + ... + extents[s-1], +extents[s]). MoE routings plug
-// their per-expert token counts in here.
-TileIntervals IntervalsFromExtents(const std::vector<int64_t>& extents);
 
 // Apportions `total` units across shards proportionally to `weights`
 // (largest-remainder method: exact sum, deterministic ties to the lowest
@@ -43,22 +15,5 @@ TileIntervals IntervalsFromExtents(const std::vector<int64_t>& extents);
 // across surviving rails with this, weights = surviving rail bandwidth.
 std::vector<int64_t> WeightedExtents(int64_t total,
                                      const std::vector<double>& weights);
-
-int64_t TotalElements(const TileIntervals& mapping);
-int64_t TileElements(const TileIntervals& mapping, int tile);
-int64_t MaxTileElements(const TileIntervals& mapping);
-int64_t MinTileElements(const TileIntervals& mapping);
-
-// How many more elements the fullest tile holds than a perfectly balanced
-// split would give it: max_t elements(t) - ceil(total / num_tiles). Zero
-// for every mapping LinearTileMapping produces.
-int64_t TileImbalance(const TileIntervals& mapping);
-
-// Grain-aligned launch count when every interval must be covered by its
-// own grains (no grain spans an interval boundary): sum over intervals of
-// ceil(len / grain). For a skewed MoE routing this is the row-tile count
-// the grouped GEMM actually launches — at least ceil(total / grain), the
-// dense value the worst-case bounds assume.
-int64_t FragmentedGrains(const TileIntervals& mapping, int64_t grain);
 
 }  // namespace tilelink::tl

@@ -36,30 +36,16 @@ std::string EdgeName(const char* stage, int src, int dst) {
          std::to_string(dst);
 }
 
-// The legacy unsafe_rail_{src,chunk} knobs expressed as a FaultPlan, so the
-// plan's ReorderRailChunk is the one fault-description mechanism. The
-// resulting plan stays collective-local (never attached to the World):
-// reorder entries corrupt ordering only, so timing is untouched.
-sim::FaultPlan LegacyReorderPlan(const HierConfig& cfg) {
-  sim::FaultPlan plan;
-  if (cfg.unsafe_rail_src >= 0 && cfg.unsafe_rail_chunk >= 0) {
-    plan.ReorderRailChunk(cfg.unsafe_rail_src, cfg.unsafe_rail_chunk);
-  }
-  return plan;
-}
-
 // `primary` scopes the fault to the sender's first rail exchange (its
 // lowest-node peer), so exactly one chunk misbehaves even when the sender
 // runs one send stream per peer node (3+ node topologies). Reorders come
-// from the collective's legacy shim plan or from a plan attached to the
-// World — both express the same ReorderRailChunk fault kind.
-bool EagerRailFault(const rt::World& world, const sim::FaultPlan& legacy,
-                    int sender, std::size_t index, bool primary) {
+// from a FaultPlan attached to the World (FaultPlan::ReorderRailChunk).
+bool EagerRailFault(const rt::World& world, int sender, std::size_t index,
+                    bool primary) {
   if (!primary) return false;
-  const int64_t chunk = static_cast<int64_t>(index);
-  if (legacy.IsRailReorder(sender, chunk)) return true;
   const sim::FaultPlan* plan = world.fault_plan();
-  return plan != nullptr && plan->IsRailReorder(sender, chunk);
+  return plan != nullptr &&
+         plan->IsRailReorder(sender, static_cast<int64_t>(index));
 }
 
 // True when `peer_node` is the lowest node other than `my_node`.
@@ -164,7 +150,7 @@ void HierConfig::Validate() const {
 HierAllGather::HierAllGather(rt::World& world, int64_t num_tiles,
                              uint64_t tile_bytes, const HierConfig& cfg)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
+      cfg_(cfg),
       nodes_(ValidatedNodes(world.spec(), cfg)),
       per_node_(world.spec().devices_per_node),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),
@@ -210,7 +196,7 @@ sim::Coro HierAllGather::RailSend(rt::RankCtx& ctx, int peer) {
     const int64_t off = k * chunk_tiles;
     c.tiles = std::min(chunk_tiles, num_tiles_ - off);
     c.eager_publish =
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (payload()) {
       const int64_t lo = (r * num_tiles_ + off) * E;
       c.io = ChunkIo{&world_, out_[static_cast<size_t>(r)],
@@ -433,7 +419,7 @@ HierReduceScatter::HierReduceScatter(rt::World& world, int64_t num_tiles,
                                      uint64_t tile_bytes,
                                      const HierConfig& cfg)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
+      cfg_(cfg),
       nodes_(ValidatedNodes(world.spec(), cfg)),
       per_node_(world.spec().devices_per_node),
       group_tiles_(static_cast<int64_t>(nodes_) * num_tiles),
@@ -633,7 +619,7 @@ sim::Coro HierReduceScatter::RailSend(rt::RankCtx& ctx, int peer,
     const int64_t off = k * chunk_tiles;
     c.tiles = std::min(chunk_tiles, num_tiles_ - off);
     c.eager_publish =
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (per_node_ > 1) {
       const uint64_t thr = static_cast<uint64_t>(
           own_group_base + static_cast<int64_t>(peer_node) * num_tiles_ +
@@ -997,7 +983,7 @@ static int64_t DpBlockStart(int64_t num_tiles, int nodes, int b) {
 DpAllReduce::DpAllReduce(rt::World& world, int64_t num_tiles,
                          uint64_t tile_bytes, const HierConfig& cfg)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg), legacy_plan_(LegacyReorderPlan(cfg)),
+      cfg_(cfg),
       nodes_(ValidatedNodes(world.spec(), cfg)),
       per_node_(world.spec().devices_per_node),
       // Each DP group member exchanges with every other member in both
@@ -1063,7 +1049,7 @@ sim::Coro DpAllReduce::SendToPeer(rt::RankCtx& ctx, int peer, bool rs_phase) {
     c.tiles = std::min(chunk_tiles, tiles_total - off);
     c.eager_publish =
         rs_phase &&
-        EagerRailFault(world_, legacy_plan_, r, static_cast<std::size_t>(k), primary);
+        EagerRailFault(world_, r, static_cast<std::size_t>(k), primary);
     if (!rs_phase) {
       // A reduced chunk leaves as soon as the reducer finishes it.
       c.gate = {block_reduced_[static_cast<size_t>(r)].get(),

@@ -61,25 +61,6 @@ struct HierConfig {
   int intra_channels = 4;    // NVLink ring messages in flight
   int reduce_sms = 20;       // SMs billed for reduction epilogues
 
-  // §4.2 fault injection — the collective analog of
-  // CompilerOptions::unsafe_reorder. When both are >= 0, exactly one NIC
-  // rail chunk — chunk `unsafe_rail_chunk` of rank `unsafe_rail_src`'s
-  // first rail exchange (its lowest-node peer) — publishes its arrival
-  // signal when the send *starts* instead of when the payload lands: the
-  // receiver's in-order prefix advances early, downstream consumers read
-  // mid-flight, and in payload mode the ConsistencyChecker must report the
-  // race instead of letting a silently-wrong answer through. Safe mode
-  // leaves both at -1.
-  //
-  // These knobs are now a thin shim over sim::FaultPlan's reorder-fault
-  // kind (ReorderRailChunk): the collective builds a private plan from them
-  // at construction, so there is exactly one fault-description mechanism.
-  // The same reorder injected through a plan attached to the World
-  // (rt::World::set_fault_plan) behaves identically; the shim plan stays
-  // collective-local and reorder-only, so it never perturbs timing.
-  int unsafe_rail_src = -1;
-  int unsafe_rail_chunk = -1;
-
   static HierConfig FromCandidate(const tl::TuneCandidate& c);
 
   // Rejects non-positive chunk sizes, window depths and SM counts up front
@@ -115,7 +96,6 @@ class HierAllGather {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
   tl::NvlinkRingRole ring_role_;
@@ -185,7 +165,6 @@ class HierReduceScatter {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   int64_t group_tiles_;  // nodes * num_tiles, one intra-ring group
   tl::NicRailRole rail_role_;
@@ -246,8 +225,8 @@ class DpAllReduce {
 
   // Functional payload mode: in[r] is rank r's gradient (num_tiles *
   // tile_elems fp32); out[r] receives the group sum. Requires a functional
-  // World; call before Run. The unsafe_rail fault applies to the
-  // ReduceScatter phase (the AllGather phase has no downstream consumer
+  // World; call before Run. A FaultPlan::ReorderRailChunk fault applies to
+  // the ReduceScatter phase (the AllGather phase has no downstream consumer
   // inside the collective to race with).
   void AttachPayload(std::vector<rt::Buffer*> in,
                      std::vector<rt::Buffer*> out, int64_t tile_elems);
@@ -263,7 +242,6 @@ class DpAllReduce {
   int64_t num_tiles_;
   uint64_t tile_bytes_;
   HierConfig cfg_;
-  sim::FaultPlan legacy_plan_;  // unsafe_rail_* shim (reorder-only, local)
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
   std::vector<std::vector<std::unique_ptr<InOrderSignal>>> rs_arrived_;

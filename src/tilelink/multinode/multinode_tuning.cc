@@ -1,11 +1,9 @@
 #include "tilelink/multinode/multinode_tuning.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/math_utils.h"
 #include "runtime/world.h"
-#include "tilelink/builder/comm_bounds.h"
 #include "tilelink/builder/fused_kernel_base.h"
 #include "tilelink/kernels/gemm_producer.h"
 
@@ -27,6 +25,33 @@ void GradTiling(uint64_t grad_bytes, int64_t* num_tiles,
   *tile_bytes = std::max<uint64_t>(
       1, (grad_bytes + static_cast<uint64_t>(tiles) - 1) /
              static_cast<uint64_t>(tiles));
+}
+
+// Overlap bound of the fused hierarchical kernels: launch + max(GEMM
+// compute, NIC rail wire, NVLink ring wire), where each rank moves one
+// [m/R, block_cols] bf16 block. Rail: every rank exchanges its block with
+// each peer node over its NIC. Ring: each rank forwards (per_node - 1)
+// stages of `nodes` blocks over NVLink.
+sim::TimeNs HierLowerBound(const sim::MachineSpec& spec,
+                           const tl::MlpPartShape& shape,
+                           const tl::TuneCandidate& c, int64_t block_cols) {
+  const int R = spec.num_devices;
+  const int nodes = spec.num_nodes();
+  const int per_node = spec.devices_per_node;
+  const int64_t m_per_rank = R > 0 ? shape.m / R : shape.m;
+  const sim::CostModel cost(spec);
+  const sim::TimeNs compute =
+      cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
+                           c.gemm.bk, spec.sms_per_device);
+  const double block_bytes =
+      static_cast<double>(m_per_rank) * block_cols * 2;  // bf16
+  const sim::TimeNs rail = static_cast<sim::TimeNs>(
+      (nodes - 1) * block_bytes / spec.nic_gbps);
+  const sim::TimeNs ring = static_cast<sim::TimeNs>(
+      static_cast<double>(per_node - 1) * nodes * block_bytes /
+      spec.nvlink_gbps);
+  return spec.kernel_launch_latency +
+         std::max(compute, std::max(rail, ring));
 }
 
 template <typename Collective>
@@ -247,39 +272,14 @@ sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
 sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
                                      const tl::MlpPartShape& shape,
                                      const tl::TuneCandidate& c) {
-  // Collapse the reduction loop to one k-step: per-tile MMA cost is linear
-  // in bk, so the ranking is preserved at a fraction of the events.
-  tl::TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(std::min<int64_t>(
-      std::max<int64_t>(shape.k, 1), std::numeric_limits<int>::max()));
-  return SimulateGemmHierRs(spec, shape, coarse);
+  return SimulateGemmHierRs(spec, shape, tl::CoarsenReduction(c, shape.k));
 }
 
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c) {
-  const int R = spec.num_devices;
-  const int nodes = spec.num_nodes();
-  const int per_node = spec.devices_per_node;
-  const int64_t m_per_rank = R > 0 ? shape.m / R : shape.m;
-  const sim::CostModel cost(spec);
-  const sim::TimeNs compute =
-      cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
-                           c.gemm.bk, spec.sms_per_device);
-  const double block_bytes =
-      static_cast<double>(m_per_rank) * shape.n * 2;  // bf16
-  // Rail: every rank sends one node-reduced block per peer node over its
-  // NIC. Ring: each rank forwards (per_node - 1) segments of `nodes` blocks
-  // over NVLink.
-  const sim::TimeNs rail = static_cast<sim::TimeNs>(
-      (nodes - 1) * block_bytes / spec.nic_gbps);
-  const sim::TimeNs ring = static_cast<sim::TimeNs>(
-      static_cast<double>(per_node - 1) * nodes * block_bytes /
-      spec.nvlink_gbps);
-  // Composed (max) with the communication-optimal NIC port/window floor.
-  return std::max(spec.kernel_launch_latency +
-                      std::max(compute, std::max(rail, ring)),
-                  tl::GemmHierRsCommFloor(spec, shape, c));
+  // Each rank's wire block is its node-reduced [m/R, n] output slice.
+  return HierLowerBound(spec, shape, c, shape.n);
 }
 
 sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
@@ -390,36 +390,14 @@ sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
 sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
                                      const tl::MlpPartShape& shape,
                                      const tl::TuneCandidate& c) {
-  // Collapse the reduction loop to one k-step (ranking-preserving, see
-  // CoarseSimulateGemmHierRs).
-  tl::TuneCandidate coarse = c;
-  coarse.gemm.bk = static_cast<int>(std::min<int64_t>(
-      std::max<int64_t>(shape.k, 1), std::numeric_limits<int>::max()));
-  return SimulateAgGemmHier(spec, shape, coarse);
+  return SimulateAgGemmHier(spec, shape, tl::CoarsenReduction(c, shape.k));
 }
 
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c) {
-  const int R = spec.num_devices;
-  const int nodes = spec.num_nodes();
-  const int per_node = spec.devices_per_node;
-  const int64_t m_per_rank = R > 0 ? shape.m / R : shape.m;
-  const sim::CostModel cost(spec);
-  const sim::TimeNs compute =
-      cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
-                           c.gemm.bk, spec.sms_per_device);
-  const double shard_bytes =
-      static_cast<double>(m_per_rank) * shape.k * 2;  // bf16
-  // Rail: every rank ships its whole shard to each peer node. Ring: each
-  // rank forwards (per_node - 1) stages of `nodes` node-group blocks.
-  const sim::TimeNs rail = static_cast<sim::TimeNs>(
-      (nodes - 1) * shard_bytes / spec.nic_gbps);
-  const sim::TimeNs ring = static_cast<sim::TimeNs>(
-      static_cast<double>(per_node - 1) * nodes * shard_bytes /
-      spec.nvlink_gbps);
-  return spec.kernel_launch_latency +
-         std::max(compute, std::max(rail, ring));
+  // Each rank's wire block is its [m/R, k] activation shard.
+  return HierLowerBound(spec, shape, c, shape.k);
 }
 
 sim::TimeNs SimulateHierAgThenGemm(const sim::MachineSpec& spec,

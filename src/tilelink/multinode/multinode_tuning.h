@@ -93,7 +93,7 @@ sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
 sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
                                      const tl::MlpPartShape& shape,
                                      const tl::TuneCandidate& c);
-// max(GEMM compute + launch, NIC rail wire, NVLink ring wire).
+// launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c);
@@ -139,7 +139,7 @@ sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
 sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
                                      const tl::MlpPartShape& shape,
                                      const tl::TuneCandidate& c);
-// max(GEMM compute + launch, NIC rail wire, NVLink ring wire).
+// launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c);

@@ -6,17 +6,16 @@
 // attached, and compare every rank's output bit-for-bit against the
 // single-rank references.
 //
-// The same drivers carry the §4.2 fault injection: set
-// HierConfig::unsafe_rail_{src,chunk} and a safe run's `bit_exact &&
+// Every driver takes an optional sim::FaultPlan, attached to the World
+// before the run. The plan carries the §4.2 fault injection: with
+// FaultPlan::ReorderRailChunk(src, chunk) a safe run's `bit_exact &&
 // violations == 0` flips to `violations >= 1` — the checker catches the
 // dropped prefix-publication ordering on the NIC stage instead of letting a
-// silently wrong (or silently right-by-luck) answer through.
-//
-// Every driver also takes an optional sim::FaultPlan: the plan is attached
-// to the World before the run, so transient drops/spikes exercise the link
-// roles' retry path and rail degrades exercise failover, while the
-// bit-exactness and checker gates stay exactly as strict as the fault-free
-// run. The caller keeps the plan alive for the duration of the call.
+// silently wrong (or silently right-by-luck) answer through. Transient
+// drops/spikes exercise the link roles' retry path and rail degrades
+// exercise failover, while the bit-exactness and checker gates stay
+// exactly as strict as the fault-free run. The caller keeps the plan alive
+// for the duration of the call.
 #pragma once
 
 #include <cstdint>

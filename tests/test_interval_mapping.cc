@@ -1,112 +1,12 @@
-// Interval tile-mapping utility (tilelink/mapping/interval_mapping.h):
-// poplibs-style linear splits, extent-derived mappings for skewed MoE
-// routings, and the imbalance/fragmentation measures the communication
-// bounds consume.
+// Weighted extent apportioning (tilelink/mapping/interval_mapping.h), the
+// split the rail failover scheduler uses to rebalance chunks across
+// surviving rails.
 #include <gtest/gtest.h>
 
 #include "tilelink/mapping/interval_mapping.h"
 
 namespace tilelink::tl {
 namespace {
-
-TEST(LinearTileMappingTest, EvenSplitIsBalancedAndContiguous) {
-  const TileIntervals m = LinearTileMapping(1024, 4);
-  ASSERT_EQ(m.size(), 4u);
-  int64_t expect_lo = 0;
-  for (int t = 0; t < 4; ++t) {
-    ASSERT_EQ(m[t].size(), 1u);
-    EXPECT_EQ(m[t][0].lo, expect_lo);
-    EXPECT_EQ(TileElements(m, t), 256);
-    expect_lo = m[t][0].hi;
-  }
-  EXPECT_EQ(TotalElements(m), 1024);
-  EXPECT_EQ(MaxTileElements(m), 256);
-  EXPECT_EQ(MinTileElements(m), 256);
-  EXPECT_EQ(TileImbalance(m), 0);
-}
-
-TEST(LinearTileMappingTest, GrainAlignedCeilSplitLeavesRaggedTail) {
-  // 1000 elements at grain 128 -> 8 grains, 2 grains per tile: three full
-  // 256-element tiles and a 232-element tail.
-  const TileIntervals m = LinearTileMapping(1000, 4, /*grain_size=*/128);
-  ASSERT_EQ(m.size(), 4u);
-  EXPECT_EQ(TileElements(m, 0), 256);
-  EXPECT_EQ(TileElements(m, 1), 256);
-  EXPECT_EQ(TileElements(m, 2), 256);
-  EXPECT_EQ(TileElements(m, 3), 232);
-  // Every interior boundary is grain-aligned.
-  for (int t = 0; t < 3; ++t) {
-    EXPECT_EQ(m[t][0].hi % 128, 0);
-  }
-  EXPECT_EQ(TotalElements(m), 1000);
-  // Grain rounding concentrates the surplus: max 256 vs ceil(1000/4) = 250.
-  EXPECT_EQ(TileImbalance(m), 6);
-}
-
-TEST(LinearTileMappingTest, UnitGrainMappingsHaveZeroImbalance) {
-  for (const auto& [elements, tiles] :
-       std::vector<std::pair<int64_t, int>>{
-           {1, 1}, {7, 3}, {128, 8}, {1000, 7}, {8192, 16}}) {
-    const TileIntervals m = LinearTileMapping(elements, tiles);
-    EXPECT_EQ(TotalElements(m), elements);
-    EXPECT_EQ(TileImbalance(m), 0) << elements << "/" << tiles;
-  }
-}
-
-TEST(LinearTileMappingTest, MinElementsFloorShrinksUsedTiles) {
-  // 100 elements with a 50-element floor fit on 2 of the 8 tiles; the
-  // remaining tiles stay empty rather than dropping below the floor.
-  const TileIntervals m =
-      LinearTileMapping(100, 8, /*grain_size=*/1, /*min_elements_per_tile=*/50);
-  ASSERT_EQ(m.size(), 8u);
-  EXPECT_EQ(TileElements(m, 0), 50);
-  EXPECT_EQ(TileElements(m, 1), 50);
-  for (int t = 2; t < 8; ++t) EXPECT_EQ(TileElements(m, t), 0);
-  EXPECT_EQ(MinTileElements(m), 0);  // min counts the empty tiles
-  EXPECT_EQ(MaxTileElements(m), 50);
-}
-
-TEST(LinearTileMappingTest, FewerElementsThanTilesUsesOnePerElement) {
-  const TileIntervals m = LinearTileMapping(3, 8);
-  EXPECT_EQ(TotalElements(m), 3);
-  EXPECT_EQ(TileElements(m, 0), 1);
-  EXPECT_EQ(TileElements(m, 1), 1);
-  EXPECT_EQ(TileElements(m, 2), 1);
-  EXPECT_EQ(TileElements(m, 3), 0);
-}
-
-TEST(LinearTileMappingTest, ZeroElementsIsAllEmpty) {
-  const TileIntervals m = LinearTileMapping(0, 4);
-  EXPECT_EQ(TotalElements(m), 0);
-  EXPECT_EQ(MaxTileElements(m), 0);
-  EXPECT_EQ(MinTileElements(m), 0);
-  EXPECT_EQ(TileImbalance(m), 0);
-}
-
-TEST(IntervalsFromExtentsTest, SkewedExtentsMeasureImbalance) {
-  // A skewed MoE routing: experts own 5, 0 and 3 tokens.
-  const TileIntervals m = IntervalsFromExtents({5, 0, 3});
-  ASSERT_EQ(m.size(), 3u);
-  EXPECT_EQ(TileElements(m, 0), 5);
-  EXPECT_EQ(TileElements(m, 1), 0);
-  EXPECT_EQ(TileElements(m, 2), 3);
-  // Offsets are cumulative: the third extent starts where the first ends.
-  EXPECT_EQ(m[2][0].lo, 5);
-  EXPECT_EQ(TotalElements(m), 8);
-  // max 5 vs ceil(8/3) = 3 balanced.
-  EXPECT_EQ(TileImbalance(m), 2);
-}
-
-TEST(FragmentedGrainsTest, CountsCeilPerInterval) {
-  // Each interval rounds up to its own grain count — fragmentation the
-  // grouped GEMM pays per expert: ceil(5/4) + ceil(3/4) = 3 vs ceil(8/4)=2
-  // for the dense concatenation.
-  const TileIntervals m = IntervalsFromExtents({5, 0, 3});
-  EXPECT_EQ(FragmentedGrains(m, 4), 3);
-  EXPECT_EQ(FragmentedGrains(LinearTileMapping(8, 1), 4), 2);
-  // Grain 1 degenerates to the element count.
-  EXPECT_EQ(FragmentedGrains(m, 1), 8);
-}
 
 TEST(WeightedExtentsTest, ProportionalSplitSumsExactly) {
   // Healthy rails split evenly; a half-bandwidth rail gets half a share.

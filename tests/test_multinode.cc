@@ -301,10 +301,10 @@ TEST(PayloadMode, ThreeNodeTopologyStaysBitExact) {
   EXPECT_EQ(ar.violations, 0u);
   // The injected fault stays a *single* chunk even with two rail peers per
   // sender (scoped to the first rail exchange) and is still caught.
-  HierConfig fault = cfg;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport f = ValidateHierAllGather(spec, 5, 16 << 10, 4, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
+  const PayloadReport f =
+      ValidateHierAllGather(spec, 5, 16 << 10, 4, cfg, &fault);
   EXPECT_GE(f.violations, 1u);
 }
 
@@ -351,41 +351,26 @@ TEST(PayloadMode, PayloadDoesNotPerturbTiming) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultInjection, EagerRailPublishCaughtOnHierAllGather) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 0;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport r =
-      ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10, 8, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
+  const PayloadReport r = ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10,
+                                                8, HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 
 TEST(FaultInjection, EagerRailPublishCaughtOnHierReduceScatter) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 3;
-  fault.unsafe_rail_chunk = 1;
-  const PayloadReport r =
-      ValidateHierReduceScatter(TwoNodeSpec(8), 12, 16 << 10, 8, fault);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/3, /*chunk=*/1);
+  const PayloadReport r = ValidateHierReduceScatter(
+      TwoNodeSpec(8), 12, 16 << 10, 8, HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 
 TEST(FaultInjection, EagerRailPublishCaughtOnDpAllReduce) {
-  HierConfig fault;
-  fault.unsafe_rail_src = 8;
-  fault.unsafe_rail_chunk = 0;
-  const PayloadReport r =
-      ValidateDpAllReduce(TwoNodeSpec(8), 16, 16 << 10, 8, fault);
-  EXPECT_GE(r.violations, 1u);
-}
-
-// The unsafe_rail_* knobs are a shim over sim::FaultPlan::ReorderRailChunk:
-// the same reorder injected through a World-attached plan must be caught
-// identically, with the legacy knobs left untouched.
-TEST(FaultInjection, ReorderViaWorldPlanMatchesLegacyKnob) {
-  sim::FaultPlan plan;
-  plan.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
-  const PayloadReport r =
-      ValidateHierAllGather(TwoNodeSpec(8), 6, 16 << 10, 8, HierConfig{},
-                            &plan);
+  sim::FaultPlan fault;
+  fault.ReorderRailChunk(/*src_rank=*/8, /*chunk=*/0);
+  const PayloadReport r = ValidateDpAllReduce(TwoNodeSpec(8), 16, 16 << 10, 8,
+                                              HierConfig{}, &fault);
   EXPECT_GE(r.violations, 1u);
 }
 

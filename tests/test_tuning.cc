@@ -21,7 +21,6 @@
 #include "common/rng.h"
 #include "compute/moe_routing.h"
 #include "sim/fault.h"
-#include "tilelink/builder/comm_bounds.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/builder/tuned_config_cache.h"
 #include "tilelink/multinode/multinode_tuning.h"
@@ -790,10 +789,11 @@ TEST(TunedConfigCacheTest, ConcurrentGetOrTuneStress) {
 }
 
 // ---------------------------------------------------------------------- //
-// Communication-optimal floors
+// Lower-bound soundness: a bound that exceeds the simulated cost could
+// prune the argmin, so every family's bound is checked by brute force.
 // ---------------------------------------------------------------------- //
 
-TEST(CommBoundsTest, MlpFloorsAreSoundByBruteForce) {
+TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   TuneCandidate base;
   base.gemm = compute::GemmTiling{32, 32, 16};
@@ -810,27 +810,22 @@ TEST(CommBoundsTest, MlpFloorsAreSoundByBruteForce) {
       if (ag != Autotuner::kInfeasible) {
         ++feasible;
         EXPECT_LE(AgGemmLowerBound(spec, shape, c), ag) << c.Describe();
-        // Composition: the floor only ever raises the overlap bound.
-        EXPECT_GE(AgGemmLowerBound(spec, shape, c),
-                  AgGemmOverlapBound(spec, shape, c));
       }
       const sim::TimeNs rs = SimulateGemmRs(spec, shape, c);
       if (rs != Autotuner::kInfeasible) {
         EXPECT_LE(GemmRsLowerBound(spec, shape, c), rs) << c.Describe();
-        EXPECT_GE(GemmRsLowerBound(spec, shape, c),
-                  GemmRsOverlapBound(spec, shape, c));
       }
     }
     EXPECT_GT(feasible, 0);
   }
 }
 
-TEST(CommBoundsTest, RoutedMoeFloorsAreSoundByBruteForce) {
+TEST(LowerBoundTest, MoeBoundsAreSoundOnSkewedRouting) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(2, 16);
   const MoeShape shape{128, 32, 32, 4, 2};
-  // Deliberately skewed routing (small m, few experts): the fragmentation
-  // floor has to stay under the simulated group GEMM even when several
-  // experts own ragged partial tiles.
+  // Deliberately skewed routing (small m, few experts): the dense
+  // slot-space compute term has to stay under the simulated group GEMM
+  // even when several experts own ragged partial tiles.
   Rng rng(7);
   const compute::MoeRouting routing =
       compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
@@ -849,25 +844,19 @@ TEST(CommBoundsTest, RoutedMoeFloorsAreSoundByBruteForce) {
     const sim::TimeNs t1 = SimulateAgMoe(spec, shape, routing, c);
     if (t1 != Autotuner::kInfeasible) {
       ++part1_feasible;
-      EXPECT_LE(AgMoeRoutedLowerBound(spec, shape, routing, c), t1)
-          << c.Describe();
-      EXPECT_GE(AgMoeRoutedLowerBound(spec, shape, routing, c),
-                AgMoeLowerBound(spec, shape, c));
+      EXPECT_LE(AgMoeLowerBound(spec, shape, c), t1) << c.Describe();
     }
     const sim::TimeNs t2 = SimulateMoeRs(spec, shape, routing, c);
     if (t2 != Autotuner::kInfeasible) {
       ++part2_feasible;
-      EXPECT_LE(MoeRsRoutedLowerBound(spec, shape, routing, c), t2)
-          << c.Describe();
-      EXPECT_GE(MoeRsRoutedLowerBound(spec, shape, routing, c),
-                MoeRsLowerBound(spec, shape, c));
+      EXPECT_LE(MoeRsLowerBound(spec, shape, c), t2) << c.Describe();
     }
   }
   EXPECT_GT(part1_feasible, 0);
   EXPECT_GT(part2_feasible, 0);
 }
 
-TEST(CommBoundsTest, HierRsFloorIsSoundByBruteForce) {
+TEST(LowerBoundTest, HierRsBoundIsSoundByBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   const MlpPartShape shape{8192, 128, 1024};
   const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
@@ -879,32 +868,31 @@ TEST(CommBoundsTest, HierRsFloorIsSoundByBruteForce) {
     ++feasible;
     EXPECT_LE(multinode::GemmHierRsLowerBound(spec, shape, c), t)
         << c.Describe();
-    EXPECT_LE(GemmHierRsCommFloor(spec, shape, c), t) << c.Describe();
   }
   EXPECT_GT(feasible, 0);
 }
 
-TEST(CommBoundsTest, PortBytesMatchHandComputedVolumes) {
-  // 4 ranks, shards of 4/4/4/4 rows of 8 columns, bf16 (2 bytes): each
-  // rank receives 12 remote rows and sends its 4 rows to 3 peers.
-  const TileIntervals even = LinearTileMapping(16, 4, 4);
-  const PortBytes ag = AllGatherPortBytes(even, 8 * 2);
-  EXPECT_EQ(ag.ingress, 12u * 16u);
-  EXPECT_EQ(ag.egress, 4u * 3u * 16u);
-  // Reduce-scatter information floor: one accumulated copy of the largest
-  // shard in; contributions to all remote rows out.
-  const PortBytes rs = ReduceScatterPortBytes(even, 8 * 2);
-  EXPECT_EQ(rs.ingress, 4u * 16u);
-  EXPECT_EQ(rs.egress, 12u * 16u);
-  // Ragged shards sharpen the floor: 6/6/4/0 rows on 4 ranks.
-  const TileIntervals ragged = IntervalsFromExtents({6, 6, 4, 0});
-  const PortBytes ragged_ag = AllGatherPortBytes(ragged, 2);
-  EXPECT_EQ(ragged_ag.ingress, 16u * 2u);     // the empty rank pulls all 16
-  EXPECT_EQ(ragged_ag.egress, 6u * 3u * 2u);  // a 6-row owner feeds 3 peers
-  // Single rank: nothing crosses the fabric.
-  const PortBytes solo = AllGatherPortBytes(LinearTileMapping(16, 1), 2);
-  EXPECT_EQ(solo.ingress, 0u);
-  EXPECT_EQ(solo.egress, 0u);
+TEST(LowerBoundTest, AgGemmHierBoundIsSoundByBruteForce) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x16();
+  // m_per_rank = 128 (one 128-row chunk or two 64-row chunks per rank) and
+  // m_per_rank = 256 (two or four): both NIC stream lengths the staging
+  // window and chunk-batching knobs trade against. k = 1024 keeps the GEMM
+  // term large enough that the bound sits within ~2-3x of the simulation.
+  for (const MlpPartShape& shape :
+       {MlpPartShape{2048, 1024, 1024}, MlpPartShape{4096, 1024, 768}}) {
+    const TuneCandidate seed =
+        multinode::DefaultAgGemmHierCandidate(shape, 16);
+    int feasible = 0;
+    for (const TuneCandidate& c :
+         tl::TuningSpace::AgGemmHier().Enumerate(seed)) {
+      const sim::TimeNs t = multinode::SimulateAgGemmHier(spec, shape, c);
+      if (t == Autotuner::kInfeasible) continue;
+      ++feasible;
+      EXPECT_LE(multinode::AgGemmHierLowerBound(spec, shape, c), t)
+          << c.Describe();
+    }
+    EXPECT_GT(feasible, 0);
+  }
 }
 
 TEST(KernelTuningTest, TuneFlashCorePicksLargeBlocks) {
