@@ -117,12 +117,13 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
-  # The generated/hand-built identity suite (test_overlap_gen) already ran
-  # under ctest in stages 1-2; this stage gates the *generated* kernel's
-  # end-to-end win: --ag-fused fails if the planner-generated ag_gemm_hier
-  # loses to the AllGather-then-GEMM compose at any gate shape (including
-  # the small-m column-split shape), if the tuner regresses past the seed,
-  # if the small-m planner stops column-splitting, or if the functional /
+  # The planner-built kernels' frozen makespans and payload hashes
+  # (test_overlap_gen's golden suite) already ran under ctest in stages
+  # 1-2; this stage gates the generated kernel's end-to-end win:
+  # --ag-fused fails if the planner-generated ag_gemm_hier loses to the
+  # AllGather-then-GEMM compose at any gate shape (including the small-m
+  # column-split shape), if the tuner regresses past the seed, if the
+  # small-m planner stops column-splitting, or if the functional /
   # fault-injected runs are not bit-exact and checker-clean.
   ./build-ci/bench_multinode_fabric --payload --fused --ag-fused --faults \
       --json build-ci/BENCH_multinode.json \

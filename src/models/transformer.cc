@@ -201,7 +201,7 @@ sim::TimeNs E2eEstimator::TimeAgGemm(Method method, int64_t m, int64_t k,
   } else {
     const tl::MlpPartShape shape{m, k, n};
     // TP spanning the node boundary runs the generated fused hierarchical
-    // AG + GEMM kernel (NIC rail + node-local NVLink ring in one RolePlan);
+    // AG + GEMM kernel (NIC rail + node-local NVLink ring in one kernel);
     // single-node TP — and multi-node shapes too small for its chunking —
     // run the single-fabric AgGemm (the spec in the cache key separates
     // multi-node fallback searches from the single-node ones).
@@ -259,7 +259,7 @@ sim::TimeNs E2eEstimator::TimeGemmRs(Method method, int64_t m, int64_t k,
   } else {
     const tl::MlpPartShape shape{m, k, n};
     // TP spanning the node boundary runs the fused GEMM + hierarchical RS
-    // kernel (NVLink ring + NIC rail in one RolePlan); single-node TP —
+    // kernel (NVLink ring + NIC rail in one kernel); single-node TP —
     // and multi-node shapes too small for the fused kernel's chunking —
     // run the single-fabric GemmRs (the spec in the cache key separates
     // multi-node fallback searches from the single-node ones).

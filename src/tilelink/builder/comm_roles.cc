@@ -144,6 +144,12 @@ BlockProgram BuildRowAllGatherPush(const RowAllGatherParams& params) {
   return b.Build();
 }
 
+BlockProgram BuildRowAllGather(const RowAllGatherParams& params,
+                               CommResource comm) {
+  return comm == CommResource::kSmPull ? BuildRowAllGatherPull(params)
+                                       : BuildRowAllGatherPush(params);
+}
+
 namespace {
 
 sim::Coro CopyAndNotify(rt::RankCtx& ctx, Tensor src, Tensor dst,

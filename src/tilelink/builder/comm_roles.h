@@ -8,6 +8,7 @@
 #include "comm/collectives.h"
 #include "runtime/world.h"
 #include "tilelink/block_channel.h"
+#include "tilelink/kernels/kernel_common.h"
 #include "tilelink/mapping.h"
 #include "tilelink/program.h"
 
@@ -30,6 +31,11 @@ BlockProgram BuildRowAllGatherPull(const RowAllGatherParams& params);
 // Push mode (Figure 3b right): every rank pushes its own shard's tiles to
 // all peers (right neighbor first) and notifies the remote consumers.
 BlockProgram BuildRowAllGatherPush(const RowAllGatherParams& params);
+
+// The SM binding of `comm`: pull blocks for kSmPull, push blocks otherwise
+// (a kDma AllGather runs on the host, DmaRowAllGather below).
+BlockProgram BuildRowAllGather(const RowAllGatherParams& params,
+                               CommResource comm);
 
 // DMA resource: host primitives drive copy engines, one copy per channel
 // chunk in ring order (own shard first); each completed chunk notifies the

@@ -46,7 +46,6 @@ class FusedKernelBase {
 
   rt::World& world() const { return *world_; }
   int ranks() const { return world_->size(); }
-  int sms() const { return world_->spec().sms_per_device; }
 
   // One identically-shaped tensor per rank, named "<kernel>.<suffix>".
   comm::SymTensor AllocSymmetric(const std::string& suffix,

@@ -365,9 +365,10 @@ sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
                              const TuneCandidate& c) {
   if (!AgGemmFeasible(spec, shape, c)) return 0;  // never prune; eval rejects
   const sim::CostModel cost(spec);
-  // Mirror RolePlan's ClaimComm: comm blocks are capped by the role's work
-  // (all tiles in pull mode, this rank's tiles in push mode). Overstating
-  // the comm SM claim would overstate the bound and could prune the argmin.
+  // Mirror ResourceBudget::ClaimComm: comm blocks are capped by the role's
+  // work (all tiles in pull mode, this rank's tiles in push mode).
+  // Overstating the comm SM claim would overstate the bound and could
+  // prune the argmin.
   const int64_t comm_work = c.comm == CommResource::kSmPush
                                 ? shape.m / spec.num_devices / c.comm_tile_m
                                 : shape.m / c.comm_tile_m;

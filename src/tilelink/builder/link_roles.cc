@@ -332,17 +332,7 @@ NicRailRole::NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
     : world_(&world), chunk_tiles_(chunk_tiles) {
   TL_CHECK_GT(chunk_tiles, 0);
   TL_CHECK_GT(staging_depth, 0);
-  // Clamp the per-peer staging depth by the device's NIC channel budget
-  // (queue pairs shared across all `peers` concurrent rail exchanges). A
-  // single-node topology has no rail peers and claims no NIC channels.
-  if (peers <= 0) {
-    staging_depth_ = std::max(1, staging_depth);
-    return;
-  }
-  ResourceBudget budget = ResourceBudget::ForDevice(world.spec());
-  const int granted =
-      budget.ClaimFabric(FabricBinding::kNic, staging_depth * peers);
-  staging_depth_ = std::max(1, granted / peers);
+  staging_depth_ = RailWindow(world.spec(), staging_depth, peers);
 }
 
 LinkStream NicRailRole::Stream(
@@ -372,6 +362,14 @@ LinkStream NicRailRole::Stream(
 
 int64_t RailChunksPerBlock(int64_t block_rows, int64_t chunk_rows) {
   return CeilDiv(block_rows, chunk_rows);
+}
+
+int RailWindow(const sim::MachineSpec& spec, int staging_depth, int peers) {
+  if (peers <= 0) return std::max(1, staging_depth);
+  ResourceBudget budget = ResourceBudget::ForDevice(spec);
+  const int granted =
+      budget.ClaimFabric(FabricBinding::kNic, staging_depth * peers);
+  return std::max(1, granted / peers);
 }
 
 int RailSourceIndex(int src_node, int my_node) {

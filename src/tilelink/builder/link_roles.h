@@ -8,14 +8,14 @@
 // departure is gated on upstream tile readiness (a producer's notify, the
 // previous pipeline stage's reduction), and each arrival is published to
 // downstream consumers as a contiguous tile prefix (InOrderSignal). The two
-// concrete roles mirror the FabricBinding variants a RolePlan budgets:
+// concrete roles mirror the FabricBinding variants a ResourceBudget caps:
 //
 //  * NvlinkRingRole (FabricBinding::kNvlink): intra-node ring stages —
 //    chunk size `intra_chunk_tiles`, window `intra_channels`.
 //  * NicRailRole (FabricBinding::kNic): inter-node rail exchanges — chunk
 //    size `nic_chunk_tiles`, window `staging_depth` clamped by the device's
-//    NIC queue-pair budget (ResourceBudget::ClaimFabric), shared across the
-//    role's concurrent peer exchanges.
+//    NIC queue-pair budget (RailWindow), shared across the role's
+//    concurrent peer exchanges.
 //
 // Each role has two forms with identical pipeline semantics:
 //  * Host-driven streams (Stream() + RunLinkStream): coroutines driving
@@ -24,7 +24,7 @@
 //    BuildRingReduceScatter in kernels/ring_rs.h for the NVLink ring):
 //    ConsumerTileWait/PeerTileWait gates, TilePushData chunk sends and
 //    notify-on-landing, compiled and verified like any other role —
-//    the form fused kernels hand to RolePlan::Comm with their
+//    the form fused kernels run as OverlapPlanner-sized roles on their
 //    FabricBinding (kernels/gemm_hier_rs is the first kNic user).
 #pragma once
 
@@ -208,7 +208,7 @@ void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
 
 // Intra-node NVLink ring link role (host-driven form). The device-program
 // form of the same role is kernels/ring_rs.h's BuildRingReduceScatter,
-// which fused kernels bind through RolePlan::Comm(FabricBinding::kNvlink).
+// which fused kernels run as a planned FabricBinding::kNvlink role.
 class NvlinkRingRole {
  public:
   static constexpr FabricBinding kFabric = FabricBinding::kNvlink;
@@ -263,7 +263,7 @@ class NicRailRole {
 // supplied spec, typically the ring role's completion channels), acquire-
 // load it, then tile_push_data it across the NIC to the rail peer and
 // notify the peer's rail arrival channel with release semantics once it
-// lands. RolePlan::Comm binds the program to FabricBinding::kNic so the
+// lands. The planner binds the program to FabricBinding::kNic so the
 // blocks double as the stream window: `staging_depth * peers` blocks keep
 // that many NIC messages in flight, clamped by the queue-pair budget.
 struct NicRailPushParams {
@@ -311,6 +311,12 @@ BlockProgram BuildNicRailReduce(const NicRailReduceParams& params);
 
 // Work items of the rail roles: chunks per block and per role.
 int64_t RailChunksPerBlock(int64_t block_rows, int64_t chunk_rows);
+
+// Per-peer rail staging window: the requested depth for all `peers`
+// concurrent rail exchanges is granted from a fresh device NIC channel
+// budget (the queue pairs), then divided back across the peers. With no
+// peers (single node) no NIC channel is claimed.
+int RailWindow(const sim::MachineSpec& spec, int staging_depth, int peers);
 
 // Receiver-side per-source slot indexing shared by every rail consumer
 // (device rail roles and the host collectives): slot of source node

@@ -42,17 +42,6 @@ int RingColSplits(const OverlapRoleSpec& r, int64_t cpb) {
   return best;
 }
 
-// The NicRailRole staging-window clamp (link_roles.cc): the requested
-// depth is granted from a fresh per-device NIC channel budget, then
-// divided back across the peers.
-int RailWindow(const sim::MachineSpec& spec, int staging_depth, int peers) {
-  if (peers <= 0) return std::max(1, staging_depth);
-  ResourceBudget nic = ResourceBudget::ForDevice(spec);
-  const int granted =
-      nic.ClaimFabric(FabricBinding::kNic, staging_depth * peers);
-  return std::max(1, granted / peers);
-}
-
 }  // namespace
 
 const PlannedRole* OverlapPlan::Find(const std::string& name) const {
@@ -93,14 +82,12 @@ OverlapPlan OverlapPlanner::Plan(const OverlapSpec& spec) const {
 
   OverlapPlan plan;
   plan.kernel = spec.kernel;
-  // Replay the exact claim sequence RolePlan will perform so block and
-  // channel predictions are authoritative, not approximate.
+  // One device budget, claimed in declared role order.
   ResourceBudget budget = ResourceBudget::ForDevice(spec_);
   for (const OverlapRoleSpec& r : spec.roles) {
     PlannedRole p;
     p.name = r.name;
     p.kind = r.kind;
-    p.want_sms = r.want_sms;
     switch (r.kind) {
       case OverlapRoleKind::kCompute: {
         int64_t tiles = r.work_items;
@@ -158,8 +145,6 @@ OverlapPlan OverlapPlanner::Plan(const OverlapSpec& spec) const {
         const int rail_blocks = static_cast<int>(std::min<int64_t>(
             static_cast<int64_t>(p.window) * r.peers, p.work_items));
         p.fabric = FabricBinding::kNic;
-        p.want_sms = rail_blocks;
-        p.want_channels = rail_blocks;
         p.blocks = budget.ClaimComm(rail_blocks, p.work_items);
         p.channels = budget.ClaimFabric(FabricBinding::kNic, rail_blocks);
         break;
@@ -186,31 +171,14 @@ OverlapPlan OverlapPlanner::Plan(const OverlapSpec& spec) const {
 }
 
 FusedKernelSpec BuildFromPlan(
-    const OverlapPlan& plan, int total_sms,
+    const OverlapPlan& plan,
     const std::function<BlockProgram(const PlannedRole&)>& program_of) {
-  RolePlan rp(plan.kernel, total_sms);
+  FusedKernelSpec spec;
+  spec.name = plan.kernel;
   for (const PlannedRole& r : plan.roles) {
     if (!r.device) continue;
-    if (r.kind == OverlapRoleKind::kCompute) {
-      rp.Compute(r.name, r.work_items, program_of(r));
-    } else {
-      rp.Comm(r.name, r.fabric, r.want_sms, r.work_items, program_of(r),
-              r.want_channels);
-    }
-  }
-  FusedKernelSpec spec = rp.Build();
-  size_t i = 0;
-  for (const PlannedRole& r : plan.roles) {
-    if (!r.device) continue;
-    TL_CHECK_LT(i, spec.roles.size());
-    const Role& realized = spec.roles[i++];
-    TL_CHECK_MSG(
-        realized.blocks == r.blocks &&
-            realized.fabric_channels == r.channels,
-        StrFormat("planned role %s predicted blocks=%d channels=%d but "
-                  "RolePlan granted blocks=%d channels=%d",
-                  r.name.c_str(), r.blocks, r.channels, realized.blocks,
-                  realized.fabric_channels));
+    spec.roles.push_back(
+        Role{r.name, r.blocks, program_of(r), r.fabric, r.channels});
   }
   return spec;
 }

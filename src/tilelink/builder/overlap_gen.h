@@ -1,15 +1,13 @@
 // OverlapPlanner: the scheduling pass that turns a declarative OverlapSpec
 // (tile_deps.h) plus the fabric topology (MachineSpec: nodes x devices,
-// NIC rails, copy engines) into the complete role schedule a fused kernel
-// used to encode by hand — work-item counts, block/channel claims against
-// the ResourceBudget, ring chunk schedules (including the small-m
-// column-split fix) and NIC rail windows.
+// NIC rails, copy engines) into the complete role schedule of a fused
+// kernel — work-item counts, block/channel claims against the
+// ResourceBudget, ring chunk schedules (including the small-m column-split
+// fix) and NIC rail windows.
 //
-// The planner replays the exact claim arithmetic RolePlan performs, in
-// declared role order, so BuildFromPlan can construct the RolePlan from
-// the planned roles and TL_CHECK that the realized block/channel counts
-// match the plan: the generated path is nanosecond-exact against the
-// hand-built path by construction, not by luck.
+// Every fused kernel is built this way: the kernel declares its spec, the
+// planner claims each role's blocks and channels in declared order, and
+// BuildFromPlan turns the granted counts into the FusedKernelSpec.
 #pragma once
 
 #include <cstdint>
@@ -30,17 +28,14 @@ namespace tilelink::tl {
 // layer-level compose.
 inline constexpr int kMinRingChunksPerBlock = 8;
 
-// One scheduled role: the claim inputs (want_sms, work_items,
-// want_channels) and the planner's prediction of what RolePlan will grant
-// (blocks, channels) given every earlier role's claims.
+// One scheduled role: its work-item count and the blocks and channels the
+// budget granted it given every earlier role's claims.
 struct PlannedRole {
   std::string name;
   OverlapRoleKind kind = OverlapRoleKind::kCompute;
   FabricBinding fabric = FabricBinding::kNvlink;
-  bool device = true;  // false: host DMA program, no RolePlan entry
-  int want_sms = 0;
+  bool device = true;  // false: host DMA program, no device role
   int64_t work_items = 0;
-  int want_channels = 0;  // 0: defaults to the block count
   int blocks = 0;
   int channels = 0;
   // Ring-family schedule: column splits (1 = row-wise only) and row
@@ -72,13 +67,12 @@ class OverlapPlanner {
   sim::MachineSpec spec_;
 };
 
-// Builds the RolePlan from a plan: `program_of` maps a planned role to
-// its BlockProgram (link-role geometry is already resolved, so kernels
-// only supply the per-role tile programs). Device roles are claimed in
-// plan order; the realized block/channel counts are TL_CHECKed against
-// the plan's predictions.
+// Builds the fused kernel from a plan: one Role per device role, in plan
+// order, sized by the planner's granted blocks and channels. `program_of`
+// maps a planned role to its BlockProgram (link-role geometry is already
+// resolved, so kernels only supply the per-role tile programs).
 FusedKernelSpec BuildFromPlan(
-    const OverlapPlan& plan, int total_sms,
+    const OverlapPlan& plan,
     const std::function<BlockProgram(const PlannedRole&)>& program_of);
 
 }  // namespace tilelink::tl

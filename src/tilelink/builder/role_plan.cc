@@ -55,14 +55,6 @@ void ResourceBudget::SetFabricChannels(FabricBinding fabric, int capacity) {
   fabric_capacity_[static_cast<int>(fabric)] = capacity;
 }
 
-int ResourceBudget::fabric_capacity(FabricBinding fabric) const {
-  return fabric_capacity_[static_cast<int>(fabric)];
-}
-
-int ResourceBudget::fabric_used(FabricBinding fabric) const {
-  return fabric_used_[static_cast<int>(fabric)];
-}
-
 int ResourceBudget::ClaimFabric(FabricBinding fabric, int want) {
   const int f = static_cast<int>(fabric);
   int granted = std::max(want, 1);
@@ -86,30 +78,6 @@ int ResourceBudget::ClaimCompute(int64_t tiles) {
       std::max<int64_t>(tiles, 1), std::max(1, total_ - used_)));
   used_ += blocks;
   return blocks;
-}
-
-RolePlan& RolePlan::Comm(const std::string& name, int want_sms,
-                         int64_t work_items, BlockProgram program) {
-  return Comm(name, FabricBinding::kNvlink, want_sms, work_items,
-              std::move(program));
-}
-
-RolePlan& RolePlan::Comm(const std::string& name, FabricBinding fabric,
-                         int want_sms, int64_t work_items,
-                         BlockProgram program, int want_channels) {
-  const int blocks = budget_.ClaimComm(want_sms, work_items);
-  const int channels =
-      budget_.ClaimFabric(fabric, want_channels > 0 ? want_channels : blocks);
-  spec_.roles.push_back(
-      Role{name, blocks, std::move(program), fabric, channels});
-  return *this;
-}
-
-RolePlan& RolePlan::Compute(const std::string& name, int64_t tiles,
-                            BlockProgram program) {
-  spec_.roles.push_back(Role{name, budget_.ClaimCompute(tiles),
-                             std::move(program), FabricBinding::kNvlink, 0});
-  return *this;
 }
 
 }  // namespace tilelink::tl

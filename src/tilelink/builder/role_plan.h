@@ -1,11 +1,11 @@
-// RolePlan / ResourceBudget: the resource-binding subspace of §3.1.
+// ResourceBudget: the resource-binding subspace of §3.1.
 //
 // A fused kernel's roles occupy consecutive block-id ranges on one device;
 // communication roles claim their SMs first and compute roles fill the
-// remainder, capped by their tile counts. Every kernel constructor used to
-// duplicate this arithmetic; RolePlan centralizes it and is the single
-// place the autotuner's resource-binding knob (comm SM count, SM vs. DMA)
-// feeds into.
+// remainder, capped by their tile counts. The OverlapPlanner
+// (overlap_gen.h) performs every claim against one ResourceBudget, so this
+// is the single place the autotuner's resource-binding knob (comm SM
+// count, SM vs. DMA) feeds into.
 //
 // TileOrder is the tile-order subspace: the m-tile visit order of a
 // compute role, rotated so a chosen rank's segment is produced/consumed
@@ -13,8 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/machine_spec.h"
 #include "tilelink/kernels/kernel_common.h"
@@ -73,8 +71,6 @@ class ResourceBudget {
   // Caps the number of channels a role may open on `fabric` (negative:
   // unlimited, the default).
   void SetFabricChannels(FabricBinding fabric, int capacity);
-  int fabric_capacity(FabricBinding fabric) const;
-  int fabric_used(FabricBinding fabric) const;
 
   // Claims up to `want` channels on `fabric`; returns the granted count
   // (at least 1 so a clamped role still makes progress, like ClaimCompute).
@@ -86,38 +82,6 @@ class ResourceBudget {
   int used_ = 0;
   int fabric_capacity_[kNumFabrics] = {-1, -1, -1};  // -1: unlimited
   int fabric_used_[kNumFabrics] = {0, 0, 0};
-};
-
-// Ordered role list with budget-driven block counts; produces the
-// FusedKernelSpec a kernel hands to FusedKernelBase::Finalize.
-class RolePlan {
- public:
-  RolePlan(std::string kernel_name, int total_sms)
-      : budget_(total_sms) {
-    spec_.name = std::move(kernel_name);
-  }
-
-  ResourceBudget& budget() { return budget_; }
-
-  // Adds a communication role sized by ClaimComm, bound to the NVLink
-  // fabric (the single-node default every intra-node kernel uses).
-  RolePlan& Comm(const std::string& name, int want_sms, int64_t work_items,
-                 BlockProgram program);
-  // Adds a communication role bound to an explicit fabric; the role's
-  // channel count is additionally clamped by the budget's per-fabric
-  // channel capacity (`want_channels` defaults to the block count).
-  RolePlan& Comm(const std::string& name, FabricBinding fabric, int want_sms,
-                 int64_t work_items, BlockProgram program,
-                 int want_channels = 0);
-  // Adds a compute role sized by ClaimCompute.
-  RolePlan& Compute(const std::string& name, int64_t tiles,
-                    BlockProgram program);
-
-  FusedKernelSpec Build() { return std::move(spec_); }
-
- private:
-  ResourceBudget budget_;
-  FusedKernelSpec spec_;
 };
 
 }  // namespace tilelink::tl

@@ -27,13 +27,6 @@ AgAttention::AgAttention(rt::World& world, const AgAttentionConfig& config)
   CreateChannels(/*num_pc=*/1, /*num_peer=*/1, /*num_host=*/R);
 
   const int64_t q_tiles = CeilDiv<int64_t>(s_per, cfg_.block_q);
-  if (cfg_.hand_built) {
-    RolePlan plan(cfg_.name, sms());
-    plan.Compute("flash_attn", cfg_.batch_heads * q_tiles, BuildFlash());
-    Finalize(plan.Build());
-    return;
-  }
-
   // Declarative form: the host-DMA role gathers the R KV segments; flash
   // consumer tiles read them as they land (host signal space).
   overlap_spec_.kernel = cfg_.name;
@@ -57,7 +50,7 @@ AgAttention::AgAttention(rt::World& world, const AgAttentionConfig& config)
   flash.work_items = cfg_.batch_heads * q_tiles;
   overlap_spec_.roles = {std::move(dma), std::move(flash)};
   overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
-  Finalize(BuildFromPlan(overlap_plan_, sms(),
+  Finalize(BuildFromPlan(overlap_plan_,
                          [this](const PlannedRole&) { return BuildFlash(); }));
 }
 

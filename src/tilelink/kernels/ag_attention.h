@@ -29,7 +29,6 @@ struct AgAttentionConfig {
   double throughput_factor = 1.0;
   bool skip_comm = false;  // measure compute only (all channels pre-set)
   bool comm_only = false;  // measure the DMA AllGather only
-  bool hand_built = false;  // regression oracle: bypass the OverlapPlanner
   CompilerOptions compiler;
   std::string name = "ag_attention";
 };
@@ -45,7 +44,6 @@ class AgAttention : public FusedKernelBase {
   comm::SymTensor& v() { return v_; }
   comm::SymTensor& out() { return out_; }            // [BH, S/R, D]
 
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 

@@ -4,7 +4,6 @@
 
 #include "common/math_utils.h"
 #include "compute/tile_math.h"
-#include "tilelink/builder/comm_roles.h"
 #include "tilelink/kernels/ag_consumer.h"
 #include "tilelink/primitives.h"
 
@@ -27,44 +26,35 @@ AgGemm::AgGemm(rt::World& world, const AgGemmConfig& config)
 
   const int64_t gemm_tiles = CeilDiv<int64_t>(cfg_.m, cfg_.gemm.bm) *
                              CeilDiv<int64_t>(cfg_.n, cfg_.gemm.bn);
-  if (cfg_.hand_built) {
-    RolePlan plan(cfg_.name, sms());
-    if (cfg_.comm != CommResource::kDma) {
-      const bool pull = cfg_.comm == CommResource::kSmPull;
-      plan.Comm("comm", cfg_.comm_sms,
-                pull ? map_.num_tiles() : map_.tiles_per_rank(), BuildComm());
-    }
-    plan.Compute("compute", gemm_tiles, BuildCompute());
-    Finalize(plan.Build());
-    return;
-  }
-  overlap_spec_ = BuildOverlapSpec(gemm_tiles);
+  overlap_spec_ = AgGemmOverlapSpec(cfg_.name, map_, cfg_.k, cfg_.gemm.bm,
+                                    gemm_tiles, cfg_.comm, cfg_.comm_sms);
   overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
-  Finalize(BuildFromPlan(overlap_plan_, sms(),
-                         [this](const PlannedRole& role) {
-                           return role.name == "comm" ? BuildComm()
-                                                      : BuildCompute();
-                         }));
+  Finalize(BuildFromPlan(overlap_plan_, [this](const PlannedRole& role) {
+    if (role.name != "comm") return BuildCompute();
+    return BuildRowAllGather(AllGatherParams(), cfg_.comm);
+  }));
 }
 
-// The declarative form of this kernel: the comm role reads the resident
-// shard and writes every gathered tile; the GEMM reads the gathered
-// activation plus the resident weight and writes one output tile per
-// consumer tile.
-OverlapSpec AgGemm::BuildOverlapSpec(int64_t gemm_tiles) const {
+// The comm role reads the resident shard and writes every gathered tile;
+// the GEMM reads the gathered activation plus the resident weight and
+// writes one output tile per consumer tile.
+OverlapSpec AgGemmOverlapSpec(const std::string& kernel,
+                              const StaticMapping& map, int64_t k,
+                              int64_t gemm_bm, int64_t gemm_tiles,
+                              CommResource comm_resource, int comm_sms) {
   OverlapSpec spec;
-  spec.kernel = cfg_.name;
+  spec.kernel = kernel;
   spec.spaces = {
-      {"a_shard", map_.tiles_per_rank(), cfg_.comm_tile_m, /*resident=*/true},
-      {"a_full", map_.num_tiles(), cfg_.comm_tile_m, /*resident=*/false},
-      {"b", 1, cfg_.k, /*resident=*/true},
-      {"c", gemm_tiles, cfg_.gemm.bm, /*resident=*/false},
+      {"a_shard", map.tiles_per_rank(), map.tile_m(), /*resident=*/true},
+      {"a_full", map.num_tiles(), map.tile_m(), /*resident=*/false},
+      {"b", 1, k, /*resident=*/true},
+      {"c", gemm_tiles, gemm_bm, /*resident=*/false},
   };
   OverlapRoleSpec comm;
   comm.name = "comm";
   comm.kind = OverlapRoleKind::kRowAllGather;
-  comm.resource = cfg_.comm;
-  comm.want_sms = cfg_.comm_sms;
+  comm.resource = comm_resource;
+  comm.want_sms = comm_sms;
   comm.reads = {{"a_shard"}};
   comm.writes = {{"a_full"}};
   OverlapRoleSpec gemm;
@@ -76,11 +66,9 @@ OverlapSpec AgGemm::BuildOverlapSpec(int64_t gemm_tiles) const {
   return spec;
 }
 
-BlockProgram AgGemm::BuildComm() {
-  const RowAllGatherParams ag{map_, a_shards_, a_full_, ranks(),
-                              cfg_.m / ranks()};
-  return cfg_.comm == CommResource::kSmPull ? BuildRowAllGatherPull(ag)
-                                            : BuildRowAllGatherPush(ag);
+RowAllGatherParams AgGemm::AllGatherParams() const {
+  return RowAllGatherParams{map_, a_shards_, a_full_, ranks(),
+                            cfg_.m / ranks()};
 }
 
 // Computation role: the shared AG+GEMM consumer (ag_consumer.h), waiting
@@ -105,9 +93,7 @@ BlockProgram AgGemm::BuildCompute() {
 
 std::optional<sim::Coro> AgGemm::HostComm(rt::RankCtx& ctx) {
   if (cfg_.comm != CommResource::kDma) return std::nullopt;
-  return DmaRowAllGather(
-      ctx, channel(ctx.rank),
-      RowAllGatherParams{map_, a_shards_, a_full_, ranks(), cfg_.m / ranks()});
+  return DmaRowAllGather(ctx, channel(ctx.rank), AllGatherParams());
 }
 
 }  // namespace tilelink::tl

@@ -11,9 +11,7 @@
 //  - compute tile order: which rank's rows the GEMM visits first.
 //
 // The role schedule is derived by the OverlapPlanner from a declarative
-// OverlapSpec (tile_deps.h); `hand_built` keeps the original literal
-// RolePlan construction as a regression oracle — both paths share the
-// same role programs, so makespans are nanosecond-exact.
+// OverlapSpec (tile_deps.h).
 #pragma once
 
 #include <string>
@@ -21,6 +19,7 @@
 #include "comm/collectives.h"
 #include "compute/gemm.h"
 #include "runtime/world.h"
+#include "tilelink/builder/comm_roles.h"
 #include "tilelink/builder/fused_kernel_base.h"
 #include "tilelink/builder/overlap_gen.h"
 #include "tilelink/builder/role_plan.h"
@@ -41,10 +40,19 @@ struct AgGemmConfig {
   CommResource comm = CommResource::kDma;
   int comm_sms = 20;  // SM-comm variants only
   TileOrder order = TileOrder::kOwnerFirst;  // GEMM m-tile visit order
-  bool hand_built = false;  // regression oracle: bypass the OverlapPlanner
   CompilerOptions compiler;
   std::string name = "ag_gemm";
 };
+
+// The flat AllGather + GEMM declarative form: a row AllGather (on
+// `comm_resource`, `comm_sms` blocks) of the resident shard into the
+// gathered activation, consumed by `gemm_tiles` GEMM tiles of `gemm_bm`
+// rows. AgGemmHier's 1 x N degenerate builds the same spec, so the two are
+// one kernel.
+OverlapSpec AgGemmOverlapSpec(const std::string& kernel,
+                              const StaticMapping& map, int64_t k,
+                              int64_t gemm_bm, int64_t gemm_tiles,
+                              CommResource comm_resource, int comm_sms);
 
 // One instance owns the symmetric buffers, barrier channels and the compiled
 // kernel. Usage: construct, fill a_shards()/b(), then RunSpmd(Run).
@@ -58,7 +66,6 @@ class AgGemm : public FusedKernelBase {
   comm::SymTensor& c() { return c_; }                // [M, N] per rank
 
   const StaticMapping& mapping() const { return map_; }
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 
@@ -67,8 +74,7 @@ class AgGemm : public FusedKernelBase {
 
  private:
   BlockProgram BuildCompute();
-  BlockProgram BuildComm();
-  OverlapSpec BuildOverlapSpec(int64_t gemm_tiles) const;
+  RowAllGatherParams AllGatherParams() const;
 
   AgGemmConfig cfg_;
   StaticMapping map_;

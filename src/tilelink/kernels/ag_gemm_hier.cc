@@ -7,6 +7,7 @@
 #include "tilelink/builder/comm_roles.h"
 #include "tilelink/builder/link_roles.h"
 #include "tilelink/kernels/ag_consumer.h"
+#include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/primitives.h"
 
 namespace tilelink::tl {
@@ -35,13 +36,16 @@ AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
     // 1 x N: the hierarchical spec degenerates to the flat ag_gemm spec —
     // same mapping, same roles, same programs, makespan-identical.
     CreateChannels(map_.num_channels(), /*num_peer=*/1, /*num_host=*/1);
-    overlap_spec_ = BuildFlatSpec(gemm_tiles);
+    overlap_spec_ = AgGemmOverlapSpec(cfg_.name, map_, cfg_.k, cfg_.gemm.bm,
+                                      gemm_tiles, cfg_.comm, cfg_.comm_sms);
     overlap_plan_ = OverlapPlanner(spec).Plan(overlap_spec_);
-    Finalize(BuildFromPlan(overlap_plan_, sms(),
-                           [this](const PlannedRole& role) {
-                             return role.name == "comm" ? BuildFlatComm()
-                                                        : BuildConsumer(1);
-                           }));
+    Finalize(BuildFromPlan(overlap_plan_, [this](const PlannedRole& role) {
+      if (role.name != "comm") return BuildConsumer(1);
+      return BuildRowAllGather(
+          RowAllGatherParams{map_, a_shards_, a_full_, ranks(),
+                             cfg_.m / ranks()},
+          cfg_.comm);
+    }));
     return;
   }
 
@@ -51,10 +55,10 @@ AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
   const int64_t rail_rows =
       static_cast<int64_t>(cfg_.nic_chunk_blocks) * cfg_.comm_tile_m;
   const int64_t cpb_rail = RailChunksPerBlock(m_per_rank, rail_rows);
-  overlap_spec_ = BuildHierSpec(gemm_tiles, cpb, cpb_rail);
+  overlap_spec_ = BuildHierSpec(gemm_tiles, cpb);
   overlap_plan_ = OverlapPlanner(spec).Plan(overlap_spec_);
   col_splits_ = overlap_plan_.At("ring").col_splits;
-  rail_blocks_ = overlap_plan_.At("rail").want_sms;
+  rail_blocks_ = overlap_plan_.At("rail").blocks;
   TL_CHECK_EQ(cfg_.k % col_splits_, 0);
   // Producer channels: one per (source rank, chunk, strip), incremented
   // exactly once — publish for own chunks, rail landing for same-local-
@@ -62,7 +66,7 @@ AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
   CreateChannels(ranks() * static_cast<int>(cpb * col_splits_),
                  /*num_peer=*/1, /*num_host=*/1);
   Finalize(BuildFromPlan(
-      overlap_plan_, sms(), [&](const PlannedRole& role) {
+      overlap_plan_, [&](const PlannedRole& role) {
         if (role.name == "ring") return BuildHierRing(col_splits_, cpb);
         if (role.name == "rail") {
           return BuildHierRail(col_splits_, cpb, cpb_rail, rail_rows);
@@ -71,39 +75,12 @@ AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
       }));
 }
 
-// The flat declarative form — kept field-for-field identical to
-// AgGemm::BuildOverlapSpec so the 1 x N degenerate is the same kernel.
-OverlapSpec AgGemmHier::BuildFlatSpec(int64_t gemm_tiles) const {
-  OverlapSpec spec;
-  spec.kernel = cfg_.name;
-  spec.spaces = {
-      {"a_shard", map_.tiles_per_rank(), cfg_.comm_tile_m, /*resident=*/true},
-      {"a_full", map_.num_tiles(), cfg_.comm_tile_m, /*resident=*/false},
-      {"b", 1, cfg_.k, /*resident=*/true},
-      {"c", gemm_tiles, cfg_.gemm.bm, /*resident=*/false},
-  };
-  OverlapRoleSpec comm;
-  comm.name = "comm";
-  comm.kind = OverlapRoleKind::kRowAllGather;
-  comm.resource = cfg_.comm;
-  comm.want_sms = cfg_.comm_sms;
-  comm.reads = {{"a_shard"}};
-  comm.writes = {{"a_full"}};
-  OverlapRoleSpec gemm;
-  gemm.name = "compute";
-  gemm.kind = OverlapRoleKind::kCompute;
-  gemm.reads = {{"a_full"}, {"b"}};
-  gemm.writes = {{"c"}};
-  spec.roles = {std::move(comm), std::move(gemm)};
-  return spec;
-}
-
 // The hierarchical declarative form: a_shard feeds both the NVLink ring
 // (publish + node-local forwarding, reading arrived blocks back out of
 // a_full — a legal self-loop) and the NIC rail; the consumer reads the
 // gathered activation.
-OverlapSpec AgGemmHier::BuildHierSpec(int64_t gemm_tiles, int64_t cpb,
-                                      int64_t cpb_rail) const {
+OverlapSpec AgGemmHier::BuildHierSpec(int64_t gemm_tiles,
+                                      int64_t cpb) const {
   OverlapSpec spec;
   spec.kernel = cfg_.name;
   spec.spaces = {
@@ -142,15 +119,7 @@ OverlapSpec AgGemmHier::BuildHierSpec(int64_t gemm_tiles, int64_t cpb,
   gemm.writes = {{"c"}};
   gemm.work_items = gemm_tiles;
   spec.roles = {std::move(ring), std::move(rail), std::move(gemm)};
-  (void)cpb_rail;
   return spec;
-}
-
-BlockProgram AgGemmHier::BuildFlatComm() {
-  const RowAllGatherParams ag{map_, a_shards_, a_full_, ranks(),
-                              cfg_.m / ranks()};
-  return cfg_.comm == CommResource::kSmPull ? BuildRowAllGatherPull(ag)
-                                            : BuildRowAllGatherPush(ag);
 }
 
 // NVLink ring role: for each (chunk, strip) work item, publish the rank's

@@ -1,6 +1,5 @@
-// Fused hierarchical AllGather + GEMM — the first kernel *generated* by the
-// overlap planner rather than transcribed from a hand schedule (there is no
-// hand-built oracle; the six ported kernels pin the planner's arithmetic).
+// Fused hierarchical AllGather + GEMM — the first kernel written only as an
+// overlap spec for the planner, never as a hand schedule.
 //
 // Multi-node (nodes x per_node) topology, three generated roles:
 //   ring  NVLink role (OverlapRoleKind::kHierAgRing): publishes the rank's
@@ -23,10 +22,10 @@
 // keeps at least kMinRingChunksPerBlock chunks per block when m_per_rank
 // is shallow.
 //
-// Degenerate topologies: at 1 x N the spec *is* the generated ag_gemm
-// (makespan-identical, pinned by test); at N x 1 the ring role degenerates
-// to publish-only and the rail feeds the consumer directly; 1 x 1 is the
-// single-rank ag_gemm.
+// Degenerate topologies: at 1 x N the spec *is* ag_gemm's
+// (AgGemmOverlapSpec; makespan-identical, pinned by test); at N x 1 the
+// ring role degenerates to publish-only and the rail feeds the consumer
+// directly; 1 x 1 is the single-rank ag_gemm.
 #pragma once
 
 #include <string>
@@ -81,10 +80,7 @@ class AgGemmHier : public FusedKernelBase {
   std::optional<sim::Coro> HostComm(rt::RankCtx& ctx) override;
 
  private:
-  OverlapSpec BuildFlatSpec(int64_t gemm_tiles) const;  // 1 x N: == ag_gemm
-  OverlapSpec BuildHierSpec(int64_t gemm_tiles, int64_t cpb,
-                            int64_t cpb_rail) const;
-  BlockProgram BuildFlatComm();
+  OverlapSpec BuildHierSpec(int64_t gemm_tiles, int64_t cpb) const;
   BlockProgram BuildHierRing(int S, int64_t cpb);
   BlockProgram BuildHierRail(int S, int64_t cpb, int64_t cpb_rail,
                              int64_t rail_rows);

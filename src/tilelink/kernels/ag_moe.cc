@@ -62,17 +62,6 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   const int64_t tiles = static_cast<int64_t>(group_blocks_.size());
   const RowAllGatherParams ag_params{map_, token_shards_, tokens_, ranks(),
                                      m_per_rank};
-  if (cfg_.hand_built) {
-    RolePlan plan(cfg_.name, sms());
-    if (cfg_.comm != CommResource::kDma) {
-      plan.Comm("ag", cfg_.comm_sms, map_.num_tiles(),
-                BuildRowAllGatherPull(ag_params));
-    }
-    plan.Compute("group_gemm", tiles, BuildGroupGemm());
-    Finalize(plan.Build());
-    return;
-  }
-
   // Declarative form. The SM comm role is always the pull AllGather here
   // (one block per *gathered* tile), so the spec records kSmPull whatever
   // the config's SM resource flag says; the group GEMM's work is the
@@ -101,11 +90,10 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   gemm.work_items = tiles;
   overlap_spec_.roles = {std::move(ag), std::move(gemm)};
   overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
-  Finalize(BuildFromPlan(
-      overlap_plan_, sms(), [&](const PlannedRole& role) {
-        return role.name == "ag" ? BuildRowAllGatherPull(ag_params)
-                                 : BuildGroupGemm();
-      }));
+  Finalize(BuildFromPlan(overlap_plan_, [&](const PlannedRole& role) {
+    return role.name == "ag" ? BuildRowAllGatherPull(ag_params)
+                             : BuildGroupGemm();
+  }));
 }
 
 // Group-GEMM role: expert tiles with dynamic-mapping waits (Figure 5 lines

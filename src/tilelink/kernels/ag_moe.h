@@ -32,7 +32,6 @@ struct AgMoeConfig {
   int channels_per_rank = 0;  // 0 -> one channel per comm tile
   CommResource comm = CommResource::kDma;
   int comm_sms = 20;
-  bool hand_built = false;  // regression oracle: bypass the OverlapPlanner
   CompilerOptions compiler;
   std::string name = "ag_moe";
 };
@@ -49,7 +48,6 @@ class AgMoe : public FusedKernelBase {
   comm::SymTensor& out() { return out_; }  // [M*topk, N] slot order
 
   const DynamicMapping& dynamic_mapping() const { return dyn_; }
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 

@@ -58,15 +58,13 @@ GemmHierRs::GemmHierRs(rt::World& world, const GemmHierRsConfig& config)
   const int64_t gemm_tiles = CeilDiv<int64_t>(cfg_.m, cfg_.gemm.bm) *
                              CeilDiv<int64_t>(cfg_.n, cfg_.gemm.bn);
 
-  // Generated path: plan first — the planner's column-split decision (the
-  // small-m fix) scales the ring chunk count and the kPeer channel layout.
-  int S = 1;
-  if (!cfg_.hand_built) {
-    overlap_spec_ = BuildOverlapSpec(ring, rail, m_per_rank, gemm_tiles,
-                                     cpb_ring, cpb_rail);
-    overlap_plan_ = OverlapPlanner(spec).Plan(overlap_spec_);
-    if (ring) S = overlap_plan_.At("ring").col_splits;
-  }
+  // Plan first — the planner's column-split decision (the small-m fix)
+  // scales the ring chunk count and the kPeer channel layout.
+  overlap_spec_ = BuildOverlapSpec(ring, rail, m_per_rank, gemm_tiles,
+                                   cpb_ring, cpb_rail);
+  overlap_plan_ = OverlapPlanner(spec).Plan(overlap_spec_);
+  const int S = ring ? overlap_plan_.At("ring").col_splits : 1;
+  if (rail) rail_blocks_ = overlap_plan_.At("rail").blocks;
 
   // kPeer channel layout: [ring | ring_done | rail arrivals]. The ring
   // section scales with the column split; ring_done channels stay one per
@@ -215,46 +213,12 @@ GemmHierRs::GemmHierRs(rt::World& world, const GemmHierRsConfig& config)
   gemm.ranks = ranks();
   gemm.order = cfg_.order;
 
-  if (!cfg_.hand_built) {
-    if (rail) rail_blocks_ = overlap_plan_.At("rail").want_sms;
-    Finalize(BuildFromPlan(
-        overlap_plan_, sms(), [&](const PlannedRole& role) {
-          if (role.name == "ring") return BuildRingReduceScatter(rs);
-          if (role.name == "rail") return BuildNicRailPush(push);
-          if (role.name == "rail_reduce") return BuildNicRailReduce(red);
-          return BuildPartialGemmProducer(gemm);
-        }));
-    return;
-  }
-
-  // The NIC queue-pair budget clamps the rail's in-flight messages: the
-  // rail role's *blocks* are its stream window, so the block count is the
-  // clamped staging depth times the peer count (the same clamp the host
-  // NicRailRole applies to the collectives), never more than the role has
-  // work items — blocks, claimed channels and the accessor must agree.
-  if (rail) {
-    NicRailRole rail_role(world, cfg_.nic_chunk_blocks, cfg_.staging_depth,
-                          nodes_ - 1);
-    rail_blocks_ = static_cast<int>(std::min<int64_t>(
-        static_cast<int64_t>(rail_role.window()) * (nodes_ - 1),
-        static_cast<int64_t>(nodes_ - 1) * cpb_rail));
-  }
-
-  RolePlan plan(cfg_.name, sms());
-  if (ring) {
-    plan.Comm("ring", cfg_.comm_sms, ring_chunks,
-              BuildRingReduceScatter(rs));
-  }
-  if (rail) {
-    plan.Comm("rail", FabricBinding::kNic, rail_blocks_,
-              static_cast<int64_t>(nodes_ - 1) * cpb_rail,
-              BuildNicRailPush(push), rail_blocks_);
-    plan.Comm("rail_reduce", cfg_.reduce_sms, cpb_rail,
-              BuildNicRailReduce(red));
-  }
-  plan.Compute("gemm", PartialGemmTiles(gemm),
-               BuildPartialGemmProducer(gemm));
-  Finalize(plan.Build());
+  Finalize(BuildFromPlan(overlap_plan_, [&](const PlannedRole& role) {
+    if (role.name == "ring") return BuildRingReduceScatter(rs);
+    if (role.name == "rail") return BuildNicRailPush(push);
+    if (role.name == "rail_reduce") return BuildNicRailReduce(red);
+    return BuildPartialGemmProducer(gemm);
+  }));
 }
 
 // Declarative form: gemm -> ring (node-local RS over the partials) ->

@@ -1,5 +1,5 @@
 // Fused GEMM + hierarchical ReduceScatter — the first multi-node fused
-// kernel, and the first RolePlan with a FabricBinding::kNic role.
+// kernel, and the first with a FabricBinding::kNic role.
 //
 // One launched kernel per rank of an (nodes x per_node) world, four roles
 // on the unified link-role layer:
@@ -54,7 +54,6 @@ struct GemmHierRsConfig {
   int comm_sms = 20;         // NVLink ring role SMs
   int reduce_sms = 8;        // rail reduce role SMs
   bool dma_push = false;     // hybrid: ring reduction on SMs, push on DMA
-  bool hand_built = false;   // regression oracle: bypass the OverlapPlanner
   TileOrder order = TileOrder::kNextRankFirst;
   CompilerOptions compiler;
   std::string name = "gemm_hier_rs";
@@ -72,7 +71,6 @@ class GemmHierRs : public FusedKernelBase {
   const StaticMapping& mapping() const { return map_; }
   // Rail staging depth actually granted by the NIC channel budget.
   int rail_blocks() const { return rail_blocks_; }
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 

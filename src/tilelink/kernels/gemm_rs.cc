@@ -67,16 +67,6 @@ GemmRs::GemmRs(rt::World& world, const GemmRsConfig& config)
   gemm.out = gemm_out_;
   gemm.ranks = ranks();
   gemm.order = cfg_.order;
-  if (cfg_.hand_built) {
-    RolePlan plan(cfg_.name, sms());
-    plan.Comm("rs", cfg_.comm_sms, RingRsChunks(rs),
-              BuildRingReduceScatter(rs))
-        .Compute("gemm", PartialGemmTiles(gemm),
-                 BuildPartialGemmProducer(gemm));
-    Finalize(plan.Build());
-    return;
-  }
-
   // Declarative form: the ring consumes the partial-GEMM tiles and writes
   // the reduced shard; the planner derives its chunk schedule from the
   // block geometry.
@@ -106,12 +96,10 @@ GemmRs::GemmRs(rt::World& world, const GemmRsConfig& config)
   overlap_spec_.roles = {std::move(ring), std::move(producer)};
   overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
   rs.col_splits = overlap_plan_.At("rs").col_splits;
-  Finalize(BuildFromPlan(overlap_plan_, sms(),
-                         [&](const PlannedRole& role) {
-                           return role.name == "rs"
-                                      ? BuildRingReduceScatter(rs)
-                                      : BuildPartialGemmProducer(gemm);
-                         }));
+  Finalize(BuildFromPlan(overlap_plan_, [&](const PlannedRole& role) {
+    return role.name == "rs" ? BuildRingReduceScatter(rs)
+                             : BuildPartialGemmProducer(gemm);
+  }));
 }
 
 }  // namespace tilelink::tl

@@ -31,7 +31,6 @@ struct GemmRsConfig {
   bool dma_push = false;  // hybrid: reduction on SMs, scatter on DMA
   // GEMM m-tile visit order: produce the segment the ring consumes first.
   TileOrder order = TileOrder::kNextRankFirst;
-  bool hand_built = false;  // regression oracle: bypass the OverlapPlanner
   CompilerOptions compiler;
   std::string name = "gemm_rs";
 };
@@ -46,7 +45,6 @@ class GemmRs : public FusedKernelBase {
   comm::SymTensor& out() { return out_; }            // [M/R, N] reduced
 
   const StaticMapping& mapping() const { return map_; }
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 

@@ -110,17 +110,6 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
   };
 
   const int64_t tiles = static_cast<int64_t>(group_blocks_.size());
-  if (cfg_.hand_built) {
-    RolePlan plan(cfg_.name, sms());
-    plan.Comm("rs", cfg_.comm_sms, RingRsChunks(rs),
-              BuildRingReduceScatter(rs))
-        .Comm("topk_reduce", cfg_.reduce_sms, reduce_chunks,
-              BuildTopkReduce())
-        .Compute("group_gemm", tiles, BuildGroupGemm());
-    Finalize(plan.Build());
-    return;
-  }
-
   // Declarative form of the three-role chain: group_gemm -> topk_reduce ->
   // rs. The two dynamically-sized roles carry explicit work-item counts
   // (routing decides the group blocks; the reduce chunking is a config
@@ -161,12 +150,11 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
   overlap_spec_.roles = {std::move(ring), std::move(reduce), std::move(gemm)};
   overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
   rs.col_splits = overlap_plan_.At("rs").col_splits;
-  Finalize(BuildFromPlan(
-      overlap_plan_, sms(), [&](const PlannedRole& role) {
-        if (role.name == "rs") return BuildRingReduceScatter(rs);
-        if (role.name == "topk_reduce") return BuildTopkReduce();
-        return BuildGroupGemm();
-      }));
+  Finalize(BuildFromPlan(overlap_plan_, [&](const PlannedRole& role) {
+    if (role.name == "rs") return BuildRingReduceScatter(rs);
+    if (role.name == "topk_reduce") return BuildTopkReduce();
+    return BuildGroupGemm();
+  }));
 }
 
 // Producer role: expert GEMM tiles write slot-order partial outputs and

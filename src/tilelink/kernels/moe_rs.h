@@ -38,7 +38,6 @@ struct MoeRsConfig {
   int rs_block_m = 128;  // RS chunk rows over token space
   int comm_sms = 20;
   bool dma_push = false;
-  bool hand_built = false;  // regression oracle: bypass the OverlapPlanner
   CompilerOptions compiler;
   std::string name = "moe_rs";
 };
@@ -56,7 +55,6 @@ class MoeRs : public FusedKernelBase {
 
   // Per topk-reduce chunk: the pc1 channels it waits on (dynamic mapping).
   const DynamicMapping& reduce_wait_table() const { return reduce_waits_; }
-  // Generated path only (empty when hand_built).
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 

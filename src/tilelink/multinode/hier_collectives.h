@@ -16,8 +16,8 @@
 // publication, payload/checker instrumentation — is the builder layer's
 // tile-centric link roles (tilelink/builder/link_roles.h): each collective
 // instantiates a NicRailRole and/or NvlinkRingRole and describes its chunk
-// schedule (gates + payload runs) per stream. Fused kernels bind the same
-// roles through RolePlan::Comm (kernels/gemm_hier_rs).
+// schedule (gates + payload runs) per stream. Fused kernels run the same
+// roles as OverlapPlanner-sized device roles (kernels/gemm_hier_rs).
 //
 // Two modes:
 //  * Timing-only (default): `num_tiles` tiles of `tile_bytes` per rank move

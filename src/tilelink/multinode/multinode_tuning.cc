@@ -1,10 +1,12 @@
 #include "tilelink/multinode/multinode_tuning.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/math_utils.h"
 #include "runtime/world.h"
 #include "tilelink/builder/fused_kernel_base.h"
+#include "tilelink/builder/overlap_gen.h"
 #include "tilelink/kernels/gemm_producer.h"
 
 namespace tilelink::multinode {
@@ -211,10 +213,26 @@ class GemmOnly : public tl::FusedKernelBase {
     p.ranks = ranks();
     p.order = cfg.order;
     CreateChannels(p.map.num_channels(), /*num_peer=*/1, /*num_host=*/1);
-    tl::RolePlan plan(name(), sms());
-    plan.Compute("gemm", tl::PartialGemmTiles(p),
-                 tl::BuildPartialGemmProducer(p));
-    Finalize(plan.Build());
+    tl::OverlapSpec spec;
+    spec.kernel = name();
+    spec.spaces = {
+        {"a", CeilDiv<int64_t>(cfg.m, cfg.gemm.bm), cfg.gemm.bm,
+         /*resident=*/true},
+        {"b", 1, cfg.k, /*resident=*/true},
+        {"gemm_out", tl::PartialGemmTiles(p), cfg.gemm.bm,
+         /*resident=*/false},
+    };
+    tl::OverlapRoleSpec gemm;
+    gemm.name = "gemm";
+    gemm.kind = tl::OverlapRoleKind::kCompute;
+    gemm.reads = {{"a"}, {"b"}};
+    gemm.writes = {{"gemm_out"}};
+    spec.roles = {std::move(gemm)};
+    Finalize(tl::BuildFromPlan(
+        tl::OverlapPlanner(world.spec()).Plan(spec),
+        [&](const tl::PlannedRole&) {
+          return tl::BuildPartialGemmProducer(p);
+        }));
   }
 
  private:

@@ -189,7 +189,7 @@ class TileProgramBuilder {
 
 // One role of a fused kernel: `blocks` thread blocks running `program`.
 // Communication roles additionally declare which fabric they occupy and how
-// many channels RolePlan granted them on it (0 for compute roles).
+// many channels the OverlapPlanner granted them on it (0 for compute roles).
 struct Role {
   std::string name;
   int blocks = 0;

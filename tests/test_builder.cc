@@ -1,21 +1,25 @@
 // Builder-layer tests.
 //
-// 1. Golden specs: every kernel rebuilt on FusedKernelBase/RolePlan must
-//    produce a compiled kernel identical (roles, block ranges, op sequence
-//    — all encoded in the listing) to the snapshot captured from the
-//    pre-refactor seed (tests/golden_specs.inc).
-// 2. RolePlan / ResourceBudget and TileOrder unit behavior.
+// 1. Golden specs: every kernel built on FusedKernelBase through the
+//    OverlapPlanner must produce a compiled kernel identical (roles, block
+//    ranges, op sequence — all encoded in the listing) to the snapshot
+//    captured from the pre-refactor seed (tests/golden_specs.inc).
+// 2. ResourceBudget, OverlapPlanner role sizing and TileOrder unit
+//    behavior.
 // 3. Autotuner: picks the cost argmin on a toy space, prunes via the lower
 //    bound, and rejects infeasible candidates.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "compute/moe_routing.h"
 #include "runtime/world.h"
 #include "tilelink/builder/autotuner.h"
 #include "tilelink/builder/kernel_tuning.h"
+#include "tilelink/builder/overlap_gen.h"
 #include "tilelink/builder/role_plan.h"
 #include "tilelink/kernels/ag_attention.h"
 #include "tilelink/kernels/ag_gemm.h"
@@ -184,7 +188,7 @@ TEST(GoldenSpecs, CommBlocksCappedByWork) {
 }
 
 // ---------------------------------------------------------------------- //
-// RolePlan / ResourceBudget
+// ResourceBudget / OverlapPlanner role sizing
 // ---------------------------------------------------------------------- //
 
 TEST(ResourceBudget, CommClaimsThenComputeFillsRemainder) {
@@ -204,22 +208,54 @@ TEST(ResourceBudget, ComputeAlwaysGetsAtLeastOneBlock) {
   EXPECT_EQ(b2.ClaimCompute(0), 1);  // zero tiles still get one block
 }
 
-TEST(RolePlan, BuildsRolesInOrder) {
-  auto nop_program = [] {
-    TileProgramBuilder b;
-    b.Add(ops::Store("s", nullptr));
-    return b.Build();
-  };
-  RolePlan plan("k", 24);
-  plan.Comm("rs", 4, 100, nop_program())
-      .Comm("reduce", 4, 2, nop_program())
-      .Compute("gemm", 1000, nop_program());
-  const FusedKernelSpec spec = plan.Build();
+TEST(OverlapPlanner, BuildsRolesInOrder) {
+  // Two comm roles claim their SMs first (the second capped by its work),
+  // the compute role fills the remaining 18 of 24 SMs; each comm role gets
+  // one NVLink channel per block, the compute role none.
+  OverlapSpec overlap;
+  overlap.kernel = "k";
+  overlap.spaces = {{"in", 1, 1, /*resident=*/true},
+                    {"out", 1000, 1, /*resident=*/false}};
+  OverlapRoleSpec rs;
+  rs.name = "rs";
+  rs.kind = OverlapRoleKind::kComm;
+  rs.want_sms = 4;
+  rs.work_items = 100;
+  rs.reads = {{"out"}};
+  OverlapRoleSpec reduce = rs;
+  reduce.name = "reduce";
+  reduce.work_items = 2;
+  OverlapRoleSpec gemm;
+  gemm.name = "gemm";
+  gemm.kind = OverlapRoleKind::kCompute;
+  gemm.reads = {{"in"}};
+  gemm.writes = {{"out"}};  // 1000 tiles
+  overlap.roles = {rs, reduce, gemm};
+  const OverlapPlan plan =
+      OverlapPlanner(sim::MachineSpec::Test(2, /*sms=*/24)).Plan(overlap);
+  std::vector<std::string> built;
+  const FusedKernelSpec spec =
+      BuildFromPlan(plan, [&](const PlannedRole& role) {
+        built.push_back(role.name);
+        TileProgramBuilder b;
+        b.Add(ops::Store("s", nullptr));
+        return b.Build();
+      });
+  EXPECT_EQ(built, (std::vector<std::string>{"rs", "reduce", "gemm"}));
   ASSERT_EQ(spec.roles.size(), 3u);
-  EXPECT_EQ(spec.roles[0].blocks, 4);
-  EXPECT_EQ(spec.roles[1].blocks, 2);
-  EXPECT_EQ(spec.roles[2].blocks, 18);
   EXPECT_EQ(spec.name, "k");
+  EXPECT_EQ(spec.roles[0].name, "rs");
+  EXPECT_EQ(spec.roles[0].blocks, 4);
+  EXPECT_EQ(spec.roles[0].fabric_channels, 4);
+  EXPECT_EQ(spec.roles[1].name, "reduce");
+  EXPECT_EQ(spec.roles[1].blocks, 2);
+  EXPECT_EQ(spec.roles[1].fabric_channels, 2);
+  EXPECT_EQ(spec.roles[2].name, "gemm");
+  EXPECT_EQ(spec.roles[2].blocks, 18);
+  EXPECT_EQ(spec.roles[2].fabric_channels, 0);
+  for (const Role& role : spec.roles) {
+    EXPECT_EQ(role.fabric, FabricBinding::kNvlink);
+  }
 }
 
 TEST(TileOrderTest, SwizzleRotatesSegments) {

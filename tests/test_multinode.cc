@@ -55,7 +55,6 @@ TEST(ResourceBudget, FabricChannelsClampClaims) {
   EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kNic, 12), 4);  // clamped
   // Exhausted budget still grants one channel so the role makes progress.
   EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kNic, 4), 1);
-  EXPECT_EQ(budget.fabric_used(tl::FabricBinding::kNic), 17);
   // Unlimited fabric: grants verbatim.
   EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kNvlink, 64), 64);
 }
@@ -64,11 +63,14 @@ TEST(ResourceBudget, ForDeviceUsesSpecBudgets) {
   MachineSpec spec = MachineSpec::H800x8();
   tl::ResourceBudget budget = tl::ResourceBudget::ForDevice(spec);
   EXPECT_EQ(budget.total(), spec.sms_per_device);
-  EXPECT_EQ(budget.fabric_capacity(tl::FabricBinding::kNic),
+  // An oversized claim is granted exactly the fabric's capacity; NVLink
+  // is unlimited and grants verbatim.
+  constexpr int kHuge = 1 << 20;
+  EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kNic, kHuge),
             spec.nic_queue_pairs);
-  EXPECT_EQ(budget.fabric_capacity(tl::FabricBinding::kCopyEngine),
+  EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kCopyEngine, kHuge),
             spec.copy_engines_per_device);
-  EXPECT_LT(budget.fabric_capacity(tl::FabricBinding::kNvlink), 0);
+  EXPECT_EQ(budget.ClaimFabric(tl::FabricBinding::kNvlink, kHuge), kHuge);
 }
 
 TEST(FabricBinding, NamesAndResourceMapping) {
@@ -646,7 +648,7 @@ TEST(GemmHierRs, DegenerateTopologies) {
   EXPECT_EQ(r1.violations, 0u);
 }
 
-// The ROADMAP item this kernel closes: a RolePlan role bound to
+// The ROADMAP item this kernel closes: a planned role bound to
 // FabricBinding::kNic, its channel count clamped by the NIC queue-pair
 // budget (blocks double as the stream window).
 TEST(GemmHierRs, RailRoleBindsNicFabricUnderBudget) {
