@@ -207,12 +207,15 @@ BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512)->Arg(4096);
 // The program-interpreter rung: build_ms is World construction plus kernel
 // build and compile, run_ms the RunSpmd that interprets the block programs;
 // events_per_s counts simulator events over run_ms only. allocs_per_event
-// counts global operator new calls during the last (warm) RunSpmd.
+// counts global operator new calls during the last (warm) RunSpmd, and
+// resumes_per_event the coroutine resumes per simulator event: each
+// pure-compute k-loop is one repeated delay, resumed once per tile.
 void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   double build_s = 0.0;
   double run_s = 0.0;
   uint64_t events = 0;
+  uint64_t resumes = 0;
   uint64_t allocs = 0;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
@@ -235,6 +238,7 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
     build_s += std::chrono::duration<double>(t1 - t0).count();
     run_s += std::chrono::duration<double>(t2 - t1).count();
     events = world.sim().processed_events();
+    resumes = world.sim().resumes();
     state.counters["sim_ms"] = static_cast<double>(t) / 1e6;
     state.counters["events"] = static_cast<double>(events);
   }
@@ -245,6 +249,9 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
       run_s > 0.0 ? static_cast<double>(events) * iters / run_s : 0.0;
   state.counters["allocs_per_event"] =
       events > 0 ? static_cast<double>(allocs) / static_cast<double>(events)
+                 : 0.0;
+  state.counters["resumes_per_event"] =
+      events > 0 ? static_cast<double>(resumes) / static_cast<double>(events)
                  : 0.0;
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);

@@ -18,8 +18,11 @@
 #      BM_EventLoopWide/1024.items_per_second keys, and gates the
 #      deterministic heap-allocation counts: allocs_per_event of the
 #      interpreter rung (warm RunSpmd) and of the BM_ParkWake rung must stay
-#      at or under their committed ceilings, as must fig11's cold-sweep
-#      full-fidelity simulation count (fig11.tuner.full_evals). fig11 also
+#      at or under their committed ceilings, as must the interpreter rung's
+#      coroutine resumes per event (resumes_per_event: a kernel whose
+#      k-loop falls off the repeated-delay path fails here) and fig11's
+#      cold-sweep full-fidelity simulation count
+#      (fig11.tuner.full_evals). fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
@@ -102,9 +105,11 @@ if [[ "$FAST" == "0" ]]; then
   # <json> <key> <ceiling>). Heap allocations per simulated event: a warm
   # interpreter run allocates only for fresh flags' waiter lists and the
   # host DMA path's tensor copies (0.24; 0.52 before the allocation-free
-  # hot path), a warm park/wake loop not at all. The fig11 cold sweep's
-  # full-fidelity simulations: 313 with each family's overlap bound, 328
-  # with no bound, so a bound that stops pruning fails here.
+  # hot path), a warm park/wake loop not at all. Coroutine resumes per
+  # interpreter event: 0.3274 with every pure-compute k-loop run as one
+  # repeated delay (one resume per tile, not per k-step). The fig11 cold
+  # sweep's full-fidelity simulations: 313 with each family's overlap
+  # bound, 328 with no bound, so a bound that stops pruning fails here.
   ceiling() {
     local json=$1 key=$2 ceiling=$3 value
     value=$(grep -o "\"$key\": [0-9.eE+-]*" "$json" | awk '{print $2}')
@@ -114,6 +119,7 @@ if [[ "$FAST" == "0" ]]; then
   }
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.25
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
 
   echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="

@@ -36,9 +36,12 @@ sim::Coro FlashBlockBody(rt::BlockCtx bctx, Tensor q, Tensor k, Tensor v,
       oh = out.Select(0, head);
       state.Reset(options.block_q, head_dim);
     }
-    for (int64_t s = 0; s < kv_steps; ++s) {
-      co_await sim::Delay{step};
-      if (functional) {
+    // Bill every kv step as one repeated delay, then do the steps' math:
+    // q/k/v are ready at launch and `state` is block-local, so the numbers
+    // are the same as interleaving each step with its delay.
+    if (kv_steps > 0) co_await sim::Delay{step, kv_steps};
+    if (functional) {
+      for (int64_t s = 0; s < kv_steps; ++s) {
         FlashAttnStep(qh, kh, vh, state, q0, options.block_q,
                       s * options.block_kv, options.block_kv, scale);
       }

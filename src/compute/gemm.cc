@@ -6,9 +6,10 @@
 namespace tilelink::compute {
 namespace {
 
-// One GEMM thread block: bills per-k-step MMA time, then performs the whole
-// tile's math once (numerically identical, far fewer host ops). The operands
-// live in the launch's block function, which outlives every block.
+// One GEMM thread block: bills per-k-step MMA time (one repeated delay, so
+// one resume per tile), then performs the whole tile's math once
+// (numerically identical, far fewer host ops). The operands live in the
+// launch's block function, which outlives every block.
 sim::Coro GemmBlockBody(rt::BlockCtx bctx, const Tensor& a, const Tensor& b,
                         Tensor& c, const GemmOptions& options,
                         int64_t tiles_n, int64_t num_tiles) {
@@ -21,8 +22,8 @@ sim::Coro GemmBlockBody(rt::BlockCtx bctx, const Tensor& a, const Tensor& b,
     const int64_t tid_m = tile / tiles_n;
     const int64_t tid_n = tile % tiles_n;
     co_await sim::Delay{cost.BlockPrologue()};
-    for (int64_t s = 0; s < k_steps; ++s) {
-      co_await sim::Delay{cost.GemmTileStep(t.bm, t.bn, t.bk)};
+    if (k_steps > 0) {
+      co_await sim::Delay{cost.GemmTileStep(t.bm, t.bn, t.bk), k_steps};
     }
     co_await sim::Delay{cost.BlockEpilogue()};
     if (bctx.functional()) {

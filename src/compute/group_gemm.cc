@@ -38,9 +38,7 @@ sim::Coro GroupGemmBlockBody(rt::BlockCtx bctx, Tensor tokens, Tensor weights,
   for (size_t tile = static_cast<size_t>(bctx.block_id); tile < blocks->size();
        tile += static_cast<size_t>(bctx.grid)) {
     co_await sim::Delay{cost.BlockPrologue()};
-    for (int64_t s = 0; s < k_steps; ++s) {
-      co_await sim::Delay{step};
-    }
+    if (k_steps > 0) co_await sim::Delay{step, k_steps};
     co_await sim::Delay{cost.BlockEpilogue()};
     if (bctx.functional()) {
       GroupBlockMath(tokens, weights, out, *routing, (*blocks)[tile]);

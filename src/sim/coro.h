@@ -145,12 +145,36 @@ class [[nodiscard]] Coro {
   Handle handle_;
 };
 
-// Suspends the current coroutine for `ns` simulated nanoseconds. A delay of
-// zero still yields through the event queue (it acts as a scheduling point).
+// Suspends the current coroutine for `times` back-to-back delays of `ns`
+// simulated nanoseconds each (one by default; `times` must be >= 1). A delay
+// of zero still yields through the event queue (it acts as a scheduling
+// point), and a negative one counts as zero.
+//
+// Repeated delays are exact: each of the `times` delays is its own queued
+// event and draws its sequence number when the previous one pops, just as
+// `times` separate `Delay{ns}` awaits would, so event order and
+// Simulator::processed_events() do not change. Only the wake-ups do: for
+// times > 1 the simulator re-queues the repeats itself (a repeat event whose
+// payload is this awaiter, which lives in the suspended frame) and resumes
+// the coroutine once, after the last delay. The simulator counts `times`
+// down to 0 while the coroutine waits, so awaiting consumes a repeated
+// Delay: await a fresh one each time (`co_await Delay{ns, n}`), never the
+// same named object twice.
 struct Delay {
-  TimeNs ns = 0;
-  Simulator* sim = nullptr;
+  explicit Delay(TimeNs ns, int64_t times = 1) : ns(ns), times(times) {}
 
+  TimeNs ns;
+  int64_t times;  // delays still to elapse while suspended
+  // The simulator until the await suspends; then, for a repeated delay, the
+  // suspended coroutine's frame (the simulator popping the repeat event
+  // needs no pointer to itself). One slot keeps the awaiter, which every
+  // suspended frame holds, at 24 bytes.
+  union {
+    Simulator* sim = nullptr;
+    void* waiter;
+  };
+
+  TimeNs step() const noexcept { return ns < 0 ? 0 : ns; }
   void Bind(Simulator* s) { sim = s; }
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h);

@@ -148,7 +148,7 @@ Simulator::~Simulator() {
 }
 
 void Simulator::DestroyEvent(const Event& ev) {
-  if (ev.callback) {
+  if (ev.kind == EventKind::kCallback) {
     auto* node = static_cast<CallbackNode*>(ev.payload);
     node->invoke(node, /*run=*/false);
   }
@@ -263,7 +263,12 @@ void Simulator::Spawn(Coro coro, std::string name) {
 
 void Simulator::ScheduleResume(TimeNs t, std::coroutine_handle<> h) {
   TL_CHECK_GE(t, now_);
-  Push(Event{t, next_seq_++, h.address(), kNoRun, /*callback=*/false});
+  Push(Event{t, next_seq_++, h.address(), kNoRun, EventKind::kResume});
+}
+
+void Simulator::ScheduleRepeat(Delay& delay) {
+  Push(Event{now_ + delay.step(), next_seq_++, &delay, kNoRun,
+             EventKind::kRepeat});
 }
 
 void Simulator::NotifyRootDone(Coro::Handle h) {
@@ -306,12 +311,29 @@ void Simulator::Run() {
     now_ = ev.t;
     current_seq_ = ev.seq;
     ++processed_events_;
-    if (!ev.callback) {
-      std::coroutine_handle<>::from_address(ev.payload).resume();
-    } else {
-      auto* node = static_cast<CallbackNode*>(ev.payload);
-      node->invoke(node, /*run=*/true);
-      FreeCallbackNode(node);
+    switch (ev.kind) {
+      case EventKind::kResume:
+        ++resumes_;
+        std::coroutine_handle<>::from_address(ev.payload).resume();
+        break;
+      case EventKind::kCallback: {
+        auto* node = static_cast<CallbackNode*>(ev.payload);
+        node->invoke(node, /*run=*/true);
+        FreeCallbackNode(node);
+        break;
+      }
+      case EventKind::kRepeat: {
+        // Exactly what the waiter's next Delay{ns} would do: draw the next
+        // sequence number now, or resume it after the last delay.
+        Delay& delay = *static_cast<Delay*>(ev.payload);
+        if (--delay.times > 0) {
+          ScheduleRepeat(delay);
+        } else {
+          ++resumes_;
+          std::coroutine_handle<>::from_address(delay.waiter).resume();
+        }
+        break;
+      }
     }
     DestroyFinishedRoots();  // rethrows root errors promptly
   }
@@ -337,7 +359,14 @@ void Simulator::Run() {
 
 void Delay::await_suspend(std::coroutine_handle<> h) {
   TL_CHECK_MSG(sim != nullptr, "Delay awaited outside a simulator coroutine");
-  sim->ScheduleResume(sim->Now() + (ns < 0 ? 0 : ns), h);
+  if (times == 1) {
+    sim->ScheduleResume(sim->Now() + step(), h);
+    return;
+  }
+  TL_CHECK_MSG(times > 1, "Delay repeated " << times << " times");
+  Simulator* s = sim;
+  waiter = h.address();
+  s->ScheduleRepeat(*this);
 }
 
 }  // namespace tilelink::sim

@@ -1,10 +1,10 @@
 // Deterministic single-threaded discrete-event simulator.
 //
-// Events are either coroutine resumptions or plain callbacks, and they run
-// in exact (time, sequence) order: ties in time break by insertion sequence
-// (or by a sequence reserved earlier, see ReserveSeq/AtSeq), and all state
-// mutation happens on the single event loop, so a given program produces
-// bit-identical timing and numerics on every run.
+// Events are coroutine resumptions, plain callbacks or delay repeats, and
+// they run in exact (time, sequence) order: ties in time break by insertion
+// sequence (or by a sequence reserved earlier, see ReserveSeq/AtSeq), and
+// all state mutation happens on the single event loop, so a given program
+// produces bit-identical timing and numerics on every run.
 //
 // Event queue: SPMD kernels step hundreds of blocks through identical tile
 // costs, so most pending events share one of a handful of timestamps. The
@@ -21,14 +21,23 @@
 // true minimum.
 //
 // Hot path: an Event is a trivially-copyable 32-byte record whose payload is
-// either a coroutine frame address or a pointer to a pooled CallbackNode
-// (small-buffer storage for the callable), so heap sifts and run appends are
+// a coroutine frame address, a pointer to a pooled CallbackNode
+// (small-buffer storage for the callable) or, for a delay repeat, a pointer
+// to the suspended Delay awaiter, so heap sifts and run appends are
 // memcpy-speed and scheduling an event allocates nothing once the node pool
 // and the run buffers warm up. Coroutine frames are also pooled
 // (see FramePoolAlloc in coro.h) — the autotuner runs thousands of short
 // simulations per search, so allocation churn dominates without these. Each
 // thread's pool is owned by a thread-exit destructor that returns its frames
 // to the global allocator, so short-lived worker threads do not strand them.
+//
+// Repeated delays: a `Delay{ns, times}` with times > 1 queues a repeat event
+// that points at the awaiter in the suspended frame. Popping it either
+// re-queues it `ns` later, drawing the next sequence number exactly as the
+// coroutine's next `Delay{ns}` would have, or, after the last delay, resumes
+// the coroutine. A tile block's pure-compute k-loop therefore costs one
+// event per k-step but one coroutine resume per tile. Repeat events own
+// nothing, so teardown simply drops the queued ones.
 //
 // Parking allocates nothing either. A parked Flag or Resource awaiter is a
 // BlockedNode: it lives in the suspended coroutine's frame and links itself
@@ -122,15 +131,21 @@ class Simulator {
 
   static constexpr uint32_t kNoRun = ~uint32_t{0};
 
-  // Trivially copyable: payload is a coroutine frame address (callback ==
-  // false) or a CallbackNode* (callback == true). In a heap entry, `run` is
-  // the run this event heads, or kNoRun for an event alone at its time.
+  enum class EventKind : uint8_t {
+    kResume,    // payload: coroutine frame address
+    kCallback,  // payload: CallbackNode*
+    kRepeat,    // payload: the Delay awaiter of a suspended repeated delay
+  };
+
+  // Trivially copyable; `kind` says what the payload points at. In a heap
+  // entry, `run` is the run this event heads, or kNoRun for an event alone
+  // at its time.
   struct Event {
     TimeNs t;
     uint64_t seq;
     void* payload;
     uint32_t run;
-    bool callback;
+    EventKind kind;
   };
   static_assert(std::is_trivially_copyable_v<Event>);
 
@@ -150,7 +165,7 @@ class Simulator {
   void At(TimeNs t, F&& fn) {
     TL_CHECK_GE(t, now_);
     Push(Event{t, next_seq_++, MakeCallback(std::forward<F>(fn)), kNoRun,
-               /*callback=*/true});
+               EventKind::kCallback});
   }
   template <typename F>
   void After(TimeNs delta, F&& fn) {
@@ -169,7 +184,7 @@ class Simulator {
     TL_CHECK(t > now_ || (t == now_ && seq > current_seq_));
     TL_CHECK_LT(seq, next_seq_);
     Push(Event{t, seq, MakeCallback(std::forward<F>(fn)), kNoRun,
-               /*callback=*/true});
+               EventKind::kCallback});
   }
   // True if some queued event orders before (t, seq).
   bool HasEventBefore(TimeNs t, uint64_t seq) const {
@@ -180,6 +195,9 @@ class Simulator {
 
   // Schedules a coroutine resumption at absolute time t.
   void ScheduleResume(TimeNs t, std::coroutine_handle<> h);
+  // Internal: queues the first delay of a repeated Delay (times > 1) whose
+  // waiter is suspended; see Delay in coro.h.
+  void ScheduleRepeat(Delay& delay);
 
   // Runs until the event queue is empty. Throws the first exception escaping
   // a root coroutine; throws DeadlockError if activities remain blocked.
@@ -188,6 +206,10 @@ class Simulator {
   // Number of root coroutines spawned and still running.
   int live_roots() const { return static_cast<int>(live_roots_.size()); }
   uint64_t processed_events() const { return processed_events_; }
+  // Coroutine resumptions the event loop has made: one per resume event and
+  // one per finished repeated delay, so processed_events() - resumes() is
+  // the callbacks plus the repeats that did not wake anything.
+  uint64_t resumes() const { return resumes_; }
 
   // Appends `node` to the blocked list (deadlock diagnostics) until it
   // unparks; the node must not already be parked.
@@ -291,6 +313,7 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t current_seq_ = 0;  // sequence of the event being processed
   uint64_t processed_events_ = 0;
+  uint64_t resumes_ = 0;
   // Min-heap on (t, seq): one entry per run head or lone event.
   std::vector<Event> heap_;
   std::vector<EventRun> runs_;

@@ -308,54 +308,24 @@ sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
 
 namespace {
 
-// Coarse MoE round: a quarter of the token count (kept divisible by every
-// chunking knob the spaces expose) with a fresh deterministic routing of the
-// same distribution. Token-linear compute, comm and reduce events all shrink
-// together, so the candidate ranking is preserved at ~4x fewer events (on
-// top of the collapsed reduction loop).
+// Token-linear compute, comm and reduce events all shrink with the coarse
+// MoE round's token count, so the candidate ranking is preserved at ~4x
+// fewer events (on top of the collapsed reduction loop).
 constexpr int64_t kMoeCoarseGranule = 1024;
 constexpr uint64_t kMoeCoarseRoutingSeed = 1234;
 
-MoeShape CoarseMoeShape(const sim::MachineSpec& spec, const MoeShape& shape) {
-  MoeShape coarse = shape;
-  const int64_t granule = kMoeCoarseGranule * spec.num_devices;
-  const int64_t granules = shape.m / 4 / granule;
-  if (granules >= 1) coarse.m = granules * granule;
-  return coarse;
-}
-
 }  // namespace
 
-sim::TimeNs CoarseSimulateAgMoe(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c) {
-  const MoeShape coarse = CoarseMoeShape(spec, shape);
-  if (coarse.m == shape.m) {
-    return SimulateAgMoe(spec, shape, routing,
-                         CoarsenReduction(c, shape.hidden));
-  }
+CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
+                     const compute::MoeRouting& routing) {
+  const int64_t granule = kMoeCoarseGranule * spec.num_devices;
+  const int64_t granules = shape.m / 4 / granule;
+  if (granules < 1) return CoarseMoe{shape, routing};
+  MoeShape coarse = shape;
+  coarse.m = granules * granule;
   Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting coarse_routing = compute::RandomRouting(
-      coarse.m, shape.num_experts, shape.topk, rng);
-  return SimulateAgMoe(spec, coarse, coarse_routing,
-                       CoarsenReduction(c, shape.hidden));
-}
-
-sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c) {
-  const MoeShape coarse = CoarseMoeShape(spec, shape);
-  if (coarse.m == shape.m) {
-    return SimulateMoeRs(spec, shape, routing,
-                         CoarsenReduction(c, shape.inner));
-  }
-  Rng rng(kMoeCoarseRoutingSeed);
-  const compute::MoeRouting coarse_routing = compute::RandomRouting(
-      coarse.m, shape.num_experts, shape.topk, rng);
-  return SimulateMoeRs(spec, coarse, coarse_routing,
-                       CoarsenReduction(c, shape.inner));
+  return CoarseMoe{coarse, compute::RandomRouting(coarse.m, shape.num_experts,
+                                                  shape.topk, rng)};
 }
 
 // ---- Analytic lower bounds ----------------------------------------------
@@ -570,6 +540,7 @@ TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing,
                      const TuningSpace& space, const TuneCandidate& base,
                      const Autotuner& tuner) {
+  const CoarseMoe coarse = CoarsenMoe(spec, shape, routing);
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) {
@@ -579,7 +550,8 @@ TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
         return AgMoeLowerBound(spec, shape, c);
       },
       [&](const TuneCandidate& c) {
-        return CoarseSimulateAgMoe(spec, shape, routing, c);
+        return SimulateAgMoe(spec, coarse.shape, coarse.routing,
+                             CoarsenReduction(c, coarse.shape.hidden));
       });
 }
 
@@ -587,6 +559,7 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing,
                      const TuningSpace& space, const TuneCandidate& base,
                      const Autotuner& tuner) {
+  const CoarseMoe coarse = CoarsenMoe(spec, shape, routing);
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) {
@@ -596,7 +569,8 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
         return MoeRsLowerBound(spec, shape, c);
       },
       [&](const TuneCandidate& c) {
-        return CoarseSimulateMoeRs(spec, shape, routing, c);
+        return SimulateMoeRs(spec, coarse.shape, coarse.routing,
+                             CoarsenReduction(c, coarse.shape.inner));
       });
 }
 

@@ -108,14 +108,18 @@ sim::TimeNs CoarseSimulateAgAttention(const sim::MachineSpec& spec,
 sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
                                     const FlashShape& shape,
                                     const TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgMoe(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c);
-sim::TimeNs CoarseSimulateMoeRs(const sim::MachineSpec& spec,
-                                const MoeShape& shape,
-                                const compute::MoeRouting& routing,
-                                const TuneCandidate& c);
+// The coarse MoE round: a quarter of the token count (kept divisible by
+// every chunking knob the spaces expose) with a fresh deterministic routing
+// of the same distribution, or the shape and routing themselves when the
+// shape is too small to shrink (a copy, made once per search). TuneAgMoe/
+// TuneMoeRs build it once per search; every candidate's coarse round
+// simulates it with the reduction loop collapsed (CoarsenReduction).
+struct CoarseMoe {
+  MoeShape shape;
+  compute::MoeRouting routing;
+};
+CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
+                     const compute::MoeRouting& routing);
 
 // ---- Analytic lower bounds ----------------------------------------------
 // One overlap bound per family: max(compute + launch, wire time). 0 (never

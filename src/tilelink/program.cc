@@ -12,6 +12,26 @@ namespace tilelink::tl {
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
+namespace {
+
+// Loop::compute_step of a loop with this body.
+int ComputeStep(const std::vector<Stmt>& body) {
+  int step = -1;
+  for (size_t i = 0; i < body.size(); ++i) {
+    if (body[i].loop) return -1;
+    const Op& op = *body[i].op;
+    if (op.kind != OpKind::kNop && op.kind != OpKind::kLoad &&
+        op.kind != OpKind::kMma && op.kind != OpKind::kElementwise) {
+      return -1;
+    }
+    if (!op.cost) continue;
+    if (step >= 0) return -1;
+    step = static_cast<int>(i);
+  }
+  return step;
+}
+
+}  // namespace
 
 TileProgramBuilder& TileProgramBuilder::Add(Op op) {
   Stmt s;
@@ -33,6 +53,7 @@ TileProgramBuilder& TileProgramBuilder::For(
   loop->depth = depth_;
   loop->trip_count = std::move(trip_count);
   loop->body = std::move(body_builder.program_.stmts);
+  loop->compute_step = ComputeStep(loop->body);
   Stmt s;
   s.loop = std::move(loop);
   program_.stmts.push_back(std::move(s));
@@ -340,6 +361,34 @@ void IssueAsyncPush(const ExecCtx& ec, const Op& op, const Env& env) {
                     "async_push");
 }
 
+// The repeated delay a loop runs as, or times == 0 when it must run
+// iteration by iteration. A pure-compute loop (Loop::compute_step >= 0)
+// whose iterations nothing observes -- the block is untraced, the world
+// timing-only and the checker off -- and all cost the same is one
+// Delay{cost, trips}: the same events in the same order, one resume.
+// Evaluates the costed op once per iteration and leaves the loop variable
+// at 0.
+sim::Delay LoopAsRepeatedDelay(const ExecCtx& ec, const Loop& loop,
+                               int64_t trips, Env& env) {
+  const sim::Delay per_iteration(0, 0);
+  if (loop.compute_step < 0 || ec.tr != nullptr || ec.world->functional() ||
+      ec.world->checker().enabled()) {
+    return per_iteration;
+  }
+  const Op& op = *loop.body[static_cast<size_t>(loop.compute_step)].op;
+  const sim::CostModel& cost = ec.launch->cost;
+  int64_t& iv = env.loop[static_cast<size_t>(loop.depth)];
+  const sim::TimeNs first = op.cost(env, cost);
+  for (iv = 1; iv < trips; ++iv) {
+    if (op.cost(env, cost) != first) {
+      iv = 0;
+      return per_iteration;
+    }
+  }
+  iv = 0;
+  return sim::Delay(first, trips);
+}
+
 // One block of a role: runs the whole program in this coroutine frame. An
 // explicit cursor stack walks the statement tree — level 0 is the program
 // body, level d + 1 the body of the loop at depth d — and every op runs
@@ -384,6 +433,11 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const Role* role) {
       const int64_t trips = s.loop->trip_count(env);
       env.loop[slot] = 0;
       if (trips <= 0) continue;
+      if (sim::Delay repeat = LoopAsRepeatedDelay(ec, *s.loop, trips, env);
+          repeat.times > 0) {
+        co_await repeat;
+        continue;
+      }
       TL_CHECK_LT(top, kMaxLoopDepth);
       stack[static_cast<size_t>(++top)] =
           Cursor{&s.loop->body, 0, slot, trips, 0};

@@ -21,8 +21,14 @@
 //      interpretation of each block: one simulator coroutine frame per
 //      block walks the statement tree with an explicit loop-cursor stack
 //      and runs every op inline, awaiting delays, signal waits and
-//      transfers in that frame. Checker-only DataSpecs (those of loads and
-//      stores) are evaluated only while the consistency checker is on.
+//      transfers in that frame. A pure-compute loop (see Loop::compute_step)
+//      whose iterations all cost the same runs as one repeated delay
+//      (sim::Delay{cost, trips}) when nothing can observe its iterations:
+//      the block is untraced, the world is timing-only and the checker is
+//      off. That is the same events in the same order, with one coroutine
+//      resume per loop instead of one per iteration. Checker-only
+//      DataSpecs (those of loads and stores) are evaluated only while the
+//      consistency checker is on.
 //      Wait and notify specs are plain values with inline storage (a notify
 //      entry raises one barrier word on one rank), so executing a
 //      notify or a wait allocates nothing unless an op names more words
@@ -140,6 +146,9 @@ struct Op {
   // only reader there. Push/pull ops always evaluate it for bytes and
   // src_rank/dst_rank.
   std::function<DataSpec(const Env&)> data;
+  // Simulated time of the tile step. Must be a pure function of (Env,
+  // CostModel): the interpreter may evaluate it for every iteration of a
+  // loop at loop entry, to run the loop as one repeated delay.
   std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost;
   std::function<void(const Env&)> math;          // functional payload
 };
@@ -151,6 +160,10 @@ struct Loop {
   int depth = 0;  // index into Env::loop
   std::function<int64_t(const Env&)> trip_count;
   std::vector<Stmt> body;
+  // Index in `body` of its only costed op when the body is one pure-compute
+  // step: no nested loop, only kNop/kLoad/kMma/kElementwise ops, exactly one
+  // of them with a cost. -1 otherwise. Set by TileProgramBuilder::For.
+  int compute_step = -1;
 };
 
 struct Stmt {

@@ -12,6 +12,7 @@
 
 #include "common/rng.h"
 #include "runtime/world.h"
+#include "sim/trace.h"
 #include "tensor/tensor_ops.h"
 #include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/primitives.h"
@@ -462,6 +463,144 @@ TEST(Interpreter, AsyncDmaNotifyFiresAfterTheTransferLands) {
   const sim::TimeNs landed = std::min(consumer_woke[0], consumer_woke[1]);
   EXPECT_GE(landed - issued, static_cast<sim::TimeNs>(kBytes))
       << "notify_after fired before the 1 MiB transfer could land";
+}
+
+// ---------------------------------------------------------------------- //
+// Repeated delays: a pure-compute loop runs as one Delay{cost, trips} when
+// nothing observes its iterations. Either path gives the same events in the
+// same order; only the number of coroutine resumes tells them apart.
+// ---------------------------------------------------------------------- //
+
+struct LoopRun {
+  sim::TimeNs makespan = 0;
+  uint64_t events = 0;
+  uint64_t resumes = 0;
+  std::vector<sim::TimeNs> notify_times;  // one per tile per block per rank
+};
+
+// Three blocks per rank on two ranks, each over two tiles:
+//   for t: consumer_tile_wait; for kk in 0..4: <k_body>; store; notify
+// `k_body` fills the k-loop; notifies record their simulated time.
+LoopRun RunTileLoop(const std::function<void(TileProgramBuilder&)>& k_body,
+                    bool traced, ExecMode mode = ExecMode::kTimingOnly,
+                    bool checker = false) {
+  World world(sim::MachineSpec::Test(2, 8), mode);
+  world.checker().set_enabled(checker);
+  sim::TraceRecorder recorder;
+  if (traced) world.set_trace(&recorder);
+  LoopRun run;
+  TileProgramBuilder b;
+  b.For("t", Trips(2), [&](TileProgramBuilder& tile) {
+    tile.Add(NopWait("tile_wait"));
+    tile.For("kk", Trips(5), k_body);
+    tile.Add(PlainStore("store"));
+    tile.Add(ops::ProducerTileNotify("tile_notify", [&](const Env&) {
+      run.notify_times.push_back(world.sim().Now());
+      return NotifySpec{};
+    }));
+  });
+  FusedKernelSpec spec;
+  spec.name = "tile_loop";
+  spec.roles.push_back(Role{"compute", 3, b.Build()});
+  run.makespan = RunKernel(world, std::move(spec));
+  run.events = world.sim().processed_events();
+  run.resumes = world.sim().resumes();
+  return run;
+}
+
+Op CostedMma(std::function<sim::TimeNs(const Env&)> cost) {
+  return ops::Mma("mma", [cost](const Env& e, const sim::CostModel&) {
+    return cost(e);
+  });
+}
+
+// The k-loops of every run: 2 ranks x 3 blocks x 2 tiles, each of whose 5
+// iterations saves one resume on the repeat path but the last.
+constexpr uint64_t kKLoops = 2 * 3 * 2;
+constexpr uint64_t kSavedResumes = kKLoops * (5 - 1);
+
+void ExpectSameEvents(const LoopRun& a, const LoopRun& b) {
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.notify_times, b.notify_times);
+}
+
+TEST(Interpreter, PureComputeLoopRunsAsOneRepeatedDelay) {
+  auto k_body = [](TileProgramBuilder& k) {
+    k.Add(ops::Load("load_a", /*acquire=*/true, nullptr));
+    k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+  };
+  BlockProgram shape;
+  {
+    TileProgramBuilder b;
+    b.For("kk", Trips(5), k_body);
+    shape = b.Build();
+  }
+  EXPECT_EQ(shape.stmts[0].loop->compute_step, 1);
+
+  const LoopRun traced = RunTileLoop(k_body, /*traced=*/true);
+  const LoopRun untraced = RunTileLoop(k_body, /*traced=*/false);
+  ExpectSameEvents(traced, untraced);
+  ASSERT_EQ(untraced.notify_times.size(), kKLoops);
+  EXPECT_EQ(traced.resumes, untraced.resumes + kSavedResumes);
+}
+
+TEST(Interpreter, VaryingLoopCostKeepsThePerIterationPath) {
+  auto k_body = [](TileProgramBuilder& k) {
+    k.Add(CostedMma([](const Env& e) { return 10 + e.iv(1); }));
+  };
+  const LoopRun traced = RunTileLoop(k_body, /*traced=*/true);
+  const LoopRun untraced = RunTileLoop(k_body, /*traced=*/false);
+  ExpectSameEvents(traced, untraced);
+  EXPECT_EQ(traced.resumes, untraced.resumes);
+  // A cost that reads the loop variable but does not vary still repeats.
+  auto flat_body = [](TileProgramBuilder& k) {
+    k.Add(CostedMma([](const Env& e) { return e.iv(1) >= 0 ? 10 : 11; }));
+  };
+  EXPECT_EQ(RunTileLoop(flat_body, true).resumes,
+            RunTileLoop(flat_body, false).resumes + kSavedResumes);
+}
+
+TEST(Interpreter, SignalOrSecondCostInLoopKeepsThePerIterationPath) {
+  const std::vector<std::function<void(TileProgramBuilder&)>> bodies = {
+      [](TileProgramBuilder& k) {
+        k.Add(NopWait("k_wait"));
+        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+      },
+      [](TileProgramBuilder& k) {
+        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+        k.Add(Notify("k_notify"));
+      },
+      [](TileProgramBuilder& k) {
+        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+        k.Add(CostedMma([](const Env&) { return sim::TimeNs{3}; }));
+      },
+  };
+  for (size_t i = 0; i < bodies.size(); ++i) {
+    SCOPED_TRACE("body " + std::to_string(i));
+    TileProgramBuilder b;
+    b.For("kk", Trips(5), bodies[i]);
+    EXPECT_EQ(b.Build().stmts[0].loop->compute_step, -1);
+    const LoopRun traced = RunTileLoop(bodies[i], /*traced=*/true);
+    const LoopRun untraced = RunTileLoop(bodies[i], /*traced=*/false);
+    ExpectSameEvents(traced, untraced);
+    EXPECT_EQ(traced.resumes, untraced.resumes);
+  }
+}
+
+TEST(Interpreter, FunctionalOrCheckedRunKeepsThePerIterationPath) {
+  auto k_body = [](TileProgramBuilder& k) {
+    k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+  };
+  const LoopRun timing = RunTileLoop(k_body, /*traced=*/false);
+  const LoopRun functional =
+      RunTileLoop(k_body, /*traced=*/false, ExecMode::kFunctional);
+  ExpectSameEvents(functional, timing);
+  EXPECT_EQ(functional.resumes, timing.resumes + kSavedResumes);
+  const LoopRun checked = RunTileLoop(k_body, /*traced=*/false,
+                                      ExecMode::kTimingOnly, /*checker=*/true);
+  ExpectSameEvents(checked, timing);
+  EXPECT_EQ(checked.resumes, timing.resumes + kSavedResumes);
 }
 
 TEST(Compiler, RejectsEmptyKernel) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -390,9 +391,12 @@ using Key = std::pair<TimeNs, uint64_t>;  // (time, sequence)
 // Mirrors the simulator's sequence counter: every call that takes a
 // sequence number (At, ScheduleResume, Delay, Spawn, ReserveSeq) goes
 // through the model, which records the (time, seq) it expects to run.
+// With `repeats`, walkers also await repeated delays `Delay{ns, n}`, which
+// the model treats as the reference: n single delays, each taking its
+// sequence number when the previous one runs.
 struct QueueModel {
-  QueueModel(Simulator* sim, uint64_t seed, int budget)
-      : sim_(sim), rng_(seed), budget_(budget) {}
+  QueueModel(Simulator* sim, uint64_t seed, int budget, bool repeats = false)
+      : sim_(sim), rng_(seed), budget_(budget), repeats_(repeats) {}
 
   uint64_t Draw(uint64_t n) { return SplitMix64(&rng_) % n; }
 
@@ -427,6 +431,7 @@ struct QueueModel {
   // Checks `key` is the reference minimum, probes HasEventBefore, then
   // schedules a random batch of follow-up work.
   void OnRun(const Key& key) {
+    RunRepeatsBefore(key);
     executed_.push_back(key);
     if (pending_.empty() || *pending_.begin() != key ||
         sim_->Now() != key.first) {
@@ -500,18 +505,63 @@ struct QueueModel {
     if (sim_->HasEventBefore(at.first, at.second) != want) ++probe_errors_;
   }
 
-  // Sleeps alternately through Delay and a direct ScheduleResume.
+  // The reference for a repeated delay: n single delays, each taking the
+  // next sequence number when the previous one runs. Runs the earliest
+  // queued one; a chain's last delay resumes its walker, which reports that
+  // key itself.
+  void RunRepeat() {
+    auto node = chains_.extract(chains_.begin());
+    const Key done = node.key();
+    Chain chain = node.mapped();
+    if (pending_.empty() || *pending_.begin() != done) ++order_errors_;
+    pending_.erase(done);
+    executed_.push_back(done);
+    *chain.key = Take(done.first + chain.step);
+    if (--chain.left > 0) chains_.emplace(*chain.key, chain);
+  }
+  void RunRepeatsBefore(const Key& key) {
+    while (!chains_.empty() && chains_.begin()->first < key) RunRepeat();
+  }
+  // A walker woke from its repeated delay: every queued delay up to its
+  // chain's last one has run.
+  void FinishChain(const Key* key) {
+    auto in_chain = [key](const auto& entry) {
+      return entry.second.key == key;
+    };
+    while (std::any_of(chains_.begin(), chains_.end(), in_chain)) RunRepeat();
+  }
+
+  // Sleeps through Delay, a direct ScheduleResume and, with `repeats_`, a
+  // repeated Delay{ns, n}: n in 1..8, ns zero, negative or positive.
   static Coro Walker(QueueModel* m, Key key, int steps) {
     m->OnRun(key);
+    ++m->resumes_;
     for (int i = 0; i < steps; ++i) {
       const TimeNs delay = m->PickDelay();
-      key = m->Take(m->sim_->Now() + delay);
-      if (i % 2 == 0) {
-        co_await Delay{delay};
-      } else {
-        co_await ResumeAt{m->sim_, key.first};
+      switch (i % (m->repeats_ ? 3 : 2)) {
+        case 0:
+          key = m->Take(m->sim_->Now() + delay);
+          co_await Delay{delay};
+          break;
+        case 1:
+          key = m->Take(m->sim_->Now() + delay);
+          co_await ResumeAt{m->sim_, key.first};
+          break;
+        default: {
+          const TimeNs ns = m->Draw(4) == 0
+                                ? -1 - static_cast<TimeNs>(m->Draw(50))
+                                : delay;
+          const int n = 1 + static_cast<int>(m->Draw(8));
+          const TimeNs step = std::max<TimeNs>(ns, 0);
+          key = m->Take(m->sim_->Now() + step);
+          if (n > 1) m->chains_.emplace(key, Chain{step, n - 1, &key});
+          co_await Delay{ns, n};
+          m->FinishChain(&key);
+          break;
+        }
       }
       m->OnRun(key);
+      ++m->resumes_;
     }
   }
 
@@ -533,29 +583,96 @@ struct QueueModel {
   std::vector<Key> scheduled_;
   std::vector<Key> executed_;
   std::vector<uint64_t> reserved_;
+  // Repeated delays in flight, keyed by the delay now queued: the delay
+  // length, the delays still to take after it and the walker's key.
+  struct Chain {
+    TimeNs step;
+    int left;
+    Key* key;
+  };
+  bool repeats_;
+  std::map<Key, Chain> chains_;
+  uint64_t resumes_ = 0;
   int order_errors_ = 0;
   int probe_errors_ = 0;
 };
 
 TEST(SimCore, EventQueueMatchesReferenceOrder) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Simulator sim;
-    QueueModel model(&sim, seed, 20000);
-    for (int i = 0; i < 8; ++i) model.SpawnWalker();
-    for (int i = 0; i < 200; ++i) {
-      model.ScheduleCallback(static_cast<TimeNs>(model.Draw(5000)));
+  for (const bool repeats : {false, true}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (repeats ? " with repeated delays" : ""));
+      Simulator sim;
+      QueueModel model(&sim, seed, 20000, repeats);
+      for (int i = 0; i < 8; ++i) model.SpawnWalker();
+      for (int i = 0; i < 200; ++i) {
+        model.ScheduleCallback(static_cast<TimeNs>(model.Draw(5000)));
+      }
+      sim.Run();
+      EXPECT_EQ(model.order_errors_, 0);
+      EXPECT_EQ(model.probe_errors_, 0);
+      EXPECT_TRUE(model.pending_.empty());
+      EXPECT_TRUE(model.chains_.empty());
+      std::vector<Key> reference = model.scheduled_;
+      std::sort(reference.begin(), reference.end());
+      EXPECT_EQ(model.executed_, reference);
+      EXPECT_EQ(sim.processed_events(), reference.size());
+      EXPECT_GT(reference.size(), 20000u);
+      // Every walker wake-up is one resume; repeats wake nothing.
+      EXPECT_EQ(sim.resumes(), model.resumes_);
     }
-    sim.Run();
-    EXPECT_EQ(model.order_errors_, 0);
-    EXPECT_EQ(model.probe_errors_, 0);
-    EXPECT_TRUE(model.pending_.empty());
-    std::vector<Key> reference = model.scheduled_;
-    std::sort(reference.begin(), reference.end());
-    EXPECT_EQ(model.executed_, reference);
-    EXPECT_EQ(sim.processed_events(), reference.size());
-    EXPECT_GT(reference.size(), 20000u);
   }
+}
+
+Coro RepeatedDelay(TimeNs ns, int64_t times, std::vector<TimeNs>* log,
+                   Simulator* sim) {
+  co_await Delay{ns, times};
+  log->push_back(sim->Now());
+}
+
+// Delay{ns, n} is n queued events and one resume, ending where n single
+// delays would; a negative delay counts as zero, and n < 1 is rejected.
+TEST(SimCore, RepeatedDelayCountsEveryDelayAndResumesOnce) {
+  Simulator sim;
+  std::vector<TimeNs> log;
+  sim.Spawn(RepeatedDelay(7, 5, &log, &sim));
+  sim.Spawn(RepeatedDelay(-3, 4, &log, &sim));
+  sim.Spawn(RepeatedDelay(0, 1, &log, &sim));
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<TimeNs>{0, 0, 35}));
+  EXPECT_EQ(sim.processed_events(), 3u + 5u + 4u + 1u);
+  EXPECT_EQ(sim.resumes(), 3u + 3u);
+
+  Simulator bad;
+  bad.Spawn(RepeatedDelay(7, 0, &log, &bad));
+  EXPECT_THROW(bad.Run(), Error);
+}
+
+struct TokenHolder {
+  std::shared_ptr<int> token;
+};
+
+Coro HoldThroughRepeats(std::shared_ptr<int> token, TimeNs ns, int64_t n) {
+  const TokenHolder hold{std::move(token)};
+  co_await Delay{ns, n};
+  co_await Delay{ns, n};
+}
+
+// Repeats still queued at teardown own nothing: the suspended frames that
+// hold their awaiters are destroyed once, with the simulator's live roots.
+TEST(SimCore, TeardownWithQueuedRepeatsDestroysEachFrameOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    for (int i = 0; i < 20; ++i) {
+      sim.Spawn(HoldThroughRepeats(token, 3 + i % 4, 4 + i % 5));
+    }
+    sim.At(9, [] { throw Error("stop"); });
+    EXPECT_EQ(token.use_count(), 21);
+    EXPECT_THROW(sim.Run(), Error);
+    EXPECT_EQ(token.use_count(), 21);  // every root still suspended
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // Callables queued at teardown — lone events, a run, a reserved sequence
