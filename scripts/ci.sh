@@ -63,7 +63,7 @@ FAST=0
 
 echo "=== [1/6] RelWithDebInfo, -Wall -Wextra -Werror ==="
 cmake -B build-ci -S . -DTILELINK_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-ci -j
+cmake --build build-ci -j"$(nproc)"
 # --timeout: a hung coroutine pipeline fails fast instead of
 # stalling the whole CI run.
 (cd build-ci && ctest --output-on-failure --timeout 120 -j"$(nproc)")
@@ -71,7 +71,7 @@ cmake --build build-ci -j
 if [[ "$FAST" == "0" ]]; then
   echo "=== [2/6] Debug + ASan ==="
   cmake -B build-asan -S . -DTILELINK_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
-  cmake --build build-asan -j
+  cmake --build build-asan -j"$(nproc)"
   # ctest includes test_multinode, so the functional collectives' payload
   # and staging buffers are leak-checked here (the coroutine frame pools
   # are already gated off under ASan). detect_leaks is pinned on so a
@@ -81,7 +81,7 @@ if [[ "$FAST" == "0" ]]; then
 
   echo "=== [3/6] Debug + TSan (parallel search + concurrent cache) ==="
   cmake -B build-tsan -S . -DTILELINK_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
-  cmake --build build-tsan -j --target test_tuning
+  cmake --build build-tsan -j"$(nproc)" --target test_tuning
   # halt_on_error: a data race fails the stage instead of scrolling past.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/test_tuning
 

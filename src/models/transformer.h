@@ -98,7 +98,7 @@ class E2eEstimator {
   // cache is internally synchronized — so independent layers/models can be
   // timed from concurrent threads against one shared cache. Offline benches
   // and the serving path run the same cold search (successive halving over
-  // the Coarse* evaluators, then bound-pruned full fidelity), so a shape
+  // each Tune*()'s coarse round, then bound-pruned full fidelity), so a shape
   // tunes to the same config whichever caller reaches it first.
   void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }

@@ -18,6 +18,7 @@
 // per-edge ordinal counters and shares the plan read-only.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,6 +82,14 @@ struct RetryPolicy {
   TimeNs backoff_base = 0;
   double timeout_factor = 16.0;
 };
+
+// Simulated wait after failed attempt `attempt` (0-based): exponential
+// from `base`, or from the fabric's wire latency (at least 1 ns) when base
+// is 0, doubling per attempt up to 2^10. Every retrying sender uses it.
+inline TimeNs RetryBackoff(TimeNs base, TimeNs wire_latency, int attempt) {
+  const TimeNs unit = base > 0 ? base : std::max<TimeNs>(1, wire_latency);
+  return unit << std::min(attempt, 10);
+}
 
 // Aggregated per-network fault counters (diagnostics; surfaced in the fault
 // sweep's JSON report).

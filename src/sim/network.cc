@@ -174,8 +174,6 @@ Coro Network::Transfer(int src, int dst, uint64_t bytes) {
   TransferOpts opts;
   opts.ack_timeout = static_cast<TimeNs>(
       rp.timeout_factor * static_cast<double>(ExpectedFlowTime(bytes)));
-  const TimeNs backoff =
-      rp.backoff_base > 0 ? rp.backoff_base : std::max<TimeNs>(1, latency_ns_);
   for (int attempt = 0;; ++attempt) {
     TransferOutcome out;
     co_await TryTransfer(src, dst, bytes, opts, &out);
@@ -186,7 +184,7 @@ Coro Network::Transfer(int src, int dst, uint64_t bytes) {
                        out.timed_out ? "ack timeout" : "chunk dropped");
     }
     NoteRetry();
-    co_await Delay{backoff << std::min(attempt, 10)};
+    co_await Delay{RetryBackoff(rp.backoff_base, latency_ns_, attempt)};
   }
 }
 

@@ -261,19 +261,7 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
   });
 }
 
-// ---- Coarse evaluators --------------------------------------------------
-
-sim::TimeNs CoarseSimulateAgGemm(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c) {
-  return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
-}
-
-sim::TimeNs CoarseSimulateGemmRs(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c) {
-  return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
-}
+// ---- Coarse shapes --------------------------------------------------------
 
 namespace {
 
@@ -286,27 +274,6 @@ int64_t CoarseSeq(int64_t seq, int64_t granularity) {
   if (granules < 1) return seq;
   return granules * granularity;
 }
-
-}  // namespace
-
-sim::TimeNs CoarseSimulateAgAttention(const sim::MachineSpec& spec,
-                                      const AttnShape& shape,
-                                      const TuneCandidate& c) {
-  AttnShape coarse = shape;
-  coarse.seq = CoarseSeq(shape.seq, 2048L * spec.num_devices);
-  return SimulateAgAttention(spec, coarse, c);
-}
-
-sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
-                                    const FlashShape& shape,
-                                    const TuneCandidate& c) {
-  FlashShape coarse = shape;
-  coarse.seq_q = CoarseSeq(shape.seq_q, 2048);
-  coarse.seq_kv = CoarseSeq(shape.seq_kv, 2048);
-  return SimulateFlashCore(spec, coarse, c);
-}
-
-namespace {
 
 // Token-linear compute, comm and reduce events all shrink with the coarse
 // MoE round's token count, so the candidate ranking is preserved at ~4x
@@ -482,7 +449,7 @@ TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
       [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
       [&](const TuneCandidate& c) { return AgGemmLowerBound(spec, shape, c); },
       [&](const TuneCandidate& c) {
-        return CoarseSimulateAgGemm(spec, shape, c);
+        return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
       });
 }
 
@@ -494,17 +461,19 @@ TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
       [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
       [&](const TuneCandidate& c) { return GemmRsLowerBound(spec, shape, c); },
       [&](const TuneCandidate& c) {
-        return CoarseSimulateGemmRs(spec, shape, c);
+        return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
       });
 }
 
 TuneResult TuneAgAttention(const sim::MachineSpec& spec,
                            const AttnShape& shape, const TuningSpace& space,
                            const TuneCandidate& base, const Autotuner& tuner) {
-  // When the sequence is too short to shrink, a "coarse" score would be a
-  // full-fidelity run — halving would only double the work. Search plain.
-  const bool can_coarsen =
-      CoarseSeq(shape.seq, 2048L * spec.num_devices) < shape.seq;
+  // The coarse round runs a quarter of the sequence. When the sequence is
+  // too short to shrink, a "coarse" score would be a full-fidelity run —
+  // halving would only double the work. Search plain.
+  AttnShape coarse = shape;
+  coarse.seq = CoarseSeq(shape.seq, 2048L * spec.num_devices);
+  const bool can_coarsen = coarse.seq < shape.seq;
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) {
@@ -514,7 +483,7 @@ TuneResult TuneAgAttention(const sim::MachineSpec& spec,
         return AgAttentionLowerBound(spec, shape, c);
       },
       can_coarsen ? Autotuner::EvalFn([&](const TuneCandidate& c) {
-        return CoarseSimulateAgAttention(spec, shape, c);
+        return SimulateAgAttention(spec, coarse, c);
       })
                   : Autotuner::EvalFn());
 }
@@ -522,8 +491,11 @@ TuneResult TuneAgAttention(const sim::MachineSpec& spec,
 TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,
                          const TuningSpace& space, const TuneCandidate& base,
                          const Autotuner& tuner) {
-  const bool can_coarsen = CoarseSeq(shape.seq_q, 2048) < shape.seq_q ||
-                           CoarseSeq(shape.seq_kv, 2048) < shape.seq_kv;
+  FlashShape coarse = shape;
+  coarse.seq_q = CoarseSeq(shape.seq_q, 2048);
+  coarse.seq_kv = CoarseSeq(shape.seq_kv, 2048);
+  const bool can_coarsen =
+      coarse.seq_q < shape.seq_q || coarse.seq_kv < shape.seq_kv;
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) { return SimulateFlashCore(spec, shape, c); },
@@ -531,7 +503,7 @@ TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,
         return FlashCoreLowerBound(spec, shape, c);
       },
       can_coarsen ? Autotuner::EvalFn([&](const TuneCandidate& c) {
-        return CoarseSimulateFlashCore(spec, shape, c);
+        return SimulateFlashCore(spec, coarse, c);
       })
                   : Autotuner::EvalFn());
 }

@@ -2,11 +2,13 @@
 //
 // Simulate*() builds a fresh timing-only World, constructs the kernel with
 // the candidate's knobs and returns the SPMD makespan — the exact quantity
-// the paper's figures report. Coarse*() are the cheap variants used by the
-// successive-halving round: the GEMM reduction loop is collapsed to one
-// k-step (simulated time is nearly invariant in bk, so the ranking is
-// preserved at ~an-order-of-magnitude fewer events), and attention shrinks
-// the sequence extent. *LowerBound() are analytic sim::CostModel bounds —
+// the paper's figures report. Each Tune*() scores its successive-halving
+// round with a cheap coarse run of the same evaluator, built in its coarse
+// lambda: the GEMM reduction loop is collapsed to one k-step
+// (CoarsenReduction; simulated time is nearly invariant in bk, so the
+// ranking is preserved at ~an-order-of-magnitude fewer events), attention
+// shrinks the sequence extent and MoE the token count (CoarsenMoe).
+// *LowerBound() are analytic sim::CostModel bounds —
 // one overlap bound per family, max(compute-only + the kernel launch
 // latency every fused kernel pays, wire time) — which the Autotuner uses
 // to prune candidates without paying for a DES run. Tune*() wire
@@ -91,23 +93,11 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
                              const TuneCandidate& part1,
                              const TuneCandidate& part2);
 
-// ---- Coarse (successive-halving) evaluators -----------------------------
+// ---- Coarse (successive-halving) rounds ---------------------------------
 // Collapses the reduction loop to a single k-step: per-tile MMA cost is
 // linear in bk, so the makespan is nearly unchanged while the event count
-// drops by ~k/bk. Shared by every GEMM-backed coarse evaluator.
+// drops by ~k/bk. Shared by every GEMM-backed coarse round.
 TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k);
-sim::TimeNs CoarseSimulateAgGemm(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c);
-sim::TimeNs CoarseSimulateGemmRs(const sim::MachineSpec& spec,
-                                 const MlpPartShape& shape,
-                                 const TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgAttention(const sim::MachineSpec& spec,
-                                      const AttnShape& shape,
-                                      const TuneCandidate& c);
-sim::TimeNs CoarseSimulateFlashCore(const sim::MachineSpec& spec,
-                                    const FlashShape& shape,
-                                    const TuneCandidate& c);
 // The coarse MoE round: a quarter of the token count (kept divisible by
 // every chunking knob the spaces expose) with a fresh deterministic routing
 // of the same distribution, or the shape and routing themselves when the

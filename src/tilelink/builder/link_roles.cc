@@ -101,10 +101,6 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
     }
   }
   const int max_attempts = 1 + std::max(0, stream->max_retries);
-  const sim::TimeNs backoff =
-      stream->backoff_base > 0
-          ? stream->backoff_base
-          : std::max<sim::TimeNs>(1, net->latency());
   for (int attempt = 0;; ++attempt) {
     const sim::TimeNs attempt_start = simp->Now();
     sim::TimeNs start = 0;
@@ -163,7 +159,8 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
           out.timed_out ? "ack timeout" : "chunk dropped");
     }
     net->NoteRetry();
-    co_await sim::Delay{backoff << std::min(attempt, 10)};
+    co_await sim::Delay{
+        sim::RetryBackoff(stream->backoff_base, net->latency(), attempt)};
   }
   if (!eager_publish && sig != nullptr) {
     sig->Complete(index, tiles, span_pid, span_tid);
@@ -311,7 +308,7 @@ LinkStream NvlinkRingRole::Stream(
     std::string name, const char* chunk_label, int64_t num_chunks,
     std::function<LinkChunk(int64_t)> chunk) const {
   LinkStream s;
-  s.fabric = &world_->intra_fabric();
+  s.fabric = &world_->fabric_for(src, dst);
   s.trace_pid = world_->trace_pid(src);
   s.src = src;
   s.dst = dst;

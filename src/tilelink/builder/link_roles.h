@@ -10,8 +10,9 @@
 // downstream consumers as a contiguous tile prefix (InOrderSignal). The two
 // concrete roles mirror the FabricBinding variants a ResourceBudget caps:
 //
-//  * NvlinkRingRole (FabricBinding::kNvlink): intra-node ring stages —
-//    chunk size `intra_chunk_tiles`, window `intra_channels`.
+//  * NvlinkRingRole (FabricBinding::kNvlink): ring stages — chunk size
+//    `intra_chunk_tiles`, window `intra_channels`. A hop rides the fabric
+//    its endpoints share: NVLink inside a node, the NIC across nodes.
 //  * NicRailRole (FabricBinding::kNic): inter-node rail exchanges — chunk
 //    size `nic_chunk_tiles`, window `staging_depth` clamped by the device's
 //    NIC queue-pair budget (RailWindow), shared across the role's
@@ -206,9 +207,12 @@ sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream);
 void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
                           LinkStream* stream);
 
-// Intra-node NVLink ring link role (host-driven form). The device-program
-// form of the same role is kernels/ring_rs.h's BuildRingReduceScatter,
-// which fused kernels run as a planned FabricBinding::kNvlink role.
+// Ring link role (host-driven form). Each hop rides the fabric its
+// endpoints share (World::fabric_for): every hop of a node-local ring is
+// NVLink, while a ring that spans nodes (the one-ring flat baseline) sends
+// its node-boundary hops over the NIC. The device-program form of the same
+// role is kernels/ring_rs.h's BuildRingReduceScatter, which fused kernels
+// run as a planned FabricBinding::kNvlink role.
 class NvlinkRingRole {
  public:
   static constexpr FabricBinding kFabric = FabricBinding::kNvlink;

@@ -65,6 +65,72 @@ sim::TimeNs ReduceCost(rt::World& world, uint64_t bytes, int sms) {
   return world.cost().MemoryBound(3 * bytes, sms);
 }
 
+// One host reducer: its checker agent name and trace track.
+struct ReduceLane {
+  ReduceLane(rt::World& w, int rank, std::string lane_name, bool with_payload)
+      : world(w), payload(with_payload), name(std::move(lane_name)),
+        tr(w.trace()), pid(w.trace_pid(rank)),
+        tid(tr != nullptr ? tr->Track(pid, name) : 0) {}
+  rt::World& world;
+  bool payload;
+  std::string name;
+  sim::TraceRecorder* tr;
+  int pid;
+  int tid;
+};
+
+struct ReduceStep {
+  sim::TimeNs wake;
+  uint64_t write_ticket;
+};
+
+// Reduce-step bookkeeping, split around the step's single
+// co_await sim::Delay{ReduceCost(...)} so no coroutine layer is added.
+// BeginReduce runs when the arrival covering `threshold` tiles has landed:
+// it binds that arrival's flow arrow, probes the staged partial
+// [lo, hi) of `staged` and opens the fold's write window.
+ReduceStep BeginReduce(const ReduceLane& lane, InOrderSignal* arrival,
+                       uint64_t threshold, const rt::Buffer* staged,
+                       int64_t lo, int64_t hi) {
+  ReduceStep step{lane.world.sim().Now(), 0};
+  if (lane.tr != nullptr) {
+    const auto fin = arrival->TakeFlowCovering(threshold);
+    if (fin.first != 0) {
+      lane.tr->AddFlowFinish(fin.first, lane.pid, lane.tid, step.wake,
+                             fin.second);
+    }
+  }
+  if (lane.payload) {
+    lane.world.checker().CheckRead(staged, lo, hi, step.wake, lane.name);
+    step.write_ticket = lane.world.checker().OpenWrite(step.wake);
+  }
+  return step;
+}
+
+// EndReduce runs after the delay and the caller's payload fold: it records
+// the fold into [lo, hi) of `acc` and emits the step's span. RMW
+// convention: the mutation window opens strictly after the wake probe, so
+// a reducer's own read never matches its write; atomic: reduction
+// epilogues are commutative accumulations, and concurrent reducers may
+// fold into the same rows.
+void EndReduce(const ReduceLane& lane, const ReduceStep& step,
+               const rt::Buffer* acc, int64_t lo, int64_t hi,
+               const char* span, int64_t tiles, const char* arg,
+               int64_t arg_value) {
+  const sim::TimeNs now = lane.world.sim().Now();
+  if (lane.payload) {
+    lane.world.checker().RecordWrite(acc, lo, hi, step.wake + 1, now,
+                                     lane.name, /*atomic=*/true);
+    lane.world.checker().CloseWrite(step.write_ticket);
+  }
+  if (lane.tr != nullptr) {
+    lane.tr->AddSpan(
+        lane.pid, lane.tid, span, step.wake, now, sim::kCatCompute,
+        {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
+         sim::TraceArg::Num(arg, static_cast<double>(arg_value))});
+  }
+}
+
 // Receiver-side per-source slot indexing, shared with the device rail
 // roles through the link-role layer.
 int SourceIndex(int src_node, int my_node) {
@@ -80,12 +146,20 @@ void CheckDenseTopology(const sim::MachineSpec& spec) {
 
 // Config + topology validation shared by the collective constructors; runs
 // before any link role is built so misconfigurations fail with a clear
-// message instead of deep inside a chunk loop. Returns the node count so it
-// can sit first in a constructor's initializer list.
-int ValidatedNodes(const sim::MachineSpec& spec, const HierConfig& cfg) {
+// message instead of deep inside a chunk loop. Returns the layout's node
+// count so it can sit first in a constructor's initializer list. The
+// one-ring layout is a single node of every rank, dense on any topology.
+int ValidatedNodes(const sim::MachineSpec& spec, const HierConfig& cfg,
+                   RingLayout layout = RingLayout::kNodes) {
   cfg.Validate();
+  if (layout == RingLayout::kOneRing) return 1;
   CheckDenseTopology(spec);
   return spec.num_nodes();
+}
+
+int RanksPerNode(const sim::MachineSpec& spec, RingLayout layout) {
+  return layout == RingLayout::kOneRing ? spec.num_devices
+                                        : spec.devices_per_node;
 }
 
 void CheckPayloadShapes(rt::World& world,
@@ -148,11 +222,12 @@ void HierConfig::Validate() const {
 // ---------------------------------------------------------------------------
 
 HierAllGather::HierAllGather(rt::World& world, int64_t num_tiles,
-                             uint64_t tile_bytes, const HierConfig& cfg)
+                             uint64_t tile_bytes, const HierConfig& cfg,
+                             RingLayout layout)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
       cfg_(cfg),
-      nodes_(ValidatedNodes(world.spec(), cfg)),
-      per_node_(world.spec().devices_per_node),
+      nodes_(ValidatedNodes(world.spec(), cfg, layout)),
+      per_node_(RanksPerNode(world.spec(), layout)),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),
       ring_role_(world, cfg.intra_chunk_tiles, cfg.intra_channels) {
   TL_CHECK_GT(num_tiles, 0);
@@ -323,105 +398,16 @@ sim::Coro HierAllGather::Run(rt::RankCtx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// FlatAllGather
-// ---------------------------------------------------------------------------
-
-FlatAllGather::FlatAllGather(rt::World& world, int64_t num_tiles,
-                             uint64_t tile_bytes, const HierConfig& cfg)
-    : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg) {
-  TL_CHECK_GT(num_tiles, 0);
-  cfg.Validate();
-  for (int r = 0; r < world.size(); ++r) {
-    ring_.push_back(std::make_unique<InOrderSignal>(
-        &world.sim(), "flat_ag.ring.r" + std::to_string(r)));
-    ring_.back()->set_trace_pid(world.trace_pid(r));
-  }
-}
-
-void FlatAllGather::AttachPayload(std::vector<rt::Buffer*> in,
-                                  std::vector<rt::Buffer*> out,
-                                  int64_t tile_elems) {
-  CheckPayloadShapes(world_, in, out, tile_elems, num_tiles_ * tile_elems,
-                     world_.size() * num_tiles_ * tile_elems);
-  in_ = std::move(in);
-  out_ = std::move(out);
-  tile_elems_ = tile_elems;
-}
-
-sim::Coro FlatAllGather::Run(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int64_t E = tile_elems_;
-  if (payload()) {
-    auto s = in_[static_cast<size_t>(r)]->data();
-    auto d = out_[static_cast<size_t>(r)]->data();
-    std::copy_n(s.data(), num_tiles_ * E, d.data() + r * num_tiles_ * E);
-  }
-  co_await CollectiveEntry(ctx);
-  const int right = (r + 1) % R;
-  const int64_t chunk_tiles = cfg_.intra_chunk_tiles;
-  const int64_t chunks_per_step = CeilDiv(num_tiles_, chunk_tiles);
-  tl::LinkStream stream;
-  stream.fabric = &world_.fabric_for(r, right);
-  stream.src = r;
-  stream.dst = right;
-  stream.tile_bytes = tile_bytes_;
-  stream.window = cfg_.intra_channels;
-  stream.arrival = ring_[static_cast<size_t>(right)].get();
-  stream.name = "flat_ag.send.r" + std::to_string(r);
-  stream.chunk_label = "flat_ag.chunk";
-  stream.trace_pid = world_.trace_pid(r);
-  stream.num_chunks = static_cast<int64_t>(R - 1) * chunks_per_step;
-  stream.chunk = [this, r, right, R, E, chunk_tiles,
-                  chunks_per_step](int64_t k) {
-    LinkChunk c;
-    const int j = static_cast<int>(k / chunks_per_step);
-    const int64_t off = (k % chunks_per_step) * chunk_tiles;
-    c.tiles = std::min(chunk_tiles, num_tiles_ - off);
-    if (j > 0) {
-      InOrderSignal* up = ring_[static_cast<size_t>(r)].get();
-      const uint64_t thr =
-          static_cast<uint64_t>((j - 1) * num_tiles_ + off + c.tiles);
-      c.gate = {&up->tiles_arrived(), thr};
-      if (world_.trace() != nullptr) {
-        c.take_flow = [up, thr] { return up->TakeFlowCovering(thr); };
-      }
-    }
-    if (payload()) {
-      const int src_rank = (r - j + R) % R;  // block forwarded at step j
-      const int64_t lo = (src_rank * num_tiles_ + off) * E;
-      c.io = ChunkIo{&world_, out_[static_cast<size_t>(r)],
-                     out_[static_cast<size_t>(right)],
-                     {{lo, lo, c.tiles * E}},
-                     RName("flat_ag.send", r),
-                     EdgeName("flat_ag.ring", r, right)};
-    }
-    return c;
-  };
-  tl::ApplyLinkFaultPolicy(
-      world_, static_cast<uint64_t>(chunk_tiles) * tile_bytes_, &stream);
-  co_await RunLinkStream(ctx.sim(), std::move(stream));
-  co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
-      static_cast<uint64_t>(static_cast<int64_t>(R - 1) * num_tiles_));
-  if (payload()) {
-    world_.checker().CheckRead(out_[static_cast<size_t>(r)], 0,
-                               R * num_tiles_ * E, ctx.sim()->Now(),
-                               RName("flat_ag.final", r));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // HierReduceScatter
 // ---------------------------------------------------------------------------
 
 HierReduceScatter::HierReduceScatter(rt::World& world, int64_t num_tiles,
                                      uint64_t tile_bytes,
-                                     const HierConfig& cfg)
+                                     const HierConfig& cfg, RingLayout layout)
     : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
       cfg_(cfg),
-      nodes_(ValidatedNodes(world.spec(), cfg)),
-      per_node_(world.spec().devices_per_node),
+      nodes_(ValidatedNodes(world.spec(), cfg, layout)),
+      per_node_(RanksPerNode(world.spec(), layout)),
       group_tiles_(static_cast<int64_t>(nodes_) * num_tiles),
       rail_role_(world, cfg.nic_chunk_tiles, cfg.staging_depth, nodes_ - 1),
       ring_role_(world, cfg.intra_chunk_tiles, cfg.intra_channels) {
@@ -533,31 +519,18 @@ sim::Coro HierReduceScatter::RingReducer(rt::RankCtx& ctx) {
   const int64_t E = tile_elems_;
   const int64_t total =
       static_cast<int64_t>(per_node_ - 1) * group_tiles_;
-  const std::string name = RName("hier_rs.ring_reduce", r);
-  sim::TraceRecorder* tr = world_.trace();
-  const int pid = world_.trace_pid(r);
-  const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
+  const ReduceLane lane(world_, r, RName("hier_rs.ring_reduce", r),
+                        payload());
+  InOrderSignal* arrivals = ring_[static_cast<size_t>(r)].get();
+  rt::Buffer* acc = payload() ? ring_acc_[static_cast<size_t>(r)] : nullptr;
   int64_t cum = 0;
   while (cum < total) {
     const int64_t tiles = std::min<int64_t>(cfg_.intra_chunk_tiles,
                                             total - cum);
-    co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
-        static_cast<uint64_t>(cum + tiles));
-    const sim::TimeNs wake = ctx.sim()->Now();
-    if (tr != nullptr) {
-      // Bind the ring arrival that unblocked this reduce step.
-      const auto fin = ring_[static_cast<size_t>(r)]->TakeFlowCovering(
-          static_cast<uint64_t>(cum + tiles));
-      if (fin.first != 0) {
-        tr->AddFlowFinish(fin.first, pid, tid, wake, fin.second);
-      }
-    }
-    uint64_t wt = 0;
-    if (payload()) {
-      world_.checker().CheckRead(ring_acc_[static_cast<size_t>(r)], cum * E,
-                                 (cum + tiles) * E, wake, name);
-      wt = world_.checker().OpenWrite(wake);
-    }
+    const uint64_t thr = static_cast<uint64_t>(cum + tiles);
+    co_await arrivals->tiles_arrived().WaitGe(thr);
+    const ReduceStep step =
+        BeginReduce(lane, arrivals, thr, acc, cum * E, (cum + tiles) * E);
     co_await sim::Delay{ReduceCost(
         world_, static_cast<uint64_t>(tiles) * tile_bytes_, cfg_.reduce_sms)};
     if (payload()) {
@@ -568,33 +541,25 @@ sim::Coro HierReduceScatter::RingReducer(rt::RankCtx& ctx) {
         const int g =
             (l - static_cast<int>(s) - 2 + 2 * per_node_) % per_node_;
         const int64_t m = q / num_tiles_, t = q % num_tiles_;
-        AddInto(ring_acc_[static_cast<size_t>(r)], p * E,
-                in_[static_cast<size_t>(r)],
+        AddInto(acc, p * E, in_[static_cast<size_t>(r)],
                 ((m * per_node_ + g) * num_tiles_ + t) * E, E);
       }
-      // RMW convention: the mutation window opens strictly after the wake
-      // probe, so the reducer's own read never matches its write; atomic:
-      // reduction epilogues are commutative accumulations.
-      world_.checker().RecordWrite(ring_acc_[static_cast<size_t>(r)],
-                                   cum * E, (cum + tiles) * E, wake + 1,
-                                   ctx.sim()->Now(), name, /*atomic=*/true);
-      world_.checker().CloseWrite(wt);
     }
     ring_reduced_[static_cast<size_t>(r)]->Add(
         static_cast<uint64_t>(tiles));
+    const int64_t lo = cum;
     cum += tiles;
-    if (tr != nullptr) {
-      const sim::TimeNs now = ctx.sim()->Now();
+    if (lane.tr != nullptr) {
       // Publish a ledger arrow so the rail chunk gated on this reduction
       // binds back to the reducer span.
-      const uint64_t fid = tr->NewFlowId();
-      tr->AddFlowStart(fid, pid, tid, now, "hier_rs.ring_red");
+      const uint64_t fid = lane.tr->NewFlowId();
+      lane.tr->AddFlowStart(fid, lane.pid, lane.tid, ctx.sim()->Now(),
+                            "hier_rs.ring_red");
       ring_red_ledger_[static_cast<size_t>(r)]->Publish(
           static_cast<uint64_t>(cum), fid, "hier_rs.ring_red");
-      tr->AddSpan(pid, tid, "ring_reduce", wake, now, sim::kCatCompute,
-                  {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
-                   sim::TraceArg::Num("cum", static_cast<double>(cum))});
     }
+    EndReduce(lane, step, acc, lo * E, cum * E, "ring_reduce", tiles, "cum",
+              cum);
   }
 }
 
@@ -668,62 +633,34 @@ sim::Coro HierReduceScatter::RailReducer(rt::RankCtx& ctx) {
     per_source.push_back([](HierReduceScatter* self, rt::RankCtx& c,
                             int src) -> sim::Coro {
       const int64_t E = self->tile_elems_;
-      const std::string name =
-          RName("hier_rs.rail_reduce", c.rank) + ".s" + std::to_string(src);
-      sim::TraceRecorder* tr = self->world_.trace();
-      const int pid = self->world_.trace_pid(c.rank);
-      const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
+      const size_t r = static_cast<size_t>(c.rank);
+      const ReduceLane lane(
+          self->world_, c.rank,
+          RName("hier_rs.rail_reduce", c.rank) + ".s" + std::to_string(src),
+          self->payload());
+      InOrderSignal* arrivals =
+          self->rail_[r][static_cast<size_t>(src)].get();
+      rt::Buffer* staged =
+          self->payload() ? self->rail_acc_[r][static_cast<size_t>(src)]
+                          : nullptr;
+      rt::Buffer* out = self->payload() ? self->out_[r] : nullptr;
       int64_t cum = 0;
       while (cum < self->num_tiles_) {
         const int64_t tiles = std::min<int64_t>(self->cfg_.nic_chunk_tiles,
                                                 self->num_tiles_ - cum);
-        co_await self->rail_[static_cast<size_t>(c.rank)]
-            [static_cast<size_t>(src)]
-                ->tiles_arrived()
-                .WaitGe(static_cast<uint64_t>(cum + tiles));
-        const sim::TimeNs wake = c.sim()->Now();
-        if (tr != nullptr) {
-          const auto fin =
-              self->rail_[static_cast<size_t>(c.rank)]
-                         [static_cast<size_t>(src)]
-                             ->TakeFlowCovering(
-                                 static_cast<uint64_t>(cum + tiles));
-          if (fin.first != 0) {
-            tr->AddFlowFinish(fin.first, pid, tid, wake, fin.second);
-          }
-        }
-        uint64_t wt = 0;
-        if (self->payload()) {
-          self->world_.checker().CheckRead(
-              self->rail_acc_[static_cast<size_t>(c.rank)]
-                             [static_cast<size_t>(src)],
-              cum * E, (cum + tiles) * E, wake, name);
-          wt = self->world_.checker().OpenWrite(wake);
-        }
+        const uint64_t thr = static_cast<uint64_t>(cum + tiles);
+        co_await arrivals->tiles_arrived().WaitGe(thr);
+        const ReduceStep step = BeginReduce(lane, arrivals, thr, staged,
+                                            cum * E, (cum + tiles) * E);
         co_await sim::Delay{ReduceCost(
             self->world_, static_cast<uint64_t>(tiles) * self->tile_bytes_,
             self->cfg_.reduce_sms)};
         if (self->payload()) {
-          AddInto(self->out_[static_cast<size_t>(c.rank)], cum * E,
-                  self->rail_acc_[static_cast<size_t>(c.rank)]
-                                 [static_cast<size_t>(src)],
-                  cum * E, tiles * E);
-          // Atomic: the per-source rail reducers legitimately fold into
-          // the same output rows concurrently.
-          self->world_.checker().RecordWrite(
-              self->out_[static_cast<size_t>(c.rank)], cum * E,
-              (cum + tiles) * E, wake + 1, c.sim()->Now(), name,
-              /*atomic=*/true);
-          self->world_.checker().CloseWrite(wt);
+          AddInto(out, cum * E, staged, cum * E, tiles * E);
         }
+        EndReduce(lane, step, out, cum * E, (cum + tiles) * E,
+                  "rail_reduce", tiles, "src_slot", src);
         cum += tiles;
-        if (tr != nullptr) {
-          tr->AddSpan(
-              pid, tid, "rail_reduce", wake, c.sim()->Now(),
-              sim::kCatCompute,
-              {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
-               sim::TraceArg::Num("src_slot", src)});
-        }
       }
     }(this, ctx, k));
   }
@@ -782,186 +719,6 @@ sim::Coro HierReduceScatter::Run(rt::RankCtx& ctx) {
     world_.checker().CheckRead(out_[static_cast<size_t>(r)], 0,
                                num_tiles_ * tile_elems_, ctx.sim()->Now(),
                                RName("hier_rs.final", r));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// FlatReduceScatter
-// ---------------------------------------------------------------------------
-
-FlatReduceScatter::FlatReduceScatter(rt::World& world, int64_t num_tiles,
-                                     uint64_t tile_bytes,
-                                     const HierConfig& cfg)
-    : world_(world), num_tiles_(num_tiles), tile_bytes_(tile_bytes),
-      cfg_(cfg) {
-  TL_CHECK_GT(num_tiles, 0);
-  cfg.Validate();
-  for (int r = 0; r < world.size(); ++r) {
-    ring_.push_back(std::make_unique<InOrderSignal>(
-        &world.sim(), "flat_rs.ring.r" + std::to_string(r)));
-    ring_.back()->set_trace_pid(world.trace_pid(r));
-    ring_reduced_.push_back(std::make_unique<sim::Flag>(
-        &world.sim(), "flat_rs.ring_red.r" + std::to_string(r)));
-  }
-}
-
-void FlatReduceScatter::AttachPayload(std::vector<rt::Buffer*> in,
-                                      std::vector<rt::Buffer*> out,
-                                      int64_t tile_elems) {
-  CheckPayloadShapes(world_, in, out, tile_elems,
-                     world_.size() * num_tiles_ * tile_elems,
-                     num_tiles_ * tile_elems);
-  in_ = std::move(in);
-  out_ = std::move(out);
-  tile_elems_ = tile_elems;
-  ring_acc_.assign(static_cast<size_t>(world_.size()), nullptr);
-  if (world_.size() > 1) {
-    for (int r = 0; r < world_.size(); ++r) {
-      ring_acc_[static_cast<size_t>(r)] = world_.device(r).Alloc(
-          "flat_rs.ring_acc",
-          static_cast<int64_t>(world_.size() - 1) * num_tiles_ * tile_elems);
-    }
-  }
-}
-
-sim::Coro FlatReduceScatter::RingSend(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int right = (r + 1) % R;
-  const int64_t E = tile_elems_;
-  const int64_t chunk_tiles = cfg_.intra_chunk_tiles;
-  const int64_t chunks_per_step = CeilDiv(num_tiles_, chunk_tiles);
-  tl::LinkStream stream;
-  stream.fabric = &world_.fabric_for(r, right);
-  stream.src = r;
-  stream.dst = right;
-  stream.tile_bytes = tile_bytes_;
-  stream.window = cfg_.intra_channels;
-  stream.arrival = ring_[static_cast<size_t>(right)].get();
-  stream.name = "flat_rs.send.r" + std::to_string(r);
-  stream.chunk_label = "flat_rs.chunk";
-  stream.trace_pid = world_.trace_pid(r);
-  stream.num_chunks = static_cast<int64_t>(R - 1) * chunks_per_step;
-  stream.chunk = [this, r, right, R, E, chunk_tiles,
-                  chunks_per_step](int64_t k) {
-    LinkChunk c;
-    const int s = static_cast<int>(k / chunks_per_step);
-    const int64_t off = (k % chunks_per_step) * chunk_tiles;
-    c.tiles = std::min(chunk_tiles, num_tiles_ - off);
-    if (s > 0) {
-      c.gate = {ring_reduced_[static_cast<size_t>(r)].get(),
-                static_cast<uint64_t>((s - 1) * num_tiles_ + off + c.tiles)};
-    }
-    if (payload()) {
-      c.io.world = &world_;
-      c.io.dst = ring_acc_[static_cast<size_t>(right)];
-      c.io.reader = RName("flat_rs.send", r);
-      c.io.writer = EdgeName("flat_rs.ring", r, right);
-      const int g = (r - s - 1 + R) % R;  // block forwarded at step s
-      if (s == 0) {
-        c.io.src = in_[static_cast<size_t>(r)];
-        c.io.runs.push_back({(static_cast<int64_t>(g) * num_tiles_ + off) * E,
-                             off * E, c.tiles * E});
-      } else {
-        c.io.src = ring_acc_[static_cast<size_t>(r)];
-        c.io.runs.push_back({((s - 1) * num_tiles_ + off) * E,
-                             (static_cast<int64_t>(s) * num_tiles_ + off) * E,
-                             c.tiles * E});
-      }
-    }
-    return c;
-  };
-  tl::ApplyLinkFaultPolicy(
-      world_, static_cast<uint64_t>(chunk_tiles) * tile_bytes_, &stream);
-  co_await RunLinkStream(ctx.sim(), std::move(stream));
-}
-
-sim::Coro FlatReduceScatter::RingReducer(rt::RankCtx& ctx) {
-  const int r = ctx.rank;
-  const int R = world_.size();
-  const int64_t E = tile_elems_;
-  const int64_t total =
-      static_cast<int64_t>(world_.size() - 1) * num_tiles_;
-  const std::string name = RName("flat_rs.reduce", r);
-  sim::TraceRecorder* tr = world_.trace();
-  const int pid = world_.trace_pid(r);
-  const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
-  int64_t cum = 0;
-  while (cum < total) {
-    const int64_t tiles = std::min<int64_t>(cfg_.intra_chunk_tiles,
-                                            total - cum);
-    co_await ring_[static_cast<size_t>(r)]->tiles_arrived().WaitGe(
-        static_cast<uint64_t>(cum + tiles));
-    const sim::TimeNs wake = ctx.sim()->Now();
-    if (tr != nullptr) {
-      const auto fin = ring_[static_cast<size_t>(r)]->TakeFlowCovering(
-          static_cast<uint64_t>(cum + tiles));
-      if (fin.first != 0) {
-        tr->AddFlowFinish(fin.first, pid, tid, wake, fin.second);
-      }
-    }
-    uint64_t wt = 0;
-    if (payload()) {
-      world_.checker().CheckRead(ring_acc_[static_cast<size_t>(r)], cum * E,
-                                 (cum + tiles) * E, wake, name);
-      wt = world_.checker().OpenWrite(wake);
-    }
-    co_await sim::Delay{ReduceCost(
-        world_, static_cast<uint64_t>(tiles) * tile_bytes_, cfg_.reduce_sms)};
-    if (payload()) {
-      for (int64_t p = cum; p < cum + tiles; ++p) {
-        const int64_t s = p / num_tiles_, t = p % num_tiles_;
-        const int g = (r - static_cast<int>(s) - 2 + 2 * R) % R;
-        AddInto(ring_acc_[static_cast<size_t>(r)], p * E,
-                in_[static_cast<size_t>(r)],
-                (static_cast<int64_t>(g) * num_tiles_ + t) * E, E);
-      }
-      world_.checker().RecordWrite(ring_acc_[static_cast<size_t>(r)],
-                                   cum * E, (cum + tiles) * E, wake + 1,
-                                   ctx.sim()->Now(), name, /*atomic=*/true);
-      world_.checker().CloseWrite(wt);
-    }
-    ring_reduced_[static_cast<size_t>(r)]->Add(
-        static_cast<uint64_t>(tiles));
-    cum += tiles;
-    if (tr != nullptr) {
-      tr->AddSpan(pid, tid, "ring_reduce", wake, ctx.sim()->Now(),
-                  sim::kCatCompute,
-                  {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
-                   sim::TraceArg::Num("cum", static_cast<double>(cum))});
-    }
-  }
-}
-
-sim::Coro FlatReduceScatter::Run(rt::RankCtx& ctx) {
-  co_await CollectiveEntry(ctx);
-  std::vector<sim::Coro> work;
-  if (world_.size() > 1) {
-    work.push_back(RingSend(ctx));
-    work.push_back(RingReducer(ctx));
-  }
-  co_await sim::WhenAll(std::move(work));
-  if (payload()) {
-    const int r = ctx.rank;
-    const int R = world_.size();
-    const int64_t E = tile_elems_;
-    const std::string name = RName("flat_rs.final", r);
-    const sim::TimeNs now = ctx.sim()->Now();
-    if (R > 1) {
-      // The fully reduced own block is the last ring arrival.
-      const int64_t base = static_cast<int64_t>(R - 2) * num_tiles_;
-      world_.checker().CheckRead(ring_acc_[static_cast<size_t>(r)], base * E,
-                                 (base + num_tiles_) * E, now, name);
-      AddInto(out_[static_cast<size_t>(r)], 0,
-              ring_acc_[static_cast<size_t>(r)], base * E, num_tiles_ * E);
-    } else {
-      AddInto(out_[static_cast<size_t>(r)], 0, in_[static_cast<size_t>(r)],
-              static_cast<int64_t>(r) * num_tiles_ * E, num_tiles_ * E);
-    }
-    world_.checker().RecordWrite(out_[static_cast<size_t>(r)], 0,
-                                 num_tiles_ * E, now, now, name);
-    world_.checker().CheckRead(out_[static_cast<size_t>(r)], 0,
-                               num_tiles_ * E, now, name);
   }
 }
 
@@ -1088,59 +845,33 @@ sim::Coro DpAllReduce::Reducer(rt::RankCtx& ctx) {
   const int64_t E = tile_elems_;
   const int64_t my_tiles = DpBlockTiles(num_tiles_, nodes_, n);
   const int64_t my_start = DpBlockStart(num_tiles_, nodes_, n);
-  const std::string name = RName("dp_ar.reduce", r);
-  sim::TraceRecorder* tr = world_.trace();
-  const int pid = world_.trace_pid(r);
-  const int tid = tr != nullptr ? tr->Track(pid, name) : 0;
+  const ReduceLane lane(world_, r, RName("dp_ar.reduce", r), payload());
+  rt::Buffer* out = payload() ? out_[static_cast<size_t>(r)] : nullptr;
   int64_t cum = 0;
   while (cum < my_tiles) {
     const int64_t tiles =
         std::min<int64_t>(cfg_.nic_chunk_tiles, my_tiles - cum);
+    const uint64_t thr = static_cast<uint64_t>(cum + tiles);
+    const int64_t lo = (my_start + cum) * E, hi = lo + tiles * E;
     if (payload()) {
       // Own contribution first; peer partials accumulate as they land.
-      AddInto(out_[static_cast<size_t>(r)], (my_start + cum) * E,
-              in_[static_cast<size_t>(r)], (my_start + cum) * E, tiles * E);
+      AddInto(out, lo, in_[static_cast<size_t>(r)], lo, tiles * E);
     }
     for (int k = 0; k + 1 < nodes_; ++k) {
-      co_await rs_arrived_[static_cast<size_t>(r)][static_cast<size_t>(k)]
-          ->tiles_arrived()
-          .WaitGe(static_cast<uint64_t>(cum + tiles));
-      const sim::TimeNs wake = ctx.sim()->Now();
-      if (tr != nullptr) {
-        const auto fin =
-            rs_arrived_[static_cast<size_t>(r)][static_cast<size_t>(k)]
-                ->TakeFlowCovering(static_cast<uint64_t>(cum + tiles));
-        if (fin.first != 0) {
-          tr->AddFlowFinish(fin.first, pid, tid, wake, fin.second);
-        }
-      }
-      uint64_t wt = 0;
-      if (payload()) {
-        world_.checker().CheckRead(
-            rs_acc_[static_cast<size_t>(r)][static_cast<size_t>(k)], cum * E,
-            (cum + tiles) * E, wake, name);
-        wt = world_.checker().OpenWrite(wake);
-      }
+      InOrderSignal* arrivals =
+          rs_arrived_[static_cast<size_t>(r)][static_cast<size_t>(k)].get();
+      rt::Buffer* staged =
+          payload()
+              ? rs_acc_[static_cast<size_t>(r)][static_cast<size_t>(k)]
+              : nullptr;
+      co_await arrivals->tiles_arrived().WaitGe(thr);
+      const ReduceStep step =
+          BeginReduce(lane, arrivals, thr, staged, cum * E, (cum + tiles) * E);
       co_await sim::Delay{ReduceCost(
           world_, static_cast<uint64_t>(tiles) * tile_bytes_,
           cfg_.reduce_sms)};
-      if (payload()) {
-        AddInto(out_[static_cast<size_t>(r)], (my_start + cum) * E,
-                rs_acc_[static_cast<size_t>(r)][static_cast<size_t>(k)],
-                cum * E, tiles * E);
-        world_.checker().RecordWrite(out_[static_cast<size_t>(r)],
-                                     (my_start + cum) * E,
-                                     (my_start + cum + tiles) * E, wake + 1,
-                                     ctx.sim()->Now(), name,
-                                     /*atomic=*/true);
-        world_.checker().CloseWrite(wt);
-      }
-      if (tr != nullptr) {
-        tr->AddSpan(pid, tid, "dp_reduce", wake, ctx.sim()->Now(),
-                    sim::kCatCompute,
-                    {sim::TraceArg::Num("tiles", static_cast<double>(tiles)),
-                     sim::TraceArg::Num("src_slot", k)});
-      }
+      if (payload()) AddInto(out, lo, staged, cum * E, tiles * E);
+      EndReduce(lane, step, out, lo, hi, "dp_reduce", tiles, "src_slot", k);
     }
     block_reduced_[static_cast<size_t>(r)]->Add(
         static_cast<uint64_t>(tiles));

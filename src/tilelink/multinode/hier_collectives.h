@@ -8,9 +8,11 @@
 // exchange stage (rank (node, l) talks to (node', l)), pipelined against
 // each other at tile granularity: a NIC chunk enters the NVLink ring as
 // soon as it lands, and a reduced chunk leaves for the rail peer as soon
-// as the ring finishes it. The flat single-stage variants are kept as the
-// baseline the benchmarks compare against (T3/Syncopate both show the gap
-// between the two is the point of modeling the hierarchy at all).
+// as the ring finishes it. The flat baseline is the one-ring layout
+// (RingLayout::kOneRing): the same collectives over one node of all ranks,
+// so the rail stage is empty and the ring spans the world (T3/Syncopate
+// both show the gap between the two is the point of modeling the hierarchy
+// at all).
 //
 // The chunk-pipeline machinery itself — windowed sends, in-order arrival
 // publication, payload/checker instrumentation — is the builder layer's
@@ -68,14 +70,25 @@ struct HierConfig {
   void Validate() const;
 };
 
+// The rank layout a two-stage collective runs over.
+//  * kNodes: the machine's nodes. An NVLink ring runs inside each node and
+//    rail peers (node, l) <-> (node', l) exchange over the NIC. Dense
+//    topologies only.
+//  * kOneRing: one node of all ranks in global-id order. The rail stage is
+//    empty and the ring spans the world; its node-boundary hops cross the
+//    NIC and throttle the whole ring. This is the flat single-stage
+//    baseline, and it runs on ragged topologies too.
+enum class RingLayout { kNodes, kOneRing };
+
 // Two-stage AllGather: every rank contributes num_tiles tiles; every rank
 // ends holding all world_size * num_tiles tiles. Stage 1 exchanges shards
-// between rail peers over the NIC; stage 2 runs a chunked NVLink ring over
-// each node's ranks, forwarding rail tiles as they land.
+// between rail peers over the NIC; stage 2 runs a chunked ring over each
+// node's ranks, forwarding rail tiles as they land.
 class HierAllGather {
  public:
   HierAllGather(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                const HierConfig& cfg);
+                const HierConfig& cfg,
+                RingLayout layout = RingLayout::kNodes);
   sim::Coro Run(rt::RankCtx& ctx);
 
   // Functional payload mode: in[r] is rank r's shard (num_tiles *
@@ -110,31 +123,6 @@ class HierAllGather {
   int64_t tile_elems_ = 0;
 };
 
-// Flat single-stage baseline: one chunked ring over all ranks in global id
-// order; World::Transfer routes each hop (the node-boundary hops land on
-// the NIC and throttle the whole ring).
-class FlatAllGather {
- public:
-  FlatAllGather(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                const HierConfig& cfg);
-  sim::Coro Run(rt::RankCtx& ctx);
-
-  // Same payload layout as HierAllGather.
-  void AttachPayload(std::vector<rt::Buffer*> in,
-                     std::vector<rt::Buffer*> out, int64_t tile_elems);
-
- private:
-  bool payload() const { return tile_elems_ > 0; }
-
-  rt::World& world_;
-  int64_t num_tiles_;
-  uint64_t tile_bytes_;
-  HierConfig cfg_;
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;
-  std::vector<rt::Buffer*> in_, out_;
-  int64_t tile_elems_ = 0;
-};
-
 // Two-stage ReduceScatter: every rank holds world_size * num_tiles partial
 // tiles; rank r ends with its num_tiles fully reduced. Stage 1 ring-reduces
 // within the node over NVLink (rank (n, l) accumulates the node's partial
@@ -143,7 +131,8 @@ class FlatAllGather {
 class HierReduceScatter {
  public:
   HierReduceScatter(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                    const HierConfig& cfg);
+                    const HierConfig& cfg,
+                    RingLayout layout = RingLayout::kNodes);
   sim::Coro Run(rt::RankCtx& ctx);
 
   // Functional payload mode: in[r] holds one partial tile-block per
@@ -181,33 +170,6 @@ class HierReduceScatter {
   std::vector<rt::Buffer*> in_, out_;
   std::vector<rt::Buffer*> ring_acc_;
   std::vector<std::vector<rt::Buffer*>> rail_acc_;
-  int64_t tile_elems_ = 0;
-};
-
-// Flat single-stage baseline ReduceScatter (chunked ring over all ranks).
-class FlatReduceScatter {
- public:
-  FlatReduceScatter(rt::World& world, int64_t num_tiles, uint64_t tile_bytes,
-                    const HierConfig& cfg);
-  sim::Coro Run(rt::RankCtx& ctx);
-
-  // Same payload layout as HierReduceScatter.
-  void AttachPayload(std::vector<rt::Buffer*> in,
-                     std::vector<rt::Buffer*> out, int64_t tile_elems);
-
- private:
-  sim::Coro RingSend(rt::RankCtx& ctx);
-  sim::Coro RingReducer(rt::RankCtx& ctx);
-  bool payload() const { return tile_elems_ > 0; }
-
-  rt::World& world_;
-  int64_t num_tiles_;
-  uint64_t tile_bytes_;
-  HierConfig cfg_;
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;
-  std::vector<std::unique_ptr<sim::Flag>> ring_reduced_;
-  std::vector<rt::Buffer*> in_, out_;
-  std::vector<rt::Buffer*> ring_acc_;  // (R-1)*num_tiles arrival positions
   int64_t tile_elems_ = 0;
 };
 

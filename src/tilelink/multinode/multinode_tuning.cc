@@ -56,11 +56,12 @@ sim::TimeNs HierLowerBound(const sim::MachineSpec& spec,
          std::max(compute, std::max(rail, ring));
 }
 
-template <typename Collective>
+template <typename Collective, typename... Layout>
 sim::TimeNs RunCollective(const sim::MachineSpec& spec, int64_t num_tiles,
-                          uint64_t tile_bytes, const HierConfig& cfg) {
+                          uint64_t tile_bytes, const HierConfig& cfg,
+                          Layout... layout) {
   rt::World world(spec, rt::ExecMode::kTimingOnly);
-  Collective coll(world, num_tiles, tile_bytes, cfg);
+  Collective coll(world, num_tiles, tile_bytes, cfg, layout...);
   return world.RunSpmd([&](rt::RankCtx& ctx) -> sim::Coro {
     co_await coll.Run(ctx);
   });
@@ -101,7 +102,8 @@ sim::TimeNs SimulateHierAllGather(const sim::MachineSpec& spec,
 sim::TimeNs SimulateFlatAllGather(const sim::MachineSpec& spec,
                                   int64_t num_tiles, uint64_t tile_bytes,
                                   const HierConfig& cfg) {
-  return RunCollective<FlatAllGather>(spec, num_tiles, tile_bytes, cfg);
+  return RunCollective<HierAllGather>(spec, num_tiles, tile_bytes, cfg,
+                                      RingLayout::kOneRing);
 }
 
 sim::TimeNs SimulateHierReduceScatter(const sim::MachineSpec& spec,
@@ -113,7 +115,8 @@ sim::TimeNs SimulateHierReduceScatter(const sim::MachineSpec& spec,
 sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
                                       int64_t num_tiles, uint64_t tile_bytes,
                                       const HierConfig& cfg) {
-  return RunCollective<FlatReduceScatter>(spec, num_tiles, tile_bytes, cfg);
+  return RunCollective<HierReduceScatter>(spec, num_tiles, tile_bytes, cfg,
+                                          RingLayout::kOneRing);
 }
 
 sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
@@ -123,15 +126,6 @@ sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
   GradTiling(grad_bytes, &num_tiles, &tile_bytes);
   return RunCollective<DpAllReduce>(spec, num_tiles, tile_bytes,
                                     HierConfig::FromCandidate(c));
-}
-
-sim::TimeNs CoarseSimulateDpSync(const sim::MachineSpec& spec,
-                                 uint64_t grad_bytes,
-                                 const tl::TuneCandidate& c) {
-  // Quarter volume preserves the chunking/staging ranking at a fraction of
-  // the events (chunk counts shrink 4x with the buffer).
-  return SimulateDpSync(spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20),
-                        c);
 }
 
 sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
@@ -167,7 +161,10 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
         return DpSyncLowerBound(spec, grad_bytes, c);
       },
       [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateDpSync(spec, grad_bytes, c);
+        // Quarter volume preserves the chunking/staging ranking at a
+        // fraction of the events (chunk counts shrink 4x with the buffer).
+        return SimulateDpSync(
+            spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20), c);
       });
 }
 
@@ -287,12 +284,6 @@ sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
 
-sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c) {
-  return SimulateGemmHierRs(spec, shape, tl::CoarsenReduction(c, shape.k));
-}
-
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c) {
@@ -405,12 +396,6 @@ sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
 
-sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c) {
-  return SimulateAgGemmHier(spec, shape, tl::CoarsenReduction(c, shape.k));
-}
-
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
                                  const tl::TuneCandidate& c) {
@@ -462,7 +447,8 @@ tl::TuneResult TuneAgGemmHier(const sim::MachineSpec& spec,
         return AgGemmHierLowerBound(spec, shape, c);
       },
       [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateAgGemmHier(spec, shape, c);
+        return SimulateAgGemmHier(spec, shape,
+                                  tl::CoarsenReduction(c, shape.k));
       });
 }
 
@@ -480,7 +466,8 @@ tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
         return GemmHierRsLowerBound(spec, shape, c);
       },
       [&](const tl::TuneCandidate& c) {
-        return CoarseSimulateGemmHierRs(spec, shape, c);
+        return SimulateGemmHierRs(spec, shape,
+                                  tl::CoarsenReduction(c, shape.k));
       });
 }
 

@@ -1,9 +1,10 @@
 // Evaluators and searches for the multi-node collectives — the
 // kernel_tuning analog one level up: Simulate*() builds a fresh timing-only
 // World on the multi-node MachineSpec, runs the collective SPMD and returns
-// the makespan; TuneDpSync() wires the evaluator, a coarse (quarter-volume)
-// variant and an analytic lower bound into Autotuner::Search over the
-// TuningSpace::MultiNode() axes.
+// the makespan; TuneDpSync() wires the evaluator, a coarse round (the same
+// evaluator on a quarter of the volume) and an analytic lower bound into
+// Autotuner::Search over the TuningSpace::MultiNode() axes. The fused-kernel
+// searches coarsen with tl::CoarsenReduction inside their Tune*().
 #pragma once
 
 #include <cstdint>
@@ -46,9 +47,6 @@ sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
 // HierConfig::FromCandidate.
 sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                            const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateDpSync(const sim::MachineSpec& spec,
-                                 uint64_t grad_bytes,
-                                 const tl::TuneCandidate& c);
 // Overlap-aware bound: max(NIC wire time of both phases, reduce epilogue)
 // plus the unavoidable rendezvous/setup/latency costs.
 sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
@@ -90,9 +88,6 @@ bool GemmHierRsFeasible(const sim::MachineSpec& spec,
 sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
                                const tl::MlpPartShape& shape,
                                const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateGemmHierRs(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c);
 // launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,
@@ -136,9 +131,6 @@ bool AgGemmHierFeasible(const sim::MachineSpec& spec,
 sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
                                const tl::MlpPartShape& shape,
                                const tl::TuneCandidate& c);
-sim::TimeNs CoarseSimulateAgGemmHier(const sim::MachineSpec& spec,
-                                     const tl::MlpPartShape& shape,
-                                     const tl::TuneCandidate& c);
 // launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
 sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,

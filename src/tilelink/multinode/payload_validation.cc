@@ -32,15 +32,17 @@ bool BufferMatches(rt::Buffer* buf, const std::vector<float>& ref) {
                   Tensor(&ref_buf, {n}, DType::kFP32));
 }
 
-// Shared driver: Collective is any of the five payload-capable classes,
-// `expect` produces rank r's reference output.
-template <typename Collective, typename ExpectFn>
+// Shared driver: Collective is any of the three payload-capable classes,
+// `expect` produces rank r's reference output and `layout` is the
+// collective's optional RingLayout argument.
+template <typename Collective, typename ExpectFn, typename... Layout>
 PayloadReport RunValidation(const sim::MachineSpec& spec, int64_t num_tiles,
                             uint64_t tile_bytes, int64_t tile_elems,
                             const HierConfig& cfg, int64_t in_elems,
                             int64_t out_elems, const sim::FaultPlan* plan,
                             sim::TraceRecorder* trace, int trace_pid_base,
-                            const char* trace_label, const ExpectFn& expect) {
+                            const char* trace_label, const ExpectFn& expect,
+                            Layout... layout) {
   rt::World world(spec, rt::ExecMode::kFunctional);
   world.checker().set_enabled(true);
   world.set_fault_plan(plan);
@@ -51,7 +53,7 @@ PayloadReport RunValidation(const sim::MachineSpec& spec, int64_t num_tiles,
       AllocFilled(world, "payload.in", in_elems, /*fill=*/true);
   std::vector<rt::Buffer*> out =
       AllocFilled(world, "payload.out", out_elems, /*fill=*/false);
-  Collective coll(world, num_tiles, tile_bytes, cfg);
+  Collective coll(world, num_tiles, tile_bytes, cfg, layout...);
   coll.AttachPayload(in, out, tile_elems);
   PayloadReport report;
   report.makespan = world.RunSpmd(
@@ -95,13 +97,14 @@ PayloadReport ValidateFlatAllGather(const sim::MachineSpec& spec,
                                     const sim::FaultPlan* plan,
                                     sim::TraceRecorder* trace,
                                     int trace_pid_base) {
-  return RunValidation<FlatAllGather>(
+  return RunValidation<HierAllGather>(
       spec, num_tiles, tile_bytes, tile_elems, cfg, num_tiles * tile_elems,
       spec.num_devices * num_tiles * tile_elems, plan, trace, trace_pid_base,
       "flat_ag",
       [](const std::vector<rt::Buffer*>& in, int) {
         return RefAllGather(in);
-      });
+      },
+      RingLayout::kOneRing);
 }
 
 PayloadReport ValidateHierReduceScatter(const sim::MachineSpec& spec,
@@ -129,13 +132,14 @@ PayloadReport ValidateFlatReduceScatter(const sim::MachineSpec& spec,
                                         const sim::FaultPlan* plan,
                                         sim::TraceRecorder* trace,
                                         int trace_pid_base) {
-  return RunValidation<FlatReduceScatter>(
+  return RunValidation<HierReduceScatter>(
       spec, num_tiles, tile_bytes, tile_elems, cfg,
       spec.num_devices * num_tiles * tile_elems, num_tiles * tile_elems,
       plan, trace, trace_pid_base, "flat_rs",
       [&](const std::vector<rt::Buffer*>& in, int r) {
         return RefReduceScatter(in, r, num_tiles * tile_elems);
-      });
+      },
+      RingLayout::kOneRing);
 }
 
 PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,

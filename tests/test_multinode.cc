@@ -489,6 +489,18 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   const tl::TuneCandidate c = DefaultDpSyncCandidate();
   EXPECT_EQ(SimulateDpSync(two, 128ull << 20, c), 2839968);
   EXPECT_EQ(SimulateDpSync(three, 48ull << 20, c), 1433104);
+  // The flat baseline is the one-ring layout of the same collectives; these
+  // were recorded from the dedicated flat classes it replaced. `ragged`
+  // (4 + 2 ranks) is a layout only the one-ring form accepts.
+  MachineSpec ragged = MachineSpec::H800x8();
+  ragged.num_devices = 6;
+  ragged.devices_per_node = 4;
+  EXPECT_EQ(SimulateFlatAllGather(three, 5, 16 << 10, def), 54845);
+  EXPECT_EQ(SimulateFlatReduceScatter(three, 5, 16 << 10, def), 57335);
+  EXPECT_EQ(SimulateFlatAllGather(two, 24, 64 << 10, odd), 741300);
+  EXPECT_EQ(SimulateFlatReduceScatter(two, 24, 64 << 10, odd), 742462);
+  EXPECT_EQ(SimulateFlatAllGather(ragged, 5, 16 << 10, def), 54845);
+  EXPECT_EQ(SimulateFlatReduceScatter(ragged, 5, 16 << 10, def), 55018);
 }
 
 // ---------------------------------------------------------------------------
@@ -509,10 +521,14 @@ TEST(HierConfigValidation, RejectsNonPositiveKnobsUpFront) {
   EXPECT_THROW(DpAllReduce(world, 8, 1 << 20, bad_intra), Error);
   HierConfig bad_channels;
   bad_channels.intra_channels = 0;
-  EXPECT_THROW(FlatAllGather(world, 8, 1 << 20, bad_channels), Error);
+  EXPECT_THROW(HierAllGather(world, 8, 1 << 20, bad_channels,
+                             RingLayout::kOneRing),
+               Error);
   HierConfig bad_reduce;
   bad_reduce.reduce_sms = 0;
-  EXPECT_THROW(FlatReduceScatter(world, 8, 1 << 20, bad_reduce), Error);
+  EXPECT_THROW(HierReduceScatter(world, 8, 1 << 20, bad_reduce,
+                                 RingLayout::kOneRing),
+               Error);
   // The message names the offending knob instead of a chunk-loop internal.
   try {
     HierAllGather ag(world, 8, 1 << 20, bad_nic);
