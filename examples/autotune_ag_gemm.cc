@@ -1,5 +1,7 @@
 // Example: search the §3.1 decoupled design space of the AG+GEMM kernel
-// with the cost-model autotuner, then inspect the winning kernel.
+// with the cost-model autotuner, then inspect the winning kernel. Exits
+// nonzero if the winner costs more than the seed config or if re-simulating
+// it does not reproduce the cost the search reported.
 //
 // Runs on the small Test machine so it finishes in well under a second:
 //   ./build/autotune_ag_gemm
@@ -52,5 +54,24 @@ int main() {
   cfg.order = result.best.order;
   AgGemm kernel(world, cfg);
   std::printf("%s", kernel.listing().c_str());
+
+  const sim::TimeNs seed_cost = SimulateAgGemm(spec, shape, base);
+  const sim::TimeNs rerun_cost = SimulateAgGemm(spec, shape, result.best);
+  if (result.best_cost > seed_cost) {
+    std::fprintf(stderr, "FAIL: tuned %.3f us > seed %.3f us\n",
+                 static_cast<double>(result.best_cost) / 1e3,
+                 static_cast<double>(seed_cost) / 1e3);
+    return 1;
+  }
+  if (rerun_cost != result.best_cost) {
+    std::fprintf(stderr,
+                 "FAIL: re-simulated winner %.3f us != searched %.3f us\n",
+                 static_cast<double>(rerun_cost) / 1e3,
+                 static_cast<double>(result.best_cost) / 1e3);
+    return 1;
+  }
+  std::printf("tuned %.3f us <= seed %.3f us; re-simulation matches\n",
+              static_cast<double>(result.best_cost) / 1e3,
+              static_cast<double>(seed_cost) / 1e3);
   return 0;
 }

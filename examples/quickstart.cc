@@ -1,9 +1,10 @@
 // Quickstart: build and run one overlapped AllGather+GEMM kernel with
-// TileLink's tile-centric primitives on the simulated 8-GPU machine, verify
-// its numerics against a serial reference, and print the generated
-// (PTX-like) listing plus the simulated timeline comparison.
+// TileLink's tile-centric primitives on a small simulated 4-GPU machine,
+// verify its numerics against a serial reference, and print the generated
+// (PTX-like) listing plus the simulated timeline comparison. Exits nonzero
+// on a numeric mismatch or a consistency-checker violation.
 //
-//   ./build/examples/quickstart
+//   ./build/quickstart
 #include <cstdio>
 
 #include "baselines/mlp_baselines.h"

@@ -54,14 +54,19 @@
 #      the halved search's efficiency/argmin contract against the
 #      exhaustive search. The stage
 #      then checks the serving.* keys landed in BENCH_serving.json.
-# Usage: scripts/ci.sh [--fast]   (--fast skips the sanitizer/bench stages)
+#   7. Unreached-code report (informational): scripts/unreached.sh lists
+#      every strong tilelink:: library function that no bench, example or
+#      perfbench binary reaches in an -O0 --gc-sections link, with the
+#      tests that do reach it, and ends with "unreached_functions: N". The
+#      stage fails only if the script itself fails, never because of N.
+# Usage: scripts/ci.sh [--fast]   (--fast skips stages 2-7)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
-echo "=== [1/6] RelWithDebInfo, -Wall -Wextra -Werror ==="
+echo "=== [1/7] RelWithDebInfo, -Wall -Wextra -Werror ==="
 cmake -B build-ci -S . -DTILELINK_WERROR=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-ci -j"$(nproc)"
 # --timeout: a hung coroutine pipeline fails fast instead of
@@ -69,7 +74,7 @@ cmake --build build-ci -j"$(nproc)"
 (cd build-ci && ctest --output-on-failure --timeout 120 -j"$(nproc)")
 
 if [[ "$FAST" == "0" ]]; then
-  echo "=== [2/6] Debug + ASan ==="
+  echo "=== [2/7] Debug + ASan ==="
   cmake -B build-asan -S . -DTILELINK_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
   cmake --build build-asan -j"$(nproc)"
   # ctest includes test_multinode, so the functional collectives' payload
@@ -79,13 +84,13 @@ if [[ "$FAST" == "0" ]]; then
   (cd build-asan && ASAN_OPTIONS=detect_leaks=1 \
       ctest --output-on-failure --timeout 300 -j"$(nproc)")
 
-  echo "=== [3/6] Debug + TSan (parallel search + concurrent cache) ==="
+  echo "=== [3/7] Debug + TSan (parallel search + concurrent cache) ==="
   cmake -B build-tsan -S . -DTILELINK_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
   cmake --build build-tsan -j"$(nproc)" --target test_tuning
   # halt_on_error: a data race fails the stage instead of scrolling past.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/test_tuning
 
-  echo "=== [4/6] Bench smoke (tuned configs must beat hand-picked) ==="
+  echo "=== [4/7] Bench smoke (tuned configs must beat hand-picked) ==="
   ./build-ci/bench_micro_sim --json build-ci/BENCH_micro_sim.json
   ./build-ci/bench_fig8_mlp --json build-ci/BENCH_fig8.json
   ./build-ci/bench_fig11_e2e --tune-threads 8 \
@@ -122,7 +127,7 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
 
-  echo "=== [5/6] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
+  echo "=== [5/7] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The planner-built kernels' frozen makespans and payload hashes
   # (test_overlap_gen's golden suite) already ran under ctest in stages
   # 1-2; this stage gates the generated kernel's end-to-end win:
@@ -147,7 +152,7 @@ if [[ "$FAST" == "0" ]]; then
   grep -q '"ph"' build-ci/TRACE_multinode.json \
       || { echo "TRACE_multinode.json has no trace events"; exit 1; }
 
-  echo "=== [6/6] Serving smoke (continuous batching + online config service) ==="
+  echo "=== [6/7] Serving smoke (continuous batching + online config service) ==="
   # The bench exits nonzero if any of its own gates fail: fleet p99 and
   # per-unseen-shape cold-tune latency bounds, cache hit rate across a
   # cold+warm replica pair, tuned-vs-seed geomean >= 1, bitwise identical
@@ -162,6 +167,9 @@ if [[ "$FAST" == "0" ]]; then
     grep -q "\"$key\"" build-ci/BENCH_serving.json \
         || { echo "missing $key in BENCH_serving.json"; exit 1; }
   done
+
+  echo "=== [7/7] Unreached-code report (non-gating) ==="
+  scripts/unreached.sh
 fi
 
 echo "CI OK"

@@ -123,46 +123,6 @@ sim::Coro ReduceScatter(rt::RankCtx& ctx, const SymTensor& ins,
                               "reduce_scatter");
 }
 
-sim::Coro AllReduce(rt::RankCtx& ctx, const SymTensor& ins,
-                    const SymTensor& outs) {
-  rt::World& world = *ctx.world;
-  const int r = ctx.rank;
-  const int R = world.size();
-  const int64_t m = outs[static_cast<size_t>(r)].dim(0);
-  TL_CHECK_EQ(m % R, 0);
-  const int64_t m_per_rank = m / R;
-  (void)r;
-  (void)world;
-  // RS into my row block of outs, then AG the blocks.
-  SymTensor rs_out;
-  rs_out.reserve(static_cast<size_t>(R));
-  for (int p = 0; p < R; ++p) {
-    rs_out.push_back(
-        outs[static_cast<size_t>(p)].Slice(0, p * m_per_rank, m_per_rank));
-  }
-  co_await ReduceScatter(ctx, ins, rs_out, Algo::kRing);
-  co_await AllGather(ctx, rs_out, outs, Algo::kFullMesh);
-}
-
-sim::Coro AllToAll(rt::RankCtx& ctx, const SymTensor& ins,
-                   const SymTensor& outs) {
-  rt::World& world = *ctx.world;
-  const int r = ctx.rank;
-  const int R = world.size();
-  const int64_t m = ins[static_cast<size_t>(r)].dim(0);
-  TL_CHECK_EQ(m % R, 0);
-  const int64_t blk = m / R;
-  co_await CollectiveEntry(ctx);
-  std::vector<sim::Coro> work;
-  for (int p = 0; p < R; ++p) {
-    // outs[r] block p <- ins[p] block r (pull model).
-    Tensor src = ins[static_cast<size_t>(p)].Slice(0, r * blk, blk);
-    Tensor dst = outs[static_cast<size_t>(r)].Slice(0, p * blk, blk);
-    work.push_back(CopyTensorSM(world, src, dst));
-  }
-  co_await sim::WhenAll(std::move(work));
-}
-
 void AllGatherRef(const SymTensor& shards, const SymTensor& outs) {
   const int R = static_cast<int>(shards.size());
   const int64_t m_per_rank = shards[0].dim(0);

@@ -36,14 +36,6 @@ sim::Coro AllGather(rt::RankCtx& ctx, const SymTensor& shards,
 sim::Coro ReduceScatter(rt::RankCtx& ctx, const SymTensor& ins,
                         const SymTensor& outs, Algo algo = Algo::kRing);
 
-// outs[rank] = sum over r of ins[r]; implemented as RS + AG.
-sim::Coro AllReduce(rt::RankCtx& ctx, const SymTensor& ins,
-                    const SymTensor& outs);
-
-// outs[d] row-block s = ins[s] row-block d (block transpose across ranks).
-sim::Coro AllToAll(rt::RankCtx& ctx, const SymTensor& ins,
-                   const SymTensor& outs);
-
 // Host references for tests (operate on per-rank tensors directly).
 void AllGatherRef(const SymTensor& shards, const SymTensor& outs);
 void ReduceScatterRef(const SymTensor& ins, const SymTensor& outs);

@@ -28,11 +28,4 @@ float Rng::NextFloat() {
 
 float Rng::Uniform(float lo, float hi) { return lo + (hi - lo) * NextFloat(); }
 
-float Rng::NextGaussian() {
-  // Irwin-Hall with 6 uniforms, centered: variance 0.5 -> scale to ~1.
-  float s = 0.0f;
-  for (int i = 0; i < 6; ++i) s += NextFloat();
-  return (s - 3.0f) * 1.4142135f;
-}
-
 }  // namespace tilelink

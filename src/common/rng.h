@@ -29,9 +29,6 @@ class Rng {
   // Uniform float in [lo, hi).
   float Uniform(float lo, float hi);
 
-  // Approximately normal(0, 1) via sum of uniforms (deterministic, cheap).
-  float NextGaussian();
-
   // Fisher-Yates shuffle of v.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

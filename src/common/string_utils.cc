@@ -21,29 +21,4 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& items,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < items.size(); ++i) {
-    if (i != 0) out += sep;
-    out += items[i];
-  }
-  return out;
-}
-
-std::string HumanTimeNs(uint64_t ns) {
-  if (ns < 1000) return StrFormat("%llu ns", (unsigned long long)ns);
-  if (ns < 1000 * 1000) return StrFormat("%.3f us", ns / 1e3);
-  if (ns < 1000ULL * 1000 * 1000) return StrFormat("%.3f ms", ns / 1e6);
-  return StrFormat("%.3f s", ns / 1e9);
-}
-
-std::string HumanBytes(uint64_t bytes) {
-  const double b = static_cast<double>(bytes);
-  if (bytes < (1ULL << 10)) return StrFormat("%llu B", (unsigned long long)bytes);
-  if (bytes < (1ULL << 20)) return StrFormat("%.1f KiB", b / (1ULL << 10));
-  if (bytes < (1ULL << 30)) return StrFormat("%.1f MiB", b / (1ULL << 20));
-  return StrFormat("%.2f GiB", b / (1ULL << 30));
-}
-
 }  // namespace tilelink

@@ -1,22 +1,11 @@
-// String formatting helpers used by trace export and bench tables.
+// String formatting helper used by trace export and bench tables.
 #pragma once
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace tilelink {
 
 // printf-style formatting into std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-// Joins items with a separator.
-std::string Join(const std::vector<std::string>& items, const std::string& sep);
-
-// Human-readable time from nanoseconds, e.g. "1.234 ms".
-std::string HumanTimeNs(uint64_t ns);
-
-// Human-readable byte count, e.g. "64.0 MiB".
-std::string HumanBytes(uint64_t bytes);
 
 }  // namespace tilelink

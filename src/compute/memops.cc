@@ -1,7 +1,6 @@
 #include "compute/memops.h"
 
 #include "common/math_utils.h"
-#include "compute/tile_math.h"
 
 namespace tilelink::compute {
 namespace {
@@ -34,34 +33,6 @@ std::shared_ptr<rt::KernelState> LaunchRowKernel(
 }
 
 }  // namespace
-
-std::shared_ptr<rt::KernelState> LaunchActivationMul(
-    rt::RankCtx& /*ctx*/, rt::Stream& stream, const Tensor& a, const Tensor& b,
-    Tensor out, Activation act, const std::string& name) {
-  TL_CHECK(a.shape() == b.shape());
-  TL_CHECK(a.shape() == out.shape());
-  const int64_t n = out.dim(1);
-  // Traffic: read a + read b + write out.
-  const uint64_t bytes_per_row =
-      3ULL * static_cast<uint64_t>(n) * DTypeSize(out.dtype());
-  auto math = [a, b, out, act, n](int64_t row0, int64_t rows) mutable {
-    if (act == Activation::kSiluMul) {
-      SiluMulTile(a, b, out, row0, rows, 0, n);
-    } else {
-      GeluMulTile(a, b, out, row0, rows, 0, n);
-    }
-  };
-  return LaunchRowKernel(stream, out.dim(0), bytes_per_row, math, name);
-}
-
-void ActivationMulRef(const Tensor& a, const Tensor& b, Tensor& out,
-                      Activation act) {
-  if (act == Activation::kSiluMul) {
-    SiluMulTile(a, b, out, 0, out.dim(0), 0, out.dim(1));
-  } else {
-    GeluMulTile(a, b, out, 0, out.dim(0), 0, out.dim(1));
-  }
-}
 
 std::shared_ptr<rt::KernelState> LaunchGatherRows(
     rt::RankCtx& /*ctx*/, rt::Stream& stream, const Tensor& src, Tensor dst,
@@ -141,23 +112,6 @@ void TopkReduceRef(const Tensor& in, Tensor& out,
       out.at({t, c}) = acc;
     }
   }
-}
-
-std::shared_ptr<rt::KernelState> LaunchAddInto(
-    rt::RankCtx& /*ctx*/, rt::Stream& stream, const Tensor& in, Tensor out,
-    const std::string& name) {
-  TL_CHECK(in.shape() == out.shape());
-  const int64_t n = out.dim(1);
-  const uint64_t bytes_per_row =
-      3ULL * static_cast<uint64_t>(n) * DTypeSize(out.dtype());
-  auto math = [in, out, n](int64_t row0, int64_t rows) mutable {
-    for (int64_t r = row0; r < row0 + rows; ++r) {
-      for (int64_t c = 0; c < n; ++c) {
-        out.at({r, c}) += in.at({r, c});
-      }
-    }
-  };
-  return LaunchRowKernel(stream, out.dim(0), bytes_per_row, math, name);
 }
 
 }  // namespace tilelink::compute

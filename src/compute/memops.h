@@ -1,6 +1,5 @@
-// Memory-bound utility kernels: elementwise activations, gather/scatter of
-// token rows, top-k reduce, and plain device-local copies. These model the
-// standalone epilogue/prologue kernels that unfused baselines must launch
+// Memory-bound utility kernels: gather/scatter of token rows and top-k
+// reduce. These model the standalone epilogue/prologue kernels that unfused baselines must launch
 // (and pay launch latency + HBM traffic for), which fused approaches avoid.
 #pragma once
 
@@ -15,17 +14,6 @@
 #include "tensor/tensor.h"
 
 namespace tilelink::compute {
-
-enum class Activation { kSiluMul, kGeluMul };
-
-// out = act(a) * b, elementwise; all [M, N].
-std::shared_ptr<rt::KernelState> LaunchActivationMul(
-    rt::RankCtx& ctx, rt::Stream& stream, const Tensor& a, const Tensor& b,
-    Tensor out, Activation act, const std::string& name = "act_mul");
-
-// Host reference for the same op.
-void ActivationMulRef(const Tensor& a, const Tensor& b, Tensor& out,
-                      Activation act);
 
 // dst[i, :] = src[row_index[i], :] for i in [0, dst.M). Used by the unfused
 // MoE baseline to materialize sorted activations.
@@ -46,10 +34,5 @@ std::shared_ptr<rt::KernelState> LaunchTopkReduce(
 
 void TopkReduceRef(const Tensor& in, Tensor& out,
                    const std::vector<float>& weights, int topk);
-
-// out (+)= in, both [M, N] on the same device (SM-driven local add).
-std::shared_ptr<rt::KernelState> LaunchAddInto(
-    rt::RankCtx& ctx, rt::Stream& stream, const Tensor& in, Tensor out,
-    const std::string& name = "add_into");
 
 }  // namespace tilelink::compute

@@ -1,7 +1,6 @@
 #include "compute/moe_routing.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/math_utils.h"
 
@@ -78,40 +77,6 @@ MoeRouting RandomRouting(int64_t num_tokens, int num_experts, int topk,
     for (int k = 0; k < topk; ++k) {
       r.topk_ids.push_back(experts[static_cast<size_t>(k)]);
       r.topk_weights.push_back(raw[static_cast<size_t>(k)] / total);
-    }
-  }
-  BuildSorted(r);
-  return r;
-}
-
-MoeRouting RoutingFromLogits(const Tensor& logits, int topk) {
-  MoeRouting r;
-  r.num_tokens = logits.dim(0);
-  r.num_experts = static_cast<int>(logits.dim(1));
-  r.topk = topk;
-  TL_CHECK_LE(topk, r.num_experts);
-  for (int64_t t = 0; t < r.num_tokens; ++t) {
-    std::vector<std::pair<float, int>> scored;
-    scored.reserve(static_cast<size_t>(r.num_experts));
-    for (int e = 0; e < r.num_experts; ++e) {
-      scored.emplace_back(logits.at({t, e}), e);
-    }
-    std::partial_sort(scored.begin(), scored.begin() + topk, scored.end(),
-                      [](const auto& a, const auto& b) {
-                        if (a.first != b.first) return a.first > b.first;
-                        return a.second < b.second;  // deterministic ties
-                      });
-    float denom = 0.0f;
-    const float max_logit = scored[0].first;
-    std::vector<float> expw(static_cast<size_t>(topk));
-    for (int k = 0; k < topk; ++k) {
-      expw[static_cast<size_t>(k)] =
-          std::exp(scored[static_cast<size_t>(k)].first - max_logit);
-      denom += expw[static_cast<size_t>(k)];
-    }
-    for (int k = 0; k < topk; ++k) {
-      r.topk_ids.push_back(scored[static_cast<size_t>(k)].second);
-      r.topk_weights.push_back(expw[static_cast<size_t>(k)] / denom);
     }
   }
   BuildSorted(r);

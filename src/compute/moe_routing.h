@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "tensor/tensor.h"
 
 namespace tilelink::compute {
 
@@ -43,9 +42,6 @@ struct MoeRouting {
 // normalized weights — used in timing-only mode and workload generators.
 MoeRouting RandomRouting(int64_t num_tokens, int num_experts, int topk,
                          Rng& rng);
-
-// Routing from gate logits [num_tokens, num_experts] (functional mode).
-MoeRouting RoutingFromLogits(const Tensor& logits, int topk);
 
 // Per-expert output-tile block descriptors for grouped GEMM: one descriptor
 // per (expert row-chunk, n-tile) pair.

@@ -29,27 +29,6 @@ void GemmTile(const Tensor& a, const Tensor& b, Tensor& c, int64_t m0,
   }
 }
 
-void GemmTileGatherA(const Tensor& a, const std::vector<int>& row_index,
-                     const Tensor& b, Tensor& c, int64_t m0, int64_t bm,
-                     int64_t n0, int64_t bn, int64_t k0, int64_t bk,
-                     bool accumulate) {
-  const int64_t m_len = ClipLen(m0, bm, c.dim(0));
-  const int64_t n_len = ClipLen(n0, bn, c.dim(1));
-  const int64_t k_len = ClipLen(k0, bk, a.dim(1));
-  for (int64_t m = 0; m < m_len; ++m) {
-    const int src = row_index[static_cast<size_t>(m0 + m)];
-    for (int64_t n = 0; n < n_len; ++n) {
-      float acc = accumulate ? c.at({m0 + m, n0 + n}) : 0.0f;
-      if (src >= 0) {
-        for (int64_t k = 0; k < k_len; ++k) {
-          acc += a.at({src, k0 + k}) * b.at({k0 + k, n0 + n});
-        }
-      }
-      c.at({m0 + m, n0 + n}) = acc;
-    }
-  }
-}
-
 void FlashState::Reset(int64_t bq, int64_t head_dim) {
   row_max.assign(static_cast<size_t>(bq), -1e30f);
   row_sum.assign(static_cast<size_t>(bq), 0.0f);
@@ -105,37 +84,6 @@ void FlashFinalize(const FlashState& state, Tensor& out, int64_t q0,
   }
 }
 
-float Silu(float x) { return x / (1.0f + std::exp(-x)); }
-
-float GeluTanh(float x) {
-  const float c = 0.7978845608f;  // sqrt(2/pi)
-  return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
-}
-
-void SiluMulTile(const Tensor& a, const Tensor& b, Tensor& out, int64_t r0,
-                 int64_t rows, int64_t c0, int64_t cols) {
-  const int64_t r_len = ClipLen(r0, rows, out.dim(0));
-  const int64_t c_len = ClipLen(c0, cols, out.dim(1));
-  for (int64_t r = 0; r < r_len; ++r) {
-    for (int64_t c = 0; c < c_len; ++c) {
-      out.at({r0 + r, c0 + c}) =
-          Silu(a.at({r0 + r, c0 + c})) * b.at({r0 + r, c0 + c});
-    }
-  }
-}
-
-void GeluMulTile(const Tensor& a, const Tensor& b, Tensor& out, int64_t r0,
-                 int64_t rows, int64_t c0, int64_t cols) {
-  const int64_t r_len = ClipLen(r0, rows, out.dim(0));
-  const int64_t c_len = ClipLen(c0, cols, out.dim(1));
-  for (int64_t r = 0; r < r_len; ++r) {
-    for (int64_t c = 0; c < c_len; ++c) {
-      out.at({r0 + r, c0 + c}) =
-          GeluTanh(a.at({r0 + r, c0 + c})) * b.at({r0 + r, c0 + c});
-    }
-  }
-}
-
 void AddTile(const Tensor& in, Tensor& out, int64_t r0, int64_t rows,
              int64_t c0, int64_t cols, bool accumulate) {
   const int64_t r_len = ClipLen(r0, rows, out.dim(0));
@@ -148,18 +96,6 @@ void AddTile(const Tensor& in, Tensor& out, int64_t r0, int64_t rows,
       } else {
         out.at({r0 + r, c0 + c}) = v;
       }
-    }
-  }
-}
-
-void ScaleRowsTile(Tensor& t, const std::vector<float>& weights, int64_t r0,
-                   int64_t rows, int64_t c0, int64_t cols) {
-  const int64_t r_len = ClipLen(r0, rows, t.dim(0));
-  const int64_t c_len = ClipLen(c0, cols, t.dim(1));
-  for (int64_t r = 0; r < r_len; ++r) {
-    const float w = weights[static_cast<size_t>(r0 + r)];
-    for (int64_t c = 0; c < c_len; ++c) {
-      t.at({r0 + r, c0 + c}) *= w;
     }
   }
 }

@@ -18,14 +18,6 @@ void GemmTile(const Tensor& a, const Tensor& b, Tensor& c, int64_t m0,
               int64_t bm, int64_t n0, int64_t bn, int64_t k0, int64_t bk,
               bool accumulate);
 
-// Like GemmTile but A rows are gathered through `row_index`: logical row m of
-// the tile reads physical row row_index[m] of `a` (vLLM-style fused gather).
-// A row index of -1 produces zeros (padding).
-void GemmTileGatherA(const Tensor& a, const std::vector<int>& row_index,
-                     const Tensor& b, Tensor& c, int64_t m0, int64_t bm,
-                     int64_t n0, int64_t bn, int64_t k0, int64_t bk,
-                     bool accumulate);
-
 // Online-softmax flash-attention state for one (bq x head_dim) query block.
 struct FlashState {
   std::vector<float> row_max;  // m_i
@@ -45,22 +37,8 @@ void FlashAttnStep(const Tensor& q, const Tensor& k, const Tensor& v,
 void FlashFinalize(const FlashState& state, Tensor& out, int64_t q0,
                    int64_t bq);
 
-// out = silu(a) * b, elementwise over [r0, r0+rows) x [c0, c0+cols) tiles.
-void SiluMulTile(const Tensor& a, const Tensor& b, Tensor& out, int64_t r0,
-                 int64_t rows, int64_t c0, int64_t cols);
-// out = gelu(a) * b (tanh approximation).
-void GeluMulTile(const Tensor& a, const Tensor& b, Tensor& out, int64_t r0,
-                 int64_t rows, int64_t c0, int64_t cols);
-
 // out[r, c] (+)= in[r, c] over a tile.
 void AddTile(const Tensor& in, Tensor& out, int64_t r0, int64_t rows,
              int64_t c0, int64_t cols, bool accumulate);
-
-// Scales a row range by per-row weights (MoE combine).
-void ScaleRowsTile(Tensor& t, const std::vector<float>& weights, int64_t r0,
-                   int64_t rows, int64_t c0, int64_t cols);
-
-float Silu(float x);
-float GeluTanh(float x);
 
 }  // namespace tilelink::compute

@@ -37,12 +37,6 @@ class Device {
   Buffer* Alloc(const std::string& name, int64_t num_elems) {
     return mem_.Alloc(name, num_elems, functional());
   }
-  // Control buffers (routing tables, mapping tables) are always materialized
-  // — they are tiny and the scheduling logic needs their contents even in
-  // timing-only mode.
-  Buffer* AllocControl(const std::string& name, int64_t num_elems) {
-    return mem_.Alloc(name, num_elems, /*materialize=*/true);
-  }
 
   SignalSet* AllocSignals(const std::string& name, int count) {
     signals_.push_back(std::make_unique<SignalSet>(

@@ -52,10 +52,6 @@ TimeNs CostModel::MemoryBound(uint64_t bytes, int sms_used) const {
   return std::max<TimeNs>(1, static_cast<TimeNs>(std::llround(t)));
 }
 
-TimeNs CostModel::Elementwise(uint64_t bytes, int sms_used) const {
-  return MemoryBound(bytes, sms_used);
-}
-
 TimeNs CostModel::GemmComputeTime(int64_t m, int64_t n, int64_t k, int bm,
                                   int bn, int bk, int sms) const {
   const int64_t tiles = ((m + bm - 1) / bm) * ((n + bn - 1) / bn);

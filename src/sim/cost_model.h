@@ -37,9 +37,6 @@ class CostModel {
   // stream `bytes` at HBM bandwidth with `sms_used` of the device's SMs.
   TimeNs MemoryBound(uint64_t bytes, int sms_used) const;
 
-  // Elementwise op over `bytes` total traffic using `sms_used` SMs.
-  TimeNs Elementwise(uint64_t bytes, int sms_used) const;
-
   // Per-block epilogue (store accumulators, fences) cost.
   TimeNs BlockEpilogue() const { return Us(0.6); }
   // Per-block prologue (program setup, first loads) cost.

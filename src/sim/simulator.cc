@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "common/log.h"
 #include "sim/trace.h"
 
 namespace tilelink::sim {

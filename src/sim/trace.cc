@@ -71,14 +71,6 @@ int TraceRecorder::Track(int pid, const std::string& name) {
   return tid;
 }
 
-std::map<int, std::string> TraceRecorder::track_names(int pid) const {
-  std::map<int, std::string> out;
-  for (const auto& [key, tid] : track_ids_) {
-    if (key.first == pid) out[tid] = key.second;
-  }
-  return out;
-}
-
 void TraceRecorder::AddSpan(int pid, int tid, const std::string& name,
                             TimeNs start, TimeNs end,
                             const std::string& category,
@@ -184,12 +176,6 @@ void TraceRecorder::AppendEscaped(std::ostream& os, const std::string& s) {
   }
 }
 
-std::string TraceRecorder::EscapeJson(const std::string& s) {
-  std::ostringstream os;
-  AppendEscaped(os, s);
-  return os.str();
-}
-
 void TraceRecorder::WriteJson(std::ostream& os) const {
   os << "{\"traceEvents\":[";
   bool first = true;
@@ -283,14 +269,6 @@ void TraceRecorder::Save(const std::string& path) const {
   WriteJson(out);  // streams: the full JSON string is never materialized
   out.flush();
   TL_CHECK_MSG(out.good(), "short write on trace file " << path);
-}
-
-void TraceRecorder::Clear() {
-  events_.clear();
-  next_flow_ = 0;
-  process_names_.clear();
-  track_ids_.clear();
-  next_tid_.clear();
 }
 
 // ---- JSON validity ------------------------------------------------------

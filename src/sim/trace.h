@@ -121,7 +121,6 @@ class TraceRecorder {
   void Save(const std::string& path) const;
 
   // Escapes a string for embedding inside a JSON string literal.
-  static std::string EscapeJson(const std::string& s);
   static void AppendEscaped(std::ostream& os, const std::string& s);
 
   // Full-grammar JSON validity check (objects/arrays/strings with escapes/
@@ -135,11 +134,7 @@ class TraceRecorder {
   const std::map<int, std::string>& process_names() const {
     return process_names_;
   }
-  // tid -> name for one pid (empty map if the pid has no interned tracks).
-  std::map<int, std::string> track_names(int pid) const;
-
   size_t size() const { return events_.size(); }
-  void Clear();
 
  private:
   std::vector<Event> events_;

@@ -34,13 +34,6 @@ Tensor Tensor::Alloc(rt::Device& dev, const std::string& name,
   return Tensor(dev.Alloc(name, n), std::move(shape), dtype, 0);
 }
 
-Tensor Tensor::AllocControl(rt::Device& dev, const std::string& name,
-                            std::vector<int64_t> shape, DType dtype) {
-  int64_t n = 1;
-  for (int64_t d : shape) n *= d;
-  return Tensor(dev.AllocControl(name, n), std::move(shape), dtype, 0);
-}
-
 int64_t Tensor::numel() const {
   int64_t n = 1;
   for (int64_t d : shape_) n *= d;
@@ -84,21 +77,6 @@ Tensor Tensor::Select(int dim, int64_t index) const {
   }
   return Tensor(buf_, std::move(new_shape), std::move(new_strides), dtype_,
                 offset_ + index * strides_[static_cast<size_t>(dim)]);
-}
-
-bool Tensor::contiguous() const {
-  int64_t expect = 1;
-  for (int i = ndim() - 1; i >= 0; --i) {
-    if (shape_[static_cast<size_t>(i)] == 1) continue;
-    if (strides_[static_cast<size_t>(i)] != expect) return false;
-    expect *= shape_[static_cast<size_t>(i)];
-  }
-  return true;
-}
-
-Tensor Tensor::Flatten() const {
-  TL_CHECK_MSG(contiguous(), "Flatten requires a contiguous tensor");
-  return Tensor(buf_, {numel()}, {1}, dtype_, offset_);
 }
 
 void Tensor::BufferRange(int64_t* lo, int64_t* hi) const {

@@ -54,9 +54,6 @@ class Tensor {
   // Allocates a fresh buffer on `dev` sized to `shape`.
   static Tensor Alloc(rt::Device& dev, const std::string& name,
                       std::vector<int64_t> shape, DType dtype);
-  // Control tensors are always materialized (routing tables etc.).
-  static Tensor AllocControl(rt::Device& dev, const std::string& name,
-                             std::vector<int64_t> shape, DType dtype);
 
   bool defined() const { return buf_ != nullptr; }
   rt::Buffer* buffer() const { return buf_; }
@@ -88,9 +85,6 @@ class Tensor {
   Tensor Slice(int dim, int64_t start, int64_t len) const;
   // View with `dim` removed at position `index` (like torch.select).
   Tensor Select(int dim, int64_t index) const;
-  // Collapses all dims into one (requires contiguous layout).
-  Tensor Flatten() const;
-  bool contiguous() const;
 
   // Element range [lo, hi) in the underlying buffer spanned by this view,
   // conservative for strided views (used by the consistency checker).

@@ -112,23 +112,6 @@ bool BitExact(const Tensor& a, const Tensor& b) {
   return ok;
 }
 
-bool AllClose(const Tensor& a, const Tensor& b, float rtol, float atol) {
-  TL_CHECK(a.shape() == b.shape());
-  auto da = a.buffer()->data();
-  auto db = b.buffer()->data();
-  std::vector<int64_t> a_offs;
-  a_offs.reserve(static_cast<size_t>(a.numel()));
-  ForEachOffset(a, [&](int64_t off) { a_offs.push_back(off); });
-  bool ok = true;
-  int64_t i = 0;
-  ForEachOffset(b, [&](int64_t off) {
-    const float va = da[static_cast<size_t>(a_offs[i++])];
-    const float vb = db[static_cast<size_t>(off)];
-    if (std::fabs(va - vb) > atol + rtol * std::fabs(vb)) ok = false;
-  });
-  return ok;
-}
-
 double Sum(const Tensor& t) {
   auto data = t.buffer()->data();
   double acc = 0.0;

@@ -25,9 +25,6 @@ void CopyTensor(const Tensor& src, Tensor& dst);
 float MaxAbsDiff(const Tensor& a, const Tensor& b);
 // True when every element pair is bitwise identical (shapes must match).
 bool BitExact(const Tensor& a, const Tensor& b);
-// True when MaxAbsDiff <= atol + rtol * |b|, elementwise.
-bool AllClose(const Tensor& a, const Tensor& b, float rtol = 1e-4f,
-              float atol = 1e-5f);
 
 // Sum of all elements (fp64 accumulation).
 double Sum(const Tensor& t);

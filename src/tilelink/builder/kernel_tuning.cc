@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "compute/flash_attention.h"
 #include "runtime/world.h"
-#include "tilelink/kernels/ag_attention.h"
 #include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/kernels/ag_moe.h"
 #include "tilelink/kernels/gemm_rs.h"
@@ -46,12 +45,6 @@ bool GemmRsFeasible(const sim::MachineSpec& spec, const MlpPartShape& s,
   const int64_t m_per_rank = s.m / R;
   return c.comm_tile_m > 0 && m_per_rank % c.comm_tile_m == 0 &&
          c.comm_tile_m % c.gemm.bm == 0;
-}
-
-bool AgAttentionFeasible(const sim::MachineSpec& spec, const AttnShape& s,
-                         const TuneCandidate& c) {
-  return s.seq > 0 && s.seq % spec.num_devices == 0 && c.block_q > 0 &&
-         c.block_kv > 0;
 }
 
 bool AgMoeFeasible(const sim::MachineSpec& spec, const MoeShape& s,
@@ -169,22 +162,6 @@ sim::TimeNs SimulateGemmRs(const sim::MachineSpec& spec,
   if (!GemmRsFeasible(spec, shape, c)) return Autotuner::kInfeasible;
   rt::World world(spec, rt::ExecMode::kTimingOnly);
   GemmRs kernel(world, MakeGemmRsConfig(shape, c));
-  return world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
-}
-
-sim::TimeNs SimulateAgAttention(const sim::MachineSpec& spec,
-                                const AttnShape& shape,
-                                const TuneCandidate& c) {
-  if (!AgAttentionFeasible(spec, shape, c)) return Autotuner::kInfeasible;
-  rt::World world(spec, rt::ExecMode::kTimingOnly);
-  AgAttentionConfig cfg;
-  cfg.batch_heads = shape.batch_heads;
-  cfg.seq = shape.seq;
-  cfg.head_dim = shape.head_dim;
-  cfg.block_q = c.block_q;
-  cfg.block_kv = c.block_kv;
-  AgAttention kernel(world, cfg);
   return world.RunSpmd(
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
@@ -351,30 +328,6 @@ sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
                                cost.NvlinkTransfer(bytes));
 }
 
-sim::TimeNs AgAttentionLowerBound(const sim::MachineSpec& spec,
-                                  const AttnShape& shape,
-                                  const TuneCandidate& c) {
-  if (!AgAttentionFeasible(spec, shape, c)) return 0;
-  const sim::CostModel cost(spec);
-  const int R = spec.num_devices;
-  const int64_t s_per = shape.seq / R;
-  const int64_t q_tiles = CeilDiv<int64_t>(s_per, c.block_q);
-  const int64_t tiles = shape.batch_heads * q_tiles;
-  const int64_t waves = CeilDiv<int64_t>(tiles, spec.sms_per_device);
-  const int64_t kv_steps =
-      static_cast<int64_t>(R) * CeilDiv<int64_t>(s_per, c.block_kv);
-  const sim::TimeNs compute =
-      waves * kv_steps *
-      cost.FlashAttnTileStep(c.block_q, c.block_kv,
-                             static_cast<int>(shape.head_dim));
-  // K and V shards from every remote rank land over the wire.
-  const uint64_t bytes = 2ULL *
-                         static_cast<uint64_t>(R - 1) * shape.batch_heads *
-                         s_per * shape.head_dim * 2;
-  return std::max<sim::TimeNs>(compute + spec.kernel_launch_latency,
-                               cost.NvlinkTransfer(bytes));
-}
-
 sim::TimeNs FlashCoreLowerBound(const sim::MachineSpec& spec,
                                 const FlashShape& shape,
                                 const TuneCandidate& c) {
@@ -463,29 +416,6 @@ TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
       [&](const TuneCandidate& c) {
         return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
       });
-}
-
-TuneResult TuneAgAttention(const sim::MachineSpec& spec,
-                           const AttnShape& shape, const TuningSpace& space,
-                           const TuneCandidate& base, const Autotuner& tuner) {
-  // The coarse round runs a quarter of the sequence. When the sequence is
-  // too short to shrink, a "coarse" score would be a full-fidelity run —
-  // halving would only double the work. Search plain.
-  AttnShape coarse = shape;
-  coarse.seq = CoarseSeq(shape.seq, 2048L * spec.num_devices);
-  const bool can_coarsen = coarse.seq < shape.seq;
-  return tuner.Search(
-      space, base,
-      [&](const TuneCandidate& c) {
-        return SimulateAgAttention(spec, shape, c);
-      },
-      [&](const TuneCandidate& c) {
-        return AgAttentionLowerBound(spec, shape, c);
-      },
-      can_coarsen ? Autotuner::EvalFn([&](const TuneCandidate& c) {
-        return SimulateAgAttention(spec, coarse, c);
-      })
-                  : Autotuner::EvalFn());
 }
 
 TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,

@@ -33,13 +33,6 @@ struct MlpPartShape {
   int64_t n = 0;
 };
 
-// AG-KV + flash attention (sequence-parallel self-attention, Figure 6).
-struct AttnShape {
-  int64_t batch_heads = 0;
-  int64_t seq = 0;  // total KV sequence (sharded across ranks)
-  int64_t head_dim = 128;
-};
-
 // Compute-only flash core ([bh, sq] query block against [bh, skv] KV); the
 // e2e model sweep tunes this for the sequence-parallel attention block,
 // whose communication is fused into the QKV/out projections instead.
@@ -74,9 +67,6 @@ sim::TimeNs SimulateAgGemm(const sim::MachineSpec& spec,
                            const MlpPartShape& shape, const TuneCandidate& c);
 sim::TimeNs SimulateGemmRs(const sim::MachineSpec& spec,
                            const MlpPartShape& shape, const TuneCandidate& c);
-sim::TimeNs SimulateAgAttention(const sim::MachineSpec& spec,
-                                const AttnShape& shape,
-                                const TuneCandidate& c);
 sim::TimeNs SimulateFlashCore(const sim::MachineSpec& spec,
                               const FlashShape& shape,
                               const TuneCandidate& c);
@@ -120,9 +110,6 @@ sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
 sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
                              const MlpPartShape& shape,
                              const TuneCandidate& c);
-sim::TimeNs AgAttentionLowerBound(const sim::MachineSpec& spec,
-                                  const AttnShape& shape,
-                                  const TuneCandidate& c);
 sim::TimeNs FlashCoreLowerBound(const sim::MachineSpec& spec,
                                 const FlashShape& shape,
                                 const TuneCandidate& c);
@@ -138,10 +125,6 @@ TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
 TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner = Autotuner());
-TuneResult TuneAgAttention(const sim::MachineSpec& spec,
-                           const AttnShape& shape, const TuningSpace& space,
-                           const TuneCandidate& base,
-                           const Autotuner& tuner = Autotuner());
 TuneResult TuneFlashCore(const sim::MachineSpec& spec,
                          const FlashShape& shape, const TuningSpace& space,
                          const TuneCandidate& base,

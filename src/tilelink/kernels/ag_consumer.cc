@@ -10,10 +10,6 @@
 
 namespace tilelink::tl {
 
-int64_t AgConsumerTiles(const AgConsumerParams& p) {
-  return CeilDiv<int64_t>(p.m, p.tiling.bm) * CeilDiv<int64_t>(p.n, p.tiling.bn);
-}
-
 BlockProgram BuildAgGemmConsumer(const AgConsumerParams& p) {
   TileProgramBuilder b;
   auto fulls = p.a_full;

@@ -33,9 +33,6 @@ struct AgConsumerParams {
   std::function<WaitList(int64_t lo, int64_t hi)> waits_for_rows;
 };
 
-// Total consumer tiles: ceil(m / bm) * ceil(n / bn).
-int64_t AgConsumerTiles(const AgConsumerParams& p);
-
 BlockProgram BuildAgGemmConsumer(const AgConsumerParams& p);
 
 }  // namespace tilelink::tl

@@ -85,66 +85,6 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.algo == Algo::kRing ? "_ring" : "_mesh");
     });
 
-TEST(Collectives, AllReduceMatchesSumOfInputs) {
-  const int R = 4;
-  World world(sim::MachineSpec::Test(R), ExecMode::kFunctional);
-  const int64_t m = 16, n = 4;
-  SymTensor ins, outs;
-  Rng rng(3);
-  for (int r = 0; r < R; ++r) {
-    ins.push_back(Tensor::Alloc(world.device(r), "in", {m, n}, DType::kBF16));
-    outs.push_back(
-        Tensor::Alloc(world.device(r), "out", {m, n}, DType::kBF16));
-    FillRandom(ins.back(), rng);
-  }
-  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
-    co_await AllReduce(ctx, ins, outs);
-  });
-  for (int r = 0; r < R; ++r) {
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t j = 0; j < n; ++j) {
-        float want = 0.0f;
-        for (int p = 0; p < R; ++p) {
-          want += ins[static_cast<size_t>(p)].at({i, j});
-        }
-        EXPECT_NEAR(outs[static_cast<size_t>(r)].at({i, j}), want, 1e-4f);
-      }
-    }
-  }
-}
-
-TEST(Collectives, AllToAllTransposesBlocks) {
-  const int R = 4;
-  World world(sim::MachineSpec::Test(R), ExecMode::kFunctional);
-  const int64_t blk = 4, n = 3;
-  SymTensor ins, outs;
-  for (int r = 0; r < R; ++r) {
-    ins.push_back(
-        Tensor::Alloc(world.device(r), "in", {blk * R, n}, DType::kBF16));
-    outs.push_back(
-        Tensor::Alloc(world.device(r), "out", {blk * R, n}, DType::kBF16));
-    FillConstant(ins.back(), 0.0f);
-    for (int d = 0; d < R; ++d) {
-      for (int64_t i = 0; i < blk; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-          // value encodes (src, dst) pair
-          ins.back().at({d * blk + i, j}) = static_cast<float>(r * 10 + d);
-        }
-      }
-    }
-  }
-  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
-    co_await AllToAll(ctx, ins, outs);
-  });
-  for (int r = 0; r < R; ++r) {
-    for (int p = 0; p < R; ++p) {
-      // outs[r] block p came from ins[p] block r -> value p*10 + r.
-      EXPECT_EQ(outs[static_cast<size_t>(r)].at({p * blk, 0}),
-                static_cast<float>(p * 10 + r));
-    }
-  }
-}
-
 TEST(Collectives, RingAndMeshAllGatherSameResultDifferentTiming) {
   const int R = 4;
   const int64_t m_per = 64, n = 64;

@@ -136,15 +136,9 @@ TEST(Rng, ShuffleIsPermutation) {
 
 TEST(StringUtils, Formatting) {
   EXPECT_EQ(StrFormat("x=%d y=%.1f", 3, 2.5), "x=3 y=2.5");
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(HumanTimeNs(500), "500 ns");
-  EXPECT_EQ(HumanBytes(512), "512 B");
-  EXPECT_NE(HumanTimeNs(1500000).find("ms"), std::string::npos);
-  EXPECT_NE(HumanBytes(64ull << 20).find("MiB"), std::string::npos);
 }
 
-TEST(TensorViews, SliceSelectFlattenRoundTrip) {
+TEST(TensorViews, SliceSelectRoundTrip) {
   rt::World world(sim::MachineSpec::Test(1), rt::ExecMode::kFunctional);
   Tensor t = Tensor::Alloc(world.device(0), "t", {4, 6, 8}, DType::kBF16);
   FillIota(t);
@@ -154,11 +148,6 @@ TEST(TensorViews, SliceSelectFlattenRoundTrip) {
   EXPECT_EQ(sel.at({1, 3}), t.at({1, 2, 3}));
   Tensor sl = t.Slice(0, 1, 2);  // [2, 6, 8]
   EXPECT_EQ(sl.at({0, 0, 0}), t.at({1, 0, 0}));
-  EXPECT_TRUE(t.contiguous());
-  EXPECT_FALSE(sel.contiguous() && sel.numel() != t.numel());
-  Tensor flat = t.Flatten();
-  EXPECT_EQ(flat.ndim(), 1);
-  EXPECT_EQ(flat.numel(), 4 * 6 * 8);
 }
 
 TEST(TensorViews, BufferRangeCoversView) {
@@ -188,9 +177,6 @@ TEST(TensorOps, SumAndMaxAbsDiff) {
   b.at({1, 1}) = 5.0f;
   EXPECT_DOUBLE_EQ(Sum(a), 18.0);
   EXPECT_FLOAT_EQ(MaxAbsDiff(a, b), 3.0f);
-  EXPECT_FALSE(AllClose(a, b));
-  b.at({1, 1}) = 2.0f;
-  EXPECT_TRUE(AllClose(a, b));
 }
 
 TEST(Trace, RecordsAndSerializesSpans) {
@@ -202,8 +188,6 @@ TEST(Trace, RecordsAndSerializesSpans) {
   EXPECT_NE(json.find("\"name\":\"gemm\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
-  trace.Clear();
-  EXPECT_EQ(trace.size(), 0u);
 }
 
 }  // namespace

@@ -105,24 +105,6 @@ TEST(MoeRouting, RandomRoutingIsValidPermutation) {
   }
 }
 
-TEST(MoeRouting, FromLogitsPicksTopk) {
-  World world(sim::MachineSpec::Test(1), ExecMode::kFunctional);
-  Tensor logits =
-      Tensor::Alloc(world.device(0), "l", {2, 4}, DType::kFP32);
-  // token 0: expert 3 then 1; token 1: expert 0 then 2.
-  logits.at({0, 0}) = 0.1f; logits.at({0, 1}) = 2.0f;
-  logits.at({0, 2}) = -1.0f; logits.at({0, 3}) = 5.0f;
-  logits.at({1, 0}) = 3.0f; logits.at({1, 1}) = 0.0f;
-  logits.at({1, 2}) = 1.0f; logits.at({1, 3}) = -2.0f;
-  MoeRouting r = RoutingFromLogits(logits, 2);
-  r.CheckValid();
-  EXPECT_EQ(r.topk_ids[0], 3);
-  EXPECT_EQ(r.topk_ids[1], 1);
-  EXPECT_EQ(r.topk_ids[2], 0);
-  EXPECT_EQ(r.topk_ids[3], 2);
-  EXPECT_GT(r.topk_weights[0], r.topk_weights[1]);
-}
-
 TEST(MoeRouting, GroupBlocksCoverAllSlotsOnce) {
   Rng rng(2);
   MoeRouting r = RandomRouting(200, 16, 4, rng);
@@ -208,25 +190,6 @@ TEST(FlashAttention, DeRatedThroughputOnlyChangesTiming) {
   const sim::TimeNs t1 = run(1.0);
   const sim::TimeNs t2 = run(0.25);
   EXPECT_GT(t2, t1 * 2);
-}
-
-TEST(Memops, ActivationMulMatchesReference) {
-  World world(sim::MachineSpec::Test(1), ExecMode::kFunctional);
-  Rng rng(17);
-  Tensor a = Tensor::Alloc(world.device(0), "a", {70, 30}, DType::kBF16);
-  Tensor b = Tensor::Alloc(world.device(0), "b", {70, 30}, DType::kBF16);
-  Tensor out = Tensor::Alloc(world.device(0), "o", {70, 30}, DType::kBF16);
-  Tensor want = Tensor::Alloc(world.device(0), "w", {70, 30}, DType::kBF16);
-  FillRandom(a, rng);
-  FillRandom(b, rng);
-  for (Activation act : {Activation::kSiluMul, Activation::kGeluMul}) {
-    ActivationMulRef(a, b, want, act);
-    world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
-      LaunchActivationMul(ctx, *ctx.stream, a, b, out, act);
-      co_await SyncStream(ctx);
-    });
-    EXPECT_LT(MaxAbsDiff(out, want), 1e-5f);
-  }
 }
 
 TEST(Memops, GatherThenScatterRoundTrips) {

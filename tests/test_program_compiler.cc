@@ -412,6 +412,28 @@ TEST(Interpreter, LoadStoreDataSpecsRunOnlyUnderTheChecker) {
   EXPECT_EQ(on.makespan, off.makespan);
 }
 
+TEST(HostPrimitives, RankWaitResumesWhenTheThresholdIsReached) {
+  // Rank 0's host program raises rank 1's host channel twice, kDelay apart;
+  // rank 1 waits for a count of 2, so the first notify must not wake it.
+  constexpr sim::TimeNs kDelay = 5000;
+  World world(sim::MachineSpec::Test(2), ExecMode::kTimingOnly);
+  auto bcs = BlockChannel::CreateSymmetric(world, "host", 0, 0, 1);
+  sim::TimeNs woke = -1;
+  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
+    const BlockChannel& bc = bcs[static_cast<size_t>(ctx.rank)];
+    if (ctx.rank == 0) {
+      for (int i = 0; i < 2; ++i) {
+        co_await sim::Delay{kDelay};
+        RankNotify(ctx, bc, /*target_rank=*/1, /*channel=*/0);
+      }
+    } else {
+      co_await RankWait(bc, /*channel=*/0, /*threshold=*/2);
+      woke = world.sim().Now();
+    }
+  });
+  EXPECT_EQ(woke, 2 * kDelay + world.spec().signal_visibility_latency);
+}
+
 TEST(Interpreter, AsyncDmaNotifyFiresAfterTheTransferLands) {
   // Rank r's comm block hands a 1 MiB push to a copy engine (~1 ms at
   // 1 GB/s) and moves on; rank 1 - r's compute block waits for the

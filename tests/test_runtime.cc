@@ -400,9 +400,6 @@ TEST(Runtime, TimingOnlyModeSkipsPayloads) {
   Tensor t = Tensor::Alloc(world.device(0), "big", {1024}, DType::kBF16);
   EXPECT_FALSE(t.materialized());
   EXPECT_THROW(t.buffer()->data(), Error);
-  // Control allocations stay materialized.
-  Tensor c = Tensor::AllocControl(world.device(0), "ctl", {16}, DType::kFP32);
-  EXPECT_TRUE(c.materialized());
 }
 
 }  // namespace

@@ -167,15 +167,11 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     EXPECT_LE(rs.best_cost, SimulateGemmRs(spec, rs_shape, base));
   }
   {
-    const AttnShape shape{4, 256, 32};
     TuneCandidate base;
     base.block_q = 16;
     base.block_kv = 16;
     TuningSpace space;
     space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
-    const TuneResult attn = TuneAgAttention(spec, shape, space, base);
-    EXPECT_EQ(SimulateAgAttention(spec, shape, attn.best), attn.best_cost);
-    EXPECT_LE(attn.best_cost, SimulateAgAttention(spec, shape, base));
     const FlashShape flash{4, 128, 256, 32};
     const TuneResult fl = TuneFlashCore(spec, flash, space, base);
     EXPECT_EQ(SimulateFlashCore(spec, flash, fl.best), fl.best_cost);
@@ -473,15 +469,9 @@ TEST(TunedConfigCacheTest, SearchAndSerializationDeterministic) {
 
 TEST(KernelTuningTest, AttentionBoundsAreSound) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
-  const AttnShape shape{4, 256, 32};
   TuneCandidate base;
   TuningSpace space;
   space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
-  for (const TuneCandidate& c : space.Enumerate(base)) {
-    const sim::TimeNs t = SimulateAgAttention(spec, shape, c);
-    ASSERT_NE(t, Autotuner::kInfeasible) << c.Describe();
-    EXPECT_LE(AgAttentionLowerBound(spec, shape, c), t) << c.Describe();
-  }
   const FlashShape flash{4, 128, 256, 32};
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs t = SimulateFlashCore(spec, flash, c);
@@ -634,7 +624,6 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
                            TuneGemmRs(spec, shape, space, base, parallel));
   }
   {
-    const AttnShape shape{4, 256, 32};
     // The seed gets a full-fidelity run, so it must fit the short sequence:
     // pin it to the smallest block pair in the space.
     TuneCandidate base;
@@ -642,9 +631,6 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
     base.block_kv = 16;
     TuningSpace space;
     space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
-    ExpectIdenticalResults(
-        TuneAgAttention(spec, shape, space, base),
-        TuneAgAttention(spec, shape, space, base, parallel));
     const FlashShape flash{4, 128, 256, 32};
     ExpectIdenticalResults(
         TuneFlashCore(spec, flash, space, base),
