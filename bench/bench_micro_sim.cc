@@ -207,15 +207,18 @@ BENCHMARK(BM_NetworkFlows)->Arg(64)->Arg(512)->Arg(4096);
 // The program-interpreter rung: build_ms is World construction plus kernel
 // build and compile, run_ms the RunSpmd that interprets the block programs;
 // events_per_s counts simulator events over run_ms only. allocs_per_event
-// counts global operator new calls during the last (warm) RunSpmd, and
-// resumes_per_event the coroutine resumes per simulator event: each
-// pure-compute k-loop is one repeated delay, resumed once per tile.
+// counts global operator new calls during the last (warm) RunSpmd,
+// resumes_per_event the coroutine resumes per simulator event (each
+// pure-compute k-loop is one repeated delay, resumed once per tile) and
+// queue_pops_per_event the event-queue entries popped per simulator event
+// (lockstep k-loop repeats travel as one queued wave).
 void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   double build_s = 0.0;
   double run_s = 0.0;
   uint64_t events = 0;
   uint64_t resumes = 0;
+  uint64_t queue_pops = 0;
   uint64_t allocs = 0;
   for (auto _ : state) {
     const Clock::time_point t0 = Clock::now();
@@ -239,6 +242,7 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
     run_s += std::chrono::duration<double>(t2 - t1).count();
     events = world.sim().processed_events();
     resumes = world.sim().resumes();
+    queue_pops = world.sim().queue_pops();
     state.counters["sim_ms"] = static_cast<double>(t) / 1e6;
     state.counters["events"] = static_cast<double>(events);
   }
@@ -253,6 +257,10 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
   state.counters["resumes_per_event"] =
       events > 0 ? static_cast<double>(resumes) / static_cast<double>(events)
                  : 0.0;
+  state.counters["queue_pops_per_event"] =
+      events > 0
+          ? static_cast<double>(queue_pops) / static_cast<double>(events)
+          : 0.0;
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);
 

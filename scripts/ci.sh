@@ -20,8 +20,10 @@
 #      interpreter rung (warm RunSpmd) and of the BM_ParkWake rung must stay
 #      at or under their committed ceilings, as must the interpreter rung's
 #      coroutine resumes per event (resumes_per_event: a kernel whose
-#      k-loop falls off the repeated-delay path fails here) and fig11's
-#      cold-sweep full-fidelity simulation count
+#      k-loop falls off the repeated-delay path fails here), its
+#      event-queue pops per event (queue_pops_per_event: a simulator that
+#      stops moving lockstep k-loop repeats as one queued wave fails
+#      here) and fig11's cold-sweep full-fidelity simulation count
 #      (fig11.tuner.full_evals). fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
@@ -112,7 +114,9 @@ if [[ "$FAST" == "0" ]]; then
   # host DMA path's tensor copies (0.24; 0.52 before the allocation-free
   # hot path), a warm park/wake loop not at all. Coroutine resumes per
   # interpreter event: 0.3274 with every pure-compute k-loop run as one
-  # repeated delay (one resume per tile, not per k-step). The fig11 cold
+  # repeated delay (one resume per tile, not per k-step). Event-queue pops
+  # per interpreter event: 0.4325 with lockstep repeats moved as one
+  # queued wave, 1.0 with every repeat popped on its own. The fig11 cold
   # sweep's full-fidelity simulations: 313 with each family's overlap
   # bound, 328 with no bound, so a bound that stops pruning fails here.
   ceiling() {
@@ -125,6 +129,7 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.25
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
 
   echo "=== [5/7] 16-GPU smoke (payload + fused + ag-fused + faults) ==="

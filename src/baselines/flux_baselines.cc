@@ -150,7 +150,7 @@ FluxAgGemm::FluxAgGemm(rt::World& world, const FluxConfig& config)
                    [&](TileProgramBuilder& inner) {
                      inner.Add(tl::ops::Mma(
                          "flux.mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            return cost.GemmTileStep(tiling.bm, tiling.bn,
                                                     tiling.bk);
                          },
@@ -245,7 +245,7 @@ FluxGemmRs::FluxGemmRs(rt::World& world, const FluxConfig& config)
                    [&](TileProgramBuilder& inner) {
                      inner.Add(tl::ops::Mma(
                          "flux.mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            return cost.GemmTileStep(tiling.bm, tiling.bn,
                                                     tiling.bk);
                          },

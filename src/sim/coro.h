@@ -150,16 +150,18 @@ class [[nodiscard]] Coro {
 // of zero still yields through the event queue (it acts as a scheduling
 // point), and a negative one counts as zero.
 //
-// Repeated delays are exact: each of the `times` delays is its own queued
-// event and draws its sequence number when the previous one pops, just as
+// Repeated delays are exact: each of the `times` delays counts as its own
+// event and draws its sequence number when the previous one ends, just as
 // `times` separate `Delay{ns}` awaits would, so event order and
 // Simulator::processed_events() do not change. Only the wake-ups do: for
 // times > 1 the simulator re-queues the repeats itself (a repeat event whose
 // payload is this awaiter, which lives in the suspended frame) and resumes
-// the coroutine once, after the last delay. The simulator counts `times`
-// down to 0 while the coroutine waits, so awaiting consumes a repeated
-// Delay: await a fresh one each time (`co_await Delay{ns, n}`), never the
-// same named object twice.
+// the coroutine once, after the last delay. Repeats of lockstep waiters
+// (same time, step and remaining count, back to back in the queue) travel
+// as one queued wave until their last delay; see "Repeat waves" in
+// simulator.h. The simulator counts `times` down while the coroutine waits,
+// so awaiting consumes a repeated Delay: await a fresh one each time
+// (`co_await Delay{ns, n}`), never the same named object twice.
 struct Delay {
   explicit Delay(TimeNs ns, int64_t times = 1) : ns(ns), times(times) {}
 

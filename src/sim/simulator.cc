@@ -196,6 +196,7 @@ uint32_t Simulator::OpenRun(const Event& ev) {
 }
 
 Simulator::Event Simulator::PopMin() {
+  ++queue_pops_;
   const Event top = heap_.front();
   if (top.run != kNoRun) {
     EventRun& run = runs_[top.run];
@@ -270,6 +271,58 @@ void Simulator::ScheduleRepeat(Delay& delay) {
              EventKind::kRepeat});
 }
 
+void Simulator::StartWave(Delay& first) {
+  // Pops every repeat queued directly behind `first` that is in lockstep
+  // with it. None of them runs code, so popping them now is their exact
+  // order; a lone repeat re-queues on its own.
+  const TimeNs step = first.step();
+  RepeatWave* wave = nullptr;
+  while (!heap_.empty()) {
+    const Event& next = heap_.front();
+    if (next.kind != EventKind::kRepeat || next.t != now_) break;
+    Delay& member = *static_cast<Delay*>(next.payload);
+    if (member.times != first.times || member.step() != step) break;
+    if (wave == nullptr) {
+      if (free_waves_ != nullptr) {
+        wave = free_waves_;
+        free_waves_ = wave->next_free;
+      } else {
+        wave = &wave_arena_.emplace_back();
+      }
+      wave->step = step;
+      wave->times = first.times - 1;
+      wave->members.push_back(&first);
+    }
+    wave->members.push_back(&member);
+    current_seq_ = next.seq;
+    ++processed_events_;
+    PopMin();
+  }
+  if (wave == nullptr) {
+    --first.times;
+    ScheduleRepeat(first);
+    return;
+  }
+  QueueWave(wave);
+}
+
+void Simulator::QueueWave(RepeatWave* wave) {
+  const TimeNs t = now_ + wave->step;
+  if (wave->times > 1) {
+    Push(Event{t, next_seq_, wave, kNoRun, EventKind::kWave});
+    next_seq_ += wave->members.size();
+    return;
+  }
+  // Split before the last delay: each member pops and resumes on its own.
+  for (Delay* member : wave->members) {
+    member->times = 1;
+    Push(Event{t, next_seq_++, member, kNoRun, EventKind::kRepeat});
+  }
+  wave->members.clear();
+  wave->next_free = free_waves_;
+  free_waves_ = wave;
+}
+
 void Simulator::NotifyRootDone(Coro::Handle h) {
   // Swap-and-pop: the last root takes over the finished root's slot.
   const uint32_t slot = h.promise().root_slot;
@@ -325,12 +378,24 @@ void Simulator::Run() {
         // Exactly what the waiter's next Delay{ns} would do: draw the next
         // sequence number now, or resume it after the last delay.
         Delay& delay = *static_cast<Delay*>(ev.payload);
-        if (--delay.times > 0) {
+        if (delay.times > 2) {
+          StartWave(delay);
+        } else if (--delay.times > 0) {
           ScheduleRepeat(delay);
         } else {
           ++resumes_;
           std::coroutine_handle<>::from_address(delay.waiter).resume();
         }
+        break;
+      }
+      case EventKind::kWave: {
+        // Every member's pop at once: nothing runs between them.
+        auto* wave = static_cast<RepeatWave*>(ev.payload);
+        const uint64_t members = wave->members.size();
+        processed_events_ += members - 1;
+        current_seq_ = ev.seq + members - 1;
+        --wave->times;
+        QueueWave(wave);
         break;
       }
     }

@@ -22,22 +22,39 @@
 //
 // Hot path: an Event is a trivially-copyable 32-byte record whose payload is
 // a coroutine frame address, a pointer to a pooled CallbackNode
-// (small-buffer storage for the callable) or, for a delay repeat, a pointer
-// to the suspended Delay awaiter, so heap sifts and run appends are
-// memcpy-speed and scheduling an event allocates nothing once the node pool
-// and the run buffers warm up. Coroutine frames are also pooled
-// (see FramePoolAlloc in coro.h) — the autotuner runs thousands of short
-// simulations per search, so allocation churn dominates without these. Each
-// thread's pool is owned by a thread-exit destructor that returns its frames
-// to the global allocator, so short-lived worker threads do not strand them.
+// (small-buffer storage for the callable), for a delay repeat a pointer to
+// the suspended Delay awaiter, or for a repeat wave a pointer to a pooled
+// RepeatWave, so heap sifts and run appends are memcpy-speed and scheduling
+// an event allocates nothing once the pools and the run buffers warm up.
+// Coroutine frames are also pooled (see FramePoolAlloc in coro.h) — the
+// autotuner runs thousands of short simulations per search, so allocation
+// churn dominates without these. Each thread's pool is owned by a
+// thread-exit destructor that returns its frames to the global allocator,
+// so short-lived worker threads do not strand them.
 //
 // Repeated delays: a `Delay{ns, times}` with times > 1 queues a repeat event
 // that points at the awaiter in the suspended frame. Popping it either
 // re-queues it `ns` later, drawing the next sequence number exactly as the
 // coroutine's next `Delay{ns}` would have, or, after the last delay, resumes
 // the coroutine. A tile block's pure-compute k-loop therefore costs one
-// event per k-step but one coroutine resume per tile. Repeat events own
-// nothing, so teardown simply drops the queued ones.
+// coroutine resume per tile.
+//
+// Repeat waves: the blocks of one SPMD kernel step through their k-loops in
+// lockstep, so repeats usually pop in long back-to-back groups that share
+// (time, step, remaining count). Popping such a group runs no code and its
+// members re-queue with consecutive sequence numbers, so the group travels
+// as one queue entry, a wave: when a repeat pops with at least two delays
+// still to go, every repeat queued directly behind it with the same time,
+// step and remaining count pops with it, and all of them re-queue as one
+// kWave entry keyed on the first member's new sequence number. A wave pop
+// counts one processed event per member and draws one sequence number per
+// member, exactly as the members' own pops would. Before the last delay a
+// wave splits back into single repeats, so every resume, HasEventBefore
+// probe and AtSeq placement sees the queue it would see without waves. No
+// other event can order between a wave's members: their sequence numbers
+// are drawn by the wave, and any other (time, sequence) orders before the
+// first or after the last. Repeat events and waves own nothing but pooled
+// wave records, so teardown simply drops the queued ones.
 //
 // Parking allocates nothing either. A parked Flag or Resource awaiter is a
 // BlockedNode: it lives in the suspended coroutine's frame and links itself
@@ -135,6 +152,19 @@ class Simulator {
     kResume,    // payload: coroutine frame address
     kCallback,  // payload: CallbackNode*
     kRepeat,    // payload: the Delay awaiter of a suspended repeated delay
+    kWave,      // payload: RepeatWave* of lockstep repeats (see the header)
+  };
+
+  // The members of a queued wave, in sequence order: member i pops at the
+  // wave entry's seq + i. Every member has `times` delays still to elapse,
+  // the queued one included (the members' own Delay::times go stale while
+  // they travel in the wave and are written back when it splits). Records
+  // are pooled and recycled through a free list.
+  struct RepeatWave {
+    TimeNs step = 0;
+    int64_t times = 0;
+    std::vector<Delay*> members;
+    RepeatWave* next_free = nullptr;
   };
 
   // Trivially copyable; `kind` says what the payload points at. In a heap
@@ -210,6 +240,9 @@ class Simulator {
   // one per finished repeated delay, so processed_events() - resumes() is
   // the callbacks plus the repeats that did not wake anything.
   uint64_t resumes() const { return resumes_; }
+  // Entries popped off the event queue: processed_events() less the
+  // repeats that travelled inside a wave rather than as their own entry.
+  uint64_t queue_pops() const { return queue_pops_; }
 
   // Appends `node` to the blocked list (deadlock diagnostics) until it
   // unparks; the node must not already be parked.
@@ -307,6 +340,8 @@ class Simulator {
   void SiftDown(std::size_t hole, const Event& ev);
   uint32_t OpenRun(const Event& ev);
   void DestroyEvent(const Event& ev);
+  void StartWave(Delay& first);
+  void QueueWave(RepeatWave* wave);
   void DestroyFinishedRoots();
 
   TimeNs now_ = 0;
@@ -314,6 +349,7 @@ class Simulator {
   uint64_t current_seq_ = 0;  // sequence of the event being processed
   uint64_t processed_events_ = 0;
   uint64_t resumes_ = 0;
+  uint64_t queue_pops_ = 0;
   // Min-heap on (t, seq): one entry per run head or lone event.
   std::vector<Event> heap_;
   std::vector<EventRun> runs_;
@@ -322,6 +358,8 @@ class Simulator {
   // Node storage (std::deque: stable addresses) plus the recycling list.
   std::deque<CallbackNode> callback_arena_;
   CallbackNode* free_callbacks_ = nullptr;
+  std::deque<RepeatWave> wave_arena_;
+  RepeatWave* free_waves_ = nullptr;
   std::vector<Coro::Handle> finished_roots_;
   // Sim-owned roots still running, each at the slot its promise records;
   // destroyed at teardown so a deadlocked (never-completing) program does

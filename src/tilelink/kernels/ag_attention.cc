@@ -125,8 +125,7 @@ BlockProgram AgAttention::BuildFlash() {
                                 }));
                             kb.Add(ops::Mma(
                                 "flash.step",
-                                [bq, bkv, d, tf](const Env&,
-                                                 const sim::CostModel& c) {
+                                [bq, bkv, d, tf](const sim::CostModel& c) {
                                   return static_cast<sim::TimeNs>(
                                       c.FlashAttnTileStep(
                                           static_cast<int>(bq),

@@ -68,7 +68,7 @@ BlockProgram BuildAgGemmConsumer(const AgConsumerParams& p) {
                          }));
                      inner.Add(ops::Mma(
                          "gemm.mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            return cost.GemmTileStep(tiling.bm, tiling.bn,
                                                     tiling.bk);
                          },

@@ -33,25 +33,35 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   group_blocks_ = compute::MakeGroupBlocks(routing_, cfg_.n, cfg_.gemm.bm,
                                            cfg_.gemm.bn);
   dyn_.Resize(static_cast<int64_t>(group_blocks_.size()));
-  std::vector<int> channels;       // reused: one tile's channels, sorted
-  std::vector<ChannelWait> waits;  // reused: that tile's wait list
+  // MakeGroupBlocks emits the n-tiles of one expert row chunk back to back,
+  // so a block over the previous block's rows reuses its wait list.
+  std::vector<int> channels;       // reused: one chunk's channels, sorted
+  std::vector<ChannelWait> waits;  // reused: that chunk's wait list
+  int64_t row_lo = 0, row_hi = 0;
+  int64_t chunk_start = -1;
+  int chunk_rows = -1;
   for (size_t i = 0; i < group_blocks_.size(); ++i) {
     const compute::GroupBlock& gb = group_blocks_[i];
-    channels.clear();
-    int64_t row_lo = cfg_.m, row_hi = 0;
-    for (int r = 0; r < gb.rows; ++r) {
-      const int token =
-          routing_.token_of_sorted(gb.sorted_row_start + r);
-      channels.push_back(map_.ChannelOfRow(token));
-      row_lo = std::min<int64_t>(row_lo, token);
-      row_hi = std::max<int64_t>(row_hi, token + 1);
-    }
-    std::sort(channels.begin(), channels.end());
-    channels.erase(std::unique(channels.begin(), channels.end()),
-                   channels.end());
-    waits.clear();
-    for (int c : channels) {
-      waits.push_back(ChannelWait{c, map_.TilesInChannel(c)});
+    if (gb.sorted_row_start != chunk_start || gb.rows != chunk_rows) {
+      chunk_start = gb.sorted_row_start;
+      chunk_rows = gb.rows;
+      channels.clear();
+      row_lo = cfg_.m;
+      row_hi = 0;
+      for (int r = 0; r < gb.rows; ++r) {
+        const int token =
+            routing_.token_of_sorted(gb.sorted_row_start + r);
+        channels.push_back(map_.ChannelOfRow(token));
+        row_lo = std::min<int64_t>(row_lo, token);
+        row_hi = std::max<int64_t>(row_hi, token + 1);
+      }
+      std::sort(channels.begin(), channels.end());
+      channels.erase(std::unique(channels.begin(), channels.end()),
+                     channels.end());
+      waits.clear();
+      for (int c : channels) {
+        waits.push_back(ChannelWait{c, map_.TilesInChannel(c)});
+      }
     }
     dyn_.SetTile(static_cast<int64_t>(i),
                  TileRange{std::min(row_lo, row_hi), row_hi}, gb.expert,
@@ -145,7 +155,7 @@ BlockProgram AgMoe::BuildGroupGemm() {
                          }));
                      inner.Add(ops::Mma(
                          "moe.group_mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            // Fused-gather addressing overhead ~5%.
                            return static_cast<sim::TimeNs>(
                                cost.GemmTileStep(tiling.bm, tiling.bn,

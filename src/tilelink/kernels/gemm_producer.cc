@@ -46,7 +46,7 @@ BlockProgram BuildPartialGemmProducer(const PartialGemmParams& p) {
                    [&](TileProgramBuilder& inner) {
                      inner.Add(ops::Mma(
                          "gemm.mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            return cost.GemmTileStep(tiling.bm, tiling.bn,
                                                     tiling.bk);
                          },

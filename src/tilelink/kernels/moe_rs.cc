@@ -181,7 +181,7 @@ BlockProgram MoeRs::BuildGroupGemm() {
                    [&](TileProgramBuilder& inner) {
                      inner.Add(ops::Mma(
                          "moe2.group_mma",
-                         [tiling](const Env&, const sim::CostModel& cost) {
+                         [tiling](const sim::CostModel& cost) {
                            return static_cast<sim::TimeNs>(
                                cost.GemmTileStep(tiling.bm, tiling.bn,
                                                  tiling.bk) *

@@ -82,12 +82,14 @@ Op Store(std::string label, std::function<DataSpec(const Env&)> data,
 }
 
 Op Mma(std::string label,
-       std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost,
+       std::function<sim::TimeNs(const sim::CostModel&)> cost,
        std::function<void(const Env&)> math) {
   Op op;
   op.kind = OpKind::kMma;
   op.label = std::move(label);
-  op.cost = std::move(cost);
+  op.cost = [cost = std::move(cost)](const Env&, const sim::CostModel& model) {
+    return cost(model);
+  };
   op.math = std::move(math);
   return op;
 }

@@ -92,9 +92,10 @@ Op Load(std::string label, bool acquire,
 Op Store(std::string label, std::function<DataSpec(const Env&)> data = nullptr,
          std::function<void(const Env&)> math = nullptr);
 
-// Tensor-core tile step.
+// Tensor-core tile step. Its cost depends on the tile shape only, never on
+// Env, so a loop of MMA steps evaluates it once.
 Op Mma(std::string label,
-       std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost,
+       std::function<sim::TimeNs(const sim::CostModel&)> cost,
        std::function<void(const Env&)> math = nullptr);
 
 // Memory-bound tile op.

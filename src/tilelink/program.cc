@@ -366,8 +366,8 @@ void IssueAsyncPush(const ExecCtx& ec, const Op& op, const Env& env) {
 // whose iterations nothing observes -- the block is untraced, the world
 // timing-only and the checker off -- and all cost the same is one
 // Delay{cost, trips}: the same events in the same order, one resume.
-// Evaluates the costed op once per iteration and leaves the loop variable
-// at 0.
+// Evaluates a kMma cost once (it never reads Env) and any other costed op
+// once per iteration, and leaves the loop variable at 0.
 sim::Delay LoopAsRepeatedDelay(const ExecCtx& ec, const Loop& loop,
                                int64_t trips, Env& env) {
   const sim::Delay per_iteration(0, 0);
@@ -379,6 +379,7 @@ sim::Delay LoopAsRepeatedDelay(const ExecCtx& ec, const Loop& loop,
   const sim::CostModel& cost = ec.launch->cost;
   int64_t& iv = env.loop[static_cast<size_t>(loop.depth)];
   const sim::TimeNs first = op.cost(env, cost);
+  if (op.kind == OpKind::kMma) return sim::Delay(first, trips);
   for (iv = 1; iv < trips; ++iv) {
     if (op.cost(env, cost) != first) {
       iv = 0;

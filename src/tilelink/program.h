@@ -148,7 +148,9 @@ struct Op {
   std::function<DataSpec(const Env&)> data;
   // Simulated time of the tile step. Must be a pure function of (Env,
   // CostModel): the interpreter may evaluate it for every iteration of a
-  // loop at loop entry, to run the loop as one repeated delay.
+  // loop at loop entry, to run the loop as one repeated delay. A kMma cost
+  // never reads Env (ops::Mma takes a CostModel-only callable), so a loop of
+  // MMA steps evaluates it once.
   std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost;
   std::function<void(const Env&)> math;          // functional payload
 };

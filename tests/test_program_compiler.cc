@@ -171,10 +171,9 @@ size_t RunRaceProbe(bool unsafe) {
   }));
 
   TileProgramBuilder compute;
-  compute.Add(ops::Mma("prologue",
-                       [](const Env&, const sim::CostModel&) {
-                         return sim::Us(200.0);  // deep pipeline fill
-                       }));
+  compute.Add(ops::Mma("prologue", [](const sim::CostModel&) {
+    return sim::Us(200.0);  // deep pipeline fill
+  }));
   compute.Add(ops::ConsumerTileWait("wait", [](const Env&) {
     WaitSpec s;
     s.waits.push_back(ChannelWait{0, 1});
@@ -270,9 +269,10 @@ sim::TimeNs RunKernel(World& world, FusedKernelSpec spec) {
 
 using LoopVars = std::array<int64_t, kMaxLoopDepth>;
 
-// A 1 ns MMA step that records the loop variables it sees.
+// A 1 ns elementwise step that records the loop variables it sees.
 Op RecordLoopVars(std::vector<LoopVars>* seen) {
-  return ops::Mma("record", [seen](const Env& e, const sim::CostModel&) {
+  return ops::Elementwise("record", [seen](const Env& e,
+                                           const sim::CostModel&) {
     seen->push_back(e.loop);
     return sim::TimeNs{1};
   });
@@ -444,7 +444,7 @@ TEST(Interpreter, AsyncDmaNotifyFiresAfterTheTransferLands) {
   World world(spec, ExecMode::kTimingOnly);
   std::vector<sim::TimeNs> issuer_next, consumer_woke;
   auto now_into = [&world](std::vector<sim::TimeNs>* out) {
-    return ops::Mma("stamp", [&world, out](const Env&, const sim::CostModel&) {
+    return ops::Mma("stamp", [&world, out](const sim::CostModel&) {
       out->push_back(world.sim().Now());
       return sim::TimeNs{1};
     });
@@ -530,8 +530,10 @@ LoopRun RunTileLoop(const std::function<void(TileProgramBuilder&)>& k_body,
   return run;
 }
 
-Op CostedMma(std::function<sim::TimeNs(const Env&)> cost) {
-  return ops::Mma("mma", [cost](const Env& e, const sim::CostModel&) {
+// A step whose cost may read Env: the repeat path compares its cost over
+// every iteration.
+Op CostedStep(std::function<sim::TimeNs(const Env&)> cost) {
+  return ops::Elementwise("step", [cost](const Env& e, const sim::CostModel&) {
     return cost(e);
   });
 }
@@ -550,7 +552,7 @@ void ExpectSameEvents(const LoopRun& a, const LoopRun& b) {
 TEST(Interpreter, PureComputeLoopRunsAsOneRepeatedDelay) {
   auto k_body = [](TileProgramBuilder& k) {
     k.Add(ops::Load("load_a", /*acquire=*/true, nullptr));
-    k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+    k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
   };
   BlockProgram shape;
   {
@@ -569,7 +571,7 @@ TEST(Interpreter, PureComputeLoopRunsAsOneRepeatedDelay) {
 
 TEST(Interpreter, VaryingLoopCostKeepsThePerIterationPath) {
   auto k_body = [](TileProgramBuilder& k) {
-    k.Add(CostedMma([](const Env& e) { return 10 + e.iv(1); }));
+    k.Add(CostedStep([](const Env& e) { return 10 + e.iv(1); }));
   };
   const LoopRun traced = RunTileLoop(k_body, /*traced=*/true);
   const LoopRun untraced = RunTileLoop(k_body, /*traced=*/false);
@@ -577,25 +579,42 @@ TEST(Interpreter, VaryingLoopCostKeepsThePerIterationPath) {
   EXPECT_EQ(traced.resumes, untraced.resumes);
   // A cost that reads the loop variable but does not vary still repeats.
   auto flat_body = [](TileProgramBuilder& k) {
-    k.Add(CostedMma([](const Env& e) { return e.iv(1) >= 0 ? 10 : 11; }));
+    k.Add(CostedStep([](const Env& e) { return e.iv(1) >= 0 ? 10 : 11; }));
   };
   EXPECT_EQ(RunTileLoop(flat_body, true).resumes,
             RunTileLoop(flat_body, false).resumes + kSavedResumes);
+}
+
+TEST(Interpreter, MmaCostIsEvaluatedOncePerRepeatedLoop) {
+  int calls = 0;
+  auto k_body = [&calls](TileProgramBuilder& k) {
+    k.Add(ops::Mma("mma", [&calls](const sim::CostModel&) {
+      ++calls;
+      return sim::TimeNs{10};
+    }));
+  };
+  const LoopRun untraced = RunTileLoop(k_body, /*traced=*/false);
+  EXPECT_EQ(calls, static_cast<int>(kKLoops));
+  calls = 0;
+  const LoopRun traced = RunTileLoop(k_body, /*traced=*/true);
+  EXPECT_EQ(calls, static_cast<int>(kKLoops * 5));
+  ExpectSameEvents(traced, untraced);
+  EXPECT_EQ(traced.resumes, untraced.resumes + kSavedResumes);
 }
 
 TEST(Interpreter, SignalOrSecondCostInLoopKeepsThePerIterationPath) {
   const std::vector<std::function<void(TileProgramBuilder&)>> bodies = {
       [](TileProgramBuilder& k) {
         k.Add(NopWait("k_wait"));
-        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+        k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
       },
       [](TileProgramBuilder& k) {
-        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+        k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
         k.Add(Notify("k_notify"));
       },
       [](TileProgramBuilder& k) {
-        k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
-        k.Add(CostedMma([](const Env&) { return sim::TimeNs{3}; }));
+        k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
+        k.Add(CostedStep([](const Env&) { return sim::TimeNs{3}; }));
       },
   };
   for (size_t i = 0; i < bodies.size(); ++i) {
@@ -612,7 +631,7 @@ TEST(Interpreter, SignalOrSecondCostInLoopKeepsThePerIterationPath) {
 
 TEST(Interpreter, FunctionalOrCheckedRunKeepsThePerIterationPath) {
   auto k_body = [](TileProgramBuilder& k) {
-    k.Add(CostedMma([](const Env&) { return sim::TimeNs{10}; }));
+    k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
   };
   const LoopRun timing = RunTileLoop(k_body, /*traced=*/false);
   const LoopRun functional =

@@ -393,7 +393,9 @@ using Key = std::pair<TimeNs, uint64_t>;  // (time, sequence)
 // through the model, which records the (time, seq) it expects to run.
 // With `repeats`, walkers also await repeated delays `Delay{ns, n}`, which
 // the model treats as the reference: n single delays, each taking its
-// sequence number when the previous one runs.
+// sequence number when the previous one runs. Bursts of lockstep walkers
+// then await an equal Delay{ns, n} from one timestamp, so the simulator
+// moves their repeats as waves.
 struct QueueModel {
   QueueModel(Simulator* sim, uint64_t seed, int budget, bool repeats = false)
       : sim_(sim), rng_(seed), budget_(budget), repeats_(repeats) {}
@@ -429,8 +431,8 @@ struct QueueModel {
   }
 
   // Checks `key` is the reference minimum, probes HasEventBefore, then
-  // schedules a random batch of follow-up work.
-  void OnRun(const Key& key) {
+  // (with `follow_up`) schedules a random batch of follow-up work.
+  void OnRun(const Key& key, bool follow_up = true) {
     RunRepeatsBefore(key);
     executed_.push_back(key);
     if (pending_.empty() || *pending_.begin() != key ||
@@ -447,7 +449,7 @@ struct QueueModel {
       Probe(min);
       Probe({min.first, min.second + 1});
     }
-    if (budget_ <= 0) return;
+    if (!follow_up || budget_ <= 0) return;
     const TimeNs now = sim_->Now();
     switch (Draw(8)) {
       case 0: {  // a burst of same-time events (one lockstep tile wave)
@@ -492,12 +494,62 @@ struct QueueModel {
       case 4:
         SpawnWalker();
         break;
+      case 5:
+        if (repeats_ && Draw(4) == 0) {
+          LockstepBurst();
+          break;
+        }
+        [[fallthrough]];
       default:
         for (int i = 0, n = 1 + static_cast<int>(Draw(3)); i < n; ++i) {
           ScheduleCallback(now + PickDelay());
         }
         break;
     }
+  }
+
+  // Reserves a sequence now and places a callback at time t with it.
+  void PlaceReserved(TimeNs t) {
+    const uint64_t seq = sim_->ReserveSeq();
+    if (seq != next_seq_) ++order_errors_;
+    ++next_seq_;
+    const Key key{t, seq};
+    pending_.insert(key);
+    scheduled_.push_back(key);
+    --budget_;
+    sim_->AtSeq(t, seq, [this, key] { OnRun(key); });
+  }
+
+  // K walkers that each await Delay{ns, n} twice from this timestamp, n in
+  // {2, 3, 8} and ns zero, negative or a tile cost, except one member with
+  // another n: the simulator's gather must stop at that member. A sequence
+  // reserved now lands at the wave time two delays on, ordered before the
+  // wave; a callback queued behind the first delays reserves one there
+  // after the wave.
+  void LockstepBurst() {
+    static constexpr std::array<int, 3> kTimes = {2, 3, 8};
+    const int n = kTimes[Draw(kTimes.size())];
+    const TimeNs ns = Draw(4) == 0 ? -1 - static_cast<TimeNs>(Draw(50))
+                      : Draw(4) == 0 ? 0
+                                     : 10 * static_cast<TimeNs>(1 + Draw(3));
+    const TimeNs step = std::max<TimeNs>(ns, 0);
+    const int walkers = 2 + static_cast<int>(Draw(40));
+    const int odd = static_cast<int>(Draw(static_cast<uint64_t>(walkers)));
+    PlaceReserved(sim_->Now() + 2 * step);
+    for (int i = 0; i < walkers; ++i) {
+      const Key key = Take(sim_->Now());
+      sim_->Spawn(LockstepWalker(this, key, ns, i == odd ? n + 1 : n));
+    }
+    // Runs after every walker has queued its first delay.
+    const Key placer = Take(sim_->Now());
+    sim_->At(placer.first, [this, placer, step] {
+      OnRun(placer, /*follow_up=*/false);
+      const Key behind = Take(placer.first + step);
+      sim_->At(behind.first, [this, behind, step] {
+        OnRun(behind, /*follow_up=*/false);
+        PlaceReserved(behind.first + step);
+      });
+    });
   }
 
   void Probe(const Key& at) {
@@ -552,14 +604,34 @@ struct QueueModel {
                                 ? -1 - static_cast<TimeNs>(m->Draw(50))
                                 : delay;
           const int n = 1 + static_cast<int>(m->Draw(8));
-          const TimeNs step = std::max<TimeNs>(ns, 0);
-          key = m->Take(m->sim_->Now() + step);
-          if (n > 1) m->chains_.emplace(key, Chain{step, n - 1, &key});
+          m->StartChain(&key, ns, n);
           co_await Delay{ns, n};
           m->FinishChain(&key);
           break;
         }
       }
+      m->OnRun(key);
+      ++m->resumes_;
+    }
+  }
+
+  // Takes the key of the first of n delays of ns into *key and records the
+  // rest of the chain.
+  void StartChain(Key* key, TimeNs ns, int n) {
+    const TimeNs step = std::max<TimeNs>(ns, 0);
+    *key = Take(sim_->Now() + step);
+    if (n > 1) chains_.emplace(*key, Chain{step, n - 1, key});
+  }
+
+  // One member of a LockstepBurst. Its first resume schedules nothing, so
+  // the burst's first delays queue back to back; its wake-ups do.
+  static Coro LockstepWalker(QueueModel* m, Key key, TimeNs ns, int n) {
+    m->OnRun(key, /*follow_up=*/false);
+    ++m->resumes_;
+    for (int round = 0; round < 2; ++round) {
+      m->StartChain(&key, ns, n);
+      co_await Delay{ns, n};
+      m->FinishChain(&key);
       m->OnRun(key);
       ++m->resumes_;
     }
@@ -620,6 +692,12 @@ TEST(SimCore, EventQueueMatchesReferenceOrder) {
       EXPECT_GT(reference.size(), 20000u);
       // Every walker wake-up is one resume; repeats wake nothing.
       EXPECT_EQ(sim.resumes(), model.resumes_);
+      // Lockstep bursts moved some repeats as waves.
+      if (repeats) {
+        EXPECT_LT(sim.queue_pops(), sim.processed_events());
+      } else {
+        EXPECT_EQ(sim.queue_pops(), sim.processed_events());
+      }
     }
   }
 }
@@ -648,6 +726,33 @@ TEST(SimCore, RepeatedDelayCountsEveryDelayAndResumesOnce) {
   EXPECT_THROW(bad.Run(), Error);
 }
 
+// K lockstep roots awaiting Delay{ns, n}, n >= 3, pop K spawn resumes, K
+// first delays gathered into one wave, n - 2 wave entries and the K last
+// delays split back out of it: 3K + n - 2 queue entries for K + K n events.
+TEST(SimCore, LockstepRepeatsTravelAsOneWave) {
+  for (const int roots : {1, 2, 7}) {
+    for (const int64_t n : {3, 4, 10}) {
+      for (const TimeNs ns : {TimeNs{5}, TimeNs{0}, TimeNs{-2}}) {
+        SCOPED_TRACE(std::to_string(roots) + " roots, Delay{" +
+                     std::to_string(ns) + ", " + std::to_string(n) + "}");
+        Simulator sim;
+        std::vector<TimeNs> log;
+        for (int i = 0; i < roots; ++i) {
+          sim.Spawn(RepeatedDelay(ns, n, &log, &sim));
+        }
+        sim.Run();
+        const auto k = static_cast<uint64_t>(roots);
+        const auto times = static_cast<uint64_t>(n);
+        EXPECT_EQ(sim.queue_pops(), 3 * k + times - 2);
+        EXPECT_EQ(sim.processed_events(), k + k * times);
+        EXPECT_EQ(sim.resumes(), 2 * k);
+        EXPECT_EQ(log, std::vector<TimeNs>(static_cast<size_t>(roots),
+                                           std::max<TimeNs>(ns, 0) * n));
+      }
+    }
+  }
+}
+
 struct TokenHolder {
   std::shared_ptr<int> token;
 };
@@ -671,6 +776,24 @@ TEST(SimCore, TeardownWithQueuedRepeatsDestroysEachFrameOnce) {
     EXPECT_EQ(token.use_count(), 21);
     EXPECT_THROW(sim.Run(), Error);
     EXPECT_EQ(token.use_count(), 21);  // every root still suspended
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Waves still queued at teardown own nothing either: each lockstep frame,
+// queued inside a wave or split back out of one, is destroyed once.
+TEST(SimCore, TeardownWithQueuedWavesDestroysEachFrameOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    for (int i = 0; i < 30; ++i) {
+      sim.Spawn(HoldThroughRepeats(token, i < 20 ? 5 : 7, i < 10 ? 6 : 3));
+    }
+    sim.At(12, [] { throw Error("stop"); });
+    EXPECT_EQ(token.use_count(), 31);
+    EXPECT_THROW(sim.Run(), Error);
+    EXPECT_LT(sim.queue_pops(), sim.processed_events());
+    EXPECT_EQ(token.use_count(), 31);  // every root still suspended
   }
   EXPECT_EQ(token.use_count(), 1);
 }
