@@ -29,7 +29,12 @@
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
 #      build-ci/BENCH_*.json; fig11 warm-starts its tuned-config cache from
-#      build-ci/BENCH_fig11_cache.json when a previous run left one.
+#      build-ci/BENCH_fig11_cache.json when a previous run left one. The
+#      stage also smoke-runs the six benches no gate covers (fig9, fig10,
+#      table2 and the three ablations, ~5 s in Release): they are the only
+#      callers of the MoE baselines' kCutlass/kVllm paths, ag_attention's
+#      skip_comm/comm_only modes and the tuner's verbose trace, so a crash
+#      or an error exit there fails the stage.
 #   5. 16-GPU smoke: the two-node fabric bench with --payload --fused —
 #      fails if the functional 2x8 collectives are not bit-exact with zero
 #      consistency violations (or an injected NIC-stage fault goes
@@ -98,6 +103,14 @@ if [[ "$FAST" == "0" ]]; then
   ./build-ci/bench_fig11_e2e --tune-threads 8 \
       --json build-ci/BENCH_fig11.json \
       --cache build-ci/BENCH_fig11_cache.json
+  # Ungated benches: each must run to completion with exit status 0; the
+  # output is kept in build-ci/SMOKE_<bench>.txt and shown on failure.
+  for b in bench_fig9_moe bench_fig10_attention bench_table2_motivation \
+           bench_ablation_tile_size bench_ablation_sync_granularity \
+           bench_ablation_resource_mapping; do
+    "./build-ci/$b" > "build-ci/SMOKE_$b.txt" 2>&1 \
+        || { cat "build-ci/SMOKE_$b.txt"; echo "$b failed"; exit 1; }
+  done
   # The flow network's completion-event count is the perf-trajectory key
   # for the simulator hot path; make sure fig8 reported it.
   grep -q '"net.completion_events_per_transfer"' build-ci/BENCH_fig8.json \

@@ -22,8 +22,6 @@ struct AttentionConfig {
   int64_t head_dim = 128;
   int block_q = 128;
   int block_kv = 128;
-  // Eager-pipeline throughput relative to flash (Torch baseline).
-  double eager_throughput = 0.20;
 };
 
 class TorchAttention {

@@ -23,7 +23,7 @@ sim::TimeNs ReduceCost(rt::World& world, uint64_t bytes) {
 }  // namespace
 
 sim::Coro AllGather(rt::RankCtx& ctx, const SymTensor& shards,
-                    const SymTensor& outs, Algo algo) {
+                    const SymTensor& outs) {
   rt::World& world = *ctx.world;
   const int r = ctx.rank;
   const int R = world.size();
@@ -40,36 +40,17 @@ sim::Coro AllGather(rt::RankCtx& ctx, const SymTensor& shards,
   std::vector<sim::Coro> work;
   work.push_back(CopyTensorSM(world, shards[static_cast<size_t>(r)],
                                local_dst));
-  if (algo == Algo::kFullMesh) {
-    for (int p = 0; p < R; ++p) {
-      if (p == r) continue;
-      Tensor dst =
-          outs[static_cast<size_t>(r)].Slice(0, p * m_per_rank, m_per_rank);
-      work.push_back(
-          CopyTensorSM(world, shards[static_cast<size_t>(p)], dst));
-    }
-    co_await sim::WhenAll(std::move(work));
-  } else {
-    co_await sim::WhenAll(std::move(work));
-    // Ring: step s moves the chunk originating at rank (r - s) around the
-    // ring; per-step rendezvous models the neighbor dependency.
-    for (int s = 0; s < R - 1; ++s) {
-      const int src_rank = (r - 1 + R) % R;
-      const int chunk = (src_rank - s + R) % R;
-      Tensor src =
-          outs[static_cast<size_t>(src_rank)].Slice(0, chunk * m_per_rank,
-                                                    m_per_rank);
-      Tensor dst =
-          outs[static_cast<size_t>(r)].Slice(0, chunk * m_per_rank,
-                                             m_per_rank);
-      co_await CopyTensorSM(world, src, dst);
-      co_await world.comm_barrier().Arrive();
-    }
+  for (int p = 0; p < R; ++p) {
+    if (p == r) continue;
+    Tensor dst =
+        outs[static_cast<size_t>(r)].Slice(0, p * m_per_rank, m_per_rank);
+    work.push_back(CopyTensorSM(world, shards[static_cast<size_t>(p)], dst));
   }
+  co_await sim::WhenAll(std::move(work));
 }
 
 sim::Coro ReduceScatter(rt::RankCtx& ctx, const SymTensor& ins,
-                        const SymTensor& outs, Algo algo) {
+                        const SymTensor& outs) {
   rt::World& world = *ctx.world;
   const int r = ctx.rank;
   const int R = world.size();
@@ -82,28 +63,15 @@ sim::Coro ReduceScatter(rt::RankCtx& ctx, const SymTensor& ins,
 
   const uint64_t chunk_bytes =
       outs[static_cast<size_t>(r)].logical_bytes();
-  if (algo == Algo::kRing) {
-    // Timing: R-1 ring steps, each moving one accumulated chunk to the
-    // neighbor and reducing it there on SMs.
-    for (int s = 0; s < R - 1; ++s) {
-      co_await world.Transfer((r - 1 + R) % R, r, chunk_bytes);
-      co_await sim::Delay{ReduceCost(world, chunk_bytes)};
-      co_await world.comm_barrier().Arrive();
-    }
-  } else {
-    // Full-mesh pull of every peer's partial for my block, then local adds.
-    std::vector<sim::Coro> pulls;
-    for (int p = 0; p < R; ++p) {
-      if (p == r) continue;
-      pulls.push_back(world.Transfer(p, r, chunk_bytes));
-    }
-    co_await sim::WhenAll(std::move(pulls));
-    co_await sim::Delay{
-        ReduceCost(world, chunk_bytes * static_cast<uint64_t>(R - 1))};
+  // Timing: R-1 ring steps, each moving one accumulated chunk to the
+  // neighbor and reducing it there on SMs.
+  for (int s = 0; s < R - 1; ++s) {
+    co_await world.Transfer((r - 1 + R) % R, r, chunk_bytes);
+    co_await sim::Delay{ReduceCost(world, chunk_bytes)};
+    co_await world.comm_barrier().Arrive();
   }
 
-  // Functional result (rank-ordered fp32 accumulation; identical across
-  // algorithms by construction).
+  // Functional result (rank-ordered fp32 accumulation).
   if (world.functional()) {
     Tensor out = outs[static_cast<size_t>(r)];
     for (int64_t i = 0; i < m_per_rank; ++i) {

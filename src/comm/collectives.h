@@ -21,20 +21,17 @@ namespace tilelink::comm {
 // Per-rank tensor list indexed by rank (symmetric heap entries).
 using SymTensor = std::vector<Tensor>;
 
-enum class Algo {
-  kFullMesh,  // NVSwitch-style: every pair simultaneously
-  kRing,      // neighbor ring, (R-1) steps
-};
-
-// out[rank] = concat over r of shards[r] along dim 0.
+// out[rank] = concat over r of shards[r] along dim 0, NVSwitch-style: every
+// rank pulls every peer's shard simultaneously.
 // shards[r]: [M/R, N] on rank r; outs[r]: [M, N] on rank r.
 sim::Coro AllGather(rt::RankCtx& ctx, const SymTensor& shards,
-                    const SymTensor& outs, Algo algo = Algo::kFullMesh);
+                    const SymTensor& outs);
 
-// outs[rank] = sum over r of ins[r] restricted to row-block `rank`.
+// outs[rank] = sum over r of ins[r] restricted to row-block `rank`, as a
+// neighbor ring of R-1 steps.
 // ins[r]: [M, N] partial sums on rank r; outs[r]: [M/R, N].
 sim::Coro ReduceScatter(rt::RankCtx& ctx, const SymTensor& ins,
-                        const SymTensor& outs, Algo algo = Algo::kRing);
+                        const SymTensor& outs);
 
 // Host references for tests (operate on per-rank tensors directly).
 void AllGatherRef(const SymTensor& shards, const SymTensor& outs);

@@ -9,47 +9,42 @@ namespace tilelink::compute {
 namespace {
 
 sim::Coro FlashBlockBody(rt::BlockCtx bctx, Tensor q, Tensor k, Tensor v,
-                         Tensor out, FlashOptions options, int64_t q_tiles,
-                         int64_t num_tiles) {
+                         Tensor out, FlashOptions options, int64_t q_tiles) {
   const sim::CostModel cost(bctx.dev->spec());
   const int64_t head_dim = q.dim(2);
   const int64_t skv = k.dim(1);
   const int64_t kv_steps = CeilDiv<int64_t>(skv, options.block_kv);
-  const float scale = options.scale != 0.0f
-                          ? options.scale
-                          : 1.0f / std::sqrt(static_cast<float>(head_dim));
+  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
   const sim::TimeNs step = static_cast<sim::TimeNs>(
       cost.FlashAttnTileStep(options.block_q, options.block_kv,
                              static_cast<int>(head_dim)) /
       options.throughput_factor);
+  const int64_t head = bctx.block_id / q_tiles;
+  const int64_t q0 = (bctx.block_id % q_tiles) * options.block_q;
+  co_await sim::Delay{cost.BlockPrologue()};
+  const bool functional = bctx.functional();
+  Tensor qh, kh, vh, oh;
   FlashState state;
-  for (int64_t tile = bctx.block_id; tile < num_tiles; tile += bctx.grid) {
-    const int64_t head = tile / q_tiles;
-    const int64_t q0 = (tile % q_tiles) * options.block_q;
-    co_await sim::Delay{cost.BlockPrologue()};
-    const bool functional = bctx.functional();
-    Tensor qh, kh, vh, oh;
-    if (functional) {
-      qh = q.Select(0, head);
-      kh = k.Select(0, head);
-      vh = v.Select(0, head);
-      oh = out.Select(0, head);
-      state.Reset(options.block_q, head_dim);
+  if (functional) {
+    qh = q.Select(0, head);
+    kh = k.Select(0, head);
+    vh = v.Select(0, head);
+    oh = out.Select(0, head);
+    state.Reset(options.block_q, head_dim);
+  }
+  // Bill every kv step as one repeated delay, then do the steps' math:
+  // q/k/v are ready at launch and `state` is block-local, so the numbers
+  // are the same as interleaving each step with its delay.
+  if (kv_steps > 0) co_await sim::Delay{step, kv_steps};
+  if (functional) {
+    for (int64_t s = 0; s < kv_steps; ++s) {
+      FlashAttnStep(qh, kh, vh, state, q0, options.block_q,
+                    s * options.block_kv, options.block_kv, scale);
     }
-    // Bill every kv step as one repeated delay, then do the steps' math:
-    // q/k/v are ready at launch and `state` is block-local, so the numbers
-    // are the same as interleaving each step with its delay.
-    if (kv_steps > 0) co_await sim::Delay{step, kv_steps};
-    if (functional) {
-      for (int64_t s = 0; s < kv_steps; ++s) {
-        FlashAttnStep(qh, kh, vh, state, q0, options.block_q,
-                      s * options.block_kv, options.block_kv, scale);
-      }
-    }
-    co_await sim::Delay{cost.BlockEpilogue()};
-    if (functional) {
-      FlashFinalize(state, oh, q0, options.block_q);
-    }
+  }
+  co_await sim::Delay{cost.BlockEpilogue()};
+  if (functional) {
+    FlashFinalize(state, oh, q0, options.block_q);
   }
 }
 
@@ -65,25 +60,20 @@ std::shared_ptr<rt::KernelState> LaunchFlashAttention(
   TL_CHECK(k.shape() == v.shape());
   TL_CHECK(q.shape() == out.shape());
   const int64_t q_tiles = CeilDiv<int64_t>(q.dim(1), options.block_q);
-  const int64_t num_tiles = q.dim(0) * q_tiles;
-  int grid = static_cast<int>(num_tiles);
-  if (options.max_blocks > 0 && grid > options.max_blocks) {
-    grid = options.max_blocks;
-  }
   auto body = [=](rt::BlockCtx bctx) -> sim::Coro {
-    return FlashBlockBody(bctx, q, k, v, out, options, q_tiles, num_tiles);
+    return FlashBlockBody(bctx, q, k, v, out, options, q_tiles);
   };
-  return stream.LaunchKernel(grid, body, options.name);
+  return stream.LaunchKernel(static_cast<int>(q.dim(0) * q_tiles), body,
+                             options.name);
 }
 
 void AttentionRef(const Tensor& q, const Tensor& k, const Tensor& v,
-                  Tensor& out, float scale) {
+                  Tensor& out) {
   const int64_t bh = q.dim(0);
   const int64_t sq = q.dim(1);
   const int64_t skv = k.dim(1);
   const int64_t d = q.dim(2);
-  const float sc =
-      scale != 0.0f ? scale : 1.0f / std::sqrt(static_cast<float>(d));
+  const float sc = 1.0f / std::sqrt(static_cast<float>(d));
   std::vector<float> scores(static_cast<size_t>(skv));
   for (int64_t h = 0; h < bh; ++h) {
     for (int64_t i = 0; i < sq; ++i) {

@@ -16,21 +16,20 @@ namespace tilelink::compute {
 struct FlashOptions {
   int block_q = 128;
   int block_kv = 128;
-  float scale = 0.0f;  // 0 -> 1/sqrt(head_dim)
   // Relative throughput vs. a tuned flash kernel: 1.0 for flash, ~0.2 for an
   // eager multi-kernel softmax pipeline.
   double throughput_factor = 1.0;
-  int max_blocks = 0;
   std::string name = "flash_attn";
 };
 
-// q: [BH, Sq, D], k/v: [BH, Skv, D], out: [BH, Sq, D].
+// q: [BH, Sq, D], k/v: [BH, Skv, D], out: [BH, Sq, D]; scores are scaled by
+// 1/sqrt(D), one block per (head, q tile).
 std::shared_ptr<rt::KernelState> LaunchFlashAttention(
     rt::RankCtx& ctx, rt::Stream& stream, const Tensor& q, const Tensor& k,
     const Tensor& v, Tensor out, const FlashOptions& options = {});
 
 // Host reference: eager softmax(q k^T / sqrt(d)) v per head.
 void AttentionRef(const Tensor& q, const Tensor& k, const Tensor& v,
-                  Tensor& out, float scale = 0.0f);
+                  Tensor& out);
 
 }  // namespace tilelink::compute

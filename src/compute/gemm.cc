@@ -6,30 +6,25 @@
 namespace tilelink::compute {
 namespace {
 
-// One GEMM thread block: bills per-k-step MMA time (one repeated delay, so
-// one resume per tile), then performs the whole tile's math once
-// (numerically identical, far fewer host ops). The operands live in the
-// launch's block function, which outlives every block.
+// One GEMM thread block computes one output tile: bills per-k-step MMA
+// time (one repeated delay, so one resume per tile), then performs the
+// whole tile's math once (numerically identical, far fewer host ops). The
+// operands live in the launch's block function, which outlives every block.
 sim::Coro GemmBlockBody(rt::BlockCtx bctx, const Tensor& a, const Tensor& b,
-                        Tensor& c, const GemmOptions& options,
-                        int64_t tiles_n, int64_t num_tiles) {
+                        Tensor& c, const GemmTiling& t, int64_t tiles_n) {
   const sim::CostModel cost(bctx.dev->spec());
-  const GemmTiling& t = options.tiling;
   const int64_t k = a.dim(1);
   const int64_t k_steps = CeilDiv<int64_t>(k, t.bk);
-  // Persistent style: a block may process several output tiles.
-  for (int64_t tile = bctx.block_id; tile < num_tiles; tile += bctx.grid) {
-    const int64_t tid_m = tile / tiles_n;
-    const int64_t tid_n = tile % tiles_n;
-    co_await sim::Delay{cost.BlockPrologue()};
-    if (k_steps > 0) {
-      co_await sim::Delay{cost.GemmTileStep(t.bm, t.bn, t.bk), k_steps};
-    }
-    co_await sim::Delay{cost.BlockEpilogue()};
-    if (bctx.functional()) {
-      GemmTile(a, b, c, tid_m * t.bm, t.bm, tid_n * t.bn, t.bn, 0, k,
-               options.accumulate);
-    }
+  const int64_t tid_m = bctx.block_id / tiles_n;
+  const int64_t tid_n = bctx.block_id % tiles_n;
+  co_await sim::Delay{cost.BlockPrologue()};
+  if (k_steps > 0) {
+    co_await sim::Delay{cost.GemmTileStep(t.bm, t.bn, t.bk), k_steps};
+  }
+  co_await sim::Delay{cost.BlockEpilogue()};
+  if (bctx.functional()) {
+    GemmTile(a, b, c, tid_m * t.bm, t.bm, tid_n * t.bn, t.bn, 0, k,
+             /*accumulate=*/false);
   }
 }
 
@@ -46,20 +41,16 @@ std::shared_ptr<rt::KernelState> LaunchGemm(rt::RankCtx& /*ctx*/,
   const GemmTiling& t = options.tiling;
   const int64_t tiles_m = CeilDiv<int64_t>(c.dim(0), t.bm);
   const int64_t tiles_n = CeilDiv<int64_t>(c.dim(1), t.bn);
-  const int64_t num_tiles = tiles_m * tiles_n;
-  int grid = static_cast<int>(num_tiles);
-  if (options.max_blocks > 0 && grid > options.max_blocks) {
-    grid = options.max_blocks;
-  }
-  auto body = [a, b, c, options, tiles_n, num_tiles](
-                  rt::BlockCtx bctx) mutable {
-    return GemmBlockBody(bctx, a, b, c, options, tiles_n, num_tiles);
+  auto body = [a, b, c, t, tiles_n](rt::BlockCtx bctx) mutable {
+    return GemmBlockBody(bctx, a, b, c, t, tiles_n);
   };
-  return stream.LaunchKernel(grid, std::move(body), options.name);
+  return stream.LaunchKernel(static_cast<int>(tiles_m * tiles_n),
+                             std::move(body), options.name);
 }
 
-void GemmRef(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate) {
-  GemmTile(a, b, c, 0, c.dim(0), 0, c.dim(1), 0, a.dim(1), accumulate);
+void GemmRef(const Tensor& a, const Tensor& b, Tensor& c) {
+  GemmTile(a, b, c, 0, c.dim(0), 0, c.dim(1), 0, a.dim(1),
+           /*accumulate=*/false);
 }
 
 sim::TimeNs AnalyticGemmTime(const sim::CostModel& cost, int64_t m, int64_t n,

@@ -21,24 +21,20 @@ struct GemmTiling {
 
 struct GemmOptions {
   GemmTiling tiling;
-  bool accumulate = false;
-  // Caps the number of compute blocks resident at once (persistent-kernel
-  // style); 0 means one block per output tile.
-  int max_blocks = 0;
   std::string name = "gemm";
 };
 
-// C[M,N] (+)= A[M,K] @ B[K,N] launched on `stream`; returns the kernel state
-// (await state->Wait() or synchronize the stream for completion).
+// C[M,N] = A[M,K] @ B[K,N] launched on `stream`, one block per output tile;
+// returns the kernel state (await state->Wait() or synchronize the stream
+// for completion).
 std::shared_ptr<rt::KernelState> LaunchGemm(rt::RankCtx& ctx,
                                             rt::Stream& stream,
                                             const Tensor& a, const Tensor& b,
                                             Tensor c,
                                             const GemmOptions& options = {});
 
-// Host reference: c = a @ b (+ c if accumulate), fp32.
-void GemmRef(const Tensor& a, const Tensor& b, Tensor& c,
-             bool accumulate = false);
+// Host reference: c = a @ b, fp32.
+void GemmRef(const Tensor& a, const Tensor& b, Tensor& c);
 
 // Analytic time of a dense GEMM on one device with `sms` SMs available
 // (used by cost sanity tests, not by the kernels themselves).

@@ -35,14 +35,12 @@ sim::Coro GroupGemmBlockBody(rt::BlockCtx bctx, Tensor tokens, Tensor weights,
   const int64_t k_steps = CeilDiv<int64_t>(k, t.bk);
   const sim::TimeNs step = static_cast<sim::TimeNs>(
       cost.GemmTileStep(t.bm, t.bn, t.bk) * options.fused_gather_overhead);
-  for (size_t tile = static_cast<size_t>(bctx.block_id); tile < blocks->size();
-       tile += static_cast<size_t>(bctx.grid)) {
-    co_await sim::Delay{cost.BlockPrologue()};
-    if (k_steps > 0) co_await sim::Delay{step, k_steps};
-    co_await sim::Delay{cost.BlockEpilogue()};
-    if (bctx.functional()) {
-      GroupBlockMath(tokens, weights, out, *routing, (*blocks)[tile]);
-    }
+  co_await sim::Delay{cost.BlockPrologue()};
+  if (k_steps > 0) co_await sim::Delay{step, k_steps};
+  co_await sim::Delay{cost.BlockEpilogue()};
+  if (bctx.functional()) {
+    GroupBlockMath(tokens, weights, out, *routing,
+                   (*blocks)[static_cast<size_t>(bctx.block_id)]);
   }
 }
 
@@ -62,10 +60,7 @@ std::shared_ptr<rt::KernelState> LaunchGroupGemmFused(
   if (blocks->empty()) {
     blocks->push_back(GroupBlock{0, 0, 0, 0, 0});  // degenerate: empty launch
   }
-  int grid = static_cast<int>(blocks->size());
-  if (options.max_blocks > 0 && grid > options.max_blocks) {
-    grid = options.max_blocks;
-  }
+  const int grid = static_cast<int>(blocks->size());
   // Copy: the kernel may outlive the caller's routing object.
   auto routing_copy = std::make_shared<MoeRouting>(routing);
   auto body = [=](rt::BlockCtx bctx) -> sim::Coro {

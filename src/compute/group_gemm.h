@@ -28,11 +28,10 @@ struct GroupGemmOptions {
   GemmTiling tiling{128, 128, 64};
   // Extra per-step cost factor for the in-loop gather/scatter addressing.
   double fused_gather_overhead = 1.05;
-  int max_blocks = 0;  // persistent cap; 0 = one block per group tile
   std::string name = "group_gemm";
 };
 
-// Fused gather + grouped GEMM + scatter:
+// Fused gather + grouped GEMM + scatter, one block per group tile:
 //   out[slot_row(token,slot), :] = tokens[token, :] @ weights[expert, :, :]
 std::shared_ptr<rt::KernelState> LaunchGroupGemmFused(
     rt::RankCtx& ctx, rt::Stream& stream, const Tensor& tokens,

@@ -74,14 +74,16 @@ struct RailDegrade {
 };
 
 // Retransmit budget used by fault-aware senders. backoff_base=0 means "use
-// the fabric's wire latency". timeout_factor scales the cost model's
-// expected flow time into an ack deadline; it is deliberately generous so
-// ordinary max-min contention does not masquerade as loss.
+// the fabric's wire latency".
 struct RetryPolicy {
   int max_retries = 4;
   TimeNs backoff_base = 0;
-  double timeout_factor = 16.0;
 };
+
+// Scales the cost model's expected flow time into a fault-aware sender's ack
+// deadline; deliberately generous so ordinary max-min contention does not
+// masquerade as loss.
+inline constexpr double kAckTimeoutFactor = 16.0;
 
 // Simulated wait after failed attempt `attempt` (0-based): exponential
 // from `base`, or from the fabric's wire latency (at least 1 ns) when base

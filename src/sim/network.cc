@@ -173,7 +173,7 @@ Coro Network::Transfer(int src, int dst, uint64_t bytes) {
   const RetryPolicy& rp = plan_->retry();
   TransferOpts opts;
   opts.ack_timeout = static_cast<TimeNs>(
-      rp.timeout_factor * static_cast<double>(ExpectedFlowTime(bytes)));
+      kAckTimeoutFactor * static_cast<double>(ExpectedFlowTime(bytes)));
   for (int attempt = 0;; ++attempt) {
     TransferOutcome out;
     co_await TryTransfer(src, dst, bytes, opts, &out);

@@ -9,9 +9,8 @@ int64_t TilesForBlock(int64_t total, const Env& env) {
   return (total - env.block_id - 1) / env.grid + 1;
 }
 
-FusedKernelBase::FusedKernelBase(rt::World& world, std::string name,
-                                 CompilerOptions copts)
-    : world_(&world), name_(std::move(name)), copts_(copts) {}
+FusedKernelBase::FusedKernelBase(rt::World& world, std::string name)
+    : world_(&world), name_(std::move(name)) {}
 
 comm::SymTensor FusedKernelBase::AllocSymmetric(
     const std::string& suffix, const std::vector<int64_t>& shape,
@@ -31,7 +30,7 @@ void FusedKernelBase::CreateChannels(int num_pc, int num_peer, int num_host) {
 }
 
 void FusedKernelBase::Finalize(FusedKernelSpec spec) {
-  compiled_ = Compiler(copts_).Compile(std::move(spec));
+  compiled_ = Compiler().Compile(std::move(spec));
 }
 
 std::optional<sim::Coro> FusedKernelBase::HostComm(rt::RankCtx&) {

@@ -42,7 +42,7 @@ class FusedKernelBase {
   sim::Coro Run(rt::RankCtx& ctx);
 
  protected:
-  FusedKernelBase(rt::World& world, std::string name, CompilerOptions copts);
+  FusedKernelBase(rt::World& world, std::string name);
 
   rt::World& world() const { return *world_; }
   int ranks() const { return world_->size(); }
@@ -73,7 +73,6 @@ class FusedKernelBase {
  private:
   rt::World* world_;
   std::string name_;
-  CompilerOptions copts_;
   std::vector<BlockChannel> bcs_;
   CompiledKernel compiled_;
 };

@@ -258,8 +258,16 @@ int64_t CoarseSeq(int64_t seq, int64_t granularity) {
 constexpr int64_t kMoeCoarseGranule = 1024;
 constexpr uint64_t kMoeCoarseRoutingSeed = 1234;
 
-}  // namespace
-
+// The coarse MoE round: a quarter of the token count (kept divisible by
+// every chunking knob the spaces expose) with a fresh deterministic routing
+// of the same distribution, or the shape and routing themselves when the
+// shape is too small to shrink (a copy, made once per search). TuneAgMoe/
+// TuneMoeRs build it once per search; every candidate's coarse round
+// simulates it with the reduction loop collapsed (CoarsenReduction).
+struct CoarseMoe {
+  MoeShape shape;
+  compute::MoeRouting routing;
+};
 CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
                      const compute::MoeRouting& routing) {
   const int64_t granule = kMoeCoarseGranule * spec.num_devices;
@@ -271,6 +279,8 @@ CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
   return CoarseMoe{coarse, compute::RandomRouting(coarse.m, shape.num_experts,
                                                   shape.topk, rng)};
 }
+
+}  // namespace
 
 // ---- Analytic lower bounds ----------------------------------------------
 

@@ -7,7 +7,7 @@
 // lambda: the GEMM reduction loop is collapsed to one k-step
 // (CoarsenReduction; simulated time is nearly invariant in bk, so the
 // ranking is preserved at ~an-order-of-magnitude fewer events), attention
-// shrinks the sequence extent and MoE the token count (CoarsenMoe).
+// shrinks the sequence extent and MoE the token count.
 // *LowerBound() are analytic sim::CostModel bounds —
 // one overlap bound per family, max(compute-only + the kernel launch
 // latency every fused kernel pays, wire time) — which the Autotuner uses
@@ -88,18 +88,6 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
 // linear in bk, so the makespan is nearly unchanged while the event count
 // drops by ~k/bk. Shared by every GEMM-backed coarse round.
 TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k);
-// The coarse MoE round: a quarter of the token count (kept divisible by
-// every chunking knob the spaces expose) with a fresh deterministic routing
-// of the same distribution, or the shape and routing themselves when the
-// shape is too small to shrink (a copy, made once per search). TuneAgMoe/
-// TuneMoeRs build it once per search; every candidate's coarse round
-// simulates it with the reduction loop collapsed (CoarsenReduction).
-struct CoarseMoe {
-  MoeShape shape;
-  compute::MoeRouting routing;
-};
-CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
-                     const compute::MoeRouting& routing);
 
 // ---- Analytic lower bounds ----------------------------------------------
 // One overlap bound per family: max(compute + launch, wire time). 0 (never

@@ -246,7 +246,7 @@ void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
   stream->max_retries = rp.max_retries;
   stream->backoff_base = rp.backoff_base;
   // Expected uncontended chunk time on one rail (a rail owns 1/rails of the
-  // port), scaled by the plan's generous timeout factor so fair-share
+  // port), scaled by the generous ack-timeout factor so fair-share
   // contention does not read as loss.
   const bool inter = net == &world.inter_fabric();
   const sim::TimeNs expect =
@@ -254,7 +254,7 @@ void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
                                        static_cast<uint64_t>(net->rails()))
             : world.cost().NvlinkTransfer(chunk_bytes);
   stream->ack_timeout = static_cast<sim::TimeNs>(
-      rp.timeout_factor * static_cast<double>(expect));
+      sim::kAckTimeoutFactor * static_cast<double>(expect));
 }
 
 sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream) {

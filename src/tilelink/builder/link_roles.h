@@ -200,10 +200,11 @@ sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream);
 // apportioned across rails by surviving bandwidth via WeightedExtents,
 // re-planned whenever rail health changes, retries falling over to the
 // least-loaded live rail); when the plan perturbs the stream's fabric,
-// arms ack-timeout (cost model's expected chunk flow time x the plan's
-// timeout_factor), bounded retransmit, and backoff. A default-constructed
-// world (no plan, one rail) leaves the stream untouched. `chunk_bytes` is
-// the size of a full chunk (tail chunks may be smaller).
+// arms ack-timeout (cost model's expected chunk flow time x
+// sim::kAckTimeoutFactor), bounded retransmit, and backoff. A
+// default-constructed world (no plan, one rail) leaves the stream
+// untouched. `chunk_bytes` is the size of a full chunk (tail chunks may be
+// smaller).
 void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
                           LinkStream* stream);
 

@@ -11,7 +11,7 @@
 namespace tilelink::tl {
 
 AgAttention::AgAttention(rt::World& world, const AgAttentionConfig& config)
-    : FusedKernelBase(world, config.name, config.compiler), cfg_(config) {
+    : FusedKernelBase(world, config.name), cfg_(config) {
   const int R = ranks();
   TL_CHECK_EQ(cfg_.seq % R, 0);
   const int64_t s_per = cfg_.seq / R;

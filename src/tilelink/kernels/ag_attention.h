@@ -29,7 +29,6 @@ struct AgAttentionConfig {
   double throughput_factor = 1.0;
   bool skip_comm = false;  // measure compute only (all channels pre-set)
   bool comm_only = false;  // measure the DMA AllGather only
-  CompilerOptions compiler;
   std::string name = "ag_attention";
 };
 

@@ -8,35 +8,13 @@
 #include "tilelink/primitives.h"
 
 namespace tilelink::tl {
+namespace {
 
-AgGemm::AgGemm(rt::World& world, const AgGemmConfig& config)
-    : FusedKernelBase(world, config.name, config.compiler),
-      cfg_(config),
-      map_(config.m, config.comm_tile_m, world.size(),
-           StaticMapping::ResolveChannelsPerRank(
-               config.m, config.comm_tile_m, world.size(),
-               config.channels_per_rank)) {
-  TL_CHECK_EQ(cfg_.m % ranks(), 0);
-  const int64_t m_per_rank = cfg_.m / ranks();
-  a_shards_ = AllocSymmetric("a_shard", {m_per_rank, cfg_.k});
-  a_full_ = AllocSymmetric("a_full", {cfg_.m, cfg_.k});
-  b_ = AllocSymmetric("b", {cfg_.k, cfg_.n});
-  c_ = AllocSymmetric("c", {cfg_.m, cfg_.n});
-  CreateChannels(map_.num_channels(), /*num_peer=*/1, /*num_host=*/1);
-
-  const int64_t gemm_tiles = CeilDiv<int64_t>(cfg_.m, cfg_.gemm.bm) *
-                             CeilDiv<int64_t>(cfg_.n, cfg_.gemm.bn);
-  overlap_spec_ = AgGemmOverlapSpec(cfg_.name, map_, cfg_.k, cfg_.gemm.bm,
-                                    gemm_tiles, cfg_.comm, cfg_.comm_sms);
-  overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
-  Finalize(BuildFromPlan(overlap_plan_, [this](const PlannedRole& role) {
-    if (role.name != "comm") return BuildCompute();
-    return BuildRowAllGather(AllGatherParams(), cfg_.comm);
-  }));
-}
-
-// The comm role reads the resident shard and writes every gathered tile;
-// the GEMM reads the gathered activation plus the resident weight and
+// The flat AllGather + GEMM declarative form: a row AllGather (on
+// `comm_resource`, `comm_sms` blocks) of the resident shard into the
+// gathered activation, consumed by `gemm_tiles` GEMM tiles of `gemm_bm`
+// rows. The comm role reads the resident shard and writes every gathered
+// tile; the GEMM reads the gathered activation plus the resident weight and
 // writes one output tile per consumer tile.
 OverlapSpec AgGemmOverlapSpec(const std::string& kernel,
                               const StaticMapping& map, int64_t k,
@@ -64,6 +42,34 @@ OverlapSpec AgGemmOverlapSpec(const std::string& kernel,
   gemm.writes = {{"c"}};
   spec.roles = {std::move(comm), std::move(gemm)};
   return spec;
+}
+
+}  // namespace
+
+AgGemm::AgGemm(rt::World& world, const AgGemmConfig& config)
+    : FusedKernelBase(world, config.name),
+      cfg_(config),
+      map_(config.m, config.comm_tile_m, world.size(),
+           StaticMapping::ResolveChannelsPerRank(
+               config.m, config.comm_tile_m, world.size(),
+               config.channels_per_rank)) {
+  TL_CHECK_EQ(cfg_.m % ranks(), 0);
+  const int64_t m_per_rank = cfg_.m / ranks();
+  a_shards_ = AllocSymmetric("a_shard", {m_per_rank, cfg_.k});
+  a_full_ = AllocSymmetric("a_full", {cfg_.m, cfg_.k});
+  b_ = AllocSymmetric("b", {cfg_.k, cfg_.n});
+  c_ = AllocSymmetric("c", {cfg_.m, cfg_.n});
+  CreateChannels(map_.num_channels(), /*num_peer=*/1, /*num_host=*/1);
+
+  const int64_t gemm_tiles = CeilDiv<int64_t>(cfg_.m, cfg_.gemm.bm) *
+                             CeilDiv<int64_t>(cfg_.n, cfg_.gemm.bn);
+  overlap_spec_ = AgGemmOverlapSpec(cfg_.name, map_, cfg_.k, cfg_.gemm.bm,
+                                    gemm_tiles, cfg_.comm, cfg_.comm_sms);
+  overlap_plan_ = OverlapPlanner(world.spec()).Plan(overlap_spec_);
+  Finalize(BuildFromPlan(overlap_plan_, [this](const PlannedRole& role) {
+    if (role.name != "comm") return BuildCompute();
+    return BuildRowAllGather(AllGatherParams(), cfg_.comm);
+  }));
 }
 
 RowAllGatherParams AgGemm::AllGatherParams() const {

@@ -40,19 +40,8 @@ struct AgGemmConfig {
   CommResource comm = CommResource::kDma;
   int comm_sms = 20;  // SM-comm variants only
   TileOrder order = TileOrder::kOwnerFirst;  // GEMM m-tile visit order
-  CompilerOptions compiler;
   std::string name = "ag_gemm";
 };
-
-// The flat AllGather + GEMM declarative form: a row AllGather (on
-// `comm_resource`, `comm_sms` blocks) of the resident shard into the
-// gathered activation, consumed by `gemm_tiles` GEMM tiles of `gemm_bm`
-// rows. AgGemmHier's 1 x N degenerate builds the same spec, so the two are
-// one kernel.
-OverlapSpec AgGemmOverlapSpec(const std::string& kernel,
-                              const StaticMapping& map, int64_t k,
-                              int64_t gemm_bm, int64_t gemm_tiles,
-                              CommResource comm_resource, int comm_sms);
 
 // One instance owns the symmetric buffers, barrier channels and the compiled
 // kernel. Usage: construct, fill a_shards()/b(), then RunSpmd(Run).

@@ -4,24 +4,18 @@
 
 #include "common/math_utils.h"
 #include "tensor/tensor_ops.h"
-#include "tilelink/builder/comm_roles.h"
 #include "tilelink/builder/link_roles.h"
 #include "tilelink/kernels/ag_consumer.h"
-#include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/primitives.h"
 
 namespace tilelink::tl {
 
 AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
-    : FusedKernelBase(world, config.name, config.compiler),
-      cfg_(config),
-      map_(config.m, config.comm_tile_m, world.size(),
-           StaticMapping::ResolveChannelsPerRank(
-               config.m, config.comm_tile_m, world.size(),
-               config.channels_per_rank)) {
+    : FusedKernelBase(world, config.name), cfg_(config) {
   const sim::MachineSpec& spec = world.spec();
   nodes_ = spec.num_nodes();
   per_node_ = spec.devices_per_node;
+  TL_CHECK_MSG(nodes_ >= 2, "ag_gemm_hier: needs at least two nodes");
   TL_CHECK_EQ(cfg_.m % ranks(), 0);
   const int64_t m_per_rank = cfg_.m / ranks();
   TL_CHECK_EQ(m_per_rank % cfg_.comm_tile_m, 0);
@@ -32,25 +26,6 @@ AgGemmHier::AgGemmHier(rt::World& world, const AgGemmHierConfig& config)
   const int64_t gemm_tiles = CeilDiv<int64_t>(cfg_.m, cfg_.gemm.bm) *
                              CeilDiv<int64_t>(cfg_.n, cfg_.gemm.bn);
 
-  if (nodes_ == 1) {
-    // 1 x N: the hierarchical spec degenerates to the flat ag_gemm spec —
-    // same mapping, same roles, same programs, makespan-identical.
-    CreateChannels(map_.num_channels(), /*num_peer=*/1, /*num_host=*/1);
-    overlap_spec_ = AgGemmOverlapSpec(cfg_.name, map_, cfg_.k, cfg_.gemm.bm,
-                                      gemm_tiles, cfg_.comm, cfg_.comm_sms);
-    overlap_plan_ = OverlapPlanner(spec).Plan(overlap_spec_);
-    Finalize(BuildFromPlan(overlap_plan_, [this](const PlannedRole& role) {
-      if (role.name != "comm") return BuildConsumer(1);
-      return BuildRowAllGather(
-          RowAllGatherParams{map_, a_shards_, a_full_, ranks(),
-                             cfg_.m / ranks()},
-          cfg_.comm);
-    }));
-    return;
-  }
-
-  TL_CHECK_MSG(cfg_.comm != CommResource::kSmPull,
-               "ag_gemm_hier: pull mode cannot cross the NIC");
   const int64_t cpb = m_per_rank / cfg_.comm_tile_m;
   const int64_t rail_rows =
       static_cast<int64_t>(cfg_.nic_chunk_blocks) * cfg_.comm_tile_m;
@@ -373,9 +348,8 @@ BlockProgram AgGemmHier::BuildHierRail(int S, int64_t cpb, int64_t cpb_rail,
   return b.Build();
 }
 
-// Compute role: the shared AG+GEMM consumer. Single-node the producer
-// channels are the flat static mapping's; multi-node each gathered row
-// tile t owns channels t*S .. t*S+S-1, one increment each.
+// Compute role: the shared AG+GEMM consumer. Each gathered row tile t owns
+// producer channels t*S .. t*S+S-1, one increment each.
 BlockProgram AgGemmHier::BuildConsumer(int S) {
   AgConsumerParams p;
   p.m = cfg_.m;
@@ -387,32 +361,17 @@ BlockProgram AgGemmHier::BuildConsumer(int S) {
   p.c = c_;
   p.ranks = ranks();
   p.order = cfg_.order;
-  if (nodes_ == 1) {
-    const StaticMapping map = map_;
-    p.waits_for_rows = [map](int64_t lo, int64_t hi) {
-      return map.WaitsForRows(lo, hi);
-    };
-  } else {
-    const int64_t tile = cfg_.comm_tile_m;
-    p.waits_for_rows = [S, tile](int64_t lo, int64_t hi) {
-      WaitList waits;
-      for (int64_t t = lo / tile; t < CeilDiv<int64_t>(hi, tile); ++t) {
-        for (int j = 0; j < S; ++j) {
-          waits.push_back(
-              ChannelWait{static_cast<int>(t * S + j), 1});
-        }
+  const int64_t tile = cfg_.comm_tile_m;
+  p.waits_for_rows = [S, tile](int64_t lo, int64_t hi) {
+    WaitList waits;
+    for (int64_t t = lo / tile; t < CeilDiv<int64_t>(hi, tile); ++t) {
+      for (int j = 0; j < S; ++j) {
+        waits.push_back(ChannelWait{static_cast<int>(t * S + j), 1});
       }
-      return waits;
-    };
-  }
+    }
+    return waits;
+  };
   return BuildAgGemmConsumer(p);
-}
-
-std::optional<sim::Coro> AgGemmHier::HostComm(rt::RankCtx& ctx) {
-  if (nodes_ > 1 || cfg_.comm != CommResource::kDma) return std::nullopt;
-  return DmaRowAllGather(
-      ctx, channel(ctx.rank),
-      RowAllGatherParams{map_, a_shards_, a_full_, ranks(), cfg_.m / ranks()});
 }
 
 }  // namespace tilelink::tl

@@ -22,10 +22,9 @@
 // keeps at least kMinRingChunksPerBlock chunks per block when m_per_rank
 // is shallow.
 //
-// Degenerate topologies: at 1 x N the spec *is* ag_gemm's
-// (AgGemmOverlapSpec; makespan-identical, pinned by test); at N x 1 the
-// ring role degenerates to publish-only and the rail feeds the consumer
-// directly; 1 x 1 is the single-rank ag_gemm.
+// The topology must span at least two nodes (a single node runs the flat
+// ag_gemm); at N x 1 the ring role degenerates to publish-only and the rail
+// feeds the consumer directly.
 #pragma once
 
 #include <string>
@@ -36,8 +35,6 @@
 #include "tilelink/builder/fused_kernel_base.h"
 #include "tilelink/builder/overlap_gen.h"
 #include "tilelink/builder/tile_deps.h"
-#include "tilelink/kernels/kernel_common.h"
-#include "tilelink/mapping.h"
 #include "tilelink/program.h"
 
 namespace tilelink::tl {
@@ -47,16 +44,11 @@ struct AgGemmHierConfig {
   int64_t k = 0;  // reduction dim
   int64_t n = 0;  // output columns
   compute::GemmTiling gemm{128, 256, 64};
-  int comm_tile_m = 128;      // AllGather chunk rows (must divide m_per_rank)
-  int channels_per_rank = 0;  // single-node fallback mapping only
-  // Single-node fallback resource (kDma / kSmPull / kSmPush, as ag_gemm).
-  // Multi-node the ring + rail are always SM-push; kSmPull is rejected.
-  CommResource comm = CommResource::kSmPush;
+  int comm_tile_m = 128;     // AllGather chunk rows (must divide m_per_rank)
   int nic_chunk_blocks = 2;  // AllGather chunks per NIC rail message
   int staging_depth = 2;     // NIC messages in flight per rail peer
   int comm_sms = 20;         // ring role SMs
   TileOrder order = TileOrder::kOwnerFirst;
-  CompilerOptions compiler;
   std::string name = "ag_gemm_hier";
 };
 
@@ -71,13 +63,10 @@ class AgGemmHier : public FusedKernelBase {
 
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
-  // Rail blocks actually granted by the NIC channel budget (0 single-node).
+  // Rail blocks actually granted by the NIC channel budget.
   int rail_blocks() const { return rail_blocks_; }
-  // Planner column split over the K width (1 single-node).
+  // Planner column split over the K width.
   int col_splits() const { return col_splits_; }
-
- protected:
-  std::optional<sim::Coro> HostComm(rt::RankCtx& ctx) override;
 
  private:
   OverlapSpec BuildHierSpec(int64_t gemm_tiles, int64_t cpb) const;
@@ -87,7 +76,6 @@ class AgGemmHier : public FusedKernelBase {
   BlockProgram BuildConsumer(int S);
 
   AgGemmHierConfig cfg_;
-  StaticMapping map_;  // single-node fallback producer channels
   int nodes_ = 1, per_node_ = 1;
   int rail_blocks_ = 0;
   int col_splits_ = 1;

@@ -11,7 +11,7 @@ namespace tilelink::tl {
 
 AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
              const compute::MoeRouting& routing)
-    : FusedKernelBase(world, config.name, config.compiler),
+    : FusedKernelBase(world, config.name),
       cfg_(config), routing_(routing),
       map_(config.m, config.comm_tile_m, world.size(),
            StaticMapping::ResolveChannelsPerRank(

@@ -32,7 +32,6 @@ struct AgMoeConfig {
   int channels_per_rank = 0;  // 0 -> one channel per comm tile
   CommResource comm = CommResource::kDma;
   int comm_sms = 20;
-  CompilerOptions compiler;
   std::string name = "ag_moe";
 };
 

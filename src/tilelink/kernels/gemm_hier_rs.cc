@@ -11,7 +11,7 @@
 namespace tilelink::tl {
 
 GemmHierRs::GemmHierRs(rt::World& world, const GemmHierRsConfig& config)
-    : FusedKernelBase(world, config.name, config.compiler),
+    : FusedKernelBase(world, config.name),
       cfg_(config),
       // One producer-consumer channel per ring chunk of rows; GEMM m-tiles
       // must align with chunk granularity for the counting protocol.

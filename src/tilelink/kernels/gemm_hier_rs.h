@@ -55,7 +55,6 @@ struct GemmHierRsConfig {
   int reduce_sms = 8;        // rail reduce role SMs
   bool dma_push = false;     // hybrid: ring reduction on SMs, push on DMA
   TileOrder order = TileOrder::kNextRankFirst;
-  CompilerOptions compiler;
   std::string name = "gemm_hier_rs";
 };
 

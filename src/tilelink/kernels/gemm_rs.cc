@@ -10,7 +10,7 @@
 namespace tilelink::tl {
 
 GemmRs::GemmRs(rt::World& world, const GemmRsConfig& config)
-    : FusedKernelBase(world, config.name, config.compiler),
+    : FusedKernelBase(world, config.name),
       cfg_(config),
       // One producer-consumer channel per RS chunk of rows; GEMM m-tiles
       // must align with chunk granularity for the counting protocol.

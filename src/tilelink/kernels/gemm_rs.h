@@ -31,7 +31,6 @@ struct GemmRsConfig {
   bool dma_push = false;  // hybrid: reduction on SMs, scatter on DMA
   // GEMM m-tile visit order: produce the segment the ring consumes first.
   TileOrder order = TileOrder::kNextRankFirst;
-  CompilerOptions compiler;
   std::string name = "gemm_rs";
 };
 

@@ -11,7 +11,7 @@ namespace tilelink::tl {
 
 MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
              const compute::MoeRouting& routing)
-    : FusedKernelBase(world, config.name, config.compiler),
+    : FusedKernelBase(world, config.name),
       cfg_(config), routing_(routing) {
   const int R = ranks();
   TL_CHECK_EQ(cfg_.m % R, 0);

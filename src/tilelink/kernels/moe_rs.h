@@ -38,7 +38,6 @@ struct MoeRsConfig {
   int rs_block_m = 128;  // RS chunk rows over token space
   int comm_sms = 20;
   bool dma_push = false;
-  CompilerOptions compiler;
   std::string name = "moe_rs";
 };
 

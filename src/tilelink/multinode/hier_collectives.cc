@@ -525,8 +525,12 @@ sim::Coro HierReduceScatter::RingReducer(rt::RankCtx& ctx) {
   rt::Buffer* acc = payload() ? ring_acc_[static_cast<size_t>(r)] : nullptr;
   int64_t cum = 0;
   while (cum < total) {
-    const int64_t tiles = std::min<int64_t>(cfg_.intra_chunk_tiles,
-                                            total - cum);
+    // Clip at the ring-step boundary: the sender gates step s's chunks on
+    // the reduced prefix of step s-1, so a reduce step that straddled the
+    // boundary would wait on a chunk that waits on it.
+    const int64_t tiles = std::min<int64_t>(
+        {cfg_.intra_chunk_tiles, total - cum,
+         group_tiles_ - cum % group_tiles_});
     const uint64_t thr = static_cast<uint64_t>(cum + tiles);
     co_await arrivals->tiles_arrived().WaitGe(thr);
     const ReduceStep step =

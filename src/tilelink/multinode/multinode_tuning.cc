@@ -192,7 +192,7 @@ namespace {
 class GemmOnly : public tl::FusedKernelBase {
  public:
   GemmOnly(rt::World& world, const tl::GemmHierRsConfig& cfg)
-      : FusedKernelBase(world, cfg.name + "_gemm_only", cfg.compiler) {
+      : FusedKernelBase(world, cfg.name + "_gemm_only") {
     tl::PartialGemmParams p;
     p.m = cfg.m;
     p.k = cfg.k;
@@ -236,6 +236,26 @@ class GemmOnly : public tl::FusedKernelBase {
   comm::SymTensor a_, b_, out_;
 };
 
+// Candidate -> kernel config: comm_tile_m is the ring chunk rows,
+// nic_chunk_tiles the ring chunks per NIC message, staging_depth the
+// in-flight NIC messages per rail peer.
+tl::GemmHierRsConfig GemmHierRsFromCandidate(const tl::MlpPartShape& shape,
+                                             const tl::TuneCandidate& c) {
+  tl::GemmHierRsConfig cfg;
+  cfg.m = shape.m;
+  cfg.k = shape.k;
+  cfg.n = shape.n;
+  cfg.gemm = c.gemm;
+  cfg.rs_block_m = c.comm_tile_m;
+  cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
+  cfg.staging_depth = std::max(1, c.staging_depth);
+  cfg.comm_sms = c.comm_sms;
+  cfg.reduce_sms = std::max(1, c.reduce_sms);
+  cfg.dma_push = c.comm == tl::CommResource::kDma;
+  cfg.order = c.order;
+  return cfg;
+}
+
 }  // namespace
 
 tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
@@ -255,23 +275,6 @@ tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
   const int64_t m_per_rank = std::max<int64_t>(1, shape.m / std::max(1, tp));
   c.comm_tile_m = tl::RsBlockRows(m_per_rank, c.gemm.bm);
   return c;
-}
-
-tl::GemmHierRsConfig GemmHierRsFromCandidate(const tl::MlpPartShape& shape,
-                                             const tl::TuneCandidate& c) {
-  tl::GemmHierRsConfig cfg;
-  cfg.m = shape.m;
-  cfg.k = shape.k;
-  cfg.n = shape.n;
-  cfg.gemm = c.gemm;
-  cfg.rs_block_m = c.comm_tile_m;
-  cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
-  cfg.staging_depth = std::max(1, c.staging_depth);
-  cfg.comm_sms = c.comm_sms;
-  cfg.reduce_sms = std::max(1, c.reduce_sms);
-  cfg.dma_push = c.comm == tl::CommResource::kDma;
-  cfg.order = c.order;
-  return cfg;
 }
 
 sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
@@ -316,12 +319,9 @@ sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
 bool AgGemmHierFeasible(const sim::MachineSpec& spec,
                         const tl::MlpPartShape& s, const tl::TuneCandidate& c) {
   const int R = spec.num_devices;
-  if (R % spec.devices_per_node != 0) return false;
+  // A single node runs the flat ag_gemm instead.
+  if (spec.num_nodes() < 2 || R % spec.devices_per_node != 0) return false;
   if (s.m % R != 0) return false;
-  // Multi-node the ring + rail are SM-push roles; pull has no rail analog.
-  if (spec.num_nodes() > 1 && c.comm == tl::CommResource::kSmPull) {
-    return false;
-  }
   const int64_t m_per_rank = s.m / R;
   return c.comm_tile_m > 0 && m_per_rank % c.comm_tile_m == 0 &&
          c.nic_chunk_tiles > 0 && c.staging_depth > 0;
@@ -377,8 +377,6 @@ tl::AgGemmHierConfig AgGemmHierFromCandidate(const tl::MlpPartShape& shape,
   cfg.n = shape.n;
   cfg.gemm = c.gemm;
   cfg.comm_tile_m = c.comm_tile_m;
-  cfg.channels_per_rank = c.channels_per_rank;
-  cfg.comm = c.comm;
   cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
   cfg.staging_depth = std::max(1, c.staging_depth);
   cfg.comm_sms = c.comm_sms;

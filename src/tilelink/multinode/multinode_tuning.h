@@ -64,12 +64,6 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 // couple with the NIC knobs into one joint space, searched by the same
 // halving autotuner and gated against the layer-level compose below.
 
-// Candidate -> kernel config: comm_tile_m is the ring chunk rows,
-// nic_chunk_tiles the ring chunks per NIC message, staging_depth the
-// in-flight NIC messages per rail peer.
-tl::GemmHierRsConfig GemmHierRsFromCandidate(const tl::MlpPartShape& shape,
-                                             const tl::TuneCandidate& c);
-
 // The hand-picked seed: the GemmRs layer defaults plus the two-node NIC
 // defaults. `tiling` is the GEMM tiling the kernel will actually run
 // (comm_tile_m is derived from its bm, so callers overriding the tiling —

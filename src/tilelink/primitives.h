@@ -23,8 +23,6 @@
 
 namespace tilelink::tl {
 
-enum class NotifyMode { kP2P, kBroadcast };
-
 // Per-row run geometry of a 2-D view: true (with pitch = row stride, run =
 // row width) when the view's rows are narrower than their pitch — i.e. a
 // column strip of a row-major tensor, whose flat buffer range also covers

@@ -203,9 +203,8 @@ std::string EmitListing(const FusedKernelSpec& spec,
                         const CompilerOptions& options) {
   std::ostringstream os;
   os << "// tilelink kernel: " << spec.name << "\n";
-  os << "// pipeline="
-     << (options.pipeline == PipelineMode::kSafe ? "safe" : "none")
-     << " unsafe_reorder=" << (options.unsafe_reorder ? 1 : 0) << "\n";
+  os << "// pipeline=safe unsafe_reorder=" << (options.unsafe_reorder ? 1 : 0)
+     << "\n";
   int base = 0;
   for (const Role& role : spec.roles) {
     os << ".role " << role.name << "  (blocks " << base << ".."
@@ -224,7 +223,7 @@ std::string EmitListing(const FusedKernelSpec& spec,
 
 CompiledKernel Compiler::Compile(FusedKernelSpec spec) const {
   TL_CHECK_GT(spec.total_blocks(), 0);
-  if (options_.verify && !options_.unsafe_reorder) {
+  if (!options_.unsafe_reorder) {
     for (const Role& role : spec.roles) {
       VerifyStmts(role.program.stmts, false, false,
                   spec.name + "/" + role.name);
@@ -238,7 +237,6 @@ CompiledKernel Compiler::Compile(FusedKernelSpec spec) const {
   CompiledKernel kernel;
   kernel.listing_ = EmitListing(spec, options_);
   kernel.spec_ = std::make_shared<const FusedKernelSpec>(std::move(spec));
-  kernel.options_ = options_;
   return kernel;
 }
 

@@ -231,18 +231,11 @@ struct FusedKernelSpec {
 // Compiler
 // ---------------------------------------------------------------------------
 
-enum class PipelineMode {
-  kNone,  // no software pipelining
-  kSafe,  // pipelined, primitive data deps pinned (§4.2)
-};
-
 struct CompilerOptions {
-  PipelineMode pipeline = PipelineMode::kSafe;
   // Fault injection: hoist acquire-loads above their waits (reproduces the
-  // reordering hazard of §4.2; the consistency checker must flag it).
+  // reordering hazard of §4.2; the consistency checker must flag it). The
+  // verifier is skipped in this mode.
   bool unsafe_reorder = false;
-  // When false, the verifier is skipped (used by the unsafe mode tests).
-  bool verify = true;
 };
 
 class CompiledKernel;
@@ -274,7 +267,6 @@ class CompiledKernel {
   // Immutable once compiled; every launch's block coroutines share it.
   std::shared_ptr<const FusedKernelSpec> spec_;
   std::string listing_;
-  CompilerOptions options_;
 };
 
 // Thrown when the memory-consistency verifier rejects a program.

@@ -55,28 +55,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{256, 128, 128, 128, 64, 64},
                       GemmShape{32, 256, 16, 16, 128, 16}));
 
-TEST(Gemm, AccumulateAddsToExisting) {
-  World world(sim::MachineSpec::Test(1), ExecMode::kFunctional);
-  Rng rng(5);
-  Tensor a = Tensor::Alloc(world.device(0), "a", {32, 16}, DType::kBF16);
-  Tensor b = Tensor::Alloc(world.device(0), "b", {16, 32}, DType::kBF16);
-  Tensor c = Tensor::Alloc(world.device(0), "c", {32, 32}, DType::kBF16);
-  FillRandom(a, rng);
-  FillRandom(b, rng);
-  FillConstant(c, 2.0f);
-  Tensor want = Tensor::Alloc(world.device(0), "w", {32, 32}, DType::kBF16);
-  FillConstant(want, 2.0f);
-  GemmRef(a, b, want, /*accumulate=*/true);
-  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro {
-    GemmOptions opt;
-    opt.tiling = GemmTiling{16, 16, 16};
-    opt.accumulate = true;
-    LaunchGemm(ctx, *ctx.stream, a, b, c, opt);
-    co_await SyncStream(ctx);
-  });
-  EXPECT_LT(MaxAbsDiff(c, want), 1e-4f);
-}
-
 TEST(Gemm, WaveQuantizationSlowsSmallChunks) {
   // Decomposed chunks (8 launches of M/8) must be slower than one launch.
   const sim::MachineSpec spec = sim::MachineSpec::H800x8();

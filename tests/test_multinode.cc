@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "sim/machine_spec.h"
+#include "sim/simulator.h"
 #include "tilelink/builder/role_plan.h"
 #include "tilelink/kernels/gemm_rs.h"
 #include "tilelink/multinode/hier_collectives.h"
@@ -464,9 +467,14 @@ TEST(FaultPlan, RailDeathFailsOverBitExact) {
 // ---------------------------------------------------------------------------
 
 // The collectives were rewritten on the builder layer's tile-centric link
-// roles (NicRailRole / NvlinkRingRole streams). The refactor must be
+// roles (NicRailRole / NvlinkRingRole streams). The refactor was
 // behavior-preserving: these exact makespans were recorded from the
-// pre-refactor implementation (PR 4) and must not drift by a nanosecond.
+// pre-refactor implementation. Four ReduceScatter values were re-pinned
+// once, on purpose: the ring reducer clips each reduce step at the
+// ring-step boundary (the deadlock fix that
+// RingReduceScatter.NoSmallConfigDeadlocks covers), which re-chunks the
+// reduction wherever a ring step's tile count is not a multiple of
+// intra_chunk_tiles. Any other drift is a behavior change.
 TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   const MachineSpec two = MachineSpec::H800x16();
   MachineSpec three = MachineSpec::H800x8();
@@ -483,7 +491,7 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   EXPECT_EQ(SimulateFlatAllGather(two, 32, 512 << 10, def), 5654920);
   EXPECT_EQ(SimulateFlatReduceScatter(two, 32, 512 << 10, def), 5669796);
   EXPECT_EQ(SimulateHierAllGather(two, 24, 64 << 10, odd), 264898);
-  EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 266257);
+  EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 264018);
   EXPECT_EQ(SimulateHierAllGather(three, 5, 16 << 10, def), 37189);
   EXPECT_EQ(SimulateHierReduceScatter(three, 5, 16 << 10, def), 38601);
   const tl::TuneCandidate c = DefaultDpSyncCandidate();
@@ -496,11 +504,62 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   ragged.num_devices = 6;
   ragged.devices_per_node = 4;
   EXPECT_EQ(SimulateFlatAllGather(three, 5, 16 << 10, def), 54845);
-  EXPECT_EQ(SimulateFlatReduceScatter(three, 5, 16 << 10, def), 57335);
+  EXPECT_EQ(SimulateFlatReduceScatter(three, 5, 16 << 10, def), 54983);
   EXPECT_EQ(SimulateFlatAllGather(two, 24, 64 << 10, odd), 741300);
-  EXPECT_EQ(SimulateFlatReduceScatter(two, 24, 64 << 10, odd), 742462);
+  EXPECT_EQ(SimulateFlatReduceScatter(two, 24, 64 << 10, odd), 742230);
   EXPECT_EQ(SimulateFlatAllGather(ragged, 5, 16 << 10, def), 54845);
-  EXPECT_EQ(SimulateFlatReduceScatter(ragged, 5, 16 << 10, def), 55018);
+  EXPECT_EQ(SimulateFlatReduceScatter(ragged, 5, 16 << 10, def), 54983);
+}
+
+// Sweep of the ring ReduceScatter over every small dense topology (up to
+// 3 nodes x 4 ranks), tile count and chunk knob, in both layouts: every
+// run completes. A reduce step that spans a ring-step boundary waits on
+// the next step's first chunk, which the sender gates on that same reduce
+// step; unclipped, 1440 of these 7128 configs throw DeadlockError, the
+// default HierConfig with one tile on 1x3 among them.
+TEST(RingReduceScatter, NoSmallConfigDeadlocks) {
+  int runs = 0;
+  std::vector<std::string> deadlocked;
+  for (int nodes = 1; nodes <= 3; ++nodes) {
+    for (int per_node = 1; per_node <= 4; ++per_node) {
+      if (nodes * per_node == 1) continue;  // nothing to reduce
+      MachineSpec spec = MachineSpec::H800x8();
+      spec.num_devices = nodes * per_node;
+      spec.devices_per_node = per_node;
+      for (int64_t tiles = 1; tiles <= 9; ++tiles) {
+        for (int chunk = 1; chunk <= 6; ++chunk) {
+          for (int channels : {1, 2, 4}) {
+            for (int nic_chunk : {1, 3}) {
+              for (const bool flat : {false, true}) {
+                HierConfig cfg;
+                cfg.intra_chunk_tiles = chunk;
+                cfg.intra_channels = channels;
+                cfg.nic_chunk_tiles = nic_chunk;
+                ++runs;
+                try {
+                  (flat ? SimulateFlatReduceScatter
+                        : SimulateHierReduceScatter)(spec, tiles, 16 << 10,
+                                                     cfg);
+                } catch (const sim::DeadlockError&) {
+                  deadlocked.push_back(
+                      std::to_string(nodes) + "x" + std::to_string(per_node) +
+                      (flat ? " flat" : " hier") +
+                      " tiles=" + std::to_string(tiles) +
+                      " chunk=" + std::to_string(chunk) +
+                      " channels=" + std::to_string(channels) +
+                      " nic_chunk=" + std::to_string(nic_chunk));
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 7128);
+  EXPECT_TRUE(deadlocked.empty())
+      << deadlocked.size() << " of " << runs
+      << " configs deadlocked, first: " << deadlocked.front();
 }
 
 // ---------------------------------------------------------------------------
