@@ -60,7 +60,10 @@
 #      tuned >= seed, bitwise same-seed reproducibility (trace + cache), and
 #      the halved search's efficiency/argmin contract against the
 #      exhaustive search. The stage
-#      then checks the serving.* keys landed in BENCH_serving.json.
+#      then checks the serving.* keys landed in BENCH_serving.json and
+#      gates serving.resims at 0: the replicas must time every cached
+#      config by the cost this process's search measured, not simulate it
+#      again.
 #   7. Unreached-code report (informational): scripts/unreached.sh lists
 #      every strong tilelink:: library function that no bench, example or
 #      perfbench binary reaches in an -O0 --gc-sections link, with the
@@ -185,6 +188,10 @@ if [[ "$FAST" == "0" ]]; then
     grep -q "\"$key\"" build-ci/BENCH_serving.json \
         || { echo "missing $key in BENCH_serving.json"; exit 1; }
   done
+  # Re-simulated cached configs: 0 when the estimator reuses the costs its
+  # own process's searches measured (the warm replica re-simulated every
+  # hit before that).
+  ceiling build-ci/BENCH_serving.json serving.resims 0
 
   echo "=== [7/7] Unreached-code report (non-gating) ==="
   scripts/unreached.sh

@@ -152,6 +152,21 @@ tl::Autotuner E2eEstimator::Tuner() const {
   return tl::Autotuner(opts);
 }
 
+sim::TimeNs E2eEstimator::TunedTime(
+    const std::string& key, const std::function<tl::TuneResult()>& search,
+    const std::function<sim::TimeNs(const tl::TuneCandidate&)>& simulate) {
+  bool measured = false;
+  const tl::TunedEntry e = tuned_cache_->GetOrTune(
+      key, [&] { return EntryFromResult(search()); }, &measured);
+  if (measured) return e.cost;
+  // An entry loaded from a file: the key's calibration hash invalidates
+  // cost-model recalibrations, but simulator/evaluator *code* changes leave
+  // keys intact, so its stored cost is not trusted (the config may then be
+  // stale-suboptimal, but never mis-timed).
+  resims_.fetch_add(1, std::memory_order_relaxed);
+  return simulate(e.config);
+}
+
 bool E2eEstimator::Lookup(const std::string& key, sim::TimeNs* t) {
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = cache_.find(key);
@@ -210,30 +225,30 @@ sim::TimeNs E2eEstimator::TimeAgGemm(Method method, int64_t m, int64_t k,
     const bool fused = spec.num_nodes() > 1 &&
                        multinode::AgGemmHierFeasible(spec, shape, seed);
     if (fused && tuned) {
-      const tl::TunedEntry& e = tuned_cache_->GetOrTune(
-          tl::TunedConfigCache::Key("ag_gemm_hier", {m, k, n}, spec), [&] {
-            const tl::TuneResult r = multinode::TuneAgGemmHier(
+      t = TunedTime(
+          tl::TunedConfigCache::Key("ag_gemm_hier", {m, k, n}, spec),
+          [&] {
+            return multinode::TuneAgGemmHier(
                 spec, shape, tl::TuningSpace::AgGemmHier(), seed, Tuner());
-            return EntryFromResult(r);
+          },
+          [&](const tl::TuneCandidate& c) {
+            return multinode::SimulateAgGemmHier(spec, shape, c);
           });
-      t = multinode::SimulateAgGemmHier(spec, shape, e.config);
     } else if (fused) {
       t = multinode::SimulateAgGemmHier(spec, shape, seed);
     } else if (tuned) {
-      const tl::TunedEntry& e = tuned_cache_->GetOrTune(
-          tl::TunedConfigCache::Key("ag_gemm", {m, k, n}, spec), [&] {
-            const tl::TuneCandidate hand = DefaultAgGemmConfig(m, k, tp_);
-            const tl::TuningSpace space = MlpTuningSpaceFor(m, tp_);
-            const tl::TuneResult r =
-                tl::TuneAgGemm(spec, shape, space, hand, Tuner());
-            return EntryFromResult(r);
+      // A cached config is timed by its measured cost when a search in
+      // this process produced it and re-simulated when it came from a file
+      // (see TunedTime).
+      t = TunedTime(
+          tl::TunedConfigCache::Key("ag_gemm", {m, k, n}, spec),
+          [&] {
+            return tl::TuneAgGemm(spec, shape, MlpTuningSpaceFor(m, tp_),
+                                  DefaultAgGemmConfig(m, k, tp_), Tuner());
+          },
+          [&](const tl::TuneCandidate& c) {
+            return tl::SimulateAgGemm(spec, shape, c);
           });
-      // Re-simulate the cached config rather than trusting its stored cost:
-      // the key's calibration hash invalidates cost-model recalibrations,
-      // but simulator/evaluator *code* changes leave keys intact — a
-      // warm-started cache must stay honest across those too (the config
-      // may then be stale-suboptimal, but never mis-timed).
-      t = tl::SimulateAgGemm(spec, shape, e.config);
     } else {
       t = tl::SimulateAgGemm(spec, shape, DefaultAgGemmConfig(m, k, tp_));
     }
@@ -268,25 +283,27 @@ sim::TimeNs E2eEstimator::TimeGemmRs(Method method, int64_t m, int64_t k,
     const bool fused = spec.num_nodes() > 1 &&
                        multinode::GemmHierRsFeasible(spec, shape, seed);
     if (fused && tuned) {
-      const tl::TunedEntry& e = tuned_cache_->GetOrTune(
-          tl::TunedConfigCache::Key("gemm_hier_rs", {m, k, n}, spec), [&] {
-            const tl::TuneResult r = multinode::TuneGemmHierRs(
+      t = TunedTime(
+          tl::TunedConfigCache::Key("gemm_hier_rs", {m, k, n}, spec),
+          [&] {
+            return multinode::TuneGemmHierRs(
                 spec, shape, tl::TuningSpace::GemmHierRs(), seed, Tuner());
-            return EntryFromResult(r);
+          },
+          [&](const tl::TuneCandidate& c) {
+            return multinode::SimulateGemmHierRs(spec, shape, c);
           });
-      t = multinode::SimulateGemmHierRs(spec, shape, e.config);
     } else if (fused) {
       t = multinode::SimulateGemmHierRs(spec, shape, seed);
     } else if (tuned) {
-      const tl::TunedEntry& e = tuned_cache_->GetOrTune(
-          tl::TunedConfigCache::Key("gemm_rs", {m, k, n}, spec), [&] {
-            const tl::TuneCandidate hand = DefaultGemmRsConfig(m, k, tp_);
-            const tl::TuningSpace space = MlpTuningSpaceFor(m, tp_);
-            const tl::TuneResult r =
-                tl::TuneGemmRs(spec, shape, space, hand, Tuner());
-            return EntryFromResult(r);
+      t = TunedTime(
+          tl::TunedConfigCache::Key("gemm_rs", {m, k, n}, spec),
+          [&] {
+            return tl::TuneGemmRs(spec, shape, MlpTuningSpaceFor(m, tp_),
+                                  DefaultGemmRsConfig(m, k, tp_), Tuner());
+          },
+          [&](const tl::TuneCandidate& c) {
+            return tl::SimulateGemmRs(spec, shape, c);
           });
-      t = tl::SimulateGemmRs(spec, shape, e.config);
     } else {
       t = tl::SimulateGemmRs(spec, shape, DefaultGemmRsConfig(m, k, tp_));
     }
@@ -309,14 +326,15 @@ sim::TimeNs E2eEstimator::TimeFlashCore(int64_t bh, int64_t sq, int64_t skv,
   const sim::MachineSpec spec = Spec();
   const tl::FlashShape shape{bh, sq, skv, d};
   if (tuned) {
-    const tl::TunedEntry& e = tuned_cache_->GetOrTune(
-        tl::TunedConfigCache::Key("flash_core", {bh, sq, skv, d}, spec), [&] {
-          const tl::TuningSpace space = tl::TuningSpace::Attention();
-          const tl::TuneResult r = tl::TuneFlashCore(
-              spec, shape, space, HandPickedFlash(), Tuner());
-          return EntryFromResult(r);
+    t = TunedTime(
+        tl::TunedConfigCache::Key("flash_core", {bh, sq, skv, d}, spec),
+        [&] {
+          return tl::TuneFlashCore(spec, shape, tl::TuningSpace::Attention(),
+                                   HandPickedFlash(), Tuner());
+        },
+        [&](const tl::TuneCandidate& c) {
+          return tl::SimulateFlashCore(spec, shape, c);
         });
-    t = tl::SimulateFlashCore(spec, shape, e.config);
   } else {
     t = tl::SimulateFlashCore(spec, shape, HandPickedFlash());
   }
@@ -418,16 +436,18 @@ sim::TimeNs E2eEstimator::TimeDpSync(const ModelConfig& model) {
   if (Lookup(key, &t)) return t;
   const sim::MachineSpec spec = TwoNodeSpec();
   if (tuned) {
-    const tl::TunedEntry& e = tuned_cache_->GetOrTune(
+    t = TunedTime(
         tl::TunedConfigCache::Key(
             "dp_sync", {static_cast<int64_t>(grad_bytes)}, spec),
         [&] {
-          const tl::TuneResult r = multinode::TuneDpSync(
-              spec, grad_bytes, tl::TuningSpace::MultiNode(),
-              multinode::DefaultDpSyncCandidate(), Tuner());
-          return EntryFromResult(r);
+          return multinode::TuneDpSync(spec, grad_bytes,
+                                       tl::TuningSpace::MultiNode(),
+                                       multinode::DefaultDpSyncCandidate(),
+                                       Tuner());
+        },
+        [&](const tl::TuneCandidate& c) {
+          return multinode::SimulateDpSync(spec, grad_bytes, c);
         });
-    t = multinode::SimulateDpSync(spec, grad_bytes, e.config);
   } else {
     t = multinode::SimulateDpSync(spec, grad_bytes,
                                   multinode::DefaultDpSyncCandidate());

@@ -12,7 +12,9 @@
 // benchmarks can warm-start from a previous run's cache file.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -91,7 +93,12 @@ class E2eEstimator {
   // Obtain every TileLink kernel config from Autotuner::Search through the
   // per-shape `cache` (not owned; must outlive the estimator) instead of
   // the hand-picked defaults. The hand-picked config seeds each search, so
-  // a tuned component is never slower than its default. `tune_threads` is
+  // a tuned component is never slower than its default. A config a search
+  // in this process measured is timed by its cached cost, which is that
+  // same full-fidelity simulation; a config loaded from a file (or Put by
+  // hand) is re-simulated, since the code that measured its cost may
+  // differ from the code now running (resims() counts those). MoE layers
+  // always simulate their two tuned parts chained. `tune_threads` is
   // forwarded to every Autotuner (parallel candidate evaluation; any value
   // yields bitwise-identical tuned configs). The estimator itself is
   // thread-safe once tuning is enabled — the memo map is mutex'd and the
@@ -116,6 +123,10 @@ class E2eEstimator {
   sim::TimeNs ServingStepTime(const ModelConfig& model, Method method,
                               const ServingStep& step);
 
+  // Cached tuned configs this estimator re-simulated because their cost
+  // was not measured in this process (see EnableTuning).
+  int64_t resims() const { return resims_.load(std::memory_order_relaxed); }
+
  private:
   sim::TimeNs TimeAgGemm(Method method, int64_t m, int64_t k, int64_t n);
   sim::TimeNs TimeGemmRs(Method method, int64_t m, int64_t k, int64_t n);
@@ -128,6 +139,13 @@ class E2eEstimator {
   sim::MachineSpec TwoNodeSpec() const;
   tl::Autotuner Tuner() const;
 
+  // Time of the tuned config cached under `key`, running `search` on a
+  // miss: the entry's cost when this process measured it, else
+  // `simulate(config)`.
+  sim::TimeNs TunedTime(
+      const std::string& key, const std::function<tl::TuneResult()>& search,
+      const std::function<sim::TimeNs(const tl::TuneCandidate&)>& simulate);
+
   // Memoization helpers: Lookup returns true (and the memoized time) on a
   // hit; Store records the freshly simulated time. Racing Store calls for
   // one key write the same deterministic value, so last-wins is safe.
@@ -139,6 +157,7 @@ class E2eEstimator {
   bool two_node_;
   int tune_threads_ = 1;
   tl::TunedConfigCache* tuned_cache_ = nullptr;
+  std::atomic<int64_t> resims_{0};
   std::mutex cache_mu_;  // guards cache_
   std::map<std::string, sim::TimeNs> cache_;
 };

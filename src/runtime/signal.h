@@ -59,10 +59,6 @@ class SignalSet {
     return flag(idx).WaitGe(threshold);
   }
 
-  void ResetAll() {
-    for (auto& f : flags_) f->Reset();
-  }
-
   sim::TimeNs SignalLatency(int from_rank) const {
     return from_rank == device_ ? spec_->local_signal_latency
                                 : spec_->signal_visibility_latency;

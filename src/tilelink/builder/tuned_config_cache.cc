@@ -253,6 +253,7 @@ std::size_t TunedConfigCache::PruneStaleCalibration(
     if (key.size() < want.size() ||
         key.compare(key.size() - want.size(), want.size(), want) != 0) {
       recency_.erase(key);
+      measured_.erase(key);
       it = entries_.erase(it);
       ++removed;
     } else {
@@ -283,14 +284,20 @@ void TunedConfigCache::EvictOverflowLocked() {
     }
     if (victim == recency_.end()) break;  // recency lost track: keep all
     entries_.erase(victim->first);
+    measured_.erase(victim->first);
     recency_.erase(victim);
     ++stats_.evictions;
   }
 }
 
 void TunedConfigCache::StoreLocked(const std::string& key,
-                                   const TunedEntry& entry) {
+                                   const TunedEntry& entry, bool measured) {
   entries_[key] = entry;
+  if (measured) {
+    measured_.insert(key);
+  } else {
+    measured_.erase(key);
+  }
   TouchLocked(key);
   ++stats_.stores;
   EvictOverflowLocked();
@@ -310,17 +317,19 @@ std::vector<std::pair<std::string, TunedEntry>> TunedConfigCache::Entries()
 
 void TunedConfigCache::Put(const std::string& key, const TunedEntry& entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  StoreLocked(key, entry);
+  StoreLocked(key, entry, /*measured=*/false);
 }
 
-TunedEntry TunedConfigCache::GetOrTune(
-    const std::string& key, const std::function<TunedEntry()>& tune) {
+TunedEntry TunedConfigCache::GetOrTune(const std::string& key,
+                                       const std::function<TunedEntry()>& tune,
+                                       bool* measured) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
       TouchLocked(key);
+      if (measured != nullptr) *measured = measured_.count(key) > 0;
       return it->second;
     }
   }
@@ -337,7 +346,8 @@ TunedEntry TunedConfigCache::GetOrTune(
   ++stats_.misses;
   stats_.warm_start_ns += tune_ns;
   stats_.max_tune_ns = std::max(stats_.max_tune_ns, tune_ns);
-  StoreLocked(key, fresh);
+  StoreLocked(key, fresh, /*measured=*/true);
+  if (measured != nullptr) *measured = true;
   return fresh;
 }
 
@@ -393,6 +403,7 @@ bool TunedConfigCache::FromJson(const std::string& json) {
   if (!scan.AtEnd()) return false;  // trailing garbage: not our file
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [key, entry] : parsed) {
+    measured_.erase(key);
     entries_[key] = std::move(entry);
   }
   // Loaded entries get recency ticks in key order (deterministic; recency

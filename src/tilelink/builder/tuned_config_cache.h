@@ -13,6 +13,7 @@
 #include <initializer_list>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -70,6 +71,15 @@ struct CacheStats {
 // (which count searches avoided/performed) can vary. Find()'s pointer is
 // only stable while no other thread mutates the cache — concurrent callers
 // should use GetOrTune, which returns by value.
+//
+// Measured entries: the cache marks each entry a GetOrTune search in this
+// process stored. Its `cost` is then the full-fidelity simulation of its
+// `config` by the code now running, so a caller may use it instead of
+// simulating the config again. Put and FromJson clear the mark: an entry
+// loaded from a file or planted by hand carries a cost some other build
+// (or nobody) measured. The mark is not part of TunedEntry, is never
+// serialized, and GetOrTune reads it under the lock it reads the entry
+// under.
 class TunedConfigCache {
  public:
   // "kind/d0xd1x.../R8.n8.sm132.nv150.c<hash>": stable, human-greppable
@@ -80,15 +90,18 @@ class TunedConfigCache {
 
   // nullptr on miss. The pointer is invalidated by Put/LoadJson.
   const TunedEntry* Find(const std::string& key) const;
+  // Stores `entry` unmarked (see "Measured entries" above).
   void Put(const std::string& key, const TunedEntry& entry);
 
-  // Returns the cached entry, running `tune` (and storing its result) on a
-  // miss. This is the one call sites use: every config flows through here,
-  // so hits()/misses() count real searches avoided/performed. Returned by
-  // value: a reference into the map would race with concurrent Put/LoadJson
-  // overwrites.
+  // Returns the cached entry, running `tune` (and storing its result,
+  // marked measured) on a miss. This is the one call sites use: every
+  // config flows through here, so hits()/misses() count real searches
+  // avoided/performed. Returned by value: a reference into the map would
+  // race with concurrent Put/LoadJson overwrites. When `measured` is
+  // non-null it receives the returned entry's mark.
   TunedEntry GetOrTune(const std::string& key,
-                       const std::function<TunedEntry()>& tune);
+                       const std::function<TunedEntry()>& tune,
+                       bool* measured = nullptr);
 
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -141,13 +154,17 @@ class TunedConfigCache {
   bool LoadFile(const std::string& path);
 
  private:
-  // Pre: mu_ held. Records a store, refreshes recency, evicts LRU overflow.
-  void StoreLocked(const std::string& key, const TunedEntry& entry);
+  // Pre: mu_ held. Records a store with its mark, refreshes recency, evicts
+  // LRU overflow.
+  void StoreLocked(const std::string& key, const TunedEntry& entry,
+                   bool measured);
   void TouchLocked(const std::string& key);
   void EvictOverflowLocked();
 
   mutable std::mutex mu_;
   std::map<std::string, TunedEntry> entries_;
+  // Keys of the measured entries (a subset of entries_' keys).
+  std::set<std::string> measured_;
   // Monotonic recency ticks for LRU eviction; entries loaded from JSON get
   // ticks in key order. Not serialized (recency is a runtime property).
   std::map<std::string, uint64_t> recency_;

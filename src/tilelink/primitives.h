@@ -91,7 +91,7 @@ Op Store(std::string label, std::function<DataSpec(const Env&)> data = nullptr,
          std::function<void(const Env&)> math = nullptr);
 
 // Tensor-core tile step. Its cost depends on the tile shape only, never on
-// Env, so a loop of MMA steps evaluates it once.
+// Env, so a launch evaluates it once.
 Op Mma(std::string label,
        std::function<sim::TimeNs(const sim::CostModel&)> cost,
        std::function<void(const Env&)> math = nullptr);

@@ -245,6 +245,11 @@ CompiledKernel Compiler::Compile(FusedKernelSpec spec) const {
 // ---------------------------------------------------------------------------
 namespace {
 
+struct MmaCost {
+  const Op* op;
+  sim::TimeNs cost;
+};
+
 // Shared by every block of one launch on one rank, and by the async DMA
 // pushes those blocks issue: holding it keeps the spec (and so every op and
 // its label) alive until the last of them finishes.
@@ -252,6 +257,9 @@ struct LaunchState {
   std::shared_ptr<const FusedKernelSpec> spec;
   BlockChannel bc;
   sim::CostModel cost;
+  // The cost of each kMma op this launch has run, filled on first use: it
+  // reads only the CostModel, so it is one value per launch.
+  mutable InlineVector<MmaCost, 4> mma_costs;
 };
 
 struct ExecCtx {
@@ -316,6 +324,19 @@ void Notify(const ExecCtx& ec, const std::function<NotifySpec(const Env&)>& fn,
   FireNotify(ec, fn(env));
 }
 
+// The simulated time of costed op `op`: a kMma cost once per launch, any
+// other cost on every call.
+sim::TimeNs OpCost(const ExecCtx& ec, const Op& op, const Env& env) {
+  const LaunchState& launch = *ec.launch;
+  if (op.kind != OpKind::kMma) return op.cost(env, launch.cost);
+  for (const MmaCost& m : launch.mma_costs) {
+    if (m.op == &op) return m.cost;
+  }
+  const sim::TimeNs cost = op.cost(env, launch.cost);
+  launch.mma_costs.push_back(MmaCost{&op, cost});
+  return cost;
+}
+
 // Async DMA push: runs as its own root coroutine; the issuing block has
 // already moved on (its functional payload was captured at issue time, when
 // the data was handed to the DMA queue). Release semantics: notify_after
@@ -364,8 +385,8 @@ void IssueAsyncPush(const ExecCtx& ec, const Op& op, const Env& env) {
 // whose iterations nothing observes -- the block is untraced, the world
 // timing-only and the checker off -- and all cost the same is one
 // Delay{cost, trips}: the same events in the same order, one resume.
-// Evaluates a kMma cost once (it never reads Env) and any other costed op
-// once per iteration, and leaves the loop variable at 0.
+// Takes a kMma cost from the launch (it never reads Env), evaluates any
+// other costed op once per iteration, and leaves the loop variable at 0.
 sim::Delay LoopAsRepeatedDelay(const ExecCtx& ec, const Loop& loop,
                                int64_t trips, Env& env) {
   const sim::Delay per_iteration(0, 0);
@@ -374,12 +395,11 @@ sim::Delay LoopAsRepeatedDelay(const ExecCtx& ec, const Loop& loop,
     return per_iteration;
   }
   const Op& op = *loop.body[static_cast<size_t>(loop.compute_step)].op;
-  const sim::CostModel& cost = ec.launch->cost;
   int64_t& iv = env.loop[static_cast<size_t>(loop.depth)];
-  const sim::TimeNs first = op.cost(env, cost);
+  const sim::TimeNs first = OpCost(ec, op, env);
   if (op.kind == OpKind::kMma) return sim::Delay(first, trips);
   for (iv = 1; iv < trips; ++iv) {
-    if (op.cost(env, cost) != first) {
+    if (op.cost(env, ec.launch->cost) != first) {
       iv = 0;
       return per_iteration;
     }
@@ -512,7 +532,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const Role* role) {
     // then the functional payload (a store's payload already ran).
     if (op.cost) {
       const sim::TimeNs t0 = world.sim().Now();
-      co_await sim::Delay{op.cost(env, ec.launch->cost)};
+      co_await sim::Delay{OpCost(ec, op, env)};
       if (ec.tr != nullptr) {
         ec.tr->AddSpan(ec.pid, ec.tid, op.label, t0, world.sim().Now(),
                        sim::kCatCompute);
@@ -538,7 +558,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const Role* role) {
 std::shared_ptr<rt::KernelState> CompiledKernel::Launch(
     rt::RankCtx& ctx, rt::Stream& stream, const BlockChannel& bc) const {
   auto launch = std::make_shared<const LaunchState>(
-      LaunchState{spec_, bc, sim::CostModel(stream.device()->spec())});
+      LaunchState{spec_, bc, sim::CostModel(stream.device()->spec()), {}});
   rt::World* world = ctx.world;
   auto body = [launch, world](rt::BlockCtx bctx) -> sim::Coro {
     ExecCtx ec{world, launch};

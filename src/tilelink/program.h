@@ -149,8 +149,8 @@ struct Op {
   // Simulated time of the tile step. Must be a pure function of (Env,
   // CostModel): the interpreter may evaluate it for every iteration of a
   // loop at loop entry, to run the loop as one repeated delay. A kMma cost
-  // never reads Env (ops::Mma takes a CostModel-only callable), so a loop of
-  // MMA steps evaluates it once.
+  // never reads Env (ops::Mma takes a CostModel-only callable), so each
+  // launch (one per rank) evaluates it once for all its blocks and loops.
   std::function<sim::TimeNs(const Env&, const sim::CostModel&)> cost;
   std::function<void(const Env&)> math;          // functional payload
 };

@@ -585,7 +585,7 @@ TEST(Interpreter, VaryingLoopCostKeepsThePerIterationPath) {
             RunTileLoop(flat_body, false).resumes + kSavedResumes);
 }
 
-TEST(Interpreter, MmaCostIsEvaluatedOncePerRepeatedLoop) {
+TEST(Interpreter, MmaCostIsEvaluatedOncePerLaunch) {
   int calls = 0;
   auto k_body = [&calls](TileProgramBuilder& k) {
     k.Add(ops::Mma("mma", [&calls](const sim::CostModel&) {
@@ -593,13 +593,42 @@ TEST(Interpreter, MmaCostIsEvaluatedOncePerRepeatedLoop) {
       return sim::TimeNs{10};
     }));
   };
+  // One launch on each of the two ranks, whichever path the k-loops take.
   const LoopRun untraced = RunTileLoop(k_body, /*traced=*/false);
-  EXPECT_EQ(calls, static_cast<int>(kKLoops));
+  EXPECT_EQ(calls, 2);
   calls = 0;
   const LoopRun traced = RunTileLoop(k_body, /*traced=*/true);
-  EXPECT_EQ(calls, static_cast<int>(kKLoops * 5));
+  EXPECT_EQ(calls, 2);
   ExpectSameEvents(traced, untraced);
   EXPECT_EQ(traced.resumes, untraced.resumes + kSavedResumes);
+}
+
+TEST(Interpreter, MmaCostsAreKeptPerOp) {
+  // Two kMma ops of different cost in one k-loop (which then steps per
+  // iteration): each is evaluated once per launch and keeps its own cost,
+  // so the run matches one whose steps are evaluated every time.
+  int calls_a = 0;
+  int calls_b = 0;
+  auto mmas = [&](TileProgramBuilder& k) {
+    k.Add(ops::Mma("mma_a", [&calls_a](const sim::CostModel&) {
+      ++calls_a;
+      return sim::TimeNs{10};
+    }));
+    k.Add(ops::Mma("mma_b", [&calls_b](const sim::CostModel&) {
+      ++calls_b;
+      return sim::TimeNs{3};
+    }));
+  };
+  auto steps = [](TileProgramBuilder& k) {
+    k.Add(CostedStep([](const Env&) { return sim::TimeNs{10}; }));
+    k.Add(CostedStep([](const Env&) { return sim::TimeNs{3}; }));
+  };
+  const LoopRun run = RunTileLoop(mmas, /*traced=*/false);
+  EXPECT_EQ(calls_a, 2);
+  EXPECT_EQ(calls_b, 2);
+  const LoopRun reference = RunTileLoop(steps, /*traced=*/false);
+  ExpectSameEvents(run, reference);
+  EXPECT_EQ(run.resumes, reference.resumes);
 }
 
 TEST(Interpreter, SignalOrSecondCostInLoopKeepsThePerIterationPath) {

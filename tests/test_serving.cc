@@ -8,13 +8,17 @@
 // 4. E2eEstimator::ServingStepTime: ragged decode widths m = 1..32 (dense
 //    and MoE) route through the padded fused kernels without infeasible
 //    crashes, tuned and untuned, tuned never slower than untuned defaults.
-// 5. ConfigService / TunedConfigCache: stats aggregation, tuned-vs-seed
+// 5. Measured costs: a tuned estimator times a config its own process's
+//    search measured by the cached cost and re-simulates one loaded from a
+//    file or Put by hand, with bitwise equal answers either way.
+// 6. ConfigService / TunedConfigCache: stats aggregation, tuned-vs-seed
 //    geomean >= 1, LRU eviction under SetCapacity, serialization of the new
 //    seed_cost/full_evals fields, and old-format cache files still loading.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -417,6 +421,167 @@ TEST(CacheSerializationTest, WallClockStatsAreNeverSerialized) {
   EXPECT_EQ(json.find("warm_start"), std::string::npos);
   EXPECT_EQ(json.find("max_tune"), std::string::npos);
   EXPECT_GE(cache.stats().warm_start_ns, 0);
+}
+
+
+// ---------------------------------------------------------------------- //
+// Measured costs: reuse what this process's searches simulated
+// ---------------------------------------------------------------------- //
+
+// The simulated times one tuned estimator call sequence returns.
+using Timings = std::vector<sim::TimeNs>;
+using TimeFn = std::function<Timings(models::E2eEstimator&)>;
+
+struct EstimatorShape {
+  int tp = 8;
+  int64_t batch = 1;
+  int64_t seq = 1;
+  bool two_node = false;
+};
+
+// Runs `time` on an estimator tuned against `cache`; *resims receives how
+// many cached configs it re-simulated.
+Timings TimeTuned(const EstimatorShape& shape, tl::TunedConfigCache* cache,
+                  const TimeFn& time, int64_t* resims) {
+  models::E2eEstimator est(shape.tp, shape.batch, shape.seq, shape.two_node);
+  est.EnableTuning(cache, /*tune_threads=*/4);
+  const Timings t = time(est);
+  *resims = est.resims();
+  return t;
+}
+
+// A cold cache reuses every cost its searches measured, and an estimator
+// whose cache was loaded from the same entries re-simulates every tuned
+// config: both must return the same times, bitwise. Returns the cold
+// cache's document.
+std::string ExpectReuseMatchesResimulation(const EstimatorShape& shape,
+                                           const TimeFn& time) {
+  tl::TunedConfigCache cold_cache;
+  int64_t cold_resims = -1;
+  const Timings cold = TimeTuned(shape, &cold_cache, time, &cold_resims);
+  EXPECT_GT(cold_cache.misses(), 0);
+  EXPECT_EQ(cold_resims, 0);
+
+  const std::string json = cold_cache.ToJson();
+  tl::TunedConfigCache loaded_cache;
+  EXPECT_TRUE(loaded_cache.FromJson(json));
+  int64_t loaded_resims = -1;
+  EXPECT_EQ(TimeTuned(shape, &loaded_cache, time, &loaded_resims), cold);
+  EXPECT_EQ(loaded_cache.misses(), 0);
+  EXPECT_GT(loaded_resims, 0);
+  return json;
+}
+
+TimeFn StepTimes(const std::string& model_name) {
+  return [model_name](models::E2eEstimator& est) {
+    const models::ModelConfig model = models::GetModel(model_name);
+    Timings t;
+    for (const models::ServingStep& step :
+         {BucketStep(models::ServingStep{48, 5, 600}),
+          BucketStep(models::ServingStep{0, 17, 300})}) {
+      t.push_back(est.ServingStepTime(model, models::Method::kTileLink, step));
+    }
+    return t;
+  };
+}
+
+TimeFn LayerTimes(const std::string& model_name) {
+  return [model_name](models::E2eEstimator& est) {
+    const models::LayerBreakdown b = est.LayerTime(
+        models::GetModel(model_name), models::Method::kTileLink);
+    return Timings{b.attn_block, b.ffn_block, b.dp_sync};
+  };
+}
+
+TEST(MeasuredCostTest, DenseStepsMatchALoadedCache) {
+  ExpectReuseMatchesResimulation(EstimatorShape{}, StepTimes("GPT3-6.7B"));
+}
+
+TEST(MeasuredCostTest, MoeStepsMatchALoadedCache) {
+  const std::string json =
+      ExpectReuseMatchesResimulation(EstimatorShape{}, StepTimes("Mixtral-8x7B"));
+  EXPECT_NE(json.find("\"ag_moe/"), std::string::npos);
+}
+
+TEST(MeasuredCostTest, TwoNodeLayerMatchesALoadedCache) {
+  // Data-parallel pairs across two nodes: the layer's dp-sync is tuned too.
+  const std::string json = ExpectReuseMatchesResimulation(
+      EstimatorShape{/*tp=*/8, /*batch=*/1, /*seq=*/256, /*two_node=*/true},
+      LayerTimes("LLaMA2-7B"));
+  EXPECT_NE(json.find("\"dp_sync/"), std::string::npos);
+}
+
+TEST(MeasuredCostTest, NodeSpanningTpLayerMatchesALoadedCache) {
+  // TP 16 spans two nodes: the projections run the fused hierarchical
+  // ag_gemm_hier and gemm_hier_rs kernels.
+  const std::string json = ExpectReuseMatchesResimulation(
+      EstimatorShape{/*tp=*/16, /*batch=*/1, /*seq=*/2048,
+                     /*two_node=*/false},
+      LayerTimes("LLaMA2-7B"));
+  EXPECT_NE(json.find("\"ag_gemm_hier/"), std::string::npos);
+  EXPECT_NE(json.find("\"gemm_hier_rs/"), std::string::npos);
+}
+
+// Every cost in `json` replaced by a wrong one, as a file from another
+// build could carry.
+std::string PlantWrongCosts(const std::string& json) {
+  tl::TunedConfigCache planted;
+  EXPECT_TRUE(planted.FromJson(json));
+  for (auto [key, entry] : planted.Entries()) {
+    entry.cost = 1;
+    planted.Put(key, entry);
+  }
+  return planted.ToJson();
+}
+
+TEST(MeasuredCostTest, LoadedCostIsNeverReturned) {
+  const EstimatorShape shape;
+  const TimeFn time = StepTimes("GPT3-6.7B");
+  tl::TunedConfigCache cold_cache;
+  int64_t resims = -1;
+  const Timings cold = TimeTuned(shape, &cold_cache, time, &resims);
+
+  tl::TunedConfigCache loaded_cache;
+  ASSERT_TRUE(loaded_cache.FromJson(PlantWrongCosts(cold_cache.ToJson())));
+  EXPECT_EQ(TimeTuned(shape, &loaded_cache, time, &resims), cold);
+  EXPECT_GT(resims, 0);
+}
+
+TEST(MeasuredCostTest, PutOverAMeasuredEntryClearsTheMark) {
+  tl::TunedConfigCache cache;
+  bool measured = false;
+  (void)cache.GetOrTune("k", [] { return EntryWithCost(5); }, &measured);
+  EXPECT_TRUE(measured);
+  measured = false;
+  (void)cache.GetOrTune("k", [] { return EntryWithCost(6); }, &measured);
+  EXPECT_TRUE(measured);  // a hit on the searched entry
+  cache.Put("k", EntryWithCost(7));
+  (void)cache.GetOrTune("k", [] { return EntryWithCost(8); }, &measured);
+  EXPECT_FALSE(measured);
+  // FromJson over a measured key clears it too, and the mark never reaches
+  // the file.
+  (void)cache.GetOrTune("j", [] { return EntryWithCost(9); }, &measured);
+  EXPECT_TRUE(measured);
+  const std::string json = cache.ToJson();
+  ASSERT_TRUE(cache.FromJson(json));
+  (void)cache.GetOrTune("j", [] { return EntryWithCost(10); }, &measured);
+  EXPECT_FALSE(measured);
+  EXPECT_EQ(cache.ToJson(), json);
+
+  // The estimator then re-simulates: a wrong cost Put over every measured
+  // key of a cold run is never returned.
+  const EstimatorShape shape;
+  const TimeFn time = StepTimes("LLaMA2-13B");
+  tl::TunedConfigCache run_cache;
+  int64_t resims = -1;
+  const Timings cold = TimeTuned(shape, &run_cache, time, &resims);
+  EXPECT_EQ(resims, 0);
+  for (auto [key, entry] : run_cache.Entries()) {
+    entry.cost = 1;
+    run_cache.Put(key, entry);
+  }
+  EXPECT_EQ(TimeTuned(shape, &run_cache, time, &resims), cold);
+  EXPECT_GT(resims, 0);
 }
 
 }  // namespace

@@ -748,11 +748,16 @@ TEST(TunedConfigCacheTest, ConcurrentGetOrTuneStress) {
     pool.emplace_back([&cache, &tunes, t] {
       for (int i = 0; i < kIters; ++i) {
         const std::string key = "k/" + std::to_string((i * 7 + t) % kKeys);
-        const TunedEntry e = cache.GetOrTune(key, [&tunes] {
-          ++tunes;
-          return DistinctEntry();
-        });
+        bool measured = false;
+        const TunedEntry e = cache.GetOrTune(
+            key,
+            [&tunes] {
+              ++tunes;
+              return DistinctEntry();
+            },
+            &measured);
         EXPECT_EQ(e, DistinctEntry());
+        EXPECT_TRUE(measured);  // every entry here came from a search
         if (i % 32 == 0) {
           // Mix in readers so serialization races with get/put.
           (void)cache.ToJson();
