@@ -23,9 +23,11 @@
 // kernel's exposed-communication fraction. --faults runs the deterministic
 // fault sweep on a 4-NIC-rail 2x8: targeted drops, latency spikes, seeded
 // random transient mixes and rail death must all leave every collective and
-// the fused kernel bit-exact with zero checker violations, and killing one
-// of four rails at t=0 must cost at most 4/3 (+10%) of the fault-free
-// makespan on bandwidth-bound shapes. The timing gates below are identical
+// the fused kernel bit-exact with zero checker violations, every fault row
+// (and the --ag-fused fault gate) must retry each failed attempt exactly
+// once (retries == drops + timeouts), and killing one of four rails at t=0
+// must cost at most 4/3 (+10%) of the fault-free makespan on
+// bandwidth-bound shapes. The timing gates below are identical
 // with or without any flag. Every invocation also runs the fabric
 // timeline/profiler gate (valid chrome-trace JSON, a >= 3-arrow
 // producer->ring->rail->reduce flow chain, internally consistent overlap
@@ -46,6 +48,13 @@
 #include "tilelink/multinode/payload_validation.h"
 
 namespace {
+
+// The fabric's retransmit policy retries every failed attempt exactly once
+// (the last one throws instead): a policy that swallows a failure or
+// retries one twice breaks this balance.
+bool RetriesBalance(const tilelink::sim::FaultStats& f) {
+  return f.retries == f.drops + f.timeouts;
+}
 
 bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
                           tilelink::bench::BenchReport* report) {
@@ -265,17 +274,18 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
               (unsigned long long)fr.faults.drops,
               (unsigned long long)fr.faults.spikes,
               (unsigned long long)fr.faults.retries);
-  report->Record("multinode.ag_fused.fault_ok",
-                 fr.ok() && injected > 0 ? 1.0 : 0.0);
-  ok = ok && fr.ok() && injected > 0;
+  const bool fault_ok = fr.ok() && injected > 0 && RetriesBalance(fr.faults);
+  report->Record("multinode.ag_fused.fault_ok", fault_ok ? 1.0 : 0.0);
+  ok = ok && fault_ok;
 
   std::printf("%s\n\n", ok ? "ag-fused gate OK" : "ag-fused gate FAILED");
   return ok;
 }
 
 // Deterministic fault sweep (--faults): every schedule must leave every
-// collective (and the fused kernel) bit-exact with zero checker violations;
-// rail death must additionally stay within the surviving-bandwidth bound.
+// collective (and the fused kernel) bit-exact with zero checker violations
+// and retry each failed attempt exactly once; rail death must additionally
+// stay within the surviving-bandwidth bound.
 bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
                    tilelink::bench::BenchReport* report) {
   using namespace tilelink;
@@ -377,14 +387,14 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
        }},
   };
 
-  // Transient schedules: payload bit-exact, zero violations, and the
-  // schedule must actually have injected something (so a silently inert
-  // plan cannot green-light the gate).
+  // Transient schedules: payload bit-exact, zero violations, every failed
+  // attempt retried once, and the schedule must actually have injected
+  // something (so a silently inert plan cannot green-light the gate).
   for (const auto& [sched_name, plan] : schedules) {
     for (const Target& t : targets) {
       const PayloadReport r = t.run(&plan);
       const uint64_t injected = r.faults.drops + r.faults.spikes;
-      const bool pass = r.ok() && injected > 0;
+      const bool pass = r.ok() && injected > 0 && RetriesBalance(r.faults);
       std::printf("  %-16s %-13s bit_exact=%d violations=%zu drops=%llu "
                   "spikes=%llu retries=%llu\n",
                   sched_name.c_str(), t.name, r.bit_exact ? 1 : 0,
@@ -425,7 +435,7 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
     const PayloadReport r = d.target->run(&death);
     const double ratio = static_cast<double>(r.makespan) /
                          static_cast<double>(clean.makespan);
-    const bool pass = r.ok() && ratio <= bound;
+    const bool pass = r.ok() && ratio <= bound && RetriesBalance(r.faults);
     std::printf("  rail_death_t0    %-13s bit_exact=%d violations=%zu "
                 "ratio=%.3f (bound %.3f)\n",
                 d.name, r.bit_exact ? 1 : 0, r.violations, ratio, bound);
@@ -449,10 +459,11 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
                 "retries=%llu\n",
                 d.name, m.bit_exact ? 1 : 0, m.violations,
                 (unsigned long long)m.faults.retries);
+    const bool mid_pass = m.ok() && RetriesBalance(m.faults);
     report->Record(std::string("multinode.faults.rail_death_mid.") + d.name +
                        ".ok",
-                   m.ok() ? 1.0 : 0.0);
-    ok = ok && m.ok();
+                   mid_pass ? 1.0 : 0.0);
+    ok = ok && mid_pass;
   }
 
   std::printf("%s\n\n", ok ? "fault sweep OK" : "fault sweep FAILED");

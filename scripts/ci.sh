@@ -45,14 +45,18 @@
 #      functional run is not bit-exact / violation-free), or if the
 #      planner-generated ag_gemm_hier loses its --ag-fused gate (fused vs
 #      AllGather-then-GEMM compose, tuned vs seed, small-m column split,
-#      functional + fault-injected bit-exactness). The bench also
-#      self-gates the fabric timeline: the recorded chrome-trace JSON must
-#      parse, the producer->ring->rail->reduce flow chain must be present,
-#      the profiler must be internally consistent (utilizations in [0,1],
-#      critical path <= makespan), traced faults must surface as fault.*
-#      instants, and makespans must be bitwise identical with tracing on or
-#      off. The stage then checks the fabric.* keys landed in the JSON
-#      report and that the saved trace file is non-trivial.
+#      functional + fault-injected bit-exactness), or if any fault row
+#      (transient schedules, both rail-death cases, the --ag-fused fault
+#      gate) breaks retries == drops + timeouts: the balance catches a
+#      retransmit policy that swallows or double-retries a failed attempt.
+#      The bench also self-gates the fabric timeline: the recorded
+#      chrome-trace JSON must parse, the producer->ring->rail->reduce flow
+#      chain must be present, the profiler must be internally consistent
+#      (utilizations in [0,1], critical path <= makespan), traced faults
+#      must surface as fault.* instants, and makespans must be bitwise
+#      identical with tracing on or off. The stage then checks the fabric.*
+#      keys landed in the JSON report and that the saved trace file is
+#      non-trivial.
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
 #      request trace through per-model replicas whose cold tunes run the
 #      halved Autotuner::Search behind the online config service — it
@@ -156,7 +160,8 @@ if [[ "$FAST" == "0" ]]; then
   # AllGather-then-GEMM compose at any gate shape (including the small-m
   # column-split shape), if the tuner regresses past the seed, if the
   # small-m planner stops column-splitting, or if the functional /
-  # fault-injected runs are not bit-exact and checker-clean.
+  # fault-injected runs are not bit-exact and checker-clean. --faults also
+  # fails any fault row whose retries != drops + timeouts.
   ./build-ci/bench_multinode_fabric --payload --fused --ag-fused --faults \
       --json build-ci/BENCH_multinode.json \
       --trace build-ci/TRACE_multinode.json

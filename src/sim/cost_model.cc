@@ -68,10 +68,4 @@ TimeNs CostModel::NvlinkTransfer(uint64_t bytes) const {
          std::max<TimeNs>(1, static_cast<TimeNs>(std::llround(t)));
 }
 
-TimeNs CostModel::NicTransfer(uint64_t bytes) const {
-  const double t = static_cast<double>(bytes) / spec_.nic_gbps;  // bytes/ns
-  return spec_.nic_latency +
-         std::max<TimeNs>(1, static_cast<TimeNs>(std::llround(t)));
-}
-
 }  // namespace tilelink::sim

@@ -52,12 +52,8 @@ class CostModel {
 
   // Time to move `bytes` point-to-point over the intra-node fabric at peak
   // bandwidth (lower bound for any communication role carrying that volume).
+  // Network::ExpectedFlowTime rounds a transfer the same way.
   TimeNs NvlinkTransfer(uint64_t bytes) const;
-
-  // Same for the inter-node NIC fabric: expected uncontended flow time of a
-  // `bytes` message over one device's full NIC bandwidth. The link roles'
-  // ack-timeouts scale off this.
-  TimeNs NicTransfer(uint64_t bytes) const;
 
  private:
   MachineSpec spec_;

@@ -8,8 +8,9 @@
 // or to zero, at simulated time T), and the PR 4 rail-reorder bug (a chunk
 // whose ready-signal is published before its payload lands). The plan is
 // attached to a `sim::Network` (usually via `rt::World::set_fault_plan`), so
-// collectives, fused kernels, and raw p2p all see the same fault surface
-// through the one `Transfer` hook.
+// collectives, fused kernels, and raw p2p all see the same fault surface:
+// one attempt (`Network::TryTransfer`) and one retransmit policy
+// (`Network::AckTimeout` / `Network::FailedAttempt`).
 //
 // Determinism: a plan is immutable once attached and holds no RNG state.
 // Random transients are pure hashes of (seed, fabric, src, dst, ordinal), so
@@ -28,9 +29,11 @@
 
 namespace tilelink::sim {
 
-// Raised when a link role exhausts its retransmit budget. Names the failing
-// role, rank, and chunk so a fault surfaces as a diagnosis instead of a bare
-// deadlock.
+// Raised by Network::FailedAttempt when a send exhausts its retransmit
+// budget: a single Transfer (role "<fabric>.transfer", chunk = the edge's
+// attempt ordinal) or a link stream's chunk (role = the stream's name).
+// Names the failing role, rank, and chunk so a fault surfaces as a
+// diagnosis instead of a bare deadlock.
 class FaultError : public Error {
  public:
   FaultError(std::string role, int rank, int64_t chunk, int attempts,
@@ -73,21 +76,21 @@ struct RailDegrade {
   double fraction = 0.0;  // surviving share of the rail's bandwidth
 };
 
-// Retransmit budget used by fault-aware senders. backoff_base=0 means "use
-// the fabric's wire latency".
+// Retransmit budget Network::FailedAttempt spends. backoff_base=0 means
+// "use the fabric's wire latency".
 struct RetryPolicy {
   int max_retries = 4;
   TimeNs backoff_base = 0;
 };
 
-// Scales the cost model's expected flow time into a fault-aware sender's ack
-// deadline; deliberately generous so ordinary max-min contention does not
-// masquerade as loss.
+// Scales Network::ExpectedFlowTime into the fabric's ack deadline
+// (Network::AckTimeout); deliberately generous so ordinary max-min
+// contention does not masquerade as loss.
 inline constexpr double kAckTimeoutFactor = 16.0;
 
 // Simulated wait after failed attempt `attempt` (0-based): exponential
 // from `base`, or from the fabric's wire latency (at least 1 ns) when base
-// is 0, doubling per attempt up to 2^10. Every retrying sender uses it.
+// is 0, doubling per attempt up to 2^10. Network::FailedAttempt bills it.
 inline TimeNs RetryBackoff(TimeNs base, TimeNs wire_latency, int attempt) {
   const TimeNs unit = base > 0 ? base : std::max<TimeNs>(1, wire_latency);
   return unit << std::min(attempt, 10);

@@ -142,10 +142,30 @@ void Network::Rescale(int port, int rail, double fraction) {
 }
 
 TimeNs Network::ExpectedFlowTime(uint64_t bytes) const {
-  // One rail's serial share: rails_ x the bytes-over-port time.
+  // One rail's serial share, rails_ x the bytes-over-port time, rounded as
+  // the cost model rounds a transfer.
+  const double t =
+      static_cast<double>(bytes * static_cast<uint64_t>(rails_)) / port_bw_;
   return latency_ns_ +
-         static_cast<TimeNs>(std::ceil(
-             static_cast<double>(bytes) * rails_ / port_bw_));
+         std::max<TimeNs>(1, static_cast<TimeNs>(std::llround(t)));
+}
+
+TimeNs Network::AckTimeout(uint64_t bytes) const {
+  if (plan_ == nullptr || !plan_->PerturbsFabric(name_)) return 0;
+  return static_cast<TimeNs>(kAckTimeoutFactor *
+                             static_cast<double>(ExpectedFlowTime(bytes)));
+}
+
+TimeNs Network::FailedAttempt(const std::string& sender, int rank,
+                              int64_t chunk, int attempt, bool timed_out) {
+  TL_CHECK(plan_ != nullptr);
+  const RetryPolicy& rp = plan_->retry();
+  if (attempt >= rp.max_retries) {
+    throw FaultError(sender, rank, chunk, attempt + 1,
+                     timed_out ? "ack timeout" : "chunk dropped");
+  }
+  NoteRetry();
+  return RetryBackoff(rp.backoff_base, latency_ns_, attempt);
 }
 
 int Network::PickRail(int src, int dst) const {
@@ -165,26 +185,15 @@ int Network::PickRail(int src, int dst) const {
 }
 
 Coro Network::Transfer(int src, int dst, uint64_t bytes) {
-  if (plan_ == nullptr || !plan_->PerturbsFabric(name_)) {
-    TransferOutcome out;
-    co_await TryTransfer(src, dst, bytes, TransferOpts{}, &out);
-    co_return;
-  }
-  const RetryPolicy& rp = plan_->retry();
   TransferOpts opts;
-  opts.ack_timeout = static_cast<TimeNs>(
-      kAckTimeoutFactor * static_cast<double>(ExpectedFlowTime(bytes)));
+  opts.ack_timeout = AckTimeout(bytes);
   for (int attempt = 0;; ++attempt) {
     TransferOutcome out;
     co_await TryTransfer(src, dst, bytes, opts, &out);
     if (out.delivered) co_return;
-    if (attempt >= rp.max_retries) {
-      throw FaultError(name_ + ".transfer", src,
-                       static_cast<int64_t>(out.ordinal), attempt + 1,
-                       out.timed_out ? "ack timeout" : "chunk dropped");
-    }
-    NoteRetry();
-    co_await Delay{RetryBackoff(rp.backoff_base, latency_ns_, attempt)};
+    co_await Delay{FailedAttempt(name_ + ".transfer", src,
+                                 static_cast<int64_t>(out.ordinal), attempt,
+                                 out.timed_out)};
   }
 }
 

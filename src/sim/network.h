@@ -14,9 +14,12 @@
 // health factor in [0, 1], and flows contend only within their rail. With
 // the default single healthy rail the arithmetic reduces bitwise to the flat
 // model. A FaultPlan (sim/fault.h) can drop or straggle individual transfer
-// attempts and kill or degrade rails at a simulated time; `TryTransfer`
-// reports delivery instead of throwing so callers own the retry policy,
-// while the legacy `Transfer` wraps it in the plan's bounded-retry loop.
+// attempts and kill or degrade rails at a simulated time. `TryTransfer` is
+// one attempt and reports delivery instead of throwing. The retransmit
+// policy is the fabric's own: `AckTimeout` arms each attempt and
+// `FailedAttempt` spends the plan's retry budget. `Transfer` (every
+// single send, the fused kernels' device pushes included) and the link
+// roles' chunk loop both retry through those two calls.
 //
 // Rates and completions touch only what a change can affect:
 //  * Port-rail index. A flow's rate depends only on the flow counts and
@@ -88,16 +91,31 @@ class Network {
 
   // Coroutine: completes when `bytes` have moved from src's egress port to
   // dst's ingress port. A src==dst transfer models a local HBM-to-HBM copy
-  // at local_copy_bw_gbps (no port contention). When a fault plan perturbs
-  // this fabric, failed attempts are retried under the plan's RetryPolicy
-  // and exhaustion throws FaultError; otherwise this is a single attempt.
+  // at local_copy_bw_gbps (no port contention). Failed attempts are
+  // retried through FailedAttempt, so exhaustion throws FaultError; with no
+  // fault plan perturbing this fabric this is a single attempt.
   Coro Transfer(int src, int dst, uint64_t bytes);
 
   // One attempt: applies the fault plan's transient fate for this attempt
   // and reports the outcome in *out instead of retrying or throwing.
-  // Callers that need failover (link roles) build their policy on this.
+  // Callers that pick rails per attempt (link roles) loop over this with
+  // AckTimeout and FailedAttempt.
   Coro TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
                    TransferOutcome* out);
+
+  // --- retransmit policy (shared by every retrying sender) ---
+
+  // Ack deadline of one attempt moving `bytes`: kAckTimeoutFactor x
+  // ExpectedFlowTime(bytes) when the fault plan perturbs this fabric, else
+  // 0 (no deadline).
+  TimeNs AckTimeout(uint64_t bytes) const;
+
+  // Settles failed attempt `attempt` (0-based) of chunk `chunk` that
+  // `sender` sent from `rank`: throws FaultError once the plan's
+  // RetryPolicy budget is spent, else counts the retry and returns the
+  // RetryBackoff wait before the next attempt.
+  TimeNs FailedAttempt(const std::string& sender, int rank, int64_t chunk,
+                       int attempt, bool timed_out);
 
   // --- rails ---
 
@@ -120,7 +138,6 @@ class Network {
   void SetFaultPlan(const FaultPlan* plan);
   const FaultPlan* fault_plan() const { return plan_; }
   const FaultStats& fault_stats() const { return stats_; }
-  void NoteRetry();
 
   // --- tracing ---
 
@@ -130,8 +147,8 @@ class Network {
   void set_trace_pid(int pid) { trace_pid_ = pid; }
   int trace_pid() const { return trace_pid_; }
 
-  // Expected serial time of one transfer on a healthy rail: the ack-timeout
-  // basis when no cost model is at hand.
+  // Expected serial time of one transfer on a healthy rail, rounded as
+  // CostModel rounds a transfer: the ack-timeout basis.
   TimeNs ExpectedFlowTime(uint64_t bytes) const;
 
   void set_local_copy_bw_gbps(double gbps) { local_copy_bw_ = gbps; }
@@ -241,6 +258,7 @@ class Network {
   // when every rail is dead (the flow parks; an ack-timeout recovers it).
   int PickRail(int src, int dst) const;
   void ApplyDegrade(const RailDegrade& d);
+  void NoteRetry();
 
   Simulator* sim_;
   int num_ports_;

@@ -66,15 +66,17 @@ namespace {
 // `eager_publish` (fault injection) the arrival signal fires when the send
 // starts: consumers wake mid-transfer, which the checker must catch.
 //
-// Reliability: each attempt is one TryTransfer under the stream's
-// ack-timeout; a failed attempt closes its write interval with no
-// RecordWrite (nothing landed, so retirement is unpinned and the retry
-// cannot be flagged against the abort), backs off exponentially in
-// simulated time, and retries on a freshly picked rail. Exhausting the
-// budget throws FaultError naming the role, rank, and chunk; the arrival
-// prefix is only ever published for delivered payloads (or eagerly at the
-// first attempt when the fault plan injects the §4.2 reorder), so
-// InOrderSignal is delayed, never corrupted.
+// Reliability is the fabric's retransmit policy: each attempt is one
+// TryTransfer under the fabric's AckTimeout; a failed attempt closes its
+// write interval with no RecordWrite (nothing landed, so retirement is
+// unpinned and the retry cannot be flagged against the abort), waits out
+// the fabric's FailedAttempt backoff, and retries on a freshly picked
+// rail. Unlike Transfer, the loop re-probes the checker reads and traces
+// every attempt. Exhausting the budget throws FaultError naming the
+// stream (its drain flag), rank, and chunk; the arrival prefix is only
+// ever published for delivered payloads (or eagerly at the first attempt
+// when the fault plan injects the §4.2 reorder), so InOrderSignal is
+// delayed, never corrupted.
 //
 // `stream` outlives every spawned chunk: RunLinkStream's frame holds it
 // until the final drain wait completes.
@@ -100,7 +102,8 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
       tr->AddFlowFinish(f.first, span_pid, span_tid, simp->Now(), f.second);
     }
   }
-  const int max_attempts = 1 + std::max(0, stream->max_retries);
+  sim::TransferOpts opts;
+  opts.ack_timeout = net->AckTimeout(bytes);
   for (int attempt = 0;; ++attempt) {
     const sim::TimeNs attempt_start = simp->Now();
     sim::TimeNs start = 0;
@@ -116,8 +119,6 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
     if (attempt == 0 && eager_publish && sig != nullptr) {
       sig->Complete(index, tiles, span_pid, span_tid);
     }
-    sim::TransferOpts opts;
-    opts.ack_timeout = stream->ack_timeout;
     if (stream->rail_of) {
       opts.rail = stream->rail_of(static_cast<int64_t>(index), attempt);
     }
@@ -151,16 +152,9 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
     }
     // Aborted attempt: nothing landed, so close the interval unrecorded.
     if (chk != nullptr) chk->CloseWrite(wt);
-    if (attempt + 1 >= max_attempts) {
-      throw sim::FaultError(
-          stream->role.empty() ? std::string(stream->chunk_label)
-                               : stream->role,
-          stream->src, static_cast<int64_t>(index), attempt + 1,
-          out.timed_out ? "ack timeout" : "chunk dropped");
-    }
-    net->NoteRetry();
-    co_await sim::Delay{
-        sim::RetryBackoff(stream->backoff_base, net->latency(), attempt)};
+    co_await sim::Delay{net->FailedAttempt(done->name(), stream->src,
+                                           static_cast<int64_t>(index),
+                                           attempt, out.timed_out)};
   }
   if (!eager_publish && sig != nullptr) {
     sig->Complete(index, tiles, span_pid, span_tid);
@@ -228,35 +222,6 @@ class RailScheduler {
 
 }  // namespace
 
-void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
-                          LinkStream* stream) {
-  TL_CHECK(stream->fabric != nullptr);
-  stream->role = stream->name;
-  sim::Network* net = stream->fabric;
-  if (net->rails() > 1) {
-    auto sched = std::make_shared<RailScheduler>(net, stream->src, stream->dst,
-                                                 stream->num_chunks);
-    stream->rail_of = [sched](int64_t chunk, int attempt) {
-      return sched->RailFor(chunk, attempt);
-    };
-  }
-  const sim::FaultPlan* plan = world.fault_plan();
-  if (plan == nullptr || !plan->PerturbsFabric(net->name())) return;
-  const sim::RetryPolicy& rp = plan->retry();
-  stream->max_retries = rp.max_retries;
-  stream->backoff_base = rp.backoff_base;
-  // Expected uncontended chunk time on one rail (a rail owns 1/rails of the
-  // port), scaled by the generous ack-timeout factor so fair-share
-  // contention does not read as loss.
-  const bool inter = net == &world.inter_fabric();
-  const sim::TimeNs expect =
-      inter ? world.cost().NicTransfer(chunk_bytes *
-                                       static_cast<uint64_t>(net->rails()))
-            : world.cost().NvlinkTransfer(chunk_bytes);
-  stream->ack_timeout = static_cast<sim::TimeNs>(
-      sim::kAckTimeoutFactor * static_cast<double>(expect));
-}
-
 sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream) {
   TL_CHECK(stream.fabric != nullptr);
   TL_CHECK_GT(stream.window, 0);
@@ -296,61 +261,50 @@ sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream) {
 // Host-driven role forms
 // ---------------------------------------------------------------------------
 
-NvlinkRingRole::NvlinkRingRole(rt::World& world, int chunk_tiles,
-                               int channels)
-    : world_(&world), chunk_tiles_(chunk_tiles), channels_(channels) {
+LinkRole::LinkRole(rt::World& world, FabricBinding fabric, int chunk_tiles,
+                   int window)
+    : world_(&world), fabric_(fabric), chunk_tiles_(chunk_tiles),
+      window_(window) {
   TL_CHECK_GT(chunk_tiles, 0);
-  TL_CHECK_GT(channels, 0);
+  TL_CHECK_GT(window, 0);
 }
 
-LinkStream NvlinkRingRole::Stream(
-    int src, int dst, uint64_t tile_bytes, InOrderSignal* arrival,
-    std::string name, const char* chunk_label, int64_t num_chunks,
-    std::function<LinkChunk(int64_t)> chunk) const {
+LinkStream LinkRole::Stream(int src, int dst, uint64_t tile_bytes,
+                            InOrderSignal* arrival, std::string name,
+                            const char* chunk_label, int64_t num_chunks,
+                            std::function<LinkChunk(int64_t)> chunk) const {
   LinkStream s;
-  s.fabric = &world_->fabric_for(src, dst);
+  s.fabric = fabric_ == FabricBinding::kNic ? &world_->inter_fabric()
+                                            : &world_->fabric_for(src, dst);
   s.trace_pid = world_->trace_pid(src);
   s.src = src;
   s.dst = dst;
   s.tile_bytes = tile_bytes;
-  s.window = channels_;
+  s.window = window_;
   s.arrival = arrival;
   s.name = std::move(name);
   s.chunk_label = chunk_label;
   s.num_chunks = num_chunks;
   s.chunk = std::move(chunk);
-  ApplyLinkFaultPolicy(*world_,
-                       static_cast<uint64_t>(chunk_tiles_) * tile_bytes, &s);
+  if (s.fabric->rails() > 1) {
+    auto sched = std::make_shared<RailScheduler>(s.fabric, src, dst,
+                                                 num_chunks);
+    s.rail_of = [sched](int64_t k, int attempt) {
+      return sched->RailFor(k, attempt);
+    };
+  }
   return s;
 }
+
+NvlinkRingRole::NvlinkRingRole(rt::World& world, int chunk_tiles,
+                               int channels)
+    : LinkRole(world, kFabric, chunk_tiles, channels) {}
 
 NicRailRole::NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
                          int peers)
-    : world_(&world), chunk_tiles_(chunk_tiles) {
-  TL_CHECK_GT(chunk_tiles, 0);
+    : LinkRole(world, kFabric, chunk_tiles,
+               RailWindow(world.spec(), staging_depth, peers)) {
   TL_CHECK_GT(staging_depth, 0);
-  staging_depth_ = RailWindow(world.spec(), staging_depth, peers);
-}
-
-LinkStream NicRailRole::Stream(
-    int src, int dst, uint64_t tile_bytes, InOrderSignal* arrival,
-    std::string name, const char* chunk_label, int64_t num_chunks,
-    std::function<LinkChunk(int64_t)> chunk) const {
-  LinkStream s;
-  s.fabric = &world_->inter_fabric();
-  s.trace_pid = world_->trace_pid(src);
-  s.src = src;
-  s.dst = dst;
-  s.tile_bytes = tile_bytes;
-  s.window = staging_depth_;
-  s.arrival = arrival;
-  s.name = std::move(name);
-  s.chunk_label = chunk_label;
-  s.num_chunks = num_chunks;
-  s.chunk = std::move(chunk);
-  ApplyLinkFaultPolicy(*world_,
-                       static_cast<uint64_t>(chunk_tiles_) * tile_bytes, &s);
-  return s;
 }
 
 // ---------------------------------------------------------------------------

@@ -172,20 +172,11 @@ struct LinkStream {
   int64_t num_chunks = 0;
   std::function<LinkChunk(int64_t)> chunk;
 
-  // --- reliability (defaults keep the legacy exact-timing path) ---
-  // Per-attempt ack deadline; 0 disables timeouts entirely.
-  sim::TimeNs ack_timeout = 0;
-  // Retransmit budget after a failed attempt; exhaustion raises FaultError.
-  int max_retries = 0;
-  // Exponential-backoff unit billed in simulated time between attempts
-  // (0: the fabric's wire latency).
-  sim::TimeNs backoff_base = 0;
-  // Name reported in FaultError (set before `name` is consumed).
-  std::string role;
   // (chunk index, attempt) -> rail, or -1 to let the fabric pick the
-  // least-loaded live rail. Installed by ApplyLinkFaultPolicy on
-  // multi-rail fabrics; retries always pass attempt > 0 so failover
-  // re-picks among survivors.
+  // least-loaded live rail. LinkRole::Stream installs the rail scheduler
+  // here on multi-rail fabrics; retries always pass attempt > 0 so
+  // failover re-picks among survivors. Ack deadline, retry budget and
+  // backoff are the fabric's (Network::AckTimeout / FailedAttempt).
   std::function<int(int64_t, int)> rail_of;
   // Trace process id of the sender rank (-1: stream untraced). Role
   // Stream() builders fill it from World::trace_pid(src); chunk spans,
@@ -195,68 +186,56 @@ struct LinkStream {
 
 sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream);
 
-// Arms a built stream against the world's fault plan and rail topology:
-// on a multi-rail fabric installs the self-healing rail scheduler (chunks
+// What the two host-driven link roles share: a chunk size, a window and
+// the Stream() builder. Stream() binds the role's fabric and, on a
+// multi-rail fabric, installs the self-healing rail scheduler (chunks
 // apportioned across rails by surviving bandwidth via WeightedExtents,
 // re-planned whenever rail health changes, retries falling over to the
-// least-loaded live rail); when the plan perturbs the stream's fabric,
-// arms ack-timeout (cost model's expected chunk flow time x
-// sim::kAckTimeoutFactor), bounded retransmit, and backoff. A
-// default-constructed world (no plan, one rail) leaves the stream
-// untouched. `chunk_bytes` is the size of a full chunk (tail chunks may be
-// smaller).
-void ApplyLinkFaultPolicy(rt::World& world, uint64_t chunk_bytes,
-                          LinkStream* stream);
-
-// Ring link role (host-driven form). Each hop rides the fabric its
-// endpoints share (World::fabric_for): every hop of a node-local ring is
-// NVLink, while a ring that spans nodes (the one-ring flat baseline) sends
-// its node-boundary hops over the NIC. The device-program form of the same
-// role is kernels/ring_rs.h's BuildRingReduceScatter, which fused kernels
-// run as a planned FabricBinding::kNvlink role.
-class NvlinkRingRole {
+// least-loaded live rail).
+class LinkRole {
  public:
-  static constexpr FabricBinding kFabric = FabricBinding::kNvlink;
-
-  NvlinkRingRole(rt::World& world, int chunk_tiles, int channels);
-
   int chunk_tiles() const { return chunk_tiles_; }
-  int window() const { return channels_; }
+  int window() const { return window_; }
 
   LinkStream Stream(int src, int dst, uint64_t tile_bytes,
                     InOrderSignal* arrival, std::string name,
                     const char* chunk_label, int64_t num_chunks,
                     std::function<LinkChunk(int64_t)> chunk) const;
 
+ protected:
+  LinkRole(rt::World& world, FabricBinding fabric, int chunk_tiles,
+           int window);
+
  private:
   rt::World* world_;
+  FabricBinding fabric_;
   int chunk_tiles_;
-  int channels_;
+  int window_;
+};
+
+// Ring link role (host-driven form), window = `channels`. Each hop rides
+// the fabric its endpoints share (World::fabric_for): every hop of a
+// node-local ring is NVLink, while a ring that spans nodes (the one-ring
+// flat baseline) sends its node-boundary hops over the NIC. The
+// device-program form of the same role is kernels/ring_rs.h's
+// BuildRingReduceScatter, which fused kernels run as a planned
+// FabricBinding::kNvlink role.
+class NvlinkRingRole : public LinkRole {
+ public:
+  static constexpr FabricBinding kFabric = FabricBinding::kNvlink;
+
+  NvlinkRingRole(rt::World& world, int chunk_tiles, int channels);
 };
 
 // Inter-node NIC rail link role (host-driven form): one stream per rail
 // peer, window = per-peer staging depth after the NIC queue-pair budget
 // clamp (`peers` concurrent exchanges share the device's budget).
-class NicRailRole {
+class NicRailRole : public LinkRole {
  public:
   static constexpr FabricBinding kFabric = FabricBinding::kNic;
 
   NicRailRole(rt::World& world, int chunk_tiles, int staging_depth,
               int peers);
-
-  int chunk_tiles() const { return chunk_tiles_; }
-  // Effective per-peer staging depth after the channel-budget clamp.
-  int window() const { return staging_depth_; }
-
-  LinkStream Stream(int src, int dst, uint64_t tile_bytes,
-                    InOrderSignal* arrival, std::string name,
-                    const char* chunk_label, int64_t num_chunks,
-                    std::function<LinkChunk(int64_t)> chunk) const;
-
- private:
-  rt::World* world_;
-  int chunk_tiles_;
-  int staging_depth_;
 };
 
 // ---------------------------------------------------------------------------

@@ -636,6 +636,29 @@ tl::GemmHierRsConfig SmallCfg(int ranks) {
 
 }  // namespace fused
 
+// The fused kernel's device-program pushes retry through the same fabric
+// policy as the host-driven streams: a NIC rail edge that drops every
+// attempt exhausts the plan's budget and raises a named FaultError.
+TEST(GemmHierRs, ExhaustedRailPushRaisesFaultError) {
+  sim::FaultPlan plan;
+  for (uint64_t ord = 0; ord < 64; ++ord) {
+    plan.DropTransfer("nic", /*src=*/0, /*dst=*/8, ord);
+  }
+  sim::RetryPolicy rp;
+  rp.max_retries = 2;
+  plan.set_retry(rp);
+  try {
+    ValidateGemmHierRs(MachineSpec::H800x16(), fused::SmallCfg(16), &plan);
+    FAIL() << "expected FaultError";
+  } catch (const sim::FaultError& e) {
+    EXPECT_EQ(e.role(), "nic.transfer");
+    EXPECT_EQ(e.rank(), 0);
+    EXPECT_EQ(e.attempts(), 3);  // 1 + max_retries
+    EXPECT_NE(std::string(e.what()).find("chunk dropped"),
+              std::string::npos);
+  }
+}
+
 // The acceptance gate at test granularity: at 2x8 the fused kernel beats
 // the layer-level GEMM-then-HierRS compose on simulated makespan, with a
 // bit-exact, violation-free functional run.

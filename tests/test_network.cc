@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "runtime/world.h"
+#include "sim/cost_model.h"
 #include "sim/fault.h"
 #include "sim/machine_spec.h"
 #include "sim/network.h"
@@ -198,6 +199,37 @@ TEST(World, ConcurrentIntraAndInterTransfersOverlap) {
               b / spec.nic_gbps, b / spec.nic_gbps * 0.01);
 }
 
+// The ack deadline has one formula: a fabric's ExpectedFlowTime is the cost
+// model's transfer time for one rail's share (bytes x rails on the NIC,
+// priced through a CostModel whose wire is the NIC's). Several sizes are off
+// the bandwidth grid, where ceil and round-to-nearest disagree.
+TEST(World, ExpectedFlowTimeMatchesCostModel) {
+  MachineSpec spec = MachineSpec::H800x16();
+  spec.nic_rails = 4;
+  rt::World world(spec, rt::ExecMode::kTimingOnly);
+  const Network& nic = world.inter_fabric();
+  const Network& nvlink = world.intra_fabric();
+  ASSERT_EQ(nic.rails(), 4);
+  MachineSpec nic_wire = spec;
+  nic_wire.nvlink_gbps = spec.nic_gbps;
+  nic_wire.nvlink_latency = spec.nic_latency;
+  const CostModel nic_cost(nic_wire);
+  const uint64_t rails = static_cast<uint64_t>(nic.rails());
+  int off_grid = 0;
+  for (uint64_t bytes : {1ull, 13ull, 160ull, 1000ull, 4097ull, 65543ull,
+                         1ull << 20, (3ull << 20) + 5}) {
+    EXPECT_EQ(nic.ExpectedFlowTime(bytes),
+              nic_cost.NvlinkTransfer(bytes * rails))
+        << bytes;
+    EXPECT_EQ(nvlink.ExpectedFlowTime(bytes),
+              world.cost().NvlinkTransfer(bytes))
+        << bytes;
+    const double t = static_cast<double>(bytes) / spec.nvlink_gbps;
+    if (std::ceil(t) != std::max(1.0, std::round(t))) ++off_grid;
+  }
+  EXPECT_GT(off_grid, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Rails
 // ---------------------------------------------------------------------------
@@ -350,9 +382,9 @@ TEST(Faults, RailDeathParksFlowAndAckTimeoutRecovers) {
   Simulator sim;
   Network net(&sim, 2, kBw, /*latency=*/10, "nic");
   net.ConfigureRails(2);
-  // Kill rail 0 mid-flight. The legacy Transfer wrapper picks rail 0 (least
-  // loaded, tie-lowest), the flow parks at rate 0, the ack timeout fires,
-  // and the retry lands on surviving rail 1.
+  // Kill rail 0 mid-flight. Transfer's first attempt picks rail 0 (least
+  // loaded, tie-lowest), the flow parks at rate 0, the fabric's ack
+  // deadline fires, and the retry lands on surviving rail 1.
   FaultPlan plan;
   plan.DegradeRail("nic", /*port=*/-1, /*rail=*/0, /*at=*/500,
                    /*fraction=*/0.0);
