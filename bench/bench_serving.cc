@@ -29,7 +29,8 @@
 // Flags: --requests <n> scales the trace (CI smoke uses a small one);
 // --tune-threads <n> autotuner workers; --json/--cache as usual
 // (bench_common). JSON keys land under serving.* (p50/p99, hit rate,
-// tuned speedup, search efficiency, re-simulated cached configs).
+// tuned speedup, search efficiency, the simulations the halved searches
+// ran, re-simulated cached configs).
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -195,7 +196,8 @@ int main(int argc, char** argv) {
     s.num_devices = kTp;
     return s;
   }();
-  int64_t search_full = 0, search_coarse = 0, exhaustive_full = 0;
+  int64_t search_full = 0, search_coarse = 0, search_sims = 0;
+  int64_t exhaustive_full = 0;
   bool argmin_match = true;
   tl::Autotuner::Options topts;
   topts.threads = tune_threads;
@@ -232,6 +234,10 @@ int main(int argc, char** argv) {
     // timing-dependent speculation.
     search_full += static_cast<int64_t>(halved.evaluated.size());
     search_coarse += halved.coarse_evals;
+    // Simulations the halved search's serial schedule runs: one per
+    // planner-distinct kernel per round, so canonical grouping shows up
+    // here and in none of the counts above.
+    search_sims += halved.sims;
     exhaustive_full += static_cast<int64_t>(exhaustive.evaluated.size());
   }
   const double search_frac =
@@ -240,10 +246,10 @@ int main(int argc, char** argv) {
                           : 0.0;
   std::printf(
       "search efficiency over %zu tuned MLP shapes: %lld full-fidelity sims "
-      "(+%lld coarse) vs %lld exhaustive -> %.1f%% (budget %.0f%%), argmin "
-      "%s on every shape\n",
+      "(+%lld coarse; %lld simulations run) vs %lld exhaustive -> %.1f%% "
+      "(budget %.0f%%), argmin %s on every shape\n",
       shapes.size(), (long long)search_full, (long long)search_coarse,
-      (long long)exhaustive_full, 100.0 * search_frac,
+      (long long)search_sims, (long long)exhaustive_full, 100.0 * search_frac,
       100.0 * kMaxSearchFrac, argmin_match ? "matched" : "MISSED");
 
   report.Record("serving.p50_ms", ToMsD(res.p50_latency));
@@ -267,6 +273,7 @@ int main(int argc, char** argv) {
   report.Record("serving.exhaustive_full_evals",
                 static_cast<double>(exhaustive_full));
   report.Record("serving.search_eval_frac", search_frac);
+  report.Record("serving.search_sims", static_cast<double>(search_sims));
   // Cached configs the three replicas re-simulated: 0 while every entry
   // comes from a search in this process.
   report.Record("serving.resims",

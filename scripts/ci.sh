@@ -23,8 +23,10 @@
 #      k-loop falls off the repeated-delay path fails here), its
 #      event-queue pops per event (queue_pops_per_event: a simulator that
 #      stops moving lockstep k-loop repeats as one queued wave fails
-#      here) and fig11's cold-sweep full-fidelity simulation count
-#      (fig11.tuner.full_evals). fig11 also
+#      here), fig11's cold-sweep full-fidelity candidate count
+#      (fig11.tuner.full_evals) and the simulations that sweep runs
+#      (fig11.tuner.sims: a search that stops merging planner-identical
+#      candidates fails here). fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
 #      --tune-threads 8 must reproduce the
 #      serial sweep's cache bit-for-bit. Machine-readable results land in
@@ -67,7 +69,8 @@
 #      then checks the serving.* keys landed in BENCH_serving.json and
 #      gates serving.resims at 0: the replicas must time every cached
 #      config by the cost this process's search measured, not simulate it
-#      again.
+#      again, and serving.search_sims at its committed ceiling: the halved
+#      MLP searches must simulate each planner-distinct kernel once.
 #   7. Unreached-code report (informational): scripts/unreached.sh lists
 #      every strong tilelink:: library function that no bench, example or
 #      perfbench binary reaches in an -O0 --gc-sections link, with the
@@ -131,7 +134,8 @@ if [[ "$FAST" == "0" ]]; then
   # Deterministic counters gate on committed ceilings (usage: ceiling
   # <json> <key> <ceiling>). Heap allocations per simulated event: a warm
   # interpreter run allocates only for fresh flags' waiter lists and the
-  # host DMA path's tensor copies (0.24; 0.52 before the allocation-free
+  # host DMA path's buffer copies (0.0762; 0.2422 while tensor views kept
+  # their shape and strides on the heap, 0.52 before the allocation-free
   # hot path), a warm park/wake loop not at all. Coroutine resumes per
   # interpreter event: 0.3274 with every pure-compute k-loop run as one
   # repeated delay (one resume per tile, not per k-step). Event-queue pops
@@ -139,6 +143,9 @@ if [[ "$FAST" == "0" ]]; then
   # queued wave, 1.0 with every repeat popped on its own. The fig11 cold
   # sweep's full-fidelity simulations: 313 with each family's overlap
   # bound, 328 with no bound, so a bound that stops pruning fails here.
+  # The simulations that sweep runs (coarse + full fidelity): 1824 with
+  # planner-identical candidates merged (2174 without), so a search that
+  # stops simulating each distinct kernel once fails here.
   ceiling() {
     local json=$1 key=$2 ceiling=$3 value
     value=$(grep -o "\"$key\": [0-9.eE+-]*" "$json" | awk '{print $2}')
@@ -146,11 +153,12 @@ if [[ "$FAST" == "0" ]]; then
     awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v <= c) }' \
         || { echo "$key = $value exceeds its ceiling $ceiling"; exit 1; }
   }
-  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.25
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.0763
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
+  ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1824
 
   echo "=== [5/7] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The planner-built kernels' frozen makespans and payload hashes
@@ -197,6 +205,9 @@ if [[ "$FAST" == "0" ]]; then
   # own process's searches measured (the warm replica re-simulated every
   # hit before that).
   ceiling build-ci/BENCH_serving.json serving.resims 0
+  # Simulations the halved MLP searches run: 742 with planner-identical
+  # candidates merged (1121 without).
+  ceiling build-ci/BENCH_serving.json serving.search_sims 742
 
   echo "=== [7/7] Unreached-code report (non-gating) ==="
   scripts/unreached.sh

@@ -99,8 +99,10 @@ tl::TuneCandidate HandPickedMoePart2(int64_t m, int tp, int64_t inner) {
 
 // Packs a search result into a cache entry, carrying the seed anchor and
 // the full-fidelity evaluation count for the serving-path speedup and
-// cold-tune accounting.
-tl::TunedEntry EntryFromResult(const tl::TuneResult& r) {
+// cold-tune accounting, and adds the search's simulations to `sims`.
+tl::TunedEntry EntryFromResult(const tl::TuneResult& r,
+                               std::atomic<int64_t>* sims) {
+  sims->fetch_add(r.sims, std::memory_order_relaxed);
   return tl::TunedEntry{r.best, r.best_cost, r.seed_cost,
                         static_cast<int>(r.evaluated.size())};
 }
@@ -157,7 +159,8 @@ sim::TimeNs E2eEstimator::TunedTime(
     const std::function<sim::TimeNs(const tl::TuneCandidate&)>& simulate) {
   bool measured = false;
   const tl::TunedEntry e = tuned_cache_->GetOrTune(
-      key, [&] { return EntryFromResult(search()); }, &measured);
+      key, [&] { return EntryFromResult(search(), &search_sims_); },
+      &measured);
   if (measured) return e.cost;
   // An entry loaded from a file: the key's calibration hash invalidates
   // cost-model recalibrations, but simulator/evaluator *code* changes leave
@@ -400,7 +403,7 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
                     const tl::TuningSpace space = tl::TuningSpace::MoePart1();
                     const tl::TuneResult r = tl::TuneAgMoe(
                         spec, shape, routing, space, part1, Tuner());
-                    return EntryFromResult(r);
+                    return EntryFromResult(r, &search_sims_);
                   })
               .config;
       part2 =
@@ -411,7 +414,7 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
                     const tl::TuningSpace space = tl::TuningSpace::MoePart2();
                     const tl::TuneResult r = tl::TuneMoeRs(
                         spec, shape, routing, space, part2, Tuner());
-                    return EntryFromResult(r);
+                    return EntryFromResult(r, &search_sims_);
                   })
               .config;
     }

@@ -126,6 +126,11 @@ class E2eEstimator {
   // Cached tuned configs this estimator re-simulated because their cost
   // was not measured in this process (see EnableTuning).
   int64_t resims() const { return resims_.load(std::memory_order_relaxed); }
+  // Simulations run by the searches this estimator started
+  // (TuneResult::sims summed over its cache misses).
+  int64_t search_sims() const {
+    return search_sims_.load(std::memory_order_relaxed);
+  }
 
  private:
   sim::TimeNs TimeAgGemm(Method method, int64_t m, int64_t k, int64_t n);
@@ -158,6 +163,7 @@ class E2eEstimator {
   int tune_threads_ = 1;
   tl::TunedConfigCache* tuned_cache_ = nullptr;
   std::atomic<int64_t> resims_{0};
+  std::atomic<int64_t> search_sims_{0};
   std::mutex cache_mu_;  // guards cache_
   std::map<std::string, sim::TimeNs> cache_;
 };

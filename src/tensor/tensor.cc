@@ -3,8 +3,9 @@
 namespace tilelink {
 namespace {
 
-std::vector<int64_t> RowMajorStrides(const std::vector<int64_t>& shape) {
-  std::vector<int64_t> strides(shape.size(), 1);
+TensorDims RowMajorStrides(const TensorDims& shape) {
+  TensorDims strides;
+  for (size_t i = 0; i < shape.size(); ++i) strides.push_back(1);
   for (int i = static_cast<int>(shape.size()) - 2; i >= 0; --i) {
     strides[static_cast<size_t>(i)] =
         strides[static_cast<size_t>(i) + 1] * shape[static_cast<size_t>(i) + 1];
@@ -14,12 +15,11 @@ std::vector<int64_t> RowMajorStrides(const std::vector<int64_t>& shape) {
 
 }  // namespace
 
-Tensor::Tensor(rt::Buffer* buf, std::vector<int64_t> shape, DType dtype,
-               int64_t offset)
+Tensor::Tensor(rt::Buffer* buf, TensorDims shape, DType dtype, int64_t offset)
     : Tensor(buf, shape, RowMajorStrides(shape), dtype, offset) {}
 
-Tensor::Tensor(rt::Buffer* buf, std::vector<int64_t> shape,
-               std::vector<int64_t> strides, DType dtype, int64_t offset)
+Tensor::Tensor(rt::Buffer* buf, TensorDims shape, TensorDims strides,
+               DType dtype, int64_t offset)
     : buf_(buf), shape_(std::move(shape)), strides_(std::move(strides)),
       dtype_(dtype), offset_(offset) {
   TL_CHECK(buf != nullptr);
@@ -28,7 +28,7 @@ Tensor::Tensor(rt::Buffer* buf, std::vector<int64_t> shape,
 }
 
 Tensor Tensor::Alloc(rt::Device& dev, const std::string& name,
-                     std::vector<int64_t> shape, DType dtype) {
+                     TensorDims shape, DType dtype) {
   int64_t n = 1;
   for (int64_t d : shape) n *= d;
   return Tensor(dev.Alloc(name, n), std::move(shape), dtype, 0);
@@ -57,7 +57,7 @@ Tensor Tensor::Slice(int dim, int64_t start, int64_t len) const {
   TL_CHECK_LT(dim, ndim());
   TL_CHECK_GE(start, 0);
   TL_CHECK_LE(start + len, shape_[static_cast<size_t>(dim)]);
-  std::vector<int64_t> new_shape = shape_;
+  TensorDims new_shape = shape_;
   new_shape[static_cast<size_t>(dim)] = len;
   return Tensor(buf_, std::move(new_shape), strides_, dtype_,
                 offset_ + start * strides_[static_cast<size_t>(dim)]);
@@ -68,8 +68,8 @@ Tensor Tensor::Select(int dim, int64_t index) const {
   TL_CHECK_LT(dim, ndim());
   TL_CHECK_GE(index, 0);
   TL_CHECK_LT(index, shape_[static_cast<size_t>(dim)]);
-  std::vector<int64_t> new_shape;
-  std::vector<int64_t> new_strides;
+  TensorDims new_shape;
+  TensorDims new_strides;
   for (int i = 0; i < ndim(); ++i) {
     if (i == dim) continue;
     new_shape.push_back(shape_[static_cast<size_t>(i)]);

@@ -10,9 +10,9 @@
 #include <initializer_list>
 #include <numeric>
 #include <string>
-#include <vector>
 
 #include "common/check.h"
+#include "common/inline_vector.h"
 #include "runtime/device.h"
 #include "runtime/memory.h"
 
@@ -43,26 +43,32 @@ inline const char* DTypeName(DType dtype) {
   return "?";
 }
 
+// Extents or strides of a tensor: up to 4 dimensions live inline, so making
+// a view (Slice, Select, a copy) never touches the heap.
+using TensorDims = InlineVector<int64_t, 4>;
+
 class Tensor {
  public:
   Tensor() = default;
-  Tensor(rt::Buffer* buf, std::vector<int64_t> shape, DType dtype,
-         int64_t offset = 0);
-  Tensor(rt::Buffer* buf, std::vector<int64_t> shape,
-         std::vector<int64_t> strides, DType dtype, int64_t offset);
+  Tensor(rt::Buffer* buf, TensorDims shape, DType dtype, int64_t offset = 0);
+  Tensor(rt::Buffer* buf, TensorDims shape, TensorDims strides, DType dtype,
+         int64_t offset);
 
   // Allocates a fresh buffer on `dev` sized to `shape`.
   static Tensor Alloc(rt::Device& dev, const std::string& name,
-                      std::vector<int64_t> shape, DType dtype);
+                      TensorDims shape, DType dtype);
 
   bool defined() const { return buf_ != nullptr; }
   rt::Buffer* buffer() const { return buf_; }
   int device() const { return buf_->device(); }
   DType dtype() const { return dtype_; }
   int ndim() const { return static_cast<int>(shape_.size()); }
-  int64_t dim(int i) const { return shape_.at(static_cast<size_t>(i)); }
-  const std::vector<int64_t>& shape() const { return shape_; }
-  const std::vector<int64_t>& strides() const { return strides_; }
+  int64_t dim(int i) const {
+    TL_CHECK(i >= 0 && i < ndim());
+    return shape_[static_cast<size_t>(i)];
+  }
+  const TensorDims& shape() const { return shape_; }
+  const TensorDims& strides() const { return strides_; }
   int64_t offset() const { return offset_; }
 
   int64_t numel() const;
@@ -92,8 +98,8 @@ class Tensor {
 
  private:
   rt::Buffer* buf_ = nullptr;
-  std::vector<int64_t> shape_;
-  std::vector<int64_t> strides_;
+  TensorDims shape_;
+  TensorDims strides_;
   DType dtype_ = DType::kFP32;
   int64_t offset_ = 0;
 };

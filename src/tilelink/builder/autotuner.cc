@@ -68,12 +68,41 @@ constexpr std::size_t kMinCoarseSpace = 8;
 constexpr sim::TimeNs kPending = -1;  // not finished yet
 constexpr sim::TimeNs kSkipped = -2;  // speculatively pruned by a worker
 
-// Search's full-fidelity finalist pass: parallel speculative evaluation +
-// serial replay in finalist order (see the determinism note in the header).
-// Appends to `result`'s evaluated/pruned/infeasible tallies, updates
-// best/best_cost, and records seed_cost when `base` reaches full fidelity.
+// Groups candidates by canonical form, serially and in index order:
+// group[i] is the index of the first candidate whose canonical form equals
+// candidate i's (i itself when it leads its group). A null canonicalizer
+// leaves every candidate in a group of its own.
+std::vector<std::size_t> GroupByCanonical(
+    const std::vector<TuneCandidate>& candidates,
+    const Autotuner::CanonicalFn& canonical) {
+  std::vector<std::size_t> group(candidates.size());
+  std::vector<TuneCandidate> keys;
+  keys.reserve(candidates.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    group[i] = i;
+    if (!canonical) continue;
+    keys.push_back(canonical(candidates[i]));
+    for (std::size_t j = 0; j < i; ++j) {
+      if (keys[j] == keys[i]) {
+        group[i] = group[j];
+        break;
+      }
+    }
+  }
+  return group;
+}
+
+// Search's full-fidelity finalist pass over `finalists` (indices into
+// `candidates`): parallel speculative evaluation + serial replay in
+// finalist order (see the determinism note in the header). Each group of
+// canonical-equal candidates is simulated once; the replay fans its cost
+// out to every member. Appends to `result`'s evaluated/pruned/infeasible
+// tallies and sims, updates best/best_cost, and records seed_cost when
+// `base` reaches full fidelity.
 void FullFidelityPass(const Autotuner::Options& options, int threads,
-                      const std::vector<TuneCandidate>& finalists,
+                      const std::vector<TuneCandidate>& candidates,
+                      const std::vector<std::size_t>& finalists,
+                      const std::vector<std::size_t>& group,
                       const TuneCandidate& base, const Autotuner::EvalFn& eval,
                       const Autotuner::BoundFn& lower_bound,
                       TuneResult* result) {
@@ -81,17 +110,28 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
   std::vector<sim::TimeNs> bounds;
   if (lower_bound) {
     bounds.reserve(n);
-    for (const TuneCandidate& c : finalists) bounds.push_back(lower_bound(c));
+    for (std::size_t i : finalists) bounds.push_back(lower_bound(candidates[i]));
+  }
+  // lead[i]: the first finalist position in finalist i's group — the one
+  // position whose simulation the whole group shares.
+  std::vector<std::size_t> lead(n);
+  {
+    std::vector<std::size_t> first_pos(candidates.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t& first = first_pos[group[finalists[i]]];
+      if (first == n) first = i;
+      lead[i] = first;
+    }
   }
 
-  // Parallel speculative pass: workers pull candidate indices off a shared
-  // counter and record full-fidelity costs in `done`. The prune test for
-  // candidate i only consults *completed earlier-indexed* candidates, whose
-  // costs are upper bounds on the serial best-so-far before i (each such j
-  // has bound(j) <= cost(j), so serial would have reached a best no worse
-  // than cost(j) by index i). Hence a worker skip implies the serial skip,
-  // and everything serial evaluates is evaluated here — just possibly more,
-  // which the replay below discards.
+  // Parallel speculative pass: workers pull finalist positions off a shared
+  // counter and record full-fidelity costs in `done`, simulating group
+  // leads only. The prune test for position i only consults *completed
+  // earlier-indexed* leads, whose costs are upper bounds on the serial
+  // best-so-far before i (each such j has bound(j) <= cost(j), so serial
+  // would have reached a best no worse than cost(j) by index i). Hence a
+  // worker skip implies the serial skip, and everything serial evaluates is
+  // evaluated here — just possibly more, which the replay below discards.
   std::vector<std::atomic<sim::TimeNs>> done;
   if (threads > 1 && n > 1) {
     done = std::vector<std::atomic<sim::TimeNs>>(n);
@@ -103,6 +143,7 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
       for (;;) {
         const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
         if (i >= n) return;
+        if (lead[i] != i) continue;
         if (!bounds.empty()) {
           sim::TimeNs best_done = Autotuner::kInfeasible;
           for (std::size_t j = 0; j < i; ++j) {
@@ -114,17 +155,19 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
             continue;
           }
         }
-        done[i].store(eval(finalists[i]), std::memory_order_release);
+        done[i].store(eval(candidates[finalists[i]]),
+                      std::memory_order_release);
       }
     });
   }
 
-  // Serial replay in candidate-index order: identical control flow to the
-  // single-threaded search, with eval() replaced by a table lookup. This is
-  // where TuneResult and all verbose lines are produced, so both are
-  // bitwise independent of the thread count.
+  // Serial replay in finalist order: identical control flow to the
+  // single-threaded search, with eval() replaced by a per-group lookup.
+  // This is where TuneResult, sims and all verbose lines are produced, so
+  // all of them are bitwise independent of the thread count.
+  std::vector<sim::TimeNs> known(n, kPending);  // by lead position
   for (std::size_t i = 0; i < n; ++i) {
-    const TuneCandidate& c = finalists[i];
+    const TuneCandidate& c = candidates[finalists[i]];
     if (!bounds.empty() && result->best_cost != Autotuner::kInfeasible &&
         bounds[i] >= result->best_cost) {
       result->pruned++;
@@ -139,13 +182,17 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
       }
       continue;
     }
-    sim::TimeNs cost =
-        done.empty() ? eval(c) : done[i].load(std::memory_order_acquire);
-    if (cost < 0) {
-      // The worker speculatively skipped a candidate the serial order
-      // evaluates — only possible with an unsound bound (bound > cost
-      // somewhere). Recover determinism by evaluating it here.
-      cost = eval(c);
+    sim::TimeNs& cost = known[lead[i]];
+    if (cost == kPending) {
+      // First member of its group the serial order reaches: the group's
+      // one simulation.
+      if (!done.empty()) cost = done[lead[i]].load(std::memory_order_acquire);
+      // Not evaluated by a worker: either serial, or the worker skipped a
+      // group the serial order evaluates — only possible with an unsound
+      // bound (bound > cost somewhere) or with bounds that differ inside a
+      // group. Recover determinism by evaluating it here.
+      if (cost < 0) cost = eval(c);
+      if (cost != Autotuner::kInfeasible) result->sims++;
     }
     if (cost == Autotuner::kInfeasible) {
       result->infeasible++;
@@ -174,8 +221,8 @@ void FullFidelityPass(const Autotuner::Options& options, int threads,
 
 TuneResult Autotuner::Search(const TuningSpace& space,
                              const TuneCandidate& base, const EvalFn& eval,
-                             const BoundFn& lower_bound,
-                             const EvalFn& coarse) const {
+                             const BoundFn& lower_bound, const EvalFn& coarse,
+                             const CanonicalFn& canonical) const {
   std::vector<TuneCandidate> candidates = space.Enumerate(base);
   TL_CHECK_MSG(!candidates.empty(), "empty tuning space");
   // The base (seed) config always gets a full-fidelity run: a halved or
@@ -184,6 +231,8 @@ TuneResult Autotuner::Search(const TuningSpace& space,
       candidates.end()) {
     candidates.push_back(base);
   }
+  const std::vector<std::size_t> group =
+      GroupByCanonical(candidates, canonical);
 
   const int threads = std::max(1, options_.threads);
 
@@ -191,29 +240,37 @@ TuneResult Autotuner::Search(const TuningSpace& space,
   result.best_cost = kInfeasible;
 
   // --- Successive halving: coarse-score everyone, keep the top fraction. --
-  std::vector<TuneCandidate> finalists;
+  std::vector<std::size_t> finalists;  // indices into `candidates`
   if (coarse && candidates.size() >= kMinCoarseSpace) {
     // The coarse round is a pure map (no pruning), so sharding it is
-    // trivially deterministic: workers write cost[i] by candidate index and
-    // the classification below runs serially in index order.
+    // trivially deterministic: workers score each group's first member by
+    // index, and the fan-out and classification below run serially in
+    // index order.
+    std::vector<std::size_t> leads;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      if (group[i] == i) leads.push_back(i);
+    }
     std::vector<sim::TimeNs> coarse_cost(candidates.size(), kPending);
     {
       std::atomic<std::size_t> next{0};
-      RunWorkers(std::min<int>(threads, static_cast<int>(candidates.size())),
+      RunWorkers(std::min<int>(threads, static_cast<int>(leads.size())),
                  [&] {
                    for (;;) {
-                     const std::size_t i =
+                     const std::size_t l =
                          next.fetch_add(1, std::memory_order_relaxed);
-                     if (i >= candidates.size()) return;
-                     coarse_cost[i] = coarse(candidates[i]);
+                     if (l >= leads.size()) return;
+                     coarse_cost[leads[l]] = coarse(candidates[leads[l]]);
                    }
                  });
+    }
+    for (std::size_t l : leads) {
+      if (coarse_cost[l] != kInfeasible) result.sims++;
     }
     std::vector<std::pair<sim::TimeNs, std::size_t>> scored;
     std::vector<std::size_t> unscored;
     scored.reserve(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-      const sim::TimeNs cost = coarse_cost[i];
+      const sim::TimeNs cost = coarse_cost[group[i]];
       ++result.coarse_evals;
       if (cost == kInfeasible) {
         // A coarse evaluator may judge feasibility on a shrunken problem
@@ -244,34 +301,36 @@ TuneResult Autotuner::Search(const TuningSpace& space,
     // Survivors are in ascending coarse-score order, so the lower bound
     // starts pruning right after the first (likely-argmin) simulation.
     for (std::size_t i = 0; i < keep; ++i) {
-      finalists.push_back(candidates[scored[i].second]);
+      finalists.push_back(scored[i].second);
     }
-    for (std::size_t i : unscored) finalists.push_back(candidates[i]);
-    if (std::find(finalists.begin(), finalists.end(), base) ==
-        finalists.end()) {
-      finalists.push_back(base);
+    for (std::size_t i : unscored) finalists.push_back(i);
+    if (std::none_of(finalists.begin(), finalists.end(),
+                     [&](std::size_t i) { return candidates[i] == base; })) {
+      finalists.push_back(static_cast<std::size_t>(
+          std::find(candidates.begin(), candidates.end(), base) -
+          candidates.begin()));
     }
   } else {
-    finalists = std::move(candidates);
+    finalists.resize(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) finalists[i] = i;
     if (lower_bound) {
       // Visit in ascending-bound order: the likely argmin is simulated
       // first, which makes the bound prune most of the rest.
       std::vector<std::pair<sim::TimeNs, std::size_t>> order;
-      order.reserve(finalists.size());
-      for (std::size_t i = 0; i < finalists.size(); ++i) {
-        order.emplace_back(lower_bound(finalists[i]), i);
+      order.reserve(candidates.size());
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        order.emplace_back(lower_bound(candidates[i]), i);
       }
       std::stable_sort(order.begin(), order.end());
-      std::vector<TuneCandidate> sorted;
-      sorted.reserve(finalists.size());
-      for (const auto& [bound, i] : order) sorted.push_back(finalists[i]);
-      finalists = std::move(sorted);
+      for (std::size_t i = 0; i < order.size(); ++i) {
+        finalists[i] = order[i].second;
+      }
     }
   }
 
   // --- Full-fidelity evaluation with lower-bound pruning. -----------------
-  FullFidelityPass(options_, threads, finalists, base, eval, lower_bound,
-                   &result);
+  FullFidelityPass(options_, threads, candidates, finalists, group, base,
+                   eval, lower_bound, &result);
   TL_CHECK_MSG(result.best_cost != kInfeasible,
                "every candidate in the tuning space was infeasible");
   return result;

@@ -23,10 +23,23 @@
 // Candidates the evaluator rejects as infeasible (by returning kInfeasible)
 // are skipped.
 //
+// Canonical grouping: many points of the design space build the same
+// kernel (the planner clamps a role's SM request to its work items, for
+// instance). An optional canonicalizer maps a candidate to the form the
+// kernel builder actually builds; Search groups candidates by that form
+// once, serially in index order, and simulates only the first member of
+// each group — in the coarse round and in the full-fidelity pass — while
+// the serial replay fans the group's cost out to every member. Everything
+// TuneResult reports per candidate (evaluated, pruned, halved,
+// coarse_evals, seed_cost, the verbose lines) is therefore exactly what an
+// ungrouped search reports; only TuneResult::sims falls. The canonicalizer
+// must only merge candidates whose evaluator *and* coarse evaluator results
+// are identical.
+//
 // Parallel determinism (Options::threads > 1): both the coarse round and
 // the full-fidelity round shard candidates across a pool of worker threads
 // pulling indices from a shared atomic counter, one evaluator call per
-// candidate on the worker's own Simulator/World (evaluators build fresh
+// group lead on the worker's own Simulator/World (evaluators build fresh
 // worlds per call, so there is no shared mutable state). Pruning stays
 // effective across workers through a shared completed-cost table: a worker
 // about to evaluate candidate i skips it only if some *earlier-indexed*
@@ -37,8 +50,8 @@
 // replay in candidate-index order then rebuilds TuneResult exactly as the
 // single-threaded search would have: identical argmin (ties broken by
 // enumeration index, never completion order), identical `evaluated` list,
-// identical pruned/infeasible/halved counts, and identical verbose output
-// — bitwise the same for every thread count.
+// identical pruned/infeasible/halved counts and sims, and identical
+// verbose output — bitwise the same for every thread count.
 #pragma once
 
 #include <functional>
@@ -53,18 +66,24 @@ namespace tilelink::tl {
 struct TuneResult {
   TuneCandidate best;
   sim::TimeNs best_cost = 0;
-  // Every (candidate, simulated cost) pair actually evaluated at full
-  // fidelity, in evaluation order.
+  // Every (candidate, cost) pair scored at full fidelity, in evaluation
+  // order (canonical-equal candidates share one simulation).
   std::vector<std::pair<TuneCandidate, sim::TimeNs>> evaluated;
   int pruned = 0;        // skipped via the lower bound
   int infeasible = 0;    // rejected by the full-fidelity evaluator
   int halved = 0;        // eliminated by the coarse (halving) round
-  int coarse_evals = 0;  // coarse-evaluator scores paid
+  int coarse_evals = 0;  // candidates scored by the coarse round
   // Full-fidelity cost of the seed (base) candidate. Search always makes
   // the seed a finalist, so this is 0 (not measured) only when the seed's
   // lower bound met the best cost found before it or the seed was
   // infeasible.
   sim::TimeNs seed_cost = 0;
+  // Simulations (coarse and full fidelity) the serial search schedule
+  // runs: one per group of canonical-equal candidates per round; evaluator
+  // calls that reject a candidate as infeasible are not simulations. With
+  // threads > 1 the speculative pass may run a few more, which are not
+  // counted, so this is thread-count invariant like every other field.
+  int sims = 0;
 };
 
 class Autotuner {
@@ -76,6 +95,7 @@ class Autotuner {
 
   using EvalFn = std::function<sim::TimeNs(const TuneCandidate&)>;
   using BoundFn = std::function<sim::TimeNs(const TuneCandidate&)>;
+  using CanonicalFn = std::function<TuneCandidate(const TuneCandidate&)>;
 
   struct Options {
     bool verbose = false;  // print one line per candidate to stdout
@@ -89,11 +109,13 @@ class Autotuner {
   explicit Autotuner(Options options) : options_(options) {}
 
   // Returns the argmin candidate over space.Enumerate(base) plus the base
-  // itself. `lower_bound` and `coarse` may be null. Requires a non-empty,
-  // not-all-infeasible space.
+  // itself. `lower_bound`, `coarse` and `canonical` may be null (a null
+  // canonicalizer puts every candidate in a group of its own). Requires a
+  // non-empty, not-all-infeasible space.
   TuneResult Search(const TuningSpace& space, const TuneCandidate& base,
                     const EvalFn& eval, const BoundFn& lower_bound = nullptr,
-                    const EvalFn& coarse = nullptr) const;
+                    const EvalFn& coarse = nullptr,
+                    const CanonicalFn& canonical = nullptr) const;
 
  private:
   Options options_{};

@@ -13,7 +13,7 @@ FusedKernelBase::FusedKernelBase(rt::World& world, std::string name)
     : world_(&world), name_(std::move(name)) {}
 
 comm::SymTensor FusedKernelBase::AllocSymmetric(
-    const std::string& suffix, const std::vector<int64_t>& shape,
+    const std::string& suffix, const TensorDims& shape,
     DType dtype) const {
   comm::SymTensor tensors;
   tensors.reserve(static_cast<size_t>(ranks()));

@@ -49,7 +49,7 @@ class FusedKernelBase {
 
   // One identically-shaped tensor per rank, named "<kernel>.<suffix>".
   comm::SymTensor AllocSymmetric(const std::string& suffix,
-                                 const std::vector<int64_t>& shape,
+                                 const TensorDims& shape,
                                  DType dtype = DType::kBF16) const;
 
   // Allocates the symmetric signal storage for the three signal spaces.

@@ -7,10 +7,7 @@
 #include "common/rng.h"
 #include "compute/flash_attention.h"
 #include "runtime/world.h"
-#include "tilelink/kernels/ag_gemm.h"
-#include "tilelink/kernels/ag_moe.h"
-#include "tilelink/kernels/gemm_rs.h"
-#include "tilelink/kernels/moe_rs.h"
+#include "tilelink/builder/role_plan.h"
 #include "tilelink/mapping.h"
 
 namespace tilelink::tl {
@@ -66,6 +63,8 @@ bool MoeRsFeasible(const sim::MachineSpec& spec, const MoeShape& s,
   return m_per_rank % c.comm_tile_m == 0 &&
          c.comm_tile_m % c.reduce_block_tokens == 0;
 }
+
+}  // namespace
 
 AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
                               const TuneCandidate& c) {
@@ -127,8 +126,6 @@ MoeRsConfig MakeMoeRsConfig(const MoeShape& shape, const TuneCandidate& c) {
   cfg.dma_push = c.comm == CommResource::kDma;
   return cfg;
 }
-
-}  // namespace
 
 TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k) {
   TuneCandidate coarse = c;
@@ -282,6 +279,80 @@ CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
 
 }  // namespace
 
+// ---- Planner-canonical candidates ---------------------------------------
+
+namespace {
+
+// Blocks the planner grants a comm role asking for `want` SMs over
+// `work_items` items: the claim itself, made on a throwaway budget.
+int ClaimedCommSms(const sim::MachineSpec& spec, int want,
+                   int64_t work_items) {
+  return ResourceBudget::ForDevice(spec).ClaimComm(want, work_items);
+}
+
+// Row-AllGather comm role over m gathered rows: the SM pull role gathers
+// every tile, the SM push role sends this rank's tiles, a DMA role claims
+// no SMs; the channel count is what StaticMapping resolves.
+TuneCandidate CanonicalRowAllGather(const sim::MachineSpec& spec, int64_t m,
+                                    const TuneCandidate& c) {
+  const int R = spec.num_devices;
+  TuneCandidate k = c;
+  k.channels_per_rank = StaticMapping::ResolveChannelsPerRank(
+      m, c.comm_tile_m, R, c.channels_per_rank);
+  if (c.comm == CommResource::kDma) {
+    k.comm_sms = 0;
+  } else {
+    const int64_t work = c.comm == CommResource::kSmPush
+                             ? m / R / c.comm_tile_m
+                             : m / c.comm_tile_m;
+    k.comm_sms = ClaimedCommSms(spec, c.comm_sms, work);
+  }
+  return k;
+}
+
+}  // namespace
+
+TuneCandidate CanonicalAgGemm(const sim::MachineSpec& spec,
+                              const MlpPartShape& shape,
+                              const TuneCandidate& c) {
+  if (!AgGemmFeasible(spec, shape, c)) return c;
+  return CanonicalRowAllGather(spec, shape.m, c);
+}
+
+TuneCandidate CanonicalGemmRs(const sim::MachineSpec& spec,
+                              const MlpPartShape& shape,
+                              const TuneCandidate& c) {
+  if (!GemmRsFeasible(spec, shape, c)) return c;
+  // The ring-RS role claims its SM blocks even in DMA mode (hybrid
+  // mapping: reduction on SMs, only the scatter moves to copy engines).
+  TuneCandidate k = c;
+  k.comm_sms = ClaimedCommSms(spec, c.comm_sms,
+                              shape.m / spec.num_devices / c.comm_tile_m);
+  return k;
+}
+
+TuneCandidate CanonicalAgMoe(const sim::MachineSpec& spec,
+                             const MoeShape& shape, const TuneCandidate& c) {
+  if (!AgMoeFeasible(spec, shape, c)) return c;
+  // AgMoe always builds the pull AllGather for an SM binding.
+  TuneCandidate pull = c;
+  if (pull.comm == CommResource::kSmPush) pull.comm = CommResource::kSmPull;
+  return CanonicalRowAllGather(spec, shape.m, pull);
+}
+
+TuneCandidate CanonicalMoeRs(const sim::MachineSpec& spec,
+                             const MoeShape& shape, const TuneCandidate& c) {
+  if (!MoeRsFeasible(spec, shape, c)) return c;
+  // Both comm roles keep their SM claims in DMA mode (the ring reduction
+  // and topk-reduce run on SMs; DMA only moves the scatter).
+  TuneCandidate k = c;
+  k.comm_sms = ClaimedCommSms(spec, c.comm_sms,
+                              shape.m / spec.num_devices / c.comm_tile_m);
+  k.reduce_sms =
+      ClaimedCommSms(spec, c.reduce_sms, shape.m / c.reduce_block_tokens);
+  return k;
+}
+
 // ---- Analytic lower bounds ----------------------------------------------
 
 sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
@@ -289,18 +360,10 @@ sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
                              const TuneCandidate& c) {
   if (!AgGemmFeasible(spec, shape, c)) return 0;  // never prune; eval rejects
   const sim::CostModel cost(spec);
-  // Mirror ResourceBudget::ClaimComm: comm blocks are capped by the role's
-  // work (all tiles in pull mode, this rank's tiles in push mode).
-  // Overstating the comm SM claim would overstate the bound and could
-  // prune the argmin.
-  const int64_t comm_work = c.comm == CommResource::kSmPush
-                                ? shape.m / spec.num_devices / c.comm_tile_m
-                                : shape.m / c.comm_tile_m;
-  const int comm_sms =
-      c.comm == CommResource::kDma
-          ? 0
-          : static_cast<int>(std::min<int64_t>(c.comm_sms, comm_work));
-  const int compute_sms = std::max(1, spec.sms_per_device - comm_sms);
+  // The SMs the planner grants the comm role (the canonical claim):
+  // overstating it would overstate the bound and could prune the argmin.
+  const int compute_sms = std::max(
+      1, spec.sms_per_device - CanonicalAgGemm(spec, shape, c).comm_sms);
   const sim::TimeNs compute =
       cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
                            c.gemm.bk, compute_sms);
@@ -320,13 +383,10 @@ sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
                              const TuneCandidate& c) {
   if (!GemmRsFeasible(spec, shape, c)) return 0;
   const sim::CostModel cost(spec);
-  const int64_t chunks = shape.m / spec.num_devices / c.comm_tile_m;
-  // Unlike the AG kernels, the ring-RS role claims its SM blocks even in
-  // DMA mode (hybrid mapping: reduction on SMs, only the scatter moves to
-  // copy engines), so comm_sms is subtracted for every resource binding.
-  const int comm_sms =
-      static_cast<int>(std::min<int64_t>(c.comm_sms, chunks));
-  const int compute_sms = std::max(1, spec.sms_per_device - comm_sms);
+  // Unlike the AG kernels, the ring-RS role claims its SM blocks in every
+  // resource binding (see CanonicalGemmRs).
+  const int compute_sms = std::max(
+      1, spec.sms_per_device - CanonicalGemmRs(spec, shape, c).comm_sms);
   const sim::TimeNs compute =
       cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
                            c.gemm.bk, compute_sms);
@@ -360,14 +420,10 @@ sim::TimeNs AgMoeLowerBound(const sim::MachineSpec& spec,
                             const MoeShape& shape, const TuneCandidate& c) {
   if (!AgMoeFeasible(spec, shape, c)) return 0;
   const sim::CostModel cost(spec);
-  const int64_t comm_work = c.comm == CommResource::kSmPush
-                                ? shape.m / spec.num_devices / c.comm_tile_m
-                                : shape.m / c.comm_tile_m;
-  const int comm_sms =
-      c.comm == CommResource::kDma
-          ? 0
-          : static_cast<int>(std::min<int64_t>(c.comm_sms, comm_work));
-  const int compute_sms = std::max(1, spec.sms_per_device - comm_sms);
+  // An SM binding always builds the pull AllGather, whatever the comm flag
+  // says: the claim comes from the canonical (pull) candidate.
+  const int compute_sms = std::max(
+      1, spec.sms_per_device - CanonicalAgMoe(spec, shape, c).comm_sms);
   // Dense-GEMM time over the slot space is a lower bound on the group GEMM:
   // per-expert fragmentation only adds tiles.
   const sim::TimeNs compute = cost.GemmComputeTime(
@@ -384,14 +440,9 @@ sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
                             const MoeShape& shape, const TuneCandidate& c) {
   if (!MoeRsFeasible(spec, shape, c)) return 0;
   const sim::CostModel cost(spec);
-  const int64_t rs_chunks = shape.m / spec.num_devices / c.comm_tile_m;
-  const int64_t reduce_chunks = shape.m / c.reduce_block_tokens;
-  // Both comm roles keep their SM claims in DMA mode (the ring reduction
-  // and topk-reduce run on SMs; DMA only moves the scatter).
-  const int claimed =
-      static_cast<int>(std::min<int64_t>(c.comm_sms, rs_chunks)) +
-      static_cast<int>(std::min<int64_t>(c.reduce_sms, reduce_chunks));
-  const int compute_sms = std::max(1, spec.sms_per_device - claimed);
+  const TuneCandidate claimed = CanonicalMoeRs(spec, shape, c);
+  const int compute_sms = std::max(
+      1, spec.sms_per_device - claimed.comm_sms - claimed.reduce_sms);
   const sim::TimeNs compute = cost.GemmComputeTime(
       shape.m * shape.topk, shape.hidden, shape.inner, c.gemm.bm, c.gemm.bn,
       c.gemm.bk, compute_sms);
@@ -413,7 +464,8 @@ TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
       [&](const TuneCandidate& c) { return AgGemmLowerBound(spec, shape, c); },
       [&](const TuneCandidate& c) {
         return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
-      });
+      },
+      [&](const TuneCandidate& c) { return CanonicalAgGemm(spec, shape, c); });
 }
 
 TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
@@ -425,7 +477,8 @@ TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
       [&](const TuneCandidate& c) { return GemmRsLowerBound(spec, shape, c); },
       [&](const TuneCandidate& c) {
         return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
-      });
+      },
+      [&](const TuneCandidate& c) { return CanonicalGemmRs(spec, shape, c); });
 }
 
 TuneResult TuneFlashCore(const sim::MachineSpec& spec, const FlashShape& shape,
@@ -464,6 +517,17 @@ TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
       [&](const TuneCandidate& c) {
         return SimulateAgMoe(spec, coarse.shape, coarse.routing,
                              CoarsenReduction(c, coarse.shape.hidden));
+      },
+      [&](const TuneCandidate& c) {
+        // The coarse round simulates fewer tokens, where channels_per_rank
+        // 0 resolves to fewer channels than at the full shape: a 0 merges
+        // with an explicit count only when both shapes resolve it alike.
+        TuneCandidate k = CanonicalAgMoe(spec, shape, c);
+        if (CanonicalAgMoe(spec, coarse.shape, c).channels_per_rank !=
+            k.channels_per_rank) {
+          k.channels_per_rank = c.channels_per_rank;
+        }
+        return k;
       });
 }
 
@@ -483,7 +547,8 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
       [&](const TuneCandidate& c) {
         return SimulateMoeRs(spec, coarse.shape, coarse.routing,
                              CoarsenReduction(c, coarse.shape.inner));
-      });
+      },
+      [&](const TuneCandidate& c) { return CanonicalMoeRs(spec, shape, c); });
 }
 
 }  // namespace tilelink::tl

@@ -11,8 +11,11 @@
 // *LowerBound() are analytic sim::CostModel bounds —
 // one overlap bound per family, max(compute-only + the kernel launch
 // latency every fused kernel pays, wire time) — which the Autotuner uses
-// to prune candidates without paying for a DES run. Tune*() wire
-// evaluator, coarse evaluator and bound into Autotuner::Search — the one
+// to prune candidates without paying for a DES run. Canonical*() map a
+// candidate to the one the planner actually builds (SM requests clamped to
+// the role's work, ignored knobs resolved), so the search simulates each
+// distinct kernel once. Tune*() wire evaluator, coarse evaluator, bound
+// and canonicalizer into Autotuner::Search — the one
 // search schedule every caller (offline benches, the e2e estimator, the
 // serving config service) uses. Families whose shape is too small to
 // coarsen (short attention sequences) search plain, since a "coarse" score
@@ -22,6 +25,10 @@
 #include "compute/moe_routing.h"
 #include "sim/machine_spec.h"
 #include "tilelink/builder/autotuner.h"
+#include "tilelink/kernels/ag_gemm.h"
+#include "tilelink/kernels/ag_moe.h"
+#include "tilelink/kernels/gemm_rs.h"
+#include "tilelink/kernels/moe_rs.h"
 
 namespace tilelink::tl {
 
@@ -60,6 +67,15 @@ struct MoeShape {
 // multiple of it (the shape is then rejected by the feasibility checks).
 int RsBlockRows(int64_t m_per_rank, int bm);
 
+// ---- Kernel configs -----------------------------------------------------
+// The kernel config a candidate builds at a shape (what Simulate*() runs).
+AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
+                              const TuneCandidate& c);
+GemmRsConfig MakeGemmRsConfig(const MlpPartShape& shape,
+                              const TuneCandidate& c);
+AgMoeConfig MakeAgMoeConfig(const MoeShape& shape, const TuneCandidate& c);
+MoeRsConfig MakeMoeRsConfig(const MoeShape& shape, const TuneCandidate& c);
+
 // ---- Full-fidelity evaluators -------------------------------------------
 // Simulated makespan; Autotuner::kInfeasible when the candidate violates
 // the kernel's divisibility constraints.
@@ -89,9 +105,34 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
 // drops by ~k/bk. Shared by every GEMM-backed coarse round.
 TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k);
 
+// ---- Planner-canonical candidates ---------------------------------------
+// The candidate the planner actually builds from `c`: each comm role's SM
+// request clamped to its work items by ResourceBudget::ClaimComm (pull or
+// push tiles for AgGemm, ring chunks for GemmRs and MoeRs, reduce chunks
+// for MoeRs's reduce_sms; 0 for a DMA AllGather, which claims none),
+// AgMoe's sm_push written as the sm_pull kernel it builds, and
+// channels_per_rank == 0 resolved by StaticMapping::ResolveChannelsPerRank
+// for the AllGather families. Candidates with equal canonical forms build
+// the same kernel, so they simulate bitwise alike: Tune*() pass these to
+// Autotuner::Search, which simulates each form once. The lower bounds read
+// their SM claims off the canonical form. An infeasible candidate is its
+// own canonical form. FlashCore and the multinode families have no
+// canonicalizer (every candidate is distinct).
+TuneCandidate CanonicalAgGemm(const sim::MachineSpec& spec,
+                              const MlpPartShape& shape,
+                              const TuneCandidate& c);
+TuneCandidate CanonicalGemmRs(const sim::MachineSpec& spec,
+                              const MlpPartShape& shape,
+                              const TuneCandidate& c);
+TuneCandidate CanonicalAgMoe(const sim::MachineSpec& spec,
+                             const MoeShape& shape, const TuneCandidate& c);
+TuneCandidate CanonicalMoeRs(const sim::MachineSpec& spec,
+                             const MoeShape& shape, const TuneCandidate& c);
+
 // ---- Analytic lower bounds ----------------------------------------------
-// One overlap bound per family: max(compute + launch, wire time). 0 (never
-// prune) for infeasible candidates; the evaluator rejects those.
+// One overlap bound per family: max(compute + launch, wire time), with the
+// comm SM claim taken from the canonical candidate. 0 (never prune) for
+// infeasible candidates; the evaluator rejects those.
 sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
                              const MlpPartShape& shape,
                              const TuneCandidate& c);

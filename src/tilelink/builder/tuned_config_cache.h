@@ -40,7 +40,7 @@ struct TunedEntry {
   // the deterministic search replay, so they are as thread-count- and
   // rerun-invariant as config/cost.
   sim::TimeNs seed_cost = 0;  // full-fidelity cost of the search's seed
-  int full_evals = 0;         // full-fidelity simulations the search paid
+  int full_evals = 0;         // candidates evaluated at full fidelity
 
   friend bool operator==(const TunedEntry&, const TunedEntry&) = default;
 };

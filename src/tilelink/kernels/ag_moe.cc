@@ -12,14 +12,15 @@ namespace tilelink::tl {
 AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
              const compute::MoeRouting& routing)
     : FusedKernelBase(world, config.name),
-      cfg_(config), routing_(routing),
+      cfg_(config),
+      routing_(std::make_shared<const compute::MoeRouting>(routing)),
       map_(config.m, config.comm_tile_m, world.size(),
            StaticMapping::ResolveChannelsPerRank(
                config.m, config.comm_tile_m, world.size(),
                config.channels_per_rank)) {
   TL_CHECK_EQ(cfg_.m % ranks(), 0);
-  TL_CHECK_EQ(routing_.num_tokens, cfg_.m);
-  TL_CHECK_EQ(routing_.num_experts, cfg_.num_experts);
+  TL_CHECK_EQ(routing_->num_tokens, cfg_.m);
+  TL_CHECK_EQ(routing_->num_experts, cfg_.num_experts);
   const int64_t m_per_rank = cfg_.m / ranks();
   token_shards_ = AllocSymmetric("shard", {m_per_rank, cfg_.hidden});
   tokens_ = AllocSymmetric("tokens", {cfg_.m, cfg_.hidden});
@@ -30,9 +31,12 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   // Dynamic mapping: for each expert tile (group block), the channels whose
   // completion guarantees every token the tile gathers has arrived. These
   // are the lookup tables of §4.1, filled here by the routing "runtime".
-  group_blocks_ = compute::MakeGroupBlocks(routing_, cfg_.n, cfg_.gemm.bm,
-                                           cfg_.gemm.bn);
-  dyn_.Resize(static_cast<int64_t>(group_blocks_.size()));
+  // Built once and shared (read-only) with the program lambdas.
+  group_blocks_ = std::make_shared<const std::vector<compute::GroupBlock>>(
+      compute::MakeGroupBlocks(*routing_, cfg_.n, cfg_.gemm.bm, cfg_.gemm.bn));
+  const std::vector<compute::GroupBlock>& group_blocks = *group_blocks_;
+  auto dyn = std::make_shared<DynamicMapping>();
+  dyn->Resize(static_cast<int64_t>(group_blocks.size()));
   // MakeGroupBlocks emits the n-tiles of one expert row chunk back to back,
   // so a block over the previous block's rows reuses its wait list.
   std::vector<int> channels;       // reused: one chunk's channels, sorted
@@ -40,8 +44,8 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
   int64_t row_lo = 0, row_hi = 0;
   int64_t chunk_start = -1;
   int chunk_rows = -1;
-  for (size_t i = 0; i < group_blocks_.size(); ++i) {
-    const compute::GroupBlock& gb = group_blocks_[i];
+  for (size_t i = 0; i < group_blocks.size(); ++i) {
+    const compute::GroupBlock& gb = group_blocks[i];
     if (gb.sorted_row_start != chunk_start || gb.rows != chunk_rows) {
       chunk_start = gb.sorted_row_start;
       chunk_rows = gb.rows;
@@ -50,7 +54,7 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
       row_hi = 0;
       for (int r = 0; r < gb.rows; ++r) {
         const int token =
-            routing_.token_of_sorted(gb.sorted_row_start + r);
+            routing_->token_of_sorted(gb.sorted_row_start + r);
         channels.push_back(map_.ChannelOfRow(token));
         row_lo = std::min<int64_t>(row_lo, token);
         row_hi = std::max<int64_t>(row_hi, token + 1);
@@ -63,13 +67,14 @@ AgMoe::AgMoe(rt::World& world, const AgMoeConfig& config,
         waits.push_back(ChannelWait{c, map_.TilesInChannel(c)});
       }
     }
-    dyn_.SetTile(static_cast<int64_t>(i),
+    dyn->SetTile(static_cast<int64_t>(i),
                  TileRange{std::min(row_lo, row_hi), row_hi}, gb.expert,
                  waits.empty() ? 0 : waits.front().channel);
-    dyn_.SetWaits(static_cast<int64_t>(i), waits);
+    dyn->SetWaits(static_cast<int64_t>(i), waits);
   }
+  dyn_ = std::move(dyn);
 
-  const int64_t tiles = static_cast<int64_t>(group_blocks_.size());
+  const int64_t tiles = static_cast<int64_t>(group_blocks.size());
   const RowAllGatherParams ag_params{map_, token_shards_, tokens_, ranks(),
                                      m_per_rank};
   // Declarative form. The SM comm role is always the pull AllGather here
@@ -114,14 +119,13 @@ BlockProgram AgMoe::BuildGroupGemm() {
   auto fulls = tokens_;
   auto weights = weights_;
   auto outs = out_;
-  auto blocks = std::make_shared<std::vector<compute::GroupBlock>>(
-      group_blocks_);
-  auto dyn = std::make_shared<DynamicMapping>(dyn_);
-  auto routing = std::make_shared<compute::MoeRouting>(routing_);
+  auto blocks = group_blocks_;
+  auto dyn = dyn_;
+  auto routing = routing_;
   const compute::GemmTiling tiling = cfg_.gemm;
   const int64_t k = cfg_.hidden;
   const int64_t k_steps = CeilDiv<int64_t>(k, tiling.bk);
-  const int64_t num_tiles = static_cast<int64_t>(group_blocks_.size());
+  const int64_t num_tiles = static_cast<int64_t>(blocks->size());
   auto block_of = [blocks](const Env& e) -> const compute::GroupBlock& {
     return (*blocks)[static_cast<size_t>(e.block_id + e.iv(0) * e.grid)];
   };

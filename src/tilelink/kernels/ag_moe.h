@@ -5,6 +5,7 @@
 // DynamicMapping — lookup tables filled at runtime from the routing (§4.1).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ class AgMoe : public FusedKernelBase {
   comm::SymTensor& weights() { return weights_; }            // [E, H, N]
   comm::SymTensor& out() { return out_; }  // [M*topk, N] slot order
 
-  const DynamicMapping& dynamic_mapping() const { return dyn_; }
+  const DynamicMapping& dynamic_mapping() const { return *dyn_; }
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 
@@ -57,10 +58,12 @@ class AgMoe : public FusedKernelBase {
   BlockProgram BuildGroupGemm();
 
   AgMoeConfig cfg_;
-  compute::MoeRouting routing_;
-  StaticMapping map_;   // producer (AllGather) channels over token rows
-  DynamicMapping dyn_;  // consumer (expert tile) wait tables
-  std::vector<compute::GroupBlock> group_blocks_;
+  // Routing, expert tiles and wait tables are read-only once built: the
+  // kernel keeps one copy of each, shared with the program lambdas.
+  std::shared_ptr<const compute::MoeRouting> routing_;
+  StaticMapping map_;  // producer (AllGather) channels over token rows
+  std::shared_ptr<const DynamicMapping> dyn_;  // consumer (expert tile) waits
+  std::shared_ptr<const std::vector<compute::GroupBlock>> group_blocks_;
   comm::SymTensor token_shards_, tokens_, weights_, out_;
   OverlapSpec overlap_spec_;
   OverlapPlan overlap_plan_;

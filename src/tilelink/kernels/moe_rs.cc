@@ -12,7 +12,8 @@ namespace tilelink::tl {
 MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
              const compute::MoeRouting& routing)
     : FusedKernelBase(world, config.name),
-      cfg_(config), routing_(routing) {
+      cfg_(config),
+      routing_(std::make_shared<const compute::MoeRouting>(routing)) {
   const int R = ranks();
   TL_CHECK_EQ(cfg_.m % R, 0);
   TL_CHECK_EQ((cfg_.m / R) % cfg_.rs_block_m, 0);
@@ -26,13 +27,15 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
   staging_ = AllocSymmetric("staging", {cfg_.m, cfg_.hidden});
   out_ = AllocSymmetric("out", {m_per_rank, cfg_.hidden});
 
-  group_blocks_ = compute::MakeGroupBlocks(routing_, cfg_.hidden, cfg_.gemm.bm,
-                                           cfg_.gemm.bn);
+  // Built once and shared (read-only) with the program lambdas.
+  group_blocks_ = std::make_shared<const std::vector<compute::GroupBlock>>(
+      compute::MakeGroupBlocks(*routing_, cfg_.hidden, cfg_.gemm.bm,
+                               cfg_.gemm.bn));
   // pc1: channels over sorted-slot space; threshold = overlapping blocks.
   num_pc1_ = static_cast<int>(
       CeilDiv<int64_t>(slots, cfg_.sorted_channel_rows));
   pc1_thresholds_.assign(static_cast<size_t>(num_pc1_), 0);
-  for (const compute::GroupBlock& gb : group_blocks_) {
+  for (const compute::GroupBlock& gb : *group_blocks_) {
     if (gb.rows == 0) continue;
     const int first =
         static_cast<int>(gb.sorted_row_start / cfg_.sorted_channel_rows);
@@ -50,11 +53,12 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
   std::vector<int> inv_sorted(static_cast<size_t>(slots), 0);
   for (int64_t pos = 0; pos < slots; ++pos) {
     inv_sorted[static_cast<size_t>(
-        routing_.sorted_slots[static_cast<size_t>(pos)])] =
+        routing_->sorted_slots[static_cast<size_t>(pos)])] =
         static_cast<int>(pos);
   }
   const int64_t reduce_chunks = cfg_.m / cfg_.reduce_block_tokens;
-  reduce_waits_.Resize(reduce_chunks);
+  auto reduce_waits = std::make_shared<DynamicMapping>();
+  reduce_waits->Resize(reduce_chunks);
   std::vector<int> channels;       // reused: one chunk's channels, sorted
   std::vector<ChannelWait> waits;  // reused: that chunk's wait list
   for (int64_t ch = 0; ch < reduce_chunks; ++ch) {
@@ -74,10 +78,11 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
       waits.push_back(
           ChannelWait{c, pc1_thresholds_[static_cast<size_t>(c)]});
     }
-    reduce_waits_.SetTile(ch, TileRange{t0, t0 + cfg_.reduce_block_tokens}, 0,
+    reduce_waits->SetTile(ch, TileRange{t0, t0 + cfg_.reduce_block_tokens}, 0,
                           waits.empty() ? 0 : waits.front().channel);
-    reduce_waits_.SetWaits(ch, waits);
+    reduce_waits->SetWaits(ch, waits);
   }
+  reduce_waits_ = std::move(reduce_waits);
 
   const int64_t peer_channels = cfg_.m / cfg_.rs_block_m;
   CreateChannels(num_pc1_ + num_pc2_, static_cast<int>(peer_channels),
@@ -109,7 +114,7 @@ MoeRs::MoeRs(rt::World& world, const MoeRsConfig& config,
     return spec;
   };
 
-  const int64_t tiles = static_cast<int64_t>(group_blocks_.size());
+  const int64_t tiles = static_cast<int64_t>(group_blocks_->size());
   // Declarative form of the three-role chain: group_gemm -> topk_reduce ->
   // rs. The two dynamically-sized roles carry explicit work-item counts
   // (routing decides the group blocks; the reduce chunking is a config
@@ -164,13 +169,12 @@ BlockProgram MoeRs::BuildGroupGemm() {
   auto acts = acts_;
   auto weights = weights_;
   auto outs = exp_out_;
-  auto blocks =
-      std::make_shared<std::vector<compute::GroupBlock>>(group_blocks_);
-  auto routing = std::make_shared<compute::MoeRouting>(routing_);
+  auto blocks = group_blocks_;
+  auto routing = routing_;
   const compute::GemmTiling tiling = cfg_.gemm;
   const int64_t k = cfg_.k;
   const int64_t k_steps = CeilDiv<int64_t>(k, tiling.bk);
-  const int64_t num_tiles = static_cast<int64_t>(group_blocks_.size());
+  const int64_t num_tiles = static_cast<int64_t>(blocks->size());
   const int sorted_rows = cfg_.sorted_channel_rows;
   auto block_of = [blocks](const Env& e) -> const compute::GroupBlock& {
     return (*blocks)[static_cast<size_t>(e.block_id + e.iv(0) * e.grid)];
@@ -252,8 +256,8 @@ BlockProgram MoeRs::BuildTopkReduce() {
   TileProgramBuilder b;
   auto exp_outs = exp_out_;
   auto partials = token_partial_;
-  auto dyn = std::make_shared<DynamicMapping>(reduce_waits_);
-  auto routing = std::make_shared<compute::MoeRouting>(routing_);
+  auto dyn = reduce_waits_;
+  auto routing = routing_;
   const int64_t bt = cfg_.reduce_block_tokens;
   const int64_t chunks = cfg_.m / bt;
   const int64_t hidden = cfg_.hidden;

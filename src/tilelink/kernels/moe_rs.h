@@ -10,6 +10,7 @@
 //                  ring), with optional DMA push (hybrid mapping).
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,7 @@ class MoeRs : public FusedKernelBase {
   comm::SymTensor& out() { return out_; }          // [M/R, H] reduced
 
   // Per topk-reduce chunk: the pc1 channels it waits on (dynamic mapping).
-  const DynamicMapping& reduce_wait_table() const { return reduce_waits_; }
+  const DynamicMapping& reduce_wait_table() const { return *reduce_waits_; }
   const OverlapSpec& overlap_spec() const { return overlap_spec_; }
   const OverlapPlan& overlap_plan() const { return overlap_plan_; }
 
@@ -62,12 +63,15 @@ class MoeRs : public FusedKernelBase {
   BlockProgram BuildTopkReduce();
 
   MoeRsConfig cfg_;
-  compute::MoeRouting routing_;
-  std::vector<compute::GroupBlock> group_blocks_;
+  // Routing, expert tiles and wait tables are read-only once built: the
+  // kernel keeps one copy of each, shared with the program lambdas.
+  std::shared_ptr<const compute::MoeRouting> routing_;
+  std::shared_ptr<const std::vector<compute::GroupBlock>> group_blocks_;
   int num_pc1_ = 0;  // channels over sorted-slot space
   int num_pc2_ = 0;  // channels over token space (offset by num_pc1_)
   std::vector<uint64_t> pc1_thresholds_;  // group blocks per pc1 channel
-  DynamicMapping reduce_waits_;           // per reduce-chunk wait tables
+  // Per reduce-chunk wait tables.
+  std::shared_ptr<const DynamicMapping> reduce_waits_;
   comm::SymTensor acts_, weights_, exp_out_, token_partial_, staging_, out_;
   OverlapSpec overlap_spec_;
   OverlapPlan overlap_plan_;

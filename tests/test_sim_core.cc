@@ -20,6 +20,7 @@
 #include "sim/flag.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
+#include "tensor/tensor.h"
 
 namespace tilelink::sim {
 namespace {
@@ -320,6 +321,25 @@ TEST(SimCore, WarmParkWakeLoopAllocatesNothing) {
   EXPECT_EQ(HeapAllocations() - before, 0u);
   EXPECT_EQ(sim.processed_events() - events, events);
   EXPECT_EQ(pong.value(), 200u);
+}
+
+// Tensor views keep their shape and strides inline, so the views a kernel's
+// DataSpec callbacks build per tile (copy, Slice, Select, BufferRange)
+// never touch the heap.
+TEST(SimCore, TensorViewsAllocateNothing) {
+  rt::Buffer buf(0, "t", 4 * 8 * 16 * 2, /*materialize=*/false);
+  const Tensor t(&buf, {4, 8, 16, 2}, DType::kBF16);
+  const uint64_t before = HeapAllocations();
+  const Tensor copy = t;
+  const Tensor rows = copy.Slice(1, 2, 4);
+  const Tensor plane = rows.Select(0, 3).Select(2, 1);
+  int64_t lo = 0, hi = 0;
+  plane.BufferRange(&lo, &hi);
+  EXPECT_EQ(HeapAllocations() - before, 0u);
+  EXPECT_EQ(plane.shape(), TensorDims({4, 16}));
+  EXPECT_EQ(plane.strides(), TensorDims({32, 2}));
+  EXPECT_EQ(lo, 3 * 256 + 2 * 32 + 1);
+  EXPECT_EQ(hi, lo + 3 * 32 + 15 * 2 + 1);
 }
 
 // A thread's frame pool returns its frames to the global allocator when

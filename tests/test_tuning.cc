@@ -11,8 +11,10 @@
 //    argmin agreement on small machine specs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 
 #include "common/rng.h"
 #include "compute/moe_routing.h"
+#include "models/transformer.h"
 #include "sim/fault.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/builder/tuned_config_cache.h"
@@ -551,7 +554,9 @@ TEST(KernelTuningTest, MoeLayerComposition) {
 // TuneResult — evaluation order, pruned/halved/infeasible tallies, coarse
 // and seed accounting — must be what the serial search produces, for every
 // thread count.
-void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
+// Every per-candidate field of two results: what a search reports whether
+// or not it merged planner-identical candidates.
+void ExpectSameScores(const TuneResult& a, const TuneResult& b) {
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_cost, b.best_cost);
   ASSERT_EQ(a.evaluated.size(), b.evaluated.size());
@@ -564,6 +569,11 @@ void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
   EXPECT_EQ(a.halved, b.halved);
   EXPECT_EQ(a.coarse_evals, b.coarse_evals);
   EXPECT_EQ(a.seed_cost, b.seed_cost);
+}
+
+void ExpectIdenticalResults(const TuneResult& a, const TuneResult& b) {
+  ExpectSameScores(a, b);
+  EXPECT_EQ(a.sims, b.sims);
 }
 
 Autotuner ThreadedTuner(int threads) {
@@ -776,6 +786,263 @@ TEST(TunedConfigCacheTest, ConcurrentGetOrTuneStress) {
     const TunedEntry* e = cache.Find("k/" + std::to_string(k));
     ASSERT_NE(e, nullptr);
     EXPECT_EQ(*e, DistinctEntry());
+  }
+}
+
+// ---------------------------------------------------------------------- //
+// Canonical grouping: candidates the planner builds identically simulate
+// bitwise alike, and a search that merges them reports exactly what an
+// ungrouped search reports while running fewer simulations.
+// ---------------------------------------------------------------------- //
+
+struct KernelRun {
+  sim::TimeNs makespan = 0;
+  uint64_t events = 0;
+  friend bool operator==(const KernelRun&, const KernelRun&) = default;
+};
+
+template <typename Kernel, typename Config, typename... Extra>
+KernelRun RunKernel(const sim::MachineSpec& spec, const Config& cfg,
+                    const Extra&... extra) {
+  rt::World world(spec, rt::ExecMode::kTimingOnly);
+  Kernel kernel(world, cfg, extra...);
+  const sim::TimeNs t = world.RunSpmd(
+      [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+  return KernelRun{t, world.sim().processed_events()};
+}
+
+// Groups `candidates` by `canonical` and simulates every member of every
+// group with two or more members: each must reproduce its group's first
+// member bitwise (makespan and processed events). Infeasible candidates
+// are their own canonical form, so merged groups are all feasible. Returns
+// the number of candidates merged into an earlier one.
+int ExpectCanonicalGroupsSimulateAlike(
+    const std::vector<TuneCandidate>& candidates,
+    const std::function<TuneCandidate(const TuneCandidate&)>& canonical,
+    const std::function<KernelRun(const TuneCandidate&)>& run) {
+  std::vector<TuneCandidate> keys;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const TuneCandidate key = canonical(candidates[i]);
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it == keys.end()) {
+      keys.push_back(key);
+      groups.push_back({i});
+    } else {
+      groups[static_cast<std::size_t>(it - keys.begin())].push_back(i);
+    }
+  }
+  int merged = 0;
+  for (const std::vector<std::size_t>& g : groups) {
+    if (g.size() < 2) continue;
+    const KernelRun lead = run(candidates[g[0]]);
+    for (std::size_t j = 1; j < g.size(); ++j) {
+      ++merged;
+      EXPECT_EQ(run(candidates[g[j]]), lead)
+          << candidates[g[j]].Describe() << " vs "
+          << candidates[g[0]].Describe();
+    }
+  }
+  return merged;
+}
+
+TEST(CanonicalTest, MlpCanonicalEqualCandidatesSimulateAlike) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x8();
+  const int tp = spec.num_devices;
+  // Two serving shapes (ServingMlp space) and a training shape (Mlp).
+  for (const int64_t m : {int64_t{256}, int64_t{2048}, int64_t{32768}}) {
+    const MlpPartShape shape{m, 1024, 1024};
+    const TuningSpace space = models::MlpTuningSpaceFor(m, tp);
+    const int ag = ExpectCanonicalGroupsSimulateAlike(
+        space.Enumerate(models::DefaultAgGemmConfig(m, shape.k, tp)),
+        [&](const TuneCandidate& c) {
+          return CanonicalAgGemm(spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return RunKernel<AgGemm>(spec, MakeAgGemmConfig(shape, c));
+        });
+    const int rs = ExpectCanonicalGroupsSimulateAlike(
+        space.Enumerate(models::DefaultGemmRsConfig(m, shape.k, tp)),
+        [&](const TuneCandidate& c) {
+          return CanonicalGemmRs(spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return RunKernel<GemmRs>(spec, MakeGemmRsConfig(shape, c));
+        });
+    EXPECT_GT(ag, 0) << "m=" << m;
+    EXPECT_GT(rs, 0) << "m=" << m;
+  }
+}
+
+TEST(CanonicalTest, MoeCanonicalEqualCandidatesSimulateAlike) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x8();
+  // 512 tokens per rank: at 128-row comm tiles channels_per_rank 0 resolves
+  // to 4, so the MoePart1 channel axis merges too.
+  const MoeShape shape{4096, 1024, 256, 8, 2};
+  Rng rng(5);
+  const compute::MoeRouting routing =
+      compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+  TuneCandidate base;
+  base.gemm = compute::GemmTiling{128, 128, 64};
+  const int p1 = ExpectCanonicalGroupsSimulateAlike(
+      TuningSpace::MoePart1().Enumerate(base),
+      [&](const TuneCandidate& c) { return CanonicalAgMoe(spec, shape, c); },
+      [&](const TuneCandidate& c) {
+        return RunKernel<AgMoe>(spec, MakeAgMoeConfig(shape, c), routing);
+      });
+  const int p2 = ExpectCanonicalGroupsSimulateAlike(
+      TuningSpace::MoePart2().Enumerate(base),
+      [&](const TuneCandidate& c) { return CanonicalMoeRs(spec, shape, c); },
+      [&](const TuneCandidate& c) {
+        return RunKernel<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing);
+      });
+  EXPECT_GT(p1, 0);
+  EXPECT_GT(p2, 0);
+}
+
+// A search with no bound and no coarse round simulates each distinct
+// feasible canonical form exactly once (infeasible candidates are rejected
+// without a simulation).
+TEST(CanonicalTest, SimsCountDistinctCanonicalForms) {
+  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
+  const MlpPartShape shape{512, 64, 128};
+  TuneCandidate base;
+  base.gemm = compute::GemmTiling{32, 32, 16};
+  TuningSpace space;
+  space.CommTileM({16, 32, 64, 128})
+      .CommSms({2, 4, 8})
+      .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                  CommResource::kDma});
+  auto canonical = [&](const TuneCandidate& c) {
+    return CanonicalAgGemm(spec, shape, c);
+  };
+  std::vector<TuneCandidate> candidates = space.Enumerate(base);
+  if (std::find(candidates.begin(), candidates.end(), base) ==
+      candidates.end()) {
+    candidates.push_back(base);
+  }
+  std::vector<TuneCandidate> forms;
+  std::size_t feasible = 0;
+  for (const TuneCandidate& c : candidates) {
+    if (SimulateAgGemm(spec, shape, c) == Autotuner::kInfeasible) continue;
+    ++feasible;
+    const TuneCandidate key = canonical(c);
+    if (std::find(forms.begin(), forms.end(), key) == forms.end()) {
+      forms.push_back(key);
+    }
+  }
+  ASSERT_LT(forms.size(), feasible);
+  int simulated = 0;
+  const TuneResult r = Autotuner().Search(
+      space, base,
+      [&](const TuneCandidate& c) {
+        const sim::TimeNs t = SimulateAgGemm(spec, shape, c);
+        if (t != Autotuner::kInfeasible) ++simulated;
+        return t;
+      },
+      nullptr, nullptr, canonical);
+  EXPECT_EQ(r.sims, static_cast<int>(forms.size()));
+  EXPECT_EQ(simulated, r.sims);
+  EXPECT_EQ(r.evaluated.size(), feasible);
+  EXPECT_EQ(r.evaluated.size() + static_cast<std::size_t>(r.infeasible),
+            candidates.size());
+}
+
+// Each family's pre-wired search reports, field for field, what the same
+// search reports without a canonicalizer, and runs fewer simulations.
+TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
+  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
+  const Autotuner tuner;
+  {
+    const MlpPartShape shape{512, 64, 128};
+    TuneCandidate base;
+    base.gemm = compute::GemmTiling{32, 32, 16};
+    TuningSpace space;
+    space.CommTileM({16, 32, 64, 128})
+        .CommSms({2, 4, 8})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma})
+        .Orders({TileOrder::kOwnerFirst, TileOrder::kNextRankFirst});
+    const TuneResult ag = TuneAgGemm(spec, shape, space, base);
+    const TuneResult ag_plain = tuner.Search(
+        space, base,
+        [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
+        [&](const TuneCandidate& c) {
+          return AgGemmLowerBound(spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
+        });
+    ExpectSameScores(ag, ag_plain);
+    EXPECT_LT(ag.sims, ag_plain.sims);
+    const TuneResult rs = TuneGemmRs(spec, shape, space, base);
+    const TuneResult rs_plain = tuner.Search(
+        space, base,
+        [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
+        [&](const TuneCandidate& c) {
+          return GemmRsLowerBound(spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
+        });
+    ExpectSameScores(rs, rs_plain);
+    EXPECT_LT(rs.sims, rs_plain.sims);
+  }
+  {
+    // Too few tokens to shrink, so the MoE coarse round runs this shape and
+    // routing with the reduction loop collapsed.
+    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
+    const MoeShape shape{128, 32, 32, 4, 2};
+    Rng rng(7);
+    const compute::MoeRouting routing =
+        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+    TuneCandidate base;
+    base.gemm = compute::GemmTiling{16, 16, 8};
+    base.comm_tile_m = 16;
+    base.comm_sms = 2;
+    base.comm = CommResource::kSmPull;
+    base.sorted_channel_rows = 32;
+    base.reduce_block_tokens = 8;
+    base.reduce_sms = 2;
+    TuningSpace space;
+    space.CommTileM({16, 32, 64})
+        .CommSms({2, 4, 8})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma})
+        .ChannelsPerRank({0, 2})
+        .SortedChannelRows({32, 64})
+        .ReduceBlockTokens({8, 16})
+        .ReduceSms({2, 4});
+    const TuneResult p1 = TuneAgMoe(moe_spec, shape, routing, space, base);
+    const TuneResult p1_plain = tuner.Search(
+        space, base,
+        [&](const TuneCandidate& c) {
+          return SimulateAgMoe(moe_spec, shape, routing, c);
+        },
+        [&](const TuneCandidate& c) {
+          return AgMoeLowerBound(moe_spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return SimulateAgMoe(moe_spec, shape, routing,
+                               CoarsenReduction(c, shape.hidden));
+        });
+    ExpectSameScores(p1, p1_plain);
+    EXPECT_LT(p1.sims, p1_plain.sims);
+    const TuneResult p2 = TuneMoeRs(moe_spec, shape, routing, space, base);
+    const TuneResult p2_plain = tuner.Search(
+        space, base,
+        [&](const TuneCandidate& c) {
+          return SimulateMoeRs(moe_spec, shape, routing, c);
+        },
+        [&](const TuneCandidate& c) {
+          return MoeRsLowerBound(moe_spec, shape, c);
+        },
+        [&](const TuneCandidate& c) {
+          return SimulateMoeRs(moe_spec, shape, routing,
+                               CoarsenReduction(c, shape.inner));
+        });
+    ExpectSameScores(p2, p2_plain);
+    EXPECT_LT(p2.sims, p2_plain.sims);
   }
 }
 
