@@ -30,6 +30,7 @@ int RsBlock(int64_t m_per_rank, int bm) {
 
 // Flow-network counters summed over the figure simulations.
 uint64_t g_completion_events = 0;
+uint64_t g_rerates = 0;
 uint64_t g_transfers = 0;
 
 // Runs `kernel` on every rank of `world`; returns the makespan in ms.
@@ -39,6 +40,7 @@ double RunMs(rt::World& world, Kernel& kernel) {
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); }));
   for (sim::Network* net : {&world.intra_fabric(), &world.inter_fabric()}) {
     g_completion_events += net->completion_events();
+    g_rerates += net->rerated_flows();
     g_transfers += net->total_flows();
   }
   return ms;
@@ -250,14 +252,19 @@ int main(int argc, char** argv) {
   full.Export(&report, "fig8.mlp", "cuBLAS+NCCL");
 
   // The flow network's hot-path cost of the figure simulations above.
-  const double per_transfer =
-      static_cast<double>(g_completion_events) /
+  const double transfers =
       static_cast<double>(std::max<uint64_t>(1, g_transfers));
+  const double per_transfer =
+      static_cast<double>(g_completion_events) / transfers;
+  const double rerates_per_transfer = static_cast<double>(g_rerates) /
+                                      transfers;
   std::printf("\nflow network: %llu completion events for %llu transfers "
-              "(%.2f per transfer)\n",
+              "(%.2f per transfer), %.2f re-rates per transfer\n",
               static_cast<unsigned long long>(g_completion_events),
-              static_cast<unsigned long long>(g_transfers), per_transfer);
+              static_cast<unsigned long long>(g_transfers), per_transfer,
+              rerates_per_transfer);
   report.Record("net.completion_events_per_transfer", per_transfer);
+  report.Record("net.rerates_per_transfer", rerates_per_transfer);
   report.Record("net.transfers", static_cast<double>(g_transfers));
 
   bool tuned_ok = false;

@@ -1,10 +1,11 @@
 // Microbenchmarks of the simulator substrate itself: event-loop throughput
 // (one event in flight, and many in lockstep at one time), host-callback
 // scheduling, resource contention, flag/resource park and wake, network
-// flows, and an end-to-end overlapped kernel (wall-clock cost of simulating
+// flows, an end-to-end overlapped kernel (wall-clock cost of simulating
 // one AG+GEMM, with World build + compile timed apart from the interpreted
-// run). A counting global operator new reports heap allocations per event
-// on the park/wake and interpreter rungs; those counts are deterministic.
+// run) and the FLUX GEMM+RS baseline (many small contending flows). A
+// counting global operator new reports heap allocations per event on the
+// park/wake and the two kernel rungs; those counts are deterministic.
 // Built on the vendored harness in bench/microbench.h (Google Benchmark API
 // subset) so it always compiles without external dependencies.
 #include "bench/microbench.h"
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "baselines/flux_baselines.h"
 #include "bench/bench_common.h"
 #include "comm/collectives.h"
 #include "common/counting_new.h"
@@ -263,6 +265,44 @@ void BM_SimulateAgGemmMlp1(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);
+
+// The flow-network rung: FLUX GEMM+RS at fig8 MLP-1, timing-only. Its 132
+// blocks per rank push every output tile as its own transfer, so thousands
+// of small flows contend for the ports. allocs_per_event counts
+// global operator new calls during the last (warm) RunSpmd (per-block
+// state is the payload's, so a timing-only run builds none);
+// rerates_per_flow the rate recomputations per wire flow.
+void BM_SimulateFluxGemmRsMlp1(benchmark::State& state) {
+  uint64_t events = 0;
+  uint64_t allocs = 0;
+  uint64_t rerated = 0;
+  uint64_t flows = 0;
+  for (auto _ : state) {
+    rt::World world = bench::MakeH800x8();
+    const int64_t k = 11008 / 8;
+    baselines::FluxGemmRs kernel(
+        world, baselines::FluxConfig{8192, k, 4096, bench::CoarseTiling(k)});
+    const uint64_t allocs0 = HeapAllocations();
+    const sim::TimeNs t = world.RunSpmd(
+        [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+    allocs = HeapAllocations() - allocs0;
+    benchmark::DoNotOptimize(t);
+    events = world.sim().processed_events();
+    rerated = world.intra_fabric().rerated_flows() +
+              world.inter_fabric().rerated_flows();
+    flows = world.intra_fabric().total_flows() +
+            world.inter_fabric().total_flows();
+    state.counters["sim_ms"] = static_cast<double>(t) / 1e6;
+    state.counters["events"] = static_cast<double>(events);
+  }
+  state.counters["allocs_per_event"] =
+      events > 0 ? static_cast<double>(allocs) / static_cast<double>(events)
+                 : 0.0;
+  state.counters["rerates_per_flow"] =
+      flows > 0 ? static_cast<double>(rerated) / static_cast<double>(flows)
+                : 0.0;
+}
+BENCHMARK(BM_SimulateFluxGemmRsMlp1)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateAllGather8(benchmark::State& state) {
   for (auto _ : state) {

@@ -12,13 +12,16 @@
 #      halving/bound machinery stops skipping candidates, and fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
 #      the simulator microbenchmarks; the stage checks fig8 reported the
-#      flow network's net.completion_events_per_transfer key and
+#      flow network's net.completion_events_per_transfer and
+#      net.rerates_per_transfer keys and
 #      bench_micro_sim the interpreter rung's
 #      BM_SimulateAgGemmMlp1.events_per_s and the wide event-loop rung's
 #      BM_EventLoopWide/1024.items_per_second keys, and gates the
 #      deterministic heap-allocation counts: allocs_per_event of the
-#      interpreter rung (warm RunSpmd) and of the BM_ParkWake rung must stay
-#      at or under their committed ceilings, as must the interpreter rung's
+#      interpreter rung (warm RunSpmd), of the FLUX GEMM+RS rung (a
+#      timing-only run that builds per-block scratch fails here) and of the
+#      BM_ParkWake rung must stay at or under their committed ceilings, as
+#      must the interpreter rung's
 #      coroutine resumes per event (resumes_per_event: a kernel whose
 #      k-loop falls off the repeated-delay path fails here), its
 #      event-queue pops per event (queue_pops_per_event: a simulator that
@@ -123,8 +126,11 @@ if [[ "$FAST" == "0" ]]; then
   done
   # The flow network's completion-event count is the perf-trajectory key
   # for the simulator hot path; make sure fig8 reported it.
-  grep -q '"net.completion_events_per_transfer"' build-ci/BENCH_fig8.json \
-      || { echo "missing net.completion_events_per_transfer in BENCH_fig8.json"; exit 1; }
+  # Its re-rates per transfer are the baseline for sharing-rule changes.
+  for key in net.completion_events_per_transfer net.rerates_per_transfer; do
+    grep -q "\"$key\"" build-ci/BENCH_fig8.json \
+        || { echo "missing $key in BENCH_fig8.json"; exit 1; }
+  done
   # Likewise the program-interpreter rung: events/s over RunSpmd only.
   grep -q '"BM_SimulateAgGemmMlp1.events_per_s"' build-ci/BENCH_micro_sim.json \
       || { echo "missing BM_SimulateAgGemmMlp1.events_per_s in BENCH_micro_sim.json"; exit 1; }
@@ -136,7 +142,10 @@ if [[ "$FAST" == "0" ]]; then
   # interpreter run allocates only for fresh flags' waiter lists and the
   # host DMA path's buffer copies (0.0762; 0.2422 while tensor views kept
   # their shape and strides on the heap, 0.52 before the allocation-free
-  # hot path), a warm park/wake loop not at all. Coroutine resumes per
+  # hot path), a warm park/wake loop not at all. A warm timing-only FLUX
+  # GEMM+RS at fig8 MLP-1 allocates 0.0211 per event (0.0381 while every
+  # block built its 128 KiB accumulator in timing-only runs too, 2 heap
+  # allocations per block). Coroutine resumes per
   # interpreter event: 0.3274 with every pure-compute k-loop run as one
   # repeated delay (one resume per tile, not per k-step). Event-queue pops
   # per interpreter event: 0.4325 with lockstep repeats moved as one
@@ -154,6 +163,7 @@ if [[ "$FAST" == "0" ]]; then
         || { echo "$key = $value exceeds its ceiling $ceiling"; exit 1; }
   }
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.0763
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.allocs_per_event 0.0212
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "sim/trace.h"
@@ -55,17 +56,29 @@ Network::Network(Simulator* sim, int num_ports, double port_bw_gbps,
       latency_ns_(latency_ns), name_(std::move(name)) {
   TL_CHECK_GT(num_ports, 0);
   TL_CHECK_GT(port_bw_gbps, 0.0);
-  egress_.resize(num_ports);
-  ingress_.resize(num_ports);
+  ConfigureRails(1);
 }
 
 void Network::ConfigureRails(int rails) {
   TL_CHECK_GT(rails, 0);
   TL_CHECK_EQ(active_flow_count(), 0);
   rails_ = rails;
+  PortRail idle;
+  Reshare(idle);
   const std::size_t port_rails = static_cast<std::size_t>(num_ports_) * rails;
-  egress_.assign(port_rails, PortRail{});
-  ingress_.assign(port_rails, PortRail{});
+  egress_.assign(port_rails, idle);
+  ingress_.assign(port_rails, idle);
+}
+
+double Network::ShareOf(double scale, std::size_t flows) const {
+  // With one healthy rail this is bitwise the flat bw/flows share.
+  const double share = port_bw_ / rails_;
+  return share * scale /
+         static_cast<double>(std::max<std::size_t>(1, flows));
+}
+
+void Network::Reshare(PortRail& pr) const {
+  pr.share = ShareOf(pr.scale, pr.flows.size());
 }
 
 void Network::SetRailScale(int port, int rail, double fraction) {
@@ -126,8 +139,11 @@ void Network::Rescale(int port, int rail, double fraction) {
   const int lo = port < 0 ? 0 : port;
   const int hi = port < 0 ? num_ports_ : port + 1;
   for (int p = lo; p < hi; ++p) {
-    egress_[Index(p, rail)].scale = fraction;
-    ingress_[Index(p, rail)].scale = fraction;
+    for (std::vector<PortRail>* side : {&egress_, &ingress_}) {
+      PortRail& pr = (*side)[Index(p, rail)];
+      pr.scale = fraction;
+      Reshare(pr);
+    }
   }
   rail_generation_++;
   BeginChange();
@@ -322,6 +338,8 @@ void Network::AddFlow(Flow& f) {
   eg.flows.push_back(&f);
   f.ingress_pos = static_cast<uint32_t>(in.flows.size());
   in.flows.push_back(&f);
+  Reshare(eg);
+  Reshare(in);
   RerateShared(eg, in, f.src);
   TraceRailCounter(f.rail);
 }
@@ -338,6 +356,8 @@ void Network::RemoveFlow(Flow& f) {
   PortRail& in = ingress_[Index(f.dst, f.rail)];
   unlink(eg.flows, &Flow::egress_pos);
   unlink(in.flows, &Flow::ingress_pos);
+  Reshare(eg);
+  Reshare(in);
   f.live = false;
   free_.push_back(&f);
   RerateShared(eg, in, f.src);
@@ -380,17 +400,13 @@ void Network::Rerate(Flow& f, bool due) {
 }
 
 double Network::RateOf(const Flow& f) const {
-  // With one healthy rail this is bitwise the flat bw/flows share.
   const PortRail& eg = egress_[Index(f.src, f.rail)];
   const PortRail& in = ingress_[Index(f.dst, f.rail)];
-  const double share = port_bw_ / rails_;
-  const double eg_rate =
-      share * eg.scale /
-      static_cast<double>(std::max<std::size_t>(1, eg.flows.size()));
-  const double in_rate =
-      share * in.scale /
-      static_cast<double>(std::max<std::size_t>(1, in.flows.size()));
-  return std::min(eg_rate, in_rate);
+  TL_DCHECK(std::bit_cast<uint64_t>(eg.share) ==
+            std::bit_cast<uint64_t>(ShareOf(eg.scale, eg.flows.size())));
+  TL_DCHECK(std::bit_cast<uint64_t>(in.share) ==
+            std::bit_cast<uint64_t>(ShareOf(in.scale, in.flows.size())));
+  return std::min(eg.share, in.share);
 }
 
 void Network::Arm(Flow& f) {

@@ -26,7 +26,10 @@
 //    health of its two port-rails, (src egress, rail) and (dst ingress,
 //    rail), so live flows are indexed per port-rail. Adding or removing a
 //    flow re-rates only the flows sharing one of its port-rails; a rail
-//    rescale re-rates only that rail's flows at the rescaled ports.
+//    rescale re-rates only that rail's flows at the rescaled ports. Each
+//    port-rail caches its per-flow share, recomputed only when its flow
+//    count or health changes, so a re-rate is the min of two cached
+//    values.
 //  * Progress anchoring. A flow's progress is kept as (remaining bytes, the
 //    time they were valid) and integrated, rem -= rate * dt, only when its
 //    rate changes. A flow whose recomputed rate is bitwise equal keeps its
@@ -197,11 +200,14 @@ class Network {
     }
   };
 
-  // One (port, rail) on one side of the fabric: its health and the live
-  // flows crossing it. Completed flows stay listed, holding their share,
-  // until the waiting coroutine retires them.
+  // One (port, rail) on one side of the fabric: its health, the live flows
+  // crossing it, and the rate each of them may take here. Completed flows
+  // stay listed, holding their share, until the waiting coroutine retires
+  // them. `share` is kept by Reshare whenever `scale` or the flow count
+  // changes.
   struct PortRail {
     double scale = 1.0;
+    double share = 0.0;  // ShareOf(scale, flows.size())
     std::vector<Flow*> flows;
   };
 
@@ -218,6 +224,11 @@ class Network {
     }
   };
 
+  // Per-flow rate a port-rail at health `scale` carrying `flows` flows
+  // allows: its rail's share of the port, split evenly.
+  double ShareOf(double scale, std::size_t flows) const;
+  // Recomputes pr.share from its scale and flow count.
+  void Reshare(PortRail& pr) const;
   std::size_t Index(int port, int rail) const {
     return static_cast<std::size_t>(port) * rails_ + rail;
   }

@@ -417,7 +417,7 @@ sim::Coro RunBlock(ExecCtx ec, Env env, const Role* role) {
   const BlockProgram* program = &role->program;
   const sim::TimeNs block_t0 = world.sim().Now();
   std::shared_ptr<void> scratch;
-  if (program->scratch_factory) {
+  if (program->scratch_factory && world.functional()) {
     scratch = program->scratch_factory(env);
     env.scratch = scratch.get();
   }

@@ -83,7 +83,9 @@ struct Env {
   int block_id = 0;  // id within the role
   int grid = 0;      // number of blocks in the role
   std::array<int64_t, kMaxLoopDepth> loop = {};
-  void* scratch = nullptr;  // per-block state from scratch_factory
+  // Per-block state from scratch_factory in a functional world; null in a
+  // timing-only one, where no `math` callback runs to read it.
+  void* scratch = nullptr;
 
   int64_t iv(int depth) const { return loop[static_cast<size_t>(depth)]; }
 };
@@ -176,7 +178,11 @@ struct Stmt {
 // One role (communication or computation part) of a fused kernel.
 struct BlockProgram {
   std::vector<Stmt> stmts;
-  // Creates per-block mutable state (e.g. accumulators); may be null.
+  // Creates per-block mutable state (e.g. accumulators); may be null. The
+  // interpreter calls it once per block, and only in a functional world:
+  // scratch is the payload's state, so only `math` callbacks may read
+  // Env::scratch (cost, data, wait and notify callbacks run in timing-only
+  // worlds too, where it stays null).
   std::function<std::shared_ptr<void>(const Env&)> scratch_factory;
 };
 

@@ -157,6 +157,20 @@ TEST(FluxBaselines, GemmRsCorrect) {
   }
 }
 
+TEST(FluxBaselines, GemmRsTimingMatchesFunctional) {
+  // The per-block accumulators are payload state: a timing-only run builds
+  // none of them and must still time the kernel exactly as a functional
+  // run does.
+  auto run = [](ExecMode mode) {
+    World world(sim::MachineSpec::Test(kR, 16), mode);
+    FluxConfig cfg{32 * kR, 24, 40, compute::GemmTiling{32, 16, 8}};
+    FluxGemmRs bench(world, cfg);
+    return world.RunSpmd(
+        [&](RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
+  };
+  EXPECT_EQ(run(ExecMode::kTimingOnly), run(ExecMode::kFunctional));
+}
+
 class MoeImplTest : public ::testing::TestWithParam<MoeImpl> {};
 
 TEST_P(MoeImplTest, Part1Correct) {

@@ -529,6 +529,59 @@ TEST(HotPath, RailRescaleReratesOnlyThatRailsFlows) {
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
+Coro LateTry(Network* net, TimeNs start, int src, int dst, uint64_t bytes,
+             int rail, TimeNs* done, Simulator* sim) {
+  co_await Delay{start};
+  TransferOpts opts;
+  opts.rail = rail;
+  TransferOutcome out;
+  co_await net->TryTransfer(src, dst, bytes, opts, &out);
+  *done = sim->Now();
+}
+
+TEST(HotPath, SharesFollowJoinsLeavesRescalesAndRailChanges) {
+  // Two phases on one fabric, every share inexact (100 B/ns over 3 rails,
+  // health 1/3 and 0.3). Phase 1, one rail: joins, leaves and a rescale
+  // of every port and of one port. Then ConfigureRails(3), and phase 2:
+  // rail 0 dies under two flows (they park), a flow joins the dead rail,
+  // one port of rail 1 is rescaled, and rail 0 revives. Completion times
+  // and re-rate counts are pinned: a port-rail share left stale by any of
+  // these changes moves them.
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/0, "nic");
+  std::vector<TimeNs> done(10, 0);
+  sim.Spawn(LateTry(&net, 0, 0, 1, 100000, 0, &done[0], &sim));
+  sim.Spawn(LateTry(&net, 0, 2, 1, 50000, 0, &done[1], &sim));
+  sim.Spawn(LateTry(&net, 300, 0, 3, 40000, 0, &done[2], &sim));
+  sim.Spawn(LateTry(&net, 700, 3, 1, 30000, 0, &done[3], &sim));
+  sim.At(400, [&net] { net.SetRailScale(-1, 0, 1.0 / 3.0); });
+  sim.At(900, [&net] { net.SetRailScale(1, 0, 0.3); });
+  sim.Run();
+  const uint64_t phase1_rerated = net.rerated_flows();
+  const TimeNs t0 = sim.Now();
+
+  net.ConfigureRails(3);
+  EXPECT_EQ(net.RailScale(1, 0), 1.0);
+  sim.Spawn(LateTry(&net, 0, 0, 1, 200000, 0, &done[4], &sim));
+  sim.Spawn(LateTry(&net, 0, 0, 2, 100000, 0, &done[5], &sim));
+  sim.Spawn(LateTry(&net, 0, 1, 2, 100000, 1, &done[6], &sim));
+  sim.Spawn(LateTry(&net, 500, 3, 2, 60000, 1, &done[7], &sim));
+  sim.Spawn(LateTry(&net, 700, 3, 0, 20000, 0, &done[8], &sim));
+  sim.Spawn(LateTry(&net, 0, 2, 3, 80000, 2, &done[9], &sim));
+  sim.At(t0 + 300, [&net] { net.SetRailScale(-1, 0, 0.0); });
+  sim.At(t0 + 600, [&net] { net.SetRailScale(2, 1, 1.0 / 3.0); });
+  sim.At(t0 + 1200, [&net] { net.SetRailScale(-1, 0, 1.0); });
+  sim.Run();
+  EXPECT_EQ(t0, 6512);  // a no-op network wake-up outlives the last flow
+  EXPECT_EQ(done, (std::vector<TimeNs>{5012, 3178, 2501, 3512, t0 + 9900,
+                                       t0 + 6900, t0 + 13200, t0 + 11100,
+                                       t0 + 1800, t0 + 2400}));
+  EXPECT_EQ(phase1_rerated, 18u);
+  EXPECT_EQ(net.rerated_flows(), 35u);
+  EXPECT_EQ(net.completion_events(), 22u);
+  EXPECT_EQ(net.active_flow_count(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Property: the indexed network against an eager integrator
 // ---------------------------------------------------------------------------

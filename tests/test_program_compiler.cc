@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -671,6 +672,47 @@ TEST(Interpreter, FunctionalOrCheckedRunKeepsThePerIterationPath) {
                                       ExecMode::kTimingOnly, /*checker=*/true);
   ExpectSameEvents(checked, timing);
   EXPECT_EQ(checked.resumes, timing.resumes + kSavedResumes);
+}
+
+TEST(Interpreter, ScratchIsBuiltOnlyForFunctionalRuns) {
+  // Per-block state belongs to the payload: a timing-only run never calls
+  // the factory and leaves Env::scratch null, a functional run builds it
+  // once per block, and the makespan does not depend on it.
+  struct Run {
+    int factory_calls = 0;
+    int null_scratch_costs = 0;
+    sim::TimeNs makespan = 0;
+  };
+  auto run = [](ExecMode mode) {
+    Run r;
+    TileProgramBuilder b;
+    b.Scratch([&r](const Env&) {
+      ++r.factory_calls;
+      return std::make_shared<int>(0);
+    });
+    b.For("t", Trips(3), [&](TileProgramBuilder& body) {
+      body.Add(ops::Elementwise(
+          "bump",
+          [&r](const Env& e, const sim::CostModel&) {
+            if (e.scratch == nullptr) ++r.null_scratch_costs;
+            return sim::TimeNs{4};
+          },
+          [](const Env& e) { ++*static_cast<int*>(e.scratch); }));
+    });
+    World world(sim::MachineSpec::Test(2, 8), mode);
+    FusedKernelSpec spec;
+    spec.name = "scratch";
+    spec.roles.push_back(Role{"compute", 3, b.Build()});
+    r.makespan = RunKernel(world, std::move(spec));
+    return r;
+  };
+  const Run timing = run(ExecMode::kTimingOnly);
+  const Run functional = run(ExecMode::kFunctional);
+  EXPECT_EQ(timing.factory_calls, 0);
+  EXPECT_GT(timing.null_scratch_costs, 0);
+  EXPECT_EQ(functional.factory_calls, 2 * 3);  // ranks x blocks
+  EXPECT_EQ(functional.null_scratch_costs, 0);
+  EXPECT_EQ(functional.makespan, timing.makespan);
 }
 
 TEST(Compiler, RejectsEmptyKernel) {

@@ -526,6 +526,26 @@ TEST_P(AgAttentionTest, MatchesEagerReference) {
   }
 }
 
+TEST_P(AgAttentionTest, TimingMatchesFunctional) {
+  // The per-block FlashState vectors are payload state: a timing-only run
+  // builds none of them and must still time the kernel exactly as a
+  // functional run does.
+  const int R = GetParam();
+  auto run = [R](ExecMode mode) {
+    World world(sim::MachineSpec::Test(R, 16), mode);
+    AgAttentionConfig cfg;
+    cfg.batch_heads = 2;
+    cfg.seq = 32 * R;
+    cfg.head_dim = 16;
+    cfg.block_q = 16;
+    cfg.block_kv = 16;
+    AgAttention kernel(world, cfg);
+    return world.RunSpmd(
+        [&](RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+  };
+  EXPECT_EQ(run(ExecMode::kTimingOnly), run(ExecMode::kFunctional));
+}
+
 INSTANTIATE_TEST_SUITE_P(Worlds, AgAttentionTest, ::testing::Values(2, 4),
                          ::testing::PrintToStringParamName());
 
