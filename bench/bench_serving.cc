@@ -1,8 +1,8 @@
 // Serving-scale bench: continuous batching over a mixed prefill/decode
 // request trace, one replica per model, with every TileLink config obtained
 // online from the config service (serving/config_service.h), whose cold
-// tunes run Autotuner::Search (successive halving, then bound-pruned full
-// fidelity).
+// tunes run Autotuner::Search (the MLP families exactly: bound-ordered,
+// bound-pruned full fidelity).
 //
 // Three phases, all gated:
 //
@@ -19,18 +19,19 @@
 //     seed must produce a bitwise-identical request/step trace and
 //     bitwise-identical cache contents (ToJson).
 //
-// Search efficiency gate: for every MLP shape the serving run actually
-// tuned (parsed back out of the cache keys), the halved search
-// (TuneAgGemm / TuneGemmRs) is re-run against an exhaustive full-fidelity
-// sweep of the same space — it must spend <= 25% of the exhaustive
-// full-fidelity simulations in aggregate while matching the exhaustive
-// argmin cost on every shape.
+// Search gate: for every MLP shape the serving run actually tuned (parsed
+// back out of the cache keys), the pre-wired search (TuneAgGemm /
+// TuneGemmRs) is re-run against an exhaustive full-fidelity sweep of the
+// same space and must match the exhaustive argmin cost on every shape — a
+// check that the lower bound never prunes the argmin at real serving
+// shapes. The simulations the searches ran are reported (CI gates them on
+// a ceiling).
 //
 // Flags: --requests <n> scales the trace (CI smoke uses a small one);
 // --tune-threads <n> autotuner workers; --json/--cache as usual
 // (bench_common). JSON keys land under serving.* (p50/p99, hit rate,
-// tuned speedup, search efficiency, the simulations the halved searches
-// ran, re-simulated cached configs).
+// tuned speedup, search efficiency, the simulations the MLP searches ran,
+// re-simulated cached configs).
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -54,7 +55,6 @@ constexpr int kTp = 8;
 constexpr double kMaxP99Ms = 60000.0;       // simulated request p99
 constexpr double kMaxColdTuneMs = 10000.0;  // worst single cold search
 constexpr double kMinHitRate = 0.45;        // across cold + warm replicas
-constexpr double kMaxSearchFrac = 0.25;     // halved / exhaustive full evals
 
 serving::ServingOptions MakeOptions(int num_requests) {
   serving::ServingOptions opts;
@@ -189,14 +189,14 @@ int main(int argc, char** argv) {
               deterministic ? "IDENTICAL (bitwise)" : "DIVERGED");
   ok = ok && deterministic;
 
-  // Search efficiency: rebuild every MLP search the run paid for, halved
+  // Search efficiency: rebuild every MLP search the run paid for, pre-wired
   // vs exhaustive, counting full-fidelity simulator invocations directly.
   const sim::MachineSpec spec = [] {
     sim::MachineSpec s = sim::MachineSpec::H800x8();
     s.num_devices = kTp;
     return s;
   }();
-  int64_t search_full = 0, search_coarse = 0, search_sims = 0;
+  int64_t search_full = 0, search_sims = 0;
   int64_t exhaustive_full = 0;
   bool argmin_match = true;
   tl::Autotuner::Options topts;
@@ -215,15 +215,15 @@ int main(int argc, char** argv) {
           return is_ag ? tl::SimulateAgGemm(spec, ks.shape, c)
                        : tl::SimulateGemmRs(spec, ks.shape, c);
         });
-    const tl::TuneResult halved =
+    const tl::TuneResult tuned =
         is_ag ? tl::TuneAgGemm(spec, ks.shape, space, seed, tuner)
               : tl::TuneGemmRs(spec, ks.shape, space, seed, tuner);
-    if (halved.best_cost != exhaustive.best_cost) {
+    if (tuned.best_cost != exhaustive.best_cost) {
       std::printf("  search argmin mismatch on %s %lldx%lldx%lld: "
                   "%.3f ms vs exhaustive %.3f ms\n",
                   ks.kind.c_str(), (long long)ks.shape.m,
                   (long long)ks.shape.k, (long long)ks.shape.n,
-                  ToMsD(halved.best_cost), ToMsD(exhaustive.best_cost));
+                  ToMsD(tuned.best_cost), ToMsD(exhaustive.best_cost));
       argmin_match = false;
     }
     // Full-fidelity *feasible* simulations, from the deterministic serial
@@ -232,12 +232,11 @@ int main(int argc, char** argv) {
     // These counts are bitwise thread-count-invariant, unlike raw
     // evaluator-call tallies, which would include the parallel pass's
     // timing-dependent speculation.
-    search_full += static_cast<int64_t>(halved.evaluated.size());
-    search_coarse += halved.coarse_evals;
-    // Simulations the halved search's serial schedule runs: one per
-    // planner-distinct kernel per round, so canonical grouping shows up
-    // here and in none of the counts above.
-    search_sims += halved.sims;
+    search_full += static_cast<int64_t>(tuned.evaluated.size());
+    // Simulations the search's serial schedule runs: one per
+    // planner-distinct kernel, so canonical grouping shows up here and in
+    // none of the counts above.
+    search_sims += tuned.sims;
     exhaustive_full += static_cast<int64_t>(exhaustive.evaluated.size());
   }
   const double search_frac =
@@ -245,12 +244,12 @@ int main(int argc, char** argv) {
                                 static_cast<double>(exhaustive_full)
                           : 0.0;
   std::printf(
-      "search efficiency over %zu tuned MLP shapes: %lld full-fidelity sims "
-      "(+%lld coarse; %lld simulations run) vs %lld exhaustive -> %.1f%% "
-      "(budget %.0f%%), argmin %s on every shape\n",
-      shapes.size(), (long long)search_full, (long long)search_coarse,
-      (long long)search_sims, (long long)exhaustive_full, 100.0 * search_frac,
-      100.0 * kMaxSearchFrac, argmin_match ? "matched" : "MISSED");
+      "search efficiency over %zu tuned MLP shapes: %lld full-fidelity "
+      "candidates (%lld simulations run) vs %lld exhaustive -> %.1f%%, "
+      "argmin %s on every shape\n",
+      shapes.size(), (long long)search_full, (long long)search_sims,
+      (long long)exhaustive_full, 100.0 * search_frac,
+      argmin_match ? "matched" : "MISSED");
 
   report.Record("serving.p50_ms", ToMsD(res.p50_latency));
   report.Record("serving.p99_ms", ToMsD(res.p99_latency));
@@ -268,8 +267,6 @@ int main(int argc, char** argv) {
   report.Record("serving.deterministic", deterministic ? 1.0 : 0.0);
   report.Record("serving.search_full_evals",
                 static_cast<double>(search_full));
-  report.Record("serving.search_coarse_evals",
-                static_cast<double>(search_coarse));
   report.Record("serving.exhaustive_full_evals",
                 static_cast<double>(exhaustive_full));
   report.Record("serving.search_eval_frac", search_frac);
@@ -311,10 +308,9 @@ int main(int argc, char** argv) {
                 cold_snap.tuned_speedup_geomean);
     ok = false;
   }
-  if (!argmin_match || search_frac > kMaxSearchFrac) {
-    std::printf("\nFAIL: the halved search missed its efficiency/argmin "
-                "contract (%.1f%% of exhaustive, argmin %s).\n",
-                100.0 * search_frac, argmin_match ? "matched" : "missed");
+  if (!argmin_match) {
+    std::printf("\nFAIL: the MLP search missed the exhaustive argmin on at "
+                "least one tuned shape.\n");
     ok = false;
   }
   if (!ok) std::printf("\nFAIL: serving gates failed.\n");

@@ -8,8 +8,9 @@
 #      errors (the sharded autotuner and the concurrent cache are the only
 #      multi-threaded code paths).
 #   4. Bench smoke: the autotuned fig8/fig11 benches (each exits nonzero if
-#      any tuned config loses to its hand-picked default, fig8 also if the
-#      halving/bound machinery stops skipping candidates, and fig11 also if
+#      any tuned config loses to its hand-picked default, fig8 also if its
+#      MLP-1 searches run no fewer simulations than candidates scored (a
+#      search that stops merging planner-identical kernels), fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
 #      the simulator microbenchmarks; the stage checks fig8 reported the
 #      flow network's net.completion_events_per_transfer and
@@ -27,7 +28,8 @@
 #      event-queue pops per event (queue_pops_per_event: a simulator that
 #      stops moving lockstep k-loop repeats as one queued wave fails
 #      here), fig11's cold-sweep full-fidelity candidate count
-#      (fig11.tuner.full_evals) and the simulations that sweep runs
+#      (fig11.tuner.full_evals: a bound that stops pruning fails here) and
+#      the simulations that sweep runs
 #      (fig11.tuner.sims: a search that stops merging planner-identical
 #      candidates fails here). fig11 also
 #      gates the parallel-tuning identity: the cold sweep at
@@ -64,16 +66,15 @@
 #      non-trivial.
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
 #      request trace through per-model replicas whose cold tunes run the
-#      halved Autotuner::Search behind the online config service — it
-#      self-gates p99/cold-tune latency bounds, the cold+warm hit rate,
+#      exact, bound-pruned MLP searches behind the online config service —
+#      it self-gates p99/cold-tune latency bounds, the cold+warm hit rate,
 #      tuned >= seed, bitwise same-seed reproducibility (trace + cache), and
-#      the halved search's efficiency/argmin contract against the
-#      exhaustive search. The stage
+#      the MLP searches matching the exhaustive argmin. The stage
 #      then checks the serving.* keys landed in BENCH_serving.json and
 #      gates serving.resims at 0: the replicas must time every cached
 #      config by the cost this process's search measured, not simulate it
-#      again, and serving.search_sims at its committed ceiling: the halved
-#      MLP searches must simulate each planner-distinct kernel once.
+#      again, and serving.search_sims at its committed ceiling: the MLP
+#      searches must simulate each planner-distinct kernel once.
 #   7. Unreached-code report (informational): scripts/unreached.sh lists
 #      every strong tilelink:: library function that no bench, example or
 #      perfbench binary reaches in an -O0 --gc-sections link, with the
@@ -150,11 +151,13 @@ if [[ "$FAST" == "0" ]]; then
   # repeated delay (one resume per tile, not per k-step). Event-queue pops
   # per interpreter event: 0.4325 with lockstep repeats moved as one
   # queued wave, 1.0 with every repeat popped on its own. The fig11 cold
-  # sweep's full-fidelity simulations: 313 with each family's overlap
-  # bound, 328 with no bound, so a bound that stops pruning fails here.
-  # The simulations that sweep runs (coarse + full fidelity): 1824 with
-  # planner-identical candidates merged (2174 without), so a search that
-  # stops simulating each distinct kernel once fails here.
+  # sweep's full-fidelity candidates: 1164 with each family's overlap
+  # bound pruning the exact MLP searches (1372 with no MLP bound), so a
+  # bound that stops pruning fails here. The simulations that sweep runs
+  # (the MoE and attention coarse rounds + full fidelity): 1493 with
+  # planner-identical candidates merged (1705 with no MLP canonicalizer),
+  # so a search that stops simulating each distinct kernel once fails
+  # here.
   ceiling() {
     local json=$1 key=$2 ceiling=$3 value
     value=$(grep -o "\"$key\": [0-9.eE+-]*" "$json" | awk '{print $2}')
@@ -167,8 +170,8 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326
-  ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 313
-  ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1824
+  ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 1164
+  ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1493
 
   echo "=== [5/7] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The planner-built kernels' frozen makespans and payload hashes
@@ -200,9 +203,8 @@ if [[ "$FAST" == "0" ]]; then
   # The bench exits nonzero if any of its own gates fail: fleet p99 and
   # per-unseen-shape cold-tune latency bounds, cache hit rate across a
   # cold+warm replica pair, tuned-vs-seed geomean >= 1, bitwise identical
-  # trace+cache on a same-seed rerun, and the halved search matching the
-  # exhaustive argmin on every tuned MLP shape within 25% of its
-  # full-fidelity evaluations.
+  # trace+cache on a same-seed rerun, and the bound-pruned MLP search
+  # matching the exhaustive argmin on every tuned MLP shape.
   ./build-ci/bench_serving --requests 24 --tune-threads 8 \
       --json build-ci/BENCH_serving.json \
       --cache build-ci/BENCH_serving_cache.json
@@ -215,9 +217,9 @@ if [[ "$FAST" == "0" ]]; then
   # own process's searches measured (the warm replica re-simulated every
   # hit before that).
   ceiling build-ci/BENCH_serving.json serving.resims 0
-  # Simulations the halved MLP searches run: 742 with planner-identical
-  # candidates merged (1121 without).
-  ceiling build-ci/BENCH_serving.json serving.search_sims 742
+  # Simulations the exact MLP searches run: 584 with planner-identical
+  # candidates merged (900 without).
+  ceiling build-ci/BENCH_serving.json serving.search_sims 584
 
   echo "=== [7/7] Unreached-code report (non-gating) ==="
   scripts/unreached.sh

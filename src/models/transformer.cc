@@ -32,12 +32,6 @@ rt::World MakeWorld(const sim::MachineSpec& spec) {
   return rt::World(spec, rt::ExecMode::kTimingOnly);
 }
 
-// Picks an RS chunk size that divides m_per_rank and is a multiple of bm
-// (the shared layer-default rule; the fused multi-node seed uses it too).
-int RsBlock(int64_t m_per_rank, int bm) {
-  return tl::RsBlockRows(m_per_rank, bm);
-}
-
 // Adapts the hand-picked comm tiling to the per-rank shard: the largest
 // power-of-two comm tile <= the requested one that divides the shard, then
 // the largest channel count <= the requested one that divides the tiles.
@@ -89,7 +83,7 @@ tl::TuneCandidate HandPickedMoePart2(int64_t m, int tp, int64_t inner) {
   const int64_t per_rank = m / std::max(tp, 1);
   int rs_base = 128;
   while (rs_base > 1 && per_rank % rs_base != 0) rs_base /= 2;
-  c.comm_tile_m = RsBlock(per_rank, rs_base);
+  c.comm_tile_m = tl::RsBlockRows(per_rank, rs_base);
   c.reduce_block_tokens = std::min(128, c.comm_tile_m);
   c.comm = tl::CommResource::kSmPush;  // matches bench_fig9 tuning
   c.comm_sms = 8;
@@ -127,7 +121,7 @@ tl::TuneCandidate DefaultGemmRsConfig(int64_t m, int64_t k, int tp) {
   // with (a no-op for training-scale shards).
   const int64_t per_rank = m / std::max(tp, 1);
   while (c.gemm.bm > 1 && per_rank % c.gemm.bm != 0) c.gemm.bm /= 2;
-  c.comm_tile_m = RsBlock(per_rank, c.gemm.bm);
+  c.comm_tile_m = tl::RsBlockRows(per_rank, c.gemm.bm);
   c.comm = tl::CommResource::kDma;  // hybrid push (paper's best for GEMM+RS)
   c.order = tl::TileOrder::kNextRankFirst;
   return c;

@@ -104,9 +104,10 @@ class E2eEstimator {
   // thread-safe once tuning is enabled — the memo map is mutex'd and the
   // cache is internally synchronized — so independent layers/models can be
   // timed from concurrent threads against one shared cache. Offline benches
-  // and the serving path run the same cold search (successive halving over
-  // each Tune*()'s coarse round, then bound-pruned full fidelity), so a shape
-  // tunes to the same config whichever caller reaches it first.
+  // and the serving path run the same cold search (each Tune*()'s
+  // Autotuner::Search: bound-ordered, bound-pruned full fidelity, after a
+  // successive-halving round only for the MoE and attention families), so
+  // a shape tunes to the same config whichever caller reaches it first.
   void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }
 

@@ -1,11 +1,12 @@
 // Online config service: the serving-facing facade over TunedConfigCache.
 // A replica attaches its estimator once; after that every cold config
-// lookup runs the estimator's one cold search (Autotuner::Search:
-// successive halving over each Tune*()'s coarse round, then bound-pruned
-// full fidelity) and every warm lookup is a concurrency-safe cache hit. The
-// service owns the eviction policy (LRU capacity) and aggregates the
-// operational stats the serving bench gates: hit rate, cold-tune wall time
-// and the geomean speedup of tuned configs over their hand-picked seeds.
+// lookup runs the estimator's one cold search (each Tune*()'s
+// Autotuner::Search: bound-pruned full fidelity, after a halving round only
+// where the coarse sim shrinks the problem) and every warm lookup is a
+// concurrency-safe cache hit. The service owns the eviction policy (LRU
+// capacity) and aggregates the operational stats the serving bench gates:
+// hit rate, cold-tune wall time and the geomean speedup of tuned configs
+// over their hand-picked seeds.
 #pragma once
 
 #include <cstddef>

@@ -12,13 +12,17 @@
 //    candidates are visited in ascending-bound order so the likely argmin
 //    is simulated first and the bound prunes the rest.
 //
-//  - A coarse evaluator (same metric on a cheapened simulation — e.g. the
-//    reduction loop collapsed to one k-step) enables successive halving,
+//  - A coarse evaluator (same metric on a shrunken problem — e.g. a
+//    quarter of the tokens or of the sequence) enables successive halving,
 //    the tuner's one reduced-fidelity mechanism: every candidate of a
 //    space with at least 8 entries is scored coarsely, and only the best
 //    eighth (at least 4) survive to full-fidelity simulation. The base
 //    candidate is always re-evaluated at full fidelity, so a halved search
 //    can never return a config worse than the seed it started from.
+//    Halving pays a coarse sim per candidate on top of the survivors' full
+//    sims, so it only pays where the coarse sim shrinks the problem itself
+//    (kernel_tuning.h says which families); without a coarse evaluator the
+//    search is exact.
 //
 // Candidates the evaluator rejects as infeasible (by returning kInfeasible)
 // are skipped.

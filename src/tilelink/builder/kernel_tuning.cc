@@ -462,9 +462,7 @@ TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
       space, base,
       [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
       [&](const TuneCandidate& c) { return AgGemmLowerBound(spec, shape, c); },
-      [&](const TuneCandidate& c) {
-        return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
-      },
+      nullptr,
       [&](const TuneCandidate& c) { return CanonicalAgGemm(spec, shape, c); });
 }
 
@@ -475,9 +473,7 @@ TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
       space, base,
       [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
       [&](const TuneCandidate& c) { return GemmRsLowerBound(spec, shape, c); },
-      [&](const TuneCandidate& c) {
-        return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
-      },
+      nullptr,
       [&](const TuneCandidate& c) { return CanonicalGemmRs(spec, shape, c); });
 }
 

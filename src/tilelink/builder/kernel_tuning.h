@@ -2,24 +2,24 @@
 //
 // Simulate*() builds a fresh timing-only World, constructs the kernel with
 // the candidate's knobs and returns the SPMD makespan — the exact quantity
-// the paper's figures report. Each Tune*() scores its successive-halving
-// round with a cheap coarse run of the same evaluator, built in its coarse
-// lambda: the GEMM reduction loop is collapsed to one k-step
-// (CoarsenReduction; simulated time is nearly invariant in bk, so the
-// ranking is preserved at ~an-order-of-magnitude fewer events), attention
-// shrinks the sequence extent and MoE the token count.
-// *LowerBound() are analytic sim::CostModel bounds —
-// one overlap bound per family, max(compute-only + the kernel launch
-// latency every fused kernel pays, wire time) — which the Autotuner uses
-// to prune candidates without paying for a DES run. Canonical*() map a
-// candidate to the one the planner actually builds (SM requests clamped to
-// the role's work, ignored knobs resolved), so the search simulates each
-// distinct kernel once. Tune*() wire evaluator, coarse evaluator, bound
-// and canonicalizer into Autotuner::Search — the one
-// search schedule every caller (offline benches, the e2e estimator, the
-// serving config service) uses. Families whose shape is too small to
-// coarsen (short attention sequences) search plain, since a "coarse" score
-// would then cost a full run.
+// the paper's figures report. *LowerBound() are analytic sim::CostModel
+// bounds — one overlap bound per family, max(compute-only + the kernel
+// launch latency every fused kernel pays, wire time) — which the Autotuner
+// uses to order candidates and prune them without paying for a DES run.
+// Canonical*() map a candidate to the one the planner actually builds (SM
+// requests clamped to the role's work, ignored knobs resolved), so the
+// search simulates each distinct kernel once. Tune*() wire evaluator,
+// bound, canonicalizer and (where one pays) a coarse evaluator into
+// Autotuner::Search — the one search schedule every caller (offline
+// benches, the e2e estimator, the serving config service) uses.
+//
+// A family gets a successive-halving coarse round only when its coarse
+// sim shrinks the problem itself: attention simulates a quarter of the
+// sequence, MoE a quarter of the tokens (with CoarsenReduction on top).
+// Collapsing the k-loop alone saves almost nothing — k-loops already run
+// as repeated delays, so such a coarse sim costs ~0.9 of a full one — so
+// AgGemm/GemmRs (and attention too short to shrink) search exactly:
+// ascending-bound order, bound pruning and canonical grouping.
 #pragma once
 
 #include "compute/moe_routing.h"
@@ -101,8 +101,9 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
 
 // ---- Coarse (successive-halving) rounds ---------------------------------
 // Collapses the reduction loop to a single k-step: per-tile MMA cost is
-// linear in bk, so the makespan is nearly unchanged while the event count
-// drops by ~k/bk. Shared by every GEMM-backed coarse round.
+// linear in bk, so the makespan is nearly unchanged. The MoE coarse rounds
+// apply it on top of their token shrink; on its own it buys no coarse
+// round (see the file comment).
 TuneCandidate CoarsenReduction(const TuneCandidate& c, int64_t k);
 
 // ---- Planner-canonical candidates ---------------------------------------
@@ -147,7 +148,7 @@ sim::TimeNs AgMoeLowerBound(const sim::MachineSpec& spec,
 sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
                             const MoeShape& shape, const TuneCandidate& c);
 
-// ---- Full searches (evaluator + coarse + bound pre-wired) ---------------
+// ---- Full searches (evaluator, bound, canonicalizer pre-wired) ---------
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner = Autotuner());

@@ -443,10 +443,6 @@ tl::TuneResult TuneAgGemmHier(const sim::MachineSpec& spec,
       },
       [&](const tl::TuneCandidate& c) {
         return AgGemmHierLowerBound(spec, shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return SimulateAgGemmHier(spec, shape,
-                                  tl::CoarsenReduction(c, shape.k));
       });
 }
 
@@ -462,10 +458,6 @@ tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
       },
       [&](const tl::TuneCandidate& c) {
         return GemmHierRsLowerBound(spec, shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return SimulateGemmHierRs(spec, shape,
-                                  tl::CoarsenReduction(c, shape.k));
       });
 }
 

@@ -4,7 +4,9 @@
 // the makespan; TuneDpSync() wires the evaluator, a coarse round (the same
 // evaluator on a quarter of the volume) and an analytic lower bound into
 // Autotuner::Search over the TuningSpace::MultiNode() axes. The fused-kernel
-// searches coarsen with tl::CoarsenReduction inside their Tune*().
+// searches (TuneGemmHierRs, TuneAgGemmHier) have no coarse round: their
+// only cheapening would collapse the k-loop, which saves almost nothing,
+// so they search exactly — ascending-bound order plus bound pruning.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +64,7 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 // ---- Fused GEMM + hierarchical ReduceScatter -----------------------------
 // The first multi-node fused kernel (kernels/gemm_hier_rs): GEMM tile axes
 // couple with the NIC knobs into one joint space, searched by the same
-// halving autotuner and gated against the layer-level compose below.
+// bound-pruned autotuner and gated against the layer-level compose below.
 
 // The hand-picked seed: the GemmRs layer defaults plus the two-node NIC
 // defaults. `tiling` is the GEMM tiling the kernel will actually run

@@ -6,9 +6,9 @@
 //    (halves) candidates.
 // 2. TunedConfigCache: hits avoid re-searching, the JSON round-trip is
 //    lossless, and searches + serialization are deterministic across runs.
-// 3. The new per-kernel evaluators and their analytic lower bounds:
-//    feasibility, soundness (bound <= simulated time) and coarse/full
-//    argmin agreement on small machine specs.
+// 3. The per-kernel evaluators and their analytic lower bounds:
+//    feasibility, soundness (bound <= simulated time) and, for the exact
+//    searches, argmin agreement with brute force on small machine specs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,37 +117,10 @@ TEST(HalvingTest, SkipsTinySpaces) {
   EXPECT_EQ(result.evaluated.size(), 2u);
 }
 
-// On a real simulated kernel: halving (coarse = collapsed reduction loop)
-// must agree with brute force about the argmin's cost on this small,
-// well-separated space.
-TEST(HalvingTest, AgreesWithBruteForceOnSimulatedAgGemm) {
-  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
-  const MlpPartShape shape{512, 64, 128};
-  TuneCandidate base;
-  base.gemm = compute::GemmTiling{32, 32, 16};
-  TuningSpace space;
-  space.CommTileM({16, 32, 64, 128})
-      .CommSms({2, 4, 8})
-      .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                  CommResource::kDma});
-  const TuneResult halved = TuneAgGemm(spec, shape, space, base);
-  sim::TimeNs brute_best = Autotuner::kInfeasible;
-  for (const TuneCandidate& c : space.Enumerate(base)) {
-    const sim::TimeNs t = SimulateAgGemm(spec, shape, c);
-    if (t != Autotuner::kInfeasible) brute_best = std::min(brute_best, t);
-  }
-  // Halving may in principle drop the global argmin, but must never lose to
-  // it by more than the coarse ranking error on this well-separated space —
-  // and the returned cost must be what the returned config simulates to.
-  EXPECT_EQ(halved.best_cost, brute_best);
-  EXPECT_EQ(SimulateAgGemm(spec, shape, halved.best), halved.best_cost);
-  EXPECT_GT(halved.halved, 0);
-}
-
-// Every kernel family's halved search must return a config that (a)
+// Every kernel family's pre-wired search must return a config that (a)
 // simulates to exactly the reported cost and (b) never loses to the seed —
-// whether the space is big enough to halve or the shape too small to
-// coarsen (then the search runs plain).
+// whether it searches exactly (the MLP families), halves a big enough space
+// or finds the shape too small to coarsen (then the search runs plain).
 TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   {
@@ -162,8 +135,6 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     const TuneResult ag = TuneAgGemm(spec, shape, space, base);
     EXPECT_EQ(SimulateAgGemm(spec, shape, ag.best), ag.best_cost);
     EXPECT_LE(ag.best_cost, SimulateAgGemm(spec, shape, base));
-    EXPECT_GT(ag.coarse_evals, 0);  // halving actually engaged
-    EXPECT_LT(ag.evaluated.size(), space.Enumerate(base).size());
     const MlpPartShape rs_shape{512, 64, 1024};
     const TuneResult rs = TuneGemmRs(spec, rs_shape, space, base);
     EXPECT_EQ(SimulateGemmRs(spec, rs_shape, rs.best), rs.best_cost);
@@ -953,8 +924,11 @@ TEST(CanonicalTest, SimsCountDistinctCanonicalForms) {
 TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   const Autotuner tuner;
-  {
-    const MlpPartShape shape{512, 64, 128};
+  // At k = 64 the AG bound prunes all but 7 candidates, each in a group of
+  // its own, so only the RS search merges there; at k = 1024 nothing is
+  // pruned and both merge.
+  for (const MlpPartShape& shape :
+       {MlpPartShape{512, 64, 128}, MlpPartShape{512, 1024, 128}}) {
     TuneCandidate base;
     base.gemm = compute::GemmTiling{32, 32, 16};
     TuningSpace space;
@@ -969,21 +943,20 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
         [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
         [&](const TuneCandidate& c) {
           return AgGemmLowerBound(spec, shape, c);
-        },
-        [&](const TuneCandidate& c) {
-          return SimulateAgGemm(spec, shape, CoarsenReduction(c, shape.k));
         });
     ExpectSameScores(ag, ag_plain);
-    EXPECT_LT(ag.sims, ag_plain.sims);
+    if (shape.k == 64) {
+      EXPECT_GT(ag.pruned, 0);
+      EXPECT_LE(ag.sims, ag_plain.sims);
+    } else {
+      EXPECT_LT(ag.sims, ag_plain.sims);
+    }
     const TuneResult rs = TuneGemmRs(spec, shape, space, base);
     const TuneResult rs_plain = tuner.Search(
         space, base,
         [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
         [&](const TuneCandidate& c) {
           return GemmRsLowerBound(spec, shape, c);
-        },
-        [&](const TuneCandidate& c) {
-          return SimulateGemmRs(spec, shape, CoarsenReduction(c, shape.k));
         });
     ExpectSameScores(rs, rs_plain);
     EXPECT_LT(rs.sims, rs_plain.sims);
@@ -1049,7 +1022,25 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
 // ---------------------------------------------------------------------- //
 // Lower-bound soundness: a bound that exceeds the simulated cost could
 // prune the argmin, so every family's bound is checked by brute force.
+// The four GEMM families search exactly (no coarse round), so their
+// Tune*() must also return the brute-force minimum.
 // ---------------------------------------------------------------------- //
+
+// What Autotuner::Search scores: the enumerated space plus the seed.
+std::vector<TuneCandidate> SearchedCandidates(const TuningSpace& space,
+                                              const TuneCandidate& seed) {
+  std::vector<TuneCandidate> out = space.Enumerate(seed);
+  if (std::find(out.begin(), out.end(), seed) == out.end()) {
+    out.push_back(seed);
+  }
+  return out;
+}
+
+void ExpectExactSearch(const TuneResult& r, sim::TimeNs brute_best) {
+  EXPECT_EQ(r.best_cost, brute_best);
+  EXPECT_EQ(r.coarse_evals, 0);
+  EXPECT_EQ(r.halved, 0);
+}
 
 TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
@@ -1063,18 +1054,24 @@ TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
   for (const MlpPartShape& shape :
        {MlpPartShape{512, 64, 128}, MlpPartShape{1024, 128, 64}}) {
     int feasible = 0;
-    for (const TuneCandidate& c : space.Enumerate(base)) {
+    sim::TimeNs ag_best = Autotuner::kInfeasible;
+    sim::TimeNs rs_best = Autotuner::kInfeasible;
+    for (const TuneCandidate& c : SearchedCandidates(space, base)) {
       const sim::TimeNs ag = SimulateAgGemm(spec, shape, c);
       if (ag != Autotuner::kInfeasible) {
         ++feasible;
+        ag_best = std::min(ag_best, ag);
         EXPECT_LE(AgGemmLowerBound(spec, shape, c), ag) << c.Describe();
       }
       const sim::TimeNs rs = SimulateGemmRs(spec, shape, c);
       if (rs != Autotuner::kInfeasible) {
+        rs_best = std::min(rs_best, rs);
         EXPECT_LE(GemmRsLowerBound(spec, shape, c), rs) << c.Describe();
       }
     }
     EXPECT_GT(feasible, 0);
+    ExpectExactSearch(TuneAgGemm(spec, shape, space, base), ag_best);
+    ExpectExactSearch(TuneGemmRs(spec, shape, space, base), rs_best);
   }
 }
 
@@ -1118,16 +1115,20 @@ TEST(LowerBoundTest, HierRsBoundIsSoundByBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   const MlpPartShape shape{8192, 128, 1024};
   const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
+  const TuningSpace space = tl::TuningSpace::GemmHierRs();
   int feasible = 0;
-  for (const TuneCandidate& c :
-       tl::TuningSpace::GemmHierRs().Enumerate(seed)) {
+  sim::TimeNs best = Autotuner::kInfeasible;
+  for (const TuneCandidate& c : SearchedCandidates(space, seed)) {
     const sim::TimeNs t = multinode::SimulateGemmHierRs(spec, shape, c);
     if (t == Autotuner::kInfeasible) continue;
     ++feasible;
+    best = std::min(best, t);
     EXPECT_LE(multinode::GemmHierRsLowerBound(spec, shape, c), t)
         << c.Describe();
   }
   EXPECT_GT(feasible, 0);
+  ExpectExactSearch(multinode::TuneGemmHierRs(spec, shape, space, seed),
+                    best);
 }
 
 TEST(LowerBoundTest, AgGemmHierBoundIsSoundByBruteForce) {
@@ -1140,16 +1141,20 @@ TEST(LowerBoundTest, AgGemmHierBoundIsSoundByBruteForce) {
        {MlpPartShape{2048, 1024, 1024}, MlpPartShape{4096, 1024, 768}}) {
     const TuneCandidate seed =
         multinode::DefaultAgGemmHierCandidate(shape, 16);
+    const TuningSpace space = tl::TuningSpace::AgGemmHier();
     int feasible = 0;
-    for (const TuneCandidate& c :
-         tl::TuningSpace::AgGemmHier().Enumerate(seed)) {
+    sim::TimeNs best = Autotuner::kInfeasible;
+    for (const TuneCandidate& c : SearchedCandidates(space, seed)) {
       const sim::TimeNs t = multinode::SimulateAgGemmHier(spec, shape, c);
       if (t == Autotuner::kInfeasible) continue;
       ++feasible;
+      best = std::min(best, t);
       EXPECT_LE(multinode::AgGemmHierLowerBound(spec, shape, c), t)
           << c.Describe();
     }
     EXPECT_GT(feasible, 0);
+    ExpectExactSearch(multinode::TuneAgGemmHier(spec, shape, space, seed),
+                      best);
   }
 }
 
