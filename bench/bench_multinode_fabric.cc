@@ -131,7 +131,7 @@ bool RunFusedGate(const tilelink::sim::MachineSpec& spec,
   for (const Shape& sh : shapes) {
     const tl::TuneCandidate seed =
         DefaultGemmHierRsCandidate(sh.s, spec.num_devices);
-    const sim::TimeNs fused = SimulateGemmHierRs(spec, sh.s, seed);
+    const sim::TimeNs fused = tl::SimulateGemmRs(spec, sh.s, seed);
     const sim::TimeNs compose = SimulateGemmThenHierRs(spec, sh.s, seed);
     const tl::TuneResult tuned = TuneGemmHierRs(
         spec, sh.s, tl::TuningSpace::GemmHierRs(), seed);
@@ -149,7 +149,7 @@ bool RunFusedGate(const tilelink::sim::MachineSpec& spec,
   }
   // Functional gate: real data through all four roles, bit-exact with zero
   // consistency violations (including the write-write audit).
-  tl::GemmHierRsConfig small;
+  tl::GemmRsConfig small;
   small.m = static_cast<int64_t>(spec.num_devices) * 16;
   small.k = 16;
   small.n = 16;
@@ -349,7 +349,7 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
     const char* name;
     std::function<PayloadReport(const sim::FaultPlan*)> run;
   };
-  tl::GemmHierRsConfig fused;
+  tl::GemmRsConfig fused;
   fused.m = static_cast<int64_t>(spec.num_devices) * 16;
   fused.k = 16;
   fused.n = 16;
@@ -491,7 +491,7 @@ bool RunTimelineProfile(const tilelink::sim::MachineSpec& spec,
   std::printf("=== Fabric timeline + critical-path profiler ===\n");
 
   sim::TraceRecorder rec;
-  tl::GemmHierRsConfig small;
+  tl::GemmRsConfig small;
   small.m = static_cast<int64_t>(spec.num_devices) * 16;
   small.k = 16;
   small.n = 16;

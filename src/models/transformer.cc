@@ -134,7 +134,14 @@ tl::TuningSpace MlpTuningSpaceFor(int64_t m, int tp) {
 }
 
 E2eEstimator::E2eEstimator(int tp, int64_t batch, int64_t seq, bool two_node)
-    : tp_(tp), batch_(batch), seq_(seq), two_node_(two_node) {}
+    : tp_(tp), batch_(batch), seq_(seq), two_node_(two_node) {
+  const int per_node = sim::MachineSpec::H800x8().devices_per_node;
+  TL_CHECK_MSG(tp <= per_node || tp % per_node == 0,
+               StrFormat("E2eEstimator: tp=%d spans a partial node; a TP "
+                         "group wider than one node must fill whole nodes "
+                         "of %d",
+                         tp, per_node));
+}
 
 void E2eEstimator::EnableTuning(tl::TunedConfigCache* cache,
                                 int tune_threads) {
@@ -270,39 +277,36 @@ sim::TimeNs E2eEstimator::TimeGemmRs(Method method, int64_t m, int64_t k,
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
   } else {
     const tl::MlpPartShape shape{m, k, n};
-    // TP spanning the node boundary runs the fused GEMM + hierarchical RS
-    // kernel (NVLink ring + NIC rail in one kernel); single-node TP —
-    // and multi-node shapes too small for the fused kernel's chunking —
-    // run the single-fabric GemmRs (the spec in the cache key separates
-    // multi-node fallback searches from the single-node ones).
-    const tl::TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(
-        shape, tp_, CoarseTiling(k));
-    const bool fused = spec.num_nodes() > 1 &&
-                       multinode::GemmHierRsFeasible(spec, shape, seed);
-    if (fused && tuned) {
+    // One GEMM+RS kernel at every TP width; the topology picks the search.
+    // TP spanning the node boundary adds the NIC rail to the kernel and
+    // searches the joint GEMM x NIC space from the two-node seed; one-node
+    // TP searches the MLP space.
+    const bool spans_nodes = spec.num_nodes() > 1;
+    const tl::TuneCandidate seed =
+        spans_nodes ? multinode::DefaultGemmHierRsCandidate(shape, tp_,
+                                                            CoarseTiling(k))
+                    : DefaultGemmRsConfig(m, k, tp_);
+    auto simulate = [&](const tl::TuneCandidate& c) {
+      return tl::SimulateGemmRs(spec, shape, c);
+    };
+    if (!tuned) {
+      t = simulate(seed);
+    } else if (spans_nodes) {
       t = TunedTime(
           tl::TunedConfigCache::Key("gemm_hier_rs", {m, k, n}, spec),
           [&] {
             return multinode::TuneGemmHierRs(
                 spec, shape, tl::TuningSpace::GemmHierRs(), seed, Tuner());
           },
-          [&](const tl::TuneCandidate& c) {
-            return multinode::SimulateGemmHierRs(spec, shape, c);
-          });
-    } else if (fused) {
-      t = multinode::SimulateGemmHierRs(spec, shape, seed);
-    } else if (tuned) {
+          simulate);
+    } else {
       t = TunedTime(
           tl::TunedConfigCache::Key("gemm_rs", {m, k, n}, spec),
           [&] {
             return tl::TuneGemmRs(spec, shape, MlpTuningSpaceFor(m, tp_),
-                                  DefaultGemmRsConfig(m, k, tp_), Tuner());
+                                  seed, Tuner());
           },
-          [&](const tl::TuneCandidate& c) {
-            return tl::SimulateGemmRs(spec, shape, c);
-          });
-    } else {
-      t = tl::SimulateGemmRs(spec, shape, DefaultGemmRsConfig(m, k, tp_));
+          simulate);
     }
   }
   return Store(key, t);

@@ -80,9 +80,10 @@ tl::TuningSpace MlpTuningSpaceFor(int64_t m, int tp);
 class E2eEstimator {
  public:
   // tp = tensor-parallel degree. Up to 8 the TP group lives in one node; a
-  // wider group (the 16-GPU TP layers) spans nodes on the NIC fabric, and
-  // the row-parallel projections then run the fused GEMM + hierarchical
-  // ReduceScatter kernel (kernels/gemm_hier_rs) instead of GemmRs.
+  // wider group (the 16-GPU TP layers) must fill whole nodes (TL_CHECKed)
+  // and spans them on the NIC fabric: the row-parallel projections' GemmRs
+  // then adds its NIC rail roles and is searched over the joint GEMM x NIC
+  // space (multinode::TuneGemmHierRs).
   // two_node adds the inter-node data-parallel synchronization of the
   // paper's 16-GPU setup (batch doubles, per-GPU work unchanged): a
   // simulated per-layer gradient AllReduce across the node-spanning DP

@@ -13,6 +13,21 @@
 namespace tilelink::tl {
 namespace {
 
+// Blocks the planner grants a comm role asking for `want` SMs over
+// `work_items` items: the claim itself, made on a throwaway budget.
+int ClaimedCommSms(const sim::MachineSpec& spec, int want,
+                   int64_t work_items) {
+  return ResourceBudget::ForDevice(spec).ClaimComm(want, work_items);
+}
+
+// True when comm roles claiming `claimed` SMs in total leave the compute
+// role none: its blocks then wait for SMs that the comm blocks, spinning on
+// tiles the compute role has yet to produce, never release (a deadlock, not
+// a slow kernel).
+bool StarvesCompute(const sim::MachineSpec& spec, int claimed) {
+  return claimed >= spec.sms_per_device;
+}
+
 // Mirrors the StaticMapping constructor checks so evaluators reject a
 // candidate instead of tripping a TL_CHECK inside the kernel.
 bool MappingFeasible(int64_t m, int ranks, int tile_m, int requested_cpr) {
@@ -32,18 +47,6 @@ bool AgGemmFeasible(const sim::MachineSpec& spec, const MlpPartShape& s,
                          c.channels_per_rank);
 }
 
-bool GemmRsFeasible(const sim::MachineSpec& spec, const MlpPartShape& s,
-                    const TuneCandidate& c) {
-  // The RS role has no pull mode: a chunk is reduced where it was produced
-  // and pushed around the ring (SM-driven or handed to a copy engine).
-  if (c.comm == CommResource::kSmPull) return false;
-  const int R = spec.num_devices;
-  if (s.m % R != 0) return false;
-  const int64_t m_per_rank = s.m / R;
-  return c.comm_tile_m > 0 && m_per_rank % c.comm_tile_m == 0 &&
-         c.comm_tile_m % c.gemm.bm == 0;
-}
-
 bool AgMoeFeasible(const sim::MachineSpec& spec, const MoeShape& s,
                    const TuneCandidate& c) {
   return s.topk > 0 && MappingFeasible(s.m, spec.num_devices, c.comm_tile_m,
@@ -60,11 +63,47 @@ bool MoeRsFeasible(const sim::MachineSpec& spec, const MoeShape& s,
     return false;
   }
   const int64_t m_per_rank = s.m / R;
-  return m_per_rank % c.comm_tile_m == 0 &&
-         c.comm_tile_m % c.reduce_block_tokens == 0;
+  if (m_per_rank % c.comm_tile_m != 0 ||
+      c.comm_tile_m % c.reduce_block_tokens != 0) {
+    return false;
+  }
+  // The ring and topk-reduce roles claim their SMs in every binding.
+  return !StarvesCompute(
+      spec, ClaimedCommSms(spec, c.comm_sms, m_per_rank / c.comm_tile_m) +
+                ClaimedCommSms(spec, c.reduce_sms,
+                               s.m / c.reduce_block_tokens));
 }
 
 }  // namespace
+
+bool GemmRsFeasible(const sim::MachineSpec& spec, const MlpPartShape& s,
+                    const TuneCandidate& c) {
+  // The RS role has no pull mode: a chunk is reduced where it was produced
+  // and pushed around the ring (SM-driven or handed to a copy engine).
+  if (c.comm == CommResource::kSmPull) return false;
+  const int R = spec.num_devices;
+  // Rail peers are (node, local) pairs: ragged nodes are not modeled.
+  if (R % spec.devices_per_node != 0 || s.m % R != 0) return false;
+  const int64_t m_per_rank = s.m / R;
+  if (c.comm_tile_m <= 0 || m_per_rank % c.comm_tile_m != 0 ||
+      c.comm_tile_m % c.gemm.bm != 0) {
+    return false;
+  }
+  if (spec.num_nodes() == 1) {
+    // The ring role alone: its canonical claim (see CanonicalGemmRs).
+    return !StarvesCompute(
+        spec, ClaimedCommSms(spec, c.comm_sms, m_per_rank / c.comm_tile_m));
+  }
+  // Across nodes the ring's work depends on the planner's column split and
+  // the rail roles claim SMs too: read every comm grant off the plan.
+  const OverlapPlan plan = OverlapPlanner(spec).Plan(
+      GemmRsOverlapSpec(spec, MakeGemmRsConfig(s, c)));
+  int claimed = 0;
+  for (const PlannedRole& r : plan.roles) {
+    if (r.kind != OverlapRoleKind::kCompute) claimed += r.blocks;
+  }
+  return !StarvesCompute(spec, claimed);
+}
 
 AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
                               const TuneCandidate& c) {
@@ -89,7 +128,10 @@ GemmRsConfig MakeGemmRsConfig(const MlpPartShape& shape,
   cfg.n = shape.n;
   cfg.gemm = c.gemm;
   cfg.rs_block_m = c.comm_tile_m;
+  cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
+  cfg.staging_depth = std::max(1, c.staging_depth);
   cfg.comm_sms = c.comm_sms;
+  cfg.reduce_sms = std::max(1, c.reduce_sms);
   cfg.dma_push = c.comm == CommResource::kDma;
   cfg.order = c.order;
   return cfg;
@@ -283,13 +325,6 @@ CoarseMoe CoarsenMoe(const sim::MachineSpec& spec, const MoeShape& shape,
 
 namespace {
 
-// Blocks the planner grants a comm role asking for `want` SMs over
-// `work_items` items: the claim itself, made on a throwaway budget.
-int ClaimedCommSms(const sim::MachineSpec& spec, int want,
-                   int64_t work_items) {
-  return ResourceBudget::ForDevice(spec).ClaimComm(want, work_items);
-}
-
 // Row-AllGather comm role over m gathered rows: the SM pull role gathers
 // every tile, the SM push role sends this rank's tiles, a DMA role claims
 // no SMs; the channel count is what StaticMapping resolves.
@@ -469,6 +504,9 @@ TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
 TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner) {
+  // The bound and the canonical claim model the one-node ring; a world
+  // spanning nodes searches with multinode::TuneGemmHierRs.
+  TL_CHECK_EQ(spec.num_nodes(), 1);
   return tuner.Search(
       space, base,
       [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },

@@ -67,8 +67,20 @@ struct MoeShape {
 // multiple of it (the shape is then rejected by the feasibility checks).
 int RsBlockRows(int64_t m_per_rank, int bm);
 
+// ---- Feasibility ---------------------------------------------------------
+// The one GEMM+RS rule, at every topology: push-only ring, whole nodes, the
+// divisibility the kernel TL_CHECKs, and comm roles (ring, plus the NIC
+// rail roles across nodes) that leave the GEMM at least one SM — otherwise
+// the kernel deadlocks. SimulateGemmRs returns Autotuner::kInfeasible
+// where this is false.
+bool GemmRsFeasible(const sim::MachineSpec& spec, const MlpPartShape& shape,
+                    const TuneCandidate& c);
+
 // ---- Kernel configs -----------------------------------------------------
 // The kernel config a candidate builds at a shape (what Simulate*() runs).
+// GEMM+RS maps comm_tile_m to the ring chunk rows and the NIC knobs
+// (nic_chunk_tiles, staging_depth, reduce_sms) to the rail roles, which
+// only a world spanning nodes builds.
 AgGemmConfig MakeAgGemmConfig(const MlpPartShape& shape,
                               const TuneCandidate& c);
 GemmRsConfig MakeGemmRsConfig(const MlpPartShape& shape,
@@ -78,7 +90,8 @@ MoeRsConfig MakeMoeRsConfig(const MoeShape& shape, const TuneCandidate& c);
 
 // ---- Full-fidelity evaluators -------------------------------------------
 // Simulated makespan; Autotuner::kInfeasible when the candidate violates
-// the kernel's divisibility constraints.
+// the kernel's divisibility constraints or, for the RS families, when its
+// comm roles would claim every SM and deadlock the GEMM.
 sim::TimeNs SimulateAgGemm(const sim::MachineSpec& spec,
                            const MlpPartShape& shape, const TuneCandidate& c);
 sim::TimeNs SimulateGemmRs(const sim::MachineSpec& spec,
@@ -152,6 +165,9 @@ sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner = Autotuner());
+// One-node GEMM+RS search (TL_CHECKs one node). A world spanning nodes
+// searches the joint GEMM x NIC space with multinode::TuneGemmHierRs; both
+// score candidates with SimulateGemmRs.
 TuneResult TuneGemmRs(const sim::MachineSpec& spec, const MlpPartShape& shape,
                       const TuningSpace& space, const TuneCandidate& base,
                       const Autotuner& tuner = Autotuner());

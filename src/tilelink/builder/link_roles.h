@@ -26,7 +26,7 @@
 //    ConsumerTileWait/PeerTileWait gates, TilePushData chunk sends and
 //    notify-on-landing, compiled and verified like any other role —
 //    the form fused kernels run as OverlapPlanner-sized roles on their
-//    FabricBinding (kernels/gemm_hier_rs is the first kNic user).
+//    FabricBinding (kernels/gemm_rs's rail is the first kNic user).
 #pragma once
 
 #include <cstdint>

@@ -101,7 +101,7 @@ class TuningSpace {
   // chunk size in tiles and per-peer staging depth.
   static TuningSpace MultiNode();
 
-  // Fused GEMM + hierarchical ReduceScatter (kernels/gemm_hier_rs): the
+  // GEMM + ReduceScatter across nodes (kernels/gemm_rs with its rail): the
   // joint space coupling the GEMM tile axes with the NIC rail knobs.
   static TuningSpace GemmHierRs();
 

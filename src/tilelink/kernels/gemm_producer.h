@@ -1,8 +1,9 @@
 // Shared partial-GEMM producer role (paper Figure 4 lines 2-9): compute a
 // partial [m, n] tile, store it, then producer_tile_notify the row-chunk
-// barrier covering its rows. gemm_rs and gemm_hier_rs run the identical
-// producer — only the communication roles consuming its tiles differ — so
-// the program builder lives here instead of being copied per kernel.
+// barrier covering its rows. gemm_rs and the compose baseline's GEMM-only
+// kernel run the identical producer — only the roles consuming its tiles
+// differ — so the program builder lives here instead of being copied per
+// kernel.
 #pragma once
 
 #include "comm/collectives.h"

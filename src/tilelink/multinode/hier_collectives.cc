@@ -89,7 +89,7 @@ struct ReduceStep {
 // BeginReduce runs when the arrival covering `threshold` tiles has landed:
 // it binds that arrival's flow arrow, probes the staged partial
 // [lo, hi) of `staged` and opens the fold's write window.
-ReduceStep BeginReduce(const ReduceLane& lane, InOrderSignal* arrival,
+ReduceStep BeginReduce(const ReduceLane& lane, tl::InOrderSignal* arrival,
                        uint64_t threshold, const rt::Buffer* staged,
                        int64_t lo, int64_t hi) {
   ReduceStep step{lane.world.sim().Now(), 0};
@@ -130,13 +130,6 @@ void EndReduce(const ReduceLane& lane, const ReduceStep& step,
          sim::TraceArg::Num(arg, static_cast<double>(arg_value))});
   }
 }
-
-// Receiver-side per-source slot indexing, shared with the device rail
-// roles through the link-role layer.
-int SourceIndex(int src_node, int my_node) {
-  return tl::RailSourceIndex(src_node, my_node);
-}
-int SourceNode(int k, int my_node) { return tl::RailSourceNode(k, my_node); }
 
 // Collectives address rail peers as (node, local) pairs; ragged layouts
 // (a partially filled last node) are not modeled.
@@ -236,11 +229,12 @@ HierAllGather::HierAllGather(rt::World& world, int64_t num_tiles,
   ring_.resize(static_cast<size_t>(world.size()));
   for (int r = 0; r < world.size(); ++r) {
     for (int k = 0; k + 1 < nodes_; ++k) {
-      rail_[static_cast<size_t>(r)].push_back(std::make_unique<InOrderSignal>(
-          &world.sim(), "hier_ag.rail.r" + std::to_string(r)));
+      rail_[static_cast<size_t>(r)].push_back(
+          std::make_unique<tl::InOrderSignal>(
+              &world.sim(), "hier_ag.rail.r" + std::to_string(r)));
       rail_[static_cast<size_t>(r)].back()->set_trace_pid(world.trace_pid(r));
     }
-    ring_[static_cast<size_t>(r)] = std::make_unique<InOrderSignal>(
+    ring_[static_cast<size_t>(r)] = std::make_unique<tl::InOrderSignal>(
         &world.sim(), "hier_ag.ring.r" + std::to_string(r));
     ring_[static_cast<size_t>(r)]->set_trace_pid(world.trace_pid(r));
   }
@@ -259,9 +253,10 @@ void HierAllGather::AttachPayload(std::vector<rt::Buffer*> in,
 sim::Coro HierAllGather::RailSend(rt::RankCtx& ctx, int peer) {
   const int r = ctx.rank;
   const int64_t E = tile_elems_;
-  InOrderSignal* sig =
+  tl::InOrderSignal* sig =
       rail_[static_cast<size_t>(peer)]
-           [static_cast<size_t>(SourceIndex(r / per_node_, peer / per_node_))]
+           [static_cast<size_t>(
+                tl::RailSourceIndex(r / per_node_, peer / per_node_))]
                .get();
   const bool primary =
       IsPrimaryRailPeer(peer / per_node_, r / per_node_);
@@ -312,7 +307,7 @@ sim::Coro HierAllGather::RingSend(rt::RankCtx& ctx) {
     if (j == 0) {
       if (seg > 0) {
         // Own block's rail segment: forward tiles as they land.
-        InOrderSignal* up =
+        tl::InOrderSignal* up =
             rail_[static_cast<size_t>(r)][static_cast<size_t>(seg - 1)].get();
         const uint64_t thr = static_cast<uint64_t>(off + c.tiles);
         c.gate = {&up->tiles_arrived(), thr};
@@ -322,7 +317,7 @@ sim::Coro HierAllGather::RingSend(rt::RankCtx& ctx) {
       }
     } else {
       // Forwarded block: must have arrived from the left neighbor.
-      InOrderSignal* up = ring_[static_cast<size_t>(r)].get();
+      tl::InOrderSignal* up = ring_[static_cast<size_t>(r)].get();
       const uint64_t thr =
           static_cast<uint64_t>((j - 1) * group +
                                 static_cast<int64_t>(seg) * num_tiles_ +
@@ -337,7 +332,7 @@ sim::Coro HierAllGather::RingSend(rt::RankCtx& ctx) {
       // column: block j originated at local index (l - j), segment 0 is
       // the owner's own shard, segment s > 0 the rail source s-1.
       const int lsrc = (l - j + per_node_) % per_node_;
-      const int src_node = seg == 0 ? n : SourceNode(seg - 1, n);
+      const int src_node = seg == 0 ? n : tl::RailSourceNode(seg - 1, n);
       const int gsrc = src_node * per_node_ + lsrc;
       const int64_t lo = (gsrc * num_tiles_ + off) * E;
       c.io = ChunkIo{&world_, out_[static_cast<size_t>(r)],
@@ -413,7 +408,7 @@ HierReduceScatter::HierReduceScatter(rt::World& world, int64_t num_tiles,
       ring_role_(world, cfg.intra_chunk_tiles, cfg.intra_channels) {
   TL_CHECK_GT(num_tiles, 0);
   for (int r = 0; r < world.size(); ++r) {
-    ring_.push_back(std::make_unique<InOrderSignal>(
+    ring_.push_back(std::make_unique<tl::InOrderSignal>(
         &world.sim(), "hier_rs.ring.r" + std::to_string(r)));
     ring_.back()->set_trace_pid(world.trace_pid(r));
     ring_reduced_.push_back(std::make_unique<sim::Flag>(
@@ -421,7 +416,7 @@ HierReduceScatter::HierReduceScatter(rt::World& world, int64_t num_tiles,
     ring_red_ledger_.push_back(std::make_unique<tl::FlowLedger>());
     rail_.emplace_back();
     for (int k = 0; k + 1 < nodes_; ++k) {
-      rail_.back().push_back(std::make_unique<InOrderSignal>(
+      rail_.back().push_back(std::make_unique<tl::InOrderSignal>(
           &world.sim(), "hier_rs.rail.r" + std::to_string(r)));
       rail_.back().back()->set_trace_pid(world.trace_pid(r));
     }
@@ -521,7 +516,7 @@ sim::Coro HierReduceScatter::RingReducer(rt::RankCtx& ctx) {
       static_cast<int64_t>(per_node_ - 1) * group_tiles_;
   const ReduceLane lane(world_, r, RName("hier_rs.ring_reduce", r),
                         payload());
-  InOrderSignal* arrivals = ring_[static_cast<size_t>(r)].get();
+  tl::InOrderSignal* arrivals = ring_[static_cast<size_t>(r)].get();
   rt::Buffer* acc = payload() ? ring_acc_[static_cast<size_t>(r)] : nullptr;
   int64_t cum = 0;
   while (cum < total) {
@@ -573,7 +568,7 @@ sim::Coro HierReduceScatter::RailSend(rt::RankCtx& ctx, int peer,
   const int l = r % per_node_;
   const int peer_node = peer / per_node_;
   const int64_t E = tile_elems_;
-  InOrderSignal* sig =
+  tl::InOrderSignal* sig =
       rail_[static_cast<size_t>(peer)][static_cast<size_t>(peer_index)].get();
   const bool primary = IsPrimaryRailPeer(peer_node, r / per_node_);
   const int64_t chunk_tiles = rail_role_.chunk_tiles();
@@ -602,7 +597,7 @@ sim::Coro HierReduceScatter::RailSend(rt::RankCtx& ctx, int peer,
     if (payload()) {
       c.io.world = &world_;
       c.io.dst = rail_acc_[static_cast<size_t>(peer)][static_cast<size_t>(
-          SourceIndex(r / per_node_, peer_node))];
+          tl::RailSourceIndex(r / per_node_, peer_node))];
       c.io.reader = RName("hier_rs.rail_send", r);
       c.io.writer = EdgeName("hier_rs.rail", r, peer);
       if (per_node_ > 1) {
@@ -642,7 +637,7 @@ sim::Coro HierReduceScatter::RailReducer(rt::RankCtx& ctx) {
           self->world_, c.rank,
           RName("hier_rs.rail_reduce", c.rank) + ".s" + std::to_string(src),
           self->payload());
-      InOrderSignal* arrivals =
+      tl::InOrderSignal* arrivals =
           self->rail_[r][static_cast<size_t>(src)].get();
       rt::Buffer* staged =
           self->payload() ? self->rail_acc_[r][static_cast<size_t>(src)]
@@ -714,7 +709,7 @@ sim::Coro HierReduceScatter::Run(rt::RankCtx& ctx) {
   for (int nn = 0; nn < nodes_; ++nn) {
     if (nn == n) continue;
     work.push_back(
-        RailSend(ctx, nn * per_node_ + l, SourceIndex(n, nn)));
+        RailSend(ctx, nn * per_node_ + l, tl::RailSourceIndex(n, nn)));
   }
   if (nodes_ > 1) work.push_back(RailReducer(ctx));
   if (payload()) work.push_back(OwnContribution(ctx));
@@ -756,10 +751,10 @@ DpAllReduce::DpAllReduce(rt::World& world, int64_t num_tiles,
     rs_arrived_.emplace_back();
     ag_arrived_.emplace_back();
     for (int k = 0; k + 1 < nodes_; ++k) {
-      rs_arrived_.back().push_back(std::make_unique<InOrderSignal>(
+      rs_arrived_.back().push_back(std::make_unique<tl::InOrderSignal>(
           &world.sim(), "dp_ar.rs.r" + std::to_string(r)));
       rs_arrived_.back().back()->set_trace_pid(world.trace_pid(r));
-      ag_arrived_.back().push_back(std::make_unique<InOrderSignal>(
+      ag_arrived_.back().push_back(std::make_unique<tl::InOrderSignal>(
           &world.sim(), "dp_ar.ag.r" + std::to_string(r)));
       ag_arrived_.back().back()->set_trace_pid(world.trace_pid(r));
     }
@@ -797,9 +792,9 @@ sim::Coro DpAllReduce::SendToPeer(rt::RankCtx& ctx, int peer, bool rs_phase) {
       DpBlockTiles(num_tiles_, nodes_, rs_phase ? peer_node : n);
   const int64_t block_start =
       DpBlockStart(num_tiles_, nodes_, rs_phase ? peer_node : n);
-  InOrderSignal* sig =
+  tl::InOrderSignal* sig =
       (rs_phase ? rs_arrived_ : ag_arrived_)[static_cast<size_t>(peer)]
-          [static_cast<size_t>(SourceIndex(n, peer_node))]
+          [static_cast<size_t>(tl::RailSourceIndex(n, peer_node))]
               .get();
   const bool primary = IsPrimaryRailPeer(peer_node, n);
   const int64_t chunk_tiles = rail_role_.chunk_tiles();
@@ -820,8 +815,9 @@ sim::Coro DpAllReduce::SendToPeer(rt::RankCtx& ctx, int peer, bool rs_phase) {
       c.io.world = &world_;
       if (rs_phase) {
         c.io.src = in_[static_cast<size_t>(r)];
-        c.io.dst = rs_acc_[static_cast<size_t>(peer)]
-                          [static_cast<size_t>(SourceIndex(n, peer_node))];
+        c.io.dst =
+            rs_acc_[static_cast<size_t>(peer)]
+                   [static_cast<size_t>(tl::RailSourceIndex(n, peer_node))];
         c.io.runs.push_back({(block_start + off) * E, off * E, c.tiles * E});
         c.io.reader = RName("dp_ar.send_rs", r);
         c.io.writer = EdgeName("dp_ar.rs", r, peer);
@@ -862,7 +858,7 @@ sim::Coro DpAllReduce::Reducer(rt::RankCtx& ctx) {
       AddInto(out, lo, in_[static_cast<size_t>(r)], lo, tiles * E);
     }
     for (int k = 0; k + 1 < nodes_; ++k) {
-      InOrderSignal* arrivals =
+      tl::InOrderSignal* arrivals =
           rs_arrived_[static_cast<size_t>(r)][static_cast<size_t>(k)].get();
       rt::Buffer* staged =
           payload()

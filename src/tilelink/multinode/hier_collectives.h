@@ -19,7 +19,7 @@
 // tile-centric link roles (tilelink/builder/link_roles.h): each collective
 // instantiates a NicRailRole and/or NvlinkRingRole and describes its chunk
 // schedule (gates + payload runs) per stream. Fused kernels run the same
-// roles as OverlapPlanner-sized device roles (kernels/gemm_hier_rs).
+// roles as OverlapPlanner-sized device roles (kernels/gemm_rs).
 //
 // Two modes:
 //  * Timing-only (default): `num_tiles` tiles of `tile_bytes` per rank move
@@ -48,10 +48,6 @@
 #include "tilelink/builder/tuning_space.h"
 
 namespace tilelink::multinode {
-
-// The in-order chunk-arrival signal now lives with the link roles in the
-// builder layer; collectives keep addressing it under its historical name.
-using tl::InOrderSignal;
 
 // Knobs of the multi-node design space (the TuningSpace::MultiNode() axes
 // plus the intra-node channel width the single-node kernels already tune).
@@ -114,10 +110,10 @@ class HierAllGather {
   tl::NvlinkRingRole ring_role_;
   // rail_[r][k]: tiles arrived at rank r from its k-th rail peer (node
   // order, own node skipped).
-  std::vector<std::vector<std::unique_ptr<InOrderSignal>>> rail_;
+  std::vector<std::vector<std::unique_ptr<tl::InOrderSignal>>> rail_;
   // ring_[r]: tiles arrived at rank r from its left ring neighbor, in the
   // ring send-sequence order.
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;
+  std::vector<std::unique_ptr<tl::InOrderSignal>> ring_;
   // Payload mode.
   std::vector<rt::Buffer*> in_, out_;
   int64_t tile_elems_ = 0;
@@ -158,9 +154,9 @@ class HierReduceScatter {
   int64_t group_tiles_;  // nodes * num_tiles, one intra-ring group
   tl::NicRailRole rail_role_;
   tl::NvlinkRingRole ring_role_;
-  std::vector<std::unique_ptr<InOrderSignal>> ring_;       // raw arrivals
+  std::vector<std::unique_ptr<tl::InOrderSignal>> ring_;       // raw arrivals
   std::vector<std::unique_ptr<sim::Flag>> ring_reduced_;   // after reduce
-  std::vector<std::vector<std::unique_ptr<InOrderSignal>>> rail_;
+  std::vector<std::vector<std::unique_ptr<tl::InOrderSignal>>> rail_;
   // Trace-only: pairs ring_reduced_ publications with flow arrows so a rail
   // chunk's span binds the reducer span that unblocked it (the middle link
   // of the producer -> ring -> reduce -> rail -> reduce chain).
@@ -206,9 +202,9 @@ class DpAllReduce {
   HierConfig cfg_;
   int nodes_, per_node_;
   tl::NicRailRole rail_role_;
-  std::vector<std::vector<std::unique_ptr<InOrderSignal>>> rs_arrived_;
+  std::vector<std::vector<std::unique_ptr<tl::InOrderSignal>>> rs_arrived_;
   std::vector<std::unique_ptr<sim::Flag>> block_reduced_;
-  std::vector<std::vector<std::unique_ptr<InOrderSignal>>> ag_arrived_;
+  std::vector<std::vector<std::unique_ptr<tl::InOrderSignal>>> ag_arrived_;
   // Payload mode: per-source staging for the RS phase of the own block.
   std::vector<rt::Buffer*> in_, out_;
   std::vector<std::vector<rt::Buffer*>> rs_acc_;

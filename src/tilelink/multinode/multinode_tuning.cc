@@ -128,26 +128,6 @@ sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                                     HierConfig::FromCandidate(c));
 }
 
-sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
-                             uint64_t grad_bytes,
-                             const tl::TuneCandidate& c) {
-  const int nodes = spec.num_nodes();
-  if (nodes <= 1) return 0;
-  // Per rank and phase, (nodes-1)/nodes of the buffer crosses its NIC; RS
-  // and AG phases serialize on the last tile even when fully pipelined.
-  const double frac =
-      static_cast<double>(nodes - 1) / static_cast<double>(nodes);
-  const double wire_bytes = 2.0 * frac * static_cast<double>(grad_bytes);
-  const sim::TimeNs wire =
-      static_cast<sim::TimeNs>(wire_bytes / spec.nic_gbps);
-  const sim::CostModel cost(spec);
-  const sim::TimeNs reduce = cost.MemoryBound(
-      static_cast<uint64_t>(3.0 * frac * static_cast<double>(grad_bytes)),
-      std::max(1, c.reduce_sms));
-  return spec.collective_setup_latency + spec.nic_latency +
-         std::max(wire, reduce);
-}
-
 tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                           const tl::TuningSpace& space,
                           const tl::TuneCandidate& base,
@@ -157,9 +137,7 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
       [&](const tl::TuneCandidate& c) {
         return SimulateDpSync(spec, grad_bytes, c);
       },
-      [&](const tl::TuneCandidate& c) {
-        return DpSyncLowerBound(spec, grad_bytes, c);
-      },
+      nullptr,
       [&](const tl::TuneCandidate& c) {
         // Quarter volume preserves the chunking/staging ranking at a
         // fraction of the events (chunk counts shrink 4x with the buffer).
@@ -171,19 +149,6 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 // ---------------------------------------------------------------------------
 // Fused GEMM + hierarchical ReduceScatter
 // ---------------------------------------------------------------------------
-bool GemmHierRsFeasible(const sim::MachineSpec& spec,
-                        const tl::MlpPartShape& s, const tl::TuneCandidate& c) {
-  // Like GEMM+RS, the ring role is push-only (SM push or DMA push).
-  if (c.comm == tl::CommResource::kSmPull) return false;
-  const int R = spec.num_devices;
-  if (R % spec.devices_per_node != 0) return false;
-  if (s.m % R != 0) return false;
-  const int64_t m_per_rank = s.m / R;
-  return c.comm_tile_m > 0 && m_per_rank % c.comm_tile_m == 0 &&
-         c.comm_tile_m % c.gemm.bm == 0 && c.nic_chunk_tiles > 0 &&
-         c.staging_depth > 0;
-}
-
 namespace {
 
 // Layer-compose baseline half: the shared partial-GEMM producer as a
@@ -191,7 +156,7 @@ namespace {
 // own channels, which nothing consumes).
 class GemmOnly : public tl::FusedKernelBase {
  public:
-  GemmOnly(rt::World& world, const tl::GemmHierRsConfig& cfg)
+  GemmOnly(rt::World& world, const tl::GemmRsConfig& cfg)
       : FusedKernelBase(world, cfg.name + "_gemm_only") {
     tl::PartialGemmParams p;
     p.m = cfg.m;
@@ -236,26 +201,6 @@ class GemmOnly : public tl::FusedKernelBase {
   comm::SymTensor a_, b_, out_;
 };
 
-// Candidate -> kernel config: comm_tile_m is the ring chunk rows,
-// nic_chunk_tiles the ring chunks per NIC message, staging_depth the
-// in-flight NIC messages per rail peer.
-tl::GemmHierRsConfig GemmHierRsFromCandidate(const tl::MlpPartShape& shape,
-                                             const tl::TuneCandidate& c) {
-  tl::GemmHierRsConfig cfg;
-  cfg.m = shape.m;
-  cfg.k = shape.k;
-  cfg.n = shape.n;
-  cfg.gemm = c.gemm;
-  cfg.rs_block_m = c.comm_tile_m;
-  cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
-  cfg.staging_depth = std::max(1, c.staging_depth);
-  cfg.comm_sms = c.comm_sms;
-  cfg.reduce_sms = std::max(1, c.reduce_sms);
-  cfg.dma_push = c.comm == tl::CommResource::kDma;
-  cfg.order = c.order;
-  return cfg;
-}
-
 }  // namespace
 
 tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
@@ -271,20 +216,12 @@ tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
   c.staging_depth = 2;
   c.reduce_sms = 8;
   // Ring chunk rows: the shared layer-default rule, derived from the
-  // tiling the kernel will actually run.
+  // tiling the kernel will actually run. bm must divide the chunk, which
+  // must divide the per-rank shard (a no-op for training-scale shards).
   const int64_t m_per_rank = std::max<int64_t>(1, shape.m / std::max(1, tp));
+  while (c.gemm.bm > 1 && m_per_rank % c.gemm.bm != 0) c.gemm.bm /= 2;
   c.comm_tile_m = tl::RsBlockRows(m_per_rank, c.gemm.bm);
   return c;
-}
-
-sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
-                               const tl::MlpPartShape& shape,
-                               const tl::TuneCandidate& c) {
-  if (!GemmHierRsFeasible(spec, shape, c)) return tl::Autotuner::kInfeasible;
-  rt::World world(spec, rt::ExecMode::kTimingOnly);
-  tl::GemmHierRs kernel(world, GemmHierRsFromCandidate(shape, c));
-  return world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
 
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
@@ -297,9 +234,9 @@ sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
 sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
                                    const tl::MlpPartShape& shape,
                                    const tl::TuneCandidate& c) {
-  if (!GemmHierRsFeasible(spec, shape, c)) return tl::Autotuner::kInfeasible;
+  if (!tl::GemmRsFeasible(spec, shape, c)) return tl::Autotuner::kInfeasible;
   rt::World world(spec, rt::ExecMode::kTimingOnly);
-  const tl::GemmHierRsConfig cfg = GemmHierRsFromCandidate(shape, c);
+  const tl::GemmRsConfig cfg = tl::MakeGemmRsConfig(shape, c);
   GemmOnly gemm(world, cfg);
   // RS at ring-chunk granularity: one tile per rs_block_m rows.
   const int64_t num_tiles = (shape.m / spec.num_devices) / cfg.rs_block_m;
@@ -416,7 +353,7 @@ sim::TimeNs SimulateHierAgThenGemm(const sim::MachineSpec& spec,
   // compute-only kernel. GemmOnly keys its (unconsumed) producer channels
   // off rs_block_m, whose mapping requires a multiple of bm — AG chunk
   // rows may be finer than the GEMM tile, so fall back to bm then.
-  tl::GemmHierRsConfig gcfg;
+  tl::GemmRsConfig gcfg;
   gcfg.m = shape.m;
   gcfg.k = shape.k;
   gcfg.n = shape.n;
@@ -454,7 +391,7 @@ tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
   return tuner.Search(
       space, base,
       [&](const tl::TuneCandidate& c) {
-        return SimulateGemmHierRs(spec, shape, c);
+        return tl::SimulateGemmRs(spec, shape, c);
       },
       [&](const tl::TuneCandidate& c) {
         return GemmHierRsLowerBound(spec, shape, c);

@@ -1,9 +1,9 @@
 // Evaluators and searches for the multi-node collectives — the
 // kernel_tuning analog one level up: Simulate*() builds a fresh timing-only
 // World on the multi-node MachineSpec, runs the collective SPMD and returns
-// the makespan; TuneDpSync() wires the evaluator, a coarse round (the same
-// evaluator on a quarter of the volume) and an analytic lower bound into
-// Autotuner::Search over the TuningSpace::MultiNode() axes. The fused-kernel
+// the makespan; TuneDpSync() wires the evaluator and a coarse round (the
+// same evaluator on a quarter of the volume) into Autotuner::Search over
+// the TuningSpace::MultiNode() axes. The fused-kernel
 // searches (TuneGemmHierRs, TuneAgGemmHier) have no coarse round: their
 // only cheapening would collapse the k-loop, which saves almost nothing,
 // so they search exactly — ascending-bound order plus bound pruning.
@@ -15,7 +15,7 @@
 #include "sim/machine_spec.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/kernels/ag_gemm_hier.h"
-#include "tilelink/kernels/gemm_hier_rs.h"
+#include "tilelink/kernels/gemm_rs.h"
 #include "tilelink/multinode/hier_collectives.h"
 
 namespace tilelink::multinode {
@@ -49,11 +49,6 @@ sim::TimeNs SimulateFlatReduceScatter(const sim::MachineSpec& spec,
 // HierConfig::FromCandidate.
 sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                            const tl::TuneCandidate& c);
-// Overlap-aware bound: max(NIC wire time of both phases, reduce epilogue)
-// plus the unavoidable rendezvous/setup/latency costs.
-sim::TimeNs DpSyncLowerBound(const sim::MachineSpec& spec,
-                             uint64_t grad_bytes, const tl::TuneCandidate& c);
-
 // Full search over the NIC knobs (chunk tiles, staging depth), seeded so a
 // tuned config is never worse than `base`.
 tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
@@ -62,28 +57,22 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                           const tl::Autotuner& tuner = tl::Autotuner());
 
 // ---- Fused GEMM + hierarchical ReduceScatter -----------------------------
-// The first multi-node fused kernel (kernels/gemm_hier_rs): GEMM tile axes
-// couple with the NIC knobs into one joint space, searched by the same
-// bound-pruned autotuner and gated against the layer-level compose below.
+// The first multi-node fused kernel: tl::GemmRs on a world spanning nodes
+// (kernels/gemm_rs), scored by the one evaluator tl::SimulateGemmRs under
+// the one rule tl::GemmRsFeasible. Its GEMM tile axes couple with the NIC
+// knobs into one joint space, searched by the same bound-pruned autotuner
+// and gated against the layer-level compose below.
 
 // The hand-picked seed: the GemmRs layer defaults plus the two-node NIC
 // defaults. `tiling` is the GEMM tiling the kernel will actually run
 // (comm_tile_m is derived from its bm, so callers overriding the tiling —
 // e.g. the e2e estimator's coarse bk — must pass it here, not patch the
-// returned candidate).
+// returned candidate). bm shrinks until it divides the per-rank shard, so
+// the seed meets the kernel's divisibility whenever tp divides m.
 tl::TuneCandidate DefaultGemmHierRsCandidate(
     const tl::MlpPartShape& shape, int tp,
     const compute::GemmTiling& tiling = {128, 256, 64});
 
-// True when the candidate satisfies the kernel's divisibility constraints
-// (the evaluators below return Autotuner::kInfeasible otherwise).
-bool GemmHierRsFeasible(const sim::MachineSpec& spec,
-                        const tl::MlpPartShape& shape,
-                        const tl::TuneCandidate& c);
-
-sim::TimeNs SimulateGemmHierRs(const sim::MachineSpec& spec,
-                               const tl::MlpPartShape& shape,
-                               const tl::TuneCandidate& c);
 // launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
 sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
                                  const tl::MlpPartShape& shape,

@@ -157,7 +157,7 @@ PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,
 }
 
 PayloadReport ValidateGemmHierRs(const sim::MachineSpec& spec,
-                                 const tl::GemmHierRsConfig& cfg,
+                                 const tl::GemmRsConfig& cfg,
                                  const sim::FaultPlan* plan,
                                  sim::TraceRecorder* trace,
                                  int trace_pid_base) {
@@ -165,7 +165,7 @@ PayloadReport ValidateGemmHierRs(const sim::MachineSpec& spec,
   world.checker().set_enabled(true);
   world.set_fault_plan(plan);
   if (trace != nullptr) world.set_trace(trace, trace_pid_base, "gemm_hier_rs");
-  tl::GemmHierRs kernel(world, cfg);
+  tl::GemmRs kernel(world, cfg);
   const int R = spec.num_devices;
   for (int r = 0; r < R; ++r) {
     // Default lattice range: values in [-8, 8] vary per position (a

@@ -23,7 +23,7 @@
 #include "sim/fault.h"
 #include "sim/machine_spec.h"
 #include "tilelink/kernels/ag_gemm_hier.h"
-#include "tilelink/kernels/gemm_hier_rs.h"
+#include "tilelink/kernels/gemm_rs.h"
 #include "tilelink/multinode/hier_collectives.h"
 
 namespace tilelink::sim {
@@ -85,7 +85,7 @@ PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,
                                   sim::TraceRecorder* trace = nullptr,
                                   int trace_pid_base = 0);
 
-// Fused-kernel validation: run GemmHierRs on a functional world with
+// Fused-kernel validation: run GemmRs on a functional world with
 // integer-lattice A/B (fp32 sums of small integers are exact, so the
 // multi-stage reduction is bit-exact under any accumulation order) and
 // compare every rank's output block bit-for-bit against the single-rank
@@ -93,7 +93,7 @@ PayloadReport ValidateDpAllReduce(const sim::MachineSpec& spec,
 // through the compiled kernel's checker instrumentation, so `violations`
 // counts real consistency races in the fused pipeline.
 PayloadReport ValidateGemmHierRs(const sim::MachineSpec& spec,
-                                 const tl::GemmHierRsConfig& cfg,
+                                 const tl::GemmRsConfig& cfg,
                                  const sim::FaultPlan* plan = nullptr,
                                  sim::TraceRecorder* trace = nullptr,
                                  int trace_pid_base = 0);

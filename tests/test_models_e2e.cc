@@ -74,6 +74,15 @@ TEST(E2eEstimator, TpSpanningNodesUsesFusedHierRs) {
   EXPECT_LT(r.speedup, 6.0);  // NIC-bound baseline inflates the win
 }
 
+// A TP group wider than one node must fill whole nodes: the GEMM+RS
+// kernel's rail peers are (node, local) pairs, and ragged nodes are not
+// modeled.
+TEST(E2eEstimator, TpSpanningAPartialNodeIsRejected) {
+  EXPECT_THROW(E2eEstimator(/*tp=*/12, 1, 4096, false), Error);
+  EXPECT_NO_THROW(E2eEstimator(/*tp=*/6, 1, 4096, false));
+  EXPECT_NO_THROW(E2eEstimator(/*tp=*/24, 1, 4096, false));
+}
+
 TEST(E2eEstimator, LayerBreakdownSumsToTotal) {
   E2eEstimator est(4, 1, 4096, false);
   const ModelConfig m = GetModel("LLaMA2-7B");

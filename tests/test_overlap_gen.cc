@@ -8,7 +8,10 @@
 // output floats, in rank order) bit-for-bit, with the consistency checker
 // observing zero violations. The goldens were captured when each kernel
 // still had a hand-written schedule and both schedules agreed on these
-// values.
+// values. gemm_rs is one kernel over the topology: its one-node cases (1x8,
+// 1x4) pin the ring-only form, captured from the one-node class it
+// replaced, and the GemmHierRs cases pin the same kernel with its NIC rail
+// at 2x8 and 3x2.
 //
 // Also here: OverlapSpec::Validate rejection messages (named fields),
 // spec/plan Describe determinism, the generated ag_gemm_hier's degenerate
@@ -33,7 +36,6 @@
 #include "tilelink/kernels/ag_gemm.h"
 #include "tilelink/kernels/ag_gemm_hier.h"
 #include "tilelink/kernels/ag_moe.h"
-#include "tilelink/kernels/gemm_hier_rs.h"
 #include "tilelink/kernels/gemm_rs.h"
 #include "tilelink/kernels/moe_rs.h"
 #include "tilelink/multinode/multinode_tuning.h"
@@ -49,9 +51,9 @@ using sim::MachineSpec;
 using sim::TimeNs;
 
 // ---------------------------------------------------------------------- //
-// Topologies: 2x8 and 3x2. The flat kernels run with a reduced SM budget
-// to keep the suite fast; the hierarchical kernel keeps the full H800
-// budget (its roles want 20+8).
+// Topologies: 2x8 and 3x2 (gemm_rs also at 1x8 and 1x4). The flat kernels
+// run with a reduced SM budget to keep the suite fast; gemm_rs across nodes
+// keeps the full H800 budget (its roles want 20+8).
 // ---------------------------------------------------------------------- //
 
 MachineSpec TwoByEight(int sms = 0) {
@@ -150,6 +152,9 @@ TEST(OverlapGenIdentity, AgGemm) {
   }
 }
 
+// One node: the ring spans the world and no rail is built. The values were
+// captured from the one-node-only GemmRs class the rail-capable kernel
+// replaced; GemmHierRs below covers the same kernel across nodes.
 TEST(OverlapGenIdentity, GemmRs) {
   struct Case {
     const char* label;
@@ -158,10 +163,10 @@ TEST(OverlapGenIdentity, GemmRs) {
     Golden golden;
   };
   const Case cases[] = {
-      {"2x8 sm", TwoByEight(24), false, {107809, 0x23352d83b591b1e4ull}},
-      {"2x8 dma_push", TwoByEight(24), true, {123731, 0x23352d83b591b1e4ull}},
-      {"3x2 sm", ThreeByTwo(24), false, {41569, 0x512aec867e667d6bull}},
-      {"3x2 dma_push", ThreeByTwo(24), true, {56522, 0x512aec867e667d6bull}},
+      {"1x8 sm", MachineSpec::Test(8, 24), false, {29613, 0xd40cc1a437e056f8ull}},
+      {"1x8 dma_push", MachineSpec::Test(8, 24), true, {57669, 0xd40cc1a437e056f8ull}},
+      {"1x4 sm", MachineSpec::Test(4, 24), false, {17005, 0xd5143f87333e7032ull}},
+      {"1x4 dma_push", MachineSpec::Test(4, 24), true, {29029, 0xd5143f87333e7032ull}},
   };
   for (const Case& c : cases) {
     World world(c.spec, ExecMode::kFunctional);
@@ -291,14 +296,14 @@ TEST(OverlapGenIdentity, GemmHierRs) {
   for (const auto& [spec, golden] : cases) {
     World world(spec, ExecMode::kFunctional);
     world.checker().set_enabled(true);
-    GemmHierRsConfig cfg;
+    GemmRsConfig cfg;
     cfg.m = 32 * spec.num_devices;
     cfg.k = 8;
     cfg.n = 8;
     cfg.gemm = compute::GemmTiling{4, 8, 4};
     cfg.rs_block_m = 4;
     cfg.nic_chunk_blocks = 2;
-    GemmHierRs kernel(world, cfg);
+    GemmRs kernel(world, cfg);
     Rng rng(59);
     for (int r = 0; r < world.size(); ++r) {
       FillRandom(kernel.a()[static_cast<size_t>(r)], rng, 0.3f);
@@ -434,13 +439,13 @@ TEST(OverlapSpecRoundTrip, DescribeAndPlanAreDeterministic) {
   const MachineSpec spec = TwoByEight();
   auto build = [&]() {
     World world(spec, ExecMode::kTimingOnly);
-    GemmHierRsConfig cfg;
+    GemmRsConfig cfg;
     cfg.m = 32 * spec.num_devices;
     cfg.k = 8;
     cfg.n = 8;
     cfg.gemm = compute::GemmTiling{4, 8, 4};
     cfg.rs_block_m = 4;
-    GemmHierRs kernel(world, cfg);
+    GemmRs kernel(world, cfg);
     EXPECT_EQ(kernel.overlap_spec().Validate(), "");
     return std::pair<std::string, std::string>(
         kernel.overlap_spec().Describe(), kernel.overlap_plan().Describe());

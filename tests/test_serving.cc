@@ -513,7 +513,8 @@ TEST(MeasuredCostTest, TwoNodeLayerMatchesALoadedCache) {
 
 TEST(MeasuredCostTest, NodeSpanningTpLayerMatchesALoadedCache) {
   // TP 16 spans two nodes: the projections run the fused hierarchical
-  // ag_gemm_hier and gemm_hier_rs kernels.
+  // ag_gemm_hier kernel and gemm_rs with its NIC rail (cached under
+  // gemm_hier_rs).
   const std::string json = ExpectReuseMatchesResimulation(
       EstimatorShape{/*tp=*/16, /*batch=*/1, /*seq=*/2048,
                      /*two_node=*/false},

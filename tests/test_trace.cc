@@ -39,8 +39,8 @@ MachineSpec TwoNodeSpec(int per_node) {
   return spec;
 }
 
-tl::GemmHierRsConfig SmallFusedCfg(int ranks) {
-  tl::GemmHierRsConfig cfg;
+tl::GemmRsConfig SmallFusedCfg(int ranks) {
+  tl::GemmRsConfig cfg;
   cfg.m = static_cast<int64_t>(ranks) * 8;
   cfg.k = 8;
   cfg.n = 8;

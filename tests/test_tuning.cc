@@ -7,7 +7,8 @@
 // 2. TunedConfigCache: hits avoid re-searching, the JSON round-trip is
 //    lossless, and searches + serialization are deterministic across runs.
 // 3. The per-kernel evaluators and their analytic lower bounds:
-//    feasibility, soundness (bound <= simulated time) and, for the exact
+//    feasibility (including the SM-starvation rule that rejects deadlocking
+//    comm claims), soundness (bound <= simulated time) and, for the exact
 //    searches, argmin agreement with brute force on small machine specs.
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "compute/moe_routing.h"
 #include "models/transformer.h"
 #include "sim/fault.h"
+#include "sim/simulator.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/builder/tuned_config_cache.h"
 #include "tilelink/multinode/multinode_tuning.h"
@@ -1042,6 +1044,94 @@ void ExpectExactSearch(const TuneResult& r, sim::TimeNs brute_best) {
   EXPECT_EQ(r.halved, 0);
 }
 
+// ---------------------------------------------------------------------- //
+// SM starvation: comm roles that claim every SM deadlock the kernel (the
+// compute role's blocks wait for SMs the spinning comm blocks never free),
+// so the feasibility rules reject them and searches skip them.
+// ---------------------------------------------------------------------- //
+
+template <typename Kernel, typename Config, typename... Extra>
+bool Deadlocks(const sim::MachineSpec& spec, const Config& cfg,
+               const Extra&... extra) {
+  try {
+    RunKernel<Kernel>(spec, cfg, extra...);
+  } catch (const sim::DeadlockError&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(StarvationTest, GemmRsRingOnEverySmIsInfeasible) {
+  const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
+  const MlpPartShape shape{2048, 64, 128};
+  TuneCandidate c;
+  c.gemm = compute::GemmTiling{32, 32, 16};
+  c.comm_tile_m = 32;  // 16 ring chunks per rank
+  c.comm = CommResource::kDma;
+  c.comm_sms = 20;  // clamps to 16: every SM
+  EXPECT_TRUE(Deadlocks<GemmRs>(spec, MakeGemmRsConfig(shape, c)));
+  EXPECT_FALSE(GemmRsFeasible(spec, shape, c));
+  EXPECT_EQ(SimulateGemmRs(spec, shape, c), Autotuner::kInfeasible);
+  c.comm_sms = 15;  // one SM left for the GEMM
+  EXPECT_FALSE(Deadlocks<GemmRs>(spec, MakeGemmRsConfig(shape, c)));
+  EXPECT_GT(SimulateGemmRs(spec, shape, c), 0);
+
+  // The search over a space holding the starving candidates completes.
+  TuneCandidate base;
+  base.gemm = c.gemm;
+  base.comm_tile_m = 64;
+  base.comm_sms = 8;
+  TuningSpace space;
+  space.CommTileM({16, 32, 64, 128})
+      .CommSms({8, 20})
+      .Resources({CommResource::kSmPush, CommResource::kDma});
+  const TuneResult r = TuneGemmRs(spec, shape, space, base);
+  EXPECT_GT(r.infeasible, 0);
+  EXPECT_EQ(r.best_cost, SimulateGemmRs(spec, shape, r.best));
+}
+
+TEST(StarvationTest, GemmRsRailRolesCountAcrossNodes) {
+  // 2x4 with 8 SMs: the ring claims 4 SMs, the NIC rail 2 and the rail
+  // reduce the rest, so only the whole plan's claim shows the starvation.
+  sim::MachineSpec spec = sim::MachineSpec::H800x8();
+  spec.devices_per_node = 4;
+  spec.sms_per_device = 8;
+  const MlpPartShape shape{8 * 128, 64, 128};
+  TuneCandidate c;
+  c.gemm = compute::GemmTiling{32, 32, 32};
+  c.comm_tile_m = 32;
+  c.comm = CommResource::kSmPush;
+  c.comm_sms = 4;
+  c.nic_chunk_tiles = 2;
+  c.staging_depth = 2;
+  c.reduce_sms = 2;
+  EXPECT_TRUE(Deadlocks<GemmRs>(spec, MakeGemmRsConfig(shape, c)));
+  EXPECT_EQ(SimulateGemmRs(spec, shape, c), Autotuner::kInfeasible);
+  c.reduce_sms = 1;
+  EXPECT_FALSE(Deadlocks<GemmRs>(spec, MakeGemmRsConfig(shape, c)));
+  EXPECT_GT(SimulateGemmRs(spec, shape, c), 0);
+}
+
+TEST(StarvationTest, MoeRsRingPlusReduceOnEverySmIsInfeasible) {
+  const sim::MachineSpec spec = sim::MachineSpec::Test(2, 8);
+  const MoeShape shape{1024, 256, 128, 8, 2};
+  Rng rng(7);
+  const compute::MoeRouting routing =
+      compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+  TuneCandidate c;
+  c.gemm = compute::GemmTiling{64, 64, 64};
+  c.comm_tile_m = 128;  // the ring claims 4 of 8 SMs
+  c.comm = CommResource::kSmPush;
+  c.comm_sms = 8;
+  c.reduce_block_tokens = 64;
+  c.reduce_sms = 4;  // and the topk reduce the other 4
+  EXPECT_TRUE(Deadlocks<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing));
+  EXPECT_EQ(SimulateMoeRs(spec, shape, routing, c), Autotuner::kInfeasible);
+  c.reduce_sms = 2;
+  EXPECT_FALSE(Deadlocks<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing));
+  EXPECT_GT(SimulateMoeRs(spec, shape, routing, c), 0);
+}
+
 TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   TuneCandidate base;
@@ -1119,7 +1209,7 @@ TEST(LowerBoundTest, HierRsBoundIsSoundByBruteForce) {
   int feasible = 0;
   sim::TimeNs best = Autotuner::kInfeasible;
   for (const TuneCandidate& c : SearchedCandidates(space, seed)) {
-    const sim::TimeNs t = multinode::SimulateGemmHierRs(spec, shape, c);
+    const sim::TimeNs t = tl::SimulateGemmRs(spec, shape, c);
     if (t == Autotuner::kInfeasible) continue;
     ++feasible;
     best = std::min(best, t);
