@@ -26,8 +26,8 @@
 // the fused kernel bit-exact with zero checker violations, every fault row
 // (and the --ag-fused fault gate) must retry each failed attempt exactly
 // once (retries == drops + timeouts), and killing one of four rails at t=0
-// must cost at most 4/3 (+10%) of the fault-free makespan on
-// bandwidth-bound shapes. The timing gates below are identical
+// must cost every collective and the fused kernel at most 4/3 (+10%) of
+// its fault-free makespan. The timing gates below are identical
 // with or without any flag. Every invocation also runs the fabric
 // timeline/profiler gate (valid chrome-trace JSON, a >= 3-arrow
 // producer->ring->rail->reduce flow chain, internally consistent overlap
@@ -285,7 +285,7 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
 // Deterministic fault sweep (--faults): every schedule must leave every
 // collective (and the fused kernel) bit-exact with zero checker violations
 // and retry each failed attempt exactly once; rail death must additionally
-// stay within the surviving-bandwidth bound.
+// keep every target within the surviving-bandwidth bound.
 bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
                    tilelink::bench::BenchReport* report) {
   using namespace tilelink;
@@ -417,50 +417,45 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
     }
   }
 
-  // Rail death at t=0: one of four rails dead for the whole run. The rail
-  // schedulers apportion every chunk across the three survivors, so a
+  // Rail death at t=0: one of four rails dead for the whole run. Every
+  // send, host link-stream chunk and device push alike, rides the fabric's
+  // least-loaded live rail, so no chunk lands on the dead rail and a
   // bandwidth-bound stream pays at most 4/3 (+10% pipeline headroom).
   const double bound = 4.0 / 3.0 * 1.10;
-  struct DeathCase {
-    const char* name;
-    const Target* target;
-  };
-  const DeathCase deaths[] = {{"hier_ag", &targets[0]},
-                              {"hier_rs", &targets[1]}};
-  for (const DeathCase& d : deaths) {
-    const PayloadReport clean = d.target->run(nullptr);
+  for (const Target& t : targets) {
+    const PayloadReport clean = t.run(nullptr);
     sim::FaultPlan death;
     death.DegradeRail("nic", /*port=*/-1, /*rail=*/3, /*at=*/0,
                       /*fraction=*/0.0);
-    const PayloadReport r = d.target->run(&death);
+    const PayloadReport r = t.run(&death);
     const double ratio = static_cast<double>(r.makespan) /
                          static_cast<double>(clean.makespan);
     const bool pass = r.ok() && ratio <= bound && RetriesBalance(r.faults);
     std::printf("  rail_death_t0    %-13s bit_exact=%d violations=%zu "
                 "ratio=%.3f (bound %.3f)\n",
-                d.name, r.bit_exact ? 1 : 0, r.violations, ratio, bound);
-    report->Record(std::string("multinode.faults.rail_death_t0.") + d.name +
+                t.name, r.bit_exact ? 1 : 0, r.violations, ratio, bound);
+    report->Record(std::string("multinode.faults.rail_death_t0.") + t.name +
                        ".ok",
                    pass ? 1.0 : 0.0);
-    report->Record(std::string("multinode.faults.rail_death_t0.") + d.name +
+    report->Record(std::string("multinode.faults.rail_death_t0.") + t.name +
                        ".ratio",
                    ratio);
     ok = ok && pass;
 
-    // Mid-run death: the failover replans remaining chunks and flows caught
-    // in flight on the dead rail park and recover via ack-timeout; gate on
+    // Mid-run death: later chunks skip the dead rail, and flows caught in
+    // flight on it park and recover via ack-timeout; gate on
     // correctness + completion. Early enough that the NIC stage is still
     // active (by half the makespan the rail streams have drained).
     sim::FaultPlan mid;
     mid.DegradeRail("nic", /*port=*/-1, /*rail=*/1,
                     /*at=*/clean.makespan / 8, /*fraction=*/0.0);
-    const PayloadReport m = d.target->run(&mid);
+    const PayloadReport m = t.run(&mid);
     std::printf("  rail_death_mid   %-13s bit_exact=%d violations=%zu "
                 "retries=%llu\n",
-                d.name, m.bit_exact ? 1 : 0, m.violations,
+                t.name, m.bit_exact ? 1 : 0, m.violations,
                 (unsigned long long)m.faults.retries);
     const bool mid_pass = m.ok() && RetriesBalance(m.faults);
-    report->Record(std::string("multinode.faults.rail_death_mid.") + d.name +
+    report->Record(std::string("multinode.faults.rail_death_mid.") + t.name +
                        ".ok",
                    mid_pass ? 1.0 : 0.0);
     ok = ok && mid_pass;

@@ -53,9 +53,13 @@
 #      planner-generated ag_gemm_hier loses its --ag-fused gate (fused vs
 #      AllGather-then-GEMM compose, tuned vs seed, small-m column split,
 #      functional + fault-injected bit-exactness), or if any fault row
-#      (transient schedules, both rail-death cases, the --ag-fused fault
-#      gate) breaks retries == drops + timeouts: the balance catches a
-#      retransmit policy that swallows or double-retries a failed attempt.
+#      (transient schedules, the t=0 and mid-run rail-death cases of all
+#      six targets, the --ag-fused fault gate) breaks retries == drops +
+#      timeouts: the balance catches a retransmit policy that swallows or
+#      double-retries a failed attempt. The t=0 rail death must also keep
+#      every target, the host-driven collectives and the fused kernel's
+#      device pushes alike, within the surviving-bandwidth bound, so the
+#      fabric's one rail pick is gated for both.
 #      The bench also self-gates the fabric timeline: the recorded
 #      chrome-trace JSON must parse, the producer->ring->rail->reduce flow
 #      chain must be present, the profiler must be internally consistent

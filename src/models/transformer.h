@@ -106,8 +106,9 @@ class E2eEstimator {
   // cache is internally synchronized — so independent layers/models can be
   // timed from concurrent threads against one shared cache. Offline benches
   // and the serving path run the same cold search (each Tune*()'s
-  // Autotuner::Search: bound-ordered, bound-pruned full fidelity, after a
-  // successive-halving round only for the MoE and attention families), so
+  // Autotuner::Search: full fidelity, bound-ordered and bound-pruned for
+  // the families that carry a bound, after a successive-halving round only
+  // for the MoE and attention families), so
   // a shape tunes to the same config whichever caller reaches it first.
   void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }

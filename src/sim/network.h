@@ -66,7 +66,10 @@ namespace tilelink::sim {
 
 // Per-attempt knobs for TryTransfer.
 struct TransferOpts {
-  int rail = -1;           // -1: pick the least-loaded live rail
+  // -1: pick the least-loaded live rail (PickRail), which every library
+  // sender takes. A pinned rail is a test seam: tests/test_network.cc pins
+  // flows to rails through it.
+  int rail = -1;
   TimeNs ack_timeout = 0;  // >0: abandon the attempt after this long
 };
 
@@ -101,8 +104,9 @@ class Network {
 
   // One attempt: applies the fault plan's transient fate for this attempt
   // and reports the outcome in *out instead of retrying or throwing.
-  // Callers that pick rails per attempt (link roles) loop over this with
-  // AckTimeout and FailedAttempt.
+  // Callers with per-attempt work of their own (the link roles re-probe
+  // the checker and trace each attempt) loop over this with AckTimeout and
+  // FailedAttempt.
   Coro TryTransfer(int src, int dst, uint64_t bytes, TransferOpts opts,
                    TransferOutcome* out);
 
@@ -129,8 +133,11 @@ class Network {
 
   // Scale rail `rail` of `port` (-1: all ports) to `fraction` of its
   // bandwidth share, on both the egress and ingress side. Bumps the rail
-  // health generation so schedulers know to re-plan.
+  // health generation that traced rail events carry.
   void SetRailScale(int port, int rail, double fraction);
+  // Test seams: no library code reads rail health back (senders take
+  // PickRail's least-loaded live rail); tests/test_network.cc checks rail
+  // health and its generation through these.
   double RailScale(int port, int rail) const;
   uint64_t rail_generation() const { return rail_generation_; }
 

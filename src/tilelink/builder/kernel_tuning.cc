@@ -451,43 +451,6 @@ sim::TimeNs FlashCoreLowerBound(const sim::MachineSpec& spec,
          spec.kernel_launch_latency;
 }
 
-sim::TimeNs AgMoeLowerBound(const sim::MachineSpec& spec,
-                            const MoeShape& shape, const TuneCandidate& c) {
-  if (!AgMoeFeasible(spec, shape, c)) return 0;
-  const sim::CostModel cost(spec);
-  // An SM binding always builds the pull AllGather, whatever the comm flag
-  // says: the claim comes from the canonical (pull) candidate.
-  const int compute_sms = std::max(
-      1, spec.sms_per_device - CanonicalAgMoe(spec, shape, c).comm_sms);
-  // Dense-GEMM time over the slot space is a lower bound on the group GEMM:
-  // per-expert fragmentation only adds tiles.
-  const sim::TimeNs compute = cost.GemmComputeTime(
-      shape.m * shape.topk, shape.inner, shape.hidden, c.gemm.bm, c.gemm.bn,
-      c.gemm.bk, compute_sms);
-  const int R = spec.num_devices;
-  const uint64_t bytes =
-      static_cast<uint64_t>(shape.m / R * (R - 1)) * shape.hidden * 2;
-  return std::max<sim::TimeNs>(compute + spec.kernel_launch_latency,
-                               cost.NvlinkTransfer(bytes));
-}
-
-sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
-                            const MoeShape& shape, const TuneCandidate& c) {
-  if (!MoeRsFeasible(spec, shape, c)) return 0;
-  const sim::CostModel cost(spec);
-  const TuneCandidate claimed = CanonicalMoeRs(spec, shape, c);
-  const int compute_sms = std::max(
-      1, spec.sms_per_device - claimed.comm_sms - claimed.reduce_sms);
-  const sim::TimeNs compute = cost.GemmComputeTime(
-      shape.m * shape.topk, shape.hidden, shape.inner, c.gemm.bm, c.gemm.bn,
-      c.gemm.bk, compute_sms);
-  const int R = spec.num_devices;
-  const uint64_t bytes =
-      static_cast<uint64_t>(shape.m / R * (R - 1)) * shape.hidden * 2;
-  return std::max<sim::TimeNs>(compute + spec.kernel_launch_latency,
-                               cost.NvlinkTransfer(bytes));
-}
-
 // ---- Pre-wired searches -------------------------------------------------
 
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,
@@ -545,9 +508,7 @@ TuneResult TuneAgMoe(const sim::MachineSpec& spec, const MoeShape& shape,
       [&](const TuneCandidate& c) {
         return SimulateAgMoe(spec, shape, routing, c);
       },
-      [&](const TuneCandidate& c) {
-        return AgMoeLowerBound(spec, shape, c);
-      },
+      nullptr,
       [&](const TuneCandidate& c) {
         return SimulateAgMoe(spec, coarse.shape, coarse.routing,
                              CoarsenReduction(c, coarse.shape.hidden));
@@ -575,9 +536,7 @@ TuneResult TuneMoeRs(const sim::MachineSpec& spec, const MoeShape& shape,
       [&](const TuneCandidate& c) {
         return SimulateMoeRs(spec, shape, routing, c);
       },
-      [&](const TuneCandidate& c) {
-        return MoeRsLowerBound(spec, shape, c);
-      },
+      nullptr,
       [&](const TuneCandidate& c) {
         return SimulateMoeRs(spec, coarse.shape, coarse.routing,
                              CoarsenReduction(c, coarse.shape.inner));

@@ -3,9 +3,13 @@
 // Simulate*() builds a fresh timing-only World, constructs the kernel with
 // the candidate's knobs and returns the SPMD makespan — the exact quantity
 // the paper's figures report. *LowerBound() are analytic sim::CostModel
-// bounds — one overlap bound per family, max(compute-only + the kernel
-// launch latency every fused kernel pays, wire time) — which the Autotuner
-// uses to order candidates and prune them without paying for a DES run.
+// overlap bounds, max(compute-only + the kernel launch latency every fused
+// kernel pays, wire time), which the Autotuner uses to order candidates and
+// prune them without paying for a DES run. Only the families whose bound
+// prunes carry one: AgGemm, GemmRs and FlashCore. The MoE searches visit
+// their finalists in coarse-score order, where the best is found early and
+// a bound can only prune; theirs pruned none of the fig11, serving or
+// perfbench MoE candidates, so AgMoe and MoeRs search without one.
 // Canonical*() map a candidate to the one the planner actually builds (SM
 // requests clamped to the role's work, ignored knobs resolved), so the
 // search simulates each distinct kernel once. Tune*() wire evaluator,
@@ -144,9 +148,9 @@ TuneCandidate CanonicalMoeRs(const sim::MachineSpec& spec,
                              const MoeShape& shape, const TuneCandidate& c);
 
 // ---- Analytic lower bounds ----------------------------------------------
-// One overlap bound per family: max(compute + launch, wire time), with the
-// comm SM claim taken from the canonical candidate. 0 (never prune) for
-// infeasible candidates; the evaluator rejects those.
+// One overlap bound per pruning family: max(compute + launch, wire time),
+// with the comm SM claim taken from the canonical candidate. 0 (never
+// prune) for infeasible candidates; the evaluator rejects those.
 sim::TimeNs AgGemmLowerBound(const sim::MachineSpec& spec,
                              const MlpPartShape& shape,
                              const TuneCandidate& c);
@@ -156,10 +160,6 @@ sim::TimeNs GemmRsLowerBound(const sim::MachineSpec& spec,
 sim::TimeNs FlashCoreLowerBound(const sim::MachineSpec& spec,
                                 const FlashShape& shape,
                                 const TuneCandidate& c);
-sim::TimeNs AgMoeLowerBound(const sim::MachineSpec& spec,
-                            const MoeShape& shape, const TuneCandidate& c);
-sim::TimeNs MoeRsLowerBound(const sim::MachineSpec& spec,
-                            const MoeShape& shape, const TuneCandidate& c);
 
 // ---- Full searches (evaluator, bound, canonicalizer pre-wired) ---------
 TuneResult TuneAgGemm(const sim::MachineSpec& spec, const MlpPartShape& shape,

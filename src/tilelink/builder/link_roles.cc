@@ -1,7 +1,6 @@
 #include "tilelink/builder/link_roles.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -9,7 +8,6 @@
 #include "sim/trace.h"
 #include "tilelink/builder/fused_kernel_base.h"
 #include "tilelink/builder/role_plan.h"
-#include "tilelink/mapping/interval_mapping.h"
 #include "tilelink/primitives.h"
 
 namespace tilelink::tl {
@@ -66,13 +64,14 @@ namespace {
 // `eager_publish` (fault injection) the arrival signal fires when the send
 // starts: consumers wake mid-transfer, which the checker must catch.
 //
-// Reliability is the fabric's retransmit policy: each attempt is one
-// TryTransfer under the fabric's AckTimeout; a failed attempt closes its
-// write interval with no RecordWrite (nothing landed, so retirement is
-// unpinned and the retry cannot be flagged against the abort), waits out
-// the fabric's FailedAttempt backoff, and retries on a freshly picked
-// rail. Unlike Transfer, the loop re-probes the checker reads and traces
-// every attempt. Exhausting the budget throws FaultError naming the
+// Reliability and rail choice are the fabric's: each attempt is one
+// TryTransfer under the fabric's AckTimeout, on the least-loaded live rail
+// the fabric picks for every send; a failed attempt closes its write
+// interval with no RecordWrite (nothing landed, so retirement is unpinned
+// and the retry cannot be flagged against the abort), waits out the
+// fabric's FailedAttempt backoff, and retries on a freshly picked rail.
+// Unlike Transfer, the loop re-probes the checker reads and traces every
+// attempt. Exhausting the budget throws FaultError naming the
 // stream (its drain flag), rank, and chunk; the arrival prefix is only
 // ever published for delivered payloads (or eagerly at the first attempt
 // when the fault plan injects the §4.2 reorder), so InOrderSignal is
@@ -119,9 +118,6 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
     if (attempt == 0 && eager_publish && sig != nullptr) {
       sig->Complete(index, tiles, span_pid, span_tid);
     }
-    if (stream->rail_of) {
-      opts.rail = stream->rail_of(static_cast<int64_t>(index), attempt);
-    }
     sim::TransferOutcome out;
     co_await net->TryTransfer(stream->src, stream->dst, bytes, opts, &out);
     if (tr != nullptr) {
@@ -161,64 +157,6 @@ sim::Coro TransferChunk(const LinkStream* stream, std::size_t index,
   }
   done->Add(1);
 }
-
-// Self-healing rail schedule for one stream: chunks are apportioned across
-// rails proportionally to surviving bandwidth (WeightedExtents over the
-// min of the two endpoints' rail health) and interleaved smoothly; any
-// rail-health change re-plans the stream's remaining chunks, and retry
-// attempts always defer to the fabric's live least-loaded pick.
-class RailScheduler {
- public:
-  RailScheduler(sim::Network* net, int src, int dst, int64_t total_chunks)
-      : net_(net), src_(src), dst_(dst), remaining_(total_chunks) {}
-
-  int RailFor(int64_t /*chunk*/, int attempt) {
-    if (attempt > 0) return -1;  // failover: live least-loaded rail
-    if (gen_ != net_->rail_generation()) {
-      gen_ = net_->rail_generation();
-      Rebuild();
-    }
-    const int rail =
-        qpos_ < queue_.size() ? queue_[qpos_++] : -1;  // -1: all rails dead
-    if (remaining_ > 0) remaining_--;
-    return rail;
-  }
-
- private:
-  void Rebuild() {
-    queue_.clear();
-    qpos_ = 0;
-    const int rails = net_->rails();
-    std::vector<double> health(static_cast<size_t>(rails), 0.0);
-    for (int r = 0; r < rails; ++r) {
-      health[static_cast<size_t>(r)] =
-          std::min(net_->RailScale(src_, r), net_->RailScale(dst_, r));
-    }
-    std::vector<int64_t> left = WeightedExtents(remaining_, health);
-    queue_.reserve(static_cast<size_t>(remaining_));
-    for (int64_t i = 0; i < remaining_; ++i) {
-      int best = -1;
-      for (int r = 0; r < rails; ++r) {
-        if (left[static_cast<size_t>(r)] > 0 &&
-            (best < 0 ||
-             left[static_cast<size_t>(r)] > left[static_cast<size_t>(best)])) {
-          best = r;
-        }
-      }
-      if (best < 0) break;
-      queue_.push_back(best);
-      left[static_cast<size_t>(best)]--;
-    }
-  }
-
-  sim::Network* net_;
-  int src_;
-  int dst_;
-  int64_t remaining_;
-  uint64_t gen_ = ~0ull;  // force a build on first use
-  std::vector<int> queue_;
-  std::size_t qpos_ = 0;
-};
 
 }  // namespace
 
@@ -286,13 +224,6 @@ LinkStream LinkRole::Stream(int src, int dst, uint64_t tile_bytes,
   s.chunk_label = chunk_label;
   s.num_chunks = num_chunks;
   s.chunk = std::move(chunk);
-  if (s.fabric->rails() > 1) {
-    auto sched = std::make_shared<RailScheduler>(s.fabric, src, dst,
-                                                 num_chunks);
-    s.rail_of = [sched](int64_t k, int attempt) {
-      return sched->RailFor(k, attempt);
-    };
-  }
   return s;
 }
 

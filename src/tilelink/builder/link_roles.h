@@ -21,6 +21,8 @@
 // Each role has two forms with identical pipeline semantics:
 //  * Host-driven streams (Stream() + RunLinkStream): coroutines driving
 //    fabric transfers directly — the form the multinode collectives run.
+//    Reliability and rail choice stay with the fabric (sim::Network's
+//    retransmit policy and least-loaded live rail), as for every send.
 //  * Device block programs (BuildNicRailPush / BuildNicRailReduce here,
 //    BuildRingReduceScatter in kernels/ring_rs.h for the NVLink ring):
 //    ConsumerTileWait/PeerTileWait gates, TilePushData chunk sends and
@@ -171,13 +173,6 @@ struct LinkStream {
   const char* chunk_label = "";  // spawned transfer coroutine label
   int64_t num_chunks = 0;
   std::function<LinkChunk(int64_t)> chunk;
-
-  // (chunk index, attempt) -> rail, or -1 to let the fabric pick the
-  // least-loaded live rail. LinkRole::Stream installs the rail scheduler
-  // here on multi-rail fabrics; retries always pass attempt > 0 so
-  // failover re-picks among survivors. Ack deadline, retry budget and
-  // backoff are the fabric's (Network::AckTimeout / FailedAttempt).
-  std::function<int(int64_t, int)> rail_of;
   // Trace process id of the sender rank (-1: stream untraced). Role
   // Stream() builders fill it from World::trace_pid(src); chunk spans,
   // window-occupancy counters and flow finishes all land on it.
@@ -187,11 +182,11 @@ struct LinkStream {
 sim::Coro RunLinkStream(sim::Simulator* sim, LinkStream stream);
 
 // What the two host-driven link roles share: a chunk size, a window and
-// the Stream() builder. Stream() binds the role's fabric and, on a
-// multi-rail fabric, installs the self-healing rail scheduler (chunks
-// apportioned across rails by surviving bandwidth via WeightedExtents,
-// re-planned whenever rail health changes, retries falling over to the
-// least-loaded live rail).
+// the Stream() builder. Stream() binds the role's fabric and nothing more:
+// on a multi-rail fabric every chunk attempt, retries included, rides the
+// rail the fabric picks (Network::PickRail, the least-loaded live rail),
+// exactly as a device push or a plain Network::Transfer does, so a dead
+// rail gets no chunk.
 class LinkRole {
  public:
   int chunk_tiles() const { return chunk_tiles_; }

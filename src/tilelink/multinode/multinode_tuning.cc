@@ -29,33 +29,6 @@ void GradTiling(uint64_t grad_bytes, int64_t* num_tiles,
              static_cast<uint64_t>(tiles));
 }
 
-// Overlap bound of the fused hierarchical kernels: launch + max(GEMM
-// compute, NIC rail wire, NVLink ring wire), where each rank moves one
-// [m/R, block_cols] bf16 block. Rail: every rank exchanges its block with
-// each peer node over its NIC. Ring: each rank forwards (per_node - 1)
-// stages of `nodes` blocks over NVLink.
-sim::TimeNs HierLowerBound(const sim::MachineSpec& spec,
-                           const tl::MlpPartShape& shape,
-                           const tl::TuneCandidate& c, int64_t block_cols) {
-  const int R = spec.num_devices;
-  const int nodes = spec.num_nodes();
-  const int per_node = spec.devices_per_node;
-  const int64_t m_per_rank = R > 0 ? shape.m / R : shape.m;
-  const sim::CostModel cost(spec);
-  const sim::TimeNs compute =
-      cost.GemmComputeTime(shape.m, shape.n, shape.k, c.gemm.bm, c.gemm.bn,
-                           c.gemm.bk, spec.sms_per_device);
-  const double block_bytes =
-      static_cast<double>(m_per_rank) * block_cols * 2;  // bf16
-  const sim::TimeNs rail = static_cast<sim::TimeNs>(
-      (nodes - 1) * block_bytes / spec.nic_gbps);
-  const sim::TimeNs ring = static_cast<sim::TimeNs>(
-      static_cast<double>(per_node - 1) * nodes * block_bytes /
-      spec.nvlink_gbps);
-  return spec.kernel_launch_latency +
-         std::max(compute, std::max(rail, ring));
-}
-
 template <typename Collective, typename... Layout>
 sim::TimeNs RunCollective(const sim::MachineSpec& spec, int64_t num_tiles,
                           uint64_t tile_bytes, const HierConfig& cfg,
@@ -224,13 +197,6 @@ tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
   return c;
 }
 
-sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
-                                 const tl::MlpPartShape& shape,
-                                 const tl::TuneCandidate& c) {
-  // Each rank's wire block is its node-reduced [m/R, n] output slice.
-  return HierLowerBound(spec, shape, c, shape.n);
-}
-
 sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
                                    const tl::MlpPartShape& shape,
                                    const tl::TuneCandidate& c) {
@@ -331,13 +297,6 @@ sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
       [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
 }
 
-sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
-                                 const tl::MlpPartShape& shape,
-                                 const tl::TuneCandidate& c) {
-  // Each rank's wire block is its [m/R, k] activation shard.
-  return HierLowerBound(spec, shape, c, shape.k);
-}
-
 sim::TimeNs SimulateHierAgThenGemm(const sim::MachineSpec& spec,
                                    const tl::MlpPartShape& shape,
                                    const tl::TuneCandidate& c) {
@@ -377,9 +336,6 @@ tl::TuneResult TuneAgGemmHier(const sim::MachineSpec& spec,
       space, base,
       [&](const tl::TuneCandidate& c) {
         return SimulateAgGemmHier(spec, shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return AgGemmHierLowerBound(spec, shape, c);
       });
 }
 
@@ -392,9 +348,6 @@ tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
       space, base,
       [&](const tl::TuneCandidate& c) {
         return tl::SimulateGemmRs(spec, shape, c);
-      },
-      [&](const tl::TuneCandidate& c) {
-        return GemmHierRsLowerBound(spec, shape, c);
       });
 }
 

@@ -6,7 +6,10 @@
 // the TuningSpace::MultiNode() axes. The fused-kernel
 // searches (TuneGemmHierRs, TuneAgGemmHier) have no coarse round: their
 // only cheapening would collapse the k-loop, which saves almost nothing,
-// so they search exactly — ascending-bound order plus bound pruning.
+// so they search exactly, simulating every candidate in enumeration
+// order. They carry no lower bound either: an overlap bound over the
+// GEMM, NIC rail and NVLink ring wire times pruned none of the
+// bench_multinode_fabric candidates and changed no result.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +63,8 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 // The first multi-node fused kernel: tl::GemmRs on a world spanning nodes
 // (kernels/gemm_rs), scored by the one evaluator tl::SimulateGemmRs under
 // the one rule tl::GemmRsFeasible. Its GEMM tile axes couple with the NIC
-// knobs into one joint space, searched by the same bound-pruned autotuner
-// and gated against the layer-level compose below.
+// knobs into one joint space, searched exactly by the same autotuner and
+// gated against the layer-level compose below.
 
 // The hand-picked seed: the GemmRs layer defaults plus the two-node NIC
 // defaults. `tiling` is the GEMM tiling the kernel will actually run
@@ -72,11 +75,6 @@ tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
 tl::TuneCandidate DefaultGemmHierRsCandidate(
     const tl::MlpPartShape& shape, int tp,
     const compute::GemmTiling& tiling = {128, 256, 64});
-
-// launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
-sim::TimeNs GemmHierRsLowerBound(const sim::MachineSpec& spec,
-                                 const tl::MlpPartShape& shape,
-                                 const tl::TuneCandidate& c);
 
 // Layer-level compose baseline the fused kernel must beat: the same GEMM
 // producer as a compute-only kernel, then HierReduceScatter as a separate
@@ -116,10 +114,6 @@ bool AgGemmHierFeasible(const sim::MachineSpec& spec,
 sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
                                const tl::MlpPartShape& shape,
                                const tl::TuneCandidate& c);
-// launch + max(GEMM compute, NIC rail wire, NVLink ring wire).
-sim::TimeNs AgGemmHierLowerBound(const sim::MachineSpec& spec,
-                                 const tl::MlpPartShape& shape,
-                                 const tl::TuneCandidate& c);
 
 // Layer-level compose baseline the fused kernel must beat: HierAllGather
 // over the activation shards, then the GEMM as a compute-only kernel.

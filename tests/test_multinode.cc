@@ -427,9 +427,10 @@ TEST(FaultPlan, TransientMixKeepsCollectivesBitExactAndDeterministic) {
   EXPECT_EQ(a.faults.retries, b.faults.retries);
 }
 
-// Killing one of two NIC rails at t=0: the rail scheduler re-chunks all
-// traffic onto the survivor, the run completes bit-exactly, and the NIC
-// stage pays at most the surviving-bandwidth factor.
+// Killing one of two NIC rails at t=0: the fabric's rail pick skips the
+// dead rail, so every chunk rides the survivor, the run completes
+// bit-exactly, and the NIC stage pays at most the surviving-bandwidth
+// factor.
 TEST(FaultPlan, RailDeathFailsOverBitExact) {
   MachineSpec spec = TwoNodeSpec(8);
   spec.nic_rails = 2;

@@ -456,39 +456,6 @@ TEST(KernelTuningTest, AttentionBoundsAreSound) {
   }
 }
 
-TEST(KernelTuningTest, MoeBoundsAreSound) {
-  const sim::MachineSpec spec = sim::MachineSpec::Test(2, 16);
-  const MoeShape shape{128, 32, 32, 4, 2};
-  Rng rng(7);
-  const compute::MoeRouting routing =
-      compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-  TuneCandidate base;
-  base.gemm = compute::GemmTiling{16, 16, 8};
-  TuningSpace space;
-  space.CommTileM({16, 32, 64})
-      .CommSms({2, 4})
-      .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                  CommResource::kDma})
-      .SortedChannelRows({32, 64})
-      .ReduceBlockTokens({8, 16})
-      .ReduceSms({2, 4});
-  int part1_feasible = 0, part2_feasible = 0;
-  for (const TuneCandidate& c : space.Enumerate(base)) {
-    const sim::TimeNs t1 = SimulateAgMoe(spec, shape, routing, c);
-    if (t1 != Autotuner::kInfeasible) {
-      ++part1_feasible;
-      EXPECT_LE(AgMoeLowerBound(spec, shape, c), t1) << c.Describe();
-    }
-    const sim::TimeNs t2 = SimulateMoeRs(spec, shape, routing, c);
-    if (t2 != Autotuner::kInfeasible) {
-      ++part2_feasible;
-      EXPECT_LE(MoeRsLowerBound(spec, shape, c), t2) << c.Describe();
-    }
-  }
-  EXPECT_GT(part1_feasible, 0);
-  EXPECT_GT(part2_feasible, 0);
-}
-
 // Chaining both tuned MoE parts in one world composes: the layer makespan
 // is at least each part alone and at most their sum plus slack.
 TEST(KernelTuningTest, MoeLayerComposition) {
@@ -965,7 +932,8 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
   }
   {
     // Too few tokens to shrink, so the MoE coarse round runs this shape and
-    // routing with the reduction loop collapsed.
+    // routing with the reduction loop collapsed. The MoE searches carry no
+    // lower bound.
     const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
     const MoeShape shape{128, 32, 32, 4, 2};
     Rng rng(7);
@@ -994,9 +962,7 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
         [&](const TuneCandidate& c) {
           return SimulateAgMoe(moe_spec, shape, routing, c);
         },
-        [&](const TuneCandidate& c) {
-          return AgMoeLowerBound(moe_spec, shape, c);
-        },
+        nullptr,
         [&](const TuneCandidate& c) {
           return SimulateAgMoe(moe_spec, shape, routing,
                                CoarsenReduction(c, shape.hidden));
@@ -1009,9 +975,7 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
         [&](const TuneCandidate& c) {
           return SimulateMoeRs(moe_spec, shape, routing, c);
         },
-        [&](const TuneCandidate& c) {
-          return MoeRsLowerBound(moe_spec, shape, c);
-        },
+        nullptr,
         [&](const TuneCandidate& c) {
           return SimulateMoeRs(moe_spec, shape, routing,
                                CoarsenReduction(c, shape.inner));
@@ -1023,9 +987,10 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
 
 // ---------------------------------------------------------------------- //
 // Lower-bound soundness: a bound that exceeds the simulated cost could
-// prune the argmin, so every family's bound is checked by brute force.
-// The four GEMM families search exactly (no coarse round), so their
-// Tune*() must also return the brute-force minimum.
+// prune the argmin, so every bound is checked by brute force. The four
+// GEMM families search exactly (no coarse round), so their Tune*() must
+// also return the brute-force minimum; the two hierarchical ones carry no
+// bound, so theirs simulate every candidate.
 // ---------------------------------------------------------------------- //
 
 // What Autotuner::Search scores: the enumerated space plus the seed.
@@ -1165,43 +1130,7 @@ TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
   }
 }
 
-TEST(LowerBoundTest, MoeBoundsAreSoundOnSkewedRouting) {
-  const sim::MachineSpec spec = sim::MachineSpec::Test(2, 16);
-  const MoeShape shape{128, 32, 32, 4, 2};
-  // Deliberately skewed routing (small m, few experts): the dense
-  // slot-space compute term has to stay under the simulated group GEMM
-  // even when several experts own ragged partial tiles.
-  Rng rng(7);
-  const compute::MoeRouting routing =
-      compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-  TuneCandidate base;
-  base.gemm = compute::GemmTiling{16, 16, 8};
-  TuningSpace space;
-  space.CommTileM({16, 32, 64})
-      .CommSms({2, 4})
-      .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                  CommResource::kDma})
-      .SortedChannelRows({32, 64})
-      .ReduceBlockTokens({8, 16})
-      .ReduceSms({2, 4});
-  int part1_feasible = 0, part2_feasible = 0;
-  for (const TuneCandidate& c : space.Enumerate(base)) {
-    const sim::TimeNs t1 = SimulateAgMoe(spec, shape, routing, c);
-    if (t1 != Autotuner::kInfeasible) {
-      ++part1_feasible;
-      EXPECT_LE(AgMoeLowerBound(spec, shape, c), t1) << c.Describe();
-    }
-    const sim::TimeNs t2 = SimulateMoeRs(spec, shape, routing, c);
-    if (t2 != Autotuner::kInfeasible) {
-      ++part2_feasible;
-      EXPECT_LE(MoeRsLowerBound(spec, shape, c), t2) << c.Describe();
-    }
-  }
-  EXPECT_GT(part1_feasible, 0);
-  EXPECT_GT(part2_feasible, 0);
-}
-
-TEST(LowerBoundTest, HierRsBoundIsSoundByBruteForce) {
+TEST(ExactSearchTest, GemmHierRsMatchesBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   const MlpPartShape shape{8192, 128, 1024};
   const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
@@ -1213,20 +1142,18 @@ TEST(LowerBoundTest, HierRsBoundIsSoundByBruteForce) {
     if (t == Autotuner::kInfeasible) continue;
     ++feasible;
     best = std::min(best, t);
-    EXPECT_LE(multinode::GemmHierRsLowerBound(spec, shape, c), t)
-        << c.Describe();
   }
   EXPECT_GT(feasible, 0);
-  ExpectExactSearch(multinode::TuneGemmHierRs(spec, shape, space, seed),
-                    best);
+  const TuneResult r = multinode::TuneGemmHierRs(spec, shape, space, seed);
+  ExpectExactSearch(r, best);
+  EXPECT_EQ(r.pruned, 0);
 }
 
-TEST(LowerBoundTest, AgGemmHierBoundIsSoundByBruteForce) {
+TEST(ExactSearchTest, AgGemmHierMatchesBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   // m_per_rank = 128 (one 128-row chunk or two 64-row chunks per rank) and
   // m_per_rank = 256 (two or four): both NIC stream lengths the staging
-  // window and chunk-batching knobs trade against. k = 1024 keeps the GEMM
-  // term large enough that the bound sits within ~2-3x of the simulation.
+  // window and chunk-batching knobs trade against.
   for (const MlpPartShape& shape :
        {MlpPartShape{2048, 1024, 1024}, MlpPartShape{4096, 1024, 768}}) {
     const TuneCandidate seed =
@@ -1239,12 +1166,11 @@ TEST(LowerBoundTest, AgGemmHierBoundIsSoundByBruteForce) {
       if (t == Autotuner::kInfeasible) continue;
       ++feasible;
       best = std::min(best, t);
-      EXPECT_LE(multinode::AgGemmHierLowerBound(spec, shape, c), t)
-          << c.Describe();
     }
     EXPECT_GT(feasible, 0);
-    ExpectExactSearch(multinode::TuneAgGemmHier(spec, shape, space, seed),
-                      best);
+    const TuneResult r = multinode::TuneAgGemmHier(spec, shape, space, seed);
+    ExpectExactSearch(r, best);
+    EXPECT_EQ(r.pruned, 0);
   }
 }
 
