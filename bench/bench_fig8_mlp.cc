@@ -26,6 +26,8 @@ namespace {
 uint64_t g_completion_events = 0;
 uint64_t g_rerates = 0;
 uint64_t g_transfers = 0;
+uint64_t g_wakeups = 0;
+uint64_t g_empty_wakeups = 0;
 
 // Runs `kernel` on every rank of `world`; returns the makespan in ms.
 template <class Kernel>
@@ -36,6 +38,8 @@ double RunMs(rt::World& world, Kernel& kernel) {
     g_completion_events += net->completion_events();
     g_rerates += net->rerated_flows();
     g_transfers += net->total_flows();
+    g_wakeups += net->wakeups();
+    g_empty_wakeups += net->empty_wakeups();
   }
   return ms;
 }
@@ -253,13 +257,21 @@ int main(int argc, char** argv) {
       static_cast<double>(g_completion_events) / transfers;
   const double rerates_per_transfer = static_cast<double>(g_rerates) /
                                       transfers;
+  const double wakeups_per_transfer =
+      static_cast<double>(g_wakeups) / transfers;
+  const double empty_wakeups_per_transfer =
+      static_cast<double>(g_empty_wakeups) / transfers;
   std::printf("\nflow network: %llu completion events for %llu transfers "
-              "(%.2f per transfer), %.2f re-rates per transfer\n",
+              "(%.2f per transfer), %.2f re-rates per transfer, %.3f "
+              "wake-ups per transfer (%.3f empty)\n",
               static_cast<unsigned long long>(g_completion_events),
               static_cast<unsigned long long>(g_transfers), per_transfer,
-              rerates_per_transfer);
+              rerates_per_transfer, wakeups_per_transfer,
+              empty_wakeups_per_transfer);
   report.Record("net.completion_events_per_transfer", per_transfer);
   report.Record("net.rerates_per_transfer", rerates_per_transfer);
+  report.Record("net.wakeups_per_transfer", wakeups_per_transfer);
+  report.Record("net.empty_wakeups_per_transfer", empty_wakeups_per_transfer);
   report.Record("net.transfers", static_cast<double>(g_transfers));
 
   bool tuned_ok = false;

@@ -268,7 +268,10 @@ BENCHMARK(BM_SimulateAgGemmMlp1)->Unit(benchmark::kMillisecond);
 
 // The flow-network rung: FLUX GEMM+RS at fig8 MLP-1, timing-only. Its 132
 // blocks per rank push every output tile as its own transfer, so thousands
-// of small flows contend for the ports. allocs_per_event counts
+// of small flows still contend for each egress port; FLUX's swizzled tile
+// order sends the ranks' pushes to different owners, so no ingress port is
+// a hot spot (84.3 re-rates per flow; 201.6 while all eight ranks pushed
+// to one owner at a time). allocs_per_event counts
 // global operator new calls during the last (warm) RunSpmd (per-block
 // state is the payload's, so a timing-only run builds none);
 // rerates_per_flow the rate recomputations per wire flow.

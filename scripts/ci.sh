@@ -13,8 +13,9 @@
 #      search that stops merging planner-identical kernels), fig11 also if
 #      the simulated two-node dilution leaves the paper's ballpark), plus
 #      the simulator microbenchmarks; the stage checks fig8 reported the
-#      flow network's net.completion_events_per_transfer and
-#      net.rerates_per_transfer keys and
+#      flow network's net.completion_events_per_transfer,
+#      net.rerates_per_transfer, net.wakeups_per_transfer and
+#      net.empty_wakeups_per_transfer keys and
 #      bench_micro_sim the interpreter rung's
 #      BM_SimulateAgGemmMlp1.events_per_s and the wide event-loop rung's
 #      BM_EventLoopWide/1024.items_per_second keys, and gates the
@@ -27,7 +28,10 @@
 #      k-loop falls off the repeated-delay path fails here), its
 #      event-queue pops per event (queue_pops_per_event: a simulator that
 #      stops moving lockstep k-loop repeats as one queued wave fails
-#      here), fig11's cold-sweep full-fidelity candidate count
+#      here), the flow network's work per transfer (fig8's completion
+#      entries and re-rates per transfer, the FLUX GEMM+RS rung's re-rates
+#      per flow: a kernel whose pushes converge on one owner's ingress
+#      fails here), fig11's cold-sweep full-fidelity candidate count
 #      (fig11.tuner.full_evals: a bound that stops pruning fails here) and
 #      the simulations that sweep runs
 #      (fig11.tuner.sims: a search that stops merging planner-identical
@@ -131,8 +135,10 @@ if [[ "$FAST" == "0" ]]; then
   done
   # The flow network's completion-event count is the perf-trajectory key
   # for the simulator hot path; make sure fig8 reported it.
-  # Its re-rates per transfer are the baseline for sharing-rule changes.
-  for key in net.completion_events_per_transfer net.rerates_per_transfer; do
+  # Its re-rates per transfer are the baseline for sharing-rule changes,
+  # its wake-ups (and those that completed no flow) for wake-up changes.
+  for key in net.completion_events_per_transfer net.rerates_per_transfer \
+             net.wakeups_per_transfer net.empty_wakeups_per_transfer; do
     grep -q "\"$key\"" build-ci/BENCH_fig8.json \
         || { echo "missing $key in BENCH_fig8.json"; exit 1; }
   done
@@ -150,7 +156,12 @@ if [[ "$FAST" == "0" ]]; then
   # hot path), a warm park/wake loop not at all. A warm timing-only FLUX
   # GEMM+RS at fig8 MLP-1 allocates 0.0211 per event (0.0381 while every
   # block built its 128 KiB accumulator in timing-only runs too, 2 heap
-  # allocations per block). Coroutine resumes per
+  # allocations per block). The flow network's work: FLUX GEMM+RS at fig8
+  # MLP-1 re-rates 84.34 flows per flow it starts, and the fig8 figure
+  # simulations push 3.880 completion entries and re-rate 78.91 flows per
+  # transfer, with FLUX's tile order swizzled by rank so the ranks' pushes
+  # land on different owners (201.6, 10.465 and 182.38 while all eight
+  # ranks pushed to one owner at a time). Coroutine resumes per
   # interpreter event: 0.3274 with every pure-compute k-loop run as one
   # repeated delay (one resume per tile, not per k-step). Event-queue pops
   # per interpreter event: 0.4325 with lockstep repeats moved as one
@@ -172,6 +183,9 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.0763
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.allocs_per_event 0.0212
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.rerates_per_flow 84.4
+  ceiling build-ci/BENCH_fig8.json net.rerates_per_transfer 79.0
+  ceiling build-ci/BENCH_fig8.json net.completion_events_per_transfer 3.89
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 1164

@@ -1,6 +1,7 @@
 #include "baselines/flux_baselines.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/math_utils.h"
 #include "compute/tile_math.h"
@@ -30,6 +31,23 @@ int64_t TilesForBlock(int64_t total, const Env& env) {
   if (env.block_id >= total) return 0;
   return (total - env.block_id - 1) / env.grid + 1;
 }
+
+// FLUX's swizzled tile order, shared by both kernels: tile t = block_id +
+// iv(0) * grid of a rank's enumeration maps to (m-tile, n-tile), with the
+// m-tiles rotated so the rank's own rows come first. At every step the ranks
+// then work on different row blocks, so their pulls (AG+GEMM) and atomic
+// pushes (GEMM+RS) spread over different peers instead of all converging on
+// one.
+struct TileOrder {
+  int64_t tiles_m;
+  int64_t tiles_n;
+  int64_t tiles_m_per_rank;
+  std::pair<int64_t, int64_t> operator()(const Env& e) const {
+    const int64_t t = e.block_id + e.iv(0) * e.grid;
+    const int64_t tm = (t / tiles_n + e.rank * tiles_m_per_rank) % tiles_m;
+    return {tm, t % tiles_n};
+  }
+};
 
 sim::Coro AwaitKernel(std::shared_ptr<rt::KernelState> state) {
   co_await state->Wait();
@@ -68,21 +86,13 @@ FluxAgGemm::FluxAgGemm(rt::World& world, const FluxConfig& config)
   const int64_t num_tiles = tiles_m * tiles_n;
   const int64_t k_steps = CeilDiv<int64_t>(cfg_.k, tiling.bk);
   const int64_t k = cfg_.k;
-  const int64_t tiles_m_per_rank = tiles_m / R;
   auto shards = a_shards_;
   auto fulls = a_full_;
   auto weights = b_;
   auto outs = c_;
-  // Tile enumeration: m-tiles rotate so local rows go first; pulls are
-  // issued as blocks reach their tiles, so transfers stagger and complete
-  // progressively (cp.async pipelining).
-  auto tid_mn = [=](const Env& e) {
-    const int64_t t = e.block_id + e.iv(0) * e.grid;
-    const int64_t raw_m = t / tiles_n;
-    const int64_t tn = t % tiles_n;
-    const int64_t tm = (raw_m + e.rank * tiles_m_per_rank) % tiles_m;
-    return std::pair<int64_t, int64_t>(tm, tn);
-  };
+  // Local rows go first; pulls are issued as blocks reach their tiles, so
+  // transfers stagger and complete progressively (cp.async pipelining).
+  const TileOrder tid_mn{tiles_m, tiles_n, tiles_m / R};
   TileProgramBuilder b;
   b.For("t", [num_tiles](const Env& e) { return TilesForBlock(num_tiles, e); },
         [&](TileProgramBuilder& body) {
@@ -196,6 +206,10 @@ FluxGemmRs::FluxGemmRs(rt::World& world, const FluxConfig& config)
   const int R = world.size();
   TL_CHECK_EQ(cfg_.m % R, 0);
   const int64_t m_per = cfg_.m / R;
+  // A tile straddling two owners' row blocks would be pushed whole to one.
+  TL_CHECK_MSG(m_per % cfg_.gemm.bm == 0,
+               "per-rank extent " << m_per << " must be a multiple of tile_m "
+                                  << cfg_.gemm.bm);
   for (int r = 0; r < R; ++r) {
     rt::Device& dev = world.device(r);
     a_.push_back(
@@ -222,10 +236,10 @@ FluxGemmRs::FluxGemmRs(rt::World& world, const FluxConfig& config)
   struct Acc {
     std::vector<float> vals;
   };
-  auto tid_mn = [tiles_n](const Env& e) {
-    const int64_t t = e.block_id + e.iv(0) * e.grid;
-    return std::pair<int64_t, int64_t>(t / tiles_n, t % tiles_n);
-  };
+  // FLUX swizzles its tile order: each rank computes its own rows first, so
+  // at every step the ranks' atomic pushes land on different owners and no
+  // owner's ingress carries more than one rank's flows.
+  const TileOrder tid_mn{tiles_m, tiles_n, tiles_m / R};
   TileProgramBuilder b;
   b.Scratch([tiling](const Env&) {
     auto acc = std::make_shared<Acc>();
@@ -296,8 +310,8 @@ FluxGemmRs::FluxGemmRs(rt::World& world, const FluxConfig& config)
                                std::min<int64_t>(tiling.bn,
                                                  staging[0].dim(1) -
                                                      tn * tiling.bn));
-                dst_view.BufferRange(&d.write_lo, &d.write_hi);
-                d.write_buf = dst_view.buffer();
+                tl::SetWriteView(d, dst_view);
+                d.atomic = true;
                 return d;
               },
               /*notify_after=*/nullptr, /*async_dma=*/false,

@@ -10,8 +10,10 @@
 //    inline after the mainloop and the owner reduces. The coupled tile size
 //    and SM-held transfers serialize the scatter behind compute, which is
 //    why FLUX loses to TileLink's hybrid DMA mapping there.
-// Both are built from TileLink's own primitives: FLUX is expressible as a
-// specific (coupled) point of the design space (§3.1).
+// Both enumerate tiles in FLUX's swizzled order, each rank's own rows
+// first, so at every step the ranks' pulls and pushes reach different
+// peers. Both are built from TileLink's own primitives: FLUX is
+// expressible as a specific (coupled) point of the design space (§3.1).
 #pragma once
 
 #include "comm/collectives.h"

@@ -456,16 +456,22 @@ void Network::QueueWake(TimeNs at) {
 }
 
 void Network::OnWake(uint64_t token, uint64_t seq) {
-  if (token != wake_token_) return;  // an earlier wake-up superseded it
+  wakeups_++;
+  if (token != wake_token_) {  // an earlier wake-up superseded it
+    empty_wakeups_++;
+    return;
+  }
   wake_at_ = kNever;
   const TimeNs now = sim_->Now();
   if (NextDue(now) != nullptr && seq != change_seq_ &&
       sim_->HasEventBefore(now, change_seq_)) {
     // A flow change since this wake-up was queued moved the completions
     // behind the events queued in between: let those run first.
+    empty_wakeups_++;
     QueueWake(now);
     return;
   }
+  bool completed = false;
   while (Flow* f = NextDue(now)) {
     due_.pop();
     f->armed = kNever;
@@ -477,11 +483,13 @@ void Network::OnWake(uint64_t token, uint64_t seq) {
       // RemoveFlow, which frees the ports and re-rates; the port is "busy"
       // for zero simulated time after completion.
       f->done.Set(1);
+      completed = true;
     } else {
       f->eta = CompletionTime(now, f->remaining_bytes, f->rate);
       Arm(*f);
     }
   }
+  if (!completed) empty_wakeups_++;
   ArmWake();
 }
 

@@ -182,6 +182,14 @@ class Network {
   uint64_t stale_completions() const { return stale_completions_; }
   // Rate recomputations: flows visited by flow changes and rail rescales.
   uint64_t rerated_flows() const { return rerated_flows_; }
+  // Wake-ups the simulator fired for this fabric, and those that completed
+  // no flow: superseded ones (a queued wake-up is never cancelled, only made
+  // inert), deferrals behind same-time events, and ones whose due entries
+  // went stale or re-armed later. An empty wake-up is still a simulator
+  // event, so a trailing one can move Simulator::Now() past the last
+  // completion; makespans read per-rank finish times and never see it.
+  uint64_t wakeups() const { return wakeups_; }
+  uint64_t empty_wakeups() const { return empty_wakeups_; }
 
  private:
   static constexpr TimeNs kNever = std::numeric_limits<TimeNs>::max();
@@ -299,6 +307,8 @@ class Network {
   uint64_t completion_events_ = 0;
   uint64_t stale_completions_ = 0;
   uint64_t rerated_flows_ = 0;
+  uint64_t wakeups_ = 0;
+  uint64_t empty_wakeups_ = 0;
   uint64_t rail_generation_ = 0;
   const FaultPlan* plan_ = nullptr;  // non-owning, read-only
   FaultStats stats_;

@@ -298,13 +298,13 @@ void RecordWriteRuns(rt::World& world, const DataSpec& d, sim::TimeNs start,
   if (d.write_buf == nullptr || !world.checker().enabled()) return;
   if (d.write_pitch <= 0) {
     world.checker().RecordWrite(d.write_buf, d.write_lo, d.write_hi, start,
-                                end, label);
+                                end, label, d.atomic);
     return;
   }
   for (int64_t lo = d.write_lo; lo < d.write_hi; lo += d.write_pitch) {
     world.checker().RecordWrite(d.write_buf, lo,
                                 std::min(lo + d.write_run, d.write_hi), start,
-                                end, label);
+                                end, label, d.atomic);
   }
 }
 

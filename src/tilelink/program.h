@@ -126,6 +126,9 @@ struct DataSpec {
   // the checker registers the per-row runs instead of the flat range.
   int64_t read_pitch = 0, read_run = 0;
   int64_t write_pitch = 0, write_run = 0;
+  // The write is a commutative accumulation (red.add at the destination):
+  // the checker lets it overlap other atomic writes of the same range.
+  bool atomic = false;
 };
 
 struct Op {

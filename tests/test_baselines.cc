@@ -3,6 +3,8 @@
 // right direction: decomposition pays host sync, non-overlap serializes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/attention_baselines.h"
 #include "baselines/flux_baselines.h"
 #include "baselines/mlp_baselines.h"
@@ -13,6 +15,7 @@
 #include "compute/memops.h"
 #include "compute/tile_math.h"
 #include "runtime/world.h"
+#include "sim/trace.h"
 #include "tensor/tensor_ops.h"
 
 namespace tilelink::baselines {
@@ -169,6 +172,85 @@ TEST(FluxBaselines, GemmRsTimingMatchesFunctional) {
         [&](RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
   };
   EXPECT_EQ(run(ExecMode::kTimingOnly), run(ExecMode::kFunctional));
+}
+
+TEST(FluxBaselines, GemmRsBitExact) {
+  // The swizzled tile order reorders the atomic adds at each owner.
+  // Integer-lattice inputs keep every partial and cross-rank sum an exact
+  // fp32 integer, so the output must match the reference bit for bit in any
+  // order.
+  World world(sim::MachineSpec::Test(kR, 16), ExecMode::kFunctional);
+  world.checker().set_enabled(true);
+  FluxConfig cfg{32 * kR, 24, 40, compute::GemmTiling{32, 16, 8}};
+  FluxGemmRs bench(world, cfg);
+  for (int r = 0; r < kR; ++r) {
+    FillIntLattice(bench.a()[static_cast<size_t>(r)],
+                   /*seed=*/static_cast<uint32_t>(r) * 7919u + 1u);
+    FillIntLattice(bench.b()[static_cast<size_t>(r)],
+                   /*seed=*/static_cast<uint32_t>(r) * 104729u + 3u);
+  }
+  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
+  EXPECT_TRUE(world.checker().violations().empty());
+  Tensor total = GemmRsReference(world, bench.a(), bench.b(), cfg.m, cfg.n);
+  for (int r = 0; r < kR; ++r) {
+    Tensor want = total.Slice(0, r * (cfg.m / kR), cfg.m / kR);
+    EXPECT_TRUE(BitExact(bench.out()[static_cast<size_t>(r)], want))
+        << "rank " << r;
+  }
+}
+
+TEST(FluxBaselines, GemmRsRejectsTilesStraddlingOwners) {
+  // 48 rows per rank against 32-row tiles: the second tile straddles the
+  // row blocks of ranks 0 and 1, and pushing it whole to rank 0 would drop
+  // rank 1's rows.
+  World world(sim::MachineSpec::Test(kR, 16), ExecMode::kFunctional);
+  const FluxConfig cfg{48 * kR, 24, 40, compute::GemmTiling{32, 16, 8}};
+  try {
+    FluxGemmRs bench(world, cfg);
+    FAIL() << "a 48-row block with 32-row tiles was accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("48"), std::string::npos) << what;
+    EXPECT_NE(what.find("32"), std::string::npos) << what;
+  }
+}
+
+TEST(FluxBaselines, GemmRsRankTimelinesIdentical) {
+  // Each rank computes its own rows first, so at every step the eight
+  // ranks push to eight different owners and every rank's timeline is the
+  // same. Unswizzled, all eight pushed to one owner at a time; this is the
+  // smallest fig8-tiled shape (4 steps of 132 tiles per rank) at which the
+  // ranks then ended compute apart (496892..521918 ns; at fig8 MLP-1,
+  // 543649..1669201 ns).
+  constexpr int kRanks = 8;
+  World world(sim::MachineSpec::H800x8(), ExecMode::kTimingOnly);
+  sim::TraceRecorder trace;
+  world.set_trace(&trace);
+  const FluxConfig cfg{4096, 128, 4096, compute::GemmTiling{128, 256, 64}};
+  FluxGemmRs bench(world, cfg);
+  world.RunSpmd([&](RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
+  std::vector<sim::TimeNs> compute_end(kRanks, 0);
+  std::vector<sim::TimeNs> wire_end(kRanks, 0);
+  for (const auto& e : trace.events()) {
+    if (e.phase != sim::TraceRecorder::Phase::kSpan) continue;
+    if (e.category == sim::kCatCompute && e.pid < kRanks) {
+      compute_end[static_cast<size_t>(e.pid)] =
+          std::max(compute_end[static_cast<size_t>(e.pid)], e.end);
+    } else if (e.category == sim::kCatWire) {
+      for (const sim::TraceArg& a : e.args) {
+        if (a.key != "src") continue;
+        sim::TimeNs& end = wire_end[static_cast<size_t>(a.nval)];
+        end = std::max(end, e.end);
+      }
+    }
+  }
+  EXPECT_GT(compute_end[0], 0);
+  EXPECT_GT(wire_end[0], compute_end[0]);
+  for (int r = 1; r < kRanks; ++r) {
+    EXPECT_EQ(compute_end[static_cast<size_t>(r)], compute_end[0])
+        << "rank " << r;
+    EXPECT_EQ(wire_end[static_cast<size_t>(r)], wire_end[0]) << "rank " << r;
+  }
 }
 
 class MoeImplTest : public ::testing::TestWithParam<MoeImpl> {};

@@ -471,6 +471,24 @@ TEST(HotPath, RateRiseSupersedesThePendingCompletion) {
   EXPECT_EQ(net.stale_completions(), 1u);
 }
 
+TEST(HotPath, CountsEmptyWakeUps) {
+  // The scenario above, wake-up by wake-up: at 100 B's early entry re-arms
+  // for 200 (empty); at 200 B completes, queueing a wake-up for A's 2000
+  // entry that B's exit supersedes with one at 1100, where A completes. The
+  // superseded wake-up still fires at 2000 (empty), past the last
+  // completion.
+  Simulator sim;
+  Network net(&sim, 4, kBw, /*latency=*/0, "nvl");
+  TimeNs da = 0, db = 0;
+  sim.Spawn(OneTransfer(&net, 0, 2, 10000, &db, &sim));
+  sim.Spawn(OneTransfer(&net, 0, 1, 100000, &da, &sim));
+  sim.Run();
+  EXPECT_EQ(da, 1100);
+  EXPECT_EQ(net.wakeups(), 4u);
+  EXPECT_EQ(net.empty_wakeups(), 2u);
+  EXPECT_EQ(sim.Now(), 2000);
+}
+
 struct CounterSample {
   uint64_t completion_events = 0;
   uint64_t rerated = 0;
