@@ -10,7 +10,8 @@
 //    crashes, tuned and untuned, tuned never slower than untuned defaults.
 // 5. Measured costs: a tuned estimator times a config its own process's
 //    search measured by the cached cost and re-simulates one loaded from a
-//    file or Put by hand, with bitwise equal answers either way.
+//    file or Put by hand, with bitwise equal answers either way; each cold
+//    cache's document is pinned by its FNV-1a-64 hash.
 // 6. ConfigService / TunedConfigCache: stats aggregation, tuned-vs-seed
 //    geomean >= 1, LRU eviction under SetCapacity, serialization of the new
 //    seed_cost/full_evals fields, and old-format cache files still loading.
@@ -472,6 +473,19 @@ std::string ExpectReuseMatchesResimulation(const EstimatorShape& shape,
   return json;
 }
 
+// FNV-1a-64 of a cache document. The MeasuredCostTest cases pin the hash of
+// their cold cache, so every tuned config, cost, seed cost and evaluation
+// count a cold run stores is pinned too: a rewiring of the searches that
+// moves any of them fails here.
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 TimeFn StepTimes(const std::string& model_name) {
   return [model_name](models::E2eEstimator& est) {
     const models::ModelConfig model = models::GetModel(model_name);
@@ -494,13 +508,16 @@ TimeFn LayerTimes(const std::string& model_name) {
 }
 
 TEST(MeasuredCostTest, DenseStepsMatchALoadedCache) {
-  ExpectReuseMatchesResimulation(EstimatorShape{}, StepTimes("GPT3-6.7B"));
+  const std::string json =
+      ExpectReuseMatchesResimulation(EstimatorShape{}, StepTimes("GPT3-6.7B"));
+  EXPECT_EQ(Fnv1a64(json), 0x2dc67cc74a67b85dull);
 }
 
 TEST(MeasuredCostTest, MoeStepsMatchALoadedCache) {
   const std::string json =
       ExpectReuseMatchesResimulation(EstimatorShape{}, StepTimes("Mixtral-8x7B"));
   EXPECT_NE(json.find("\"ag_moe/"), std::string::npos);
+  EXPECT_EQ(Fnv1a64(json), 0xad9d1a1ba51fa212ull);
 }
 
 TEST(MeasuredCostTest, TwoNodeLayerMatchesALoadedCache) {
@@ -509,6 +526,7 @@ TEST(MeasuredCostTest, TwoNodeLayerMatchesALoadedCache) {
       EstimatorShape{/*tp=*/8, /*batch=*/1, /*seq=*/256, /*two_node=*/true},
       LayerTimes("LLaMA2-7B"));
   EXPECT_NE(json.find("\"dp_sync/"), std::string::npos);
+  EXPECT_EQ(Fnv1a64(json), 0x4a8e62fea7ecfacbull);
 }
 
 TEST(MeasuredCostTest, NodeSpanningTpLayerMatchesALoadedCache) {
@@ -521,6 +539,7 @@ TEST(MeasuredCostTest, NodeSpanningTpLayerMatchesALoadedCache) {
       LayerTimes("LLaMA2-7B"));
   EXPECT_NE(json.find("\"ag_gemm_hier/"), std::string::npos);
   EXPECT_NE(json.find("\"gemm_hier_rs/"), std::string::npos);
+  EXPECT_EQ(Fnv1a64(json), 0x4d92725dd5e0276aull);
 }
 
 // Every cost in `json` replaced by a wrong one, as a file from another
