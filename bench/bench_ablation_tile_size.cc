@@ -25,8 +25,10 @@ int main() {
   space.CommTileM({64, 128, 256, 512, 1024}).CommSms({8, 20, 32});
   tl::Autotuner::Options opts;
   opts.verbose = true;
-  const tl::TuneResult result =
-      tl::TuneAgGemm(spec, shape, space, base, tl::Autotuner(opts));
+  tl::KernelFamily family = tl::AgGemmFamily(spec, shape);
+  family.seed = base;
+  family.space = space;
+  const tl::TuneResult result = tl::Tune(family, tl::Autotuner(opts));
   std::printf("\ndecoupled optimum: %s  %.3f ms\n",
               result.best.Describe().c_str(),
               static_cast<double>(result.best_cost) / 1e6);
@@ -35,7 +37,7 @@ int main() {
   tl::TuneCandidate coupled = base;
   coupled.comm_tile_m = base.gemm.bm;
   coupled.comm_sms = result.best.comm_sms;
-  const sim::TimeNs coupled_cost = tl::SimulateAgGemm(spec, shape, coupled);
+  const sim::TimeNs coupled_cost = family.evaluate(coupled);
   std::printf("coupled (comm tile == GEMM tile %d): %.3f ms  (%.2fx of "
               "decoupled optimum)\n",
               base.gemm.bm, static_cast<double>(coupled_cost) / 1e6,

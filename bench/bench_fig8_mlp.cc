@@ -139,20 +139,24 @@ bool TuneMlp1(const MlpShape& s, double ag_default_ms, double rs_default_ms,
   std::printf("\n=== Autotuned TileLink (%s, TuningSpace::Mlp) ===\n",
               s.name.c_str());
 
-  tl::TuneCandidate ag_base;
-  ag_base.gemm = CoarseTiling(s.h);
-  ag_base.comm = tl::CommResource::kDma;
-  const tl::MlpPartShape ag_shape{s.s, s.h, s.i / R};
-  const tl::TuneResult ag = tl::TuneAgGemm(spec, ag_shape,
-                                           tl::TuningSpace::Mlp(), ag_base);
+  // The figure's own seeds (its coarse tiling, DMA binding, everything
+  // else the candidate defaults) and the training-scale Mlp() space.
+  tl::KernelFamily ag_family =
+      tl::AgGemmFamily(spec, tl::MlpPartShape{s.s, s.h, s.i / R});
+  ag_family.seed = tl::TuneCandidate{};
+  ag_family.seed.gemm = CoarseTiling(s.h);
+  ag_family.seed.comm = tl::CommResource::kDma;
+  ag_family.space = tl::TuningSpace::Mlp();
+  const tl::TuneResult ag = tl::Tune(ag_family);
   PrintTuneStats("AG+GEMM", ag_default_ms, ag);
 
-  tl::TuneCandidate rs_base;
-  rs_base.gemm = CoarseTiling(s.i / R);
-  rs_base.comm = tl::CommResource::kDma;  // hybrid push
-  const tl::MlpPartShape rs_shape{s.s, s.i / R, s.h};
-  const tl::TuneResult rs = tl::TuneGemmRs(spec, rs_shape,
-                                           tl::TuningSpace::Mlp(), rs_base);
+  tl::KernelFamily rs_family =
+      tl::GemmRsFamily(spec, tl::MlpPartShape{s.s, s.i / R, s.h});
+  rs_family.seed = tl::TuneCandidate{};
+  rs_family.seed.gemm = CoarseTiling(s.i / R);
+  rs_family.seed.comm = tl::CommResource::kDma;  // hybrid push
+  rs_family.space = tl::TuningSpace::Mlp();
+  const tl::TuneResult rs = tl::Tune(rs_family);
   PrintTuneStats("GEMM+RS", rs_default_ms, rs);
 
   report->Record("fig8.tuned." + s.name + ".ag_ms",

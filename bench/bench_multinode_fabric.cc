@@ -56,6 +56,14 @@ bool RetriesBalance(const tilelink::sim::FaultStats& f) {
   return f.retries == f.drops + f.timeouts;
 }
 
+// The fused gates' family: the e2e layer seed with its GEMM k-tile pinned
+// at 64 (the layer seed grows bk with k), the tiling the gates' numbers
+// were taken with.
+tilelink::tl::KernelFamily AtGateTiling(tilelink::tl::KernelFamily family) {
+  family.seed.gemm.bk = 64;
+  return family;
+}
+
 bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
                           tilelink::bench::BenchReport* report) {
   using namespace tilelink::multinode;
@@ -129,12 +137,12 @@ bool RunFusedGate(const tilelink::sim::MachineSpec& spec,
       {"out_proj_8k", {8192, 512, 8192}},
   };
   for (const Shape& sh : shapes) {
-    const tl::TuneCandidate seed =
-        DefaultGemmHierRsCandidate(sh.s, spec.num_devices);
-    const sim::TimeNs fused = tl::SimulateGemmRs(spec, sh.s, seed);
+    const tl::KernelFamily family =
+        AtGateTiling(tl::GemmRsFamily(spec, sh.s));
+    const tl::TuneCandidate& seed = family.seed;
+    const sim::TimeNs fused = family.evaluate(seed);
     const sim::TimeNs compose = SimulateGemmThenHierRs(spec, sh.s, seed);
-    const tl::TuneResult tuned = TuneGemmHierRs(
-        spec, sh.s, tl::TuningSpace::GemmHierRs(), seed);
+    const tl::TuneResult tuned = tl::Tune(family);
     const double ratio =
         static_cast<double>(compose) / static_cast<double>(fused);
     std::printf("%-22s %9.3fms %9.3fms %7.2fx %9.3fms  %s\n", sh.name,
@@ -197,12 +205,12 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
   };
   double min_speedup = 0.0;
   for (const Shape& sh : shapes) {
-    const tl::TuneCandidate seed =
-        DefaultAgGemmHierCandidate(sh.s, spec.num_devices);
-    const sim::TimeNs fused = SimulateAgGemmHier(spec, sh.s, seed);
+    const tl::KernelFamily family =
+        AtGateTiling(tl::AgGemmFamily(spec, sh.s));
+    const tl::TuneCandidate& seed = family.seed;
+    const sim::TimeNs fused = family.evaluate(seed);
     const sim::TimeNs compose = SimulateHierAgThenGemm(spec, sh.s, seed);
-    const tl::TuneResult tuned =
-        TuneAgGemmHier(spec, sh.s, tl::TuningSpace::AgGemmHier(), seed);
+    const tl::TuneResult tuned = tl::Tune(family);
     const double ratio =
         static_cast<double>(compose) / static_cast<double>(fused);
     std::printf("%-22s %9.3fms %9.3fms %7.2fx %9.3fms  %s\n", sh.name,
@@ -225,10 +233,10 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
   // block and serialize against the rail).
   {
     rt::World world(spec, rt::ExecMode::kTimingOnly);
+    const tl::KernelFamily family =
+        AtGateTiling(tl::AgGemmFamily(spec, shapes[2].s));
     tl::AgGemmHier kernel(
-        world, AgGemmHierFromCandidate(
-                   shapes[2].s,
-                   DefaultAgGemmHierCandidate(shapes[2].s, spec.num_devices)));
+        world, tl::AgGemmHierFromCandidate(shapes[2].s, family.seed));
     std::printf("  small-m planner col_splits=%d (need > 1)\n",
                 kernel.col_splits());
     report->Record("multinode.ag_fused.small_m_col_splits",
@@ -639,11 +647,10 @@ int main(int argc, char** argv) {
   std::printf("\n=== DP gradient sync: NIC-knob search vs defaults ===\n");
   std::printf("%-12s %13s %13s %9s  %s\n", "grad bytes", "default", "tuned",
               "ratio", "tuned knobs");
-  const tl::TuneCandidate defaults = multinode::DefaultDpSyncCandidate();
   for (uint64_t bytes : {48ull << 20, 128ull << 20, 448ull << 20}) {
-    const sim::TimeNs def = multinode::SimulateDpSync(spec, bytes, defaults);
-    const tl::TuneResult r = multinode::TuneDpSync(
-        spec, bytes, tl::TuningSpace::MultiNode(), defaults);
+    const tl::KernelFamily family = multinode::DpSyncFamily(spec, bytes);
+    const sim::TimeNs def = family.evaluate(family.seed);
+    const tl::TuneResult r = tl::Tune(family);
     const double ratio = static_cast<double>(def) /
                          static_cast<double>(r.best_cost);
     std::printf("%9lluMiB %11.3fms %11.3fms %8.2fx  nic_chunk=%d staging=%d\n",

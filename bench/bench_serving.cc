@@ -20,9 +20,10 @@
 //     bitwise-identical cache contents (ToJson).
 //
 // Search gate: for every MLP shape the serving run actually tuned (parsed
-// back out of the cache keys), the pre-wired search (TuneAgGemm /
-// TuneGemmRs) is re-run against an exhaustive full-fidelity sweep of the
-// same space and must match the exhaustive argmin cost on every shape — a
+// back out of the cache keys), the family's search (tl::Tune on
+// tl::AgGemmFamily / tl::GemmRsFamily) is re-run against an exhaustive
+// full-fidelity sweep of the same space from the same seed and must match
+// the exhaustive argmin cost on every shape — a
 // check that the lower bound never prunes the argmin at real serving
 // shapes. The simulations the searches ran are reported (CI gates them on
 // a ceiling).
@@ -205,19 +206,12 @@ int main(int argc, char** argv) {
   const std::vector<MlpKeyShape> shapes =
       MlpShapesFromCache(service.cache());
   for (const MlpKeyShape& ks : shapes) {
-    const bool is_ag = ks.kind == "ag_gemm";
-    const tl::TuneCandidate seed =
-        is_ag ? models::DefaultAgGemmConfig(ks.shape.m, ks.shape.k, kTp)
-              : models::DefaultGemmRsConfig(ks.shape.m, ks.shape.k, kTp);
-    const tl::TuningSpace space = models::MlpTuningSpaceFor(ks.shape.m, kTp);
-    const tl::TuneResult exhaustive = tuner.Search(
-        space, seed, [&](const tl::TuneCandidate& c) {
-          return is_ag ? tl::SimulateAgGemm(spec, ks.shape, c)
-                       : tl::SimulateGemmRs(spec, ks.shape, c);
-        });
-    const tl::TuneResult tuned =
-        is_ag ? tl::TuneAgGemm(spec, ks.shape, space, seed, tuner)
-              : tl::TuneGemmRs(spec, ks.shape, space, seed, tuner);
+    const tl::KernelFamily f = ks.kind == "ag_gemm"
+                                   ? tl::AgGemmFamily(spec, ks.shape)
+                                   : tl::GemmRsFamily(spec, ks.shape);
+    const tl::TuneResult exhaustive =
+        tuner.Search(f.space, f.seed, f.evaluate);
+    const tl::TuneResult tuned = tl::Tune(f, tuner);
     if (tuned.best_cost != exhaustive.best_cost) {
       std::printf("  search argmin mismatch on %s %lldx%lldx%lld: "
                   "%.3f ms vs exhaustive %.3f ms\n",

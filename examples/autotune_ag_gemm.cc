@@ -30,10 +30,14 @@ int main() {
                   CommResource::kDma})
       .Orders({TileOrder::kRowMajor, TileOrder::kOwnerFirst});
 
+  // The AG+GEMM family at this shape, searched over the space above from
+  // the hand-set seed instead of the e2e layer defaults.
+  KernelFamily family = AgGemmFamily(spec, shape);
+  family.seed = base;
+  family.space = space;
   Autotuner::Options opts;
   opts.verbose = true;
-  const TuneResult result =
-      TuneAgGemm(spec, shape, space, base, Autotuner(opts));
+  const TuneResult result = Tune(family, Autotuner(opts));
 
   std::printf("\nbest: %s  (%.3f us; %zu simulated, %d pruned, %d "
               "infeasible)\n\n",
@@ -55,8 +59,8 @@ int main() {
   AgGemm kernel(world, cfg);
   std::printf("%s", kernel.listing().c_str());
 
-  const sim::TimeNs seed_cost = SimulateAgGemm(spec, shape, base);
-  const sim::TimeNs rerun_cost = SimulateAgGemm(spec, shape, result.best);
+  const sim::TimeNs seed_cost = family.evaluate(base);
+  const sim::TimeNs rerun_cost = family.evaluate(result.best);
   if (result.best_cost > seed_cost) {
     std::fprintf(stderr, "FAIL: tuned %.3f us > seed %.3f us\n",
                  static_cast<double>(result.best_cost) / 1e3,

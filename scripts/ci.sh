@@ -2,11 +2,14 @@
 # CI: tier-1 verify plus the tuned-bench smoke stages.
 #   1. RelWithDebInfo, -Wall -Wextra -Werror (warnings are errors)
 #   2. Debug + AddressSanitizer
-#   3. Debug + ThreadSanitizer: the parallel-search determinism tests —
-#      including the shared read-only FaultPlan retry-path search — and
-#      the tuned-config-cache stress run with real data races reported as
-#      errors (the sharded autotuner and the concurrent cache are the only
-#      multi-threaded code paths).
+#   3. Debug + ThreadSanitizer, with real data races reported as errors:
+#      the parallel-search determinism tests (every kernel family, the
+#      three multi-node ones included, and the shared read-only FaultPlan
+#      retry-path search), the tuned-config-cache stress run, and the e2e
+#      estimator's tuned path (test_serving's MeasuredCostTest at
+#      tune_threads 4: GetOrTune on one shared cache while the autotuner's
+#      pool runs, the estimator's search/resim counters and its memo
+#      mutex). Those three are the multi-threaded code paths.
 #   4. Bench smoke: the autotuned fig8/fig11 benches (each exits nonzero if
 #      any tuned config loses to its hand-picked default, fig8 also if its
 #      MLP-1 searches run no fewer simulations than candidates scored (a
@@ -113,11 +116,13 @@ if [[ "$FAST" == "0" ]]; then
   (cd build-asan && ASAN_OPTIONS=detect_leaks=1 \
       ctest --output-on-failure --timeout 300 -j"$(nproc)")
 
-  echo "=== [3/7] Debug + TSan (parallel search + concurrent cache) ==="
+  echo "=== [3/7] Debug + TSan (parallel search, concurrent cache, tuned estimator) ==="
   cmake -B build-tsan -S . -DTILELINK_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
-  cmake --build build-tsan -j"$(nproc)" --target test_tuning
+  cmake --build build-tsan -j"$(nproc)" --target test_tuning test_serving
   # halt_on_error: a data race fails the stage instead of scrolling past.
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/test_tuning
+  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/test_serving \
+      --gtest_filter='MeasuredCostTest.*'
 
   echo "=== [4/7] Bench smoke (tuned configs must beat hand-picked) ==="
   ./build-ci/bench_micro_sim --json build-ci/BENCH_micro_sim.json

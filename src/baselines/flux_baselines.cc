@@ -6,6 +6,7 @@
 #include "common/math_utils.h"
 #include "compute/tile_math.h"
 #include "tensor/tensor_ops.h"
+#include "tilelink/builder/role_plan.h"
 #include "tilelink/mapping.h"
 #include "tilelink/primitives.h"
 
@@ -34,20 +35,19 @@ int64_t TilesForBlock(int64_t total, const Env& env) {
 
 // FLUX's swizzled tile order, shared by both kernels: tile t = block_id +
 // iv(0) * grid of a rank's enumeration maps to (m-tile, n-tile), with the
-// m-tiles rotated so the rank's own rows come first. At every step the ranks
-// then work on different row blocks, so their pulls (AG+GEMM) and atomic
-// pushes (GEMM+RS) spread over different peers instead of all converging on
-// one.
-struct TileOrder {
-  int64_t tiles_m;
-  int64_t tiles_n;
-  int64_t tiles_m_per_rank;
-  std::pair<int64_t, int64_t> operator()(const Env& e) const {
+// m-tiles rotated owner-first (tl::SwizzleTileM) so the rank's own rows come
+// first. At every step the ranks then work on different row blocks, so
+// their pulls (AG+GEMM) and atomic pushes (GEMM+RS) spread over different
+// peers instead of all converging on one.
+auto FluxTileOrder(int64_t tiles_m, int64_t tiles_n, int ranks) {
+  return [tiles_m, tiles_n, ranks](const Env& e) {
     const int64_t t = e.block_id + e.iv(0) * e.grid;
-    const int64_t tm = (t / tiles_n + e.rank * tiles_m_per_rank) % tiles_m;
-    return {tm, t % tiles_n};
-  }
-};
+    return std::pair<int64_t, int64_t>{
+        tl::SwizzleTileM(t / tiles_n, tiles_m, tiles_m / ranks, e.rank, ranks,
+                         tl::TileOrder::kOwnerFirst),
+        t % tiles_n};
+  };
+}
 
 sim::Coro AwaitKernel(std::shared_ptr<rt::KernelState> state) {
   co_await state->Wait();
@@ -92,7 +92,7 @@ FluxAgGemm::FluxAgGemm(rt::World& world, const FluxConfig& config)
   auto outs = c_;
   // Local rows go first; pulls are issued as blocks reach their tiles, so
   // transfers stagger and complete progressively (cp.async pipelining).
-  const TileOrder tid_mn{tiles_m, tiles_n, tiles_m / R};
+  const auto tid_mn = FluxTileOrder(tiles_m, tiles_n, R);
   TileProgramBuilder b;
   b.For("t", [num_tiles](const Env& e) { return TilesForBlock(num_tiles, e); },
         [&](TileProgramBuilder& body) {
@@ -239,7 +239,7 @@ FluxGemmRs::FluxGemmRs(rt::World& world, const FluxConfig& config)
   // FLUX swizzles its tile order: each rank computes its own rows first, so
   // at every step the ranks' atomic pushes land on different owners and no
   // owner's ingress carries more than one rank's flows.
-  const TileOrder tid_mn{tiles_m, tiles_n, tiles_m / R};
+  const auto tid_mn = FluxTileOrder(tiles_m, tiles_n, R);
   TileProgramBuilder b;
   b.Scratch([tiling](const Env&) {
     auto acc = std::make_shared<Acc>();

@@ -1,6 +1,7 @@
 #include "models/transformer.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "baselines/mlp_baselines.h"
 #include "baselines/moe_baselines.h"
@@ -10,7 +11,6 @@
 #include "common/string_utils.h"
 #include "runtime/world.h"
 #include "sim/cost_model.h"
-#include "tilelink/builder/tuning_space.h"
 #include "tilelink/multinode/multinode_tuning.h"
 
 namespace tilelink::models {
@@ -19,76 +19,8 @@ namespace {
 // Seed for the deterministic MoE routing every MoE simulation shares.
 constexpr uint64_t kMoeRoutingSeed = 1234;
 
-// Coarse tiling for big shapes: total simulated GEMM time is invariant in
-// bk (tile-step cost is linear in FLOPs), so a large bk shrinks event
-// counts without changing results.
-compute::GemmTiling CoarseTiling(int64_t k) {
-  compute::GemmTiling t{128, 256, 64};
-  t.bk = static_cast<int>(std::max<int64_t>(64, RoundUp<int64_t>(k / 8, 64)));
-  return t;
-}
-
 rt::World MakeWorld(const sim::MachineSpec& spec) {
   return rt::World(spec, rt::ExecMode::kTimingOnly);
-}
-
-// Adapts the hand-picked comm tiling to the per-rank shard: the largest
-// power-of-two comm tile <= the requested one that divides the shard, then
-// the largest channel count <= the requested one that divides the tiles.
-// Training-scale shapes (shards that are multiples of 128 rows) keep the
-// paper defaults untouched; serving-path shards padded to 32 rows shrink
-// until the StaticMapping divisibility constraints hold.
-void AdaptCommTiling(int64_t m, int tp, tl::TuneCandidate* c) {
-  const int64_t per_rank = m / std::max(tp, 1);
-  int tile = c->comm_tile_m;
-  while (tile > 1 && per_rank % tile != 0) tile /= 2;
-  c->comm_tile_m = tile;
-  if (c->channels_per_rank > 0) {
-    const int64_t tiles_per_rank = std::max<int64_t>(1, per_rank / tile);
-    int cpr = c->channels_per_rank;
-    while (cpr > 1 && tiles_per_rank % cpr != 0) cpr /= 2;
-    c->channels_per_rank = cpr;
-  }
-}
-
-// ---- Hand-picked TileLink configs (the paper's figure defaults, adapted
-// to shapes the defaults cannot tile). These seed every tuner search, so
-// tuned configs can only improve on them. --------------------------------
-
-tl::TuneCandidate HandPickedFlash() {
-  tl::TuneCandidate c;
-  c.block_q = 128;
-  c.block_kv = 1024;  // coarse: time is linear in kv extent
-  return c;
-}
-
-tl::TuneCandidate HandPickedMoePart1(int64_t m, int tp, int64_t hidden) {
-  tl::TuneCandidate c;
-  c.gemm = CoarseTiling(hidden);
-  c.gemm.bn = 128;
-  c.comm_tile_m = 128;
-  c.channels_per_rank = 4;
-  c.comm = tl::CommResource::kSmPull;  // matches bench_fig9 tuning
-  // Large-batch e2e shapes are compute-dominated: keep the comm role lean.
-  c.comm_sms = 8;
-  AdaptCommTiling(m, tp, &c);
-  return c;
-}
-
-tl::TuneCandidate HandPickedMoePart2(int64_t m, int tp, int64_t inner) {
-  tl::TuneCandidate c;
-  c.gemm = CoarseTiling(inner);
-  c.gemm.bn = 128;
-  c.sorted_channel_rows = 2048;
-  const int64_t per_rank = m / std::max(tp, 1);
-  int rs_base = 128;
-  while (rs_base > 1 && per_rank % rs_base != 0) rs_base /= 2;
-  c.comm_tile_m = tl::RsBlockRows(per_rank, rs_base);
-  c.reduce_block_tokens = std::min(128, c.comm_tile_m);
-  c.comm = tl::CommResource::kSmPush;  // matches bench_fig9 tuning
-  c.comm_sms = 8;
-  c.reduce_sms = 8;
-  return c;
 }
 
 // Packs a search result into a cache entry, carrying the seed anchor and
@@ -102,36 +34,6 @@ tl::TunedEntry EntryFromResult(const tl::TuneResult& r,
 }
 
 }  // namespace
-
-tl::TuneCandidate DefaultAgGemmConfig(int64_t m, int64_t k, int tp) {
-  tl::TuneCandidate c;
-  c.gemm = CoarseTiling(k);
-  c.comm_tile_m = 128;
-  c.channels_per_rank = 4;
-  c.comm = tl::CommResource::kDma;  // the paper's generated AG+GEMM
-  AdaptCommTiling(m, tp, &c);
-  return c;
-}
-
-tl::TuneCandidate DefaultGemmRsConfig(int64_t m, int64_t k, int tp) {
-  tl::TuneCandidate c;
-  c.gemm = CoarseTiling(k);
-  // bm must divide the RS chunk, which must divide the per-rank shard:
-  // shrink the GEMM row tile until the chunk rule has something to work
-  // with (a no-op for training-scale shards).
-  const int64_t per_rank = m / std::max(tp, 1);
-  while (c.gemm.bm > 1 && per_rank % c.gemm.bm != 0) c.gemm.bm /= 2;
-  c.comm_tile_m = tl::RsBlockRows(per_rank, c.gemm.bm);
-  c.comm = tl::CommResource::kDma;  // hybrid push (paper's best for GEMM+RS)
-  c.order = tl::TileOrder::kNextRankFirst;
-  return c;
-}
-
-tl::TuningSpace MlpTuningSpaceFor(int64_t m, int tp) {
-  const int64_t per_rank = m / std::max(tp, 1);
-  return per_rank < 1024 ? tl::TuningSpace::ServingMlp()
-                         : tl::TuningSpace::Mlp();
-}
 
 E2eEstimator::E2eEstimator(int tp, int64_t batch, int64_t seq, bool two_node)
     : tp_(tp), batch_(batch), seq_(seq), two_node_(two_node) {
@@ -155,20 +57,42 @@ tl::Autotuner E2eEstimator::Tuner() const {
   return tl::Autotuner(opts);
 }
 
-sim::TimeNs E2eEstimator::TunedTime(
-    const std::string& key, const std::function<tl::TuneResult()>& search,
-    const std::function<sim::TimeNs(const tl::TuneCandidate&)>& simulate) {
-  bool measured = false;
-  const tl::TunedEntry e = tuned_cache_->GetOrTune(
-      key, [&] { return EntryFromResult(search(), &search_sims_); },
-      &measured);
-  if (measured) return e.cost;
-  // An entry loaded from a file: the key's calibration hash invalidates
-  // cost-model recalibrations, but simulator/evaluator *code* changes leave
-  // keys intact, so its stored cost is not trusted (the config may then be
-  // stale-suboptimal, but never mis-timed).
-  resims_.fetch_add(1, std::memory_order_relaxed);
-  return simulate(e.config);
+tl::TunedEntry E2eEstimator::Cached(const tl::KernelFamily& f,
+                                    bool* measured) {
+  return tuned_cache_->GetOrTune(
+      f.Key(),
+      [&] { return EntryFromResult(tl::Tune(f, Tuner()), &search_sims_); },
+      measured);
+}
+
+sim::TimeNs E2eEstimator::Timed(const tl::KernelFamily& f) {
+  sim::TimeNs t = 0;
+  if (!tuning_enabled()) {
+    t = f.evaluate(f.seed);
+  } else {
+    bool measured = false;
+    const tl::TunedEntry e = Cached(f, &measured);
+    if (measured) {
+      t = e.cost;
+    } else {
+      // An entry loaded from a file: the key's calibration hash invalidates
+      // cost-model recalibrations, but simulator/evaluator *code* changes
+      // leave keys intact, so its stored cost is not trusted (the config may
+      // then be stale-suboptimal, but never mis-timed).
+      resims_.fetch_add(1, std::memory_order_relaxed);
+      t = f.evaluate(e.config);
+    }
+  }
+  TL_CHECK_MSG(t != tl::Autotuner::kInfeasible,
+               StrFormat("E2eEstimator: %s config for %s is infeasible",
+                         tuning_enabled() ? "the tuned" : "the seed",
+                         f.Key().c_str()));
+  return t;
+}
+
+tl::TuneCandidate E2eEstimator::TunedConfig(const tl::KernelFamily& f) {
+  if (!tuning_enabled()) return f.seed;
+  return Cached(f, nullptr).config;
 }
 
 bool E2eEstimator::Lookup(const std::string& key, sim::TimeNs* t) {
@@ -213,49 +137,12 @@ sim::TimeNs E2eEstimator::TimeAgGemm(Method method, int64_t m, int64_t k,
   const sim::MachineSpec spec = Spec();
   if (method == Method::kTorch) {
     rt::World world = MakeWorld(spec);
-    baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
+    baselines::MlpPartConfig cfg{m, k, n, tl::LayerTiling(k)};
     baselines::NonOverlapAgGemm bench(world, cfg);
     t = world.RunSpmd(
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
   } else {
-    const tl::MlpPartShape shape{m, k, n};
-    // TP spanning the node boundary runs the generated fused hierarchical
-    // AG + GEMM kernel (NIC rail + node-local NVLink ring in one kernel);
-    // single-node TP — and multi-node shapes too small for its chunking —
-    // run the single-fabric AgGemm (the spec in the cache key separates
-    // multi-node fallback searches from the single-node ones).
-    const tl::TuneCandidate seed = multinode::DefaultAgGemmHierCandidate(
-        shape, tp_, CoarseTiling(k));
-    const bool fused = spec.num_nodes() > 1 &&
-                       multinode::AgGemmHierFeasible(spec, shape, seed);
-    if (fused && tuned) {
-      t = TunedTime(
-          tl::TunedConfigCache::Key("ag_gemm_hier", {m, k, n}, spec),
-          [&] {
-            return multinode::TuneAgGemmHier(
-                spec, shape, tl::TuningSpace::AgGemmHier(), seed, Tuner());
-          },
-          [&](const tl::TuneCandidate& c) {
-            return multinode::SimulateAgGemmHier(spec, shape, c);
-          });
-    } else if (fused) {
-      t = multinode::SimulateAgGemmHier(spec, shape, seed);
-    } else if (tuned) {
-      // A cached config is timed by its measured cost when a search in
-      // this process produced it and re-simulated when it came from a file
-      // (see TunedTime).
-      t = TunedTime(
-          tl::TunedConfigCache::Key("ag_gemm", {m, k, n}, spec),
-          [&] {
-            return tl::TuneAgGemm(spec, shape, MlpTuningSpaceFor(m, tp_),
-                                  DefaultAgGemmConfig(m, k, tp_), Tuner());
-          },
-          [&](const tl::TuneCandidate& c) {
-            return tl::SimulateAgGemm(spec, shape, c);
-          });
-    } else {
-      t = tl::SimulateAgGemm(spec, shape, DefaultAgGemmConfig(m, k, tp_));
-    }
+    t = Timed(tl::AgGemmFamily(spec, tl::MlpPartShape{m, k, n}));
   }
   return Store(key, t);
 }
@@ -271,43 +158,12 @@ sim::TimeNs E2eEstimator::TimeGemmRs(Method method, int64_t m, int64_t k,
   const sim::MachineSpec spec = Spec();
   if (method == Method::kTorch) {
     rt::World world = MakeWorld(spec);
-    baselines::MlpPartConfig cfg{m, k, n, CoarseTiling(k)};
+    baselines::MlpPartConfig cfg{m, k, n, tl::LayerTiling(k)};
     baselines::NonOverlapGemmRs bench(world, cfg);
     t = world.RunSpmd(
         [&](rt::RankCtx& ctx) -> sim::Coro { co_await bench.Run(ctx); });
   } else {
-    const tl::MlpPartShape shape{m, k, n};
-    // One GEMM+RS kernel at every TP width; the topology picks the search.
-    // TP spanning the node boundary adds the NIC rail to the kernel and
-    // searches the joint GEMM x NIC space from the two-node seed; one-node
-    // TP searches the MLP space.
-    const bool spans_nodes = spec.num_nodes() > 1;
-    const tl::TuneCandidate seed =
-        spans_nodes ? multinode::DefaultGemmHierRsCandidate(shape, tp_,
-                                                            CoarseTiling(k))
-                    : DefaultGemmRsConfig(m, k, tp_);
-    auto simulate = [&](const tl::TuneCandidate& c) {
-      return tl::SimulateGemmRs(spec, shape, c);
-    };
-    if (!tuned) {
-      t = simulate(seed);
-    } else if (spans_nodes) {
-      t = TunedTime(
-          tl::TunedConfigCache::Key("gemm_hier_rs", {m, k, n}, spec),
-          [&] {
-            return multinode::TuneGemmHierRs(
-                spec, shape, tl::TuningSpace::GemmHierRs(), seed, Tuner());
-          },
-          simulate);
-    } else {
-      t = TunedTime(
-          tl::TunedConfigCache::Key("gemm_rs", {m, k, n}, spec),
-          [&] {
-            return tl::TuneGemmRs(spec, shape, MlpTuningSpaceFor(m, tp_),
-                                  seed, Tuner());
-          },
-          simulate);
-    }
+    t = Timed(tl::GemmRsFamily(spec, tl::MlpPartShape{m, k, n}));
   }
   return Store(key, t);
 }
@@ -324,22 +180,8 @@ sim::TimeNs E2eEstimator::TimeFlashCore(int64_t bh, int64_t sq, int64_t skv,
                 (long long)sq, (long long)skv, (long long)d);
   sim::TimeNs t = 0;
   if (Lookup(key, &t)) return t;
-  const sim::MachineSpec spec = Spec();
-  const tl::FlashShape shape{bh, sq, skv, d};
-  if (tuned) {
-    t = TunedTime(
-        tl::TunedConfigCache::Key("flash_core", {bh, sq, skv, d}, spec),
-        [&] {
-          return tl::TuneFlashCore(spec, shape, tl::TuningSpace::Attention(),
-                                   HandPickedFlash(), Tuner());
-        },
-        [&](const tl::TuneCandidate& c) {
-          return tl::SimulateFlashCore(spec, shape, c);
-        });
-  } else {
-    t = tl::SimulateFlashCore(spec, shape, HandPickedFlash());
-  }
-  return Store(key, t);
+  return Store(key, Timed(tl::FlashCoreFamily(Spec(),
+                                              tl::FlashShape{bh, sq, skv, d})));
 }
 
 sim::TimeNs E2eEstimator::TimeActivation(int64_t m, int64_t n) {
@@ -363,8 +205,8 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
   const sim::MachineSpec spec = Spec();
   const int64_t inner = std::max<int64_t>(1, model.intermediate / tp_);
   Rng rng(kMoeRoutingSeed);
-  compute::MoeRouting routing =
-      compute::RandomRouting(m, model.num_experts, model.topk, rng);
+  const auto routing = std::make_shared<const compute::MoeRouting>(
+      compute::RandomRouting(m, model.num_experts, model.topk, rng));
   if (method == Method::kTorch) {
     // Framework baseline: eager PyTorch MoE — a per-expert GEMM loop with
     // host-blocking index bookkeeping and unfused gather/scatter (this is
@@ -372,12 +214,12 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
     // come from replacing exactly this).
     rt::World world = MakeWorld(spec);
     baselines::MoePartConfig cfg{m, model.hidden, inner, model.num_experts,
-                                 model.topk, CoarseTiling(model.hidden)};
-    baselines::MoePart1 part1(world, cfg, routing,
+                                 model.topk, tl::LayerTiling(model.hidden)};
+    baselines::MoePart1 part1(world, cfg, *routing,
                               baselines::MoeImpl::kCublas);
     baselines::MoePartConfig cfg2 = cfg;
-    cfg2.gemm = CoarseTiling(inner);
-    baselines::MoePart2 part2(world, cfg2, routing,
+    cfg2.gemm = tl::LayerTiling(inner);
+    baselines::MoePart2 part2(world, cfg2, *routing,
                               baselines::MoeImpl::kCublas);
     t = world.RunSpmd([&](rt::RankCtx& ctx) -> sim::Coro {
       co_await part1.Run(ctx);
@@ -386,39 +228,18 @@ sim::TimeNs E2eEstimator::TimeMoe(Method method, const ModelConfig& model,
   } else {
     const tl::MoeShape shape{m, model.hidden, inner, model.num_experts,
                              model.topk};
-    tl::TuneCandidate part1 = HandPickedMoePart1(m, tp_, model.hidden);
-    tl::TuneCandidate part2 = HandPickedMoePart2(m, tp_, inner);
-    if (tuned) {
-      const auto dims = {m, model.hidden, inner,
-                         static_cast<int64_t>(model.num_experts),
-                         static_cast<int64_t>(model.topk),
-                         static_cast<int64_t>(kMoeRoutingSeed)};
-      part1 =
-          tuned_cache_
-              ->GetOrTune(
-                  tl::TunedConfigCache::Key("ag_moe", dims, spec),
-                  [&] {
-                    const tl::TuningSpace space = tl::TuningSpace::MoePart1();
-                    const tl::TuneResult r = tl::TuneAgMoe(
-                        spec, shape, routing, space, part1, Tuner());
-                    return EntryFromResult(r, &search_sims_);
-                  })
-              .config;
-      part2 =
-          tuned_cache_
-              ->GetOrTune(
-                  tl::TunedConfigCache::Key("moe_rs", dims, spec),
-                  [&] {
-                    const tl::TuningSpace space = tl::TuningSpace::MoePart2();
-                    const tl::TuneResult r = tl::TuneMoeRs(
-                        spec, shape, routing, space, part2, Tuner());
-                    return EntryFromResult(r, &search_sims_);
-                  })
-              .config;
-    }
+    const tl::TuneCandidate part1 = TunedConfig(
+        tl::AgMoeFamily(spec, shape, routing, kMoeRoutingSeed));
+    const tl::TuneCandidate part2 = TunedConfig(
+        tl::MoeRsFamily(spec, shape, routing, kMoeRoutingSeed));
     // Both parts chained per rank inside one world, exactly as the fused
     // MoE layer executes (no global barrier between the parts).
-    t = tl::SimulateMoeLayer(spec, shape, routing, part1, part2);
+    t = tl::SimulateMoeLayer(spec, shape, *routing, part1, part2);
+    TL_CHECK_MSG(t != tl::Autotuner::kInfeasible,
+                 StrFormat("E2eEstimator: the %s MoE layer config for %s at "
+                           "%lld tokens is infeasible",
+                           tuned ? "tuned" : "seed", model.name.c_str(),
+                           (long long)m));
   }
   t += TimeActivation(m * model.topk, inner);
   return Store(key, t);
@@ -435,25 +256,8 @@ sim::TimeNs E2eEstimator::TimeDpSync(const ModelConfig& model) {
       StrFormat("dp/%d/%llu", tuned ? 1 : 0, (unsigned long long)grad_bytes);
   sim::TimeNs t = 0;
   if (Lookup(key, &t)) return t;
-  const sim::MachineSpec spec = TwoNodeSpec();
-  if (tuned) {
-    t = TunedTime(
-        tl::TunedConfigCache::Key(
-            "dp_sync", {static_cast<int64_t>(grad_bytes)}, spec),
-        [&] {
-          return multinode::TuneDpSync(spec, grad_bytes,
-                                       tl::TuningSpace::MultiNode(),
-                                       multinode::DefaultDpSyncCandidate(),
-                                       Tuner());
-        },
-        [&](const tl::TuneCandidate& c) {
-          return multinode::SimulateDpSync(spec, grad_bytes, c);
-        });
-  } else {
-    t = multinode::SimulateDpSync(spec, grad_bytes,
-                                  multinode::DefaultDpSyncCandidate());
-  }
-  return Store(key, t);
+  return Store(key,
+               Timed(multinode::DpSyncFamily(TwoNodeSpec(), grad_bytes)));
 }
 
 LayerBreakdown E2eEstimator::LayerTime(const ModelConfig& model,

@@ -14,7 +14,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -67,23 +66,14 @@ struct ServingStep {
   friend bool operator==(const ServingStep&, const ServingStep&) = default;
 };
 
-// Hand-picked serving-path seed configs and spaces, exported so the serving
-// bench's search gates and tests search exactly what the estimator searches.
-// They reduce to the paper's figure defaults at training-scale shapes and
-// adapt the comm tiling to per-rank shards too small for them (ragged
-// decode batches), so the seed is feasible for every padded serving shape.
-tl::TuneCandidate DefaultAgGemmConfig(int64_t m, int64_t k, int tp);
-tl::TuneCandidate DefaultGemmRsConfig(int64_t m, int64_t k, int tp);
-// Mlp() for training-scale per-rank shards, ServingMlp() below 1024 rows.
-tl::TuningSpace MlpTuningSpaceFor(int64_t m, int tp);
-
 class E2eEstimator {
  public:
   // tp = tensor-parallel degree. Up to 8 the TP group lives in one node; a
   // wider group (the 16-GPU TP layers) must fill whole nodes (TL_CHECKed)
-  // and spans them on the NIC fabric: the row-parallel projections' GemmRs
-  // then adds its NIC rail roles and is searched over the joint GEMM x NIC
-  // space (multinode::TuneGemmHierRs).
+  // and spans them on the NIC fabric: the column-parallel projections then
+  // run ag_gemm_hier and the row-parallel ones GemmRs with its NIC rail
+  // roles (the families tl::AgGemmFamily and tl::GemmRsFamily build for a
+  // world spanning nodes).
   // two_node adds the inter-node data-parallel synchronization of the
   // paper's 16-GPU setup (batch doubles, per-GPU work unchanged): a
   // simulated per-layer gradient AllReduce across the node-spanning DP
@@ -92,24 +82,24 @@ class E2eEstimator {
   E2eEstimator(int tp, int64_t batch, int64_t seq, bool two_node);
 
   // Obtain every TileLink kernel config from Autotuner::Search through the
-  // per-shape `cache` (not owned; must outlive the estimator) instead of
-  // the hand-picked defaults. The hand-picked config seeds each search, so
-  // a tuned component is never slower than its default. A config a search
-  // in this process measured is timed by its cached cost, which is that
-  // same full-fidelity simulation; a config loaded from a file (or Put by
-  // hand) is re-simulated, since the code that measured its cost may
-  // differ from the code now running (resims() counts those). MoE layers
-  // always simulate their two tuned parts chained. `tune_threads` is
-  // forwarded to every Autotuner (parallel candidate evaluation; any value
-  // yields bitwise-identical tuned configs). The estimator itself is
-  // thread-safe once tuning is enabled — the memo map is mutex'd and the
-  // cache is internally synchronized — so independent layers/models can be
-  // timed from concurrent threads against one shared cache. Offline benches
-  // and the serving path run the same cold search (each Tune*()'s
-  // Autotuner::Search: full fidelity, bound-ordered and bound-pruned for
-  // the families that carry a bound, after a successive-halving round only
-  // for the MoE and attention families), so
-  // a shape tunes to the same config whichever caller reaches it first.
+  // per-shape `cache` (not owned; must outlive the estimator) instead of the
+  // hand-picked defaults. Each component is a tl::KernelFamily whose
+  // hand-picked seed anchors its search, so a tuned component is never slower
+  // than its default. A config a search in this process measured is timed by
+  // its cached cost, which is that same full-fidelity simulation; a config
+  // loaded from a file (or Put by hand) is re-simulated, since the code that
+  // measured its cost may differ from the code now running (resims() counts
+  // those). MoE layers always simulate their two tuned parts chained.
+  // `tune_threads` is forwarded to every Autotuner (parallel candidate
+  // evaluation; any value yields bitwise-identical tuned configs). The
+  // estimator itself is thread-safe once tuning is enabled — the memo map is
+  // mutex'd and the cache is internally synchronized — so independent
+  // layers/models can be timed from concurrent threads against one shared
+  // cache. Offline benches and the serving path run the same cold search
+  // (tl::Tune on the family: full fidelity, bound-ordered and bound-pruned
+  // for the families that carry a bound, after a successive-halving round
+  // only for the MoE, attention and DP-sync families), so a shape tunes to
+  // the same config whichever caller reaches it first.
   void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }
 
@@ -147,12 +137,16 @@ class E2eEstimator {
   sim::MachineSpec TwoNodeSpec() const;
   tl::Autotuner Tuner() const;
 
-  // Time of the tuned config cached under `key`, running `search` on a
-  // miss: the entry's cost when this process measured it, else
-  // `simulate(config)`.
-  sim::TimeNs TunedTime(
-      const std::string& key, const std::function<tl::TuneResult()>& search,
-      const std::function<sim::TimeNs(const tl::TuneCandidate&)>& simulate);
+  // The one path every TileLink component takes. Timed(f): untuned, the
+  // seed's simulation; tuned, the config cached under f.Key() (searched
+  // with tl::Tune on a miss), timed by its cost when this process measured
+  // it, else simulated again. Throws when the time is infeasible.
+  // TunedConfig(f): just the config (the seed when untuned), for the MoE
+  // layer, whose two parts simulate chained.
+  sim::TimeNs Timed(const tl::KernelFamily& f);
+  tl::TuneCandidate TunedConfig(const tl::KernelFamily& f);
+  // GetOrTune on f.Key(); *measured receives the entry's mark.
+  tl::TunedEntry Cached(const tl::KernelFamily& f, bool* measured);
 
   // Memoization helpers: Lookup returns true (and the memoized time) on a
   // hit; Store records the freshly simulated time. Racing Store calls for

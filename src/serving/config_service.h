@@ -1,7 +1,7 @@
 // Online config service: the serving-facing facade over TunedConfigCache.
 // A replica attaches its estimator once; after that every cold config
-// lookup runs the estimator's one cold search (each Tune*()'s
-// Autotuner::Search: bound-pruned full fidelity, after a halving round only
+// lookup runs the estimator's one cold search (tl::Tune on the kernel's
+// tl::KernelFamily: bound-pruned full fidelity, after a halving round only
 // where the coarse sim shrinks the problem) and every warm lookup is a
 // concurrency-safe cache hit. The service owns the eviction policy (LRU
 // capacity) and aggregates the operational stats the serving bench gates:

@@ -219,7 +219,7 @@ bool ParseEntryObject(JsonScanner& scan, TunedEntry* entry) {
 }  // namespace
 
 std::string TunedConfigCache::Key(const std::string& kind,
-                                  std::initializer_list<int64_t> dims,
+                                  const std::vector<int64_t>& dims,
                                   const sim::MachineSpec& spec) {
   std::ostringstream os;
   os << kind << "/";

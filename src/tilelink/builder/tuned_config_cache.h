@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <set>
@@ -85,7 +84,7 @@ class TunedConfigCache {
   // "kind/d0xd1x.../R8.n8.sm132.nv150.c<hash>": stable, human-greppable
   // key; the trailing component is CostCalibrationHash(spec).
   static std::string Key(const std::string& kind,
-                         std::initializer_list<int64_t> dims,
+                         const std::vector<int64_t>& dims,
                          const sim::MachineSpec& spec);
 
   // nullptr on miss. The pointer is invalidated by Put/LoadJson.

@@ -42,13 +42,6 @@ sim::TimeNs RunCollective(const sim::MachineSpec& spec, int64_t num_tiles,
 
 }  // namespace
 
-tl::TuneCandidate DefaultDpSyncCandidate() {
-  tl::TuneCandidate c;
-  c.nic_chunk_tiles = 4;
-  c.staging_depth = 2;
-  return c;
-}
-
 uint64_t LayerGradBytes(const models::ModelConfig& model, int tp) {
   const int64_t h = model.hidden;
   // Attention: QKV projection (column parallel) + out projection (row
@@ -101,26 +94,30 @@ sim::TimeNs SimulateDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
                                     HierConfig::FromCandidate(c));
 }
 
-tl::TuneResult TuneDpSync(const sim::MachineSpec& spec, uint64_t grad_bytes,
-                          const tl::TuningSpace& space,
-                          const tl::TuneCandidate& base,
-                          const tl::Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const tl::TuneCandidate& c) {
-        return SimulateDpSync(spec, grad_bytes, c);
-      },
-      nullptr,
-      [&](const tl::TuneCandidate& c) {
-        // Quarter volume preserves the chunking/staging ranking at a
-        // fraction of the events (chunk counts shrink 4x with the buffer).
-        return SimulateDpSync(
-            spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20), c);
-      });
+tl::KernelFamily DpSyncFamily(const sim::MachineSpec& spec,
+                              uint64_t grad_bytes) {
+  tl::KernelFamily f;
+  f.kind = "dp_sync";
+  f.dims = {static_cast<int64_t>(grad_bytes)};
+  f.spec = spec;
+  f.seed.nic_chunk_tiles = 4;
+  f.seed.staging_depth = 2;
+  f.space = tl::TuningSpace::MultiNode();
+  f.feasible = [](const tl::TuneCandidate&) { return true; };
+  f.evaluate = [spec, grad_bytes](const tl::TuneCandidate& c) {
+    return SimulateDpSync(spec, grad_bytes, c);
+  };
+  f.coarse = [spec, grad_bytes](const tl::TuneCandidate& c) {
+    // Quarter volume preserves the chunking/staging ranking at a fraction
+    // of the events (chunk counts shrink 4x with the buffer).
+    return SimulateDpSync(spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20),
+                          c);
+  };
+  return f;
 }
 
 // ---------------------------------------------------------------------------
-// Fused GEMM + hierarchical ReduceScatter
+// Layer-level compose baselines
 // ---------------------------------------------------------------------------
 namespace {
 
@@ -176,27 +173,6 @@ class GemmOnly : public tl::FusedKernelBase {
 
 }  // namespace
 
-tl::TuneCandidate DefaultGemmHierRsCandidate(const tl::MlpPartShape& shape,
-                                             int tp,
-                                             const compute::GemmTiling& tiling) {
-  tl::TuneCandidate c;
-  c.gemm = tiling;
-  // SM push: the copy-engine efficiency penalty costs more than the SM
-  // stall here because the ring role's blocks double as reduce bandwidth.
-  c.comm = tl::CommResource::kSmPush;
-  c.order = tl::TileOrder::kNextRankFirst;
-  c.nic_chunk_tiles = 2;
-  c.staging_depth = 2;
-  c.reduce_sms = 8;
-  // Ring chunk rows: the shared layer-default rule, derived from the
-  // tiling the kernel will actually run. bm must divide the chunk, which
-  // must divide the per-rank shard (a no-op for training-scale shards).
-  const int64_t m_per_rank = std::max<int64_t>(1, shape.m / std::max(1, tp));
-  while (c.gemm.bm > 1 && m_per_rank % c.gemm.bm != 0) c.gemm.bm /= 2;
-  c.comm_tile_m = tl::RsBlockRows(m_per_rank, c.gemm.bm);
-  return c;
-}
-
 sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
                                    const tl::MlpPartShape& shape,
                                    const tl::TuneCandidate& c) {
@@ -216,91 +192,12 @@ sim::TimeNs SimulateGemmThenHierRs(const sim::MachineSpec& spec,
   });
 }
 
-// ---------------------------------------------------------------------------
-// Fused hierarchical AllGather + GEMM
-// ---------------------------------------------------------------------------
-bool AgGemmHierFeasible(const sim::MachineSpec& spec,
-                        const tl::MlpPartShape& s, const tl::TuneCandidate& c) {
-  const int R = spec.num_devices;
-  // A single node runs the flat ag_gemm instead.
-  if (spec.num_nodes() < 2 || R % spec.devices_per_node != 0) return false;
-  if (s.m % R != 0) return false;
-  const int64_t m_per_rank = s.m / R;
-  return c.comm_tile_m > 0 && m_per_rank % c.comm_tile_m == 0 &&
-         c.nic_chunk_tiles > 0 && c.staging_depth > 0;
-}
-
-tl::TuneCandidate DefaultAgGemmHierCandidate(const tl::MlpPartShape& shape,
-                                             int tp,
-                                             const compute::GemmTiling& tiling) {
-  tl::TuneCandidate c;
-  c.gemm = tiling;
-  c.comm = tl::CommResource::kSmPush;
-  c.order = tl::TileOrder::kOwnerFirst;
-  c.nic_chunk_tiles = 2;
-  c.staging_depth = 2;
-  // AG chunk rows: the shared layer-default rule over the gathered rows —
-  // but keep at least two chunks per rank at small m, so the rail, ring
-  // and consumer pipeline at chunk granularity instead of degenerating to
-  // one monolithic message (AG consumers gate on covering chunks, so the
-  // chunk rows need not align to the GEMM tile).
-  const int64_t m_per_rank = std::max<int64_t>(1, shape.m / std::max(1, tp));
-  c.comm_tile_m = tl::RsBlockRows(m_per_rank, c.gemm.bm);
-  while (c.comm_tile_m > 1 && c.comm_tile_m % 2 == 0 &&
-         m_per_rank % (c.comm_tile_m / 2) == 0 &&
-         m_per_rank / c.comm_tile_m < 2) {
-    c.comm_tile_m /= 2;
-  }
-  // Likewise at least two NIC messages per rail peer whenever the chunk
-  // count allows it.
-  const int64_t cpb = m_per_rank / std::max(1, c.comm_tile_m);
-  c.nic_chunk_tiles =
-      static_cast<int>(std::clamp<int64_t>(cpb / 2, 1, c.nic_chunk_tiles));
-  // With only a couple of chunks per peer the rail stream is shorter than
-  // the staging window anyway; a depth-1 window lands chunks in consumer
-  // order and hands the spare rail block back to compute.
-  if (cpb <= 2) c.staging_depth = 1;
-  // Small-m also underfills the gathered GEMM's grid: narrow the n-tile so
-  // more (shorter) tiles fill the blocks, halving the drain after the last
-  // gathered chunk lands.
-  while (c.gemm.bn > 128 &&
-         CeilDiv<int64_t>(shape.m, c.gemm.bm) *
-                 CeilDiv<int64_t>(shape.n, c.gemm.bn) <
-             128) {
-    c.gemm.bn /= 2;
-  }
-  return c;
-}
-
-tl::AgGemmHierConfig AgGemmHierFromCandidate(const tl::MlpPartShape& shape,
-                                             const tl::TuneCandidate& c) {
-  tl::AgGemmHierConfig cfg;
-  cfg.m = shape.m;
-  cfg.k = shape.k;
-  cfg.n = shape.n;
-  cfg.gemm = c.gemm;
-  cfg.comm_tile_m = c.comm_tile_m;
-  cfg.nic_chunk_blocks = std::max(1, c.nic_chunk_tiles);
-  cfg.staging_depth = std::max(1, c.staging_depth);
-  cfg.comm_sms = c.comm_sms;
-  cfg.order = c.order;
-  return cfg;
-}
-
-sim::TimeNs SimulateAgGemmHier(const sim::MachineSpec& spec,
-                               const tl::MlpPartShape& shape,
-                               const tl::TuneCandidate& c) {
-  if (!AgGemmHierFeasible(spec, shape, c)) return tl::Autotuner::kInfeasible;
-  rt::World world(spec, rt::ExecMode::kTimingOnly);
-  tl::AgGemmHier kernel(world, AgGemmHierFromCandidate(shape, c));
-  return world.RunSpmd(
-      [&](rt::RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
-}
-
 sim::TimeNs SimulateHierAgThenGemm(const sim::MachineSpec& spec,
                                    const tl::MlpPartShape& shape,
                                    const tl::TuneCandidate& c) {
-  if (!AgGemmHierFeasible(spec, shape, c)) return tl::Autotuner::kInfeasible;
+  if (!tl::AgGemmHierFeasible(spec, shape, c)) {
+    return tl::Autotuner::kInfeasible;
+  }
   rt::World world(spec, rt::ExecMode::kTimingOnly);
   const int64_t m_per_rank = shape.m / spec.num_devices;
   // AG at chunk granularity over the activation shard rows.
@@ -325,30 +222,6 @@ sim::TimeNs SimulateHierAgThenGemm(const sim::MachineSpec& spec,
     co_await ag.Run(ctx);
     co_await gemm.Run(ctx);
   });
-}
-
-tl::TuneResult TuneAgGemmHier(const sim::MachineSpec& spec,
-                              const tl::MlpPartShape& shape,
-                              const tl::TuningSpace& space,
-                              const tl::TuneCandidate& base,
-                              const tl::Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const tl::TuneCandidate& c) {
-        return SimulateAgGemmHier(spec, shape, c);
-      });
-}
-
-tl::TuneResult TuneGemmHierRs(const sim::MachineSpec& spec,
-                              const tl::MlpPartShape& shape,
-                              const tl::TuningSpace& space,
-                              const tl::TuneCandidate& base,
-                              const tl::Autotuner& tuner) {
-  return tuner.Search(
-      space, base,
-      [&](const tl::TuneCandidate& c) {
-        return tl::SimulateGemmRs(spec, shape, c);
-      });
 }
 
 }  // namespace tilelink::multinode

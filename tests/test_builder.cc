@@ -361,14 +361,16 @@ TEST(AutotunerTest, LowerBoundsAreSound) {
       .CommSms({2, 4, 8, 15})
       .Resources({CommResource::kSmPull, CommResource::kSmPush,
                   CommResource::kDma});
+  const KernelFamily ag_family = AgGemmFamily(spec, shape);
+  const KernelFamily rs_family = GemmRsFamily(spec, shape);
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs ag = SimulateAgGemm(spec, shape, c);
     if (ag != Autotuner::kInfeasible) {
-      EXPECT_LE(AgGemmLowerBound(spec, shape, c), ag) << c.Describe();
+      EXPECT_LE(ag_family.lower_bound(c), ag) << c.Describe();
     }
     const sim::TimeNs rs = SimulateGemmRs(spec, shape, c);
     if (rs != Autotuner::kInfeasible) {
-      EXPECT_LE(GemmRsLowerBound(spec, shape, c), rs) << c.Describe();
+      EXPECT_LE(rs_family.lower_bound(c), rs) << c.Describe();
     }
   }
 }
@@ -384,7 +386,10 @@ TEST(AutotunerTest, MatchesBruteForceOnSimulatedAgGemm) {
   space.CommTileM({16, 32, 64})
       .CommSms({2, 4})
       .Resources({CommResource::kSmPull, CommResource::kDma});
-  const TuneResult tuned = TuneAgGemm(spec, shape, space, base);
+  KernelFamily family = AgGemmFamily(spec, shape);
+  family.seed = base;
+  family.space = space;
+  const TuneResult tuned = Tune(family);
   sim::TimeNs brute_best = Autotuner::kInfeasible;
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs t = SimulateAgGemm(spec, shape, c);

@@ -216,8 +216,9 @@ TEST(DpSync, TunedConfigNeverLosesToSeed) {
   tl::TuneCandidate base;
   const uint64_t bytes = 48ull << 20;
   const TimeNs seed_cost = SimulateDpSync(spec, bytes, base);
-  const tl::TuneResult r =
-      TuneDpSync(spec, bytes, tl::TuningSpace::MultiNode(), base);
+  tl::KernelFamily family = DpSyncFamily(spec, bytes);
+  family.seed = base;
+  const tl::TuneResult r = tl::Tune(family);
   EXPECT_LE(r.best_cost, seed_cost);
   EXPECT_EQ(r.best_cost, SimulateDpSync(spec, bytes, r.best));
 }
@@ -485,7 +486,7 @@ TEST(LinkRoles, RefactoredCollectivesKeepPinnedMakespans) {
   EXPECT_EQ(SimulateHierReduceScatter(two, 24, 64 << 10, odd), 264018);
   EXPECT_EQ(SimulateHierAllGather(three, 5, 16 << 10, def), 37189);
   EXPECT_EQ(SimulateHierReduceScatter(three, 5, 16 << 10, def), 38601);
-  const tl::TuneCandidate c = DefaultDpSyncCandidate();
+  const tl::TuneCandidate c = DpSyncFamily(two, 128ull << 20).seed;
   EXPECT_EQ(SimulateDpSync(two, 128ull << 20, c), 2839968);
   EXPECT_EQ(SimulateDpSync(three, 48ull << 20, c), 1433104);
   // The flat baseline is the one-ring layout of the same collectives; these
@@ -656,7 +657,7 @@ TEST(GemmHierRs, ExhaustedRailPushRaisesFaultError) {
 TEST(GemmHierRs, BeatsLayerComposeAtTwoByEight) {
   const MachineSpec spec = MachineSpec::H800x16();
   const tl::MlpPartShape shape{16384, 256, 4096};
-  const tl::TuneCandidate seed = DefaultGemmHierRsCandidate(shape, 16);
+  const tl::TuneCandidate seed = tl::GemmRsFamily(spec, shape).seed;
   const TimeNs fused = tl::SimulateGemmRs(spec, shape, seed);
   const TimeNs compose = SimulateGemmThenHierRs(spec, shape, seed);
   std::printf("fused %.3f ms vs compose %.3f ms\n", fused / 1e6,
@@ -744,7 +745,7 @@ TEST(GemmHierRs, RailRoleBindsNicFabricUnderBudget) {
 TEST(GemmHierRs, SeedFitsShardsBelowTheDefaultTile) {
   const MachineSpec spec = MachineSpec::H800x16();
   const tl::MlpPartShape shape{16 * 96, 256, 512};
-  const tl::TuneCandidate seed = DefaultGemmHierRsCandidate(shape, 16);
+  const tl::TuneCandidate seed = tl::GemmRsFamily(spec, shape).seed;
   EXPECT_EQ(seed.gemm.bm, 32);
   EXPECT_TRUE(tl::GemmRsFeasible(spec, shape, seed));
   EXPECT_GT(tl::SimulateGemmRs(spec, shape, seed), 0);
@@ -753,10 +754,10 @@ TEST(GemmHierRs, SeedFitsShardsBelowTheDefaultTile) {
 TEST(GemmHierRs, TunedConfigNeverLosesToSeed) {
   const MachineSpec spec = MachineSpec::H800x16();
   const tl::MlpPartShape shape{8192, 128, 1024};
-  const tl::TuneCandidate seed = DefaultGemmHierRsCandidate(shape, 16);
-  const TimeNs seed_cost = tl::SimulateGemmRs(spec, shape, seed);
-  const tl::TuneResult r = TuneGemmHierRs(
-      spec, shape, tl::TuningSpace::GemmHierRs(), seed);
+  const tl::KernelFamily family = tl::GemmRsFamily(spec, shape);
+  EXPECT_EQ(family.kind, "gemm_hier_rs");
+  const TimeNs seed_cost = tl::SimulateGemmRs(spec, shape, family.seed);
+  const tl::TuneResult r = tl::Tune(family);
   EXPECT_LE(r.best_cost, seed_cost);
   EXPECT_EQ(r.best_cost, tl::SimulateGemmRs(spec, shape, r.best));
 }

@@ -487,9 +487,9 @@ TEST(AgGemmHierDegenerate, OneNodeIsInfeasible) {
   // A single node runs the flat ag_gemm; the fused kernel needs a NIC hop.
   const MachineSpec spec = MachineSpec::H800x8();
   const MlpPartShape shape{2048, 4096, 1024};
-  EXPECT_FALSE(multinode::AgGemmHierFeasible(
-      spec, shape,
-      multinode::DefaultAgGemmHierCandidate(shape, spec.num_devices)));
+  const tl::KernelFamily family = tl::AgGemmFamily(spec, shape);
+  EXPECT_EQ(family.kind, "ag_gemm");
+  EXPECT_FALSE(tl::AgGemmHierFeasible(spec, shape, family.seed));
 }
 
 TEST(AgGemmHierDegenerate, OneDevicePerNodeStaysBitExact) {
@@ -544,15 +544,15 @@ TEST(AgGemmHierSmallM, EndToEndSmallMBeatsComposeViaColumnSplit) {
   // still beat the AllGather-then-GEMM compose.
   const MachineSpec spec = MachineSpec::H800x16();
   const MlpPartShape shape{2048, 4096, 1024};
-  const TuneCandidate seed =
-      multinode::DefaultAgGemmHierCandidate(shape, spec.num_devices);
-  ASSERT_TRUE(multinode::AgGemmHierFeasible(spec, shape, seed));
+  const tl::KernelFamily family = tl::AgGemmFamily(spec, shape);
+  ASSERT_EQ(family.kind, "ag_gemm_hier");
+  const TuneCandidate& seed = family.seed;
   {
     World world(spec, ExecMode::kTimingOnly);
-    AgGemmHier kernel(world, multinode::AgGemmHierFromCandidate(shape, seed));
+    AgGemmHier kernel(world, tl::AgGemmHierFromCandidate(shape, seed));
     EXPECT_GT(kernel.col_splits(), 1);
   }
-  const TimeNs fused = multinode::SimulateAgGemmHier(spec, shape, seed);
+  const TimeNs fused = family.evaluate(seed);
   const TimeNs compose = multinode::SimulateHierAgThenGemm(spec, shape, seed);
   std::printf("small-m fused %.3f ms vs compose %.3f ms\n", fused / 1e6,
               compose / 1e6);

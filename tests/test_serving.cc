@@ -245,6 +245,17 @@ TEST(ServingStepTimeTest, RaggedDecodeWidthsMoe) {
   }
 }
 
+// 11520 prompt tokens at TP8 are 1440 rows per rank, where the MoE part-2
+// seed's RS chunk is 160 rows: its topk-reduce chunk must divide that (80
+// rows, not 128), or the untuned step would add an infeasible time.
+TEST(ServingStepTimeTest, UntunedMoeStepWithA160RowRsChunk) {
+  models::E2eEstimator est(8, 1, 1, false);
+  const sim::TimeNs t = est.ServingStepTime(
+      models::GetModel("Mixtral-8x7B"), models::Method::kTileLink,
+      models::ServingStep{11520, 0, 0});
+  EXPECT_GT(t, 0);
+}
+
 TEST(ServingStepTimeTest, MixedPrefillDecodeAndMemoization) {
   models::E2eEstimator est(8, 1, 1, false);
   const models::ModelConfig model = models::GetModel("LLaMA2-13B");

@@ -5,6 +5,8 @@
 // numerics while the consistency checker observes no violations.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -476,6 +478,57 @@ TEST_P(MoeRsTest, ThreeStageChainMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Worlds, MoeRsTest, ::testing::Values(2, 4),
                          ::testing::PrintToStringParamName());
+
+// The topk-reduce chunk need not be a power of two: the MoE part-2 seed
+// takes the largest divisor of the RS chunk up to 128, e.g. 80 rows of a
+// 160-row chunk. Chunking the reduce must not move a single output bit, and
+// the run stays checker-clean.
+TEST(MoeRsReduceChunk, NonPowerOfTwoChunkIsBitExact) {
+  const int R = 2;
+  auto run = [&](int reduce_block_tokens) {
+    World world(sim::MachineSpec::Test(R, 24), ExecMode::kFunctional);
+    world.checker().set_enabled(true);
+    MoeRsConfig cfg;
+    cfg.m = 160 * R;
+    cfg.k = 16;
+    cfg.hidden = 24;
+    cfg.num_experts = 4;
+    cfg.topk = 2;
+    cfg.gemm = compute::GemmTiling{16, 24, 8};
+    cfg.sorted_channel_rows = 32;
+    cfg.reduce_block_tokens = reduce_block_tokens;
+    cfg.reduce_sms = 4;
+    cfg.rs_block_m = 160;
+    cfg.comm_sms = 4;
+    Rng rng(47);
+    const compute::MoeRouting routing =
+        compute::RandomRouting(cfg.m, cfg.num_experts, cfg.topk, rng);
+    MoeRs kernel(world, cfg, routing);
+    for (int r = 0; r < R; ++r) {
+      FillRandom(kernel.acts()[static_cast<size_t>(r)], rng, 0.3f);
+      FillRandom(kernel.weights()[static_cast<size_t>(r)], rng, 0.3f);
+    }
+    world.RunSpmd(
+        [&](RankCtx& ctx) -> sim::Coro { co_await kernel.Run(ctx); });
+    EXPECT_TRUE(world.checker().violations().empty()) << reduce_block_tokens;
+    std::vector<float> out;
+    for (int r = 0; r < R; ++r) {
+      Tensor t = kernel.out()[static_cast<size_t>(r)];
+      for (int64_t i = 0; i < t.dim(0); ++i) {
+        for (int64_t j = 0; j < t.dim(1); ++j) out.push_back(t.at({i, j}));
+      }
+    }
+    return out;
+  };
+  const std::vector<float> pow2 = run(32);
+  const std::vector<float> chunk80 = run(80);
+  ASSERT_EQ(pow2.size(), chunk80.size());
+  for (std::size_t i = 0; i < pow2.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(pow2[i]),
+              std::bit_cast<uint32_t>(chunk80[i]))
+        << "element " << i;
+  }
+}
 
 // ---------------------------------------------------------------------- //
 // AG KV + flash attention (host primitives)

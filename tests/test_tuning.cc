@@ -17,17 +17,21 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "compute/moe_routing.h"
-#include "models/transformer.h"
+#include "models/model_zoo.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
 #include "tilelink/builder/kernel_tuning.h"
 #include "tilelink/builder/tuned_config_cache.h"
+#include "tilelink/kernels/ag_gemm.h"
+#include "tilelink/kernels/ag_moe.h"
+#include "tilelink/kernels/moe_rs.h"
 #include "tilelink/multinode/multinode_tuning.h"
 
 namespace tilelink::tl {
@@ -49,6 +53,20 @@ TuningSpace ToySpace() {
   space.CommTileM({64, 128, 256, 512, 1024})
       .CommSms({4, 8, 16, 24, 32, 48});
   return space;
+}
+
+// A test's routing, shared with the MoE families' evaluators.
+std::shared_ptr<const compute::MoeRouting> Shared(
+    const compute::MoeRouting& routing) {
+  return std::make_shared<const compute::MoeRouting>(routing);
+}
+
+// `family` searched over a toy space from a toy seed instead of its own.
+KernelFamily Pinned(KernelFamily family, const TuningSpace& space,
+                    const TuneCandidate& seed) {
+  family.space = space;
+  family.seed = seed;
+  return family;
 }
 
 TEST(HalvingTest, MatchesExhaustiveArgminOnSeededSpace) {
@@ -134,11 +152,12 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
         .CommSms({2, 4, 8})
         .Resources({CommResource::kSmPull, CommResource::kSmPush,
                     CommResource::kDma});
-    const TuneResult ag = TuneAgGemm(spec, shape, space, base);
+    const TuneResult ag = Tune(Pinned(AgGemmFamily(spec, shape), space, base));
     EXPECT_EQ(SimulateAgGemm(spec, shape, ag.best), ag.best_cost);
     EXPECT_LE(ag.best_cost, SimulateAgGemm(spec, shape, base));
     const MlpPartShape rs_shape{512, 64, 1024};
-    const TuneResult rs = TuneGemmRs(spec, rs_shape, space, base);
+    const TuneResult rs =
+        Tune(Pinned(GemmRsFamily(spec, rs_shape), space, base));
     EXPECT_EQ(SimulateGemmRs(spec, rs_shape, rs.best), rs.best_cost);
     EXPECT_LE(rs.best_cost, SimulateGemmRs(spec, rs_shape, base));
   }
@@ -149,7 +168,8 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     TuningSpace space;
     space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
     const FlashShape flash{4, 128, 256, 32};
-    const TuneResult fl = TuneFlashCore(spec, flash, space, base);
+    const TuneResult fl =
+        Tune(Pinned(FlashCoreFamily(spec, flash), space, base));
     EXPECT_EQ(SimulateFlashCore(spec, flash, fl.best), fl.best_cost);
     EXPECT_LE(fl.best_cost, SimulateFlashCore(spec, flash, base));
   }
@@ -175,13 +195,79 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
         .SortedChannelRows({32, 64})
         .ReduceBlockTokens({8, 16})
         .ReduceSms({2, 4});
-    const TuneResult p1 = TuneAgMoe(moe_spec, shape, routing, space, base);
+    const TuneResult p1 = Tune(Pinned(
+        AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base));
     EXPECT_EQ(SimulateAgMoe(moe_spec, shape, routing, p1.best), p1.best_cost);
     EXPECT_LE(p1.best_cost, SimulateAgMoe(moe_spec, shape, routing, base));
-    const TuneResult p2 = TuneMoeRs(moe_spec, shape, routing, space, base);
+    const TuneResult p2 = Tune(Pinned(
+        MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base));
     EXPECT_EQ(SimulateMoeRs(moe_spec, shape, routing, p2.best), p2.best_cost);
     EXPECT_LE(p2.best_cost, SimulateMoeRs(moe_spec, shape, routing, base));
   }
+}
+
+// ---------------------------------------------------------------------- //
+// Family seeds: every factory's hand-picked seed is feasible wherever the
+// e2e estimator can ask for it — per-rank row counts that are multiples of
+// 32 (the serving quantum) up to 8192, at TP8 and TP16 (two nodes), over
+// the zoo's projection, MLP, MoE and shared-expert shapes. An infeasible
+// seed makes an untuned estimator sum Autotuner::kInfeasible and a tuned
+// one search from a seed it cannot score. No simulation runs.
+// ---------------------------------------------------------------------- //
+
+TEST(FamilySeedTest, EverySeedIsFeasibleAtEveryPaddedRowCount) {
+  // Feasibility never reads the routing.
+  const auto no_routing = std::make_shared<const compute::MoeRouting>();
+  std::vector<std::string> infeasible;
+  int checked = 0;
+  auto check = [&](const KernelFamily& f) {
+    ++checked;
+    if (!f.feasible(f.seed)) {
+      infeasible.push_back(f.Key() + " seed " + f.seed.Describe());
+    }
+  };
+  for (const int tp : {8, 16}) {
+    // The estimator's TP group: one node at 8, two full nodes at 16.
+    sim::MachineSpec spec = sim::MachineSpec::H800x8();
+    spec.num_devices = tp;
+    spec.devices_per_node = std::min(tp, spec.devices_per_node);
+    sim::MachineSpec two_node = sim::MachineSpec::H800x8();
+    two_node.num_devices = 2 * tp;
+    two_node.devices_per_node = tp;
+    for (const models::ModelConfig& model : models::Figure11Models()) {
+      const int64_t h = model.hidden;
+      check(multinode::DpSyncFamily(two_node,
+                                    multinode::LayerGradBytes(model, tp)));
+      for (int64_t per_rank = 32; per_rank <= 8192; per_rank += 32) {
+        const int64_t m = per_rank * tp;
+        check(AgGemmFamily(spec, {m, h, 3 * h / tp}));
+        check(GemmRsFamily(spec, {m, h / tp, h}));
+        check(FlashCoreFamily(
+            spec, {model.heads / tp, per_rank, per_rank, model.head_dim}));
+        std::vector<int64_t> mlp_widths;
+        if (model.is_moe) {
+          const MoeShape moe{m, h,
+                             std::max<int64_t>(1, model.intermediate / tp),
+                             model.num_experts, model.topk};
+          check(AgMoeFamily(spec, moe, no_routing, 1234));
+          check(MoeRsFamily(spec, moe, no_routing, 1234));
+          if (model.shared_expert_intermediate > 0) {
+            mlp_widths.push_back(model.shared_expert_intermediate / tp);
+          }
+        } else {
+          mlp_widths.push_back(model.intermediate / tp);
+        }
+        for (const int64_t inner : mlp_widths) {
+          check(AgGemmFamily(spec, {m, h, inner}));
+          check(GemmRsFamily(spec, {m, inner, h}));
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+  EXPECT_TRUE(infeasible.empty())
+      << infeasible.size() << " of " << checked
+      << " seeds are infeasible; the first: " << infeasible.front();
 }
 
 // ---------------------------------------------------------------------- //
@@ -430,7 +516,7 @@ TEST(TunedConfigCacheTest, SearchAndSerializationDeterministic) {
   for (std::string& json : jsons) {
     TunedConfigCache cache;
     const TunedEntry& e = cache.GetOrTune(key, [&] {
-      const TuneResult r = TuneAgGemm(spec, shape, space, base);
+      const TuneResult r = Tune(Pinned(AgGemmFamily(spec, shape), space, base));
       return TunedEntry{r.best, r.best_cost};
     });
     EXPECT_GT(e.cost, 0);
@@ -449,10 +535,11 @@ TEST(KernelTuningTest, AttentionBoundsAreSound) {
   TuningSpace space;
   space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
   const FlashShape flash{4, 128, 256, 32};
+  const KernelFamily family = FlashCoreFamily(spec, flash);
   for (const TuneCandidate& c : space.Enumerate(base)) {
     const sim::TimeNs t = SimulateFlashCore(spec, flash, c);
     ASSERT_NE(t, Autotuner::kInfeasible) << c.Describe();
-    EXPECT_LE(FlashCoreLowerBound(spec, flash, c), t) << c.Describe();
+    EXPECT_LE(family.lower_bound(c), t) << c.Describe();
   }
 }
 
@@ -568,10 +655,10 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
         .CommSms({2, 4, 8})
         .Resources({CommResource::kSmPull, CommResource::kSmPush,
                     CommResource::kDma});
-    ExpectIdenticalResults(TuneAgGemm(spec, shape, space, base),
-                           TuneAgGemm(spec, shape, space, base, parallel));
-    ExpectIdenticalResults(TuneGemmRs(spec, shape, space, base),
-                           TuneGemmRs(spec, shape, space, base, parallel));
+    const KernelFamily ag = Pinned(AgGemmFamily(spec, shape), space, base);
+    ExpectIdenticalResults(Tune(ag), Tune(ag, parallel));
+    const KernelFamily rs = Pinned(GemmRsFamily(spec, shape), space, base);
+    ExpectIdenticalResults(Tune(rs), Tune(rs, parallel));
   }
   {
     // The seed gets a full-fidelity run, so it must fit the short sequence:
@@ -583,8 +670,8 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
     space.AttnBlocks({{16, 16}, {16, 32}, {32, 32}, {32, 64}});
     const FlashShape flash{4, 128, 256, 32};
     ExpectIdenticalResults(
-        TuneFlashCore(spec, flash, space, base),
-        TuneFlashCore(spec, flash, space, base, parallel));
+        Tune(Pinned(FlashCoreFamily(spec, flash), space, base)),
+        Tune(Pinned(FlashCoreFamily(spec, flash), space, base), parallel));
   }
   {
     const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
@@ -610,31 +697,30 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
         .SortedChannelRows({32, 64})
         .ReduceBlockTokens({8, 16})
         .ReduceSms({2, 4});
-    ExpectIdenticalResults(
-        TuneAgMoe(moe_spec, shape, routing, space, base),
-        TuneAgMoe(moe_spec, shape, routing, space, base, parallel));
-    ExpectIdenticalResults(
-        TuneMoeRs(moe_spec, shape, routing, space, base),
-        TuneMoeRs(moe_spec, shape, routing, space, base, parallel));
+    const KernelFamily p1 =
+        Pinned(AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    ExpectIdenticalResults(Tune(p1), Tune(p1, parallel));
+    const KernelFamily p2 =
+        Pinned(MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    ExpectIdenticalResults(Tune(p2), Tune(p2, parallel));
   }
 }
 
+// The three multi-node families, each searched from its own seed over its
+// own space: GEMM+RS with its NIC rail, the fused ag_gemm_hier and the DP
+// gradient sync (the one with a coarse round).
 TEST(ParallelSearchTest, DeterministicOnMultiNodeSpaces) {
   const Autotuner parallel = ThreadedTuner(8);
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   const MlpPartShape shape{8192, 128, 1024};
-  const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
-  ExpectIdenticalResults(
-      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
-                                seed),
-      multinode::TuneGemmHierRs(spec, shape, tl::TuningSpace::GemmHierRs(),
-                                seed, parallel));
-  const uint64_t grad_bytes = 1ull << 26;
-  ExpectIdenticalResults(
-      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
-                            multinode::DefaultDpSyncCandidate()),
-      multinode::TuneDpSync(spec, grad_bytes, tl::TuningSpace::MultiNode(),
-                            multinode::DefaultDpSyncCandidate(), parallel));
+  const KernelFamily rs = GemmRsFamily(spec, shape);
+  ASSERT_EQ(rs.kind, "gemm_hier_rs");
+  ExpectIdenticalResults(Tune(rs), Tune(rs, parallel));
+  const KernelFamily ag = AgGemmFamily(spec, shape);
+  ASSERT_EQ(ag.kind, "ag_gemm_hier");
+  ExpectIdenticalResults(Tune(ag), Tune(ag, parallel));
+  const KernelFamily dp = multinode::DpSyncFamily(spec, 1ull << 26);
+  ExpectIdenticalResults(Tune(dp), Tune(dp, parallel));
 }
 
 TEST(ParallelSearchTest, DeterministicUnderSharedFaultPlan) {
@@ -661,7 +747,7 @@ TEST(ParallelSearchTest, DeterministicUnderSharedFaultPlan) {
       co_await ag.Run(ctx);
     });
   };
-  const TuneCandidate seed = multinode::DefaultDpSyncCandidate();
+  const TuneCandidate seed = multinode::DpSyncFamily(spec, 1 << 20).seed;
   const TuneResult serial =
       Autotuner().Search(TuningSpace::MultiNode(), seed, eval);
   ExpectIdenticalResults(
@@ -751,6 +837,54 @@ KernelRun RunKernel(const sim::MachineSpec& spec, const Config& cfg,
   return KernelRun{t, world.sim().processed_events()};
 }
 
+// The AG+GEMM and MoE kernel configs a candidate builds (what the families'
+// evaluators run), for the tests that build the kernels themselves.
+AgGemmConfig AgGemmCfg(const MlpPartShape& shape, const TuneCandidate& c) {
+  AgGemmConfig cfg;
+  cfg.m = shape.m;
+  cfg.k = shape.k;
+  cfg.n = shape.n;
+  cfg.gemm = c.gemm;
+  cfg.comm_tile_m = c.comm_tile_m;
+  cfg.channels_per_rank = c.channels_per_rank;
+  cfg.comm = c.comm;
+  cfg.comm_sms = c.comm_sms;
+  cfg.order = c.order;
+  return cfg;
+}
+
+AgMoeConfig AgMoeCfg(const MoeShape& shape, const TuneCandidate& c) {
+  AgMoeConfig cfg;
+  cfg.m = shape.m;
+  cfg.hidden = shape.hidden;
+  cfg.n = shape.inner;
+  cfg.num_experts = shape.num_experts;
+  cfg.topk = shape.topk;
+  cfg.gemm = c.gemm;
+  cfg.comm_tile_m = c.comm_tile_m;
+  cfg.channels_per_rank = c.channels_per_rank;
+  cfg.comm = c.comm;
+  cfg.comm_sms = c.comm_sms;
+  return cfg;
+}
+
+MoeRsConfig MoeRsCfg(const MoeShape& shape, const TuneCandidate& c) {
+  MoeRsConfig cfg;
+  cfg.m = shape.m;
+  cfg.k = shape.inner;
+  cfg.hidden = shape.hidden;
+  cfg.num_experts = shape.num_experts;
+  cfg.topk = shape.topk;
+  cfg.gemm = c.gemm;
+  cfg.sorted_channel_rows = c.sorted_channel_rows;
+  cfg.reduce_block_tokens = c.reduce_block_tokens;
+  cfg.reduce_sms = c.reduce_sms;
+  cfg.rs_block_m = c.comm_tile_m;
+  cfg.comm_sms = c.comm_sms;
+  cfg.dma_push = c.comm == CommResource::kDma;
+  return cfg;
+}
+
 // Groups `candidates` by `canonical` and simulates every member of every
 // group with two or more members: each must reproduce its group's first
 // member bitwise (makespan and processed events). Infeasible candidates
@@ -788,24 +922,19 @@ int ExpectCanonicalGroupsSimulateAlike(
 
 TEST(CanonicalTest, MlpCanonicalEqualCandidatesSimulateAlike) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x8();
-  const int tp = spec.num_devices;
-  // Two serving shapes (ServingMlp space) and a training shape (Mlp).
+  // Two serving shapes (ServingMlp space) and a training shape (Mlp), each
+  // family's own seed and space.
   for (const int64_t m : {int64_t{256}, int64_t{2048}, int64_t{32768}}) {
     const MlpPartShape shape{m, 1024, 1024};
-    const TuningSpace space = models::MlpTuningSpaceFor(m, tp);
+    const KernelFamily ag_family = AgGemmFamily(spec, shape);
     const int ag = ExpectCanonicalGroupsSimulateAlike(
-        space.Enumerate(models::DefaultAgGemmConfig(m, shape.k, tp)),
+        ag_family.space.Enumerate(ag_family.seed), ag_family.canonical,
         [&](const TuneCandidate& c) {
-          return CanonicalAgGemm(spec, shape, c);
-        },
-        [&](const TuneCandidate& c) {
-          return RunKernel<AgGemm>(spec, MakeAgGemmConfig(shape, c));
+          return RunKernel<AgGemm>(spec, AgGemmCfg(shape, c));
         });
+    const KernelFamily rs_family = GemmRsFamily(spec, shape);
     const int rs = ExpectCanonicalGroupsSimulateAlike(
-        space.Enumerate(models::DefaultGemmRsConfig(m, shape.k, tp)),
-        [&](const TuneCandidate& c) {
-          return CanonicalGemmRs(spec, shape, c);
-        },
+        rs_family.space.Enumerate(rs_family.seed), rs_family.canonical,
         [&](const TuneCandidate& c) {
           return RunKernel<GemmRs>(spec, MakeGemmRsConfig(shape, c));
         });
@@ -826,15 +955,15 @@ TEST(CanonicalTest, MoeCanonicalEqualCandidatesSimulateAlike) {
   base.gemm = compute::GemmTiling{128, 128, 64};
   const int p1 = ExpectCanonicalGroupsSimulateAlike(
       TuningSpace::MoePart1().Enumerate(base),
-      [&](const TuneCandidate& c) { return CanonicalAgMoe(spec, shape, c); },
+      AgMoeFamily(spec, shape, Shared(routing), 5).canonical,
       [&](const TuneCandidate& c) {
-        return RunKernel<AgMoe>(spec, MakeAgMoeConfig(shape, c), routing);
+        return RunKernel<AgMoe>(spec, AgMoeCfg(shape, c), routing);
       });
   const int p2 = ExpectCanonicalGroupsSimulateAlike(
       TuningSpace::MoePart2().Enumerate(base),
-      [&](const TuneCandidate& c) { return CanonicalMoeRs(spec, shape, c); },
+      MoeRsFamily(spec, shape, Shared(routing), 5).canonical,
       [&](const TuneCandidate& c) {
-        return RunKernel<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing);
+        return RunKernel<MoeRs>(spec, MoeRsCfg(shape, c), routing);
       });
   EXPECT_GT(p1, 0);
   EXPECT_GT(p2, 0);
@@ -853,9 +982,8 @@ TEST(CanonicalTest, SimsCountDistinctCanonicalForms) {
       .CommSms({2, 4, 8})
       .Resources({CommResource::kSmPull, CommResource::kSmPush,
                   CommResource::kDma});
-  auto canonical = [&](const TuneCandidate& c) {
-    return CanonicalAgGemm(spec, shape, c);
-  };
+  const Autotuner::CanonicalFn canonical =
+      AgGemmFamily(spec, shape).canonical;
   std::vector<TuneCandidate> candidates = space.Enumerate(base);
   if (std::find(candidates.begin(), candidates.end(), base) ==
       candidates.end()) {
@@ -906,13 +1034,11 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
         .Resources({CommResource::kSmPull, CommResource::kSmPush,
                     CommResource::kDma})
         .Orders({TileOrder::kOwnerFirst, TileOrder::kNextRankFirst});
-    const TuneResult ag = TuneAgGemm(spec, shape, space, base);
+    const KernelFamily ag_family =
+        Pinned(AgGemmFamily(spec, shape), space, base);
+    const TuneResult ag = Tune(ag_family);
     const TuneResult ag_plain = tuner.Search(
-        space, base,
-        [&](const TuneCandidate& c) { return SimulateAgGemm(spec, shape, c); },
-        [&](const TuneCandidate& c) {
-          return AgGemmLowerBound(spec, shape, c);
-        });
+        space, base, ag_family.evaluate, ag_family.lower_bound);
     ExpectSameScores(ag, ag_plain);
     if (shape.k == 64) {
       EXPECT_GT(ag.pruned, 0);
@@ -920,13 +1046,11 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
     } else {
       EXPECT_LT(ag.sims, ag_plain.sims);
     }
-    const TuneResult rs = TuneGemmRs(spec, shape, space, base);
+    const KernelFamily rs_family =
+        Pinned(GemmRsFamily(spec, shape), space, base);
+    const TuneResult rs = Tune(rs_family);
     const TuneResult rs_plain = tuner.Search(
-        space, base,
-        [&](const TuneCandidate& c) { return SimulateGemmRs(spec, shape, c); },
-        [&](const TuneCandidate& c) {
-          return GemmRsLowerBound(spec, shape, c);
-        });
+        space, base, rs_family.evaluate, rs_family.lower_bound);
     ExpectSameScores(rs, rs_plain);
     EXPECT_LT(rs.sims, rs_plain.sims);
   }
@@ -956,30 +1080,18 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
         .SortedChannelRows({32, 64})
         .ReduceBlockTokens({8, 16})
         .ReduceSms({2, 4});
-    const TuneResult p1 = TuneAgMoe(moe_spec, shape, routing, space, base);
+    const KernelFamily p1_family =
+        Pinned(AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    const TuneResult p1 = Tune(p1_family);
     const TuneResult p1_plain = tuner.Search(
-        space, base,
-        [&](const TuneCandidate& c) {
-          return SimulateAgMoe(moe_spec, shape, routing, c);
-        },
-        nullptr,
-        [&](const TuneCandidate& c) {
-          return SimulateAgMoe(moe_spec, shape, routing,
-                               CoarsenReduction(c, shape.hidden));
-        });
+        space, base, p1_family.evaluate, nullptr, p1_family.coarse);
     ExpectSameScores(p1, p1_plain);
     EXPECT_LT(p1.sims, p1_plain.sims);
-    const TuneResult p2 = TuneMoeRs(moe_spec, shape, routing, space, base);
+    const KernelFamily p2_family =
+        Pinned(MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    const TuneResult p2 = Tune(p2_family);
     const TuneResult p2_plain = tuner.Search(
-        space, base,
-        [&](const TuneCandidate& c) {
-          return SimulateMoeRs(moe_spec, shape, routing, c);
-        },
-        nullptr,
-        [&](const TuneCandidate& c) {
-          return SimulateMoeRs(moe_spec, shape, routing,
-                               CoarsenReduction(c, shape.inner));
-        });
+        space, base, p2_family.evaluate, nullptr, p2_family.coarse);
     ExpectSameScores(p2, p2_plain);
     EXPECT_LT(p2.sims, p2_plain.sims);
   }
@@ -988,7 +1100,7 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
 // ---------------------------------------------------------------------- //
 // Lower-bound soundness: a bound that exceeds the simulated cost could
 // prune the argmin, so every bound is checked by brute force. The four
-// GEMM families search exactly (no coarse round), so their Tune*() must
+// GEMM families search exactly (no coarse round), so their Tune() must
 // also return the brute-force minimum; the two hierarchical ones carry no
 // bound, so theirs simulate every candidate.
 // ---------------------------------------------------------------------- //
@@ -1050,7 +1162,7 @@ TEST(StarvationTest, GemmRsRingOnEverySmIsInfeasible) {
   space.CommTileM({16, 32, 64, 128})
       .CommSms({8, 20})
       .Resources({CommResource::kSmPush, CommResource::kDma});
-  const TuneResult r = TuneGemmRs(spec, shape, space, base);
+  const TuneResult r = Tune(Pinned(GemmRsFamily(spec, shape), space, base));
   EXPECT_GT(r.infeasible, 0);
   EXPECT_EQ(r.best_cost, SimulateGemmRs(spec, shape, r.best));
 }
@@ -1090,10 +1202,10 @@ TEST(StarvationTest, MoeRsRingPlusReduceOnEverySmIsInfeasible) {
   c.comm_sms = 8;
   c.reduce_block_tokens = 64;
   c.reduce_sms = 4;  // and the topk reduce the other 4
-  EXPECT_TRUE(Deadlocks<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing));
+  EXPECT_TRUE(Deadlocks<MoeRs>(spec, MoeRsCfg(shape, c), routing));
   EXPECT_EQ(SimulateMoeRs(spec, shape, routing, c), Autotuner::kInfeasible);
   c.reduce_sms = 2;
-  EXPECT_FALSE(Deadlocks<MoeRs>(spec, MakeMoeRsConfig(shape, c), routing));
+  EXPECT_FALSE(Deadlocks<MoeRs>(spec, MoeRsCfg(shape, c), routing));
   EXPECT_GT(SimulateMoeRs(spec, shape, routing, c), 0);
 }
 
@@ -1111,40 +1223,44 @@ TEST(LowerBoundTest, MlpBoundsAreSoundByBruteForce) {
     int feasible = 0;
     sim::TimeNs ag_best = Autotuner::kInfeasible;
     sim::TimeNs rs_best = Autotuner::kInfeasible;
+    const KernelFamily ag_family =
+        Pinned(AgGemmFamily(spec, shape), space, base);
+    const KernelFamily rs_family =
+        Pinned(GemmRsFamily(spec, shape), space, base);
     for (const TuneCandidate& c : SearchedCandidates(space, base)) {
       const sim::TimeNs ag = SimulateAgGemm(spec, shape, c);
       if (ag != Autotuner::kInfeasible) {
         ++feasible;
         ag_best = std::min(ag_best, ag);
-        EXPECT_LE(AgGemmLowerBound(spec, shape, c), ag) << c.Describe();
+        EXPECT_LE(ag_family.lower_bound(c), ag) << c.Describe();
       }
       const sim::TimeNs rs = SimulateGemmRs(spec, shape, c);
       if (rs != Autotuner::kInfeasible) {
         rs_best = std::min(rs_best, rs);
-        EXPECT_LE(GemmRsLowerBound(spec, shape, c), rs) << c.Describe();
+        EXPECT_LE(rs_family.lower_bound(c), rs) << c.Describe();
       }
     }
     EXPECT_GT(feasible, 0);
-    ExpectExactSearch(TuneAgGemm(spec, shape, space, base), ag_best);
-    ExpectExactSearch(TuneGemmRs(spec, shape, space, base), rs_best);
+    ExpectExactSearch(Tune(ag_family), ag_best);
+    ExpectExactSearch(Tune(rs_family), rs_best);
   }
 }
 
 TEST(ExactSearchTest, GemmHierRsMatchesBruteForce) {
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
   const MlpPartShape shape{8192, 128, 1024};
-  const TuneCandidate seed = multinode::DefaultGemmHierRsCandidate(shape, 16);
-  const TuningSpace space = tl::TuningSpace::GemmHierRs();
+  const KernelFamily family = GemmRsFamily(spec, shape);
+  ASSERT_EQ(family.kind, "gemm_hier_rs");
   int feasible = 0;
   sim::TimeNs best = Autotuner::kInfeasible;
-  for (const TuneCandidate& c : SearchedCandidates(space, seed)) {
+  for (const TuneCandidate& c : SearchedCandidates(family.space, family.seed)) {
     const sim::TimeNs t = tl::SimulateGemmRs(spec, shape, c);
     if (t == Autotuner::kInfeasible) continue;
     ++feasible;
     best = std::min(best, t);
   }
   EXPECT_GT(feasible, 0);
-  const TuneResult r = multinode::TuneGemmHierRs(spec, shape, space, seed);
+  const TuneResult r = Tune(family);
   ExpectExactSearch(r, best);
   EXPECT_EQ(r.pruned, 0);
 }
@@ -1156,19 +1272,19 @@ TEST(ExactSearchTest, AgGemmHierMatchesBruteForce) {
   // window and chunk-batching knobs trade against.
   for (const MlpPartShape& shape :
        {MlpPartShape{2048, 1024, 1024}, MlpPartShape{4096, 1024, 768}}) {
-    const TuneCandidate seed =
-        multinode::DefaultAgGemmHierCandidate(shape, 16);
-    const TuningSpace space = tl::TuningSpace::AgGemmHier();
+    const KernelFamily family = AgGemmFamily(spec, shape);
+    ASSERT_EQ(family.kind, "ag_gemm_hier");
     int feasible = 0;
     sim::TimeNs best = Autotuner::kInfeasible;
-    for (const TuneCandidate& c : SearchedCandidates(space, seed)) {
-      const sim::TimeNs t = multinode::SimulateAgGemmHier(spec, shape, c);
+    for (const TuneCandidate& c :
+         SearchedCandidates(family.space, family.seed)) {
+      const sim::TimeNs t = SimulateAgGemmHier(spec, shape, c);
       if (t == Autotuner::kInfeasible) continue;
       ++feasible;
       best = std::min(best, t);
     }
     EXPECT_GT(feasible, 0);
-    const TuneResult r = multinode::TuneAgGemmHier(spec, shape, space, seed);
+    const TuneResult r = Tune(family);
     ExpectExactSearch(r, best);
     EXPECT_EQ(r.pruned, 0);
   }
@@ -1182,7 +1298,7 @@ TEST(KernelTuningTest, TuneFlashCorePicksLargeBlocks) {
   base.block_kv = 16;  // deliberately poor seed
   TuningSpace space;
   space.AttnBlocks({{16, 16}, {32, 32}, {64, 64}, {128, 128}});
-  const TuneResult r = TuneFlashCore(spec, shape, space, base);
+  const TuneResult r = Tune(Pinned(FlashCoreFamily(spec, shape), space, base));
   // Larger flash tiles keep the MMA pipeline fuller (GemmEfficiency is
   // monotone in tile area at these sizes): the tuner must escape the seed.
   EXPECT_LT(r.best_cost, SimulateFlashCore(spec, shape, base));
