@@ -33,6 +33,7 @@
 // producer->ring->rail->reduce flow chain, internally consistent overlap
 // numbers, tracing-on/off bitwise makespan identity); --trace <path> saves
 // the recorded timeline for chrome://tracing / Perfetto.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -54,6 +55,22 @@ namespace {
 // retries one twice breaks this balance.
 bool RetriesBalance(const tilelink::sim::FaultStats& f) {
   return f.retries == f.drops + f.timeouts;
+}
+
+// Consistency-checker work summed over every functional validation this
+// run makes: audits (RecordWrite/CheckRead calls) and the live intervals
+// they looked at through the checker's bucket index.
+struct CheckerWork {
+  uint64_t audits = 0;
+  uint64_t visited = 0;
+};
+CheckerWork g_checker_work;
+
+tilelink::multinode::PayloadReport Tally(
+    tilelink::multinode::PayloadReport r) {
+  g_checker_work.audits += r.checker_audits;
+  g_checker_work.visited += r.checker_visited;
+  return r;
 }
 
 // The fused gates' family: the e2e layer seed with its GEMM k-tile pinned
@@ -80,16 +97,16 @@ bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
     PayloadReport r;
   };
   const Case cases[] = {
-      {"hier_ag", ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems,
-                                        cfg)},
-      {"hier_rs", ValidateHierReduceScatter(spec, tiles, tile_bytes,
-                                            tile_elems, cfg)},
-      {"flat_ag", ValidateFlatAllGather(spec, tiles, tile_bytes, tile_elems,
-                                        cfg)},
-      {"flat_rs", ValidateFlatReduceScatter(spec, tiles, tile_bytes,
-                                            tile_elems, cfg)},
-      {"dp_ar", ValidateDpAllReduce(spec, tiles, tile_bytes, tile_elems,
-                                    cfg)},
+      {"hier_ag", Tally(ValidateHierAllGather(spec, tiles, tile_bytes,
+                                              tile_elems, cfg))},
+      {"hier_rs", Tally(ValidateHierReduceScatter(spec, tiles, tile_bytes,
+                                                  tile_elems, cfg))},
+      {"flat_ag", Tally(ValidateFlatAllGather(spec, tiles, tile_bytes,
+                                              tile_elems, cfg))},
+      {"flat_rs", Tally(ValidateFlatReduceScatter(spec, tiles, tile_bytes,
+                                                  tile_elems, cfg))},
+      {"dp_ar", Tally(ValidateDpAllReduce(spec, tiles, tile_bytes,
+                                          tile_elems, cfg))},
   };
   for (const Case& c : cases) {
     std::printf("  %-8s bit_exact=%d violations=%zu\n", c.name,
@@ -104,8 +121,8 @@ bool RunPayloadValidation(const tilelink::sim::MachineSpec& spec,
   // it, not let a silently wrong answer through.
   tilelink::sim::FaultPlan fault;
   fault.ReorderRailChunk(/*src_rank=*/0, /*chunk=*/0);
-  const PayloadReport f = ValidateHierAllGather(spec, tiles, tile_bytes,
-                                                tile_elems, cfg, &fault);
+  const PayloadReport f = Tally(ValidateHierAllGather(
+      spec, tiles, tile_bytes, tile_elems, cfg, &fault));
   std::printf("  fault    violations=%zu (must be >= 1)\n", f.violations);
   report->Record("multinode.payload.fault_detected",
                  f.violations >= 1 ? 1.0 : 0.0);
@@ -163,7 +180,7 @@ bool RunFusedGate(const tilelink::sim::MachineSpec& spec,
   small.n = 16;
   small.gemm = {8, 16, 8};
   small.rs_block_m = 8;
-  const PayloadReport r = ValidateGemmHierRs(spec, small);
+  const PayloadReport r = Tally(ValidateGemmHierRs(spec, small));
   std::printf("  functional: bit_exact=%d violations=%zu\n",
               r.bit_exact ? 1 : 0, r.violations);
   report->Record("multinode.fused.payload_ok", r.ok() ? 1.0 : 0.0);
@@ -256,7 +273,8 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
   small.comm_tile_m = 8;
   sim::TraceRecorder rec;
   const PayloadReport r =
-      ValidateAgGemmHier(spec, small, nullptr, &rec, /*trace_pid_base=*/0);
+      Tally(ValidateAgGemmHier(spec, small, nullptr, &rec,
+                               /*trace_pid_base=*/0));
   const sim::Profile prof = sim::BuildProfile(rec);
   std::printf("  functional: bit_exact=%d violations=%zu "
               "exposed_comm_frac=%.3f\n",
@@ -274,7 +292,7 @@ bool RunAgFusedGate(const tilelink::sim::MachineSpec& spec,
   plan.RandomTransients("nvlink", /*seed=*/0x9e3779b97f4a7c15ull,
                         /*drop_prob=*/0.02, /*spike_prob=*/0.05,
                         /*spike_mult=*/2.0);
-  const PayloadReport fr = ValidateAgGemmHier(spec, small, &plan);
+  const PayloadReport fr = Tally(ValidateAgGemmHier(spec, small, &plan));
   const uint64_t injected = fr.faults.drops + fr.faults.spikes;
   std::printf("  faulted: bit_exact=%d violations=%zu drops=%llu "
               "spikes=%llu retries=%llu\n",
@@ -366,32 +384,32 @@ bool RunFaultSweep(const tilelink::sim::MachineSpec& base,
   const Target targets[] = {
       {"hier_ag",
        [&](const sim::FaultPlan* p) {
-         return ValidateHierAllGather(spec, tiles, tile_bytes, tile_elems,
-                                      cfg, p);
+         return Tally(ValidateHierAllGather(spec, tiles, tile_bytes,
+                                            tile_elems, cfg, p));
        }},
       {"hier_rs",
        [&](const sim::FaultPlan* p) {
-         return ValidateHierReduceScatter(spec, tiles, tile_bytes,
-                                          tile_elems, cfg, p);
+         return Tally(ValidateHierReduceScatter(spec, tiles, tile_bytes,
+                                                tile_elems, cfg, p));
        }},
       {"flat_ag",
        [&](const sim::FaultPlan* p) {
-         return ValidateFlatAllGather(spec, tiles, tile_bytes, tile_elems,
-                                      cfg, p);
+         return Tally(ValidateFlatAllGather(spec, tiles, tile_bytes,
+                                            tile_elems, cfg, p));
        }},
       {"flat_rs",
        [&](const sim::FaultPlan* p) {
-         return ValidateFlatReduceScatter(spec, tiles, tile_bytes,
-                                          tile_elems, cfg, p);
+         return Tally(ValidateFlatReduceScatter(spec, tiles, tile_bytes,
+                                                tile_elems, cfg, p));
        }},
       {"dp_ar",
        [&](const sim::FaultPlan* p) {
-         return ValidateDpAllReduce(spec, tiles, tile_bytes, tile_elems, cfg,
-                                    p);
+         return Tally(ValidateDpAllReduce(spec, tiles, tile_bytes,
+                                          tile_elems, cfg, p));
        }},
       {"gemm_hier_rs",
        [&](const sim::FaultPlan* p) {
-         return ValidateGemmHierRs(spec, fused, p);
+         return Tally(ValidateGemmHierRs(spec, fused, p));
        }},
   };
 
@@ -505,10 +523,11 @@ bool RunTimelineProfile(const tilelink::sim::MachineSpec& spec,
   const uint64_t tile_bytes = 64 << 10;
   const int64_t tile_elems = 128;
   const PayloadReport fused =
-      ValidateGemmHierRs(spec, small, nullptr, &rec, /*trace_pid_base=*/0);
-  const PayloadReport hrs = ValidateHierReduceScatter(
+      Tally(ValidateGemmHierRs(spec, small, nullptr, &rec,
+                               /*trace_pid_base=*/0));
+  const PayloadReport hrs = Tally(ValidateHierReduceScatter(
       spec, tiles, tile_bytes, tile_elems, cfg, nullptr, &rec,
-      /*trace_pid_base=*/100);
+      /*trace_pid_base=*/100));
   ok = ok && fused.ok() && hrs.ok();
 
   std::string err;
@@ -542,9 +561,9 @@ bool RunTimelineProfile(const tilelink::sim::MachineSpec& spec,
 
   // Pay-for-use gate: untraced re-runs must land on bitwise-identical
   // makespans — attaching the recorder may not perturb scheduling.
-  const PayloadReport fused_quiet = ValidateGemmHierRs(spec, small);
-  const PayloadReport hrs_quiet = ValidateHierReduceScatter(
-      spec, tiles, tile_bytes, tile_elems, cfg);
+  const PayloadReport fused_quiet = Tally(ValidateGemmHierRs(spec, small));
+  const PayloadReport hrs_quiet = Tally(ValidateHierReduceScatter(
+      spec, tiles, tile_bytes, tile_elems, cfg));
   const bool invariant = fused_quiet.makespan == fused.makespan &&
                          hrs_quiet.makespan == hrs.makespan;
   std::printf("  trace-off makespans identical: %d\n", invariant ? 1 : 0);
@@ -561,8 +580,9 @@ bool RunTimelineProfile(const tilelink::sim::MachineSpec& spec,
     plan.RandomTransients("nic", /*seed=*/1ull, /*drop_prob=*/0.08,
                           /*spike_prob=*/0.10, /*spike_mult=*/3.0);
     const PayloadReport fr =
-        ValidateHierAllGather(fspec, /*num_tiles=*/48, 512 << 10, tile_elems,
-                              fcfg, &plan, &rec, /*trace_pid_base=*/200);
+        Tally(ValidateHierAllGather(fspec, /*num_tiles=*/48, 512 << 10,
+                                    tile_elems, fcfg, &plan, &rec,
+                                    /*trace_pid_base=*/200));
     std::size_t instants = 0;
     for (const auto& e : rec.events()) {
       if (e.phase == sim::TraceRecorder::Phase::kInstant &&
@@ -608,6 +628,17 @@ int main(int argc, char** argv) {
     }
   }
   ok = RunTimelineProfile(spec, &report, faults_flag) && ok;
+  // The checker's index work per audit: CI gates visits_per_audit.
+  const double audits = static_cast<double>(g_checker_work.audits);
+  std::printf("checker: %.0f audits, %.0f intervals visited (%.2f per "
+              "audit)\n\n",
+              audits, static_cast<double>(g_checker_work.visited),
+              static_cast<double>(g_checker_work.visited) /
+                  std::max(1.0, audits));
+  report.Record("multinode.checker.audits", audits);
+  report.Record("multinode.checker.visits_per_audit",
+                static_cast<double>(g_checker_work.visited) /
+                    std::max(1.0, audits));
 
   std::printf("=== Multi-node fabric: 2x8 H800, hierarchical vs flat ===\n");
   ResultTable table("tile-granular collectives (2x8, per-rank shard)",

@@ -22,19 +22,19 @@
 #      bench_micro_sim the interpreter rung's
 #      BM_SimulateAgGemmMlp1.events_per_s and the wide event-loop rung's
 #      BM_EventLoopWide/1024.items_per_second keys, and gates the
-#      deterministic heap-allocation counts: allocs_per_event of the
-#      interpreter rung (warm RunSpmd), of the FLUX GEMM+RS rung (a
-#      timing-only run that builds per-block scratch fails here) and of the
-#      BM_ParkWake rung must stay at or under their committed ceilings, as
-#      must the interpreter rung's
-#      coroutine resumes per event (resumes_per_event: a kernel whose
-#      k-loop falls off the repeated-delay path fails here), its
-#      event-queue pops per event (queue_pops_per_event: a simulator that
-#      stops moving lockstep k-loop repeats as one queued wave fails
-#      here), the flow network's work per transfer (fig8's completion
-#      entries and re-rates per transfer, the FLUX GEMM+RS rung's re-rates
-#      per flow: a kernel whose pushes converge on one owner's ingress
-#      fails here), fig11's cold-sweep full-fidelity candidate count
+#      deterministic heap-allocation counts: allocs_per_event of the FLUX
+#      GEMM+RS rung (a timing-only run that builds per-block scratch fails
+#      here) and of the BM_ParkWake rung must stay at or under their
+#      committed ceilings, as must the interpreter rung's heap allocations
+#      (warm RunSpmd), coroutine resumes (a kernel whose k-loop falls off
+#      the repeated-delay path fails here) and event-queue pops (a
+#      simulator that stops moving lockstep k-loop repeats as one queued
+#      wave fails here) per simulation, the flow network's work per
+#      transfer (fig8's completion entries, re-rates, wake-ups and empty
+#      wake-ups per transfer, the FLUX GEMM+RS rung's re-rates per flow: a
+#      network that re-rates per change instead of per instant, or a
+#      kernel whose pushes converge on one owner's ingress, fails here),
+#      fig11's cold-sweep full-fidelity candidate count
 #      (fig11.tuner.full_evals: a bound that stops pruning fails here) and
 #      the simulations that sweep runs
 #      (fig11.tuner.sims: a search that stops merging planner-identical
@@ -74,7 +74,9 @@
 #      must surface as fault.* instants, and makespans must be bitwise
 #      identical with tracing on or off. The stage then checks the fabric.*
 #      keys landed in the JSON report and that the saved trace file is
-#      non-trivial.
+#      non-trivial, and gates the consistency checker's intervals visited
+#      per audit on a committed ceiling (an index that stops narrowing the
+#      live intervals a record or read check looks at fails here).
 #   6. Serving smoke: the continuous-batching bench drives a deterministic
 #      request trace through per-model replicas whose cold tunes run the
 #      exact, bound-pruned MLP searches behind the online config service —
@@ -154,23 +156,28 @@ if [[ "$FAST" == "0" ]]; then
   grep -q '"BM_EventLoopWide/1024.items_per_second"' build-ci/BENCH_micro_sim.json \
       || { echo "missing BM_EventLoopWide/1024.items_per_second in BENCH_micro_sim.json"; exit 1; }
   # Deterministic counters gate on committed ceilings (usage: ceiling
-  # <json> <key> <ceiling>). Heap allocations per simulated event: a warm
-  # interpreter run allocates only for fresh flags' waiter lists and the
-  # host DMA path's buffer copies (0.0762; 0.2422 while tensor views kept
-  # their shape and strides on the heap, 0.52 before the allocation-free
-  # hot path), a warm park/wake loop not at all. A warm timing-only FLUX
-  # GEMM+RS at fig8 MLP-1 allocates 0.0211 per event (0.0381 while every
-  # block built its 128 KiB accumulator in timing-only runs too, 2 heap
-  # allocations per block). The flow network's work: FLUX GEMM+RS at fig8
-  # MLP-1 re-rates 84.34 flows per flow it starts, and the fig8 figure
-  # simulations push 3.880 completion entries and re-rate 78.91 flows per
-  # transfer, with FLUX's tile order swizzled by rank so the ranks' pushes
-  # land on different owners (201.6, 10.465 and 182.38 while all eight
-  # ranks pushed to one owner at a time). Coroutine resumes per
-  # interpreter event: 0.3274 with every pure-compute k-loop run as one
-  # repeated delay (one resume per tile, not per k-step). Event-queue pops
-  # per interpreter event: 0.4325 with lockstep repeats moved as one
-  # queued wave, 1.0 with every repeat popped on its own. The fig11 cold
+  # <json> <key> <ceiling>). Heap allocations: a warm AG+GEMM interpreter
+  # run at fig8 MLP-1 allocates 2470 times, only for fresh flags' waiter
+  # lists and the host DMA path's buffer copies (0.0762 per event; 0.2422
+  # while tensor views kept their shape and strides on the heap, 0.52
+  # before the allocation-free hot path), a warm park/wake loop not at
+  # all. A warm timing-only FLUX GEMM+RS at fig8 MLP-1 allocates 0.0211
+  # per event (0.0381 while every block built its 128 KiB accumulator in
+  # timing-only runs too, 2 heap allocations per block). The flow
+  # network's work, with each flow on a changed port-rail re-rated once
+  # per simulated instant: FLUX GEMM+RS at fig8 MLP-1 re-rates 1.884 flows
+  # per flow it starts, and the fig8 figure simulations push 1.818
+  # completion entries, re-rate 1.842 flows and queue 0.010000 wake-ups
+  # (0.002828 of them empty) per transfer (84.34, 3.880, 78.91, 0.1417
+  # and 0.1345 while every join and leave re-rated its port-rails; 201.6,
+  # 10.465 and 182.38 while, in addition, all eight ranks pushed to one
+  # owner at a time). Coroutine resumes of the AG+GEMM run: 10607 with
+  # every pure-compute k-loop run as one repeated delay (one resume per
+  # tile, not per k-step; 0.3276 per event). Its event-queue pops: 13990
+  # with lockstep repeats moved as one queued wave (0.4321 per event, 1.0
+  # with every repeat popped on its own). These three gate absolute
+  # counts, not ratios per event: dropping events that do no work (the
+  # network's empty wake-ups) must not read as a regression. The fig11 cold
   # sweep's full-fidelity candidates: 1164 with each family's overlap
   # bound pruning the exact MLP searches (1372 with no MLP bound), so a
   # bound that stops pruning fails here. The simulations that sweep runs
@@ -185,14 +192,16 @@ if [[ "$FAST" == "0" ]]; then
     awk -v v="$value" -v c="$ceiling" 'BEGIN { exit !(v <= c) }' \
         || { echo "$key = $value exceeds its ceiling $ceiling"; exit 1; }
   }
-  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs_per_event 0.0763
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.allocs 2470
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.allocs_per_event 0.0212
   ceiling build-ci/BENCH_micro_sim.json BM_ParkWake.allocs_per_event 0
-  ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.rerates_per_flow 84.4
-  ceiling build-ci/BENCH_fig8.json net.rerates_per_transfer 79.0
-  ceiling build-ci/BENCH_fig8.json net.completion_events_per_transfer 3.89
-  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes_per_event 0.3275
-  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops_per_event 0.4326
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateFluxGemmRsMlp1.rerates_per_flow 1.9
+  ceiling build-ci/BENCH_fig8.json net.rerates_per_transfer 1.85
+  ceiling build-ci/BENCH_fig8.json net.completion_events_per_transfer 1.82
+  ceiling build-ci/BENCH_fig8.json net.wakeups_per_transfer 0.0100
+  ceiling build-ci/BENCH_fig8.json net.empty_wakeups_per_transfer 0.00283
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes 10607
+  ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops 13990
   ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 1164
   ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1493
 
@@ -217,6 +226,12 @@ if [[ "$FAST" == "0" ]]; then
     grep -q "\"$key\"" build-ci/BENCH_multinode.json \
         || { echo "missing $key in BENCH_multinode.json"; exit 1; }
   done
+  # The consistency checker's index work: the live intervals one
+  # RecordWrite or CheckRead looks at through the bucket index, over every
+  # functional validation of the run (2.66; a scan of every live interval
+  # of the buffer looked at ~244 per call over a perfbench kernels pass).
+  # Gated far below the scan, so an index that stops narrowing fails here.
+  ceiling build-ci/BENCH_multinode.json multinode.checker.visits_per_audit 8
   [[ -s build-ci/TRACE_multinode.json ]] \
       || { echo "empty TRACE_multinode.json"; exit 1; }
   grep -q '"ph"' build-ci/TRACE_multinode.json \

@@ -18,13 +18,29 @@ void GemmTile(const Tensor& a, const Tensor& b, Tensor& c, int64_t m0,
   const int64_t m_len = ClipLen(m0, bm, c.dim(0));
   const int64_t n_len = ClipLen(n0, bn, c.dim(1));
   const int64_t k_len = ClipLen(k0, bk, a.dim(1));
+  if (m_len == 0 || n_len == 0) return;
+  // Rows by pointer, in at()'s accumulation order: element (i, j) of a view
+  // v sits at v.offset() + i * stride0 + j * stride1.
+  TL_DCHECK(k_len == 0 ||
+            (m0 + m_len <= a.dim(0) && k0 + k_len <= b.dim(0) &&
+             n0 + n_len <= b.dim(1)));
+  const float* ad = a.buffer()->data().data();
+  const float* bd = b.buffer()->data().data();
+  float* cd = c.buffer()->data().data();
+  const int64_t as0 = a.strides()[0], as1 = a.strides()[1];
+  const int64_t bs0 = b.strides()[0], bs1 = b.strides()[1];
+  const int64_t cs0 = c.strides()[0], cs1 = c.strides()[1];
   for (int64_t m = 0; m < m_len; ++m) {
+    const int64_t a_row = a.offset() + (m0 + m) * as0 + k0 * as1;
+    const int64_t c_row = c.offset() + (m0 + m) * cs0 + n0 * cs1;
     for (int64_t n = 0; n < n_len; ++n) {
-      float acc = accumulate ? c.at({m0 + m, n0 + n}) : 0.0f;
+      const int64_t b_col = b.offset() + k0 * bs0 + (n0 + n) * bs1;
+      float& out = cd[c_row + n * cs1];
+      float acc = accumulate ? out : 0.0f;
       for (int64_t k = 0; k < k_len; ++k) {
-        acc += a.at({m0 + m, k0 + k}) * b.at({k0 + k, n0 + n});
+        acc += ad[a_row + k * as1] * bd[b_col + k * bs0];
       }
-      c.at({m0 + m, n0 + n}) = acc;
+      out = acc;
     }
   }
 }

@@ -26,8 +26,19 @@
 // (transfer start < record time) must bracket the transfer with
 // OpenWrite/CloseWrite so the watermark cannot advance past an in-flight
 // write and retire the reads it still needs to audit.
+//
+// Index: each buffer keeps its live writes and its live read probes in
+// record order, plus a bucket index over their element ranges (see
+// IntervalBuckets below), so a record or a read check visits only the
+// intervals filed under the element buckets its range covers instead of
+// every live interval of the buffer. The index is a hash table whose size
+// follows the live interval count, never the buffer's extent. Matches are
+// reported in record order, exactly as a scan of every live interval would
+// report them. Retirement rebuilds the index of every buffer it touched.
+// Writer and reader names are interned: an interval holds a name id.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -43,6 +54,61 @@ class TraceRecorder;
 namespace tilelink::rt {
 
 class Buffer;
+
+// A bucket index over the element ranges of a list of intervals (items
+// 0..n-1). Elements are grouped into buckets of 2^shift; an item is filed
+// under every bucket its range covers, in a power-of-two hash table of
+// chained entries that grows with the entry count. An item covering more
+// than kMaxSpan buckets is filed once in a `wide` list instead, and a query
+// covering more buckets than there are entries walks every item, so one
+// whole-buffer range costs no more than a scan. The bucket width is the
+// first item's length when the index is empty and the items' median length
+// at each rebuild (a power of two, at least 2^kMinShift), so a typical item
+// covers one or two buckets. Memory grows with the items, not with the
+// element extent.
+class IntervalBuckets {
+ public:
+  // Re-files `n` items; range(i) returns item i's [lo, hi) as a pair.
+  template <typename RangeFn>
+  void Rebuild(std::size_t n, const RangeFn& range);
+  // Files item `item` (the next index, items are appended in order).
+  void Insert(uint32_t item, int64_t lo, int64_t hi);
+  // Calls fn(item) once for every item that may overlap [lo, hi) (a
+  // superset of the overlapping items, in no particular order); returns the
+  // number of entries and items it looked at.
+  template <typename Fn>
+  uint64_t ForEachCandidate(int64_t lo, int64_t hi, const Fn& fn) const;
+
+ private:
+  struct Entry {
+    int64_t bucket;
+    uint32_t item;
+    uint32_t next : 31;  // next entry in the slot's chain, or kNoEntry
+    uint32_t first : 1;  // `bucket` is the first one the item covers
+  };
+  static constexpr uint32_t kNoEntry = (1u << 31) - 1;
+  static constexpr int kMinShift = 6;  // 64-element buckets at least
+  static constexpr int64_t kMaxSpan = 16;
+  static constexpr int kMinSlotBits = 4;
+
+  std::size_t SlotOf(int64_t bucket) const {
+    return static_cast<std::size_t>(
+        (static_cast<uint64_t>(bucket) * 0x9E3779B97F4A7C15ull) >>
+        (64 - slot_bits_));
+  }
+
+  // Buckets of the smallest power of two >= `length` (at least 2^kMinShift).
+  void SizeBuckets(int64_t length);
+  void Link(uint32_t entry);
+  void Grow();
+
+  int shift_ = kMinShift;
+  int slot_bits_ = kMinSlotBits;
+  std::size_t items_ = 0;
+  std::vector<uint32_t> heads_;  // per slot: first entry, or kNoEntry
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> wide_;   // items covering more than kMaxSpan buckets
+};
 
 class ConsistencyChecker {
  public:
@@ -120,6 +186,12 @@ class ConsistencyChecker {
   std::size_t live_reads() const;
   std::size_t retired_intervals() const { return retired_; }
 
+  // Index work (deterministic): RecordWrite and CheckRead calls that
+  // audited a non-empty range, and the live intervals those audits looked
+  // at through the bucket index.
+  uint64_t audit_calls() const { return audit_calls_; }
+  uint64_t intervals_visited() const { return intervals_visited_; }
+
   const std::vector<Violation>& violations() const { return violations_; }
   void Clear();
 
@@ -136,25 +208,45 @@ class ConsistencyChecker {
   }
 
  private:
+  // Writer and reader names are kept once, in names_; intervals hold ids.
   struct WriteInterval {
     int64_t lo, hi;
     sim::TimeNs start, end;
-    std::string writer;
+    uint32_t writer;
     bool atomic;
   };
   struct ReadProbe {
     int64_t lo, hi;
     sim::TimeNs t;
-    std::string reader;
+    uint32_t reader;
+  };
+  // One buffer's live intervals of one kind, in record order, and their
+  // bucket index.
+  template <typename Item>
+  struct Lane {
+    std::vector<Item> items;
+    IntervalBuckets index;
+
+    void Add(Item item);
+    void Reindex();
+    // Calls fn(item) for every live item matching `hit`, in record order;
+    // counts the intervals looked at into *visited.
+    template <typename Hit, typename Fn>
+    void ForEachHit(int64_t lo, int64_t hi, const Hit& hit, const Fn& fn,
+                    uint64_t* visited) const;
   };
 
+  // The id of `name` in names_, added on first use.
+  uint32_t NameId(const std::string& name);
   void MaybeAutoRetire();
   // Emits the live/retired counter sample at sim-time `ts` (trace only).
   void TraceCounters(sim::TimeNs ts);
 
   bool enabled_ = false;
-  std::unordered_map<const Buffer*, std::vector<WriteInterval>> writes_;
-  std::unordered_map<const Buffer*, std::vector<ReadProbe>> reads_;
+  std::unordered_map<const Buffer*, Lane<WriteInterval>> writes_;
+  std::unordered_map<const Buffer*, Lane<ReadProbe>> reads_;
+  std::unordered_map<std::string, uint32_t> name_ids_;
+  std::vector<std::string> names_;  // by id
   std::vector<Violation> violations_;
   std::map<uint64_t, sim::TimeNs> open_writes_;  // token -> start
   uint64_t next_token_ = 1;
@@ -162,6 +254,8 @@ class ConsistencyChecker {
   std::size_t auto_retire_period_ = kDefaultAutoRetirePeriod;
   std::size_t records_since_retire_ = 0;
   std::size_t retired_ = 0;
+  uint64_t audit_calls_ = 0;
+  uint64_t intervals_visited_ = 0;
   sim::TraceRecorder* trace_ = nullptr;  // non-owning
   int trace_pid_ = -1;
   std::size_t records_since_trace_ = 0;

@@ -59,10 +59,17 @@ Network::Network(Simulator* sim, int num_ports, double port_bw_gbps,
   ConfigureRails(1);
 }
 
+Network::~Network() {
+  if (instant_end_queued()) sim_->CancelInstantEnd(*this);
+}
+
 void Network::ConfigureRails(int rails) {
   TL_CHECK_GT(rails, 0);
   TL_CHECK_EQ(active_flow_count(), 0);
   rails_ = rails;
+  // The last leaves may still be queued for this instant's re-rate; with no
+  // flow left there is nothing to re-rate.
+  dirty_egress_ = dirty_ingress_ = nullptr;
   PortRail idle;
   Reshare(idle);
   const std::size_t port_rails = static_cast<std::size_t>(num_ports_) * rails;
@@ -148,13 +155,10 @@ void Network::Rescale(int port, int rail, double fraction) {
   rail_generation_++;
   BeginChange();
   for (int p = lo; p < hi; ++p) {
-    for (Flow* f : egress_[Index(p, rail)].flows) Rerate(*f);
-    // Rescaling every port, the egress lists already cover the rail; one
-    // port's ingress list never overlaps its egress list (no self-flows).
-    if (port < 0) continue;
-    for (Flow* f : ingress_[Index(p, rail)].flows) Rerate(*f);
+    MarkDirty(egress_[Index(p, rail)], &dirty_egress_);
+    // Rescaling every port, the egress lists already cover the rail.
+    if (port >= 0) MarkDirty(ingress_[Index(p, rail)], &dirty_ingress_);
   }
-  ArmWake();
 }
 
 TimeNs Network::ExpectedFlowTime(uint64_t bytes) const {
@@ -340,7 +344,9 @@ void Network::AddFlow(Flow& f) {
   in.flows.push_back(&f);
   Reshare(eg);
   Reshare(in);
-  RerateShared(eg, in, f.src);
+  BeginChange();
+  MarkDirty(eg, &dirty_egress_);
+  MarkDirty(in, &dirty_ingress_);
   TraceRailCounter(f.rail);
 }
 
@@ -360,17 +366,38 @@ void Network::RemoveFlow(Flow& f) {
   Reshare(in);
   f.live = false;
   free_.push_back(&f);
-  RerateShared(eg, in, f.src);
+  BeginChange();
+  MarkDirty(eg, &dirty_egress_);
+  MarkDirty(in, &dirty_ingress_);
   TraceRailCounter(f.rail);
 }
 
-void Network::RerateShared(const PortRail& egress, const PortRail& ingress,
-                           int src) {
-  BeginChange();
-  for (Flow* f : egress.flows) Rerate(*f);
-  // Flows from `src` on this rail sit on both lists; the egress pass had them.
-  for (Flow* f : ingress.flows) {
-    if (f->src != src) Rerate(*f);
+void Network::MarkDirty(PortRail& pr, PortRail** list) {
+  if (pr.dirty) return;
+  pr.dirty = true;
+  pr.next_dirty = *list;
+  *list = &pr;
+  sim_->AtInstantEnd(*this);
+}
+
+void Network::OnInstantEnd() {
+  // A flow on a dirty egress port-rail is re-rated there; the ingress pass
+  // skips it, so each flow is re-rated once. Flags clear only after both
+  // passes, since the ingress pass reads the egress flags.
+  for (PortRail* pr = dirty_egress_; pr != nullptr; pr = pr->next_dirty) {
+    for (Flow* f : pr->flows) Rerate(*f);
+  }
+  for (PortRail* pr = dirty_ingress_; pr != nullptr; pr = pr->next_dirty) {
+    for (Flow* f : pr->flows) {
+      if (!egress_[Index(f->src, f->rail)].dirty) Rerate(*f);
+    }
+  }
+  for (PortRail** list : {&dirty_egress_, &dirty_ingress_}) {
+    while (PortRail* pr = *list) {
+      *list = pr->next_dirty;
+      pr->next_dirty = nullptr;
+      pr->dirty = false;
+    }
   }
   ArmWake();
 }

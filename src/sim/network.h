@@ -21,15 +21,23 @@
 // single send, the fused kernels' device pushes included) and the link
 // roles' chunk loop both retry through those two calls.
 //
-// Rates and completions touch only what a change can affect:
+// Rates and completions touch only what a change can affect, once per
+// simulated instant:
 //  * Port-rail index. A flow's rate depends only on the flow counts and
 //    health of its two port-rails, (src egress, rail) and (dst ingress,
-//    rail), so live flows are indexed per port-rail. Adding or removing a
-//    flow re-rates only the flows sharing one of its port-rails; a rail
-//    rescale re-rates only that rail's flows at the rescaled ports. Each
-//    port-rail caches its per-flow share, recomputed only when its flow
-//    count or health changes, so a re-rate is the min of two cached
-//    values.
+//    rail), so live flows are indexed per port-rail. Each port-rail caches
+//    its per-flow share, recomputed at once whenever its flow count or
+//    health changes, so a re-rate is the min of two cached values.
+//  * One re-rate per flow per instant. Adding or removing a flow, or a rail
+//    rescale, only marks the port-rails it touched dirty (an intrusive
+//    list, no allocation). At the end of the instant (the simulator's
+//    end-of-instant hook, after the last event at that time) each flow on
+//    a dirty port-rail is re-rated once, however many of its port-rails'
+//    joins, leaves and rescales landed in that instant; tile-granularity
+//    pushes join and leave a port by the hundred in one nanosecond. This is
+//    bitwise the same as re-rating at every change: a same-instant re-rate
+//    integrates over dt = 0, so it leaves the remaining bytes unchanged,
+//    and the last one alone sets the rate and the completion time.
 //  * Progress anchoring. A flow's progress is kept as (remaining bytes, the
 //    time they were valid) and integrated, rem -= rate * dt, only when its
 //    rate changes. A flow whose recomputed rate is bitwise equal keeps its
@@ -81,14 +89,16 @@ struct TransferOutcome {
   uint64_t ordinal = 0;  // per-edge attempt ordinal (0 when no plan attached)
 };
 
-class Network {
+class Network : private InstantEndHook {
  public:
   // port_bw_gbps is bytes per nanosecond (numerically GB/s); latency_ns is
-  // the per-message wire latency added before bytes flow.
+  // the per-message wire latency added before bytes flow. The simulator
+  // must outlive the network.
   Network(Simulator* sim, int num_ports, double port_bw_gbps,
           TimeNs latency_ns, std::string name);
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
+  ~Network();
 
   int num_ports() const { return num_ports_; }
   TimeNs latency() const { return latency_ns_; }
@@ -180,7 +190,8 @@ class Network {
   // Entries that came due for a flow already retired, completed or timed
   // out, or superseded by an earlier entry.
   uint64_t stale_completions() const { return stale_completions_; }
-  // Rate recomputations: flows visited by flow changes and rail rescales.
+  // Rate recomputations: flows on the port-rails that flow changes and rail
+  // rescales touched, each counted once per instant.
   uint64_t rerated_flows() const { return rerated_flows_; }
   // Wake-ups the simulator fired for this fabric, and those that completed
   // no flow: superseded ones (a queued wake-up is never cancelled, only made
@@ -219,11 +230,14 @@ class Network {
   // crossing it, and the rate each of them may take here. Completed flows
   // stay listed, holding their share, until the waiting coroutine retires
   // them. `share` is kept by Reshare whenever `scale` or the flow count
-  // changes.
+  // changes. A port-rail changed in the current instant is `dirty` and
+  // linked into its side's dirty list until the instant's re-rate.
   struct PortRail {
     double scale = 1.0;
     double share = 0.0;  // ShareOf(scale, flows.size())
     std::vector<Flow*> flows;
+    PortRail* next_dirty = nullptr;
+    bool dirty = false;
   };
 
   // A pending completion of `flow` at `at`; stale once the slot moved on to
@@ -259,13 +273,16 @@ class Network {
   void TraceRailCounter(int rail);
 
   // Sets rail `rail`'s health at `port` (-1: every port) on both sides and
-  // re-rates the flows crossing it.
+  // marks those port-rails for the instant's re-rate.
   void Rescale(int port, int rail, double fraction);
-  // Re-rates the flows of two port-rails a flow from `src` joined or left.
-  void RerateShared(const PortRail& egress, const PortRail& ingress, int src);
   // Opens a flow change: reserves its tie-break sequence and re-anchors the
   // flows due this very nanosecond whose completion has not run yet.
   void BeginChange();
+  // Queues `pr` on `*list` for the end-of-instant re-rate (once).
+  void MarkDirty(PortRail& pr, PortRail** list);
+  // End of instant: re-rates every flow on a dirty port-rail once, clears
+  // the dirty lists and queues the next wake-up.
+  void OnInstantEnd() override;
   // Recomputes f's rate. Re-anchors and re-arms only when the rate changed
   // or f is `due` now.
   void Rerate(Flow& f, bool due = false);
@@ -295,6 +312,8 @@ class Network {
   int rails_ = 1;
   std::vector<PortRail> egress_;   // by Index(port, rail)
   std::vector<PortRail> ingress_;  // by Index(port, rail)
+  PortRail* dirty_egress_ = nullptr;   // changed this instant, LIFO
+  PortRail* dirty_ingress_ = nullptr;
   std::vector<std::unique_ptr<Flow>> pool_;  // every slot ever used
   std::vector<Flow*> free_;                  // recycled slots, LIFO
   std::priority_queue<Due, std::vector<Due>, DueLater> due_;

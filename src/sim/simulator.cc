@@ -354,9 +354,32 @@ void Simulator::DestroyFinishedRoots() {
   }
 }
 
+void Simulator::CancelInstantEnd(InstantEndHook& hook) {
+  if (!hook.hook_queued_) return;
+  for (InstantEndHook** link = &instant_hooks_; *link != nullptr;
+       link = &(*link)->next_hook_) {
+    if (*link == &hook) {
+      *link = hook.next_hook_;
+      break;
+    }
+  }
+  hook.next_hook_ = nullptr;
+  hook.hook_queued_ = false;
+}
+
+void Simulator::EndInstant() {
+  while (InstantEndHook* hook = instant_hooks_) {
+    instant_hooks_ = hook->next_hook_;
+    hook->next_hook_ = nullptr;
+    hook->hook_queued_ = false;
+    hook->OnInstantEnd();
+  }
+}
+
 void Simulator::Run() {
   const TimeNs run_start = now_;
   const uint64_t events_before = processed_events_;
+  EndInstant();  // hooks requested outside Run, at this same Now()
   while (!heap_.empty()) {
     const Event ev = PopMin();
     TL_CHECK_GE(ev.t, now_);
@@ -400,6 +423,10 @@ void Simulator::Run() {
       }
     }
     DestroyFinishedRoots();  // rethrows root errors promptly
+    if (instant_hooks_ != nullptr &&
+        (heap_.empty() || heap_.front().t != now_)) {
+      EndInstant();
+    }
   }
   if (!live_roots_.empty()) {
     std::ostringstream os;

@@ -56,6 +56,15 @@
 // first or after the last. Repeat events and waves own nothing but pooled
 // wave records, so teardown simply drops the queued ones.
 //
+// End-of-instant hooks: a component that coalesces many same-instant
+// changes (the flow network re-rates each port-rail once per instant, not
+// once per join or leave) asks for one callback at the end of the current
+// instant with AtInstantEnd. Run calls every requested hook after the last
+// event at Now() has run, before the clock advances and before it decides
+// the queue has drained, so a hook may queue events of its own (at Now() or
+// later). The hooks form an intrusive list threaded through the requesting
+// objects, so requesting one allocates nothing.
+//
 // Parking allocates nothing either. A parked Flag or Resource awaiter is a
 // BlockedNode: it lives in the suspended coroutine's frame and links itself
 // into the simulator's intrusive blocked list, so parking and waking are a
@@ -131,6 +140,26 @@ class BlockedNode {
   BlockedNode* prev_ = nullptr;
   BlockedNode* next_ = nullptr;
   DescribeFn describe_ = nullptr;
+};
+
+// An object Run calls back once at the end of an instant it asked for (see
+// Simulator::AtInstantEnd). It must stay alive until its callback has run,
+// or cancel it first (Simulator::CancelInstantEnd).
+class InstantEndHook {
+ public:
+  virtual void OnInstantEnd() = 0;
+
+ protected:
+  InstantEndHook() = default;
+  InstantEndHook(const InstantEndHook&) = delete;
+  InstantEndHook& operator=(const InstantEndHook&) = delete;
+  ~InstantEndHook() = default;
+  bool instant_end_queued() const { return hook_queued_; }
+
+ private:
+  friend class Simulator;
+  InstantEndHook* next_hook_ = nullptr;
+  bool hook_queued_ = false;
 };
 
 class Simulator {
@@ -222,6 +251,18 @@ class Simulator {
     const Event& top = heap_.front();
     return top.t < t || (top.t == t && top.seq < seq);
   }
+
+  // Calls hook.OnInstantEnd() once at the end of the current instant, after
+  // the last event at Now(); a hook already queued stays queued once. A
+  // request made outside Run is served when Run starts, at the same Now().
+  void AtInstantEnd(InstantEndHook& hook) {
+    if (hook.hook_queued_) return;
+    hook.hook_queued_ = true;
+    hook.next_hook_ = instant_hooks_;
+    instant_hooks_ = &hook;
+  }
+  // Withdraws a queued hook (a no-op when none is queued).
+  void CancelInstantEnd(InstantEndHook& hook);
 
   // Schedules a coroutine resumption at absolute time t.
   void ScheduleResume(TimeNs t, std::coroutine_handle<> h);
@@ -343,6 +384,8 @@ class Simulator {
   void StartWave(Delay& first);
   void QueueWave(RepeatWave* wave);
   void DestroyFinishedRoots();
+  // Calls and dequeues every queued end-of-instant hook.
+  void EndInstant();
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
@@ -367,6 +410,8 @@ class Simulator {
   std::vector<Coro::Handle> live_roots_;
   // Head of the circular blocked list, in park order.
   BlockedNode blocked_;
+  // End-of-instant hooks queued for the current instant (LIFO).
+  InstantEndHook* instant_hooks_ = nullptr;
   TraceRecorder* trace_ = nullptr;
   int trace_pid_ = 0;
   // Open root spans (spawn -> completion), populated only while a recorder

@@ -34,24 +34,6 @@ Tensor Tensor::Alloc(rt::Device& dev, const std::string& name,
   return Tensor(dev.Alloc(name, n), std::move(shape), dtype, 0);
 }
 
-int64_t Tensor::numel() const {
-  int64_t n = 1;
-  for (int64_t d : shape_) n *= d;
-  return n;
-}
-
-int64_t Tensor::OffsetOf(std::initializer_list<int64_t> idx) const {
-  TL_DCHECK(static_cast<int>(idx.size()) == ndim());
-  int64_t off = offset_;
-  int i = 0;
-  for (int64_t v : idx) {
-    TL_DCHECK(v >= 0 && v < shape_[static_cast<size_t>(i)]);
-    off += v * strides_[static_cast<size_t>(i)];
-    ++i;
-  }
-  return off;
-}
-
 Tensor Tensor::Slice(int dim, int64_t start, int64_t len) const {
   TL_CHECK_GE(dim, 0);
   TL_CHECK_LT(dim, ndim());

@@ -71,14 +71,28 @@ class Tensor {
   const TensorDims& strides() const { return strides_; }
   int64_t offset() const { return offset_; }
 
-  int64_t numel() const;
+  int64_t numel() const {
+    int64_t n = 1;
+    for (int64_t d : shape_) n *= d;
+    return n;
+  }
   uint64_t logical_bytes() const {
     return static_cast<uint64_t>(numel()) * DTypeSize(dtype_);
   }
   bool materialized() const { return buf_->materialized(); }
 
   // Linear buffer offset of an index tuple.
-  int64_t OffsetOf(std::initializer_list<int64_t> idx) const;
+  int64_t OffsetOf(std::initializer_list<int64_t> idx) const {
+    TL_DCHECK(static_cast<int>(idx.size()) == ndim());
+    int64_t off = offset_;
+    size_t i = 0;
+    for (int64_t v : idx) {
+      TL_DCHECK(v >= 0 && v < shape_[i]);
+      off += v * strides_[i];
+      ++i;
+    }
+    return off;
+  }
 
   float& at(std::initializer_list<int64_t> idx) {
     return buf_->at(OffsetOf(idx));

@@ -2,28 +2,37 @@
 
 #include <bit>
 #include <cmath>
-#include <functional>
+#include <vector>
 
 namespace tilelink {
 namespace {
 
-// Applies fn to every linear buffer offset of the view, in row-major order.
-void ForEachOffset(const Tensor& t, const std::function<void(int64_t)>& fn) {
-  const int nd = t.ndim();
+// Applies fn to every linear buffer offset of the view, in row-major order:
+// the outer indices step like an odometer, and each innermost row is one
+// strided run.
+template <typename Fn>
+void ForEachOffset(const Tensor& t, const Fn& fn) {
   if (t.numel() == 0) return;
-  std::vector<int64_t> idx(static_cast<size_t>(nd), 0);
+  const int nd = t.ndim();
+  if (nd == 0) {
+    fn(t.offset());
+    return;
+  }
+  const size_t inner = static_cast<size_t>(nd - 1);
+  const int64_t row_len = t.shape()[inner];
+  const int64_t step = t.strides()[inner];
+  TensorDims idx;
+  for (size_t i = 0; i < inner; ++i) idx.push_back(0);
   while (true) {
-    int64_t off = t.offset();
-    for (int i = 0; i < nd; ++i) {
-      off += idx[static_cast<size_t>(i)] * t.strides()[static_cast<size_t>(i)];
+    int64_t row = t.offset();
+    for (size_t i = 0; i < inner; ++i) row += idx[i] * t.strides()[i];
+    for (int64_t j = 0; j < row_len; ++j) fn(row + j * step);
+    size_t i = inner;
+    for (; i > 0; --i) {
+      if (++idx[i - 1] < t.shape()[i - 1]) break;
+      idx[i - 1] = 0;
     }
-    fn(off);
-    int i = nd - 1;
-    for (; i >= 0; --i) {
-      if (++idx[static_cast<size_t>(i)] < t.dim(i)) break;
-      idx[static_cast<size_t>(i)] = 0;
-    }
-    if (i < 0) break;
+    if (i == 0) break;
   }
 }
 

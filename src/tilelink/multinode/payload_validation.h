@@ -42,6 +42,10 @@ struct PayloadReport {
   // intervals audited).
   std::size_t checker_live = 0;
   std::size_t checker_retired = 0;
+  // Checker index work: audits (RecordWrite/CheckRead calls) and the live
+  // intervals they looked at.
+  uint64_t checker_audits = 0;
+  uint64_t checker_visited = 0;
 
   bool ok() const { return bit_exact && violations == 0; }
 };

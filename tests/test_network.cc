@@ -441,6 +441,10 @@ Coro StormFlow(Network* net, int src, int dst) {
 TEST(HotPath, StormArmsAtMostFourCompletionsPerFlow) {
   // Flow i from port i % 8 to (i + 1) % 8, all starting together: each
   // join slows every flow on its port pair, which must not re-arm them.
+  // The 512 joins land in one nanosecond, so each flow is re-rated once,
+  // at the end of that instant; the 64 flows of a port pair finish
+  // together, and a finished flow is not re-rated. One re-rate per flow
+  // (re-rating at every join cost 8 x (1 + 2 + ... + 64) = 16640).
   constexpr int kFlows = 512;
   Simulator sim;
   Network net(&sim, 8, 150.0, 2200, "nvl");
@@ -448,6 +452,7 @@ TEST(HotPath, StormArmsAtMostFourCompletionsPerFlow) {
     sim.Spawn(StormFlow(&net, i % 8, (i + 1) % 8));
   }
   sim.Run();
+  EXPECT_EQ(net.rerated_flows(), static_cast<uint64_t>(kFlows));
   EXPECT_LE(net.completion_events(), 4u * kFlows);
   EXPECT_EQ(net.total_flows(), static_cast<uint64_t>(kFlows));
   EXPECT_EQ(net.total_bytes(), static_cast<uint64_t>(kFlows) << 20);
@@ -458,25 +463,26 @@ TEST(HotPath, RateRiseSupersedesThePendingCompletion) {
   Simulator sim;
   Network net(&sim, 4, kBw, /*latency=*/0, "nvl");
   TimeNs da = 0, db = 0;
-  // B joins first (armed alone for 100, re-armed for 200 once A halves its
-  // share); A arms for 2000 at 50 B/ns. B's exit at 200 lifts A to
+  // B and A join in the same nanosecond, so both are rated once, at the
+  // shared 50 B/ns: B arms for 200, A for 2000. B's exit at 200 lifts A to
   // 100 B/ns with 90000 bytes left: A re-arms for 1100, and its 2000 entry
-  // goes stale.
+  // goes stale. (Rating B alone at its own join first armed a fourth
+  // entry, for 100.)
   sim.Spawn(OneTransfer(&net, 0, 2, 10000, &db, &sim));
   sim.Spawn(OneTransfer(&net, 0, 1, 100000, &da, &sim));
   sim.Run();
   EXPECT_EQ(db, 200);
   EXPECT_EQ(da, 1100);
-  EXPECT_EQ(net.completion_events(), 4u);
+  EXPECT_EQ(net.completion_events(), 3u);
   EXPECT_EQ(net.stale_completions(), 1u);
 }
 
 TEST(HotPath, CountsEmptyWakeUps) {
-  // The scenario above, wake-up by wake-up: at 100 B's early entry re-arms
-  // for 200 (empty); at 200 B completes, queueing a wake-up for A's 2000
-  // entry that B's exit supersedes with one at 1100, where A completes. The
-  // superseded wake-up still fires at 2000 (empty), past the last
-  // completion.
+  // The scenario above, wake-up by wake-up: at 200 B completes, queueing a
+  // wake-up for A's 2000 entry that B's exit supersedes with one at 1100,
+  // where A completes. The superseded wake-up still fires at 2000 (empty),
+  // past the last completion. (Re-rating at every join also woke at 100
+  // for B's early entry, empty.)
   Simulator sim;
   Network net(&sim, 4, kBw, /*latency=*/0, "nvl");
   TimeNs da = 0, db = 0;
@@ -484,8 +490,8 @@ TEST(HotPath, CountsEmptyWakeUps) {
   sim.Spawn(OneTransfer(&net, 0, 1, 100000, &da, &sim));
   sim.Run();
   EXPECT_EQ(da, 1100);
-  EXPECT_EQ(net.wakeups(), 4u);
-  EXPECT_EQ(net.empty_wakeups(), 2u);
+  EXPECT_EQ(net.wakeups(), 3u);
+  EXPECT_EQ(net.empty_wakeups(), 1u);
   EXPECT_EQ(sim.Now(), 2000);
 }
 
@@ -594,9 +600,11 @@ TEST(HotPath, SharesFollowJoinsLeavesRescalesAndRailChanges) {
   EXPECT_EQ(done, (std::vector<TimeNs>{5012, 3178, 2501, 3512, t0 + 9900,
                                        t0 + 6900, t0 + 13200, t0 + 11100,
                                        t0 + 1800, t0 + 2400}));
-  EXPECT_EQ(phase1_rerated, 18u);
-  EXPECT_EQ(net.rerated_flows(), 35u);
-  EXPECT_EQ(net.completion_events(), 22u);
+  // Re-rating at every change: 18, 35 and 22. Same-instant joins now share
+  // one re-rate.
+  EXPECT_EQ(phase1_rerated, 17u);
+  EXPECT_EQ(net.rerated_flows(), 33u);
+  EXPECT_EQ(net.completion_events(), 21u);
   EXPECT_EQ(net.active_flow_count(), 0);
 }
 
@@ -730,50 +738,77 @@ struct Xfer {
   TimeNs ack_timeout = 0;
 };
 
-// One seeded case: random ports, rails, sizes and staggered starts, one
-// ack timeout and one mid-flight rail rescale. A kill heals later, or the
-// flows it parks would never finish.
+// One rail health change: SetRailScale(port, rail, fraction) at `at`.
+struct RailChange {
+  TimeNs at = 0;
+  int port = -1;
+  int rail = 0;
+  double fraction = 1.0;
+};
+
+// One seeded case: random ports, rails, sizes and starts, one ack timeout
+// and rail rescales. Every kill heals later, or the flows it parks would
+// never finish.
 struct PropertyCase {
   int ports = 2;
   int rails = 1;
   TimeNs latency = 0;
   std::vector<Xfer> xfers;
-  TimeNs scale_at = 0;
-  int scale_port = -1;
-  int scale_rail = 0;
-  double fraction = 1.0;
-  TimeNs heal_at = -1;
+  std::vector<RailChange> changes;  // applied in this order at equal times
 };
 
-PropertyCase DrawCase(uint64_t seed, bool exact) {
+// Case families: see FinishTimesMatchEagerIntegrator.
+enum class Family { kExact, kGeneral, kBurst };
+
+PropertyCase DrawCase(uint64_t seed, Family family) {
   Rng rng(seed);
   auto pick = [&rng](int lo, int hi) {
     return static_cast<int>(rng.UniformInt(lo, hi));
   };
+  const bool general = family == Family::kGeneral;
+  const bool burst = family == Family::kBurst;
   PropertyCase c;
   c.ports = pick(2, 6);
-  c.rails = exact ? 1 << pick(0, 2) : pick(1, 4);
+  c.rails = general ? pick(1, 4) : 1 << pick(0, 2);
   c.latency = 10 * pick(0, 5);
-  const int n = exact ? pick(2, 8) : pick(2, 14);
+  const int n = burst ? pick(4, 8) : general ? pick(2, 14) : pick(2, 8);
   for (int i = 0; i < n; ++i) {
     Xfer x;
     x.src = pick(0, c.ports - 1);
     x.dst = (x.src + pick(1, c.ports - 1)) % c.ports;
     x.rail = pick(0, c.rails - 1);
-    // Round sizes and a 100 ns start grid make same-time ties common.
-    x.bytes = pick(0, 1) == 0 ? 1000 * static_cast<uint64_t>(pick(1, 200))
-                              : static_cast<uint64_t>(pick(1, 200000));
-    x.start = 100 * pick(0, 20);
+    if (burst) {
+      // Four start instants, and sizes whose finish times land on the same
+      // 100 ns grid at most shares: joins, leaves and rescales pile up in
+      // the same nanosecond.
+      x.bytes = 21000 * static_cast<uint64_t>(pick(1, 8));
+      x.start = 100 * pick(0, 3);
+    } else {
+      // Round sizes and a 100 ns start grid make same-time ties common.
+      x.bytes = pick(0, 1) == 0 ? 1000 * static_cast<uint64_t>(pick(1, 200))
+                                : static_cast<uint64_t>(pick(1, 200000));
+      x.start = 100 * pick(0, 20);
+    }
     c.xfers.push_back(x);
   }
   c.xfers[static_cast<std::size_t>(pick(0, n - 1))].ack_timeout =
-      100 * pick(1, 40);
-  c.scale_at = 100 * pick(0, 30);
-  c.scale_port = pick(-1, c.ports - 1);
-  c.scale_rail = pick(0, c.rails - 1);
+      100 * pick(1, burst ? 10 : 40);
   constexpr double kFractions[] = {0.0, 0.25, 0.5, 1.0 / 3.0, 0.8};
-  c.fraction = kFractions[pick(0, exact ? 2 : 4)];
-  if (c.fraction == 0.0) c.heal_at = c.scale_at + 100 * pick(1, 40);
+  const int changes = burst ? pick(2, 4) : 1;
+  for (int i = 0; i < changes; ++i) {
+    RailChange rc;
+    rc.at = 100 * (burst ? pick(0, 4) : pick(0, 30));
+    rc.port = pick(-1, c.ports - 1);
+    rc.rail = pick(0, c.rails - 1);
+    rc.fraction = kFractions[pick(0, general ? 4 : 2)];
+    c.changes.push_back(rc);
+    if (rc.fraction == 0.0) {
+      RailChange heal = rc;
+      heal.at = rc.at + 100 * pick(1, burst ? 4 : 40);
+      heal.fraction = 1.0;
+      c.changes.push_back(heal);
+    }
+  }
   return c;
 }
 
@@ -801,21 +836,33 @@ Coro EagerXfer(EagerFabric* net, Xfer x, FlowResult* r, Simulator* sim) {
 }
 
 TEST(HotPath, FinishTimesMatchEagerIntegrator) {
-  // Two families of seeded cases:
+  // Three families of seeded cases:
   //  * Exact shares: 840 B/ns over 1, 2 or 4 rails at health 0, 1/4, 1/2
   //    or 1, at most 8 flows. Every share is 840/k times a power of two, so
   //    each rate * dt and each progress subtraction is exact, and finish
   //    times must match bitwise, same-time ties included.
+  //  * Same-nanosecond bursts: exact shares again, 4-8 flows joining at
+  //    four instants, sizes that finish on the same grid, an ack timeout
+  //    on it, and 2-4 rescales at those instants (kills included, each
+  //    healed at a later one). Joins, leaves, rescales and rail death pile
+  //    up in one nanosecond, where the index re-rates each flow once at the
+  //    end of the instant and the integrator re-rates at every change:
+  //    finish times must match bitwise.
   //  * General shares: 100 B/ns over 1-4 rails, health 1/3 or 0.8 too, up
   //    to 14 flows. Rates like 100/3 are inexact, and the eager integrator
   //    re-anchors every flow at every change, so its remaining bytes round
   //    differently in the last bits than the index's one anchor per rate.
   //    A ceil(rem / rate) that lands within that rounding of an integer
   //    moves by one nanosecond, so finish times may differ by 1 ns.
-  for (const bool exact : {true, false}) {
+  for (const Family family :
+       {Family::kExact, Family::kBurst, Family::kGeneral}) {
+    const bool exact = family != Family::kGeneral;
+    const char* label = family == Family::kExact   ? "exact"
+                        : family == Family::kBurst ? "burst"
+                                                   : "general";
     const double bw = exact ? 840.0 : kBw;
     for (uint64_t seed = 1; seed <= 400; ++seed) {
-      const PropertyCase c = DrawCase(seed, exact);
+      const PropertyCase c = DrawCase(seed, family);
       uint64_t bytes = 0;
       for (const Xfer& x : c.xfers) bytes += x.bytes;
 
@@ -826,12 +873,10 @@ TEST(HotPath, FinishTimesMatchEagerIntegrator) {
       for (std::size_t i = 0; i < c.xfers.size(); ++i) {
         s1.Spawn(IndexedXfer(&net, c.xfers[i], &got[i], &s1));
       }
-      s1.At(c.scale_at, [&] {
-        net.SetRailScale(c.scale_port, c.scale_rail, c.fraction);
-      });
-      if (c.heal_at >= 0) {
-        s1.At(c.heal_at,
-              [&] { net.SetRailScale(c.scale_port, c.scale_rail, 1.0); });
+      for (const RailChange& rc : c.changes) {
+        s1.At(rc.at, [&net, rc] {
+          net.SetRailScale(rc.port, rc.rail, rc.fraction);
+        });
       }
       s1.Run();
 
@@ -841,23 +886,20 @@ TEST(HotPath, FinishTimesMatchEagerIntegrator) {
       for (std::size_t i = 0; i < c.xfers.size(); ++i) {
         s2.Spawn(EagerXfer(&ref, c.xfers[i], &want[i], &s2));
       }
-      s2.At(c.scale_at, [&] {
-        ref.SetRailScale(c.scale_port, c.scale_rail, c.fraction);
-      });
-      if (c.heal_at >= 0) {
-        s2.At(c.heal_at,
-              [&] { ref.SetRailScale(c.scale_port, c.scale_rail, 1.0); });
+      for (const RailChange& rc : c.changes) {
+        s2.At(rc.at, [&ref, rc] {
+          ref.SetRailScale(rc.port, rc.rail, rc.fraction);
+        });
       }
       s2.Run();
 
       const TimeNs tolerance = exact ? 0 : 1;
       for (std::size_t i = 0; i < c.xfers.size(); ++i) {
         EXPECT_LE(std::abs(got[i].done - want[i].done), tolerance)
-            << (exact ? "exact" : "general") << " seed " << seed << " flow "
-            << i << ": " << got[i].done << " vs " << want[i].done;
+            << label << " seed " << seed << " flow " << i << ": "
+            << got[i].done << " vs " << want[i].done;
         EXPECT_EQ(got[i].timed_out, want[i].timed_out)
-            << (exact ? "exact" : "general") << " seed " << seed << " flow "
-            << i;
+            << label << " seed " << seed << " flow " << i;
       }
       EXPECT_EQ(net.total_bytes(), bytes) << "seed " << seed;
       EXPECT_EQ(ref.total_bytes(), bytes) << "seed " << seed;

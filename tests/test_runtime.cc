@@ -1,8 +1,15 @@
 // Tests for the runtime layer: streams order ops, kernel launches respect SM
 // capacity (wave quantization), signals obey visibility latency, the
-// consistency checker flags in-flight reads, barriers rendezvous.
+// consistency checker flags in-flight reads (and its bucket index reports
+// exactly what a linear scan does), barriers rendezvous.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "runtime/stream.h"
 #include "runtime/world.h"
 #include "tensor/tensor.h"
@@ -368,6 +375,223 @@ TEST(Runtime, ConsistencyCheckerCatchesMisindexedRailStagingSlot) {
   chk.RecordWrite(staging.buffer(), 128, 256, 200, 500,
                   "hier_rs.rail.r1->r2");
   EXPECT_EQ(chk.violations().size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Property: the bucket-indexed checker against a linear scan
+// ---------------------------------------------------------------------------
+
+// The reference: every record and read check scans every live interval of
+// its buffer in record order, with the same race rules, the same open-write
+// clamp on the retirement watermark and the same auto-retirement cadence.
+class LinearChecker {
+ public:
+  using Violation = ConsistencyChecker::Violation;
+
+  explicit LinearChecker(std::size_t auto_retire_period)
+      : period_(auto_retire_period) {}
+
+  uint64_t OpenWrite(TimeNs start) {
+    open_[next_token_] = start;
+    return next_token_++;
+  }
+  void CloseWrite(uint64_t token) { open_.erase(token); }
+
+  void RecordWrite(const Buffer* buf, int64_t lo, int64_t hi, TimeNs start,
+                   TimeNs end, const std::string& writer, bool atomic) {
+    if (lo >= hi) return;
+    for (const Write& w : writes_[buf]) {
+      bool time_overlap;
+      if (start == end) {
+        time_overlap = w.start <= start && start < w.end;
+      } else if (w.start == w.end) {
+        time_overlap = start <= w.start && w.start < end;
+      } else {
+        time_overlap = std::max(start, w.start) < std::min(end, w.end);
+      }
+      if (lo < w.hi && w.lo < hi && time_overlap && !(atomic && w.atomic)) {
+        violations_.push_back(Violation{buf, lo, hi, start, w.start, w.end,
+                                        writer, w.writer,
+                                        Violation::Kind::kWriteWrite});
+      }
+    }
+    writes_[buf].push_back(Write{lo, hi, start, end, writer, atomic});
+    horizon_ = std::max(horizon_, end);
+    for (const Read& r : reads_[buf]) {
+      if (r.lo < hi && lo < r.hi && start <= r.t && r.t < end) {
+        violations_.push_back(
+            Violation{buf, r.lo, r.hi, r.t, start, end, r.reader, writer});
+      }
+    }
+    if (period_ > 0 && ++records_ >= period_) RetireUpTo(horizon_);
+  }
+
+  void CheckRead(const Buffer* buf, int64_t lo, int64_t hi, TimeNs t,
+                 const std::string& reader) {
+    if (lo >= hi) return;
+    reads_[buf].push_back(Read{lo, hi, t, reader});
+    horizon_ = std::max(horizon_, t);
+    for (const Write& w : writes_[buf]) {
+      if (lo < w.hi && w.lo < hi && w.start <= t && t < w.end) {
+        violations_.push_back(
+            Violation{buf, lo, hi, t, w.start, w.end, reader, w.writer});
+      }
+    }
+  }
+
+  void RetireUpTo(TimeNs watermark) {
+    TimeNs w = watermark;
+    for (const auto& [token, start] : open_) w = std::min(w, start);
+    for (auto& [buf, v] : writes_) {
+      std::erase_if(v, [w](const Write& x) { return x.end <= w; });
+    }
+    for (auto& [buf, v] : reads_) {
+      std::erase_if(v, [w](const Read& x) { return x.t < w; });
+    }
+    records_ = 0;
+  }
+
+  std::size_t live() const {
+    std::size_t n = 0;
+    for (const auto& [buf, v] : writes_) n += v.size();
+    for (const auto& [buf, v] : reads_) n += v.size();
+    return n;
+  }
+  const std::vector<Violation>& violations() const { return violations_; }
+
+ private:
+  struct Write {
+    int64_t lo, hi;
+    TimeNs start, end;
+    std::string writer;
+    bool atomic;
+  };
+  struct Read {
+    int64_t lo, hi;
+    TimeNs t;
+    std::string reader;
+  };
+  std::size_t period_;
+  std::size_t records_ = 0;
+  TimeNs horizon_ = 0;
+  uint64_t next_token_ = 1;
+  std::map<uint64_t, TimeNs> open_;
+  std::map<const Buffer*, std::vector<Write>> writes_;
+  std::map<const Buffer*, std::vector<Read>> reads_;
+  std::vector<Violation> violations_;
+};
+
+bool SameViolation(const ConsistencyChecker::Violation& a,
+                   const ConsistencyChecker::Violation& b) {
+  return a.buffer == b.buffer && a.lo == b.lo && a.hi == b.hi &&
+         a.read_time == b.read_time && a.write_start == b.write_start &&
+         a.write_end == b.write_end && a.reader == b.reader &&
+         a.writer == b.writer && a.kind == b.kind;
+}
+
+// Seeded streams of records, read checks, open/close brackets and
+// retirements over three buffers of different extents: single elements,
+// ranges across many buckets, whole-buffer ranges (the index's linear and
+// wide paths), empty ranges, and strided runs the way the interpreter
+// records a column strip (one interval per row). Times advance slowly, so
+// windows overlap and races are common. Both checkers must report the same
+// violations in the same order and keep the same live set.
+TEST(Runtime, ConsistencyCheckerIndexMatchesLinearScan) {
+  uint64_t total_violations = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    auto pick = [&rng](int64_t lo, int64_t hi) {
+      return rng.UniformInt(lo, hi);
+    };
+    const std::size_t period = seed % 3 == 0 ? 0 : 16 * (seed % 4 + 1);
+    const Buffer bufs[] = {{0, "small", 96, false},
+                           {0, "rows", 64 * 48, false},
+                           {0, "big", 1 << 16, false}};
+    ConsistencyChecker chk;
+    chk.set_enabled(true);
+    chk.set_auto_retire_period(period);
+    LinearChecker ref(period);
+    std::vector<std::pair<uint64_t, uint64_t>> open;  // (indexed, linear)
+    TimeNs now = 0;
+    for (int op = 0; op < 1500; ++op) {
+      now += pick(0, 3);
+      const Buffer* buf = &bufs[pick(0, 2)];
+      const int64_t extent = buf->num_elems();
+      int64_t lo = pick(0, extent - 1);
+      int64_t len;
+      switch (pick(0, 5)) {
+        case 0:
+          len = 1;
+          break;
+        case 1:
+          len = pick(1, 64);
+          break;
+        case 2:
+          len = pick(64, 2048);  // many buckets, sometimes wide
+          break;
+        case 3:
+          lo = 0;
+          len = extent;  // the whole buffer
+          break;
+        case 4:
+          len = 0;  // empty: never stored, never reported
+          break;
+        default:
+          len = pick(1, 256);
+          break;
+      }
+      const int64_t hi = std::min(extent, lo + len);
+      const std::string who = "actor" + std::to_string(pick(0, 3));
+      const int kind = static_cast<int>(pick(0, 9));
+      if (kind <= 2) {
+        const TimeNs t = now - pick(0, 20);
+        chk.CheckRead(buf, lo, hi, t, who);
+        ref.CheckRead(buf, lo, hi, t, who);
+      } else if (kind <= 5) {
+        const TimeNs start = now - pick(0, 30);
+        const TimeNs end = pick(0, 4) == 0 ? start : start + pick(1, 40);
+        const bool atomic = pick(0, 3) == 0;
+        chk.RecordWrite(buf, lo, hi, start, end, who, atomic);
+        ref.RecordWrite(buf, lo, hi, start, end, who, atomic);
+      } else if (kind == 6) {
+        // A strided run: one interval per row of a column strip.
+        const int64_t pitch = pick(65, 512);
+        const int64_t run = pick(1, 64);
+        const int64_t rows = pick(2, 12);
+        const TimeNs start = now - pick(0, 10);
+        for (int64_t r = 0; r < rows; ++r) {
+          const int64_t row_lo = (lo + r * pitch) % extent;
+          const int64_t row_hi = std::min(extent, row_lo + run);
+          chk.RecordWrite(buf, row_lo, row_hi, start, start + 20, who, false);
+          ref.RecordWrite(buf, row_lo, row_hi, start, start + 20, who, false);
+        }
+      } else if (kind == 7) {
+        const TimeNs start = now - pick(0, 10);
+        open.emplace_back(chk.OpenWrite(start), ref.OpenWrite(start));
+      } else if (kind == 8 && !open.empty()) {
+        const auto i = static_cast<std::size_t>(
+            pick(0, static_cast<int64_t>(open.size()) - 1));
+        chk.CloseWrite(open[i].first);
+        ref.CloseWrite(open[i].second);
+        open.erase(open.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (kind == 9 && pick(0, 4) == 0) {
+        const TimeNs w = now - pick(0, 50);
+        chk.RetireUpTo(w);
+        ref.RetireUpTo(w);
+      }
+      ASSERT_EQ(chk.live_writes() + chk.live_reads(), ref.live())
+          << "seed " << seed << " op " << op;
+    }
+    const auto& got = chk.violations();
+    const auto& want = ref.violations();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(SameViolation(got[i], want[i]))
+          << "seed " << seed << " violation " << i;
+    }
+    total_violations += got.size();
+  }
+  EXPECT_GT(total_violations, 1000u);  // the races the stream plants
 }
 
 TEST(Runtime, BarrierRendezvousAllRanks) {

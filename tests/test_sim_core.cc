@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulator core: event ordering (with a
 // seeded property test of the same-time batched queue), coroutine
-// composition, FIFO resources, flags, deadlock detection, teardown.
+// composition, FIFO resources, flags, deadlock detection, teardown, and the
+// end-of-instant hook.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +42,73 @@ TEST(SimCore, EventsFireInTimeOrder) {
   EXPECT_EQ(log[0], 100);
   EXPECT_EQ(log[1], 200);
   EXPECT_EQ(log[2], 300);
+}
+
+// A hook that logs each call's time and the events seen so far, and may
+// queue one event at Now() or later from its first call.
+class LoggingHook : public InstantEndHook {
+ public:
+  explicit LoggingHook(Simulator* sim) : sim_(sim) {}
+  void OnInstantEnd() override {
+    calls.emplace_back(sim_->Now(), events);
+    if (queue_at >= 0) {
+      const TimeNs at = queue_at;
+      queue_at = -1;
+      sim_->At(at, [this] { ++events; });
+    }
+  }
+  std::vector<std::pair<TimeNs, int>> calls;  // (time, events seen)
+  int events = 0;
+  TimeNs queue_at = -1;
+
+ private:
+  Simulator* sim_;
+};
+
+TEST(SimCore, InstantEndHookRunsAfterTheLastEventOfItsInstant) {
+  Simulator sim;
+  LoggingHook hook(&sim);
+  // Three events at t=5, the hook requested by the first (twice) and again
+  // at t=9: it runs once per instant, after the instant's last event and
+  // before the clock moves on.
+  for (int i = 0; i < 3; ++i) {
+    sim.At(5, [&] {
+      ++hook.events;
+      sim.AtInstantEnd(hook);
+      sim.AtInstantEnd(hook);
+    });
+  }
+  sim.At(9, [&] {
+    ++hook.events;
+    sim.AtInstantEnd(hook);
+  });
+  sim.At(12, [&] { ++hook.events; });
+  sim.Run();
+  EXPECT_EQ(hook.calls, (std::vector<std::pair<TimeNs, int>>{{5, 3}, {9, 4}}));
+
+  // An event the hook queues at Now() runs in the same instant; one it
+  // queues later keeps Run going. A request made outside Run is served
+  // when Run starts, at the same Now().
+  hook.calls.clear();
+  hook.queue_at = sim.Now();
+  sim.AtInstantEnd(hook);
+  sim.At(sim.Now() + 4, [&] {
+    ++hook.events;
+    sim.AtInstantEnd(hook);
+  });
+  sim.Run();
+  EXPECT_EQ(hook.calls,
+            (std::vector<std::pair<TimeNs, int>>{{12, 5}, {16, 7}}));
+  EXPECT_EQ(hook.events, 7);
+
+  // A cancelled request never runs.
+  hook.calls.clear();
+  sim.At(sim.Now() + 1, [&] {
+    sim.AtInstantEnd(hook);
+    sim.CancelInstantEnd(hook);
+  });
+  sim.Run();
+  EXPECT_TRUE(hook.calls.empty());
 }
 
 TEST(SimCore, TiesBreakByInsertionOrder) {
