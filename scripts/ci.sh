@@ -178,13 +178,14 @@ if [[ "$FAST" == "0" ]]; then
   # with every repeat popped on its own). These three gate absolute
   # counts, not ratios per event: dropping events that do no work (the
   # network's empty wake-ups) must not read as a regression. The fig11 cold
-  # sweep's full-fidelity candidates: 1164 with each family's overlap
-  # bound pruning the exact MLP searches (1372 with no MLP bound), so a
-  # bound that stops pruning fails here. The simulations that sweep runs
-  # (the MoE and attention coarse rounds + full fidelity): 1493 with
-  # planner-identical candidates merged (1705 with no MLP canonicalizer),
-  # so a search that stops simulating each distinct kernel once fails
-  # here.
+  # sweep's full-fidelity candidates: 1290 with the MLP and flash-core
+  # bounds pruning their exact searches, so a bound that stops pruning
+  # fails here. FlashCore and DP sync search exactly, so every candidate
+  # they simulate counts here (1164 while both halved). The simulations
+  # that sweep runs (the MoE coarse rounds + full fidelity): 1411 with
+  # planner-identical candidates merged, so a search that stops simulating
+  # each distinct kernel once fails here (1493 while FlashCore and DP sync
+  # halved).
   ceiling() {
     local json=$1 key=$2 ceiling=$3 value
     value=$(grep -o "\"$key\": [0-9.eE+-]*" "$json" | awk '{print $2}')
@@ -202,8 +203,8 @@ if [[ "$FAST" == "0" ]]; then
   ceiling build-ci/BENCH_fig8.json net.empty_wakeups_per_transfer 0.00283
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.resumes 10607
   ceiling build-ci/BENCH_micro_sim.json BM_SimulateAgGemmMlp1.queue_pops 13990
-  ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 1164
-  ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1493
+  ceiling build-ci/BENCH_fig11.json fig11.tuner.full_evals 1290
+  ceiling build-ci/BENCH_fig11.json fig11.tuner.sims 1411
 
   echo "=== [5/7] 16-GPU smoke (payload + fused + ag-fused + faults) ==="
   # The planner-built kernels' frozen makespans and payload hashes

@@ -98,8 +98,8 @@ class E2eEstimator {
   // cache. Offline benches and the serving path run the same cold search
   // (tl::Tune on the family: full fidelity, bound-ordered and bound-pruned
   // for the families that carry a bound, after a successive-halving round
-  // only for the MoE, attention and DP-sync families), so a shape tunes to
-  // the same config whichever caller reaches it first.
+  // only for MoE shapes whose token count shrinks), so a shape tunes to the
+  // same config whichever caller reaches it first.
   void EnableTuning(tl::TunedConfigCache* cache, int tune_threads = 1);
   bool tuning_enabled() const { return tuned_cache_ != nullptr; }
 

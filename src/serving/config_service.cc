@@ -10,7 +10,6 @@ ConfigService::Snapshot ConfigService::Stats() const {
   snap.entries = static_cast<int64_t>(cache_.size());
   snap.hits = s.hits;
   snap.misses = s.misses;
-  snap.evictions = s.evictions;
   const int64_t lookups = s.hits + s.misses;
   snap.hit_rate = lookups > 0
                       ? static_cast<double>(s.hits) /

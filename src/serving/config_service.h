@@ -1,17 +1,18 @@
 // Online config service: the serving-facing facade over TunedConfigCache.
 // A replica attaches its estimator once; after that every cold config
 // lookup runs the estimator's one cold search (tl::Tune on the kernel's
-// tl::KernelFamily: bound-pruned full fidelity, after a halving round only
-// where the coarse sim shrinks the problem) and every warm lookup is a
-// concurrency-safe cache hit. The service owns the eviction policy (LRU
-// capacity) and aggregates the operational stats the serving bench gates:
-// hit rate, cold-tune wall time and the geomean speedup of tuned configs
-// over their hand-picked seeds.
+// tl::KernelFamily: full fidelity, after a halving round only for MoE
+// shapes of 32768+ tokens at TP8, far above a step's prefill budget) and
+// every warm lookup is a concurrency-safe cache hit. The cache keeps every
+// config it stores. The service aggregates the operational stats the
+// serving bench gates: hit rate, cold-tune wall time and the geomean
+// speedup of tuned configs over their hand-picked seeds.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "common/check.h"
 #include "models/transformer.h"
 #include "tilelink/builder/tuned_config_cache.h"
 
@@ -20,13 +21,16 @@ namespace tilelink::serving {
 class ConfigService {
  public:
   struct Options {
-    std::size_t capacity = 0;  // max cached configs (0 = unbounded), LRU
+    std::size_t capacity = 0;  // must be 0 (unbounded); see the constructor
     int tune_threads = 1;      // autotuner workers per cold search
     bool laddered = true;      // unread; perfbench/serving.cc still sets it
   };
 
+  // The cache has no eviction; `capacity` stays only because
+  // perfbench/serving.cc aggregate-initializes Options.
   explicit ConfigService(const Options& opts) : opts_(opts) {
-    cache_.SetCapacity(opts_.capacity);
+    TL_CHECK_MSG(opts_.capacity == 0,
+                 "ConfigService::Options::capacity must be 0 (no eviction)");
   }
 
   tl::TunedConfigCache& cache() { return cache_; }
@@ -42,7 +46,6 @@ class ConfigService {
     int64_t entries = 0;
     int64_t hits = 0;
     int64_t misses = 0;
-    int64_t evictions = 0;
     double hit_rate = 0.0;          // hits / lookups (0 when no lookups)
     double warm_start_ms = 0.0;     // total cold-tune wall time
     double max_cold_tune_ms = 0.0;  // worst single cold-tune wall time

@@ -12,8 +12,8 @@
 //    candidates are visited in ascending-bound order so the likely argmin
 //    is simulated first and the bound prunes the rest.
 //
-//  - A coarse evaluator (same metric on a shrunken problem — e.g. a
-//    quarter of the tokens or of the sequence) enables successive halving,
+//  - A coarse evaluator (same metric on a shrunken problem — a quarter of
+//    the tokens, for the MoE families) enables successive halving,
 //    the tuner's one reduced-fidelity mechanism: every candidate of a
 //    space with at least 8 entries is scored coarsely, and only the best
 //    eighth (at least 4) survive to full-fidelity simulation. The base

@@ -333,17 +333,7 @@ sim::TimeNs SimulateMoeLayer(const sim::MachineSpec& spec,
 
 namespace {
 
-// ---- Coarse shapes --------------------------------------------------------
-
-// Shrinks a sequence extent for the coarse round: a quarter of the full
-// extent, kept divisible by `granularity` (ranks and the largest block
-// size), never below one granule.
-int64_t CoarseSeq(int64_t seq, int64_t granularity) {
-  const int64_t target = seq / 4;
-  const int64_t granules = target / granularity;
-  if (granules < 1) return seq;
-  return granules * granularity;
-}
+// ---- The coarse MoE round -------------------------------------------------
 
 // Token-linear compute, comm and reduce events all shrink with the coarse
 // MoE round's token count, so the candidate ranking is preserved at ~4x
@@ -353,25 +343,28 @@ constexpr uint64_t kMoeCoarseRoutingSeed = 1234;
 
 // The coarse MoE round's problem: a quarter of the token count (kept
 // divisible by every chunking knob the spaces expose) under a fresh
-// deterministic routing of the same distribution, or the full shape and
-// routing when the shape is too small to shrink. The fresh routing is drawn
-// by the first coarse evaluation, once for all of a search's workers, so a
-// family built only to time its seed or a cached config never draws it.
+// deterministic routing of the same distribution. The fresh routing is
+// drawn by the first coarse evaluation, once for all of a search's workers,
+// so a family built only to time its seed or a cached config never draws it.
 class CoarseMoe {
  public:
-  CoarseMoe(const sim::MachineSpec& spec, const MoeShape& shape,
-            std::shared_ptr<const compute::MoeRouting> full)
-      : shape_(shape), full_(std::move(full)) {
+  explicit CoarseMoe(const MoeShape& shape) : shape_(shape) {}
+
+  // Null unless a quarter of the tokens holds at least one granule; a
+  // smaller shape has no coarse round, since collapsing the reduction loop
+  // alone would leave a coarse sim about as costly as a full one.
+  static std::shared_ptr<CoarseMoe> Shrink(const sim::MachineSpec& spec,
+                                           const MoeShape& shape) {
     const int64_t granule = kMoeCoarseGranule * spec.num_devices;
-    const int64_t granules = shape.m / 4 / granule;
-    shrunk_ = granules >= 1;
-    if (shrunk_) shape_.m = granules * granule;
+    if (shape.m / 4 < granule) return nullptr;
+    MoeShape coarse = shape;
+    coarse.m = shape.m / 4 / granule * granule;
+    return std::make_shared<CoarseMoe>(coarse);
   }
 
   const MoeShape& shape() const { return shape_; }
 
   const compute::MoeRouting& routing() {
-    if (!shrunk_) return *full_;
     std::call_once(drawn_once_, [this] {
       Rng rng(kMoeCoarseRoutingSeed);
       drawn_ = compute::RandomRouting(shape_.m, shape_.num_experts,
@@ -382,8 +375,6 @@ class CoarseMoe {
 
  private:
   MoeShape shape_;
-  bool shrunk_ = false;
-  std::shared_ptr<const compute::MoeRouting> full_;
   std::once_flag drawn_once_;
   compute::MoeRouting drawn_;
 };
@@ -769,14 +760,6 @@ KernelFamily FlashCoreFamily(const sim::MachineSpec& spec,
   };
   f.evaluate = Bind(SimulateFlashCore, spec, shape);
   f.lower_bound = Bind(FlashCoreLowerBound, spec, shape);
-  FlashShape coarse = shape;
-  coarse.seq_q = CoarseSeq(shape.seq_q, 2048);
-  coarse.seq_kv = CoarseSeq(shape.seq_kv, 2048);
-  if (coarse.seq_q < shape.seq_q || coarse.seq_kv < shape.seq_kv) {
-    f.coarse = [spec, coarse](const TuneCandidate& c) {
-      return SimulateFlashCore(spec, coarse, c);
-    };
-  }
   return f;
 }
 
@@ -787,10 +770,14 @@ KernelFamily AgMoeFamily(const sim::MachineSpec& spec, const MoeShape& shape,
   f.seed = AgMoeSeed(PerRankRows(spec, shape.m), shape.hidden);
   f.space = TuningSpace::MoePart1();
   f.feasible = Bind(AgMoeFeasible, spec, shape);
-  auto coarse = std::make_shared<CoarseMoe>(spec, shape, routing);
   f.evaluate = [spec, shape, routing](const TuneCandidate& c) {
     return SimulateAgMoe(spec, shape, *routing, c);
   };
+  auto coarse = CoarseMoe::Shrink(spec, shape);
+  if (!coarse) {
+    f.canonical = Bind(CanonicalAgMoe, spec, shape);
+    return f;
+  }
   f.coarse = [spec, coarse](const TuneCandidate& c) {
     return SimulateAgMoe(spec, coarse->shape(), coarse->routing(),
                          CoarsenReduction(c, coarse->shape().hidden));
@@ -816,15 +803,16 @@ KernelFamily MoeRsFamily(const sim::MachineSpec& spec, const MoeShape& shape,
   f.seed = MoeRsSeed(PerRankRows(spec, shape.m), shape.inner);
   f.space = TuningSpace::MoePart2();
   f.feasible = Bind(MoeRsFeasible, spec, shape);
-  auto coarse = std::make_shared<CoarseMoe>(spec, shape, routing);
   f.evaluate = [spec, shape, routing](const TuneCandidate& c) {
     return SimulateMoeRs(spec, shape, *routing, c);
   };
+  f.canonical = Bind(CanonicalMoeRs, spec, shape);
+  auto coarse = CoarseMoe::Shrink(spec, shape);
+  if (!coarse) return f;
   f.coarse = [spec, coarse](const TuneCandidate& c) {
     return SimulateMoeRs(spec, coarse->shape(), coarse->routing(),
                          CoarsenReduction(c, coarse->shape().inner));
   };
-  f.canonical = Bind(CanonicalMoeRs, spec, shape);
   return f;
 }
 

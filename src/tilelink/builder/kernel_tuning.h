@@ -17,21 +17,24 @@
 // latency every fused kernel pays, wire time), which the Autotuner uses to
 // order candidates and prune them without paying for a DES run. Only the
 // families whose bound prunes carry one: one-node AgGemm and GemmRs, and
-// FlashCore. The MoE searches visit their finalists in coarse-score order,
-// where the best is found early and a bound can only prune; theirs pruned
-// none of the fig11, serving or perfbench MoE candidates, so AgMoe and
-// MoeRs search without one. The canonicalizers map a candidate to the one
-// the planner actually builds (SM requests clamped to the role's work,
-// ignored knobs resolved), so the search simulates each distinct kernel
-// once.
+// FlashCore. AgMoe and MoeRs carry none: one pruned none of the fig11,
+// serving or perfbench MoE candidates when all of those searches halved.
+// The canonicalizers map a candidate to the one the planner actually
+// builds (SM requests clamped to the role's work, ignored knobs resolved),
+// so the search simulates each distinct kernel once.
 //
 // A family gets a successive-halving coarse round only when its coarse
-// sim shrinks the problem itself: attention simulates a quarter of the
-// sequence, MoE a quarter of the tokens (with the reduction loop collapsed
-// on top). Collapsing the k-loop alone saves almost nothing — k-loops
-// already run as repeated delays, so such a coarse sim costs ~0.9 of a full
-// one — so the GEMM families (and attention too short to shrink) search
-// exactly: ascending-bound order, bound pruning and canonical grouping.
+// sim shrinks the problem itself: the MoE families simulate a quarter of
+// the tokens (with the reduction loop collapsed on top), and only where
+// that quarter holds at least one 1024-token-per-rank granule. Collapsing
+// the k-loop alone saves almost nothing — k-loops already run as repeated
+// delays, so such a coarse sim costs ~0.9 of a full one — so the GEMM
+// families and smaller MoE shapes search exactly. So do FlashCore and the
+// DP sync (multinode_tuning.h): their quarter-sequence and quarter-volume
+// rounds did shrink the problem, but the exact search found cheaper
+// configs, and FlashCore's bound prunes it to fewer sims than halving ran.
+// An exact search is ascending-bound order, bound pruning and canonical
+// grouping.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +110,7 @@ struct KernelFamily {
 };
 
 // Autotuner::Search over the family's space from its seed, with its bound,
-// coarse round and canonicalizer.
+// coarse round (if any) and canonicalizer.
 TuneResult Tune(const KernelFamily& family,
                 const Autotuner& tuner = Autotuner());
 
@@ -131,14 +134,14 @@ KernelFamily AgGemmFamily(const sim::MachineSpec& spec,
 // so only the one-node family ("gemm_rs") carries them.
 KernelFamily GemmRsFamily(const sim::MachineSpec& spec,
                           const MlpPartShape& shape);
-// Flash core over Attention(); halves on a quarter of the sequence when the
-// sequence is long enough to shrink.
+// Flash core over Attention(), searched exactly with its bound.
 KernelFamily FlashCoreFamily(const sim::MachineSpec& spec,
                              const FlashShape& shape);
 // The MoE parts under `routing` (shared with the record's evaluators),
-// drawn from `routing_seed`, which only names it in the cache key. Both
-// halve on a quarter of the tokens with a fresh routing of the same
-// distribution, drawn by the first coarse evaluation.
+// drawn from `routing_seed`, which only names it in the cache key. Where a
+// quarter of the tokens holds at least 1024 per rank, both halve on that
+// quarter with a fresh routing of the same distribution, drawn by the first
+// coarse evaluation; smaller shapes search exactly.
 KernelFamily AgMoeFamily(const sim::MachineSpec& spec, const MoeShape& shape,
                          std::shared_ptr<const compute::MoeRouting> routing,
                          uint64_t routing_seed);

@@ -252,7 +252,6 @@ std::size_t TunedConfigCache::PruneStaleCalibration(
     const std::string& key = it->first;
     if (key.size() < want.size() ||
         key.compare(key.size() - want.size(), want.size(), want) != 0) {
-      recency_.erase(key);
       measured_.erase(key);
       it = entries_.erase(it);
       ++removed;
@@ -269,27 +268,6 @@ const TunedEntry* TunedConfigCache::Find(const std::string& key) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-void TunedConfigCache::TouchLocked(const std::string& key) {
-  recency_[key] = ++tick_;
-}
-
-void TunedConfigCache::EvictOverflowLocked() {
-  if (capacity_ == 0) return;
-  while (entries_.size() > capacity_) {
-    auto victim = recency_.end();
-    for (auto it = recency_.begin(); it != recency_.end(); ++it) {
-      if (victim == recency_.end() || it->second < victim->second) {
-        victim = it;
-      }
-    }
-    if (victim == recency_.end()) break;  // recency lost track: keep all
-    entries_.erase(victim->first);
-    measured_.erase(victim->first);
-    recency_.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
 void TunedConfigCache::StoreLocked(const std::string& key,
                                    const TunedEntry& entry, bool measured) {
   entries_[key] = entry;
@@ -298,15 +276,7 @@ void TunedConfigCache::StoreLocked(const std::string& key,
   } else {
     measured_.erase(key);
   }
-  TouchLocked(key);
   ++stats_.stores;
-  EvictOverflowLocked();
-}
-
-void TunedConfigCache::SetCapacity(std::size_t max_entries) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = max_entries;
-  EvictOverflowLocked();
 }
 
 std::vector<std::pair<std::string, TunedEntry>> TunedConfigCache::Entries()
@@ -328,7 +298,6 @@ TunedEntry TunedConfigCache::GetOrTune(const std::string& key,
     auto it = entries_.find(key);
     if (it != entries_.end()) {
       ++stats_.hits;
-      TouchLocked(key);
       if (measured != nullptr) *measured = measured_.count(key) > 0;
       return it->second;
     }
@@ -406,12 +375,6 @@ bool TunedConfigCache::FromJson(const std::string& json) {
     measured_.erase(key);
     entries_[key] = std::move(entry);
   }
-  // Loaded entries get recency ticks in key order (deterministic; recency
-  // itself is never serialized), then any capacity overflow is evicted.
-  for (const auto& [key, entry] : entries_) {
-    if (recency_.find(key) == recency_.end()) TouchLocked(key);
-  }
-  EvictOverflowLocked();
   return true;
 }
 

@@ -54,8 +54,7 @@ struct TunedEntry {
 struct CacheStats {
   int64_t hits = 0;
   int64_t misses = 0;
-  int64_t stores = 0;     // Put + GetOrTune-miss stores (incl. overwrites)
-  int64_t evictions = 0;  // LRU evictions under SetCapacity
+  int64_t stores = 0;  // Put + GetOrTune-miss stores (incl. overwrites)
   int64_t warm_start_ns = 0;
   int64_t max_tune_ns = 0;
 };
@@ -119,13 +118,6 @@ class TunedConfigCache {
     return stats_;
   }
 
-  // Online-config-service mode: a capacity > 0 bounds the entry count, with
-  // least-recently-*used* eviction (GetOrTune hits/stores and Puts refresh
-  // recency; Find and serialization do not). 0 (the default) disables
-  // eviction — the offline benches keep every search. Shrinking the
-  // capacity below the current size evicts immediately.
-  void SetCapacity(std::size_t max_entries);
-
   // Snapshot of every entry in key order (the ToJson order) — the config
   // service derives its tuned-vs-seed speedup stats from this.
   std::vector<std::pair<std::string, TunedEntry>> Entries() const;
@@ -153,22 +145,14 @@ class TunedConfigCache {
   bool LoadFile(const std::string& path);
 
  private:
-  // Pre: mu_ held. Records a store with its mark, refreshes recency, evicts
-  // LRU overflow.
+  // Pre: mu_ held. Records a store with its mark.
   void StoreLocked(const std::string& key, const TunedEntry& entry,
                    bool measured);
-  void TouchLocked(const std::string& key);
-  void EvictOverflowLocked();
 
   mutable std::mutex mu_;
   std::map<std::string, TunedEntry> entries_;
   // Keys of the measured entries (a subset of entries_' keys).
   std::set<std::string> measured_;
-  // Monotonic recency ticks for LRU eviction; entries loaded from JSON get
-  // ticks in key order. Not serialized (recency is a runtime property).
-  std::map<std::string, uint64_t> recency_;
-  uint64_t tick_ = 0;
-  std::size_t capacity_ = 0;  // 0 = unbounded
   CacheStats stats_;
 };
 

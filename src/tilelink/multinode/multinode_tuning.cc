@@ -107,12 +107,6 @@ tl::KernelFamily DpSyncFamily(const sim::MachineSpec& spec,
   f.evaluate = [spec, grad_bytes](const tl::TuneCandidate& c) {
     return SimulateDpSync(spec, grad_bytes, c);
   };
-  f.coarse = [spec, grad_bytes](const tl::TuneCandidate& c) {
-    // Quarter volume preserves the chunking/staging ranking at a fraction
-    // of the events (chunk counts shrink 4x with the buffer).
-    return SimulateDpSync(spec, std::max<uint64_t>(grad_bytes / 4, 1u << 20),
-                          c);
-  };
   return f;
 }
 

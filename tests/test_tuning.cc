@@ -69,6 +69,46 @@ KernelFamily Pinned(KernelFamily family, const TuningSpace& space,
   return family;
 }
 
+// A MoE problem big enough for its families to halve: on two ranks a
+// quarter of its 8192 tokens holds one 2048-token coarse granule. The seed
+// and space are the test's own, sized to keep each sim small.
+struct ShrinkableMoe {
+  sim::MachineSpec spec = sim::MachineSpec::Test(2, 16);
+  MoeShape shape{8192, 32, 32, 4, 2};
+  compute::MoeRouting routing;
+  TuneCandidate base;
+  TuningSpace space;
+
+  ShrinkableMoe() {
+    Rng rng(7);
+    routing =
+        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
+    base.gemm = compute::GemmTiling{64, 32, 32};
+    base.comm_tile_m = 64;
+    base.comm_sms = 2;
+    base.comm = CommResource::kSmPull;
+    base.sorted_channel_rows = 256;
+    base.reduce_block_tokens = 32;
+    base.reduce_sms = 2;
+    // 1024-row comm tiles leave four ring chunks per rank, so 8 comm SMs
+    // clamp to 4 and the canonicalizer has candidates to merge.
+    space.CommTileM({64, 256, 1024})
+        .CommSms({2, 4, 8})
+        .Resources({CommResource::kSmPull, CommResource::kSmPush,
+                    CommResource::kDma})
+        .SortedChannelRows({256, 512})
+        .ReduceBlockTokens({32, 64})
+        .ReduceSms({2, 4});
+  }
+
+  KernelFamily AgMoe() const {
+    return Pinned(AgMoeFamily(spec, shape, Shared(routing), 7), space, base);
+  }
+  KernelFamily MoeRs() const {
+    return Pinned(MoeRsFamily(spec, shape, Shared(routing), 7), space, base);
+  }
+};
+
 TEST(HalvingTest, MatchesExhaustiveArgminOnSeededSpace) {
   TuneCandidate base;
   base.comm = CommResource::kSmPull;  // keep the comm_sms axis live
@@ -139,8 +179,8 @@ TEST(HalvingTest, SkipsTinySpaces) {
 
 // Every kernel family's pre-wired search must return a config that (a)
 // simulates to exactly the reported cost and (b) never loses to the seed —
-// whether it searches exactly (the MLP families), halves a big enough space
-// or finds the shape too small to coarsen (then the search runs plain).
+// whether it searches exactly (the MLP families and FlashCore) or halves
+// (the MoE families at a shape whose token count shrinks).
 TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
   const sim::MachineSpec spec = sim::MachineSpec::Test(4, 16);
   {
@@ -174,35 +214,19 @@ TEST(HalvingTest, FullFidelityArgminNeverWorseThanSeedOnKernelSpaces) {
     EXPECT_LE(fl.best_cost, SimulateFlashCore(spec, flash, base));
   }
   {
-    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
-    const MoeShape shape{128, 32, 32, 4, 2};
-    Rng rng(7);
-    const compute::MoeRouting routing =
-        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-    TuneCandidate base;
-    base.gemm = compute::GemmTiling{16, 16, 8};
-    base.comm_tile_m = 16;
-    base.comm_sms = 2;
-    base.comm = CommResource::kSmPull;
-    base.sorted_channel_rows = 32;
-    base.reduce_block_tokens = 8;
-    base.reduce_sms = 2;
-    TuningSpace space;
-    space.CommTileM({16, 32, 64})
-        .CommSms({2, 4})
-        .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                    CommResource::kDma})
-        .SortedChannelRows({32, 64})
-        .ReduceBlockTokens({8, 16})
-        .ReduceSms({2, 4});
-    const TuneResult p1 = Tune(Pinned(
-        AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base));
-    EXPECT_EQ(SimulateAgMoe(moe_spec, shape, routing, p1.best), p1.best_cost);
-    EXPECT_LE(p1.best_cost, SimulateAgMoe(moe_spec, shape, routing, base));
-    const TuneResult p2 = Tune(Pinned(
-        MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base));
-    EXPECT_EQ(SimulateMoeRs(moe_spec, shape, routing, p2.best), p2.best_cost);
-    EXPECT_LE(p2.best_cost, SimulateMoeRs(moe_spec, shape, routing, base));
+    const ShrinkableMoe moe;
+    const TuneResult p1 = Tune(moe.AgMoe());
+    EXPECT_GT(p1.coarse_evals, 0);
+    EXPECT_EQ(SimulateAgMoe(moe.spec, moe.shape, moe.routing, p1.best),
+              p1.best_cost);
+    EXPECT_LE(p1.best_cost,
+              SimulateAgMoe(moe.spec, moe.shape, moe.routing, moe.base));
+    const TuneResult p2 = Tune(moe.MoeRs());
+    EXPECT_GT(p2.coarse_evals, 0);
+    EXPECT_EQ(SimulateMoeRs(moe.spec, moe.shape, moe.routing, p2.best),
+              p2.best_cost);
+    EXPECT_LE(p2.best_cost,
+              SimulateMoeRs(moe.spec, moe.shape, moe.routing, moe.base));
   }
 }
 
@@ -674,41 +698,21 @@ TEST(ParallelSearchTest, DeterministicOnEveryKernelTuningSpace) {
         Tune(Pinned(FlashCoreFamily(spec, flash), space, base), parallel));
   }
   {
-    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
-    const MoeShape shape{128, 32, 32, 4, 2};
-    Rng rng(7);
-    const compute::MoeRouting routing =
-        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-    TuneCandidate base;
-    base.gemm = compute::GemmTiling{16, 16, 8};
-    // Keep the full-fidelity seed inside the space: the defaults (512-row
-    // channels etc.) overrun this tiny MoE shape.
-    base.comm_tile_m = 16;
-    base.comm_sms = 2;
-    base.comm = CommResource::kSmPull;
-    base.sorted_channel_rows = 32;
-    base.reduce_block_tokens = 8;
-    base.reduce_sms = 2;
-    TuningSpace space;
-    space.CommTileM({16, 32, 64})
-        .CommSms({2, 4})
-        .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                    CommResource::kDma})
-        .SortedChannelRows({32, 64})
-        .ReduceBlockTokens({8, 16})
-        .ReduceSms({2, 4});
-    const KernelFamily p1 =
-        Pinned(AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base);
-    ExpectIdenticalResults(Tune(p1), Tune(p1, parallel));
-    const KernelFamily p2 =
-        Pinned(MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base);
-    ExpectIdenticalResults(Tune(p2), Tune(p2, parallel));
+    const ShrinkableMoe moe;
+    const KernelFamily p1 = moe.AgMoe();
+    const TuneResult p1_serial = Tune(p1);
+    EXPECT_GT(p1_serial.coarse_evals, 0);
+    ExpectIdenticalResults(p1_serial, Tune(p1, parallel));
+    const KernelFamily p2 = moe.MoeRs();
+    const TuneResult p2_serial = Tune(p2);
+    EXPECT_GT(p2_serial.coarse_evals, 0);
+    ExpectIdenticalResults(p2_serial, Tune(p2, parallel));
   }
 }
 
 // The three multi-node families, each searched from its own seed over its
 // own space: GEMM+RS with its NIC rail, the fused ag_gemm_hier and the DP
-// gradient sync (the one with a coarse round).
+// gradient sync.
 TEST(ParallelSearchTest, DeterministicOnMultiNodeSpaces) {
   const Autotuner parallel = ThreadedTuner(8);
   const sim::MachineSpec spec = sim::MachineSpec::H800x16();
@@ -1055,43 +1059,25 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
     EXPECT_LT(rs.sims, rs_plain.sims);
   }
   {
-    // Too few tokens to shrink, so the MoE coarse round runs this shape and
-    // routing with the reduction loop collapsed. The MoE searches carry no
-    // lower bound.
-    const sim::MachineSpec moe_spec = sim::MachineSpec::Test(2, 16);
-    const MoeShape shape{128, 32, 32, 4, 2};
-    Rng rng(7);
-    const compute::MoeRouting routing =
-        compute::RandomRouting(shape.m, shape.num_experts, shape.topk, rng);
-    TuneCandidate base;
-    base.gemm = compute::GemmTiling{16, 16, 8};
-    base.comm_tile_m = 16;
-    base.comm_sms = 2;
-    base.comm = CommResource::kSmPull;
-    base.sorted_channel_rows = 32;
-    base.reduce_block_tokens = 8;
-    base.reduce_sms = 2;
-    TuningSpace space;
-    space.CommTileM({16, 32, 64})
-        .CommSms({2, 4, 8})
-        .Resources({CommResource::kSmPull, CommResource::kSmPush,
-                    CommResource::kDma})
-        .ChannelsPerRank({0, 2})
-        .SortedChannelRows({32, 64})
-        .ReduceBlockTokens({8, 16})
-        .ReduceSms({2, 4});
-    const KernelFamily p1_family =
-        Pinned(AgMoeFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    // Grouping must hold in the coarse round too, where channels_per_rank 0
+    // resolves at a quarter of the tokens. The MoE searches carry no lower
+    // bound.
+    ShrinkableMoe moe;
+    moe.space.ChannelsPerRank({0, 2});
+    const KernelFamily p1_family = moe.AgMoe();
     const TuneResult p1 = Tune(p1_family);
-    const TuneResult p1_plain = tuner.Search(
-        space, base, p1_family.evaluate, nullptr, p1_family.coarse);
+    const TuneResult p1_plain =
+        tuner.Search(moe.space, moe.base, p1_family.evaluate, nullptr,
+                     p1_family.coarse);
+    EXPECT_GT(p1.coarse_evals, 0);
     ExpectSameScores(p1, p1_plain);
     EXPECT_LT(p1.sims, p1_plain.sims);
-    const KernelFamily p2_family =
-        Pinned(MoeRsFamily(moe_spec, shape, Shared(routing), 7), space, base);
+    const KernelFamily p2_family = moe.MoeRs();
     const TuneResult p2 = Tune(p2_family);
-    const TuneResult p2_plain = tuner.Search(
-        space, base, p2_family.evaluate, nullptr, p2_family.coarse);
+    const TuneResult p2_plain =
+        tuner.Search(moe.space, moe.base, p2_family.evaluate, nullptr,
+                     p2_family.coarse);
+    EXPECT_GT(p2.coarse_evals, 0);
     ExpectSameScores(p2, p2_plain);
     EXPECT_LT(p2.sims, p2_plain.sims);
   }
@@ -1100,9 +1086,10 @@ TEST(CanonicalTest, GroupedSearchMatchesIdentitySearch) {
 // ---------------------------------------------------------------------- //
 // Lower-bound soundness: a bound that exceeds the simulated cost could
 // prune the argmin, so every bound is checked by brute force. The four
-// GEMM families search exactly (no coarse round), so their Tune() must
-// also return the brute-force minimum; the two hierarchical ones carry no
-// bound, so theirs simulate every candidate.
+// GEMM families, FlashCore and the DP sync search exactly (no coarse
+// round), so their Tune() must also return the brute-force minimum; the
+// two hierarchical GEMM families and the DP sync carry no bound, so theirs
+// simulate every candidate.
 // ---------------------------------------------------------------------- //
 
 // What Autotuner::Search scores: the enumerated space plus the seed.
@@ -1287,6 +1274,56 @@ TEST(ExactSearchTest, AgGemmHierMatchesBruteForce) {
     const TuneResult r = Tune(family);
     ExpectExactSearch(r, best);
     EXPECT_EQ(r.pruned, 0);
+  }
+}
+
+// FlashCore and the DP sync search exactly at fig11 scale: their coarse
+// sims would shrink the problem, but the exact search (FlashCore's bound
+// prunes) runs fewer sims and finds configs a halved one misses.
+TEST(ExactSearchTest, FlashCoreMatchesBruteForce) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x8();
+  const FlashShape shape{8, 8192, 8192, 128};
+  const KernelFamily family = FlashCoreFamily(spec, shape);
+  sim::TimeNs best = Autotuner::kInfeasible;
+  for (const TuneCandidate& c : SearchedCandidates(family.space, family.seed)) {
+    best = std::min(best, SimulateFlashCore(spec, shape, c));
+  }
+  EXPECT_EQ(best, 692016);  // a quarter-sequence halving round found 694816
+  ExpectExactSearch(Tune(family), best);
+}
+
+TEST(ExactSearchTest, DpSyncMatchesBruteForce) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x16();
+  const uint64_t grad_bytes = 39321600;
+  const KernelFamily family = multinode::DpSyncFamily(spec, grad_bytes);
+  sim::TimeNs best = Autotuner::kInfeasible;
+  for (const TuneCandidate& c : SearchedCandidates(family.space, family.seed)) {
+    best = std::min(best, multinode::SimulateDpSync(spec, grad_bytes, c));
+  }
+  EXPECT_EQ(best, 854202);  // a quarter-volume halving round found 854421
+  const TuneResult r = Tune(family);
+  ExpectExactSearch(r, best);
+  EXPECT_EQ(r.pruned, 0);
+}
+
+// Only the MoE families halve, and only where a quarter of the tokens
+// holds a coarse granule (1024 tokens per rank); below that a coarse sim
+// would cost about as much as a full one.
+TEST(ExactSearchTest, OnlyShrinkableMoeShapesHalve) {
+  const sim::MachineSpec spec = sim::MachineSpec::H800x8();
+  EXPECT_FALSE(FlashCoreFamily(spec, FlashShape{8, 8192, 8192, 128}).coarse);
+  EXPECT_FALSE(
+      multinode::DpSyncFamily(sim::MachineSpec::H800x16(), 39321600).coarse);
+  const auto no_routing = std::make_shared<const compute::MoeRouting>();
+  for (const int64_t m : {int64_t{2048}, int64_t{32768}}) {
+    const MoeShape shape{m, 4096, 1792, 8, 2};
+    const bool halves = m == 32768;
+    EXPECT_EQ(static_cast<bool>(AgMoeFamily(spec, shape, no_routing, 1).coarse),
+              halves)
+        << m;
+    EXPECT_EQ(static_cast<bool>(MoeRsFamily(spec, shape, no_routing, 1).coarse),
+              halves)
+        << m;
   }
 }
 
